@@ -108,7 +108,7 @@ def format_sequent(s: Sequent) -> str:
     return ("%s |- %s" % (left, right)).strip()
 
 
-def parse_sequent(text: str, alphabet: Alphabet, names=None) -> Sequent:
+def parse_sequent(text: str, alphabet: Alphabet) -> Sequent:
     """Parse `e1, e2 |- f1, f2`; either side may be empty."""
     parts = text.split("|-")
     if len(parts) != 2:
@@ -118,7 +118,7 @@ def parse_sequent(text: str, alphabet: Alphabet, names=None) -> Sequent:
         chunk = chunk.strip()
         if not chunk:
             return ()
-        return tuple(parse(piece, alphabet, names) for piece in chunk.split(","))
+        return tuple(parse(piece, alphabet) for piece in chunk.split(","))
 
     return Sequent(cedent(parts[0]), cedent(parts[1]), alphabet)
 
@@ -349,13 +349,13 @@ def applicable_steps(s: Sequent):
     return out
 
 
-def validate_instance(r: RuleInstance, allow_contextfree_plus: bool = False) -> Optional[str]:
+def validate_instance(r: RuleInstance) -> Optional[str]:
     """None when the instance matches its rule's schema (side conditions
     included), otherwise a description of the violation.
 
-    With allow_contextfree_plus, a +-l whose second premiss drops the
-    context — just the right summand against the old right side — is also
-    accepted; it abbreviates the full rule preceded by weakenings."""
+    A +-l whose second premiss drops the context — just the right summand
+    against the old right side — is also accepted; it abbreviates the full
+    rule preceded by weakenings."""
     rule = canonical_rule_name(r.rule)
     try:
         expected = _expected_premisses(rule, r.conclusion, r.principal)
@@ -363,7 +363,7 @@ def validate_instance(r: RuleInstance, allow_contextfree_plus: bool = False) -> 
         return str(v)
     if tuple(r.premisses) == tuple(expected):
         return None
-    if allow_contextfree_plus and rule == "+-l":
+    if rule == "+-l":
         degenerate = (
             expected[0],
             Sequent({r.principal.right}, r.conclusion.rhs, r.conclusion.alphabet),
@@ -377,17 +377,17 @@ def _principal_side_and_aux(r: RuleInstance):
     p = r.principal
     rule = r.rule
     if rule == "+-l":
-        return "L", ({canonical(p.left)}, {canonical(p.right)})
+        return "L", ({p.left}, {p.right})
     if rule == "∩-l":
-        return "L", ({canonical(p.left), canonical(p.right)},)
+        return "L", ({p.left, p.right},)
     if rule in ("μ-l", "ν-l"):
         return "L", ({unfold(p)},)
     if rule in ("⊤-l", "l-w"):
         return "L", (set(),)
     if rule == "+-r":
-        return "R", ({canonical(p.left), canonical(p.right)},)
+        return "R", ({p.left, p.right},)
     if rule == "∩-r":
-        return "R", ({canonical(p.left)}, {canonical(p.right)})
+        return "R", ({p.left}, {p.right})
     if rule in ("μ-r", "ν-r"):
         return "R", ({unfold(p)},)
     if rule in ("0-r", "r-w"):
@@ -408,12 +408,12 @@ def immediate_ancestry(r: RuleInstance):
         prem = r.premisses[0]
         for side, cedent in (("L", prem.lhs_sorted), ("R", prem.rhs_sorted)):
             for g in cedent:
-                edges.append(AncestryEdge(0, side, g, side, canonical(Letter(a, g)), "letter"))
+                edges.append(AncestryEdge(0, side, g, side, Letter(a, g), "letter"))
         return edges
     if r.rule == "r-p":
         for i, c in enumerate(r.conclusion.alphabet):
             for g in r.premisses[i].rhs_sorted:
-                edges.append(AncestryEdge(i, "R", g, "R", canonical(Letter(c, g)), "letter"))
+                edges.append(AncestryEdge(i, "R", g, "R", Letter(c, g), "letter"))
         return edges
     side, aux = _principal_side_and_aux(r)
     for i, prem in enumerate(r.premisses):

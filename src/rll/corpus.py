@@ -80,25 +80,13 @@ def _seq(lhs, rhs) -> Sequent:
     return Sequent(lhs, rhs, ALPHABET)
 
 
-def _cap(e, f):
-    return canonical(Cap(e, f))
-
-
-def _plus(e, f):
-    return canonical(Plus(e, f))
-
-
-def _letter(a, e):
-    return canonical(Letter(a, e))
-
-
 # the decision corpus: (name, sequent, expected verdict)
 DECISIONS = (
     # provable inclusions
     ("only-a-has-inf-a", _seq({_REP_A}, {_I_A}), "proved"),
-    ("fin-a-cap-only-a-empty", _seq({_cap(_F_A, _REP_A)}, set()), "proved"),
+    ("fin-a-cap-only-a-empty", _seq({Cap(_F_A, _REP_A)}, set()), "proved"),
     ("fin-a-has-inf-b", _seq({_F_A}, {_I_B}), "proved"),
-    ("fin-a-or-inf-a-total", _seq(set(), {_plus(_F_A, _I_A)}), "proved"),
+    ("fin-a-or-inf-a-total", _seq(set(), {Plus(_F_A, _I_A)}), "proved"),
     ("fin-b-has-inf-a", _seq({_F_B}, {_I_A}), "proved"),
     # identities
     ("id-zero", _seq({ZERO}, {ZERO}), "proved"),
@@ -116,7 +104,7 @@ DECISIONS = (
     ("inf-a-not-fin-a", _seq({_I_A}, {_F_A}), "refuted"),
     ("empty-not-valid", _seq(set(), set()), "refuted"),
     ("any-not-inf-a", _seq({EXPRESSIONS["any"]}, {_I_A}), "refuted"),
-    ("inf-a-cap-inf-b-not-fin-a", _seq({_cap(_I_A, _I_B)}, {_F_A}), "refuted"),
+    ("inf-a-cap-inf-b-not-fin-a", _seq({Cap(_I_A, _I_B)}, {_F_A}), "refuted"),
 )
 
 
@@ -152,7 +140,7 @@ def _proof_only_a_has_inf_a() -> ProofGraph:
             "n1": ("ν-r", _I_A, ("n2",)),
             "n2": ("μ-r", _I_A1, ("n3",)),
             "n3": ("+-r", unfold(_I_A1), ("n4",)),
-            "n4": ("r-w", _letter("b", _I_A1), ("n5",)),
+            "n4": ("r-w", Letter("b", _I_A1), ("n5",)),
             "n5": ("h_a", "a", ("n0",)),
         },
     )
@@ -161,11 +149,11 @@ def _proof_only_a_has_inf_a() -> ProofGraph:
 def _proof_fin_a_cap_only_a_empty() -> ProofGraph:
     # finitely many a's and only a's is impossible
     ufa = unfold(_F_A)                      # a fin-a + b fin-a + only-b
-    pab = _plus(_letter("a", _F_A), _letter("b", _F_A))
+    pab = Plus(Letter("a", _F_A), Letter("b", _F_A))
     return _build_proof(
-        _seq({_cap(_F_A, _REP_A)}, set()),
+        _seq({Cap(_F_A, _REP_A)}, set()),
         {
-            "n0": ("∩-l", _cap(_F_A, _REP_A), ("n1",)),
+            "n0": ("∩-l", Cap(_F_A, _REP_A), ("n1",)),
             "n1": ("ν-l", _REP_A, ("n2",)),
             "n2": ("μ-l", _F_A, ("n3",)),
             "n3": ("+-l", ufa, ("n4", "n5")),
@@ -181,7 +169,7 @@ def _proof_fin_a_cap_only_a_empty() -> ProofGraph:
 def _proof_fin_a_has_inf_b() -> ProofGraph:
     # finitely many a's forces infinitely many b's
     ufa = unfold(_F_A)
-    pab = _plus(_letter("a", _F_A), _letter("b", _F_A))
+    pab = Plus(Letter("a", _F_A), Letter("b", _F_A))
     return _build_proof(
         _seq({_F_A}, {_I_B}),
         {
@@ -191,12 +179,12 @@ def _proof_fin_a_has_inf_b() -> ProofGraph:
             "n3": ("+-r", unfold(_I_B1), ("n4",)),
             "n4": ("+-l", ufa, ("n5", "n6")),
             "n5": ("+-l", pab, ("n7", "n8")),
-            "n7": ("r-w", _letter("b", _I_B), ("n9",)),
+            "n7": ("r-w", Letter("b", _I_B), ("n9",)),
             "n9": ("h_a", "a", ("n1",)),
-            "n8": ("r-w", _letter("a", _I_B1), ("n10",)),
+            "n8": ("r-w", Letter("a", _I_B1), ("n10",)),
             "n10": ("h_b", "b", ("n0",)),
             "n6": ("ν-l", _REP_B, ("n11",)),
-            "n11": ("r-w", _letter("a", _I_B1), ("n12",)),
+            "n11": ("r-w", Letter("a", _I_B1), ("n12",)),
             "n12": ("h_b", "b", ("n13",)),
             "n13": ("ν-r", _I_B, ("n14",)),
             "n14": ("μ-r", _I_B1, ("n15",)),
@@ -209,11 +197,11 @@ def _proof_fin_a_has_inf_b() -> ProofGraph:
 def _proof_fin_a_or_inf_a_total() -> ProofGraph:
     # every word has finitely many or infinitely many a's
     ufa = unfold(_F_A)
-    pab = _plus(_letter("a", _F_A), _letter("b", _F_A))
+    pab = Plus(Letter("a", _F_A), Letter("b", _F_A))
     return _build_proof(
-        _seq(set(), {_plus(_F_A, _I_A)}),
+        _seq(set(), {Plus(_F_A, _I_A)}),
         {
-            "n0": ("+-r", _plus(_F_A, _I_A), ("n1",)),
+            "n0": ("+-r", Plus(_F_A, _I_A), ("n1",)),
             "n1": ("μ-r", _F_A, ("n2",)),
             "n2": ("ν-r", _I_A, ("n3",)),
             "n3": ("+-r", ufa, ("n4",)),
@@ -232,12 +220,12 @@ def _proof_fin_a_cap_fin_b_empty() -> ProofGraph:
     # no word has finitely many a's and finitely many b's
     ufa = unfold(_F_A)
     ufb = unfold(_F_B)
-    pa = _plus(_letter("a", _F_A), _letter("b", _F_A))
-    pb = _plus(_letter("a", _F_B), _letter("b", _F_B))
+    pa = Plus(Letter("a", _F_A), Letter("b", _F_A))
+    pb = Plus(Letter("a", _F_B), Letter("b", _F_B))
     return _build_proof(
-        _seq({_cap(_F_A, _F_B)}, set()),
+        _seq({Cap(_F_A, _F_B)}, set()),
         {
-            "n0": ("∩-l", _cap(_F_A, _F_B), ("n1",)),
+            "n0": ("∩-l", Cap(_F_A, _F_B), ("n1",)),
             "n1": ("μ-l", _F_A, ("n2",)),
             "n2": ("μ-l", _F_B, ("n3",)),
             "n3": ("+-l", ufa, ("n4", "n5")),
@@ -402,7 +390,7 @@ def closed_form_failures(seed: int, words_each: int = 50):
     facts = (
         ("(a)^w", EXPRESSIONS["only-a"], True),
         ("(b)^w", EXPRESSIONS["inf-a"], False),
-        ("(ba)^w", _cap(EXPRESSIONS["inf-a"], EXPRESSIONS["inf-b"]), True),
+        ("(ba)^w", Cap(EXPRESSIONS["inf-a"], EXPRESSIONS["inf-b"]), True),
         ("a(b)^w", EXPRESSIONS["fin-a"], True),
     )
     out = []
@@ -568,8 +556,8 @@ def run_suite(seed: int, filter_text=None, membership_samples: int = 1000, sound
         e = EXPRESSIONS[name]
         ce = complement(e, ALPHABET)
         for suffix, s in (
-            ("total", Sequent(set(), {_plus(e, ce)}, ALPHABET)),
-            ("empty", Sequent({_cap(e, ce)}, set(), ALPHABET)),
+            ("total", Sequent(set(), {Plus(e, ce)}, ALPHABET)),
+            ("empty", Sequent({Cap(e, ce)}, set(), ALPHABET)),
         ):
             if not wanted("complement", "%s-%s" % (name, suffix)):
                 continue

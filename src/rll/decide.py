@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .expr import Cap, Letter, Mu, Nu, Plus, Top, Zero, expr_sort_key, is_guarded, pretty
 from .semantics import UPWord, member
 from .calculus import RuleInstance, Sequent, make_instance
-from .proof import Lasso, ProofGraph, check_local, check_progress
+from .proof import Lasso, ProofGraph, check_local, progress_lasso
 
 
 class UnguardedSequentError(ValueError):
@@ -132,7 +132,7 @@ def decide(s: Sequent, max_nodes: int = 200000):
     violations = check_local(p)
     if violations:
         raise RuntimeError("internal error: search built an ill-formed proof: %s" % violations[0])
-    lasso = check_progress(p)
+    lasso = progress_lasso(p)
     if lasso is None:
         return Proved(p)
     w = extract_countermodel(p, lasso)

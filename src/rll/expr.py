@@ -12,19 +12,31 @@ intersection, ``0`` and ``T`` the empty and universal languages, and
 This module is purely syntactic: construction, alpha-canonical renaming,
 substitution, guardedness, the closure of an expression under one-step
 decomposition/unfolding, the orders on that closure, and syntactic
-complementation.  Everything is immutable after construction and all public
-operations return canonically renamed terms, so structural equality is
-equality up to renaming of bound variables.
+complementation.
+
+Terms are interned (hash-consed): a constructor returns the one live node
+with its class and fields, so equality is identity and hashing is by
+identity.  Bound variables are renamed by binder depth (see canonical), and
+parse, unfold, complement and fl_closure return canonical terms, so
+alpha-equivalent inputs come out as the same object.  Each node holds its structural facts, each computed once:
+free variables and sort key when the node is built; its canonical form, its
+set of canonical subterms and, for a closed canonical root, its closure on
+first use.  The intern table holds its nodes weakly, so it keeps no term
+alive.
 """
 
 from __future__ import annotations
 
 import re
-from functools import lru_cache
+import weakref
 
 
 class ParseError(ValueError):
     """Raised for malformed expression / word / sequent / proof text."""
+
+
+def _is_letter(a) -> bool:
+    return isinstance(a, str) and len(a) == 1 and a.isalpha() and a.islower()
 
 
 class Alphabet:
@@ -37,7 +49,7 @@ class Alphabet:
         if not letters:
             raise ValueError("alphabet must not be empty")
         for a in letters:
-            if not (isinstance(a, str) and len(a) == 1 and a.isalpha() and a.islower()):
+            if not _is_letter(a):
                 raise ValueError("alphabet letters must be single lowercase characters, got %r" % (a,))
         if len(set(letters)) != len(letters):
             raise ValueError("alphabet letters must be distinct: %r" % (letters,))
@@ -72,136 +84,105 @@ class Alphabet:
 # AST
 
 
+# (class, *fields) -> the one live node with them.  A child field is keyed by
+# its id(): the node holds the child, so the id is not reused while the entry
+# is live, and the table holds no node alive, not even through its keys.
+_NODES = weakref.WeakValueDictionary()
+
+
 class Expr:
-    """Base class for expression nodes.  Instances are immutable; do not
-    assign to their fields after construction."""
+    """Base class for expression nodes.  Nodes are interned and immutable:
+    build them with the constructors and never assign to their fields."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__", "_free", "_key", "_canon", "_subterms", "_closure")
 
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, *fields):
+        ident = (cls, *[id(f) if isinstance(f, Expr) else f for f in fields])
+        node = _NODES.get(ident)
+        if node is not None:
+            return node
+        if len(fields) != len(cls.__slots__):
+            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
+        if cls is Var and not (isinstance(fields[0], str) and fields[0]):
+            raise ValueError("variable name must be a nonempty string")
+        if cls is Letter and not _is_letter(fields[0]):
+            raise ValueError("letter must be a single lowercase character, got %r" % (fields[0],))
+        node = object.__new__(cls)
+        for name, value in zip(cls.__slots__, fields):
+            setattr(node, name, value)
+        kids = [f for f in fields if isinstance(f, Expr)]
+        if cls is Var:
+            node._free = frozenset(fields)
+        elif cls in _BINDERS:
+            node._free = node.body._free - {node.var}
+        else:
+            node._free = frozenset().union(*(k._free for k in kids))
+        label = [f for f in fields if isinstance(f, str)]  # the letter or variable name, if any
+        node._key = (cls._rank, tuple(k._key for k in kids), label[0] if label else "")
+        node._canon = node._subterms = node._closure = None
+        _NODES[ident] = node
+        return node
 
     def __repr__(self):
         return "Expr[%s]" % pretty(self)
 
 
 class Var(Expr):
+    """A variable, ``Var(name)``."""
+
     __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        if not name or not isinstance(name, str):
-            raise ValueError("variable name must be a nonempty string")
-        self.name = name
-        self._hash = hash(("var", name))
-
-    def __eq__(self, other):
-        return type(other) is Var and other.name == self.name
-
-    __hash__ = Expr.__hash__
+    _rank = 2
 
 
 class Letter(Expr):
-    """A letter-prefixed expression ``a e``."""
+    """A letter-prefixed expression ``a e``, ``Letter(letter, body)``."""
 
     __slots__ = ("letter", "body")
-
-    def __init__(self, letter: str, body: Expr):
-        if not (isinstance(letter, str) and len(letter) == 1 and letter.isalpha() and letter.islower()):
-            raise ValueError("letter must be a single lowercase character, got %r" % (letter,))
-        self.letter = letter
-        self.body = body
-        self._hash = hash(("letter", letter, body))
-
-    def __eq__(self, other):
-        return type(other) is Letter and other.letter == self.letter and other.body == self.body
-
-    __hash__ = Expr.__hash__
+    _rank = 3
 
 
 class Zero(Expr):
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash("zero")
-
-    def __eq__(self, other):
-        return type(other) is Zero
-
-    __hash__ = Expr.__hash__
+    _rank = 0
 
 
 class Top(Expr):
     __slots__ = ()
-
-    def __init__(self):
-        self._hash = hash("top")
-
-    def __eq__(self, other):
-        return type(other) is Top
-
-    __hash__ = Expr.__hash__
+    _rank = 1
 
 
 class Plus(Expr):
+    """A sum ``e + f``, ``Plus(left, right)``."""
+
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-        self._hash = hash(("plus", left, right))
-
-    def __eq__(self, other):
-        return type(other) is Plus and other.left == self.left and other.right == self.right
-
-    __hash__ = Expr.__hash__
+    _rank = 4
 
 
 class Cap(Expr):
+    """An intersection ``e & f``, ``Cap(left, right)``."""
+
     __slots__ = ("left", "right")
-
-    def __init__(self, left: Expr, right: Expr):
-        self.left = left
-        self.right = right
-        self._hash = hash(("cap", left, right))
-
-    def __eq__(self, other):
-        return type(other) is Cap and other.left == self.left and other.right == self.right
-
-    __hash__ = Expr.__hash__
+    _rank = 5
 
 
 class Mu(Expr):
+    """A least fixpoint ``mu X. e``, ``Mu(var, body)``."""
+
     __slots__ = ("var", "body")
-
-    def __init__(self, var: str, body: Expr):
-        self.var = var
-        self.body = body
-        self._hash = hash(("mu", var, body))
-
-    def __eq__(self, other):
-        return type(other) is Mu and other.var == self.var and other.body == self.body
-
-    __hash__ = Expr.__hash__
+    _rank = 6
 
 
 class Nu(Expr):
+    """A greatest fixpoint ``nu X. e``, ``Nu(var, body)``."""
+
     __slots__ = ("var", "body")
+    _rank = 7
 
-    def __init__(self, var: str, body: Expr):
-        self.var = var
-        self.body = body
-        self._hash = hash(("nu", var, body))
 
-    def __eq__(self, other):
-        return type(other) is Nu and other.var == self.var and other.body == self.body
-
-    __hash__ = Expr.__hash__
-
+_BINDERS = (Mu, Nu)
 
 ZERO = Zero()
 TOP = Top()
-
-_BINDERS = (Mu, Nu)
 
 
 # ---------------------------------------------------------------------------
@@ -210,26 +191,20 @@ _BINDERS = (Mu, Nu)
 
 def free_vars(e: Expr) -> frozenset:
     """The set of free variable names of e."""
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Letter):
-        return free_vars(e.body)
+    return e._free
+
+
+def _children(e: Expr):
     if isinstance(e, (Plus, Cap)):
-        return free_vars(e.left) | free_vars(e.right)
-    if isinstance(e, _BINDERS):
-        return free_vars(e.body) - {e.var}
-    return frozenset()
+        return (e.left, e.right)
+    if isinstance(e, (Letter, Mu, Nu)):
+        return (e.body,)
+    return ()
 
 
 def ast_size(e: Expr) -> int:
     """Number of AST nodes; the size measure for the closure bound."""
-    if isinstance(e, Letter):
-        return 1 + ast_size(e.body)
-    if isinstance(e, (Plus, Cap)):
-        return 1 + ast_size(e.left) + ast_size(e.right)
-    if isinstance(e, _BINDERS):
-        return 1 + ast_size(e.body)
-    return 1
+    return 1 + sum(map(ast_size, _children(e)))
 
 
 def _require_closed(e: Expr, op: str):
@@ -244,12 +219,15 @@ def _require_closed(e: Expr, op: str):
 # Bound variables are renamed to ".<n>" by binder depth.  The dot keeps the
 # namespace disjoint from anything the parser can produce, so canonically
 # renamed terms never collide with user variable names, and alpha-equivalent
-# terms become structurally identical.
+# terms become the same node.
 
 
 def canonical(e: Expr) -> Expr:
-    """Rename bound variables positionally so structural equality is
-    alpha-equivalence.  Free variables are left untouched."""
+    """Rename bound variables positionally, so that alpha-equivalent terms
+    share one canonical node.  Free variables are left untouched.  Computed
+    once per node; a canonical node is its own canonical form."""
+    if e._canon is not None:
+        return e._canon
     base = 0
     for v in free_vars(e):
         if v.startswith(".") and v[1:].isdigit():
@@ -271,7 +249,9 @@ def canonical(e: Expr) -> Expr:
             return type(t)(fresh, go(t.body, depth + 1, inner))
         return t
 
-    return go(e, 0, {})
+    c = e._canon = go(e, 0, {})
+    c._canon = c
+    return c
 
 
 def substitute(e: Expr, name: str, repl: Expr) -> Expr:
@@ -346,23 +326,10 @@ def is_guarded(e: Expr) -> bool:
 
 def expr_sort_key(e: Expr):
     """Key for a total order on expressions: constructor rank, then
-    components.  Every tuple has the shape (rank, child-keys, payload) so
-    mixed comparisons never hit unlike types."""
-    if isinstance(e, Zero):
-        return (0, (), "")
-    if isinstance(e, Top):
-        return (1, (), "")
-    if isinstance(e, Var):
-        return (2, (), e.name)
-    if isinstance(e, Letter):
-        return (3, (expr_sort_key(e.body),), e.letter)
-    if isinstance(e, Plus):
-        return (4, (expr_sort_key(e.left), expr_sort_key(e.right)), "")
-    if isinstance(e, Cap):
-        return (5, (expr_sort_key(e.left), expr_sort_key(e.right)), "")
-    if isinstance(e, Mu):
-        return (6, (expr_sort_key(e.body),), e.var)
-    return (7, (expr_sort_key(e.body),), e.var)
+    components.  Every key has the shape (rank, child-keys, payload), where
+    the payload is the letter or variable name, so mixed comparisons never
+    hit unlike types."""
+    return e._key
 
 
 # ---------------------------------------------------------------------------
@@ -380,20 +347,20 @@ def _tokenize(text):
     return toks
 
 
-def parse(text: str, alphabet: Alphabet, names=None) -> Expr:
+def parse(text: str, alphabet: Alphabet) -> Expr:
     """Parse the ASCII expression syntax over the given alphabet.
 
     Grammar (loosest to tightest): sums ``e + f``, intersections ``e & f``,
     letter prefixes ``a e``, then atoms ``0``, ``T``, variables, parentheses
     and the binders ``mu X. e`` / ``nu X. e``, which extend maximally to the
-    right.  ``mu``/``nu`` are reserved words.  A lowercase word is looked up
-    in `names` (pre-bound expressions such as the corpus entries) first;
-    otherwise it must spell one or more letters of the alphabet, read as
-    nested prefixes.  The result is canonically renamed.
+    right.  ``mu``/``nu`` are reserved words.  Any other lowercase word must
+    spell one or more letters of the alphabet, read as nested prefixes.  The
+    result is canonically renamed.  Input nested deeper than the
+    interpreter's recursion limit allows raises ParseError.
     """
-    names = names or {}
     toks = _tokenize(text)
     pos = 0
+    bound = []  # the enclosing binders' variables, outermost first
 
     def peek():
         return toks[pos][0]
@@ -423,37 +390,29 @@ def parse(text: str, alphabet: Alphabet, names=None) -> Expr:
         return e
 
     def parse_prefix():
+        # a run of letter prefixes, then an atom
+        letters = ""
         tok = peek()
-        if tok is not None and re.fullmatch(r"[a-z][A-Za-z0-9_']*", tok) and tok not in ("mu", "nu") and tok not in names:
-            # a run of letters acting as prefixes
-            if all(c in alphabet for c in tok):
-                advance()
-                body = parse_prefix()
-                for c in reversed(tok):
-                    body = Letter(c, body)
-                return body
-            err("unknown name or letter outside alphabet: %r" % tok)
-        return parse_atom()
-
-    def parse_atom():
-        tok = peek()
+        while tok is not None and re.fullmatch(r"[a-z][A-Za-z0-9_']*", tok) and tok not in ("mu", "nu"):
+            if not all(c in alphabet for c in tok):
+                err("unknown name or letter outside alphabet: %r" % tok)
+            letters += advance()
+            tok = peek()
         if tok is None:
             err("unexpected end of input")
+        if tok not in ("0", "T", "(", "mu", "nu") and not re.fullmatch(r"[A-Z][A-Za-z0-9_']*", tok):
+            err("unexpected token %r" % tok)
+        advance()
         if tok == "0":
-            advance()
-            return ZERO
-        if tok == "T":
-            advance()
-            return TOP
-        if tok == "(":
-            advance()
+            e = ZERO
+        elif tok == "T":
+            e = TOP
+        elif tok == "(":
             e = parse_sum()
             if peek() != ")":
                 err("expected ')'")
             advance()
-            return e
-        if tok in ("mu", "nu"):
-            advance()
+        elif tok in ("mu", "nu"):
             var = peek()
             if var is None or not re.fullmatch(r"[A-Z][A-Za-z0-9_']*", var):
                 err("expected a variable after %r" % tok)
@@ -461,22 +420,27 @@ def parse(text: str, alphabet: Alphabet, names=None) -> Expr:
             if peek() != ".":
                 err("expected '.' after the bound variable")
             advance()
-            body = parse_sum()
-            return (Mu if tok == "mu" else Nu)(var, body)
-        if re.fullmatch(r"[A-Z][A-Za-z0-9_']*", tok):
-            advance()
-            return Var(tok)
-        if re.fullmatch(r"[a-z][A-Za-z0-9_']*", tok):
-            if tok in names:
-                advance()
-                return names[tok]
-            err("unknown name or letter outside alphabet: %r" % tok)
-        err("unexpected token %r" % tok)
+            # name binders as canonical() does, so that known terms are found
+            # in the intern table already canonical
+            fresh = ".%d" % len(bound)
+            bound.append(var)
+            e = (Mu if tok == "mu" else Nu)(fresh, parse_sum())
+            bound.pop()
+        elif tok in bound:
+            e = Var(".%d" % (len(bound) - 1 - bound[::-1].index(tok)))
+        else:
+            e = Var(tok)
+        for c in reversed(letters):
+            e = Letter(c, e)
+        return e
 
-    e = parse_sum()
-    if peek() is not None:
-        err("trailing input")
-    return canonical(e)
+    try:
+        e = parse_sum()
+        if peek() is not None:
+            err("trailing input")
+        return canonical(e)
+    except RecursionError:
+        raise ParseError("expression nested too deeply") from None
 
 
 # ---------------------------------------------------------------------------
@@ -599,25 +563,27 @@ def _fl_steps(e: Expr):
     return ()
 
 
-@lru_cache(maxsize=None)
 def fl_closure(e: Expr) -> FLClosure:
-    """Closure of a closed expression under one-step decomposition."""
+    """Closure of a closed expression under one-step decomposition, built
+    once per canonical root."""
     root = canonical(e)
-    _require_closed(root, "fl_closure")
-    order = [root]
-    seen = {root}
-    successors = {}
-    i = 0
-    while i < len(order):
-        t = order[i]
-        i += 1
-        steps = _fl_steps(t)
-        successors[t] = steps
-        for _, u in steps:
-            if u not in seen:
-                seen.add(u)
-                order.append(u)
-    return FLClosure(root, order, successors)
+    if root._closure is None:
+        _require_closed(root, "fl_closure")
+        order = [root]
+        seen = {root}
+        successors = {}
+        i = 0
+        while i < len(order):
+            t = order[i]
+            i += 1
+            steps = _fl_steps(t)
+            successors[t] = steps
+            for _, u in steps:
+                if u not in seen:
+                    seen.add(u)
+                    order.append(u)
+        root._closure = FLClosure(root, order, successors)
+    return root._closure
 
 
 # ---------------------------------------------------------------------------
@@ -627,20 +593,14 @@ def fl_closure(e: Expr) -> FLClosure:
 def subformula_leq(f: Expr, g: Expr) -> bool:
     """True if f occurs as a subterm of g, modulo renaming of bound
     variables.  Reflexive."""
-    target = canonical(f)
+    return canonical(f) in _subterms(canonical(g))
 
-    def walk(t):
-        if canonical(t) == target:
-            return True
-        if isinstance(t, Letter):
-            return walk(t.body)
-        if isinstance(t, (Plus, Cap)):
-            return walk(t.left) or walk(t.right)
-        if isinstance(t, _BINDERS):
-            return walk(t.body)
-        return False
 
-    return walk(canonical(g))
+def _subterms(e: Expr) -> frozenset:
+    """The canonical forms of e and of all its subterms, computed once."""
+    if e._subterms is None:
+        e._subterms = frozenset((canonical(e),)).union(*map(_subterms, _children(e)))
+    return e._subterms
 
 
 def fl_leq(f: Expr, g: Expr) -> bool:

@@ -103,7 +103,7 @@ def check_local(p: ProofGraph):
         inst = p.instance[nid]
         if inst.conclusion.alphabet != ab:
             violations.append("node %s: alphabet differs from the root's" % nid)
-        v = validate_instance(inst, allow_contextfree_plus=True)
+        v = validate_instance(inst)
         if v is not None:
             violations.append("node %s: %s" % (nid, v))
             continue
@@ -220,7 +220,7 @@ def parse_proof(text: str) -> ProofGraph:
             matching = []
             for cand in candidates:
                 trial = RuleInstance(rule, conclusion, cand, premisses)
-                if validate_instance(trial, allow_contextfree_plus=True) is None:
+                if validate_instance(trial) is None:
                     matching.append(cand)
             if len(matching) != 1:
                 raise ParseError(
@@ -724,11 +724,18 @@ def _sccs(node_order, edges_of):
 
 def check_progress(p: ProofGraph) -> Optional[Lasso]:
     """None when every infinite branch has a progressing trace; otherwise a
-    lasso branch with no such trace.  The returned lasso is re-verified by
-    replaying it through the trace automaton."""
+    lasso branch with no such trace.  Raises ValueError unless the proof is
+    locally valid."""
     violations = check_local(p)
     if violations:
         raise ValueError("check_progress requires a locally valid proof: %s" % violations[0])
+    return progress_lasso(p)
+
+
+def progress_lasso(p: ProofGraph) -> Optional[Lasso]:
+    """check_progress on a proof already known to be locally valid.  The
+    returned lasso is re-verified by replaying it through the trace
+    automaton."""
     bp = build_trace_automaton(p)
     by_node = {nid: [] for nid in p.order}
     for st in bp.states:
@@ -774,11 +781,11 @@ class CheckResult:
 
 
 def check(p: ProofGraph) -> CheckResult:
-    """check_local, then check_progress."""
+    """check_local, then the progress check."""
     violations = check_local(p)
     if violations:
         return CheckResult(False, tuple(violations), None)
-    lasso = check_progress(p)
+    lasso = progress_lasso(p)
     if lasso is not None:
         return CheckResult(False, (), lasso)
     return CheckResult(True, (), None)

@@ -110,7 +110,6 @@ def build_eval_game(w: UPWord, e: Expr) -> ParityGame:
     word.  Letter positions advance on a match and deadlock (for Eloise) on a
     mismatch; 0 deadlocks for Eloise, T for Abelard; + is Eloise's choice, &
     Abelard's; fixpoints unfold deterministically."""
-    e = canonical(e)
     if free_vars(e):
         raise ValueError("build_eval_game requires a closed expression")
     fl = fl_closure(e)

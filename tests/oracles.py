@@ -92,3 +92,96 @@ def gen_word(rng, alphabet: Alphabet, max_stem=3, max_loop=3):
     stem = "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(0, max_stem)))
     loop = "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(1, max_loop)))
     return stem, loop
+
+
+# ---------------------------------------------------------------------------
+# Reference copies of the structural term facts, written as plain recursive
+# walks that compare fields instead of node identity.  rll.expr interns its
+# terms and memoises these facts per node; the tests check it against these.
+
+
+def ref_free_vars(e) -> frozenset:
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, Letter):
+        return ref_free_vars(e.body)
+    if isinstance(e, (Plus, Cap)):
+        return ref_free_vars(e.left) | ref_free_vars(e.right)
+    if isinstance(e, (Mu, Nu)):
+        return ref_free_vars(e.body) - {e.var}
+    return frozenset()
+
+
+def ref_equal(x, y) -> bool:
+    """Structural equality: same constructor, same fields, recursively."""
+    if type(x) is not type(y):
+        return False
+    if isinstance(x, Var):
+        return x.name == y.name
+    if isinstance(x, Letter):
+        return x.letter == y.letter and ref_equal(x.body, y.body)
+    if isinstance(x, (Plus, Cap)):
+        return ref_equal(x.left, y.left) and ref_equal(x.right, y.right)
+    if isinstance(x, (Mu, Nu)):
+        return x.var == y.var and ref_equal(x.body, y.body)
+    return True
+
+
+def ref_canonical(e):
+    """Bound variables renamed ".<n>" by binder depth, numbered above any
+    free ".<n>" variable."""
+    base = 0
+    for v in ref_free_vars(e):
+        if v.startswith(".") and v[1:].isdigit():
+            base = max(base, int(v[1:]) + 1)
+
+    def go(t, depth, env):
+        if isinstance(t, Var):
+            return Var(env.get(t.name, t.name))
+        if isinstance(t, Letter):
+            return Letter(t.letter, go(t.body, depth, env))
+        if isinstance(t, (Plus, Cap)):
+            return type(t)(go(t.left, depth, env), go(t.right, depth, env))
+        if isinstance(t, (Mu, Nu)):
+            fresh = ".%d" % (base + depth)
+            return type(t)(fresh, go(t.body, depth + 1, {**env, t.var: fresh}))
+        return t
+
+    return go(e, 0, {})
+
+
+def ref_subformula_leq(f, g) -> bool:
+    """Some subterm of g is f, both compared after canonical renaming."""
+    target = ref_canonical(f)
+
+    def walk(t):
+        if ref_equal(ref_canonical(t), target):
+            return True
+        if isinstance(t, Letter):
+            return walk(t.body)
+        if isinstance(t, (Plus, Cap)):
+            return walk(t.left) or walk(t.right)
+        if isinstance(t, (Mu, Nu)):
+            return walk(t.body)
+        return False
+
+    return walk(ref_canonical(g))
+
+
+def ref_sort_key(e):
+    """(constructor rank, child keys, letter or variable name)."""
+    if isinstance(e, Zero):
+        return (0, (), "")
+    if isinstance(e, Top):
+        return (1, (), "")
+    if isinstance(e, Var):
+        return (2, (), e.name)
+    if isinstance(e, Letter):
+        return (3, (ref_sort_key(e.body),), e.letter)
+    if isinstance(e, Plus):
+        return (4, (ref_sort_key(e.left), ref_sort_key(e.right)), "")
+    if isinstance(e, Cap):
+        return (5, (ref_sort_key(e.left), ref_sort_key(e.right)), "")
+    if isinstance(e, Mu):
+        return (6, (ref_sort_key(e.body),), e.var)
+    return (7, (ref_sort_key(e.body),), e.var)

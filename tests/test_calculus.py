@@ -158,11 +158,10 @@ def test_contextfree_plus_is_a_degenerate_case_only():
     contexted = make_instance("+-l", conc, p)
     assert contexted.premisses == (seq("a 0, T |- 0"), seq("b 0, T |- 0"))
     degenerate = RuleInstance("+-l", conc, p, (seq("a 0, T |- 0"), seq("b 0 |- 0")))
-    assert validate_instance(degenerate) is not None
-    assert validate_instance(degenerate, allow_contextfree_plus=True) is None
+    assert validate_instance(degenerate) is None
     # the relaxation does not swallow arbitrary premiss damage
     mangled = RuleInstance("+-l", conc, p, (seq("a 0 |- 0"), seq("b 0 |- 0")))
-    assert validate_instance(mangled, allow_contextfree_plus=True) is not None
+    assert validate_instance(mangled) is not None
 
 
 # ---------------------------------------------------------------------------

@@ -170,3 +170,13 @@ def test_usage_errors_exit_64():
     assert rll("member", "--alphabet", "ab").returncode == 64
     assert rll("parse", "--alphabet", "ab", "--expr", "((").returncode == 64
     assert rll("check", "/definitely/not/a/file").returncode == 64
+
+
+def test_input_nested_too_deeply_exits_64_without_a_traceback():
+    chain = "a " * 3000 + "T"
+    nested = "(" * 2000 + "T" + ")" * 2000
+    for expr in (chain, nested):
+        r = rll("parse", "--alphabet", "a", "--expr", expr)
+        assert r.returncode == 64
+        assert r.stderr.startswith("error: ") and "nested too deeply" in r.stderr
+        assert "Traceback" not in r.stderr

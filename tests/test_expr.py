@@ -1,3 +1,4 @@
+import gc
 import random
 
 import pytest
@@ -31,7 +32,8 @@ from rll.expr import (
     substitute,
     unfold,
 )
-from oracles import gen_expr
+from rll import expr as expr_module
+from oracles import gen_expr, ref_canonical, ref_equal, ref_sort_key, ref_subformula_leq
 
 AB = Alphabet("ab")
 
@@ -108,13 +110,17 @@ def test_parse_errors():
         p("")
 
 
-def test_parse_names_splice():
-    names = {"i_a": p(I_A), "f_a": p(F_A)}
-    e = parse("a i_a + b f_a", AB, names)
-    assert e == Plus(Letter("a", p(I_A)), Letter("b", p(F_A)))
-    # names must not shadow the reserved binder keywords
-    e2 = parse("mu X. a X", AB, {"q": TOP})
-    assert isinstance(e2, Mu)
+def test_deep_input_within_the_recursion_limit_parses():
+    assert p("(" * 200 + "a T" + ")" * 200) == p("a T")
+    assert p("a " * 500 + "T") == p("a" * 500 + " T")
+    assert isinstance(p("mu X. a " * 150 + "T"), Mu)
+
+
+def test_input_nested_too_deeply_is_a_parse_error():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        p("a " * 3000 + "T")
+    with pytest.raises(ParseError, match="nested too deeply"):
+        p("(" * 2000 + "T" + ")" * 2000)
 
 
 def test_free_vars():
@@ -287,3 +293,74 @@ def test_expr_sort_key_total():
         for y in exprs:
             if expr_sort_key(x) == expr_sort_key(y):
                 assert x == y
+
+
+# ---------------------------------------------------------------------------
+# interned terms
+
+
+def _rebuild(t):
+    """A structural copy of t, made node by node through the constructors."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    if isinstance(t, Letter):
+        return Letter(t.letter, _rebuild(t.body))
+    if isinstance(t, (Plus, Cap)):
+        return type(t)(_rebuild(t.left), _rebuild(t.right))
+    if isinstance(t, (Mu, Nu)):
+        return type(t)(t.var, _rebuild(t.body))
+    return type(t)()
+
+
+def _subterms(t):
+    yield t
+    for child in ("left", "right", "body"):
+        if hasattr(t, child):
+            yield from _subterms(getattr(t, child))
+
+
+def test_alpha_equivalent_parses_are_the_same_object():
+    assert p(I_A) is p("nu Q. mu R. (a Q + b R)")
+    assert p(F_A) is p("mu Z. (a Z + b Z + nu Z. b Z)")
+    assert p("a T + b 0") is Plus(Letter("a", TOP), Letter("b", ZERO))
+    assert Zero() is ZERO and Top() is TOP
+
+
+def test_canonical_is_idempotent_by_identity():
+    rng = random.Random(17)
+    for _ in range(300):
+        e = gen_expr(rng, AB, rng.randint(1, 12))
+        c = canonical(e)
+        assert canonical(c) is c
+        assert c is ref_canonical(e)
+
+
+def test_identity_facts_agree_with_structural_references():
+    rng = random.Random(19)
+    # small sizes so that the pool holds repeats and alpha-variants
+    terms = [gen_expr(rng, AB, rng.randint(1, 6)) for _ in range(300)]
+    terms += [canonical(gen_expr(rng, AB, rng.randint(1, 12))) for _ in range(300)]
+    for t in terms:
+        assert _rebuild(t) is t
+    equal_pairs = 0
+    for _ in range(5000):
+        x, y = rng.choice(terms), rng.choice(terms)
+        assert (x == y) == ref_equal(x, y)
+        equal_pairs += x == y
+    assert equal_pairs > 50
+    for g in terms[::2]:
+        for f in list(_subterms(g)) + [rng.choice(terms)]:
+            assert subformula_leq(f, g) == ref_subformula_leq(f, g), (pretty(f), pretty(g))
+    by_identity = sorted(terms, key=expr_sort_key)
+    by_reference = sorted(terms, key=ref_sort_key)
+    assert all(x is y for x, y in zip(by_identity, by_reference))
+
+
+def test_the_intern_table_keeps_no_term_alive():
+    gc.collect()
+    before = len(expr_module._NODES)
+    burst = [p(" ".join("ab"[int(bit)] for bit in bin(i)[2:]) + " mu X. a X + T") for i in range(10000)]
+    assert len(expr_module._NODES) > before
+    del burst
+    gc.collect()
+    assert len(expr_module._NODES) <= before
