@@ -19,8 +19,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .expr import (
-    TOP,
-    ZERO,
     Alphabet,
     Cap,
     Expr,
@@ -34,26 +32,11 @@ from .expr import (
     canonical,
     expr_sort_key,
     free_vars,
+    letters_of,
     parse,
     pretty,
     unfold,
 )
-
-
-def _letters_used(e: Expr):
-    out = set()
-    stack = [e]
-    while stack:
-        t = stack.pop()
-        if isinstance(t, Letter):
-            out.add(t.letter)
-            stack.append(t.body)
-        elif isinstance(t, (Plus, Cap)):
-            stack.append(t.left)
-            stack.append(t.right)
-        elif isinstance(t, (Mu, Nu)):
-            stack.append(t.body)
-    return out
 
 
 class Sequent:
@@ -68,7 +51,7 @@ class Sequent:
         for e in self.lhs | self.rhs:
             if free_vars(e):
                 raise ValueError("sequent formulas must be closed: %s" % pretty(e))
-            stray = _letters_used(e) - set(alphabet)
+            stray = letters_of(e).difference(alphabet)
             if stray:
                 raise ValueError(
                     "formula %s uses letters outside the alphabet: %s"
@@ -198,61 +181,59 @@ def _need(cond: bool, message: str):
         raise _Violation(message)
 
 
-_LEFT_LOGICAL = {"+-l": Plus, "∩-l": Cap, "μ-l": Mu, "ν-l": Nu}
-_RIGHT_LOGICAL = {"+-r": Plus, "∩-r": Cap, "μ-r": Mu, "ν-r": Nu}
+# The rules that decompose or drop one principal formula, each with the
+# constructor its principal must have (any formula, for a weakening) and the
+# side of the sequent that the principal is on.
+PRINCIPAL_RULES = {
+    "0-l": (Zero, "L"),
+    "⊤-l": (Top, "L"),
+    "+-l": (Plus, "L"),
+    "∩-l": (Cap, "L"),
+    "μ-l": (Mu, "L"),
+    "ν-l": (Nu, "L"),
+    "l-w": (Expr, "L"),
+    "0-r": (Zero, "R"),
+    "⊤-r": (Top, "R"),
+    "+-r": (Plus, "R"),
+    "∩-r": (Cap, "R"),
+    "μ-r": (Mu, "R"),
+    "ν-r": (Nu, "R"),
+    "r-w": (Expr, "R"),
+}
+# the logical rule for a principal formula of this constructor on this side
+LOGICAL_RULE = {key: rule for rule, key in PRINCIPAL_RULES.items() if key[0] is not Expr}
 AXIOM_RULES = ("0-l", "⊤-r", "l-p")
+
+
+def _auxiliaries(rule, p):
+    """The formulas that take the place of principal p in each premiss of
+    one of the PRINCIPAL_RULES."""
+    if rule in ("+-l", "∩-r"):
+        return ({p.left}, {p.right})
+    if rule in ("∩-l", "+-r"):
+        return ({p.left, p.right},)
+    if rule in ("0-l", "⊤-r"):
+        return ()
+    if rule[0] in "μν":
+        return ({unfold(p)},)
+    return (set(),)  # ⊤-l, 0-r and the weakenings
 
 
 def _expected_premisses(rule, s: Sequent, principal):
     ab = s.alphabet
-    if rule == "0-l":
-        _need(principal == ZERO and ZERO in s.lhs, "0-l requires 0 on the left")
-        return ()
-    if rule == "⊤-r":
-        _need(principal == TOP and TOP in s.rhs, "⊤-r requires ⊤ on the right")
-        return ()
-    if rule == "⊤-l":
-        _need(principal == TOP and TOP in s.lhs, "⊤-l requires ⊤ on the left")
-        return (Sequent(s.lhs - {TOP}, s.rhs, ab),)
-    if rule == "0-r":
-        _need(principal == ZERO and ZERO in s.rhs, "0-r requires 0 on the right")
-        return (Sequent(s.lhs, s.rhs - {ZERO}, ab),)
-    if rule in _LEFT_LOGICAL:
-        cls = _LEFT_LOGICAL[rule]
-        _need(
-            isinstance(principal, cls) and principal in s.lhs,
-            "%s requires a principal %s-formula on the left" % (rule, rule[0]),
-        )
-        rest = s.lhs - {principal}
-        if rule == "+-l":
-            return (
-                Sequent(rest | {principal.left}, s.rhs, ab),
-                Sequent(rest | {principal.right}, s.rhs, ab),
-            )
-        if rule == "∩-l":
-            return (Sequent(rest | {principal.left, principal.right}, s.rhs, ab),)
-        return (Sequent(rest | {unfold(principal)}, s.rhs, ab),)
-    if rule in _RIGHT_LOGICAL:
-        cls = _RIGHT_LOGICAL[rule]
-        _need(
-            isinstance(principal, cls) and principal in s.rhs,
-            "%s requires a principal %s-formula on the right" % (rule, rule[0]),
-        )
-        rest = s.rhs - {principal}
-        if rule == "+-r":
-            return (Sequent(s.lhs, rest | {principal.left, principal.right}, ab),)
-        if rule == "∩-r":
-            return (
-                Sequent(s.lhs, rest | {principal.left}, ab),
-                Sequent(s.lhs, rest | {principal.right}, ab),
-            )
-        return (Sequent(s.lhs, rest | {unfold(principal)}, ab),)
-    if rule == "l-w":
-        _need(isinstance(principal, Expr) and principal in s.lhs, "l-w must drop a left formula")
-        return (Sequent(s.lhs - {principal}, s.rhs, ab),)
-    if rule == "r-w":
-        _need(isinstance(principal, Expr) and principal in s.rhs, "r-w must drop a right formula")
-        return (Sequent(s.lhs, s.rhs - {principal}, ab),)
+    if rule in PRINCIPAL_RULES:
+        cls, side = PRINCIPAL_RULES[rule]
+        cedent, where = (s.lhs, "left") if side == "L" else (s.rhs, "right")
+        if cls is Expr:
+            message = "%s must drop a %s formula" % (rule, where)
+        else:
+            shape = rule[0] if cls in (Zero, Top) else "a principal %s-formula" % rule[0]
+            message = "%s requires %s on the %s" % (rule, shape, where)
+        _need(isinstance(principal, cls) and principal in cedent, message)
+        rest = cedent - {principal}
+        if side == "L":
+            return tuple(Sequent(rest | aux, s.rhs, ab) for aux in _auxiliaries(rule, principal))
+        return tuple(Sequent(s.lhs, rest | aux, ab) for aux in _auxiliaries(rule, principal))
     if rule == "l-p":
         _need(principal is None, "l-p takes no principal formula")
         _need(len(s.lhs) == 2 and not s.rhs, "l-p requires exactly two left formulas and an empty right side")
@@ -295,60 +276,6 @@ def make_instance(rule: str, conclusion: Sequent, principal=None) -> RuleInstanc
     return RuleInstance(rule, conclusion, principal, _expected_premisses(rule, conclusion, principal))
 
 
-def _instance_key(r: RuleInstance):
-    k = expr_sort_key(r.principal) if isinstance(r.principal, Expr) else ()
-    return (r.rule, k)
-
-
-def applicable_steps(s: Sequent):
-    """All rule instances concluding s, duplicate-free, ordered by rule name
-    and then by principal formula."""
-    out = []
-
-    def add(rule, principal):
-        try:
-            out.append(RuleInstance(rule, s, principal, _expected_premisses(rule, s, principal)))
-        except _Violation:
-            pass
-
-    for e in s.lhs_sorted:
-        if isinstance(e, Zero):
-            add("0-l", ZERO)
-        elif isinstance(e, Top):
-            add("⊤-l", TOP)
-        elif isinstance(e, Plus):
-            add("+-l", e)
-        elif isinstance(e, Cap):
-            add("∩-l", e)
-        elif isinstance(e, Mu):
-            add("μ-l", e)
-        elif isinstance(e, Nu):
-            add("ν-l", e)
-        add("l-w", e)
-    for e in s.rhs_sorted:
-        if isinstance(e, Zero):
-            add("0-r", ZERO)
-        elif isinstance(e, Top):
-            add("⊤-r", TOP)
-        elif isinstance(e, Plus):
-            add("+-r", e)
-        elif isinstance(e, Cap):
-            add("∩-r", e)
-        elif isinstance(e, Mu):
-            add("μ-r", e)
-        elif isinstance(e, Nu):
-            add("ν-r", e)
-        add("r-w", e)
-    heads = {e.letter for e in s.lhs if isinstance(e, Letter)}
-    if s.lhs and len(heads) == 1 and all(isinstance(e, Letter) for e in s.lhs):
-        a = next(iter(heads))
-        add("h_" + a, a)
-    add("l-p", None)
-    add("r-p", None)
-    out.sort(key=_instance_key)
-    return out
-
-
 def validate_instance(r: RuleInstance) -> Optional[str]:
     """None when the instance matches its rule's schema (side conditions
     included), otherwise a description of the violation.
@@ -373,28 +300,6 @@ def validate_instance(r: RuleInstance) -> Optional[str]:
     return "premisses do not match the %s schema for this conclusion" % rule
 
 
-def _principal_side_and_aux(r: RuleInstance):
-    p = r.principal
-    rule = r.rule
-    if rule == "+-l":
-        return "L", ({p.left}, {p.right})
-    if rule == "∩-l":
-        return "L", ({p.left, p.right},)
-    if rule in ("μ-l", "ν-l"):
-        return "L", ({unfold(p)},)
-    if rule in ("⊤-l", "l-w"):
-        return "L", (set(),)
-    if rule == "+-r":
-        return "R", ({p.left, p.right},)
-    if rule == "∩-r":
-        return "R", ({p.left}, {p.right})
-    if rule in ("μ-r", "ν-r"):
-        return "R", ({unfold(p)},)
-    if rule in ("0-r", "r-w"):
-        return "R", (set(),)
-    raise ValueError("no principal side for rule %r" % rule)
-
-
 def immediate_ancestry(r: RuleInstance):
     """The descent of premiss formulas from conclusion formulas, as a list of
     edges in a fixed order (premiss, then side, then formula).  A principal
@@ -415,7 +320,8 @@ def immediate_ancestry(r: RuleInstance):
             for g in r.premisses[i].rhs_sorted:
                 edges.append(AncestryEdge(i, "R", g, "R", Letter(c, g), "letter"))
         return edges
-    side, aux = _principal_side_and_aux(r)
+    side = PRINCIPAL_RULES[r.rule][1]
+    aux = _auxiliaries(r.rule, r.principal)
     for i, prem in enumerate(r.premisses):
         for sd, cedent, conc in (
             ("L", prem.lhs_sorted, r.conclusion.lhs),

@@ -17,7 +17,7 @@ expression can appear.  `--json` wraps the result in a single-line envelope
 
 Exit codes: 0 positive verdict or success, 1 negative verdict or failing
 corpus row, 2 locally invalid proof, 3 progress failure, 4 unguarded input,
-64 usage or input-syntax errors.
+64 usage errors, input-syntax errors and input nested too deeply.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .corpus import (
     run_suite,
 )
 from .decide import Proved, UnguardedSequentError, decide
-from .expr import Alphabet, ParseError, complement, parse, pretty
+from .expr import Alphabet, complement, parse, pretty
 from .proof import check, parse_proof, serialize_proof
 from .semantics import member, parse_word
 
@@ -326,11 +326,12 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 64
     try:
         return args.func(args)
-    except (ParseError, ValueError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 64
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
+    except RecursionError:
+        # input that parses can still nest too deeply for a later stage
+        print("error: expression nested too deeply", file=sys.stderr)
         return 64
 
 

@@ -31,7 +31,7 @@ from .expr import (
     subformula_leq,
     unfold,
 )
-from .calculus import Sequent, make_instance
+from .calculus import LOGICAL_RULE, Sequent, make_instance
 from .semantics import (
     EvalPosition,
     UPWord,
@@ -323,10 +323,6 @@ def name_table():
 
 COMPLEMENT_ROUND_NAMES = ("only-a", "any", "fin-a", "fin-b", "inf-a", "inf-b")
 
-_LOGICAL_RULES = frozenset(
-    ("0-l", "⊤-l", "+-l", "∩-l", "μ-l", "ν-l", "0-r", "⊤-r", "+-r", "∩-r", "μ-r", "ν-r")
-)
-
 
 def sample_word(rng, max_stem: int = 3, max_loop: int = 3) -> UPWord:
     stem = "".join(rng.choice(ALPHABET.letters) for _ in range(rng.randint(0, max_stem)))
@@ -473,7 +469,7 @@ def soundness_violations(seed: int, n_words: int = 200):
                 conc_ok = valid(w, inst.conclusion)
                 if prems_ok and not conc_ok:
                     unsound.append("%s at %s" % (rule, w))
-                if rule in _LOGICAL_RULES and conc_ok and not prems_ok:
+                if conc_ok and not prems_ok and rule in LOGICAL_RULE.values():
                     uninvertible.append("%s at %s" % (rule, w))
     return unsound, uninvertible
 
@@ -535,7 +531,11 @@ def run_suite(seed: int, filter_text=None, membership_samples: int = 1000, sound
             continue
         out = decide(s)
         if verdict == "proved":
-            ok = isinstance(out, Proved) and check(out.proof).ok
+            ok = (
+                isinstance(out, Proved)
+                and out.proof.sequent(out.proof.root) == s
+                and check(out.proof).ok
+            )
             detail = (
                 "proof with %d nodes re-checked" % len(out.proof.order)
                 if isinstance(out, Proved)

@@ -16,18 +16,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import Cap, Letter, Mu, Nu, Plus, Top, Zero, expr_sort_key, is_guarded, pretty
+from .expr import Letter, Top, Zero, expr_sort_key, is_guarded, pretty
 from .semantics import UPWord, member
-from .calculus import RuleInstance, Sequent, make_instance
-from .proof import Lasso, ProofGraph, check_local, progress_lasso
+from .calculus import LOGICAL_RULE, RuleInstance, Sequent, make_instance
+from .proof import Lasso, ProofGraph, check
 
 
 class UnguardedSequentError(ValueError):
     """decide only handles sequents whose formulas are all guarded."""
-
-
-_LOGICAL_L = {Zero: "0-l", Top: "⊤-l", Plus: "+-l", Cap: "∩-l", Mu: "μ-l", Nu: "ν-l"}
-_LOGICAL_R = {Zero: "0-r", Top: "⊤-r", Plus: "+-r", Cap: "∩-r", Mu: "μ-r", Nu: "ν-r"}
 
 
 def strategy_step(s: Sequent) -> RuleInstance:
@@ -39,12 +35,11 @@ def strategy_step(s: Sequent) -> RuleInstance:
     for f in rhs:
         if isinstance(f, Top):
             return make_instance("⊤-r", s, f)
-    candidates = [(expr_sort_key(e), 0, e) for e in lhs if not isinstance(e, Letter)]
-    candidates += [(expr_sort_key(f), 1, f) for f in rhs if not isinstance(f, Letter)]
+    candidates = [(expr_sort_key(e), "L", e) for e in lhs if not isinstance(e, Letter)]
+    candidates += [(expr_sort_key(f), "R", f) for f in rhs if not isinstance(f, Letter)]
     if candidates:
         _, side, e = min(candidates)
-        rule = _LOGICAL_L[type(e)] if side == 0 else _LOGICAL_R[type(e)]
-        return make_instance(rule, s, e)
+        return make_instance(LOGICAL_RULE[type(e), side], s, e)
     if lhs:
         heads = {e.letter for e in lhs}
         if len(heads) >= 2:
@@ -129,13 +124,12 @@ def decide(s: Sequent, max_nodes: int = 200000):
                 "decide requires guarded expressions, but %s is not guarded" % pretty(e)
             )
     p = saturate(s, max_nodes=max_nodes)
-    violations = check_local(p)
-    if violations:
-        raise RuntimeError("internal error: search built an ill-formed proof: %s" % violations[0])
-    lasso = progress_lasso(p)
-    if lasso is None:
+    r = check(p)
+    if r.violations:
+        raise RuntimeError("internal error: search built an ill-formed proof: %s" % r.violations[0])
+    if r.ok:
         return Proved(p)
-    w = extract_countermodel(p, lasso)
+    w = extract_countermodel(p, r.lasso)
     for e in s.lhs_sorted:
         if not member(w, e):
             raise RuntimeError(

@@ -11,18 +11,18 @@ intersection, ``0`` and ``T`` the empty and universal languages, and
 
 This module is purely syntactic: construction, alpha-canonical renaming,
 substitution, guardedness, the closure of an expression under one-step
-decomposition/unfolding, the orders on that closure, and syntactic
+decomposition/unfolding, the subformula order, and syntactic
 complementation.
 
 Terms are interned (hash-consed): a constructor returns the one live node
 with its class and fields, so equality is identity and hashing is by
 identity.  Bound variables are renamed by binder depth (see canonical), and
 parse, unfold, complement and fl_closure return canonical terms, so
-alpha-equivalent inputs come out as the same object.  Each node holds its structural facts, each computed once:
-free variables and sort key when the node is built; its canonical form, its
-set of canonical subterms and, for a closed canonical root, its closure on
-first use.  The intern table holds its nodes weakly, so it keeps no term
-alive.
+alpha-equivalent inputs come out as the same object.  Each node holds its
+structural facts, each computed once: free variables, letters and sort key
+when the node is built; its canonical form, its set of canonical subterms
+and, for a closed canonical root, its closure on first use.  The intern
+table holds its nodes weakly, so it keeps no term alive.
 """
 
 from __future__ import annotations
@@ -94,7 +94,7 @@ class Expr:
     """Base class for expression nodes.  Nodes are interned and immutable:
     build them with the constructors and never assign to their fields."""
 
-    __slots__ = ("__weakref__", "_free", "_key", "_canon", "_subterms", "_closure")
+    __slots__ = ("__weakref__", "_free", "_letters", "_key", "_canon", "_subterms", "_closure")
 
     def __new__(cls, *fields):
         ident = (cls, *[id(f) if isinstance(f, Expr) else f for f in fields])
@@ -117,6 +117,12 @@ class Expr:
             node._free = node.body._free - {node.var}
         else:
             node._free = frozenset().union(*(k._free for k in kids))
+        # a node's letter set is a child's own set whenever that one holds them all
+        letters = frozenset(fields[:1]) if cls is Letter else frozenset()
+        for k in kids:
+            if not k._letters <= letters:
+                letters = k._letters if letters <= k._letters else letters | k._letters
+        node._letters = letters
         label = [f for f in fields if isinstance(f, str)]  # the letter or variable name, if any
         node._key = (cls._rank, tuple(k._key for k in kids), label[0] if label else "")
         node._canon = node._subterms = node._closure = None
@@ -192,6 +198,11 @@ TOP = Top()
 def free_vars(e: Expr) -> frozenset:
     """The set of free variable names of e."""
     return e._free
+
+
+def letters_of(e: Expr) -> frozenset:
+    """The set of letters that occur in e."""
+    return e._letters
 
 
 def _children(e: Expr):
@@ -587,7 +598,7 @@ def fl_closure(e: Expr) -> FLClosure:
 
 
 # ---------------------------------------------------------------------------
-# Orders on closure members
+# The subformula order
 
 
 def subformula_leq(f: Expr, g: Expr) -> bool:
@@ -601,37 +612,6 @@ def _subterms(e: Expr) -> frozenset:
     if e._subterms is None:
         e._subterms = frozenset((canonical(e),)).union(*map(_subterms, _children(e)))
     return e._subterms
-
-
-def fl_leq(f: Expr, g: Expr) -> bool:
-    """True if g reaches f in zero or more closure steps."""
-    return canonical(f) in fl_closure(g)
-
-
-def fl_lt(f: Expr, g: Expr) -> bool:
-    """Strict version of fl_leq: g reaches f but not conversely."""
-    return fl_leq(f, g) and not fl_leq(g, f)
-
-
-def compare_dependency(e: Expr, f: Expr) -> str:
-    """Compare in the dependency order: one of 'equal', 'less', 'greater',
-    'incomparable'.  e comes strictly before f when e is strictly below f in
-    the closure preorder, or the two are mutually reachable and f is a
-    subterm of e."""
-    ec, fc = canonical(e), canonical(f)
-    if ec == fc:
-        return "equal"
-
-    def strictly_before(x, y):
-        if fl_lt(x, y):
-            return True
-        return fl_leq(x, y) and fl_leq(y, x) and subformula_leq(y, x)
-
-    if strictly_before(ec, fc):
-        return "less"
-    if strictly_before(fc, ec):
-        return "greater"
-    return "incomparable"
 
 
 # ---------------------------------------------------------------------------

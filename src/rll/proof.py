@@ -10,14 +10,14 @@ afterwards, and unfolds the critical formula itself infinitely often.
 
 build_trace_automaton turns that condition into a Büchi automaton over the
 graph's edges whose language is the set of branches possessing such a trace.
-check_progress decides whether that language covers all branches.  Rather
-than complementing the (large) trace automaton, it composes boolean
-reachability/acceptance profiles of finite paths and applies the standard
-lasso criterion to idempotent loop profiles, which is exact for ultimately
-periodic branches and therefore for universality; a failing pair is returned
-as a concrete lasso and re-verified by replay.  A general rank-based
-complementation (complement_buchi) is provided as well and is cross-checked
-against the profile route in the tests.
+check runs the local check and then decides whether that language covers
+all branches.  Rather than complementing the (large) trace automaton, it
+composes boolean reachability/acceptance profiles of finite paths and
+applies the standard lasso criterion to idempotent loop profiles, which is
+exact for ultimately periodic branches and therefore for universality; a
+failing pair is returned as a concrete lasso and re-verified by replay.  A
+general rank-based complementation lives in tests/oracles.py as the
+reference this profile search is checked against.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from typing import Dict, NamedTuple, Optional, Tuple
 from .expr import Expr, Mu, Nu, ParseError, expr_sort_key, parse, pretty, subformula_leq
 from .expr import Alphabet
 from .calculus import (
-    AXIOM_RULES,
+    PRINCIPAL_RULES,
     RULE_NAMES,
     RuleInstance,
     Sequent,
@@ -38,18 +38,6 @@ from .calculus import (
     parse_sequent,
     validate_instance,
 )
-
-_L_RULES = {"0-l", "+-l", "μ-l", "⊤-l", "∩-l", "ν-l", "l-w"}
-_R_RULES = {"0-r", "+-r", "μ-r", "⊤-r", "∩-r", "ν-r", "r-w"}
-
-
-def _rule_side_principal(inst: RuleInstance):
-    if inst.rule in _L_RULES:
-        return "L", inst.principal
-    if inst.rule in _R_RULES:
-        return "R", inst.principal
-    return None, None
-
 
 class ProofGraph:
     """Finite rooted graph of rule instances.  Construction checks the graph
@@ -247,34 +235,6 @@ def serialize_proof(p: ProofGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def unroll_edge(p: ProofGraph, parent: str, index: int) -> ProofGraph:
-    """Duplicate the target of one edge: the parent's index-th child becomes
-    a fresh copy of the old child (same rule, same children), and any node
-    left unreachable is dropped.  The branch language is unchanged, so every
-    checking verdict must be too."""
-    child = p.children[parent][index]
-    fresh = child + "'"
-    while fresh in p.instance:
-        fresh += "'"
-    children = {nid: list(p.children[nid]) for nid in p.order}
-    children[parent][index] = fresh
-    children[fresh] = list(p.children[child])
-    reachable = {p.root}
-    queue = [p.root]
-    while queue:
-        for c in children[queue.pop()]:
-            if c not in reachable:
-                reachable.add(c)
-                queue.append(c)
-    nodes = []
-    for nid in p.order:
-        if nid in reachable:
-            nodes.append((nid, p.instance[nid], tuple(children[nid])))
-    if fresh in reachable:
-        nodes.append((fresh, p.instance[child], tuple(children[fresh])))
-    return ProofGraph(nodes, p.root)
-
-
 # ---------------------------------------------------------------------------
 # the trace automaton
 
@@ -358,20 +318,11 @@ def build_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
         st = queue.pop(0)
         states.append(st)
         inst = p.instance[st.node]
-        rule_side, principal = _rule_side_principal(inst)
-        if st.phase == "committed":
-            if (
-                rule_side == st.side
-                and principal == st.formula
-                and st.formula == st.critical
-            ):
+        _, rule_side = PRINCIPAL_RULES.get(inst.rule, (None, None))
+        if st.phase == "committed" and rule_side == st.side and inst.principal == st.formula:
+            if st.formula == st.critical:
                 accepting.add(st)
-            if (
-                rule_side == st.side
-                and principal == st.formula
-                and st.formula != st.critical
-                and subformula_leq(st.formula, st.critical)
-            ):
+            elif subformula_leq(st.formula, st.critical):
                 continue  # the trace unfolds below its critical formula: dead
         for j, child in enumerate(p.children[st.node]):
             targets = []
@@ -432,106 +383,6 @@ def accepts_lasso(b: BuchiAutomaton, stem, cycle) -> bool:
                     visited.add(nxt)
                     frontier.append(nxt)
     return False
-
-
-def complement_buchi(b: BuchiAutomaton) -> BuchiAutomaton:
-    """Rank-based complementation with tight level rankings, ranks bounded by
-    2·|states|.  Phase one tracks the subset of reachable states; at any
-    step the automaton may guess a tight ranking and from then on verify,
-    via the odd/even breakpoint discipline, that every run's rank eventually
-    decreases forever — which happens exactly when the input word has no
-    accepting run."""
-    order = {q: i for i, q in enumerate(b.states)}
-    max_rank = 2 * len(b.states)
-
-    def subset_succ(S, a):
-        out = set()
-        for q in S:
-            out.update(b.successors(q, a))
-        return frozenset(out)
-
-    def tight_rankings(S, caps):
-        # all tight rankings g of S with g(q) <= caps[q] and F-states even
-        items = sorted(S, key=lambda q: order[q])
-        results = []
-
-        def rec(i, partial):
-            if i == len(items):
-                ranks = partial.values()
-                m = max(ranks)
-                if m % 2 == 1 and all(r in ranks for r in range(1, m + 1, 2)):
-                    results.append(tuple(sorted(((order[q], r) for q, r in partial.items()))))
-                return
-            q = items[i]
-            for r in range(0, caps[q] + 1):
-                if q in b.accepting and r % 2 == 1:
-                    continue
-                partial[q] = r
-                rec(i + 1, partial)
-            del partial[q]
-
-        if items:
-            rec(0, {})
-        return results
-
-    def ranking_to_dict(g):
-        return {b.states[i]: r for i, r in g}
-
-    init = ("S", frozenset(b.initials))
-    states = {init}
-    queue = [init]
-    transitions = {}
-    accepting = set()
-    while queue:
-        st = queue.pop(0)
-        kind = st[0]
-        for a in b.alphabet:
-            targets = []
-            if kind == "S":
-                S = st[1]
-                S2 = subset_succ(S, a)
-                targets.append(("S", S2))
-                if S2:
-                    caps = {q: max_rank for q in S2}
-                    for g in tight_rankings(S2, caps):
-                        targets.append(("R", g, frozenset()))
-            else:
-                _, g, O = st
-                f = ranking_to_dict(g)
-                S2 = subset_succ(f.keys(), a)
-                if not S2:
-                    targets.append(("R", (), frozenset()))
-                else:
-                    caps = {}
-                    for q in f:
-                        for q2 in b.successors(q, a):
-                            caps[q2] = min(caps.get(q2, max_rank), f[q])
-                    O_succ = subset_succ(O, a)
-                    for g2 in tight_rankings(S2, caps):
-                        f2 = ranking_to_dict(g2)
-                        if O:
-                            O2 = frozenset(q for q in O_succ if f2[q] % 2 == 0)
-                        else:
-                            O2 = frozenset(q for q in f2 if f2[q] % 2 == 0)
-                        targets.append(("R", g2, O2))
-            transitions[(st, a)] = tuple(targets)
-            for t in targets:
-                if t not in states:
-                    states.add(t)
-                    queue.append(t)
-    for st in states:
-        if st[0] == "S" and not st[1]:
-            accepting.add(st)
-        if st[0] == "R" and not st[2]:
-            accepting.add(st)
-    ordered = sorted(states, key=_complement_state_key)
-    return BuchiAutomaton(ordered, b.alphabet, transitions, (init,), accepting)
-
-
-def _complement_state_key(st):
-    if st[0] == "S":
-        return (0, tuple(sorted(map(repr, st[1]))))
-    return (1, st[1], tuple(sorted(map(repr, st[2]))))
 
 
 # ---------------------------------------------------------------------------
@@ -722,20 +573,10 @@ def _sccs(node_order, edges_of):
     return out
 
 
-def check_progress(p: ProofGraph) -> Optional[Lasso]:
-    """None when every infinite branch has a progressing trace; otherwise a
-    lasso branch with no such trace.  Raises ValueError unless the proof is
-    locally valid."""
-    violations = check_local(p)
-    if violations:
-        raise ValueError("check_progress requires a locally valid proof: %s" % violations[0])
-    return progress_lasso(p)
-
-
-def progress_lasso(p: ProofGraph) -> Optional[Lasso]:
-    """check_progress on a proof already known to be locally valid.  The
-    returned lasso is re-verified by replaying it through the trace
-    automaton."""
+def _progress_lasso(p: ProofGraph) -> Optional[Lasso]:
+    """None when every infinite branch of a locally valid proof has a
+    progressing trace; otherwise a lasso branch with no such trace,
+    re-verified by replaying it through the trace automaton."""
     bp = build_trace_automaton(p)
     by_node = {nid: [] for nid in p.order}
     for st in bp.states:
@@ -781,11 +622,11 @@ class CheckResult:
 
 
 def check(p: ProofGraph) -> CheckResult:
-    """check_local, then the progress check."""
+    """check_local, then, on a locally valid proof only, the progress check."""
     violations = check_local(p)
     if violations:
         return CheckResult(False, tuple(violations), None)
-    lasso = progress_lasso(p)
+    lasso = _progress_lasso(p)
     if lasso is not None:
         return CheckResult(False, (), lasso)
     return CheckResult(True, (), None)

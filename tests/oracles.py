@@ -1,15 +1,43 @@
-"""Independent test oracles and random generators.
+"""Independent test oracles, random generators and test-only algorithms.
 
-The membership oracle here computes the language semantics directly: for an
-ultimately periodic word the set of distinct suffixes is finite (one per
-offset of stem+loop), every operator restricts to subsets of that finite set,
-and mu/nu are literal Knaster-Tarski iterations.  It shares no code with the
-game-based membership of rll.semantics, which it cross-checks.
+- member_denotational computes the language semantics directly: for an
+  ultimately periodic word the set of distinct suffixes is finite (one per
+  offset of stem+loop), every operator restricts to subsets of that finite
+  set, and mu/nu are literal Knaster-Tarski iterations.  It shares no code
+  with the game-based membership of rll.semantics, which it cross-checks.
+- gen_expr and gen_word draw random expressions and words.
+- ref_free_vars, ref_equal, ref_canonical, ref_subformula_leq and
+  ref_sort_key are plain recursive copies of the term facts that rll.expr
+  memoises per interned node.
+- fl_leq, fl_lt and compare_dependency are the closure preorder and the
+  dependency order on expressions.
+- applicable_steps lists every rule instance that concludes a sequent.
+- unroll_edge duplicates the target of one proof edge, which must leave
+  every checking verdict unchanged.
+- complement_buchi is rank-based Büchi complementation, the reference that
+  the profile-based progress search of rll.proof is checked against.
 """
 
 from __future__ import annotations
 
-from rll.expr import Alphabet, Cap, Letter, Mu, Nu, Plus, Top, Var, Zero
+from rll.calculus import PRINCIPAL_RULES, make_instance
+from rll.expr import (
+    Alphabet,
+    Cap,
+    Expr,
+    Letter,
+    Mu,
+    Nu,
+    Plus,
+    Top,
+    Var,
+    Zero,
+    canonical,
+    expr_sort_key,
+    fl_closure,
+    subformula_leq,
+)
+from rll.proof import BuchiAutomaton, ProofGraph
 
 
 def member_denotational(stem: str, loop: str, e) -> bool:
@@ -185,3 +213,192 @@ def ref_sort_key(e):
     if isinstance(e, Mu):
         return (6, (ref_sort_key(e.body),), e.var)
     return (7, (ref_sort_key(e.body),), e.var)
+
+
+# ---------------------------------------------------------------------------
+# Orders on closure members
+
+
+def fl_leq(f, g) -> bool:
+    """True if g reaches f in zero or more closure steps."""
+    return canonical(f) in fl_closure(g)
+
+
+def fl_lt(f, g) -> bool:
+    """Strict version of fl_leq: g reaches f but not conversely."""
+    return fl_leq(f, g) and not fl_leq(g, f)
+
+
+def compare_dependency(e, f) -> str:
+    """Compare in the dependency order: one of 'equal', 'less', 'greater',
+    'incomparable'.  e comes strictly before f when e is strictly below f in
+    the closure preorder, or the two are mutually reachable and f is a
+    subterm of e."""
+    ec, fc = canonical(e), canonical(f)
+    if ec == fc:
+        return "equal"
+
+    def strictly_before(x, y):
+        if fl_lt(x, y):
+            return True
+        return fl_leq(x, y) and fl_leq(y, x) and subformula_leq(y, x)
+
+    if strictly_before(ec, fc):
+        return "less"
+    if strictly_before(fc, ec):
+        return "greater"
+    return "incomparable"
+
+
+# ---------------------------------------------------------------------------
+# Rule instances and proof graphs
+
+
+def applicable_steps(s):
+    """All rule instances concluding s, duplicate-free, ordered by rule name
+    and then by principal formula."""
+    tries = [(rule, e) for rule in PRINCIPAL_RULES for e in s.lhs | s.rhs]
+    tries += [("h_" + a, a) for a in s.alphabet] + [("l-p", None), ("r-p", None)]
+    out = []
+    for rule, principal in tries:
+        try:
+            out.append(make_instance(rule, s, principal))
+        except ValueError:
+            pass
+    return sorted(
+        out,
+        key=lambda r: (r.rule, expr_sort_key(r.principal) if isinstance(r.principal, Expr) else ()),
+    )
+
+
+def unroll_edge(p, parent: str, index: int):
+    """Duplicate the target of one edge: the parent's index-th child becomes
+    a fresh copy of the old child (same rule, same children), and any node
+    left unreachable is dropped.  The branch language is unchanged, so every
+    checking verdict must be too."""
+    child = p.children[parent][index]
+    fresh = child + "'"
+    while fresh in p.instance:
+        fresh += "'"
+    children = {nid: list(p.children[nid]) for nid in p.order}
+    children[parent][index] = fresh
+    children[fresh] = list(p.children[child])
+    reachable = {p.root}
+    queue = [p.root]
+    while queue:
+        for c in children[queue.pop()]:
+            if c not in reachable:
+                reachable.add(c)
+                queue.append(c)
+    nodes = []
+    for nid in p.order:
+        if nid in reachable:
+            nodes.append((nid, p.instance[nid], tuple(children[nid])))
+    if fresh in reachable:
+        nodes.append((fresh, p.instance[child], tuple(children[fresh])))
+    return ProofGraph(nodes, p.root)
+
+
+# ---------------------------------------------------------------------------
+# Büchi complementation
+
+
+def complement_buchi(b):
+    """Rank-based complementation with tight level rankings, ranks bounded by
+    2·|states| (Kupferman & Vardi, "Weak alternating automata are not that
+    weak", 2001).  Phase one tracks the subset of reachable states; at any
+    step the automaton may guess a tight ranking and from then on verify,
+    via the odd/even breakpoint discipline, that every run's rank eventually
+    decreases forever — which happens exactly when the input word has no
+    accepting run."""
+    order = {q: i for i, q in enumerate(b.states)}
+    max_rank = 2 * len(b.states)
+
+    def subset_succ(S, a):
+        out = set()
+        for q in S:
+            out.update(b.successors(q, a))
+        return frozenset(out)
+
+    def tight_rankings(S, caps):
+        # all tight rankings g of S with g(q) <= caps[q] and F-states even
+        items = sorted(S, key=lambda q: order[q])
+        results = []
+
+        def rec(i, partial):
+            if i == len(items):
+                ranks = partial.values()
+                m = max(ranks)
+                if m % 2 == 1 and all(r in ranks for r in range(1, m + 1, 2)):
+                    results.append(tuple(sorted(((order[q], r) for q, r in partial.items()))))
+                return
+            q = items[i]
+            for r in range(0, caps[q] + 1):
+                if q in b.accepting and r % 2 == 1:
+                    continue
+                partial[q] = r
+                rec(i + 1, partial)
+            del partial[q]
+
+        if items:
+            rec(0, {})
+        return results
+
+    def ranking_to_dict(g):
+        return {b.states[i]: r for i, r in g}
+
+    init = ("S", frozenset(b.initials))
+    states = {init}
+    queue = [init]
+    transitions = {}
+    accepting = set()
+    while queue:
+        st = queue.pop(0)
+        kind = st[0]
+        for a in b.alphabet:
+            targets = []
+            if kind == "S":
+                S = st[1]
+                S2 = subset_succ(S, a)
+                targets.append(("S", S2))
+                if S2:
+                    caps = {q: max_rank for q in S2}
+                    for g in tight_rankings(S2, caps):
+                        targets.append(("R", g, frozenset()))
+            else:
+                _, g, O = st
+                f = ranking_to_dict(g)
+                S2 = subset_succ(f.keys(), a)
+                if not S2:
+                    targets.append(("R", (), frozenset()))
+                else:
+                    caps = {}
+                    for q in f:
+                        for q2 in b.successors(q, a):
+                            caps[q2] = min(caps.get(q2, max_rank), f[q])
+                    O_succ = subset_succ(O, a)
+                    for g2 in tight_rankings(S2, caps):
+                        f2 = ranking_to_dict(g2)
+                        if O:
+                            O2 = frozenset(q for q in O_succ if f2[q] % 2 == 0)
+                        else:
+                            O2 = frozenset(q for q in f2 if f2[q] % 2 == 0)
+                        targets.append(("R", g2, O2))
+            transitions[(st, a)] = tuple(targets)
+            for t in targets:
+                if t not in states:
+                    states.add(t)
+                    queue.append(t)
+    for st in states:
+        if st[0] == "S" and not st[1]:
+            accepting.add(st)
+        if st[0] == "R" and not st[2]:
+            accepting.add(st)
+    ordered = sorted(states, key=_complement_state_key)
+    return BuchiAutomaton(ordered, b.alphabet, transitions, (init,), accepting)
+
+
+def _complement_state_key(st):
+    if st[0] == "S":
+        return (0, tuple(sorted(map(repr, st[1]))))
+    return (1, st[1], tuple(sorted(map(repr, st[2]))))

@@ -21,24 +21,19 @@ import subprocess
 import sys
 from pathlib import Path
 
-from rll.calculus import Sequent
 from rll.corpus import (
-    ALPHABET,
     COMPLEMENT_ROUND_NAMES,
     DECISIONS,
-    EXPRESSIONS,
     LOOP_FIXTURE_NAMES,
     PAPER_PROOF_NAMES,
     bound_failures,
     closed_form_failures,
     membership_mismatches,
     proofs,
+    run_suite,
     soundness_violations,
 )
-from rll.decide import Proved, Refuted, decide
-from rll.expr import Cap, Plus, complement
 from rll.proof import check
-from rll.semantics import member
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20260815
@@ -78,34 +73,21 @@ def test_criterion_2_single_node_loops_get_exact_verdicts():
 
 
 def test_criterion_3_twenty_sequent_corpus_fully_verified():
-    assert len(DECISIONS) == 20
-    proved = refuted = 0
-    for name, s, verdict in DECISIONS:
-        out = decide(s)
-        if verdict == "proved":
-            assert isinstance(out, Proved), name
-            assert out.proof.sequent(out.proof.root) == s, name
-            assert check(out.proof).ok, name
-            proved += 1
-        else:
-            assert isinstance(out, Refuted), name
-            for e in s.lhs_sorted:
-                assert member(out.word, e), name
-            for f in s.rhs_sorted:
-                assert not member(out.word, f), name
-            refuted += 1
-    _passed(3, "%d proofs re-checked, %d countermodels verified" % (proved, refuted))
+    rows = run_suite(SEED, "decisions/")
+    assert [r.name for r in rows] == [name for name, _, _ in DECISIONS]
+    assert len(rows) == 20
+    assert all(r.ok for r in rows), [r.detail for r in rows if not r.ok]
+    proved = sum(verdict == "proved" for _, _, verdict in DECISIONS)
+    _passed(3, "%d proofs re-checked, %d countermodels verified" % (proved, len(rows) - proved))
 
 
 def test_criterion_4_complement_round_trips_as_proofs():
+    rows = run_suite(SEED, "complement/")
     assert len(COMPLEMENT_ROUND_NAMES) == 6
-    for name in COMPLEMENT_ROUND_NAMES:
-        e = EXPRESSIONS[name]
-        ce = complement(e, ALPHABET)
-        total = decide(Sequent(set(), {Plus(e, ce)}, ALPHABET))
-        assert isinstance(total, Proved) and check(total.proof).ok, name
-        empty = decide(Sequent({Cap(e, ce)}, set(), ALPHABET))
-        assert isinstance(empty, Proved) and check(empty.proof).ok, name
+    assert [r.name for r in rows] == [
+        "%s-%s" % (name, suffix) for name in COMPLEMENT_ROUND_NAMES for suffix in ("total", "empty")
+    ]
+    assert all(r.ok for r in rows), [r.detail for r in rows if not r.ok]
     _passed(4, "6 expressions, both complement sequents proved and re-checked")
 
 

@@ -4,13 +4,10 @@ import random
 
 import pytest
 
-from rll.expr import Alphabet, Letter, ParseError, canonical, parse
+from rll.expr import Alphabet, ParseError, parse
 from rll.calculus import (
-    AXIOM_RULES,
-    AncestryEdge,
     RuleInstance,
     Sequent,
-    applicable_steps,
     canonical_rule_name,
     format_sequent,
     immediate_ancestry,
@@ -19,7 +16,7 @@ from rll.calculus import (
     validate_instance,
 )
 from rll.semantics import UPWord, member
-from oracles import gen_expr, gen_word
+from oracles import applicable_steps, gen_expr, gen_word
 
 AB = Alphabet("ab")
 

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from rll.corpus import ALPHABET
 from rll.expr import parse
 from rll.proof import check, parse_proof
@@ -180,3 +182,22 @@ def test_input_nested_too_deeply_exits_64_without_a_traceback():
         assert r.returncode == 64
         assert r.stderr.startswith("error: ") and "nested too deeply" in r.stderr
         assert "Traceback" not in r.stderr
+
+
+# 320 nested binders parse, but later stages recurse deeper than the limit
+DEEP_BINDERS = " ".join("nu X%d. a" % k for k in range(320)) + " X0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("member", "--alphabet", "a", "--word", "(a)^w", "--expr", DEEP_BINDERS),
+        ("export-apa", "--alphabet", "a", "--expr", DEEP_BINDERS),
+        ("decide", "--alphabet", "a", "--sequent", DEEP_BINDERS + " |-"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_input_too_deep_for_later_stages_exits_64_without_a_traceback(argv):
+    r = rll(*argv)
+    assert r.returncode == 64
+    assert r.stderr == "error: expression nested too deeply\n"

@@ -18,14 +18,12 @@ from rll.expr import (
     Zero,
     ast_size,
     canonical,
-    compare_dependency,
     complement,
     expr_sort_key,
     fl_closure,
-    fl_leq,
-    fl_lt,
     free_vars,
     is_guarded,
+    letters_of,
     parse,
     pretty,
     subformula_leq,
@@ -33,7 +31,16 @@ from rll.expr import (
     unfold,
 )
 from rll import expr as expr_module
-from oracles import gen_expr, ref_canonical, ref_equal, ref_sort_key, ref_subformula_leq
+from oracles import (
+    compare_dependency,
+    fl_leq,
+    fl_lt,
+    gen_expr,
+    ref_canonical,
+    ref_equal,
+    ref_sort_key,
+    ref_subformula_leq,
+)
 
 AB = Alphabet("ab")
 
@@ -342,6 +349,7 @@ def test_identity_facts_agree_with_structural_references():
     terms += [canonical(gen_expr(rng, AB, rng.randint(1, 12))) for _ in range(300)]
     for t in terms:
         assert _rebuild(t) is t
+        assert letters_of(t) == {u.letter for u in _subterms(t) if isinstance(u, Letter)}
     equal_pairs = 0
     for _ in range(5000):
         x, y = rng.choice(terms), rng.choice(terms)
