@@ -41,7 +41,10 @@ def default_coloring(fl: FLClosure) -> Coloring:
     so subformulas come first (ties broken by the expression order), each
     getting the smallest number that is >= its predecessor's and has the
     required parity; every other member inherits the maximum colour of its
-    fixpoint subformulas in the closure, or 0."""
+    fixpoint subformulas in the closure, or 0.  Computed once per closure
+    and kept on it."""
+    if fl.coloring is not None:
+        return fl.coloring
     fixpoints = [m for m in fl.members if isinstance(m, (Mu, Nu))]
     remaining = sorted(fixpoints, key=expr_sort_key)
     order = []
@@ -65,7 +68,8 @@ def default_coloring(fl: FLClosure) -> Coloring:
     for m in fl.members:
         if m not in colour:
             colour[m] = max((colour[g] for g in fixpoints if subformula_leq(g, m)), default=0)
-    return Coloring(colour)
+    fl.coloring = Coloring(colour)
+    return fl.coloring
 
 
 class Apa:

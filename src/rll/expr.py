@@ -539,15 +539,18 @@ class FLClosure:
 
     `members` is ordered by breadth-first discovery from the root;
     `successors` maps each member to its tagged reducts in that fixed order.
+    `coloring` holds the closure's canonical colouring once
+    `automaton.default_coloring` has computed it.
     """
 
-    __slots__ = ("root", "members", "successors", "_index")
+    __slots__ = ("root", "members", "successors", "_index", "coloring")
 
     def __init__(self, root, members, successors):
         self.root = root
         self.members = tuple(members)
         self.successors = successors
         self._index = {m: i for i, m in enumerate(self.members)}
+        self.coloring = None
 
     def index(self, e: Expr) -> int:
         return self._index[e]

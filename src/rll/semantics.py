@@ -8,19 +8,24 @@ fixpoints unfold silently, and priorities come from the canonical colouring.
 Eloise wins an infinite play iff the least priority seen infinitely often is
 even, and she wins from (0, e) iff the word belongs to the language.
 
-Two independent solvers are provided: a recursive attractor solver
-(production) and a small-progress-measures solver (oracle); they are
-cross-checked against each other and against the automaton route.
+A game is held as arrays over positions numbered 0..n-1 (owner, priority,
+successor numbers), with the labels kept alongside; (o, fl.members[k]) is
+number o*|fl| + k.  Two independent solvers are provided: a recursive
+attractor solver (production) and a small-progress-measures solver
+(oracle); they are cross-checked against each other and against the
+automaton route.  Both route deadlocks to two sinks numbered n and n+1 and
+report their results over the labels.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
+from itertools import product, starmap
 from typing import NamedTuple
 
 from .automaton import default_coloring
-from .expr import Alphabet, Expr, ParseError, Zero, canonical, fl_closure, free_vars
+from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, canonical, fl_closure, free_vars
 
 
 class UPWord:
@@ -85,196 +90,181 @@ class EvalPosition(NamedTuple):
 
 
 class ParityGame:
-    """A finite min-parity game.  Deadlocked positions lose for their owner."""
+    """A finite min-parity game over positions numbered 0..n-1.
 
-    __slots__ = ("positions", "owner", "moves", "priority")
+    `positions` holds the labels in numbering order.  Position i belongs to
+    Eloise iff `is_e[i]`, has priority `prio[i]` and moves to the numbers in
+    `out[i]`; a position without moves is a deadlock and loses for its
+    owner, which the solvers play as a move into a losing sink numbered n
+    or n+1.  The constructor takes labelled dicts (owner "E" or "A"; a
+    position missing from `moves` has none), checks them and numbers the
+    positions in the order given."""
+
+    __slots__ = ("positions", "is_e", "prio", "out")
 
     def __init__(self, positions, owner, moves, priority):
-        self.positions = tuple(positions)
-        self.owner = dict(owner)
-        self.moves = {p: tuple(ms) for p, ms in moves.items()}
-        self.priority = dict(priority)
-        pos_set = set(self.positions)
-        for p in self.positions:
-            if self.owner.get(p) not in ("E", "A"):
+        positions = tuple(positions)
+        number = {p: i for i, p in enumerate(positions)}
+        if len(number) != len(positions):
+            raise ValueError("positions must be distinct")
+        for p in positions:
+            if owner.get(p) not in ("E", "A"):
                 raise ValueError("position %r lacks an owner" % (p,))
-            if p not in self.priority or self.priority[p] < 0:
+            if p not in priority or priority[p] < 0:
                 raise ValueError("position %r lacks a priority" % (p,))
-            for q in self.moves.get(p, ()):
-                if q not in pos_set:
-                    raise ValueError("move from %r leaves the arena" % (p,))
+            if not all(q in number for q in moves.get(p, ())):
+                raise ValueError("move from %r leaves the arena" % (p,))
+        self.positions = positions
+        self.is_e = bytes(owner[p] == "E" for p in positions)
+        self.prio = tuple(priority[p] for p in positions)
+        self.out = tuple(tuple(number[q] for q in moves.get(p, ())) for p in positions)
+
+    @classmethod
+    def _numbered(cls, positions, is_e, prio, out):
+        """A game given by its arrays, which the caller guarantees to be
+        well formed."""
+        game = cls.__new__(cls)
+        game.positions, game.is_e, game.prio, game.out = positions, is_e, prio, out
+        return game
 
 
 def build_eval_game(w: UPWord, e: Expr) -> ParityGame:
     """The evaluation game of a closed expression on an ultimately periodic
-    word.  Letter positions advance on a match and deadlock (for Eloise) on a
-    mismatch; 0 deadlocks for Eloise, T for Abelard; + is Eloise's choice, &
+    word; EvalPosition(o, fl.members[k]) is number o*|fl| + k.  Letter
+    positions advance on a match and deadlock (for Eloise) on a mismatch;
+    0 deadlocks for Eloise, T for Abelard; + is Eloise's choice, &
     Abelard's; fixpoints unfold deterministically."""
     if free_vars(e):
         raise ValueError("build_eval_game requires a closed expression")
     fl = fl_closure(e)
     colour = default_coloring(fl)
-    positions = []
-    owner = {}
-    moves = {}
-    priority = {}
-    for o in range(w.n_offsets()):
-        for f in fl.members:
-            pos = EvalPosition(o, f)
-            positions.append(pos)
-            priority[pos] = colour[f]
-            kinds = fl.successors[f]
-            if not kinds:  # 0 or T
-                owner[pos] = "E" if isinstance(f, Zero) else "A"
-                moves[pos] = ()
-                continue
-            if kinds[0][0] == "letter-step":
-                owner[pos] = "E"
-                if w.letter_at(o) == f.letter:
-                    moves[pos] = (EvalPosition(w.advance(o), kinds[0][1]),)
-                else:
-                    moves[pos] = ()
-                continue
-            if kinds[0][0] == "unfold":
-                owner[pos] = "E"
-                moves[pos] = (EvalPosition(o, kinds[0][1]),)
-                continue
-            # plus or cap
-            owner[pos] = "E" if kinds[0][0].startswith("plus") else "A"
-            moves[pos] = tuple(EvalPosition(o, t) for _, t in kinds)
-    return ParityGame(positions, owner, moves, priority)
+    m, n = len(fl), w.n_offsets()
+    next_block = [w.advance(o) * m for o in range(n)]
+    letters = [w.letter_at(o) for o in range(n)]
+    is_e = bytes(not isinstance(f, (Top, Cap)) for f in fl.members)
+    out = [()] * (n * m)  # 0 and T keep no moves
+    for k, f in enumerate(fl.members):
+        targets = [fl.index(t) for _, t in fl.successors[f]]
+        if isinstance(f, Letter):
+            t, letter = targets[0], f.letter
+            out[k::m] = [(b + t,) if c == letter else () for b, c in zip(next_block, letters)]
+        elif targets:  # the same move at every offset, shifted by m
+            out[k::m] = list(zip(*(range(t, n * m, m) for t in targets)))
+    positions = tuple(starmap(EvalPosition, product(range(n), fl.members)))
+    prio = tuple(colour[f] for f in fl.members)
+    return ParityGame._numbered(positions, is_e * n, prio * n, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# Both solvers play the game made total: position n is a sink for a stuck
+# Eloise (priority 1), n+1 one for a stuck Abelard (priority 0); both belong
+# to Eloise and loop on themselves.
+
+
+def _totalise(game: ParityGame):
+    """Returns (is_e, prio, succ) of the total game, in which every deadlock
+    moves to its owner's losing sink.  Duplicate moves may stay: the
+    attractor counts successors with multiplicity and meets a position once
+    per move in the predecessor lists."""
+    n = len(game.positions)
+    stuck = ((n + 1,), (n,))  # indexed by is_e
+    succ = [ms or stuck[e] for ms, e in zip(game.out, game.is_e)]
+    succ += (stuck[1], stuck[0])
+    return game.is_e + b"\1\1", game.prio + (1, 0), succ
+
+
+def _predecessors(succ):
+    pred = [[] for _ in succ]
+    for p, ms in enumerate(succ):
+        for q in ms:
+            pred[q].append(p)
+    return pred
 
 
 # ---------------------------------------------------------------------------
 # Zielonka's recursive solver
 
 
-class _Sink:
-    __slots__ = ("tag",)
-
-    def __init__(self, tag):
-        self.tag = tag
-
-    def __repr__(self):
-        return "<sink %s>" % self.tag
-
-
-def _totalise(game: ParityGame):
-    """Replace deadlocks by moves into losing sinks so the recursion can
-    assume totality."""
-    positions = list(game.positions)
-    owner = dict(game.owner)
-    priority = dict(game.priority)
-    succ = {}
-    sink_odd = _Sink("odd")
-    sink_even = _Sink("even")
-    used = set()
-    for p in game.positions:
-        ms = []
-        seen = set()
-        for q in game.moves[p]:
-            if q not in seen:
-                seen.add(q)
-                ms.append(q)
-        if not ms:
-            sink = sink_odd if game.owner[p] == "E" else sink_even
-            ms = [sink]
-            used.add(sink)
-        succ[p] = ms
-    for sink, pr in ((sink_odd, 1), (sink_even, 0)):
-        if sink in used:
-            positions.append(sink)
-            owner[sink] = "E"
-            priority[sink] = pr
-            succ[sink] = [sink]
-    return positions, owner, succ, priority, {sink_odd, sink_even}
-
-
-def _attractor(target, player, positions, succ, owner, pred):
-    """Positions from which `player` can force the play into `target`;
-    returns (attractor in discovery order, attractor strategy)."""
-    in_a = set(target)
-    order = list(target)
-    strat = {}
-    pos_set = set(positions)
-    cnt = {}
-    for p in positions:
-        if owner[p] != player:
-            cnt[p] = sum(1 for q in succ[p] if q in pos_set)
-    queue = deque(order)
-    while queue:
-        q = queue.popleft()
-        for p in pred.get(q, ()):
-            if p not in pos_set or p in in_a:
-                continue
-            if owner[p] == player:
-                in_a.add(p)
-                strat[p] = q
-                order.append(p)
-                queue.append(p)
-            else:
-                cnt[p] -= 1
-                if cnt[p] == 0:
-                    in_a.add(p)
-                    order.append(p)
-                    queue.append(p)
-    return order, strat
-
-
-def _zielonka(positions, owner, succ, priority):
-    if not positions:
-        return set(), set(), {}, {}
-    pos_set = set(positions)
-    pred = {}
-    local_succ = {}
-    for p in positions:
-        local_succ[p] = [q for q in succ[p] if q in pos_set]
-        for q in local_succ[p]:
-            pred.setdefault(q, []).append(p)
-    d = min(priority[p] for p in positions)
-    player = "E" if d % 2 == 0 else "A"
-    other = "A" if player == "E" else "E"
-    z = [p for p in positions if priority[p] == d]
-    a, strat_a = _attractor(z, player, positions, local_succ, owner, pred)
-    a_set = set(a)
-    rest = [p for p in positions if p not in a_set]
-    w_e, w_a, s_e, s_a = _zielonka(rest, owner, local_succ, priority)
-    w_player, w_other = (w_e, w_a) if player == "E" else (w_a, w_e)
-    s_player, s_other = (s_e, s_a) if player == "E" else (s_a, s_e)
-    if not w_other:
-        strat = dict(s_player)
-        strat.update(strat_a)
-        for p in z:
-            if owner[p] == player:
-                strat[p] = local_succ[p][0]
-        win = set(positions)
-        if player == "E":
-            return win, set(), strat, {}
-        return set(), win, {}, strat
-    b, strat_b = _attractor(list(w_other), other, positions, local_succ, owner, pred)
-    b_set = set(b)
-    rest2 = [p for p in positions if p not in b_set]
-    w_e2, w_a2, s_e2, s_a2 = _zielonka(rest2, owner, local_succ, priority)
-    strat_other = dict(s_other)
-    strat_other.update(strat_b)
-    if other == "E":
-        strat_other.update(s_e2)
-        return b_set | w_e2, w_a2, strat_other, s_a2
-    strat_other.update(s_a2)
-    return w_e2, b_set | w_a2, s_e2, strat_other
-
-
 def solve_zielonka(game: ParityGame):
     """Solve a min-parity game: returns (win_E, win_A, strategy_E,
-    strategy_A) with positional strategies on the respective winning
-    regions."""
-    positions, owner, succ, priority, sinks = _totalise(game)
-    w_e, w_a, s_e, s_a = _zielonka(positions, owner, succ, priority)
-    w_e -= sinks
-    w_a -= sinks
-    strat_e = {p: q for p, q in s_e.items() if p in w_e and game.owner.get(p) == "E" and not isinstance(q, _Sink)}
-    strat_a = {p: q for p, q in s_a.items() if p in w_a and game.owner.get(p) == "A" and not isinstance(q, _Sink)}
-    return frozenset(w_e), frozenset(w_a), strat_e, strat_a
+    strategy_A) over the position labels, with positional strategies on the
+    respective winning regions."""
+    is_e, prio, succ = _totalise(game)
+    pred = _predecessors(succ)
+    # the subgame being solved is the set of positions p with live[p] == 1
+    live = bytearray(b"\1") * len(succ)
+    choice = [0] * len(succ)  # a move per position; read only where its owner wins
+    left = [0] * len(succ)  # 0 outside an attractor search
+
+    def attract(target, to_e):
+        """The positions of the subgame from which the player (Eloise iff
+        to_e) can force a visit to target, marked 2 in live while the search
+        runs; the player's forcing moves go into choice.  An opponent
+        position with several moves is attracted once `left`, its count of
+        successors in the subgame not yet attracted, taken when the search
+        first reaches it, falls to 0."""
+        order = list(target)
+        for p in order:
+            live[p] = 2
+        reached = []
+        for q in order:
+            for p in pred[q]:
+                if live[p] != 1:
+                    continue
+                if is_e[p] == to_e:
+                    choice[p] = q
+                elif len(succ[p]) > 1:
+                    if not left[p]:
+                        left[p] = len([r for r in succ[p] if live[r]])
+                        reached.append(p)
+                    left[p] -= 1
+                    if left[p]:
+                        continue
+                live[p] = 2
+                order.append(p)
+        for p in reached:
+            left[p] = 0
+        return order
+
+    def solve(region):
+        """(Eloise's, Abelard's) winning positions in the subgame on region,
+        with the winners' moves in choice.  Leaves live as it found it."""
+        if not region:
+            return [], []
+        d = min(map(prio.__getitem__, region))
+        to_e = d % 2 == 0
+        z = [p for p in region if prio[p] == d]
+        a = attract(z, to_e)
+        for p in a:
+            live[p] = 0
+        w_e, w_a = solve([p for p in region if live[p]])
+        for p in a:
+            live[p] = 1
+        w_other = w_a if to_e else w_e
+        if not w_other:
+            for p in z:
+                if is_e[p] == to_e:
+                    choice[p] = next(q for q in succ[p] if live[q])
+            return (region, []) if to_e else ([], region)
+        b = attract(w_other, not to_e)
+        for p in b:
+            live[p] = 0
+        w_e, w_a = solve([p for p in region if live[p]])
+        for p in b:
+            live[p] = 1
+        return (w_e, b + w_a) if to_e else (b + w_e, w_a)
+
+    labels = game.positions
+    n = len(labels)
+
+    def report(won, owner):
+        won = [p for p in won if p < n]  # not the sinks
+        strategy = {labels[p]: labels[choice[p]] for p in won if is_e[p] == owner}
+        return frozenset(labels[p] for p in won), strategy
+
+    w_e, w_a = solve(list(range(len(succ))))
+    (win_e, strat_e), (win_a, strat_a) = report(w_e, 1), report(w_a, 0)
+    return win_e, win_a, strat_e, strat_a
 
 
 # ---------------------------------------------------------------------------
@@ -284,13 +274,12 @@ def solve_zielonka(game: ParityGame):
 def solve_spm(game: ParityGame) -> frozenset:
     """Jurdzinski's small-progress-measures solver; returns Eloise's winning
     region.  Implemented over the max-parity mirror of the game."""
-    positions, owner, succ, priority, sinks = _totalise(game)
-    maxp = max(priority[p] for p in positions)
+    is_e, priority, succ = _totalise(game)
+    maxp = max(priority)
     top_even = maxp if maxp % 2 == 0 else maxp + 1
-    pr = {p: top_even - priority[p] for p in positions}
-    odd_prios = sorted({v for v in pr.values() if v % 2 == 1}, reverse=True)
-    counts = {i: sum(1 for p in positions if pr[p] == i) for i in odd_prios}
-    slot = {i: k for k, i in enumerate(odd_prios)}  # most significant first
+    pr = [top_even - c for c in priority]
+    odd_prios = sorted({v for v in pr if v % 2 == 1}, reverse=True)
+    counts = {i: pr.count(i) for i in odd_prios}
     bottom = tuple(0 for _ in odd_prios)
     TOPM = None  # represented as None
 
@@ -319,15 +308,12 @@ def solve_spm(game: ParityGame) -> frozenset:
             return False
         return a < b
 
-    rho = {p: bottom for p in positions}
-    pred = {}
-    for p in positions:
-        for q in succ[p]:
-            pred.setdefault(q, []).append(p)
+    rho = [bottom] * len(succ)
+    pred = _predecessors(succ)
 
     def lift(v):
         vals = [prog(rho[q], pr[v]) for q in succ[v]]
-        if owner[v] == "E":
+        if is_e[v]:
             best = vals[0]
             for x in vals[1:]:
                 if less(x, best):
@@ -339,19 +325,20 @@ def solve_spm(game: ParityGame) -> frozenset:
                 best = x
         return best
 
-    queue = deque(positions)
-    queued = set(positions)
+    queue = deque(range(len(succ)))
+    queued = bytearray(b"\1") * len(succ)
     while queue:
         v = queue.popleft()
-        queued.discard(v)
+        queued[v] = 0
         new = lift(v)
         if less(rho[v], new):
             rho[v] = new
-            for u in pred.get(v, ()):
-                if u not in queued:
-                    queued.add(u)
+            for u in pred[v]:
+                if not queued[u]:
+                    queued[u] = 1
                     queue.append(u)
-    return frozenset(p for p in game.positions if rho[p] is not TOPM)
+    labels = game.positions
+    return frozenset(labels[p] for p in range(len(labels)) if rho[p] is not TOPM)
 
 
 # ---------------------------------------------------------------------------

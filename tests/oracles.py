@@ -16,6 +16,8 @@
   every checking verdict unchanged.
 - complement_buchi is rank-based Büchi complementation, the reference that
   the profile-based progress search of rll.proof is checked against.
+- ref_eval_game builds the evaluation game as labelled dicts, position by
+  position; rll.semantics fills the numbered arrays directly.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from rll.expr import (
     fl_closure,
     subformula_leq,
 )
+from rll.automaton import default_coloring
 from rll.proof import BuchiAutomaton, ProofGraph
+from rll.semantics import EvalPosition
 
 
 def member_denotational(stem: str, loop: str, e) -> bool:
@@ -120,6 +124,43 @@ def gen_word(rng, alphabet: Alphabet, max_stem=3, max_loop=3):
     stem = "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(0, max_stem)))
     loop = "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(1, max_loop)))
     return stem, loop
+
+
+def ref_eval_game(w, e):
+    """The evaluation game of a closed expression on a word as the
+    (positions, owner, moves, priority) arguments of rll.semantics.ParityGame,
+    built one labelled position at a time."""
+    fl = fl_closure(e)
+    colour = default_coloring(fl)
+    positions = []
+    owner = {}
+    moves = {}
+    priority = {}
+    for o in range(w.n_offsets()):
+        for f in fl.members:
+            pos = EvalPosition(o, f)
+            positions.append(pos)
+            priority[pos] = colour[f]
+            kinds = fl.successors[f]
+            if not kinds:  # 0 or T
+                owner[pos] = "E" if isinstance(f, Zero) else "A"
+                moves[pos] = ()
+                continue
+            if kinds[0][0] == "letter-step":
+                owner[pos] = "E"
+                if w.letter_at(o) == f.letter:
+                    moves[pos] = (EvalPosition(w.advance(o), kinds[0][1]),)
+                else:
+                    moves[pos] = ()
+                continue
+            if kinds[0][0] == "unfold":
+                owner[pos] = "E"
+                moves[pos] = (EvalPosition(o, kinds[0][1]),)
+                continue
+            # plus or cap
+            owner[pos] = "E" if kinds[0][0].startswith("plus") else "A"
+            moves[pos] = tuple(EvalPosition(o, t) for _, t in kinds)
+    return positions, owner, moves, priority
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from rll.semantics import (
     solve_spm,
     solve_zielonka,
 )
-from oracles import gen_expr, gen_word, member_denotational
+from oracles import gen_expr, gen_word, member_denotational, ref_eval_game
 
 AB = Alphabet("ab")
 
@@ -160,32 +160,43 @@ def test_membership_is_a_property_of_the_word_not_its_presentation():
 # the solvers themselves, on synthetic games
 
 
-def _random_game(rng, n_positions, max_priority):
-    positions = list(range(n_positions))
+def _random_game(rng, n_positions, max_priority, label=lambda i: i, duplicates=False):
+    positions = [label(i) for i in range(n_positions)]
     owner = {p: rng.choice("EA") for p in positions}
     priority = {p: rng.randint(0, max_priority) for p in positions}
     moves = {}
     for p in positions:
         deg = rng.choice([0, 1, 1, 2, 2, 3])
         moves[p] = tuple(rng.choice(positions) for _ in range(deg))
+        if duplicates and moves[p] and rng.random() < 0.5:
+            moves[p] += (rng.choice(moves[p]),)
     return ParityGame(positions, owner, moves, priority)
+
+
+def _labelled(game):
+    """The owner, moves and priority of each position, keyed by label."""
+    labels = game.positions
+    owner = {p: "E" if e else "A" for p, e in zip(labels, game.is_e)}
+    moves = {p: tuple(labels[q] for q in ms) for p, ms in zip(labels, game.out)}
+    return owner, moves, dict(zip(labels, game.prio))
 
 
 def _check_strategy(game, region, strat, player, parity):
     """Replaying `strat` from inside `region` must never leave it, never
     strand the player, and every reachable cycle must have min priority of
     the given parity.  Opponent deadlocks are terminal wins and fine."""
+    owner, moves, priority = _labelled(game)
     succ = {}
     for p in region:
-        if game.owner[p] == player:
-            assert game.moves[p], "deadlocked %s-position counted as won: %r" % (player, p)
+        if owner[p] == player:
+            assert moves[p], "deadlocked %s-position counted as won: %r" % (player, p)
             assert p in strat, "no move chosen at %r" % (p,)
             assert strat[p] in region, "strategy move leaves the region at %r" % (p,)
             succ[p] = (strat[p],)
         else:
-            for q in game.moves[p]:
+            for q in moves[p]:
                 assert q in region, "opponent escapes the region from %r" % (p,)
-            succ[p] = game.moves[p]
+            succ[p] = moves[p]
     # iterative Tarjan; any SCC containing a cycle must have the right parity
     index, low, onstack, order = {}, {}, set(), []
     stack = []
@@ -223,7 +234,7 @@ def _check_strategy(game, region, strat, player, parity):
                         break
                 cyclic = len(comp) > 1 or v in succ[v]
                 if cyclic:
-                    assert min(game.priority[u] for u in comp) % 2 == parity
+                    assert min(priority[u] for u in comp) % 2 == parity
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
@@ -231,8 +242,13 @@ def _check_strategy(game, region, strat, player, parity):
 
 def test_solvers_and_strategies_on_random_games():
     rng = random.Random(4242)
+    games = [_random_game(rng, rng.randint(1, 14), rng.randint(0, 5)) for _ in range(300)]
+    # labels that are not numbers, duplicate moves, larger games
+    labels = [lambda i: ("pos", i), lambda i: "p%d" % i, lambda i: (i % 3, str(i))]
     for _ in range(300):
-        game = _random_game(rng, rng.randint(1, 14), rng.randint(0, 5))
+        label = rng.choice(labels)
+        games.append(_random_game(rng, rng.randint(1, 40), rng.randint(0, 7), label, duplicates=True))
+    for game in games:
         win_e, win_a, strat_e, strat_a = solve_zielonka(game)
         assert win_e | win_a == frozenset(game.positions)
         assert not (win_e & win_a)
@@ -249,12 +265,44 @@ def test_deadlocks_lose_for_their_owner():
     assert solve_spm(g) == win_e
 
 
+def test_a_position_missing_from_moves_is_a_deadlock():
+    g = ParityGame(["x", "y"], {"x": "E", "y": "A"}, {}, {"x": 0, "y": 0})
+    win_e, win_a, _, _ = solve_zielonka(g)
+    assert win_a == frozenset({"x"})
+    assert win_e == frozenset({"y"})
+    assert solve_spm(g) == win_e
+
+
+def test_the_empty_game_has_empty_regions():
+    g = ParityGame([], {}, {}, {})
+    assert solve_zielonka(g) == (frozenset(), frozenset(), {}, {})
+    assert solve_spm(g) == frozenset()
+
+
+def test_repeated_positions_are_rejected():
+    with pytest.raises(ValueError, match="distinct"):
+        ParityGame([0, 1, 0], {0: "E", 1: "A"}, {0: (1,), 1: (0,)}, {0: 0, 1: 1})
+
+
+def test_eval_game_numbering_matches_the_reference_construction():
+    rng = random.Random(515)
+    for _ in range(250):
+        expr = gen_expr(rng, AB, rng.randint(1, 8))
+        stem, loop = gen_word(rng, AB)
+        word = UPWord(stem, loop, AB)
+        game = build_eval_game(word, expr)
+        ref = ParityGame(*ref_eval_game(word, expr))
+        assert game.positions == ref.positions
+        assert (game.is_e, game.prio, game.out) == (ref.is_e, ref.prio, ref.out)
+
+
 def test_eval_game_shape_on_a_letter_mismatch():
     # at an offset whose letter differs, a letter position has no moves
     game = build_eval_game(w("(b)^w"), e("a 0"))
     root = EvalPosition(0, e("a 0"))
-    assert game.owner[root] == "E"
-    assert game.moves[root] == ()
+    owner, moves, _ = _labelled(game)
+    assert owner[root] == "E"
+    assert moves[root] == ()
     win_e, win_a, _, _ = solve_zielonka(game)
     assert root in win_a
 
