@@ -17,7 +17,9 @@ expression can appear.  `--json` wraps the result in a single-line envelope
 
 Exit codes: 0 positive verdict or success, 1 negative verdict or failing
 corpus row, 2 locally invalid proof, 3 progress failure, 4 unguarded input,
-64 usage errors, input-syntax errors and input nested too deeply.
+5 proof search over its node budget, 64 usage errors, input-syntax errors and
+input nested too deeply, 70 internal error (a failed self-check).  Codes 5
+and 70 print one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -36,7 +38,7 @@ from .corpus import (
     proofs,
     run_suite,
 )
-from .decide import Proved, UnguardedSequentError, decide
+from .decide import BudgetExceededError, Proved, UnguardedSequentError, decide
 from .expr import Alphabet, complement, parse, pretty
 from .proof import check, parse_proof, serialize_proof
 from .semantics import member, parse_word
@@ -333,6 +335,12 @@ def main(argv=None) -> int:
         # input that parses can still nest too deeply for a later stage
         print("error: expression nested too deeply", file=sys.stderr)
         return 64
+    except BudgetExceededError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 5
+    except RuntimeError as exc:  # the "internal error" self-checks
+        print("error: %s" % exc, file=sys.stderr)
+        return 70
 
 
 if __name__ == "__main__":

@@ -114,8 +114,7 @@ def _build_proof(root_sequent: Sequent, derivation, root: str = "n0") -> ProofGr
     sequents = {root: root_sequent}
     queue = [root]
     ordered = []
-    while queue:
-        nid = queue.pop(0)
+    for nid in queue:  # the queue grows while it is walked
         rule, principal, kids = derivation[nid]
         inst = make_instance(rule, sequents[nid], principal)
         if len(inst.premisses) != len(kids):
@@ -423,11 +422,14 @@ def _drop_first(w: UPWord) -> UPWord:
     return UPWord("", w.loop[1:] + w.loop[:1], w.alphabet)
 
 
-def soundness_violations(seed: int, n_words: int = 200):
-    """Sample-check every saturation-generated rule instance: premiss truth
-    must force conclusion truth at each word (letter rules advance the word
-    by their letter), and the non-weakening rules must also be invertible.
-    Returns (soundness failures, invertibility failures)."""
+SOUNDNESS_WORDS = 200  # sampled words per rule instance in corpus run
+
+
+def soundness_violations(instances, seed: int, n_words: int = SOUNDNESS_WORDS):
+    """Sample-check the given rule instances, as from saturation_instances():
+    premiss truth must force conclusion truth at each word (letter rules
+    advance the word by their letter), and the non-weakening rules must also
+    be invertible.  Returns (soundness failures, invertibility failures)."""
     rng = random.Random(seed)
     words = [sample_word(rng) for _ in range(n_words)]
     memo = {}
@@ -443,7 +445,7 @@ def soundness_violations(seed: int, n_words: int = 200):
 
     unsound = []
     uninvertible = []
-    for inst in saturation_instances():
+    for inst in instances:
         rule = inst.rule
         for w in words:
             if rule.startswith("h_") or rule == "r-p":
@@ -507,7 +509,7 @@ class SuiteRow:
     detail: str
 
 
-def run_suite(seed: int, filter_text=None, membership_samples: int = 1000, soundness_words: int = 200):
+def run_suite(seed: int, filter_text=None, membership_samples: int = 1000):
     """Run the regression suite and return one SuiteRow per fixture or
     property batch, in a fixed order.  filter_text restricts to rows whose
     "group/name" contains it."""
@@ -586,20 +588,17 @@ def run_suite(seed: int, filter_text=None, membership_samples: int = 1000, sound
         rows.append(SuiteRow("membership", "closed-forms", not fails, detail))
 
     if wanted("soundness", "rule-soundness") or wanted("soundness", "rule-invertibility"):
-        unsound, uninvertible = soundness_violations(seed, soundness_words)
-        n = len(saturation_instances())
-        if wanted("soundness", "rule-soundness"):
-            detail = "%d instances x %d words" % (n, soundness_words)
-            if unsound:
-                detail += "; first: %s" % unsound[0]
-            rows.append(SuiteRow("soundness", "rule-soundness", not unsound, detail))
-        if wanted("soundness", "rule-invertibility"):
-            detail = "%d instances x %d words" % (n, soundness_words)
-            if uninvertible:
-                detail += "; first: %s" % uninvertible[0]
-            rows.append(
-                SuiteRow("soundness", "rule-invertibility", not uninvertible, detail)
-            )
+        instances = saturation_instances()
+        unsound, uninvertible = soundness_violations(instances, seed)
+        for name, failures in (
+            ("rule-soundness", unsound),
+            ("rule-invertibility", uninvertible),
+        ):
+            if wanted("soundness", name):
+                detail = "%d instances x %d words" % (len(instances), SOUNDNESS_WORDS)
+                if failures:
+                    detail += "; first: %s" % failures[0]
+                rows.append(SuiteRow("soundness", name, not failures, detail))
 
     size_fails, colour_fails = (None, None)
     if wanted("bounds", "closure-size") or wanted("bounds", "colouring"):

@@ -26,6 +26,10 @@ class UnguardedSequentError(ValueError):
     """decide only handles sequents whose formulas are all guarded."""
 
 
+class BudgetExceededError(RuntimeError):
+    """saturate met more distinct sequents than its node budget allows."""
+
+
 def strategy_step(s: Sequent) -> RuleInstance:
     """The single rule the search strategy applies at s."""
     lhs, rhs = s.lhs_sorted, s.rhs_sorted
@@ -63,23 +67,19 @@ def saturate(s: Sequent, max_nodes: int = 200000) -> ProofGraph:
     """Expand strategy_step breadth-first, memoising sequents into
     back-edges.  Terminates because only finitely many sequents arise."""
     memo = {s: "n0"}
-    records = {}
     queue = [s]
-    counter = 1
-    while queue:
-        current = queue.pop(0)
+    nodes = []
+    for current in queue:  # the queue grows while it is walked
         inst = strategy_step(current)
         kids = []
         for prem in inst.premisses:
             if prem not in memo:
                 if len(memo) >= max_nodes:
-                    raise RuntimeError("proof search exceeded %d sequents" % max_nodes)
-                memo[prem] = "n%d" % counter
-                counter += 1
+                    raise BudgetExceededError("proof search exceeded %d sequents" % max_nodes)
+                memo[prem] = "n%d" % len(memo)
                 queue.append(prem)
             kids.append(memo[prem])
-        records[memo[current]] = (inst, tuple(kids))
-    nodes = [("n%d" % i, *records["n%d" % i]) for i in range(len(records))]
+        nodes.append((memo[current], inst, tuple(kids)))
     return ProofGraph(nodes, "n0")
 
 

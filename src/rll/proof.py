@@ -10,20 +10,24 @@ afterwards, and unfolds the critical formula itself infinitely often.
 
 build_trace_automaton turns that condition into a Büchi automaton over the
 graph's edges whose language is the set of branches possessing such a trace.
-check runs the local check and then decides whether that language covers
-all branches.  Rather than complementing the (large) trace automaton, it
-composes boolean reachability/acceptance profiles of finite paths and
-applies the standard lasso criterion to idempotent loop profiles, which is
-exact for ultimately periodic branches and therefore for universality; a
-failing pair is returned as a concrete lasso and re-verified by replay.  A
-general rank-based complementation lives in tests/oracles.py as the
-reference this profile search is checked against.
+Its states are numbered per node in discovery order, and each edge holds one
+reach row per state of its source: a bitmask of the child's states that the
+state steps to.  check runs the local check and then decides whether that
+language covers all branches.  Rather than complementing the (large) trace
+automaton, it composes those rows into boolean reachability/acceptance
+profiles of finite paths and applies the standard lasso criterion to
+idempotent loop profiles (Fogarty & Vardi, "Efficient Büchi universality
+checking", 2010), which is exact for ultimately periodic branches and
+therefore for universality; a failing pair is returned as a concrete lasso
+and re-verified by replay on the same automaton.  A general rank-based
+complementation lives in tests/oracles.py as the reference this profile
+search is checked against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from .expr import Expr, Mu, Nu, ParseError, expr_sort_key, parse, pretty, subformula_leq
 from .expr import Alphabet
@@ -239,39 +243,25 @@ def serialize_proof(p: ProofGraph) -> str:
 # the trace automaton
 
 
-class BuchiAutomaton:
-    """A nondeterministic Büchi automaton with an explicit finite alphabet."""
+@dataclass(frozen=True)
+class TraceAutomaton:
+    """A Büchi automaton over the edges (nid, j) of a proof graph, whose
+    states are numbered per node in discovery order.
 
-    __slots__ = ("states", "alphabet", "transitions", "initials", "accepting")
+    - labels[nid][k] is state k of nid: (side, formula, critical), where
+      critical is None while the trace is still searching;
+    - states lists every state as (nid, k), in discovery order;
+    - initials are the numbers of the root's initial states;
+    - reach[nid][j][k] is a bitmask of the states of nid's j-th child that
+      state k steps to along edge j;
+    - accepting[nid] is a bitmask of nid's accepting states."""
 
-    def __init__(self, states, alphabet, transitions, initials, accepting):
-        self.states = tuple(states)
-        self.alphabet = tuple(alphabet)
-        self.transitions = {k: tuple(v) for k, v in transitions.items()}
-        self.initials = tuple(initials)
-        self.accepting = frozenset(accepting)
-        state_set = set(self.states)
-        symbol_set = set(self.alphabet)
-        for (q, a), targets in self.transitions.items():
-            if q not in state_set or a not in symbol_set:
-                raise ValueError("transition from unknown state or symbol")
-            for t in targets:
-                if t not in state_set:
-                    raise ValueError("transition into unknown state")
-        for q in list(self.initials) + list(self.accepting):
-            if q not in state_set:
-                raise ValueError("initial/accepting state is unknown")
-
-    def successors(self, q, a):
-        return self.transitions.get((q, a), ())
-
-
-class TraceState(NamedTuple):
-    node: str
-    side: str
-    formula: Expr
-    phase: str  # "search" | "committed"
-    critical: Optional[Expr]
+    root: str
+    labels: Dict[str, Tuple[Tuple[str, Expr, Optional[Expr]], ...]]
+    states: Tuple[Tuple[str, int], ...]
+    initials: Tuple[int, ...]
+    reach: Dict[str, Tuple[Tuple[int, ...], ...]]
+    accepting: Dict[str, int]
 
 
 def _grouped_ancestry(inst: RuleInstance):
@@ -290,7 +280,7 @@ def _may_commit(side: str, f: Expr) -> bool:
     return isinstance(f, Mu) if side == "L" else isinstance(f, Nu)
 
 
-def build_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
+def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     """The Büchi automaton over the graph's edges accepting exactly the
     branches that carry a progressing trace.  States track a formula of the
     current node's sequent on one side, either still searching or committed
@@ -298,90 +288,101 @@ def build_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
     formula is unfolded on the trace and visit an accepting state whenever
     the critical formula itself is the one unfolded."""
     anc = {nid: _grouped_ancestry(p.instance[nid]) for nid in p.order}
-    alphabet = []
-    for nid in p.order:
-        for j in range(len(p.children[nid])):
-            alphabet.append((nid, j))
-
-    initials = []
-    root_seq = p.sequent(p.root)
-    for side, cedent in (("L", root_seq.lhs_sorted), ("R", root_seq.rhs_sorted)):
-        for f in cedent:
-            initials.append(TraceState(p.root, side, f, "search", None))
-
-    transitions = {}
-    accepting = set()
+    labels = {nid: [] for nid in p.order}
+    numbers = {nid: {} for nid in p.order}  # label -> its number at nid
+    accepting = dict.fromkeys(p.order, 0)
+    dead = set()
     states = []
-    seen = set(initials)
-    queue = list(initials)
-    while queue:
-        st = queue.pop(0)
-        states.append(st)
-        inst = p.instance[st.node]
-        _, rule_side = PRINCIPAL_RULES.get(inst.rule, (None, None))
-        if st.phase == "committed" and rule_side == st.side and inst.principal == st.formula:
-            if st.formula == st.critical:
-                accepting.add(st)
-            elif subformula_leq(st.formula, st.critical):
-                continue  # the trace unfolds below its critical formula: dead
-        for j, child in enumerate(p.children[st.node]):
-            targets = []
-            for f2 in anc[st.node].get((j, st.side, st.formula), ()):
-                if st.phase == "search":
-                    targets.append(TraceState(child, st.side, f2, "search", None))
-                    if _may_commit(st.side, f2):
-                        targets.append(TraceState(child, st.side, f2, "committed", f2))
-                else:
-                    targets.append(TraceState(child, st.side, f2, "committed", st.critical))
-            if targets:
-                transitions[(st, (st.node, j))] = tuple(targets)
-                for t in targets:
-                    if t not in seen:
-                        seen.add(t)
-                        queue.append(t)
-    return BuchiAutomaton(states, alphabet, transitions, initials, accepting)
+
+    def number(nid, label):
+        k = numbers[nid].get(label)
+        if k is None:
+            k = numbers[nid][label] = len(labels[nid])
+            labels[nid].append(label)
+            states.append((nid, k))
+            side, f, critical = label
+            inst = p.instance[nid]
+            _, rule_side = PRINCIPAL_RULES.get(inst.rule, (None, None))
+            if critical is not None and rule_side == side and inst.principal == f:
+                if f == critical:
+                    accepting[nid] |= 1 << k
+                elif subformula_leq(f, critical):
+                    dead.add((nid, k))  # the trace unfolds below its critical formula
+        return k
+
+    root_seq = p.sequent(p.root)
+    initials = tuple(
+        number(p.root, (side, f, None))
+        for side, cedent in (("L", root_seq.lhs_sorted), ("R", root_seq.rhs_sorted))
+        for f in cedent
+    )
+    rows = {nid: [[] for _ in p.children[nid]] for nid in p.order}
+    for nid, k in states:  # the breadth-first queue: it grows while it is walked
+        side, f, critical = labels[nid][k]
+        for j, child in enumerate(p.children[nid]):
+            row = 0
+            if (nid, k) not in dead:
+                for f2 in anc[nid].get((j, side, f), ()):
+                    if critical is None:
+                        row |= 1 << number(child, (side, f2, None))
+                        if _may_commit(side, f2):
+                            row |= 1 << number(child, (side, f2, f2))
+                    else:
+                        row |= 1 << number(child, (side, f2, critical))
+            rows[nid][j].append(row)
+    return TraceAutomaton(
+        root=p.root,
+        labels={nid: tuple(at) for nid, at in labels.items()},
+        states=tuple(states),
+        initials=initials,
+        reach={nid: tuple(map(tuple, per_edge)) for nid, per_edge in rows.items()},
+        accepting=accepting,
+    )
 
 
-# ---------------------------------------------------------------------------
-# generic Büchi operations
-
-
-def accepts_lasso(b: BuchiAutomaton, stem, cycle) -> bool:
-    """Does the automaton accept stem·cycle^ω?  Decided on the finite product
-    of the lasso's positions with the state space."""
+def accepts_lasso(automaton: TraceAutomaton, stem, cycle) -> bool:
+    """Does the automaton accept the branch stem·cycle^ω?  stem and cycle
+    are sequences of edges (nid, j) that form a path from the root, and the
+    cycle returns to its first node.  Decided on the finite product of the
+    lasso's positions with the states of each position's node."""
     if not cycle:
         raise ValueError("the cycle must be nonempty")
-    word = list(stem) + list(cycle)
+    word = tuple(stem) + tuple(cycle)
     n = len(word)
     wrap = len(stem)
+    rows = [automaton.reach[nid][j] for nid, j in word]
 
     def advance(i):
         return i + 1 if i + 1 < n else wrap
 
-    start = [(0, q) for q in b.initials]
-    seen = set(start)
-    queue = list(start)
-    while queue:
-        i, q = queue.pop()
-        for q2 in b.successors(q, word[i]):
-            nxt = (advance(i), q2)
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    candidates = [(i, q) for (i, q) in seen if q in b.accepting and i >= wrap]
-    for cand in candidates:
-        # can the product return to this accepting configuration?
-        frontier = [cand]
-        visited = set()
-        while frontier:
-            i, q = frontier.pop()
-            for q2 in b.successors(q, word[i]):
-                nxt = (advance(i), q2)
-                if nxt == cand:
-                    return True
-                if nxt not in visited:
-                    visited.add(nxt)
-                    frontier.append(nxt)
+    def reached(i, start):
+        """Per position, the states reachable from the states `start` at
+        position i, as bitmasks."""
+        found = [0] * n
+        found[i] = start
+        todo = [(i, start)]
+        while todo:
+            at, new = todo.pop()
+            nxt = advance(at)
+            new = _row_or(new, rows[at]) & ~found[nxt]
+            if new:
+                found[nxt] |= new
+                todo.append((nxt, new))
+        return found
+
+    initials = 0
+    for k in automaton.initials:
+        initials |= 1 << k
+    found = reached(0, initials)
+    for i in range(wrap, n):
+        candidates = found[i] & automaton.accepting[word[i][0]]
+        k = 0
+        while candidates:
+            # can the product return to the accepting configuration (i, k)?
+            if candidates & 1 and reached(advance(i), rows[i][k])[i] >> k & 1:
+                return True
+            candidates >>= 1
+            k += 1
     return False
 
 
@@ -415,84 +416,63 @@ def _row_or(bits, rows):
     return out
 
 
-def _find_unaccepted_branch(node_order, edges_of, root, states_of, initials, accepting, delta):
-    """Core of the progress check, phrased over any edge-labelled graph whose
-    automaton states are partitioned by node.  Returns None when every
-    branch is accepted, otherwise (stem symbols, cycle symbols)."""
-    index_of = {nid: {q: i for i, q in enumerate(states_of[nid])} for nid in node_order}
-
-    def edge_profile(src, sym, dst):
-        r_rows = []
-        a_rows = []
-        dst_index = index_of[dst]
-        for q in states_of[src]:
-            r = 0
-            a = 0
-            for q2 in delta.get((q, sym), ()):
-                bit = 1 << dst_index[q2]
-                r |= bit
-                if q2 in accepting:
-                    a |= bit
-            r_rows.append(r)
-            a_rows.append(a)
-        return tuple(r_rows), tuple(a_rows)
-
-    profiles_by_edge = {}
-    for nid in node_order:
-        for sym, dst in edges_of[nid]:
-            profiles_by_edge[sym] = (nid, dst, edge_profile(nid, sym, dst))
+def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
+    """Core of the progress check over a graph given by its node order and
+    children, and its trace automaton.  Returns None when every branch from
+    the root is accepted, otherwise (stem edges, cycle edges)."""
+    # per node, its out-edges as (edge, child, reach rows, accepting rows);
+    # witnesses share these edge tuples
+    out = {
+        nid: tuple(
+            ((nid, j), dst, rows, tuple(row & automaton.accepting[dst] for row in rows))
+            for j, (dst, rows) in enumerate(zip(children[nid], automaton.reach[nid]))
+        )
+        for nid in order
+    }
 
     # strongly connected components of the node graph (loops live inside them)
-    sccs = _sccs(node_order, edges_of)
+    sccs = _sccs(order, children)
     scc_of = {}
     for comp in sccs:
         for nid in comp:
             scc_of[nid] = id(comp)
     cyclic_nodes = set()
     for comp in sccs:
-        nontrivial = len(comp) > 1 or any(
-            dst == comp[0] for _, dst in edges_of[comp[0]]
-        )
-        if nontrivial:
+        if len(comp) > 1 or comp[0] in children[comp[0]]:
             cyclic_nodes.update(comp)
 
     # stems: reachability profiles of all finite paths from the root
-    ident = tuple(1 << i for i in range(len(states_of[root])))
+    root = automaton.root
+    ident = tuple(1 << k for k in range(len(automaton.labels[root])))
     stems = {(root, ident): ()}
     stem_queue = [(root, ident)]
-    while stem_queue:
-        m, r = stem_queue.pop(0)
+    for m, r in stem_queue:  # the queue grows while it is walked
         witness = stems[(m, r)]
-        for sym, dst in edges_of[m]:
-            _, _, (re_, _) = profiles_by_edge[sym]
-            r2 = _compose_r(r, re_)
-            key = (dst, r2)
+        for edge, dst, re_, _ in out[m]:
+            key = (dst, _compose_r(r, re_))
             if key not in stems:
-                stems[key] = witness + (sym,)
+                stems[key] = witness + (edge,)
                 stem_queue.append(key)
 
     # loop profiles: (start, end, R, A) of paths inside one SCC
     loops = {}
     loop_queue = []
-    for nid in node_order:
+    for nid in order:
         if nid not in cyclic_nodes:
             continue
-        for sym, dst in edges_of[nid]:
+        for edge, dst, re_, ae_ in out[nid]:
             if dst not in cyclic_nodes or scc_of[dst] != scc_of[nid]:
                 continue
-            _, _, (re_, ae_) = profiles_by_edge[sym]
             key = (nid, dst, re_, ae_)
             if key not in loops:
-                loops[key] = (sym,)
+                loops[key] = (edge,)
                 loop_queue.append(key)
-    while loop_queue:
-        key = loop_queue.pop(0)
+    for key in loop_queue:  # the queue grows while it is walked
         u, v, r, a = key
         witness = loops[key]
-        for sym, dst in edges_of[v]:
+        for edge, dst, re_, ae_ in out[v]:
             if dst not in cyclic_nodes or scc_of[dst] != scc_of[u]:
                 continue
-            _, _, (re_, ae_) = profiles_by_edge[sym]
             r2 = _compose_r(r, re_)
             a2 = tuple(
                 _row_or(a_row, re_) | _row_or(r_row, ae_)
@@ -500,10 +480,9 @@ def _find_unaccepted_branch(node_order, edges_of, root, states_of, initials, acc
             )
             key2 = (u, dst, r2, a2)
             if key2 not in loops:
-                loops[key2] = witness + (sym,)
+                loops[key2] = witness + (edge,)
                 loop_queue.append(key2)
 
-    init_idx = [index_of[root][q] for q in initials]
     stem_items = list(stems.items())
     for (u, v, r, a), loop_witness in loops.items():
         if u != v:
@@ -520,12 +499,12 @@ def _find_unaccepted_branch(node_order, edges_of, root, states_of, initials, acc
             if m != u:
                 continue
             r_total = _compose_r(r_stem, r)
-            if not any(r_total[i] & diag for i in init_idx):
+            if not any(r_total[k] & diag for k in automaton.initials):
                 return stem_witness, loop_witness
     return None
 
 
-def _sccs(node_order, edges_of):
+def _sccs(order, children):
     index = {}
     low = {}
     onstack = set()
@@ -533,10 +512,10 @@ def _sccs(node_order, edges_of):
     out = []
     counter = [0]
 
-    for start in node_order:
+    for start in order:
         if start in index:
             continue
-        work = [(start, iter([d for _, d in edges_of[start]]))]
+        work = [(start, iter(children[start]))]
         index[start] = low[start] = counter[0]
         counter[0] += 1
         stack.append(start)
@@ -550,7 +529,7 @@ def _sccs(node_order, edges_of):
                     counter[0] += 1
                     stack.append(u)
                     onstack.add(u)
-                    work.append((u, iter([d for _, d in edges_of[u]])))
+                    work.append((u, iter(children[u])))
                     advanced = True
                     break
                 if u in onstack:
@@ -577,22 +556,12 @@ def _progress_lasso(p: ProofGraph) -> Optional[Lasso]:
     """None when every infinite branch of a locally valid proof has a
     progressing trace; otherwise a lasso branch with no such trace,
     re-verified by replaying it through the trace automaton."""
-    bp = build_trace_automaton(p)
-    by_node = {nid: [] for nid in p.order}
-    for st in bp.states:
-        by_node[st.node].append(st)
-    states_of = {nid: tuple(sts) for nid, sts in by_node.items()}
-    edges_of = {
-        nid: tuple(((nid, j), child) for j, child in enumerate(p.children[nid]))
-        for nid in p.order
-    }
-    found = _find_unaccepted_branch(
-        p.order, edges_of, p.root, states_of, bp.initials, bp.accepting, bp.transitions
-    )
+    automaton = build_trace_automaton(p)
+    found = _find_unaccepted_branch(p.order, p.children, automaton)
     if found is None:
         return None
     stem_syms, cycle_syms = found
-    if accepts_lasso(bp, stem_syms, cycle_syms):
+    if accepts_lasso(automaton, stem_syms, cycle_syms):
         raise RuntimeError("internal error: counterexample lasso has a progressing trace")
     stem_nodes = [p.root]
     for nid, j in stem_syms:

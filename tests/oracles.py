@@ -5,7 +5,8 @@
   offset of stem+loop), every operator restricts to subsets of that finite
   set, and mu/nu are literal Knaster-Tarski iterations.  It shares no code
   with the game-based membership of rll.semantics, which it cross-checks.
-- gen_expr and gen_word draw random expressions and words.
+- gen_expr, gen_guarded_expr, gen_word and gen_guarded_sequent draw random
+  expressions, guarded expressions, words and guarded sequents.
 - ref_free_vars, ref_equal, ref_canonical, ref_subformula_leq and
   ref_sort_key are plain recursive copies of the term facts that rll.expr
   memoises per interned node.
@@ -14,15 +15,22 @@
 - applicable_steps lists every rule instance that concludes a sequent.
 - unroll_edge duplicates the target of one proof edge, which must leave
   every checking verdict unchanged.
-- complement_buchi is rank-based Büchi complementation, the reference that
-  the profile-based progress search of rll.proof is checked against.
+- complement_buchi is rank-based Büchi complementation over labelled
+  automata, the reference that the profile-based progress search of
+  rll.proof is checked against; one_node_automaton presents a labelled
+  automaton in the numbered form that search reads.
+- ref_trace_automaton builds the trace automaton of a proof graph as a
+  labelled automaton, state by state; rll.proof numbers its states per node
+  and builds each edge's reach rows directly.
 - ref_eval_game builds the evaluation game as labelled dicts, position by
   position; rll.semantics fills the numbered arrays directly.
 """
 
 from __future__ import annotations
 
-from rll.calculus import PRINCIPAL_RULES, make_instance
+from typing import NamedTuple, Optional
+
+from rll.calculus import PRINCIPAL_RULES, Sequent, immediate_ancestry, make_instance
 from rll.expr import (
     Alphabet,
     Cap,
@@ -40,7 +48,7 @@ from rll.expr import (
     subformula_leq,
 )
 from rll.automaton import default_coloring
-from rll.proof import BuchiAutomaton, ProofGraph
+from rll.proof import ProofGraph, TraceAutomaton
 from rll.semantics import EvalPosition
 
 
@@ -124,6 +132,47 @@ def gen_word(rng, alphabet: Alphabet, max_stem=3, max_loop=3):
     stem = "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(0, max_stem)))
     loop = "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(1, max_loop)))
     return stem, loop
+
+
+def gen_guarded_expr(rng, alphabet: Alphabet, size: int, guarded=(), exposed=()):
+    """A random closed guarded expression with at most `size` AST nodes.  A
+    bound variable is drawn only from `guarded`, the variables with a letter
+    between their binder and here; `exposed` are the others."""
+    choices = ["var", "var", "var"] if guarded else []
+    if size > 1:
+        choices += ["letter", "letter", "plus", "plus", "cap", "mu", "mu", "nu", "nu"]
+        choices += ["letter"] * (4 if exposed else 1)
+    if size <= 1 or rng.random() < 0.1:
+        choices += ["zero", "top"]
+    kind = rng.choice(choices)
+    if kind == "zero":
+        return Zero()
+    if kind == "top":
+        return Top()
+    if kind == "var":
+        return Var(rng.choice(guarded))
+    if kind == "letter":
+        body = gen_guarded_expr(rng, alphabet, size - 1, guarded + exposed)
+        return Letter(rng.choice(alphabet.letters), body)
+    if kind in ("plus", "cap"):
+        ls = rng.randint(1, max(1, size - 2))
+        left = gen_guarded_expr(rng, alphabet, ls, guarded, exposed)
+        right = gen_guarded_expr(rng, alphabet, max(1, size - 1 - ls), guarded, exposed)
+        return (Plus if kind == "plus" else Cap)(left, right)
+    var = "X%d" % (len(guarded) + len(exposed))
+    body = gen_guarded_expr(rng, alphabet, size - 1, guarded, exposed + (var,))
+    return (Mu if kind == "mu" else Nu)(var, body)
+
+
+def gen_guarded_sequent(rng, alphabet: Alphabet, max_size=8, max_side=2):
+    """A random sequent of closed guarded expressions with at most
+    `max_size` AST nodes each and at most `max_side` on each side."""
+
+    def side():
+        n = rng.randint(0, max_side)
+        return {gen_guarded_expr(rng, alphabet, rng.randint(1, max_size)) for _ in range(n)}
+
+    return Sequent(side(), side(), alphabet)
 
 
 def ref_eval_game(w, e):
@@ -341,7 +390,50 @@ def unroll_edge(p, parent: str, index: int):
 
 
 # ---------------------------------------------------------------------------
-# Büchi complementation
+# Labelled Büchi automata and their complementation
+
+
+class BuchiAutomaton(NamedTuple):
+    """A nondeterministic Büchi automaton with an explicit finite alphabet;
+    transitions maps (state, letter) to a tuple of successor states."""
+
+    states: tuple
+    alphabet: tuple
+    transitions: dict
+    initials: tuple
+    accepting: frozenset
+
+    def successors(self, q, a):
+        return self.transitions.get((q, a), ())
+
+
+def one_node_automaton(b: BuchiAutomaton):
+    """b as a numbered automaton over a graph with the one node "w", whose
+    j-th edge reads b.alphabet[j] and leads back to "w"; state k is
+    b.states[k], which also serves as its label.  Returns that automaton and
+    the graph's children table.  edges_of(b, word) spells a word over
+    b.alphabet as edges of that graph."""
+    number = {q: k for k, q in enumerate(b.states)}
+
+    def mask(qs):
+        bits = 0
+        for q in qs:
+            bits |= 1 << number[q]
+        return bits
+
+    automaton = TraceAutomaton(
+        root="w",
+        labels={"w": tuple(b.states)},
+        states=tuple(("w", k) for k in range(len(b.states))),
+        initials=tuple(number[q] for q in b.initials),
+        reach={"w": tuple(tuple(mask(b.successors(q, a)) for q in b.states) for a in b.alphabet)},
+        accepting={"w": mask(b.accepting)},
+    )
+    return automaton, {"w": ("w",) * len(b.alphabet)}
+
+
+def edges_of(b: BuchiAutomaton, word):
+    return tuple(("w", b.alphabet.index(a)) for a in word)
 
 
 def complement_buchi(b):
@@ -436,10 +528,79 @@ def complement_buchi(b):
         if st[0] == "R" and not st[2]:
             accepting.add(st)
     ordered = sorted(states, key=_complement_state_key)
-    return BuchiAutomaton(ordered, b.alphabet, transitions, (init,), accepting)
+    return BuchiAutomaton(tuple(ordered), b.alphabet, transitions, (init,), frozenset(accepting))
 
 
 def _complement_state_key(st):
     if st[0] == "S":
         return (0, tuple(sorted(map(repr, st[1]))))
     return (1, st[1], tuple(sorted(map(repr, st[2]))))
+
+
+# ---------------------------------------------------------------------------
+# The trace automaton of a proof graph, labelled
+
+
+class TraceState(NamedTuple):
+    node: str
+    side: str
+    formula: Expr
+    phase: str  # "search" | "committed"
+    critical: Optional[Expr]
+
+
+def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
+    """The trace automaton of p as a labelled automaton over the edges
+    (nid, j): states are TraceStates in breadth-first discovery order, and
+    a state is found accepting or dead when it is dequeued."""
+    anc = {}
+    for nid in p.order:
+        grouped = {}
+        for edge in immediate_ancestry(p.instance[nid]):
+            key = (edge.premiss_index, edge.conclusion_side, edge.conclusion_formula)
+            grouped.setdefault(key, [])
+            if edge.premiss_formula not in grouped[key]:
+                grouped[key].append(edge.premiss_formula)
+        for key in grouped:
+            grouped[key].sort(key=expr_sort_key)
+        anc[nid] = grouped
+    alphabet = tuple((nid, j) for nid in p.order for j in range(len(p.children[nid])))
+
+    root_seq = p.sequent(p.root)
+    initials = []
+    for side, cedent in (("L", root_seq.lhs_sorted), ("R", root_seq.rhs_sorted)):
+        for f in cedent:
+            initials.append(TraceState(p.root, side, f, "search", None))
+
+    transitions = {}
+    accepting = set()
+    states = []
+    seen = set(initials)
+    queue = list(initials)
+    while queue:
+        st = queue.pop(0)
+        states.append(st)
+        inst = p.instance[st.node]
+        _, rule_side = PRINCIPAL_RULES.get(inst.rule, (None, None))
+        if st.phase == "committed" and rule_side == st.side and inst.principal == st.formula:
+            if st.formula == st.critical:
+                accepting.add(st)
+            elif subformula_leq(st.formula, st.critical):
+                continue  # the trace unfolds below its critical formula: dead
+        for j, child in enumerate(p.children[st.node]):
+            targets = []
+            for f2 in anc[st.node].get((j, st.side, st.formula), ()):
+                if st.phase == "search":
+                    targets.append(TraceState(child, st.side, f2, "search", None))
+                    may_commit = isinstance(f2, Mu) if st.side == "L" else isinstance(f2, Nu)
+                    if may_commit:
+                        targets.append(TraceState(child, st.side, f2, "committed", f2))
+                else:
+                    targets.append(TraceState(child, st.side, f2, "committed", st.critical))
+            if targets:
+                transitions[(st, (st.node, j))] = tuple(targets)
+                for t in targets:
+                    if t not in seen:
+                        seen.add(t)
+                        queue.append(t)
+    return BuchiAutomaton(tuple(states), alphabet, transitions, tuple(initials), frozenset(accepting))

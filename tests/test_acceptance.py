@@ -31,6 +31,7 @@ from rll.corpus import (
     membership_mismatches,
     proofs,
     run_suite,
+    saturation_instances,
     soundness_violations,
 )
 from rll.proof import check
@@ -100,7 +101,7 @@ def test_criterion_5_membership_routes_agree_on_random_and_closed_forms():
 
 
 def test_criterion_6_rule_instances_sound_and_invertible_on_samples():
-    unsound, uninvertible = soundness_violations(SEED, n_words=200)
+    unsound, uninvertible = soundness_violations(saturation_instances(), SEED, n_words=200)
     assert unsound == [], unsound[:3]
     assert uninvertible == [], uninvertible[:3]
     _passed(6, "all saturation instances sound and invertible on 200 words")

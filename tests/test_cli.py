@@ -1,4 +1,5 @@
-"""End-to-end tests driving the command line through subprocesses."""
+"""End-to-end tests driving the command line through subprocesses, and
+in-process tests of the exit codes for failures no input can provoke."""
 
 import json
 import os
@@ -8,7 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from rll.corpus import ALPHABET
+import rll.cli as cli_module
+import rll.decide as decide_module
+import rll.proof as proof_module
+from rll.corpus import ALPHABET, proofs
+from rll.proof import serialize_proof
 from rll.expr import parse
 from rll.proof import check, parse_proof
 from rll.semantics import member, parse_word
@@ -201,3 +206,39 @@ def test_input_too_deep_for_later_stages_exits_64_without_a_traceback(argv):
     r = rll(*argv)
     assert r.returncode == 64
     assert r.stderr == "error: expression nested too deeply\n"
+
+
+# ---------------------------------------------------------------------------
+# budget and internal errors, provoked in process
+
+
+def test_a_search_over_its_node_budget_exits_5(monkeypatch, capsys):
+    real_decide = decide_module.decide
+    monkeypatch.setattr(cli_module, "decide", lambda s: real_decide(s, max_nodes=3))
+    code = cli_module.main(["decide", "--alphabet", "ab", "--sequent", "i_a |- f_a"])
+    out = capsys.readouterr()
+    assert code == 5
+    assert out.out == ""
+    assert out.err == "error: proof search exceeded 3 sequents\n"
+
+
+def test_a_countermodel_failing_its_self_check_exits_70(monkeypatch, capsys):
+    monkeypatch.setattr(decide_module, "member", lambda w, e: False)
+    code = cli_module.main(["decide", "--alphabet", "ab", "--sequent", "i_a |- f_a"])
+    out = capsys.readouterr()
+    assert code == 70
+    assert out.out == ""
+    assert out.err.startswith("error: internal error: countermodel ")
+    assert out.err.count("\n") == 1
+
+
+def test_a_lasso_failing_its_replay_exits_70(monkeypatch, capsys, tmp_path):
+    name = next(name for name, (_, expected) in proofs().items() if not expected)
+    path = tmp_path / "rejected.prf"
+    path.write_text(serialize_proof(proofs()[name][0]), encoding="utf-8")
+    monkeypatch.setattr(proof_module, "accepts_lasso", lambda automaton, stem, cycle: True)
+    code = cli_module.main(["check", str(path)])
+    out = capsys.readouterr()
+    assert code == 70
+    assert out.out == ""
+    assert out.err == "error: internal error: counterexample lasso has a progressing trace\n"

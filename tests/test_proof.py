@@ -6,12 +6,13 @@ import pytest
 from rll.calculus import make_instance, parse_sequent
 from rll.corpus import (
     ALPHABET,
+    DECISIONS,
     PAPER_PROOF_NAMES,
     proofs,
 )
-from rll.expr import ParseError, fl_closure, parse
+from rll.decide import saturate
+from rll.expr import Alphabet, ParseError, fl_closure, parse
 from rll.proof import (
-    BuchiAutomaton,
     Lasso,
     ProofGraph,
     accepts_lasso,
@@ -22,7 +23,16 @@ from rll.proof import (
     serialize_proof,
     _find_unaccepted_branch,
 )
-from oracles import complement_buchi, gen_word, unroll_edge
+from oracles import (
+    BuchiAutomaton,
+    complement_buchi,
+    edges_of,
+    gen_guarded_sequent,
+    gen_word,
+    one_node_automaton,
+    ref_trace_automaton,
+    unroll_edge,
+)
 
 AB = ALPHABET
 FIXTURES = proofs()
@@ -138,12 +148,15 @@ def test_the_five_main_fixtures_are_all_accepted():
         assert expected and check(p).ok, name
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_rejection_lassos_are_genuine_counterbranches(name):
-    p, _ = FIXTURES[name]
-    lasso = check(p).lasso
-    if lasso is None:
-        return
+def _random_saturated_graphs(seed, n=200):
+    """Saturations of n seeded random guarded sequents over 2 or 3 letters."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        alphabet = Alphabet(rng.choice(("ab", "abc")))
+        yield saturate(gen_guarded_sequent(rng, alphabet))
+
+
+def _assert_genuine_counterbranch(p, lasso):
     bp = build_trace_automaton(p)
     stem_syms = tuple(zip(lasso.stem, lasso.stem_edges))
     cycle_syms = tuple(zip(lasso.cycle, lasso.cycle_edges))
@@ -159,14 +172,76 @@ def test_rejection_lassos_are_genuine_counterbranches(name):
     assert at == lasso.cycle[0]
 
 
+def _assert_unrolling_preserves_the_verdict(p, before):
+    for nid in p.order:
+        for j in range(len(p.children[nid])):
+            assert check(unroll_edge(p, nid, j)).ok == before, (nid, j)
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_rejection_lassos_are_genuine_counterbranches(name):
+    p, _ = FIXTURES[name]
+    lasso = check(p).lasso
+    if lasso is None:
+        return
+    _assert_genuine_counterbranch(p, lasso)
+
+
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_unrolling_any_edge_preserves_the_verdict(name):
     p, expected = FIXTURES[name]
     before = check(p).ok
     assert before == expected
-    for nid in p.order:
-        for j in range(len(p.children[nid])):
-            assert check(unroll_edge(p, nid, j)).ok == before, (nid, j)
+    _assert_unrolling_preserves_the_verdict(p, before)
+
+
+def test_random_saturated_graphs_keep_their_verdicts_and_genuine_lassos():
+    rejected = 0
+    for p in _random_saturated_graphs(seed=52):
+        r = check(p)
+        assert not r.violations
+        if not r.ok:
+            rejected += 1
+            _assert_genuine_counterbranch(p, r.lasso)
+        _assert_unrolling_preserves_the_verdict(p, r.ok)
+    assert 20 <= rejected <= 180  # both verdicts are well represented
+
+
+def _assert_matches_the_labelled_reference(p):
+    bp = build_trace_automaton(p)
+    ref = ref_trace_automaton(p)
+
+    def label(nid, k):
+        return (nid,) + bp.labels[nid][k]
+
+    def strip(st):
+        return (st.node, st.side, st.formula, st.critical)
+
+    assert [label(nid, k) for nid, k in bp.states] == [strip(st) for st in ref.states]
+    assert all(st.phase == ("search" if st.critical is None else "committed") for st in ref.states)
+    for nid, labels in bp.labels.items():
+        assert [k for n, k in bp.states if n == nid] == list(range(len(labels)))
+    assert [label(p.root, k) for k in bp.initials] == [strip(st) for st in ref.initials]
+    accepting = {label(nid, k) for nid, k in bp.states if bp.accepting[nid] >> k & 1}
+    assert accepting == {strip(st) for st in ref.accepting}
+    assert all(mask >> len(bp.labels[nid]) == 0 for nid, mask in bp.accepting.items())
+    for (nid, k), st in zip(bp.states, ref.states):
+        for j, child in enumerate(p.children[nid]):
+            row = bp.reach[nid][j][k]
+            assert row >> len(bp.labels[child]) == 0
+            successors = {label(child, k2) for k2 in range(len(bp.labels[child])) if row >> k2 & 1}
+            assert successors == {strip(t) for t in ref.successors(st, (nid, j))}, (nid, k, j)
+
+
+def test_numbered_trace_automaton_matches_the_labelled_reference():
+    graphs = [p for p, _ in FIXTURES.values()]
+    graphs += [saturate(s) for _, s, _ in DECISIONS]
+    graphs += _random_saturated_graphs(seed=20261018)
+    for p in graphs:
+        _assert_matches_the_labelled_reference(p)
+        for nid in p.order:
+            for j in range(len(p.children[nid])):
+                _assert_matches_the_labelled_reference(unroll_edge(p, nid, j))
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -192,7 +267,9 @@ def test_trace_automaton_size_is_within_its_bound(name):
     bound = len(p.order) * 2 * len(formulas) * (len(formulas) + 1)
     assert len(bp.states) <= bound
     edges = {(nid, j) for nid in p.order for j in range(len(p.children[nid]))}
-    assert set(bp.alphabet) == edges
+    assert {(nid, j) for nid, rows in bp.reach.items() for j in range(len(rows))} == edges
+    for nid, rows in bp.reach.items():
+        assert all(len(per_state) == len(bp.labels[nid]) for per_state in rows)
     root = p.sequent(p.root)
     assert len(bp.initials) == len(root.lhs) + len(root.rhs)
 
@@ -301,7 +378,7 @@ def test_loading_tolerates_weakened_plus_premisses():
 
 
 # ---------------------------------------------------------------------------
-# generic Büchi machinery
+# labelled Büchi automata, read through their one-node numbered form
 
 
 def _random_nba(rng, max_states=4, alphabet=("a", "b")):
@@ -317,6 +394,13 @@ def _random_nba(rng, max_states=4, alphabet=("a", "b")):
     initials = tuple(sorted(rng.sample(states, rng.randint(1, n))))
     accepting = frozenset(rng.sample(states, rng.randint(0, n)))
     return BuchiAutomaton(states, alphabet, transitions, initials, accepting)
+
+
+def _acceptor(b):
+    """accepts_lasso on b's one-node numbered form, taking words over b's
+    letters."""
+    automaton, _ = one_node_automaton(b)
+    return lambda stem, cycle: accepts_lasso(automaton, edges_of(b, stem), edges_of(b, cycle))
 
 
 def _up_words(alphabet, max_stem, max_cycle):
@@ -339,14 +423,15 @@ def test_lasso_acceptance_on_a_known_automaton():
             (1, "b"): (0,),
         },
         initials=(0,),
-        accepting={1},
+        accepting=frozenset({1}),
     )
-    assert accepts_lasso(b, "", "a")
-    assert accepts_lasso(b, "bb", "ba")
-    assert not accepts_lasso(b, "a", "b")
-    assert not accepts_lasso(b, "", "b")
+    accepts = _acceptor(b)
+    assert accepts("", "a")
+    assert accepts("bb", "ba")
+    assert not accepts("a", "b")
+    assert not accepts("", "b")
     with pytest.raises(ValueError, match="cycle"):
-        accepts_lasso(b, "a", "")
+        accepts("a", "")
 
 
 def test_complementation_flips_acceptance_on_every_sampled_word():
@@ -355,8 +440,9 @@ def test_complementation_flips_acceptance_on_every_sampled_word():
     for _ in range(40):
         b = _random_nba(rng)
         c = complement_buchi(b)
+        accepts_b, accepts_c = _acceptor(b), _acceptor(c)
         for stem, cyc in words:
-            assert accepts_lasso(b, stem, cyc) != accepts_lasso(c, stem, cyc)
+            assert accepts_b(stem, cyc) != accepts_c(stem, cyc)
 
 
 def test_complementation_is_deterministic():
@@ -370,17 +456,8 @@ def test_complementation_is_deterministic():
 
 
 def _universal_by_profiles(b):
-    node = "w"
-    found = _find_unaccepted_branch(
-        (node,),
-        {node: tuple((a, node) for a in b.alphabet)},
-        node,
-        {node: b.states},
-        b.initials,
-        b.accepting,
-        b.transitions,
-    )
-    return found
+    automaton, children = one_node_automaton(b)
+    return _find_unaccepted_branch(("w",), children, automaton)
 
 
 def _complement_is_empty(c):
@@ -417,11 +494,5 @@ def test_profile_universality_agrees_with_the_complement_route():
         assert (witness is None) == universal
         if witness is not None:
             stem, cyc = witness
-            assert not accepts_lasso(b, stem, cyc)
-
-
-def test_automata_validate_their_parts():
-    with pytest.raises(ValueError, match="unknown state"):
-        BuchiAutomaton((0,), ("a",), {(0, "a"): (1,)}, (0,), set())
-    with pytest.raises(ValueError, match="initial/accepting"):
-        BuchiAutomaton((0,), ("a",), {}, (1,), set())
+            automaton, _ = one_node_automaton(b)
+            assert not accepts_lasso(automaton, stem, cyc)
