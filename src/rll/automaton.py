@@ -115,35 +115,26 @@ def build_apa(e: Expr) -> Apa:
 def apa_accepts(apa: Apa, w) -> bool:
     """Solve the acceptance game of the automaton on an ultimately periodic
     word: same arena as the evaluation game, played over the automaton's own
-    states and transitions."""
+    states and transitions, with (offset o, apa.states[i]) numbered
+    o*|states| + i."""
     # imported here to avoid a module cycle (semantics uses default_coloring)
     from .semantics import ParityGame, solve_zielonka
 
-    by_source = {s: [] for s in apa.states}
+    index = {s: i for i, s in enumerate(apa.states)}
+    by_source = [[] for _ in apa.states]
     for src, letter, dst in apa.transitions:
-        by_source[src].append((letter, dst))
+        by_source[index[src]].append((letter, index[dst]))
 
-    offsets = range(w.n_offsets())
-    positions = []
-    owner = {}
-    moves = {}
-    priority = {}
-    for o in offsets:
-        for s in apa.states:
-            pos = (o, s)
-            positions.append(pos)
-            owner[pos] = "A" if s in apa.universal else "E"
-            priority[pos] = apa.colour[s]
-            dests = []
-            for letter, dst in by_source[s]:
-                if letter is None:
-                    dests.append((o, dst))
-                elif w.letter_at(o) == letter:
-                    dests.append((w.advance(o), dst))
-            moves[pos] = tuple(dests)
-    game = ParityGame(positions, owner, moves, priority)
-    win_e, _, _, _ = solve_zielonka(game)
-    return (0, apa.initial) in win_e
+    m, n = len(apa.states), w.n_offsets()
+    out = []
+    for o in range(n):
+        here, there, c = o * m, w.advance(o) * m, w.letter_at(o)
+        for moves in by_source:
+            out.append(tuple((here if letter is None else there) + j for letter, j in moves if letter in (None, c)))
+    is_e = bytes(s not in apa.universal for s in apa.states)
+    prio = tuple(apa.colour[s] for s in apa.states)
+    winner, _ = solve_zielonka(ParityGame(is_e * n, prio * n, tuple(out)))
+    return winner[index[apa.initial]] == 1
 
 
 def export_dot(apa: Apa) -> str:

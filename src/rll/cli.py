@@ -187,6 +187,9 @@ def _cmd_export_apa(args) -> int:
 def _cmd_corpus(args) -> int:
     if args.corpus_command == "run":
         rows = run_suite(args.seed, args.filter)
+        if not rows:
+            print("error: no corpus row matches %r" % args.filter, file=sys.stderr)
+            return 64
         passed = sum(1 for r in rows if r.ok)
         if args.json:
             result = {

@@ -33,7 +33,6 @@ from .expr import (
 )
 from .calculus import LOGICAL_RULE, Sequent, make_instance
 from .semantics import (
-    EvalPosition,
     UPWord,
     build_eval_game,
     member,
@@ -361,18 +360,20 @@ def random_expression(rng, size: int, scope=()):
 def membership_mismatches(seed: int, samples: int = 1000):
     """Cross-validate word membership three ways on random instances: the
     default game solver, the progress-measure solver, and the acceptance
-    game of the expression's automaton.  Returns disagreement descriptions."""
+    game of the expression's automaton.  The two solvers must agree on every
+    position of the evaluation game, all three on the word's membership.
+    Returns disagreement descriptions."""
     rng = random.Random(seed)
     out = []
     for _ in range(samples):
         e = canonical(random_expression(rng, rng.randint(1, 12)))
         w = sample_word(rng)
         game = build_eval_game(w, e)
-        win_e, _, _, _ = solve_zielonka(game)
-        z = EvalPosition(0, e) in win_e
-        s = EvalPosition(0, e) in solve_spm(game)
+        winner, _ = solve_zielonka(game)
+        measures = solve_spm(game)
+        z, s = winner[0] == 1, measures[0] == 1  # (0, e): a closure lists its root first
         g = apa_accepts(build_apa(e), w)
-        if not (z == s == g):
+        if winner != measures or z != g:
             out.append(
                 "%s on %s: game=%s, measures=%s, automaton=%s"
                 % (pretty(e), w, z, s, g)

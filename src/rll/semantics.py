@@ -8,21 +8,21 @@ fixpoints unfold silently, and priorities come from the canonical colouring.
 Eloise wins an infinite play iff the least priority seen infinitely often is
 even, and she wins from (0, e) iff the word belongs to the language.
 
-A game is held as arrays over positions numbered 0..n-1 (owner, priority,
-successor numbers), with the labels kept alongside; (o, fl.members[k]) is
-number o*|fl| + k.  Two independent solvers are provided: a recursive
-attractor solver (production) and a small-progress-measures solver
-(oracle); they are cross-checked against each other and against the
-automaton route.  Both route deadlocks to two sinks numbered n and n+1 and
-report their results over the labels.
+Games are numbered end to end, with no label layer: positions are 0..n-1,
+held as arrays of owner, priority and successor numbers, and
+(o, fl.members[k]) is number o*|fl| + k.  Two independent solvers are
+provided: a recursive attractor solver (production) and a
+small-progress-measures solver (oracle); they are cross-checked against each
+other and against the automaton route.  Both route deadlocks to two sinks
+numbered n and n+1 and return per-position arrays: a winner byte for each
+position and, from the attractor solver, a winning move wherever the
+position's owner wins.
 """
 
 from __future__ import annotations
 
 import re
 from collections import deque
-from itertools import product, starmap
-from typing import NamedTuple
 
 from .automaton import default_coloring
 from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, canonical, fl_closure, free_vars
@@ -84,58 +84,28 @@ def parse_word(text: str, alphabet: Alphabet) -> UPWord:
     return UPWord(m.group(1), m.group(2), alphabet)
 
 
-class EvalPosition(NamedTuple):
-    offset: int
-    formula: Expr
-
-
 class ParityGame:
     """A finite min-parity game over positions numbered 0..n-1.
 
-    `positions` holds the labels in numbering order.  Position i belongs to
-    Eloise iff `is_e[i]`, has priority `prio[i]` and moves to the numbers in
-    `out[i]`; a position without moves is a deadlock and loses for its
-    owner, which the solvers play as a move into a losing sink numbered n
-    or n+1.  The constructor takes labelled dicts (owner "E" or "A"; a
-    position missing from `moves` has none), checks them and numbers the
-    positions in the order given."""
+    `positions` is range(n).  Position p belongs to Eloise iff `is_e[p]`,
+    has priority `prio[p]` and moves to the numbers in `out[p]`; a position
+    without moves is a deadlock and loses for its owner, which the solvers
+    play as a move into a losing sink numbered n or n+1.  build_eval_game
+    and apa_accepts fill the arrays well formed: every move stays below n."""
 
     __slots__ = ("positions", "is_e", "prio", "out")
 
-    def __init__(self, positions, owner, moves, priority):
-        positions = tuple(positions)
-        number = {p: i for i, p in enumerate(positions)}
-        if len(number) != len(positions):
-            raise ValueError("positions must be distinct")
-        for p in positions:
-            if owner.get(p) not in ("E", "A"):
-                raise ValueError("position %r lacks an owner" % (p,))
-            if p not in priority or priority[p] < 0:
-                raise ValueError("position %r lacks a priority" % (p,))
-            if not all(q in number for q in moves.get(p, ())):
-                raise ValueError("move from %r leaves the arena" % (p,))
-        self.positions = positions
-        self.is_e = bytes(owner[p] == "E" for p in positions)
-        self.prio = tuple(priority[p] for p in positions)
-        self.out = tuple(tuple(number[q] for q in moves.get(p, ())) for p in positions)
-
-    @classmethod
-    def _numbered(cls, positions, is_e, prio, out):
-        """A game given by its arrays, which the caller guarantees to be
-        well formed."""
-        game = cls.__new__(cls)
-        game.positions, game.is_e, game.prio, game.out = positions, is_e, prio, out
-        return game
+    def __init__(self, is_e: bytes, prio: tuple, out: tuple):
+        self.positions = range(len(is_e))
+        self.is_e, self.prio, self.out = is_e, prio, out
 
 
 def build_eval_game(w: UPWord, e: Expr) -> ParityGame:
     """The evaluation game of a closed expression on an ultimately periodic
-    word; EvalPosition(o, fl.members[k]) is number o*|fl| + k.  Letter
+    word: (offset o, fl.members[k]) is position o*|fl| + k.  Letter
     positions advance on a match and deadlock (for Eloise) on a mismatch;
     0 deadlocks for Eloise, T for Abelard; + is Eloise's choice, &
     Abelard's; fixpoints unfold deterministically."""
-    if free_vars(e):
-        raise ValueError("build_eval_game requires a closed expression")
     fl = fl_closure(e)
     colour = default_coloring(fl)
     m, n = len(fl), w.n_offsets()
@@ -150,9 +120,8 @@ def build_eval_game(w: UPWord, e: Expr) -> ParityGame:
             out[k::m] = [(b + t,) if c == letter else () for b, c in zip(next_block, letters)]
         elif targets:  # the same move at every offset, shifted by m
             out[k::m] = list(zip(*(range(t, n * m, m) for t in targets)))
-    positions = tuple(starmap(EvalPosition, product(range(n), fl.members)))
     prio = tuple(colour[f] for f in fl.members)
-    return ParityGame._numbered(positions, is_e * n, prio * n, tuple(out))
+    return ParityGame(is_e * n, prio * n, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -186,9 +155,10 @@ def _predecessors(succ):
 
 
 def solve_zielonka(game: ParityGame):
-    """Solve a min-parity game: returns (win_E, win_A, strategy_E,
-    strategy_A) over the position labels, with positional strategies on the
-    respective winning regions."""
+    """Solve a min-parity game: returns (winner, choice) over the positions
+    0..n-1, where winner[p] is 1 iff Eloise wins from p and choice[p] is a
+    winning move of p's owner wherever that owner wins (a positional
+    strategy on each winning region)."""
     is_e, prio, succ = _totalise(game)
     pred = _predecessors(succ)
     # the subgame being solved is the set of positions p with live[p] == 1
@@ -254,26 +224,21 @@ def solve_zielonka(game: ParityGame):
             live[p] = 1
         return (w_e, b + w_a) if to_e else (b + w_e, w_a)
 
-    labels = game.positions
-    n = len(labels)
-
-    def report(won, owner):
-        won = [p for p in won if p < n]  # not the sinks
-        strategy = {labels[p]: labels[choice[p]] for p in won if is_e[p] == owner}
-        return frozenset(labels[p] for p in won), strategy
-
-    w_e, w_a = solve(list(range(len(succ))))
-    (win_e, strat_e), (win_a, strat_a) = report(w_e, 1), report(w_a, 0)
-    return win_e, win_a, strat_e, strat_a
+    n = len(game.positions)
+    winner = bytearray(len(succ))
+    for p in solve(list(range(len(succ))))[0]:
+        winner[p] = 1
+    return bytes(winner[:n]), choice[:n]
 
 
 # ---------------------------------------------------------------------------
 # Small progress measures (independent oracle solver)
 
 
-def solve_spm(game: ParityGame) -> frozenset:
-    """Jurdzinski's small-progress-measures solver; returns Eloise's winning
-    region.  Implemented over the max-parity mirror of the game."""
+def solve_spm(game: ParityGame) -> bytes:
+    """Jurdzinski's small-progress-measures solver; returns winner[p], 1 iff
+    Eloise wins from p, over the positions 0..n-1.  Implemented over the
+    max-parity mirror of the game."""
     is_e, priority, succ = _totalise(game)
     maxp = max(priority)
     top_even = maxp if maxp % 2 == 0 else maxp + 1
@@ -337,8 +302,7 @@ def solve_spm(game: ParityGame) -> frozenset:
                 if not queued[u]:
                     queued[u] = 1
                     queue.append(u)
-    labels = game.positions
-    return frozenset(labels[p] for p in range(len(labels)) if rho[p] is not TOPM)
+    return bytes(rho[p] is not TOPM for p in game.positions)
 
 
 # ---------------------------------------------------------------------------
@@ -349,6 +313,5 @@ def member(w: UPWord, e: Expr) -> bool:
     e = canonical(e)
     if free_vars(e):
         raise ValueError("member requires a closed expression; free: %s" % ", ".join(sorted(free_vars(e))))
-    game = build_eval_game(w, e)
-    win_e, _, _, _ = solve_zielonka(game)
-    return EvalPosition(0, e) in win_e
+    winner, _ = solve_zielonka(build_eval_game(w, e))
+    return winner[0] == 1  # (0, e): a closure lists its root first

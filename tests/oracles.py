@@ -22,8 +22,11 @@
 - ref_trace_automaton builds the trace automaton of a proof graph as a
   labelled automaton, state by state; rll.proof numbers its states per node
   and builds each edge's reach rows directly.
-- ref_eval_game builds the evaluation game as labelled dicts, position by
-  position; rll.semantics fills the numbered arrays directly.
+- labelled_game numbers a parity game given as labelled dicts, checking
+  them first; rll.semantics builds its games as numbered arrays only.
+  ref_eval_game builds the evaluation game as labelled dicts over
+  EvalPosition labels, position by position; rll.semantics fills the
+  numbered arrays directly.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from rll.expr import (
 )
 from rll.automaton import default_coloring
 from rll.proof import ProofGraph, TraceAutomaton
-from rll.semantics import EvalPosition
+from rll.semantics import ParityGame
 
 
 def member_denotational(stem: str, loop: str, e) -> bool:
@@ -175,10 +178,38 @@ def gen_guarded_sequent(rng, alphabet: Alphabet, max_size=8, max_side=2):
     return Sequent(side(), side(), alphabet)
 
 
+def labelled_game(positions, owner, moves, priority):
+    """Number a parity game given as labelled dicts (owner "E" or "A"; a
+    position missing from `moves` has none, a deadlock) in the order of
+    `positions`; returns (labels, game) with labels[p] the label of p.
+    Raises ValueError on repeated positions, a missing owner or priority,
+    or a move that leaves the arena."""
+    labels = tuple(positions)
+    number = {p: i for i, p in enumerate(labels)}
+    if len(number) != len(labels):
+        raise ValueError("positions must be distinct")
+    for p in labels:
+        if owner.get(p) not in ("E", "A"):
+            raise ValueError("position %r lacks an owner" % (p,))
+        if p not in priority or priority[p] < 0:
+            raise ValueError("position %r lacks a priority" % (p,))
+        if not all(q in number for q in moves.get(p, ())):
+            raise ValueError("move from %r leaves the arena" % (p,))
+    is_e = bytes(owner[p] == "E" for p in labels)
+    prio = tuple(priority[p] for p in labels)
+    out = tuple(tuple(number[q] for q in moves.get(p, ())) for p in labels)
+    return labels, ParityGame(is_e, prio, out)
+
+
+class EvalPosition(NamedTuple):
+    offset: int
+    formula: Expr
+
+
 def ref_eval_game(w, e):
     """The evaluation game of a closed expression on a word as the
-    (positions, owner, moves, priority) arguments of rll.semantics.ParityGame,
-    built one labelled position at a time."""
+    (positions, owner, moves, priority) arguments of labelled_game, built one
+    EvalPosition at a time."""
     fl = fl_closure(e)
     colour = default_coloring(fl)
     positions = []

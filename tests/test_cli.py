@@ -3,6 +3,8 @@ in-process tests of the exit codes for failures no input can provoke."""
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,11 +14,13 @@ import pytest
 import rll.cli as cli_module
 import rll.decide as decide_module
 import rll.proof as proof_module
+from rll.calculus import format_sequent
 from rll.corpus import ALPHABET, proofs
 from rll.proof import serialize_proof
-from rll.expr import parse
+from rll.expr import Alphabet, parse, pretty
 from rll.proof import check, parse_proof
 from rll.semantics import member, parse_word
+from oracles import gen_expr, gen_guarded_sequent, gen_word
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -158,6 +162,15 @@ def test_corpus_run_filter_and_determinism():
     assert r2.stdout == r1.stdout
 
 
+@pytest.mark.parametrize("json_flag", [(), ("--json",)], ids=["text", "json"])
+def test_corpus_run_with_a_filter_matching_no_row_exits_64(capsys, json_flag):
+    code = cli_module.main(["corpus", "run", "--filter", "nosuchrow", *json_flag])
+    out = capsys.readouterr()
+    assert code == 64
+    assert out.out == ""
+    assert out.err == "error: no corpus row matches 'nosuchrow'\n"
+
+
 def test_corpus_list_and_show():
     r = rll("corpus", "list")
     assert r.returncode == 0
@@ -242,3 +255,85 @@ def test_a_lasso_failing_its_replay_exits_70(monkeypatch, capsys, tmp_path):
     assert code == 70
     assert out.out == ""
     assert out.err == "error: internal error: counterexample lasso has a progressing trace\n"
+
+
+# ---------------------------------------------------------------------------
+# the exit-code contract on generated input
+
+EXIT_CODES = {0, 1, 2, 3, 4, 5, 64}
+TOKENS = ["a", "b", "c", "0", "T", "X", "Y", "mu", "nu", ".", "(", ")", "+", "&", " ", "|-", ",",
+          "(a)^w", "^w", "f_a", "i_a'", "fin-a", "#", ";", "⊤", "μ"]
+
+
+def _mutate(rng, text):
+    """text as it is or with one to three random deletions, insertions of a
+    token and truncations."""
+    for _ in range(rng.choice([0, 0, 0, 1, 2, 3])):
+        i = rng.randint(0, len(text))
+        op = rng.random()
+        if op < 0.4:
+            text = text[:i] + text[i + 1:]
+        elif op < 0.8:
+            text = text[:i] + rng.choice(TOKENS) + text[i:]
+        else:
+            text = text[:i]
+    return text
+
+
+def _random_argv(rng):
+    alphabet = rng.choice(["ab", "ab", "ab", "abc", "abc", "a", "", "aa"])
+    letters = Alphabet(alphabet if alphabet in ("a", "abc") else "ab")
+    expr = _mutate(rng, pretty(gen_expr(rng, letters, rng.randint(1, 6))))
+    stem, loop = gen_word(rng, letters)
+    word = _mutate(rng, "%s(%s)^w" % (stem, loop))
+    sequent = _mutate(rng, format_sequent(gen_guarded_sequent(rng, letters, max_size=5)))
+    argv = rng.choice([
+        ["parse", "--alphabet", alphabet, "--expr", expr],
+        ["member", "--alphabet", alphabet, "--word", word, "--expr", expr],
+        ["complement", "--alphabet", alphabet, "--expr", expr],
+        ["export-apa", "--alphabet", alphabet, "--expr", expr],
+        ["decide", "--alphabet", alphabet, "--sequent", sequent],
+    ])
+    return argv + ["--json"] * rng.randint(0, 1)
+
+
+RECORD = re.compile(r"node (\S+): (.*?) ; (rule \S+)(.*)")
+
+
+def _mutated_proof(rng, text):
+    """A fixture's proof file with one to three of: a node record dropped, a
+    child id or a rule name replaced by another from the file, the sequents
+    of two records swapped; then possibly mutated as text."""
+    first, *body, last = text.splitlines()
+    records = [list(RECORD.fullmatch(line).groups()) for line in body]
+    ids = [r[0] for r in records]
+    rules = [r[2] for r in records]
+    for _ in range(rng.randint(1, 3)):
+        r, other = rng.choice(records), rng.choice(records)
+        op = rng.randrange(4)
+        if op == 0 and len(records) > 1:
+            records.remove(r)
+        elif op == 1:
+            r[1], other[1] = other[1], r[1]
+        elif op == 2:
+            r[2] = rng.choice(rules)
+        else:
+            head, _, kids = r[3].rpartition("children ")
+            kids = kids.split(", ")
+            kids[rng.randrange(len(kids))] = rng.choice(ids)
+            r[3] = head + "children " + ", ".join(kids)
+    lines = [first] + ["node %s: %s ; %s%s" % tuple(r) for r in records] + [last]
+    return _mutate(rng, "\n".join(lines) + "\n")
+
+
+def test_generated_input_exits_with_a_documented_code(tmp_path):
+    rng = random.Random(64)
+    for _ in range(800):
+        argv = _random_argv(rng)
+        assert cli_module.main(argv) in EXIT_CODES, argv
+    texts = [serialize_proof(p) for p, _ in proofs().values()]
+    path = tmp_path / "mutated.prf"
+    for _ in range(300):
+        text = _mutated_proof(rng, rng.choice(texts))
+        path.write_text(text, encoding="utf-8")
+        assert cli_module.main(["check", str(path)]) in EXIT_CODES, text

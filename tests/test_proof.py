@@ -298,9 +298,9 @@ def test_accepted_proofs_have_valid_roots_on_sampled_words():
 # proof files
 
 
-@pytest.mark.parametrize("name", sorted(FIXTURES))
-def test_proof_files_round_trip(name):
-    p, _ = FIXTURES[name]
+def _assert_round_trips(p):
+    """parse_proof(serialize_proof(p)) re-serializes byte for byte and has
+    the same nodes, instances, children and verdict; returns the verdict."""
     text = serialize_proof(p)
     p2 = parse_proof(text)
     assert serialize_proof(p2) == text
@@ -308,7 +308,19 @@ def test_proof_files_round_trip(name):
     for nid in p.order:
         assert p2.instance[nid] == p.instance[nid]
         assert p2.children[nid] == p.children[nid]
-    assert check(p2).ok == check(p).ok
+    verdict = check(p).ok
+    assert check(p2).ok == verdict
+    return verdict
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_proof_files_round_trip(name):
+    _assert_round_trips(FIXTURES[name][0])
+
+
+def test_saturated_graphs_round_trip_through_proof_files():
+    verdicts = [_assert_round_trips(p) for p in _random_saturated_graphs(seed=3131)]
+    assert 20 <= verdicts.count(False) <= 180  # both verdicts are well represented
 
 
 def test_proof_files_accept_ascii_rule_aliases_and_comments():

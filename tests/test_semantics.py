@@ -9,9 +9,8 @@ import random
 
 import pytest
 
-from rll.expr import ZERO, Alphabet, Cap, ParseError, Plus, canonical, parse
+from rll.expr import ZERO, Alphabet, Cap, ParseError, Plus, canonical, fl_closure, parse, pretty
 from rll.semantics import (
-    EvalPosition,
     ParityGame,
     UPWord,
     build_eval_game,
@@ -20,7 +19,7 @@ from rll.semantics import (
     solve_spm,
     solve_zielonka,
 )
-from oracles import gen_expr, gen_word, member_denotational, ref_eval_game
+from oracles import EvalPosition, gen_expr, gen_word, labelled_game, member_denotational, ref_eval_game
 
 AB = Alphabet("ab")
 
@@ -118,13 +117,47 @@ def test_solvers_agree_with_denotational_fixpoints():
         word = UPWord(stem, loop, AB)
         expected = member_denotational(stem, loop, expr)
         game = build_eval_game(word, expr)
-        win_e, win_a, _, _ = solve_zielonka(game)
-        root = EvalPosition(0, canonical(expr))
-        assert (root in win_e) is expected
-        # determinacy: every position is won by exactly one player
-        assert win_e | win_a == frozenset(game.positions)
-        assert not (win_e & win_a)
-        assert solve_spm(game) == win_e
+        winner, choice = solve_zielonka(game)
+        assert winner[fl_closure(expr).index(canonical(expr))] == expected
+        assert len(winner) == len(game.positions)
+        assert solve_spm(game) == winner
+        _check_strategy(game, winner, choice, 1)
+        _check_strategy(game, winner, choice, 0)
+
+
+def test_large_games_agree_with_denotational_fixpoints():
+    # six games of 2,000 to 25,000 positions over long words, too large for
+    # solve_spm: the winner at every offset's root and at sampled positions
+    # o*m + k must be membership of the suffix at o in fl.members[k]
+    rng = random.Random(2580)
+    seen = set()
+    for target in (2000, 4000, 7000, 11000, 17000, 25000):
+        alphabet = Alphabet(rng.choice(["ab", "abc"]))
+        expr = gen_expr(rng, alphabet, 30)
+        while len(fl_closure(expr)) < target // 250:
+            expr = rng.choice((Cap, Plus))(expr, gen_expr(rng, alphabet, 30))
+        fl = fl_closure(expr)
+        m, n = len(fl), target // len(fl)
+        cut = rng.randint(n // 4, n // 2)
+        loop_letters = rng.sample(alphabet.letters, rng.randint(1, len(alphabet.letters)))
+        stem = "".join(rng.choice(alphabet.letters) for _ in range(cut))
+        loop = "".join(rng.choice(loop_letters) for _ in range(n - cut))
+        game = build_eval_game(UPWord(stem, loop, alphabet), expr)
+        assert 2000 <= len(game.positions) <= 25000
+        winner, _ = solve_zielonka(game)
+
+        def suffix(o):
+            if o < cut:
+                return stem[o:], loop
+            return "", loop[o - cut:] + loop[:o - cut]
+
+        root = fl.index(fl.root)
+        checks = [(o, root) for o in range(n)] + [(rng.randrange(n), rng.randrange(m)) for _ in range(50)]
+        for o, k in checks:
+            expected = member_denotational(*suffix(o), fl.members[k])
+            assert winner[o * m + k] == expected, (pretty(expr), stem, loop, o, k)
+            seen.add(expected)
+    assert seen == {True, False}
 
 
 def test_membership_respects_the_lattice_operations():
@@ -170,35 +203,28 @@ def _random_game(rng, n_positions, max_priority, label=lambda i: i, duplicates=F
         moves[p] = tuple(rng.choice(positions) for _ in range(deg))
         if duplicates and moves[p] and rng.random() < 0.5:
             moves[p] += (rng.choice(moves[p]),)
-    return ParityGame(positions, owner, moves, priority)
+    return labelled_game(positions, owner, moves, priority)[1]
 
 
-def _labelled(game):
-    """The owner, moves and priority of each position, keyed by label."""
-    labels = game.positions
-    owner = {p: "E" if e else "A" for p, e in zip(labels, game.is_e)}
-    moves = {p: tuple(labels[q] for q in ms) for p, ms in zip(labels, game.out)}
-    return owner, moves, dict(zip(labels, game.prio))
-
-
-def _check_strategy(game, region, strat, player, parity):
-    """Replaying `strat` from inside `region` must never leave it, never
-    strand the player, and every reachable cycle must have min priority of
-    the given parity.  Opponent deadlocks are terminal wins and fine."""
-    owner, moves, priority = _labelled(game)
+def _check_strategy(game, winner, choice, player):
+    """Replaying `choice` inside the winning region of `player` (1 for
+    Eloise, 0 for Abelard) must never leave it and never strand the player,
+    and every reachable cycle must have a min priority of the player's
+    parity.  Opponent deadlocks are terminal wins and fine."""
+    region = [p for p in game.positions if winner[p] == player]
     succ = {}
     for p in region:
-        if owner[p] == player:
-            assert moves[p], "deadlocked %s-position counted as won: %r" % (player, p)
-            assert p in strat, "no move chosen at %r" % (p,)
-            assert strat[p] in region, "strategy move leaves the region at %r" % (p,)
-            succ[p] = (strat[p],)
+        if game.is_e[p] == player:
+            assert game.out[p], "deadlocked position %d counted as won" % p
+            assert choice[p] in game.out[p], "choice at %d is not a move" % p
+            assert winner[choice[p]] == player, "strategy move leaves the region at %d" % p
+            succ[p] = (choice[p],)
         else:
-            for q in moves[p]:
-                assert q in region, "opponent escapes the region from %r" % (p,)
-            succ[p] = moves[p]
+            for q in game.out[p]:
+                assert winner[q] == player, "opponent escapes the region from %d" % p
+            succ[p] = game.out[p]
     # iterative Tarjan; any SCC containing a cycle must have the right parity
-    index, low, onstack, order = {}, {}, set(), []
+    index, low, onstack = {}, {}, set()
     stack = []
     counter = 0
     for start in region:
@@ -234,7 +260,7 @@ def _check_strategy(game, region, strat, player, parity):
                         break
                 cyclic = len(comp) > 1 or v in succ[v]
                 if cyclic:
-                    assert min(priority[u] for u in comp) % 2 == parity
+                    assert min(game.prio[u] for u in comp) % 2 != player
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
@@ -249,39 +275,52 @@ def test_solvers_and_strategies_on_random_games():
         label = rng.choice(labels)
         games.append(_random_game(rng, rng.randint(1, 40), rng.randint(0, 7), label, duplicates=True))
     for game in games:
-        win_e, win_a, strat_e, strat_a = solve_zielonka(game)
-        assert win_e | win_a == frozenset(game.positions)
-        assert not (win_e & win_a)
-        assert solve_spm(game) == win_e
-        _check_strategy(game, win_e, strat_e, "E", 0)
-        _check_strategy(game, win_a, strat_a, "A", 1)
+        winner, choice = solve_zielonka(game)
+        assert len(winner) == len(choice) == len(game.positions)
+        assert set(winner) <= {0, 1}
+        assert solve_spm(game) == winner
+        _check_strategy(game, winner, choice, 1)
+        _check_strategy(game, winner, choice, 0)
 
 
 def test_deadlocks_lose_for_their_owner():
-    g = ParityGame([0, 1], {0: "E", 1: "A"}, {0: (), 1: ()}, {0: 0, 1: 1})
-    win_e, win_a, _, _ = solve_zielonka(g)
-    assert win_a == frozenset({0})  # Eloise stuck
-    assert win_e == frozenset({1})  # Abelard stuck
-    assert solve_spm(g) == win_e
+    _, g = labelled_game([0, 1], {0: "E", 1: "A"}, {0: (), 1: ()}, {0: 0, 1: 1})
+    winner, _ = solve_zielonka(g)
+    assert winner == b"\0\1"  # Eloise stuck at 0, Abelard stuck at 1
+    assert solve_spm(g) == winner
 
 
 def test_a_position_missing_from_moves_is_a_deadlock():
-    g = ParityGame(["x", "y"], {"x": "E", "y": "A"}, {}, {"x": 0, "y": 0})
-    win_e, win_a, _, _ = solve_zielonka(g)
-    assert win_a == frozenset({"x"})
-    assert win_e == frozenset({"y"})
-    assert solve_spm(g) == win_e
+    labels, g = labelled_game(["x", "y"], {"x": "E", "y": "A"}, {}, {"x": 0, "y": 0})
+    assert labels == ("x", "y") and g.out == ((), ())
+    winner, _ = solve_zielonka(g)
+    assert winner == b"\0\1"
+    assert solve_spm(g) == winner
 
 
 def test_the_empty_game_has_empty_regions():
-    g = ParityGame([], {}, {}, {})
-    assert solve_zielonka(g) == (frozenset(), frozenset(), {}, {})
-    assert solve_spm(g) == frozenset()
+    g = ParityGame(b"", (), ())
+    assert g.positions == range(0)
+    assert solve_zielonka(g) == (b"", [])
+    assert solve_spm(g) == b""
 
 
 def test_repeated_positions_are_rejected():
     with pytest.raises(ValueError, match="distinct"):
-        ParityGame([0, 1, 0], {0: "E", 1: "A"}, {0: (1,), 1: (0,)}, {0: 0, 1: 1})
+        labelled_game([0, 1, 0], {0: "E", 1: "A"}, {0: (1,), 1: (0,)}, {0: 0, 1: 1})
+
+
+def test_malformed_labelled_games_are_rejected():
+    owner, moves, priority = {0: "E", 1: "A"}, {0: (1,), 1: (0,)}, {0: 0, 1: 1}
+    assert labelled_game([0, 1], owner, moves, priority)[1].out == ((1,), (0,))
+    with pytest.raises(ValueError, match="owner"):
+        labelled_game([0, 1], {0: "E", 1: "B"}, moves, priority)
+    with pytest.raises(ValueError, match="priority"):
+        labelled_game([0, 1], owner, moves, {0: 0})
+    with pytest.raises(ValueError, match="priority"):
+        labelled_game([0, 1], owner, moves, {0: 0, 1: -1})
+    with pytest.raises(ValueError, match="arena"):
+        labelled_game([0, 1], owner, {0: (2,)}, priority)
 
 
 def test_eval_game_numbering_matches_the_reference_construction():
@@ -291,28 +330,29 @@ def test_eval_game_numbering_matches_the_reference_construction():
         stem, loop = gen_word(rng, AB)
         word = UPWord(stem, loop, AB)
         game = build_eval_game(word, expr)
-        ref = ParityGame(*ref_eval_game(word, expr))
-        assert game.positions == ref.positions
+        fl = fl_closure(expr)
+        assert fl.members[0] is canonical(expr)  # (0, expr) is position 0
+        assert len(game.positions) == word.n_offsets() * len(fl)
+        assert game.positions == range(len(game.positions))
+        labels, ref = labelled_game(*ref_eval_game(word, expr))
+        assert labels == tuple(EvalPosition(o, f) for o in range(word.n_offsets()) for f in fl.members)
         assert (game.is_e, game.prio, game.out) == (ref.is_e, ref.prio, ref.out)
 
 
 def test_eval_game_shape_on_a_letter_mismatch():
     # at an offset whose letter differs, a letter position has no moves
     game = build_eval_game(w("(b)^w"), e("a 0"))
-    root = EvalPosition(0, e("a 0"))
-    owner, moves, _ = _labelled(game)
-    assert owner[root] == "E"
-    assert moves[root] == ()
-    win_e, win_a, _, _ = solve_zielonka(game)
-    assert root in win_a
+    root = fl_closure(e("a 0")).index(e("a 0"))
+    assert game.is_e[root] == 1
+    assert game.out[root] == ()
+    winner, _ = solve_zielonka(game)
+    assert winner[root] == 0
 
 
 def test_unguarded_expressions_still_play():
     # mu X. X unfolds into itself forever on an odd priority, so Abelard wins
     # every position; nu X. X is the same loop with an even priority
     g0 = build_eval_game(w("(a)^w"), e("mu X. X"))
-    win_e, _, _, _ = solve_zielonka(g0)
-    assert not win_e
+    assert not any(solve_zielonka(g0)[0])
     g1 = build_eval_game(w("(a)^w"), e("nu X. X"))
-    win_e, win_a, _, _ = solve_zielonka(g1)
-    assert not win_a
+    assert all(solve_zielonka(g1)[0])
