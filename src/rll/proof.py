@@ -17,11 +17,20 @@ language covers all branches.  Rather than complementing the (large) trace
 automaton, it composes those rows into boolean reachability/acceptance
 profiles of finite paths and applies the standard lasso criterion to
 idempotent loop profiles (Fogarty & Vardi, "Efficient Büchi universality
-checking", 2010), which is exact for ultimately periodic branches and
-therefore for universality; a failing pair is returned as a concrete lasso
-and re-verified by replay on the same automaton.  A general rank-based
-complementation lives in tests/oracles.py as the reference this profile
-search is checked against.
+checking", TACAS 2010), which is exact for ultimately periodic branches and
+therefore for universality.
+
+The verdict is decided over loops that start at feedback nodes only: the
+nodes an edge reaches while they are on the Tarjan stack, a set that meets
+every cycle.  That stays exact, since a bad lasso's cycle can be rotated to
+start at a feedback node before the Ramsey argument is applied there; the
+size-change principle likewise composes only from call sites (Lee, Jones &
+Ben-Amram, "The size-change principle for program termination", POPL 2001).
+Only on a rejection does the full search, with loops from every node, build
+the lasso: it stops at its first hit, and that lasso is re-verified by
+replay on the same automaton.  A general rank-based complementation lives in
+tests/oracles.py as the reference this profile search is checked against,
+next to the full search as one pass.
 """
 
 from __future__ import annotations
@@ -407,109 +416,139 @@ def _compose_r(r1, r2):
 
 def _row_or(bits, rows):
     out = 0
-    i = 0
     while bits:
-        if bits & 1:
-            out |= rows[i]
-        bits >>= 1
-        i += 1
+        low = bits & -bits
+        out |= rows[low.bit_length() - 1]
+        bits ^= low
     return out
 
 
 def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
     """Core of the progress check over a graph given by its node order and
     children, and its trace automaton.  Returns None when every branch from
-    the root is accepted, otherwise (stem edges, cycle edges)."""
-    # per node, its out-edges as (edge, child, reach rows, accepting rows);
-    # witnesses share these edge tuples
-    out = {
+    the root is accepted, otherwise (stem edges, cycle edges).
+
+    The verdict pass starts loops only at feedback nodes, a set that meets
+    every cycle.  Only on a rejection does the witness pass start loops at
+    every node, and it stops at its first hit, so the lasso is the first one
+    in the breadth-first order of all loops."""
+    sccs, feedback = _sccs(order, children)
+    scc_of = {nid: i for i, comp in enumerate(sccs) for nid in comp}
+    # per node, its out-edges inside its SCC as (edge, child, reach rows,
+    # accepting rows): loops never leave the SCC they start in
+    inner = {
         nid: tuple(
             ((nid, j), dst, rows, tuple(row & automaton.accepting[dst] for row in rows))
             for j, (dst, rows) in enumerate(zip(children[nid], automaton.reach[nid]))
+            if scc_of[dst] == scc_of[nid]
         )
         for nid in order
     }
 
-    # strongly connected components of the node graph (loops live inside them)
-    sccs = _sccs(order, children)
-    scc_of = {}
-    for comp in sccs:
-        for nid in comp:
-            scc_of[nid] = id(comp)
-    cyclic_nodes = set()
-    for comp in sccs:
-        if len(comp) > 1 or comp[0] in children[comp[0]]:
-            cyclic_nodes.update(comp)
-
-    # stems: reachability profiles of all finite paths from the root
+    # stems: reachability profiles of all finite paths from the root, each
+    # linked to the profile it extends and the edge it adds
     root = automaton.root
     ident = tuple(1 << k for k in range(len(automaton.labels[root])))
-    stems = {(root, ident): ()}
+    stems = {(root, ident): None}
     stem_queue = [(root, ident)]
-    for m, r in stem_queue:  # the queue grows while it is walked
-        witness = stems[(m, r)]
-        for edge, dst, re_, _ in out[m]:
-            key = (dst, _compose_r(r, re_))
-            if key not in stems:
-                stems[key] = witness + (edge,)
-                stem_queue.append(key)
+    for key in stem_queue:  # the queue grows while it is walked
+        m, r = key
+        for j, (dst, rows) in enumerate(zip(children[m], automaton.reach[m])):
+            key2 = (dst, _compose_r(r, rows))
+            if key2 not in stems:
+                stems[key2] = (key, (m, j))
+                stem_queue.append(key2)
+    # per node, the states its stems reach from the initial states, each
+    # with the first stem (in discovery order) that reaches exactly them
+    reached = {}
+    for key in stems:
+        m, r = key
+        mask = 0
+        for k in automaton.initials:
+            mask |= r[k]
+        reached.setdefault(m, {}).setdefault(mask, key)
 
-    # loop profiles: (start, end, R, A) of paths inside one SCC
-    loops = {}
-    loop_queue = []
-    for nid in order:
-        if nid not in cyclic_nodes:
-            continue
-        for edge, dst, re_, ae_ in out[nid]:
-            if dst not in cyclic_nodes or scc_of[dst] != scc_of[nid]:
-                continue
-            key = (nid, dst, re_, ae_)
-            if key not in loops:
-                loops[key] = (edge,)
-                loop_queue.append(key)
-    for key in loop_queue:  # the queue grows while it is walked
+    if all(
+        _rejected_stem(loop, reached) is None
+        for loop in _loop_profiles([nid for nid in order if nid in feedback], inner, {})
+    ):
+        return None
+    links = {}
+    for loop in _loop_profiles(order, inner, links):
+        stem = _rejected_stem(loop, reached)
+        if stem is not None:
+            return _path(stems, stem), _path(links, loop)
+    raise RuntimeError("internal error: the progress passes disagree")
+
+
+def _loop_profiles(starts, inner, links):
+    """Yield the loop profiles (u, v, R, A) of the nonempty paths from a node
+    u of `starts` that stay inside u's SCC, each once, breadth-first.  links
+    maps each to the profile it extends (None for a single edge) and the
+    edge it adds."""
+    queue = []
+    for u in starts:
+        for edge, dst, re_, ae_ in inner[u]:
+            key = (u, dst, re_, ae_)
+            if key not in links:
+                links[key] = (None, edge)
+                queue.append(key)
+                yield key
+    for key in queue:  # the queue grows while it is walked
         u, v, r, a = key
-        witness = loops[key]
-        for edge, dst, re_, ae_ in out[v]:
-            if dst not in cyclic_nodes or scc_of[dst] != scc_of[u]:
-                continue
-            r2 = _compose_r(r, re_)
-            a2 = tuple(
-                _row_or(a_row, re_) | _row_or(r_row, ae_)
-                for r_row, a_row in zip(r, a)
+        for edge, dst, re_, ae_ in inner[v]:
+            key2 = (
+                u,
+                dst,
+                _compose_r(r, re_),
+                tuple(_row_or(a_row, re_) | _row_or(r_row, ae_) for r_row, a_row in zip(r, a)),
             )
-            key2 = (u, dst, r2, a2)
-            if key2 not in loops:
-                loops[key2] = witness + (edge,)
-                loop_queue.append(key2)
+            if key2 not in links:
+                links[key2] = (key, edge)
+                queue.append(key2)
+                yield key2
 
-    stem_items = list(stems.items())
-    for (u, v, r, a), loop_witness in loops.items():
-        if u != v:
-            continue
-        rr = _compose_r(r, r)
-        aa = tuple(_row_or(a_row, r) | _row_or(r_row, a) for r_row, a_row in zip(r, a))
-        if rr != r or aa != a:
-            continue  # not idempotent
-        diag = 0
-        for j, a_row in enumerate(a):
-            if (a_row >> j) & 1:
-                diag |= 1 << j
-        for (m, r_stem), stem_witness in stem_items:
-            if m != u:
-                continue
-            r_total = _compose_r(r_stem, r)
-            if not any(r_total[k] & diag for k in automaton.initials):
-                return stem_witness, loop_witness
+
+def _rejected_stem(loop, reached):
+    """For a loop profile (u, v, R, A) with u == v that is idempotent, the
+    first stem to u whose lasso with the loop has no accepting run; for any
+    other loop, or when there is no such stem, None."""
+    u, v, r, a = loop
+    if u != v or _compose_r(r, r) != r:
+        return None
+    if tuple(_row_or(a_row, r) | _row_or(r_row, a) for r_row, a_row in zip(r, a)) != a:
+        return None  # not idempotent
+    diag = 0
+    for j, a_row in enumerate(a):
+        if (a_row >> j) & 1:
+            diag |= 1 << j
+    for mask, stem in reached[u].items():
+        if not _row_or(mask, r) & diag:
+            return stem
     return None
 
 
+def _path(links, key):
+    """The edges of the path that links records for key, from its start."""
+    edges = []
+    while key is not None and links[key] is not None:
+        key, edge = links[key]
+        edges.append(edge)
+    edges.reverse()
+    return tuple(edges)
+
+
 def _sccs(order, children):
+    """The strongly connected components, in Tarjan's order, and a feedback
+    node set: the nodes that an edge reaches while they are still on the
+    stack.  That set holds every DFS back-edge target, so it meets every
+    cycle."""
     index = {}
     low = {}
     onstack = set()
     stack = []
     out = []
+    feedback = set()
     counter = [0]
 
     for start in order:
@@ -534,6 +573,7 @@ def _sccs(order, children):
                     break
                 if u in onstack:
                     low[v] = min(low[v], index[u])
+                    feedback.add(u)
             if advanced:
                 continue
             work.pop()
@@ -549,7 +589,7 @@ def _sccs(order, children):
             if work:
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
-    return out
+    return out, feedback
 
 
 def _progress_lasso(p: ProofGraph) -> Optional[Lasso]:

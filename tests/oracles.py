@@ -27,6 +27,11 @@
   ref_eval_game builds the evaluation game as labelled dicts over
   EvalPosition labels, position by position; rll.semantics fills the
   numbered arrays directly.
+- ref_find_unaccepted_branch is the progress search of rll.proof as one
+  full pass: loops start at every node of a cyclic SCC and every witness is
+  a whole edge tuple.  rll.proof decides the verdict over feedback nodes and
+  runs the full search, with an early exit, only on a rejection; the two
+  must return the same lasso.
 """
 
 from __future__ import annotations
@@ -635,3 +640,159 @@ def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
                         seen.add(t)
                         queue.append(t)
     return BuchiAutomaton(tuple(states), alphabet, transitions, tuple(initials), frozenset(accepting))
+
+
+# ---------------------------------------------------------------------------
+# The progress search, as one full pass
+
+
+def ref_find_unaccepted_branch(order, children, automaton: TraceAutomaton):
+    """The progress search of rll.proof as one full pass: loops start at
+    every node of every cyclic SCC, witnesses are whole edge tuples, and all
+    profiles are built before the lasso test.  Returns None when every
+    branch from the root is accepted, otherwise (stem edges, cycle edges)."""
+    # per node, its out-edges as (edge, child, reach rows, accepting rows);
+    # witnesses share these edge tuples
+    out = {
+        nid: tuple(
+            ((nid, j), dst, rows, tuple(row & automaton.accepting[dst] for row in rows))
+            for j, (dst, rows) in enumerate(zip(children[nid], automaton.reach[nid]))
+        )
+        for nid in order
+    }
+
+    # strongly connected components of the node graph (loops live inside them)
+    sccs = _ref_sccs(order, children)
+    scc_of = {}
+    for comp in sccs:
+        for nid in comp:
+            scc_of[nid] = id(comp)
+    cyclic_nodes = set()
+    for comp in sccs:
+        if len(comp) > 1 or comp[0] in children[comp[0]]:
+            cyclic_nodes.update(comp)
+
+    # stems: reachability profiles of all finite paths from the root
+    root = automaton.root
+    ident = tuple(1 << k for k in range(len(automaton.labels[root])))
+    stems = {(root, ident): ()}
+    stem_queue = [(root, ident)]
+    for m, r in stem_queue:  # the queue grows while it is walked
+        witness = stems[(m, r)]
+        for edge, dst, re_, _ in out[m]:
+            key = (dst, _ref_compose_r(r, re_))
+            if key not in stems:
+                stems[key] = witness + (edge,)
+                stem_queue.append(key)
+
+    # loop profiles: (start, end, R, A) of paths inside one SCC
+    loops = {}
+    loop_queue = []
+    for nid in order:
+        if nid not in cyclic_nodes:
+            continue
+        for edge, dst, re_, ae_ in out[nid]:
+            if dst not in cyclic_nodes or scc_of[dst] != scc_of[nid]:
+                continue
+            key = (nid, dst, re_, ae_)
+            if key not in loops:
+                loops[key] = (edge,)
+                loop_queue.append(key)
+    for key in loop_queue:  # the queue grows while it is walked
+        u, v, r, a = key
+        witness = loops[key]
+        for edge, dst, re_, ae_ in out[v]:
+            if dst not in cyclic_nodes or scc_of[dst] != scc_of[u]:
+                continue
+            r2 = _ref_compose_r(r, re_)
+            a2 = tuple(
+                _ref_row_or(a_row, re_) | _ref_row_or(r_row, ae_)
+                for r_row, a_row in zip(r, a)
+            )
+            key2 = (u, dst, r2, a2)
+            if key2 not in loops:
+                loops[key2] = witness + (edge,)
+                loop_queue.append(key2)
+
+    stem_items = list(stems.items())
+    for (u, v, r, a), loop_witness in loops.items():
+        if u != v:
+            continue
+        rr = _ref_compose_r(r, r)
+        aa = tuple(_ref_row_or(a_row, r) | _ref_row_or(r_row, a) for r_row, a_row in zip(r, a))
+        if rr != r or aa != a:
+            continue  # not idempotent
+        diag = 0
+        for j, a_row in enumerate(a):
+            if (a_row >> j) & 1:
+                diag |= 1 << j
+        for (m, r_stem), stem_witness in stem_items:
+            if m != u:
+                continue
+            r_total = _ref_compose_r(r_stem, r)
+            if not any(r_total[k] & diag for k in automaton.initials):
+                return stem_witness, loop_witness
+    return None
+
+
+def _ref_compose_r(r1, r2):
+    return tuple(_ref_row_or(bits, r2) for bits in r1)
+
+
+def _ref_row_or(bits, rows):
+    out = 0
+    i = 0
+    while bits:
+        if bits & 1:
+            out |= rows[i]
+        bits >>= 1
+        i += 1
+    return out
+
+
+def _ref_sccs(order, children):
+    index = {}
+    low = {}
+    onstack = set()
+    stack = []
+    out = []
+    counter = [0]
+
+    for start in order:
+        if start in index:
+            continue
+        work = [(start, iter(children[start]))]
+        index[start] = low[start] = counter[0]
+        counter[0] += 1
+        stack.append(start)
+        onstack.add(start)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for u in it:
+                if u not in index:
+                    index[u] = low[u] = counter[0]
+                    counter[0] += 1
+                    stack.append(u)
+                    onstack.add(u)
+                    work.append((u, iter(children[u])))
+                    advanced = True
+                    break
+                if u in onstack:
+                    low[v] = min(low[v], index[u])
+            if advanced:
+                continue
+            work.pop()
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    u = stack.pop()
+                    onstack.discard(u)
+                    comp.append(u)
+                    if u == v:
+                        break
+                out.append(comp)
+            if work:
+                parent = work[-1][0]
+                low[parent] = min(low[parent], low[v])
+    return out

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 
 from rll.calculus import parse_sequent
@@ -10,9 +13,10 @@ from rll.decide import (
     saturate,
     strategy_step,
 )
-from rll.expr import complement, parse
+from rll.expr import Alphabet, complement, parse
 from rll.proof import check, check_local, serialize_proof
 from rll.semantics import member
+from oracles import gen_guarded_sequent, member_denotational
 
 AB = ALPHABET
 
@@ -148,3 +152,40 @@ def test_an_expression_meets_and_joins_its_complement_as_expected():
     assert isinstance(total, Proved) and check(total.proof).ok
     empty = decide(Sequent({Cap(e, ce)}, set(), AB))
     assert isinstance(empty, Proved) and check(empty.proof).ok
+
+
+def _up_words(letters, max_length):
+    """Every (stem, loop) with a nonempty loop and |stem| + |loop| <= max_length."""
+    for length in range(1, max_length + 1):
+        for word in itertools.product(letters, repeat=length):
+            word = "".join(word)
+            for cut in range(length):
+                yield word[:cut], word[cut:]
+
+
+def test_decide_agrees_with_the_denotational_oracle_on_random_sequents():
+    """Refuted words re-check in member_denotational, and no short word
+    refutes a Proved sequent; the oracle shares no code with decide."""
+    rng = random.Random(20261021)
+    words = {letters: list(_up_words(letters, 4)) for letters in ("ab", "abc")}
+
+    def refutes(s, stem, loop):
+        return all(member_denotational(stem, loop, e) for e in s.lhs_sorted) and not any(
+            member_denotational(stem, loop, f) for f in s.rhs_sorted
+        )
+
+    proved = refuted = 0
+    for _ in range(300):
+        alphabet = Alphabet(rng.choice(("ab", "abc")))
+        s = gen_guarded_sequent(
+            rng, alphabet, max_size=rng.choice((6, 8, 10)), max_side=rng.choice((2, 3))
+        )
+        out = decide(s)
+        if isinstance(out, Refuted):
+            refuted += 1
+            assert refutes(s, out.word.stem, out.word.loop), (s, str(out.word))
+        else:
+            proved += 1
+            for stem, loop in words[str(alphabet)]:
+                assert not refutes(s, stem, loop), (s, stem, loop)
+    assert proved >= 50 and refuted >= 50  # both verdicts are well represented

@@ -22,6 +22,7 @@ from rll.proof import (
     parse_proof,
     serialize_proof,
     _find_unaccepted_branch,
+    _sccs,
 )
 from oracles import (
     BuchiAutomaton,
@@ -30,6 +31,7 @@ from oracles import (
     gen_guarded_sequent,
     gen_word,
     one_node_automaton,
+    ref_find_unaccepted_branch,
     ref_trace_automaton,
     unroll_edge,
 )
@@ -205,6 +207,75 @@ def test_random_saturated_graphs_keep_their_verdicts_and_genuine_lassos():
             _assert_genuine_counterbranch(p, r.lasso)
         _assert_unrolling_preserves_the_verdict(p, r.ok)
     assert 20 <= rejected <= 180  # both verdicts are well represented
+
+
+def _with_unrolled_edges(p):
+    """p and every unroll_edge variant of it."""
+    yield p
+    for nid in p.order:
+        for j in range(len(p.children[nid])):
+            yield unroll_edge(p, nid, j)
+
+
+def test_the_progress_search_returns_the_reference_lasso():
+    graphs = [p for p, _ in FIXTURES.values()]
+    graphs += [saturate(s) for _, s, _ in DECISIONS]
+    graphs += _random_saturated_graphs(seed=20261020)
+    rejected = accepted = 0
+    for p in graphs:
+        for g in _with_unrolled_edges(p):
+            automaton = build_trace_automaton(g)
+            found = _find_unaccepted_branch(g.order, g.children, automaton)
+            assert found == ref_find_unaccepted_branch(g.order, g.children, automaton)
+            if found is None:
+                accepted += 1
+            else:
+                rejected += 1
+    assert accepted >= 100 and rejected >= 100  # both verdicts are well represented
+
+
+def _random_digraph(rng):
+    """Up to 12 nodes with up to 3 out-edges each, drawn with repetition, so
+    that self-loops, repeated edges and cycles nested in cycles all occur."""
+    order = ["v%d" % i for i in range(rng.randint(1, 12))]
+    children = {v: tuple(rng.choice(order) for _ in range(rng.randint(0, 3))) for v in order}
+    rng.shuffle(order)
+    return order, children
+
+
+def _is_acyclic(nodes, children):
+    """Kahn's algorithm on the subgraph induced by nodes."""
+    indegree = dict.fromkeys(nodes, 0)
+    for v in nodes:
+        for c in children[v]:
+            if c in indegree:
+                indegree[c] += 1
+    ready = [v for v in nodes if indegree[v] == 0]
+    removed = 0
+    while ready:
+        v = ready.pop()
+        removed += 1
+        for c in children[v]:
+            if c in indegree:
+                indegree[c] -= 1
+                if indegree[c] == 0:
+                    ready.append(c)
+    return removed == len(nodes)
+
+
+def test_deleting_the_feedback_nodes_leaves_an_acyclic_graph():
+    rng = random.Random(1104)
+    graphs = [_random_digraph(rng) for _ in range(1000)]
+    graphs += [(p.order, p.children) for p, _ in FIXTURES.values()]
+    graphs += [(p.order, p.children) for p in (saturate(s) for _, s, _ in DECISIONS)]
+    for order, children in graphs:
+        comps, feedback = _sccs(order, children)
+        assert sorted(v for comp in comps for v in comp) == sorted(order)
+        cyclic = {
+            v for comp in comps if len(comp) > 1 or comp[0] in children[comp[0]] for v in comp
+        }
+        assert feedback <= cyclic
+        assert _is_acyclic([v for v in order if v not in feedback], children), (order, children)
 
 
 def _assert_matches_the_labelled_reference(p):
