@@ -171,7 +171,7 @@ def _cmd_export_apa(args) -> int:
     counts = {
         "states": len(apa.states),
         "transitions": len(apa.transitions),
-        "colours": len({apa.colour[s] for s in apa.states}),
+        "colours": len(set(apa.colour)),
     }
     inputs = {"alphabet": args.alphabet, "expr": args.expr}
     if args.json:
@@ -184,57 +184,59 @@ def _cmd_export_apa(args) -> int:
     return 0
 
 
-def _cmd_corpus(args) -> int:
-    if args.corpus_command == "run":
-        rows = run_suite(args.seed, args.filter)
-        if not rows:
-            print("error: no corpus row matches %r" % args.filter, file=sys.stderr)
-            return 64
-        passed = sum(1 for r in rows if r.ok)
-        if args.json:
-            result = {
-                "passed": passed,
-                "failed": len(rows) - passed,
-                "rows": [
-                    {"group": r.group, "name": r.name, "ok": r.ok, "detail": r.detail}
-                    for r in rows
-                ],
-            }
-            inputs = {"seed": args.seed, "filter": args.filter}
-            _emit(args, "corpus run", inputs, result)
-        else:
-            for r in rows:
-                print(
-                    "%s %s/%s - %s" % ("PASS" if r.ok else "FAIL", r.group, r.name, r.detail)
-                )
-            print("passed %d/%d" % (passed, len(rows)))
-        return 0 if passed == len(rows) else 1
+def _cmd_corpus_run(args) -> int:
+    rows = run_suite(args.seed, args.filter)
+    if not rows:
+        print("error: no corpus row matches %r" % args.filter, file=sys.stderr)
+        return 64
+    passed = sum(1 for r in rows if r.ok)
+    if args.json:
+        result = {
+            "passed": passed,
+            "failed": len(rows) - passed,
+            "rows": [
+                {"group": r.group, "name": r.name, "ok": r.ok, "detail": r.detail}
+                for r in rows
+            ],
+        }
+        inputs = {"seed": args.seed, "filter": args.filter}
+        _emit(args, "corpus run", inputs, result)
+    else:
+        for r in rows:
+            print(
+                "%s %s/%s - %s" % ("PASS" if r.ok else "FAIL", r.group, r.name, r.detail)
+            )
+        print("passed %d/%d" % (passed, len(rows)))
+    return 0 if passed == len(rows) else 1
 
-    if args.corpus_command == "list":
-        fixtures = proofs()
-        expr_rows = {name: pretty(e) for name, e in EXPRESSIONS.items()}
-        decision_rows = {name: format_sequent(s) for name, s, _ in DECISIONS}
-        proof_rows = {name: len(p.order) for name, (p, _) in fixtures.items()}
-        if args.json:
-            result = {
-                "expressions": expr_rows,
-                "decisions": decision_rows,
-                "proofs": proof_rows,
-            }
-            _emit(args, "corpus list", {}, result)
-        else:
-            for name, text in expr_rows.items():
-                print("expression %s: %s" % (name, text))
-            for name, s, verdict in DECISIONS:
-                print("decision %s: %s  [%s]" % (name, format_sequent(s), verdict))
-            for name, (p, expected) in fixtures.items():
-                print(
-                    "proof %s: %d nodes  [%s]"
-                    % (name, len(p.order), "accepted" if expected else "rejected")
-                )
-        return 0
 
-    # show; a name may denote an expression, a decision and a proof fixture
+def _cmd_corpus_list(args) -> int:
+    fixtures = proofs()
+    expr_rows = {name: pretty(e) for name, e in EXPRESSIONS.items()}
+    decision_rows = {name: format_sequent(s) for name, s, _ in DECISIONS}
+    proof_rows = {name: len(p.order) for name, (p, _) in fixtures.items()}
+    if args.json:
+        result = {
+            "expressions": expr_rows,
+            "decisions": decision_rows,
+            "proofs": proof_rows,
+        }
+        _emit(args, "corpus list", {}, result)
+    else:
+        for name, text in expr_rows.items():
+            print("expression %s: %s" % (name, text))
+        for name, s, verdict in DECISIONS:
+            print("decision %s: %s  [%s]" % (name, format_sequent(s), verdict))
+        for name, (p, expected) in fixtures.items():
+            print(
+                "proof %s: %d nodes  [%s]"
+                % (name, len(p.order), "accepted" if expected else "rejected")
+            )
+    return 0
+
+
+def _cmd_corpus_show(args) -> int:
+    # a name may denote an expression, a decision and a proof fixture
     name = args.name
     found = {}
     table = name_table()
@@ -311,14 +313,14 @@ def _build_parser() -> argparse.ArgumentParser:
     c.add_argument("--filter", help="only rows whose group/name contains this")
     c.add_argument("--seed", type=int, default=0, help="seed for sampled batches")
     add_json(c)
-    c.set_defaults(func=_cmd_corpus)
+    c.set_defaults(func=_cmd_corpus_run)
     c = csub.add_parser("list", help="list bundled expressions, decisions, proofs")
     add_json(c)
-    c.set_defaults(func=_cmd_corpus)
+    c.set_defaults(func=_cmd_corpus_list)
     c = csub.add_parser("show", help="print one bundled entry")
     c.add_argument("name")
     add_json(c)
-    c.set_defaults(func=_cmd_corpus)
+    c.set_defaults(func=_cmd_corpus_show)
 
     return parser
 

@@ -34,13 +34,14 @@ from .expr import (
 from .calculus import LOGICAL_RULE, Sequent, make_instance
 from .semantics import (
     UPWord,
+    apa_accepts,
     build_eval_game,
     member,
     parse_word,
     solve_spm,
     solve_zielonka,
 )
-from .automaton import apa_accepts, build_apa, default_coloring
+from .automaton import build_apa, default_coloring
 from .proof import ProofGraph, check
 from .decide import Proved, Refuted, decide, saturate
 
@@ -321,10 +322,16 @@ def name_table():
 
 COMPLEMENT_ROUND_NAMES = ("only-a", "any", "fin-a", "fin-b", "inf-a", "inf-b")
 
+# sample sizes of the batches in corpus run
+MEMBERSHIP_SAMPLES = 1000  # random (expression, word) pairs checked three ways
+CLOSED_FORM_WORDS = 50  # sampled words each for 0 and T
+SOUNDNESS_WORDS = 200  # sampled words per rule instance
+MAX_STEM = MAX_LOOP = 3  # most letters in a sampled word's stem and loop; a loop has at least one
 
-def sample_word(rng, max_stem: int = 3, max_loop: int = 3) -> UPWord:
-    stem = "".join(rng.choice(ALPHABET.letters) for _ in range(rng.randint(0, max_stem)))
-    loop = "".join(rng.choice(ALPHABET.letters) for _ in range(rng.randint(1, max_loop)))
+
+def sample_word(rng) -> UPWord:
+    stem = "".join(rng.choice(ALPHABET.letters) for _ in range(rng.randint(0, MAX_STEM)))
+    loop = "".join(rng.choice(ALPHABET.letters) for _ in range(rng.randint(1, MAX_LOOP)))
     return UPWord(stem, loop, ALPHABET)
 
 
@@ -357,7 +364,7 @@ def random_expression(rng, size: int, scope=()):
     return (Mu if kind == "mu" else Nu)(var, body)
 
 
-def membership_mismatches(seed: int, samples: int = 1000):
+def membership_mismatches(seed: int):
     """Cross-validate word membership three ways on random instances: the
     default game solver, the progress-measure solver, and the acceptance
     game of the expression's automaton.  The two solvers must agree on every
@@ -365,7 +372,7 @@ def membership_mismatches(seed: int, samples: int = 1000):
     Returns disagreement descriptions."""
     rng = random.Random(seed)
     out = []
-    for _ in range(samples):
+    for _ in range(MEMBERSHIP_SAMPLES):
         e = canonical(random_expression(rng, rng.randint(1, 12)))
         w = sample_word(rng)
         game = build_eval_game(w, e)
@@ -381,7 +388,7 @@ def membership_mismatches(seed: int, samples: int = 1000):
     return out
 
 
-def closed_form_failures(seed: int, words_each: int = 50):
+def closed_form_failures(seed: int):
     """Check the bundled expressions against hand-derivable memberships."""
     facts = (
         ("(a)^w", EXPRESSIONS["only-a"], True),
@@ -395,7 +402,7 @@ def closed_form_failures(seed: int, words_each: int = 50):
         if member(w, e) is not expected:
             out.append("%s in %s should be %s" % (text, pretty(e), expected))
     rng = random.Random(seed)
-    for _ in range(words_each):
+    for _ in range(CLOSED_FORM_WORDS):
         w = sample_word(rng)
         if not member(w, EXPRESSIONS["all"]):
             out.append("%s should be in the universal language" % w)
@@ -423,16 +430,13 @@ def _drop_first(w: UPWord) -> UPWord:
     return UPWord("", w.loop[1:] + w.loop[:1], w.alphabet)
 
 
-SOUNDNESS_WORDS = 200  # sampled words per rule instance in corpus run
-
-
-def soundness_violations(instances, seed: int, n_words: int = SOUNDNESS_WORDS):
+def soundness_violations(instances, seed: int):
     """Sample-check the given rule instances, as from saturation_instances():
     premiss truth must force conclusion truth at each word (letter rules
     advance the word by their letter), and the non-weakening rules must also
     be invertible.  Returns (soundness failures, invertibility failures)."""
     rng = random.Random(seed)
-    words = [sample_word(rng) for _ in range(n_words)]
+    words = [sample_word(rng) for _ in range(SOUNDNESS_WORDS)]
     memo = {}
 
     def valid(w, s):
@@ -488,14 +492,13 @@ def bound_failures():
             size_fails.append(
                 "%s: closure %d > AST %d" % (name, len(fl.members), ast_size(e))
             )
-        col = default_coloring(fl)
-        fixpoints = [m for m in fl.members if isinstance(m, (Mu, Nu))]
-        for m in fixpoints:
-            if col[m] % 2 != (1 if isinstance(m, Mu) else 0):
-                colour_fails.append("%s: %s has colour %d" % (name, pretty(m), col[m]))
-        for g in fixpoints:
-            for m in fixpoints:
-                if subformula_leq(g, m) and col[g] > col[m]:
+        fixpoints = [(m, c) for m, c in zip(fl.members, default_coloring(fl)) if isinstance(m, (Mu, Nu))]
+        for m, c in fixpoints:
+            if c % 2 != (1 if isinstance(m, Mu) else 0):
+                colour_fails.append("%s: %s has colour %d" % (name, pretty(m), c))
+        for g, cg in fixpoints:
+            for m, cm in fixpoints:
+                if subformula_leq(g, m) and cg > cm:
                     colour_fails.append(
                         "%s: %s above %s" % (name, pretty(g), pretty(m))
                     )
@@ -510,7 +513,7 @@ class SuiteRow:
     detail: str
 
 
-def run_suite(seed: int, filter_text=None, membership_samples: int = 1000):
+def run_suite(seed: int, filter_text=None):
     """Run the regression suite and return one SuiteRow per fixture or
     property batch, in a fixed order.  filter_text restricts to rows whose
     "group/name" contains it."""
@@ -574,8 +577,8 @@ def run_suite(seed: int, filter_text=None, membership_samples: int = 1000):
             rows.append(SuiteRow("complement", "%s-%s" % (name, suffix), ok, detail))
 
     if wanted("membership", "three-way-agreement"):
-        mismatches = membership_mismatches(seed, membership_samples)
-        detail = "%d samples" % membership_samples
+        mismatches = membership_mismatches(seed)
+        detail = "%d samples" % MEMBERSHIP_SAMPLES
         if mismatches:
             detail += "; first disagreement: %s" % mismatches[0]
         rows.append(
@@ -583,7 +586,7 @@ def run_suite(seed: int, filter_text=None, membership_samples: int = 1000):
         )
     if wanted("membership", "closed-forms"):
         fails = closed_form_failures(seed)
-        detail = "4 fixed facts, 50 sampled words each for 0 and ⊤"
+        detail = "4 fixed facts, %d sampled words each for 0 and ⊤" % CLOSED_FORM_WORDS
         if fails:
             detail = fails[0]
         rows.append(SuiteRow("membership", "closed-forms", not fails, detail))

@@ -12,7 +12,9 @@ intersection, ``0`` and ``T`` the empty and universal languages, and
 This module is purely syntactic: construction, alpha-canonical renaming,
 substitution, guardedness, the closure of an expression under one-step
 decomposition/unfolding, the subformula order, and syntactic
-complementation.
+complementation.  The closure is numbered once, as it is built: its
+members, root first, and the member numbers of each member's reducts.  The
+automaton, the evaluation game and the DOT export all read these numbers.
 
 Terms are interned (hash-consed): a constructor returns the one live node
 with its class and fields, so equality is identity and hashing is by
@@ -492,7 +494,12 @@ def pretty(e: Expr) -> str:
             display.append(cand)
 
     def name_at(depth):
-        return display[depth] if depth < len(display) else "V_%d" % depth
+        if depth < len(display):
+            return display[depth]
+        name = "V_%d" % depth
+        while name in avoid:
+            name += "_"
+        return name
 
     def go(t, prec, tail, depth, env):
         if isinstance(t, Zero):
@@ -529,74 +536,55 @@ def pretty(e: Expr) -> str:
 # Closure under one-step decomposition
 
 
-_EDGE_KINDS = ("letter-step", "plus-left", "plus-right", "cap-left", "cap-right", "unfold")
-
-
 class FLClosure:
     """The least set containing the root and closed under one-step reducts:
-    a letter prefix steps to its body, a sum or intersection to either
-    component, and a fixpoint to its unfolding.
+    a letter prefix steps to its body, a sum or intersection to its left
+    then its right component, and a fixpoint to its unfolding.
 
-    `members` is ordered by breadth-first discovery from the root;
-    `successors` maps each member to its tagged reducts in that fixed order.
-    `coloring` holds the closure's canonical colouring once
-    `automaton.default_coloring` has computed it.
+    The closure is numbered once, as it is built.  `members` lists it in
+    breadth-first discovery order, so members[0] is the root; `succ[k]`
+    holds the member numbers of members[k]'s reducts, in the order above.
+    Member k is state k of the expression's automaton and, at word offset o,
+    position o*len(members) + k of its evaluation game.  `coloring` holds
+    the colour of each member number once `automaton.default_coloring` has
+    computed it.
     """
 
-    __slots__ = ("root", "members", "successors", "_index", "coloring")
+    __slots__ = ("members", "succ", "coloring")
 
-    def __init__(self, root, members, successors):
-        self.root = root
-        self.members = tuple(members)
-        self.successors = successors
-        self._index = {m: i for i, m in enumerate(self.members)}
+    def __init__(self, members: tuple, succ: tuple):
+        self.members, self.succ = members, succ
         self.coloring = None
 
-    def index(self, e: Expr) -> int:
-        return self._index[e]
 
-    def __contains__(self, e):
-        return e in self._index
-
-    def __len__(self):
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
-
-def _fl_steps(e: Expr):
+def _reducts(e: Expr):
     if isinstance(e, Letter):
-        return (("letter-step", e.body),)
-    if isinstance(e, Plus):
-        return (("plus-left", e.left), ("plus-right", e.right))
-    if isinstance(e, Cap):
-        return (("cap-left", e.left), ("cap-right", e.right))
+        return (e.body,)
+    if isinstance(e, (Plus, Cap)):
+        return (e.left, e.right)
     if isinstance(e, _BINDERS):
-        return (("unfold", unfold(e)),)
+        return (unfold(e),)
     return ()
 
 
 def fl_closure(e: Expr) -> FLClosure:
     """Closure of a closed expression under one-step decomposition, built
-    once per canonical root."""
+    and numbered once per canonical root."""
     root = canonical(e)
     if root._closure is None:
         _require_closed(root, "fl_closure")
-        order = [root]
-        seen = {root}
-        successors = {}
-        i = 0
-        while i < len(order):
-            t = order[i]
-            i += 1
-            steps = _fl_steps(t)
-            successors[t] = steps
-            for _, u in steps:
-                if u not in seen:
-                    seen.add(u)
-                    order.append(u)
-        root._closure = FLClosure(root, order, successors)
+        members = [root]
+        number = {root: 0}
+        succ = []
+        for t in members:  # the list grows while it is walked
+            ks = []
+            for u in _reducts(t):
+                if u not in number:
+                    number[u] = len(members)
+                    members.append(u)
+                ks.append(number[u])
+            succ.append(tuple(ks))
+        root._closure = FLClosure(tuple(members), tuple(succ))
     return root._closure
 
 

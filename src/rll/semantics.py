@@ -10,13 +10,15 @@ even, and she wins from (0, e) iff the word belongs to the language.
 
 Games are numbered end to end, with no label layer: positions are 0..n-1,
 held as arrays of owner, priority and successor numbers, and
-(o, fl.members[k]) is number o*|fl| + k.  Two independent solvers are
-provided: a recursive attractor solver (production) and a
-small-progress-measures solver (oracle); they are cross-checked against each
-other and against the automaton route.  Both route deadlocks to two sinks
-numbered n and n+1 and return per-position arrays: a winner byte for each
-position and, from the attractor solver, a winning move wherever the
-position's owner wins.
+(o, fl.members[k]) is number o*|fl| + k, read straight off the closure's own
+numbering (fl.succ) and colouring.  The acceptance game of an expression's
+automaton (apa_accepts) is built the same way from the automaton's numbered
+states and transitions.  Two independent solvers are provided: a recursive
+attractor solver (production) and a small-progress-measures solver
+(oracle); they are cross-checked against each other and against the
+automaton route.  Both route deadlocks to two sinks numbered n and n+1 and
+return per-position arrays: a winner byte for each position and, from the
+attractor solver, a winning move wherever the position's owner wins.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import re
 from collections import deque
 
-from .automaton import default_coloring
+from .automaton import Apa, default_coloring
 from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, canonical, fl_closure, free_vars
 
 
@@ -107,21 +109,37 @@ def build_eval_game(w: UPWord, e: Expr) -> ParityGame:
     0 deadlocks for Eloise, T for Abelard; + is Eloise's choice, &
     Abelard's; fixpoints unfold deterministically."""
     fl = fl_closure(e)
-    colour = default_coloring(fl)
-    m, n = len(fl), w.n_offsets()
+    m, n = len(fl.members), w.n_offsets()
     next_block = [w.advance(o) * m for o in range(n)]
     letters = [w.letter_at(o) for o in range(n)]
     is_e = bytes(not isinstance(f, (Top, Cap)) for f in fl.members)
     out = [()] * (n * m)  # 0 and T keep no moves
-    for k, f in enumerate(fl.members):
-        targets = [fl.index(t) for _, t in fl.successors[f]]
+    for k, (f, targets) in enumerate(zip(fl.members, fl.succ)):
         if isinstance(f, Letter):
             t, letter = targets[0], f.letter
             out[k::m] = [(b + t,) if c == letter else () for b, c in zip(next_block, letters)]
         elif targets:  # the same move at every offset, shifted by m
             out[k::m] = list(zip(*(range(t, n * m, m) for t in targets)))
-    prio = tuple(colour[f] for f in fl.members)
-    return ParityGame(is_e * n, prio * n, tuple(out))
+    return ParityGame(is_e * n, default_coloring(fl) * n, tuple(out))
+
+
+def apa_accepts(apa: Apa, w: UPWord) -> bool:
+    """Solve the acceptance game of the automaton on an ultimately periodic
+    word: same arena as the evaluation game, played over the automaton's own
+    states and transitions, with (offset o, state k) numbered
+    o*|states| + k."""
+    by_source = [[] for _ in apa.states]
+    for src, letter, dst in apa.transitions:
+        by_source[src].append((letter, dst))
+    m, n = len(apa.states), w.n_offsets()
+    out = []
+    for o in range(n):
+        here, there, c = o * m, w.advance(o) * m, w.letter_at(o)
+        for moves in by_source:
+            out.append(tuple((here if letter is None else there) + j for letter, j in moves if letter in (None, c)))
+    is_e = bytes(1 - u for u in apa.universal)
+    winner, _ = solve_zielonka(ParityGame(is_e * n, apa.colour * n, tuple(out)))
+    return winner[0] == 1  # (0, state 0): the initial state
 
 
 # ---------------------------------------------------------------------------

@@ -25,8 +25,9 @@
 - labelled_game numbers a parity game given as labelled dicts, checking
   them first; rll.semantics builds its games as numbered arrays only.
   ref_eval_game builds the evaluation game as labelled dicts over
-  EvalPosition labels, position by position; rll.semantics fills the
-  numbered arrays directly.
+  EvalPosition labels, position by position, each move derived from the
+  member's constructor; rll.semantics fills the numbered arrays directly
+  from the closure's numbering.
 - ref_find_unaccepted_branch is the progress search of rll.proof as one
   full pass: loops start at every node of a cyclic SCC and every witness is
   a whole edge tuple.  rll.proof decides the verdict over feedback nodes and
@@ -54,6 +55,7 @@ from rll.expr import (
     expr_sort_key,
     fl_closure,
     subformula_leq,
+    unfold,
 )
 from rll.automaton import default_coloring
 from rll.proof import ProofGraph, TraceAutomaton
@@ -216,35 +218,24 @@ def ref_eval_game(w, e):
     (positions, owner, moves, priority) arguments of labelled_game, built one
     EvalPosition at a time."""
     fl = fl_closure(e)
-    colour = default_coloring(fl)
     positions = []
     owner = {}
     moves = {}
     priority = {}
     for o in range(w.n_offsets()):
-        for f in fl.members:
+        for f, colour in zip(fl.members, default_coloring(fl)):
             pos = EvalPosition(o, f)
             positions.append(pos)
-            priority[pos] = colour[f]
-            kinds = fl.successors[f]
-            if not kinds:  # 0 or T
-                owner[pos] = "E" if isinstance(f, Zero) else "A"
+            priority[pos] = colour
+            owner[pos] = "A" if isinstance(f, (Top, Cap)) else "E"
+            if isinstance(f, Letter):
+                moves[pos] = (EvalPosition(w.advance(o), f.body),) if w.letter_at(o) == f.letter else ()
+            elif isinstance(f, (Plus, Cap)):
+                moves[pos] = (EvalPosition(o, f.left), EvalPosition(o, f.right))
+            elif isinstance(f, (Mu, Nu)):
+                moves[pos] = (EvalPosition(o, unfold(f)),)
+            else:  # 0 or T
                 moves[pos] = ()
-                continue
-            if kinds[0][0] == "letter-step":
-                owner[pos] = "E"
-                if w.letter_at(o) == f.letter:
-                    moves[pos] = (EvalPosition(w.advance(o), kinds[0][1]),)
-                else:
-                    moves[pos] = ()
-                continue
-            if kinds[0][0] == "unfold":
-                owner[pos] = "E"
-                moves[pos] = (EvalPosition(o, kinds[0][1]),)
-                continue
-            # plus or cap
-            owner[pos] = "E" if kinds[0][0].startswith("plus") else "A"
-            moves[pos] = tuple(EvalPosition(o, t) for _, t in kinds)
     return positions, owner, moves, priority
 
 
@@ -347,7 +338,7 @@ def ref_sort_key(e):
 
 def fl_leq(f, g) -> bool:
     """True if g reaches f in zero or more closure steps."""
-    return canonical(f) in fl_closure(g)
+    return canonical(f) in fl_closure(g).members
 
 
 def fl_lt(f, g) -> bool:

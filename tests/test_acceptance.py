@@ -22,10 +22,13 @@ import sys
 from pathlib import Path
 
 from rll.corpus import (
+    CLOSED_FORM_WORDS,
     COMPLEMENT_ROUND_NAMES,
     DECISIONS,
     LOOP_FIXTURE_NAMES,
+    MEMBERSHIP_SAMPLES,
     PAPER_PROOF_NAMES,
+    SOUNDNESS_WORDS,
     bound_failures,
     closed_form_failures,
     membership_mismatches,
@@ -93,15 +96,17 @@ def test_criterion_4_complement_round_trips_as_proofs():
 
 
 def test_criterion_5_membership_routes_agree_on_random_and_closed_forms():
-    mismatches = membership_mismatches(SEED, samples=1000)
+    assert MEMBERSHIP_SAMPLES >= 1000 and CLOSED_FORM_WORDS >= 50
+    mismatches = membership_mismatches(SEED)
     assert mismatches == [], mismatches[:3]
-    fails = closed_form_failures(SEED, words_each=50)
+    fails = closed_form_failures(SEED)
     assert fails == [], fails[:3]
     _passed(5, "1000 three-way agreements; closed forms hold")
 
 
 def test_criterion_6_rule_instances_sound_and_invertible_on_samples():
-    unsound, uninvertible = soundness_violations(saturation_instances(), SEED, n_words=200)
+    assert SOUNDNESS_WORDS >= 200
+    unsound, uninvertible = soundness_violations(saturation_instances(), SEED)
     assert unsound == [], unsound[:3]
     assert uninvertible == [], uninvertible[:3]
     _passed(6, "all saturation instances sound and invertible on 200 words")

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from rll.expr import Alphabet, Mu, Nu, ast_size, canonical, fl_closure, parse, unfold
-from rll.automaton import Apa, Coloring, apa_accepts, build_apa, default_coloring, export_dot
-from rll.semantics import UPWord, member, parse_word
+from rll.expr import Alphabet, Cap, Letter, Mu, Nu, Plus, ast_size, canonical, fl_closure, parse, subformula_leq, unfold
+from rll.automaton import build_apa, default_coloring, export_dot
+from rll.semantics import UPWord, apa_accepts, member, parse_word
 from oracles import gen_expr, gen_word
 
 AB = Alphabet("ab")
@@ -20,34 +20,33 @@ def e(text):
 # colouring
 
 
+def colour_of(root, f):
+    fl = fl_closure(root)
+    return default_coloring(fl)[fl.members.index(f)]
+
+
 def test_colouring_of_the_always_a_loop():
-    fl = fl_closure(e("nu X. a X"))
-    col = default_coloring(fl)
-    assert col[e("nu X. a X")] == 0
-    assert col[unfold(e("nu X. a X"))] == 0
+    loop = e("nu X. a X")
+    assert colour_of(loop, loop) == 0
+    assert colour_of(loop, unfold(loop)) == 0
 
 
 def test_colouring_of_the_empty_fixpoint():
-    fl = fl_closure(e("mu X. X"))
-    assert default_coloring(fl)[e("mu X. X")] == 1
+    assert default_coloring(fl_closure(e("mu X. X"))) == (1,)
 
 
 def test_colouring_of_infinitely_many_a():
     i_a = e("nu X. mu Y. (a X + b Y)")
-    fl = fl_closure(i_a)
-    col = default_coloring(fl)
-    assert col[i_a] == 0
-    assert col[unfold(i_a)] == 1  # the inner mu dominates the outer nu
+    assert colour_of(i_a, i_a) == 0
+    assert colour_of(i_a, unfold(i_a)) == 1  # the inner mu dominates the outer nu
 
 
 def test_colouring_of_finitely_many_a():
     f_a = e("mu X. (a X + b X + nu Y. b Y)")
-    fl = fl_closure(f_a)
-    col = default_coloring(fl)
-    assert col[f_a] == 1
-    assert col[e("nu Y. b Y")] == 0
-    assert col[e("b nu Y. b Y")] == 0
-    assert col[unfold(f_a)] == 1
+    assert colour_of(f_a, f_a) == 1
+    assert colour_of(f_a, e("nu Y. b Y")) == 0
+    assert colour_of(f_a, e("b nu Y. b Y")) == 0
+    assert colour_of(f_a, unfold(f_a)) == 1
 
 
 CORPUS = [
@@ -63,31 +62,36 @@ CORPUS = [
 ]
 
 
-@pytest.mark.parametrize("text", CORPUS)
-def test_colouring_invariants(text):
-    fl = fl_closure(e(text))
+# the corpus, and seeded random expressions
+COLOURING_INPUTS = [pytest.param(text, id=text) for text in CORPUS] + [
+    pytest.param(seed, id="gen_expr-%d" % seed) for seed in range(200)
+]
+
+
+@pytest.mark.parametrize("source", COLOURING_INPUTS)
+def test_colouring_invariants(source):
+    if isinstance(source, str):
+        expr = e(source)
+    else:
+        rng = random.Random(source)
+        expr = gen_expr(rng, AB, rng.randint(1, 10))
+    fl = fl_closure(expr)
     col = default_coloring(fl)
+    assert len(col) == len(fl.members)
+    assert all(isinstance(c, int) and c >= 0 for c in col)
+    colour = dict(zip(fl.members, col))
     fixpoints = [m for m in fl.members if isinstance(m, (Mu, Nu))]
     for m in fixpoints:
-        assert col[m] % 2 == (1 if isinstance(m, Mu) else 0)
-    from rll.expr import subformula_leq
-
+        assert colour[m] % 2 == (1 if isinstance(m, Mu) else 0)
     for g in fixpoints:
         for m in fixpoints:
             if subformula_leq(g, m):
-                assert col[g] <= col[m]
+                assert colour[g] <= colour[m]
     for m in fl.members:
         if not isinstance(m, (Mu, Nu)):
-            inner = [col[g] for g in fixpoints if subformula_leq(g, m)]
-            assert col[m] == max(inner, default=0)
-    assert max(col[m] for m in fl.members) <= max(len(fixpoints), 1)
-
-
-def test_colouring_rejects_non_natural_colours():
-    with pytest.raises(ValueError):
-        Coloring({e("0"): -1})
-    with pytest.raises(ValueError):
-        Coloring({e("0"): 0.5})
+            inner = [colour[g] for g in fixpoints if subformula_leq(g, m)]
+            assert colour[m] == max(inner, default=0)
+    assert max(col) <= max(len(fixpoints), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -96,28 +100,24 @@ def test_colouring_rejects_non_natural_colours():
 
 def test_automaton_of_the_empty_fixpoint():
     apa = build_apa(e("mu X. X"))
-    s = e("mu X. X")
-    assert apa.states == (s,)
-    assert apa.initial == s
-    assert apa.transitions == ((s, None, s),)  # a single epsilon self-loop
-    assert s in apa.existential
-    assert apa.colour[s] == 1
+    assert apa.states == (e("mu X. X"),)  # state 0, the initial state
+    assert apa.transitions == ((0, None, 0),)  # a single epsilon self-loop
+    assert apa.universal == b"\0"
+    assert apa.colour == (1,)
 
 
 def test_automaton_of_the_always_a_loop():
     apa = build_apa(e("nu X. a X"))
-    loop, step = e("nu X. a X"), unfold(e("nu X. a X"))
-    assert set(apa.states) == {loop, step}
-    assert set(apa.transitions) == {(loop, None, step), (step, "a", loop)}
-    assert apa.universal == frozenset()
+    assert apa.states == (e("nu X. a X"), unfold(e("nu X. a X")))
+    assert apa.transitions == ((0, None, 1), (1, "a", 0))
+    assert apa.universal == b"\0\0"
 
 
 def test_universal_states_are_intersections_and_top():
     apa = build_apa(e("(a T) & (T + 0)"))
-    assert e("(a T) & (T + 0)") in apa.universal
-    assert e("T") in apa.universal
-    assert e("T + 0") in apa.existential
-    assert e("a T") in apa.existential
+    universal = {s for s, u in zip(apa.states, apa.universal) if u}
+    assert universal == {e("(a T) & (T + 0)"), e("T")}
+    assert set(apa.states) - universal == {e("T + 0"), e("a T"), e("0")}
 
 
 def test_state_count_is_bounded_by_the_expression_size():
@@ -126,24 +126,17 @@ def test_state_count_is_bounded_by_the_expression_size():
         expr = canonical(gen_expr(rng, AB, rng.randint(1, 8)))
         apa = build_apa(expr)
         assert len(apa.states) <= ast_size(expr)
-        # transitions mirror the closure's one-step reducts exactly
-        fl = fl_closure(expr)
+        assert apa.states[0] is expr
+        # transitions mirror the one-step reducts of each state's constructor
         expected = set()
-        for m in fl.members:
-            for kind, target in fl.successors[m]:
-                letter = m.letter if kind == "letter-step" else None
-                expected.add((m, letter, target))
-        assert set(apa.transitions) == expected
-
-
-def test_apa_validation():
-    s = e("0")
-    with pytest.raises(ValueError):
-        Apa([s], [s], [s], [], s, Coloring({s: 0}))  # not a partition
-    with pytest.raises(ValueError):
-        Apa([s], [s], [], [(s, None, e("T"))], s, Coloring({s: 0}))
-    with pytest.raises(ValueError):
-        Apa([s], [s], [], [], e("T"), Coloring({s: 0}))
+        for m in apa.states:
+            if isinstance(m, Letter):
+                expected.add((m, m.letter, m.body))
+            elif isinstance(m, (Plus, Cap)):
+                expected |= {(m, None, m.left), (m, None, m.right)}
+            elif isinstance(m, (Mu, Nu)):
+                expected.add((m, None, unfold(m)))
+        assert {(apa.states[s], a, apa.states[t]) for s, a, t in apa.transitions} == expected
 
 
 # ---------------------------------------------------------------------------
@@ -192,5 +185,4 @@ def test_dot_export_is_deterministic_and_complete():
         dot = export_dot(apa)
         assert dot == export_dot(build_apa(expr))
         assert dot.count("[shape=") == len(apa.states) + 1  # + the init point
-        for s in apa.universal:
-            assert "shape=box" in dot
+        assert dot.count("shape=box") == sum(apa.universal)

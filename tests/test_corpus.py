@@ -5,6 +5,8 @@ from rll.corpus import (
     ALPHABET,
     DECISIONS,
     EXPRESSIONS,
+    MAX_LOOP,
+    MAX_STEM,
     name_table,
     random_expression,
     run_suite,
@@ -43,8 +45,8 @@ def test_random_expressions_are_closed_and_within_budget():
 def test_sampled_words_respect_their_bounds():
     rng = random.Random(11)
     for _ in range(100):
-        w = sample_word(rng, max_stem=2, max_loop=4)
-        assert len(w.stem) <= 2 and 1 <= len(w.loop) <= 4
+        w = sample_word(rng)
+        assert len(w.stem) <= MAX_STEM and 1 <= len(w.loop) <= MAX_LOOP
         assert all(c in "ab" for c in w.stem + w.loop)
 
 
@@ -55,8 +57,3 @@ def test_suite_filtering_skips_unrelated_rows():
         "none-sub-all-unfold-right",
     ]
     assert all(r.ok for r in rows)
-
-
-def test_suite_sample_sizes_are_tunable():
-    rows = run_suite(3, filter_text="membership/three-way", membership_samples=25)
-    assert len(rows) == 1 and rows[0].ok and "25 samples" in rows[0].detail

@@ -199,6 +199,10 @@ def test_pretty_round_trip():
     for i in range(300):
         e = canonical(gen_expr(rng, AB, rng.randint(1, 14)))
         assert parse(pretty(e), AB) == e, pretty(e)
+    # past binder depth 64 the fallback names must not capture a free variable
+    deep = parse("".join("mu X%d. " % i for i in range(65)) + "a V_64", Alphabet("a"))
+    assert "V_64" in free_vars(deep)
+    assert parse(pretty(deep), Alphabet("a")) == deep
 
 
 def test_fl_closure_examples():
@@ -218,12 +222,19 @@ def test_fl_closure_is_closed_and_bounded():
     for text in CORPUS:
         e = p(text)
         cl = fl_closure(e)
-        assert len(cl) <= ast_size(e)
-        for m in cl.members:
-            for kind, target in cl.successors[m]:
-                assert kind in ("letter-step", "plus-left", "plus-right", "cap-left", "cap-right", "unfold")
-                assert target in cl
-        assert cl.root == e
+        assert len(cl.members) <= ast_size(e)
+        assert len(set(cl.members)) == len(cl.members) == len(cl.succ)
+        for m, ks in zip(cl.members, cl.succ):
+            if isinstance(m, Letter):
+                reducts = (m.body,)
+            elif isinstance(m, (Plus, Cap)):
+                reducts = (m.left, m.right)
+            elif isinstance(m, (Mu, Nu)):
+                reducts = (unfold(m),)
+            else:
+                reducts = ()
+            assert tuple(cl.members[k] for k in ks) == reducts
+        assert cl.members[0] == e
     with pytest.raises(ValueError):
         fl_closure(Var("X"))
 

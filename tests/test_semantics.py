@@ -118,7 +118,8 @@ def test_solvers_agree_with_denotational_fixpoints():
         expected = member_denotational(stem, loop, expr)
         game = build_eval_game(word, expr)
         winner, choice = solve_zielonka(game)
-        assert winner[fl_closure(expr).index(canonical(expr))] == expected
+        assert fl_closure(expr).members[0] is canonical(expr)
+        assert winner[0] == expected
         assert len(winner) == len(game.positions)
         assert solve_spm(game) == winner
         _check_strategy(game, winner, choice, 1)
@@ -134,10 +135,11 @@ def test_large_games_agree_with_denotational_fixpoints():
     for target in (2000, 4000, 7000, 11000, 17000, 25000):
         alphabet = Alphabet(rng.choice(["ab", "abc"]))
         expr = gen_expr(rng, alphabet, 30)
-        while len(fl_closure(expr)) < target // 250:
+        while len(fl_closure(expr).members) < target // 250:
             expr = rng.choice((Cap, Plus))(expr, gen_expr(rng, alphabet, 30))
         fl = fl_closure(expr)
-        m, n = len(fl), target // len(fl)
+        m = len(fl.members)
+        n = target // m
         cut = rng.randint(n // 4, n // 2)
         loop_letters = rng.sample(alphabet.letters, rng.randint(1, len(alphabet.letters)))
         stem = "".join(rng.choice(alphabet.letters) for _ in range(cut))
@@ -151,8 +153,7 @@ def test_large_games_agree_with_denotational_fixpoints():
                 return stem[o:], loop
             return "", loop[o - cut:] + loop[:o - cut]
 
-        root = fl.index(fl.root)
-        checks = [(o, root) for o in range(n)] + [(rng.randrange(n), rng.randrange(m)) for _ in range(50)]
+        checks = [(o, 0) for o in range(n)] + [(rng.randrange(n), rng.randrange(m)) for _ in range(50)]
         for o, k in checks:
             expected = member_denotational(*suffix(o), fl.members[k])
             assert winner[o * m + k] == expected, (pretty(expr), stem, loop, o, k)
@@ -332,7 +333,7 @@ def test_eval_game_numbering_matches_the_reference_construction():
         game = build_eval_game(word, expr)
         fl = fl_closure(expr)
         assert fl.members[0] is canonical(expr)  # (0, expr) is position 0
-        assert len(game.positions) == word.n_offsets() * len(fl)
+        assert len(game.positions) == word.n_offsets() * len(fl.members)
         assert game.positions == range(len(game.positions))
         labels, ref = labelled_game(*ref_eval_game(word, expr))
         assert labels == tuple(EvalPosition(o, f) for o in range(word.n_offsets()) for f in fl.members)
@@ -342,11 +343,11 @@ def test_eval_game_numbering_matches_the_reference_construction():
 def test_eval_game_shape_on_a_letter_mismatch():
     # at an offset whose letter differs, a letter position has no moves
     game = build_eval_game(w("(b)^w"), e("a 0"))
-    root = fl_closure(e("a 0")).index(e("a 0"))
-    assert game.is_e[root] == 1
-    assert game.out[root] == ()
+    assert fl_closure(e("a 0")).members[0] is e("a 0")
+    assert game.is_e[0] == 1
+    assert game.out[0] == ()
     winner, _ = solve_zielonka(game)
-    assert winner[root] == 0
+    assert winner[0] == 0
 
 
 def test_unguarded_expressions_still_play():
