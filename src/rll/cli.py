@@ -18,8 +18,9 @@ expression can appear.  `--json` wraps the result in a single-line envelope
 Exit codes: 0 positive verdict or success, 1 negative verdict or failing
 corpus row, 2 locally invalid proof, 3 progress failure, 4 unguarded input,
 5 proof search over its node budget, 64 usage errors, input-syntax errors and
-input nested too deeply, 70 internal error (a failed self-check).  Codes 5
-and 70 print one `error:` line on stderr.
+input nested too deeply, 70 internal error (a failed self-check, or any
+other exception, reported as `error: internal error: <type>: <message>`).
+Codes 5 and 70 print one `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -66,10 +67,7 @@ def _emit(args, command, inputs, result, witness=None, extra_lines=()):
             envelope["witness"] = witness
         print(json.dumps(envelope, sort_keys=True, ensure_ascii=False))
         return
-    if isinstance(result, str):
-        print(result)
-    else:
-        print(json.dumps(result, sort_keys=True, ensure_ascii=False))
+    print(result)
     for line in extra_lines:
         print(line)
 
@@ -345,6 +343,10 @@ def main(argv=None) -> int:
         return 5
     except RuntimeError as exc:  # the "internal error" self-checks
         print("error: %s" % exc, file=sys.stderr)
+        return 70
+    except Exception as exc:  # a fault in rll itself; exit 1 would read as a verdict
+        message = " ".join(str(exc).split())
+        print("error: internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
         return 70
 
 

@@ -471,35 +471,24 @@ def _display_candidates():
 
 
 def pretty(e: Expr) -> str:
-    """Render in the parseable ASCII syntax with minimal parentheses.
-    Canonical bound names are displayed as X, Y, Z, ... by binder depth."""
-    avoid = set(free_vars(e))
-
-    def collect(t):
-        if isinstance(t, Letter):
-            collect(t.body)
-        elif isinstance(t, (Plus, Cap)):
-            collect(t.left)
-            collect(t.right)
-        elif isinstance(t, _BINDERS):
-            avoid.add(t.var)
-            collect(t.body)
-
-    collect(e)
+    """Render canonical(e) in the parseable ASCII syntax with minimal
+    parentheses, so alpha-equivalent terms print alike.  The binder at depth
+    d is displayed as the d-th of X, Y, Z, ... that is not a free variable
+    of e, and past depth 64 as V_<d>, with a `_` added until it is not one."""
+    e = canonical(e)
+    avoid = free_vars(e)
     display = []
-    gen = _display_candidates()
-    while len(display) < 64:
-        cand = next(gen)
-        if cand not in avoid:
-            display.append(cand)
+    gen = (name for name in _display_candidates() if name not in avoid)
 
     def name_at(depth):
-        if depth < len(display):
-            return display[depth]
-        name = "V_%d" % depth
-        while name in avoid:
-            name += "_"
-        return name
+        if depth >= 64:
+            name = "V_%d" % depth
+            while name in avoid:
+                name += "_"
+            return name
+        while len(display) <= depth:
+            display.append(next(gen))
+        return display[depth]
 
     def go(t, prec, tail, depth, env):
         if isinstance(t, Zero):
@@ -521,7 +510,7 @@ def pretty(e: Expr) -> str:
                 return "(" + go(t.left, 2, False, depth, env) + " & " + go(t.right, 3, True, depth, env) + ")"
             return go(t.left, 2, False, depth, env) + " & " + go(t.right, 3, tail, depth, env)
         # binders
-        shown = name_at(depth) if (t.var.startswith(".") and t.var[1:].isdigit()) else t.var
+        shown = name_at(depth)
         inner = dict(env)
         inner[t.var] = shown
         kw = "mu" if isinstance(t, Mu) else "nu"

@@ -33,13 +33,20 @@
   a whole edge tuple.  rll.proof decides the verdict over feedback nodes and
   runs the full search, with an early exit, only on a rejection; the two
   must return the same lasso.
+- ref_soundness_violations samples rule instances word by word, as
+  rll.corpus did before it computed one truth set per word: each sequent
+  is evaluated formula by formula, letter rules take a branch of their
+  own, and membership is member_denotational, memoised per (word,
+  formula).  The two must return the same failures in the same order.
 """
 
 from __future__ import annotations
 
+import random
 from typing import NamedTuple, Optional
 
-from rll.calculus import PRINCIPAL_RULES, Sequent, immediate_ancestry, make_instance
+from rll.calculus import LOGICAL_RULE, PRINCIPAL_RULES, Sequent, immediate_ancestry, make_instance
+from rll.corpus import ALPHABET, SOUNDNESS_WORDS, sample_word
 from rll.expr import (
     Alphabet,
     Cap,
@@ -59,7 +66,7 @@ from rll.expr import (
 )
 from rll.automaton import default_coloring
 from rll.proof import ProofGraph, TraceAutomaton
-from rll.semantics import ParityGame
+from rll.semantics import ParityGame, UPWord
 
 
 def member_denotational(stem: str, loop: str, e) -> bool:
@@ -787,3 +794,61 @@ def _ref_sccs(order, children):
                 parent = work[-1][0]
                 low[parent] = min(low[parent], low[v])
     return out
+
+
+# ---------------------------------------------------------------------------
+# Rule soundness on sampled words, one (word, formula) pair at a time
+
+
+def ref_soundness_violations(instances, seed: int):
+    """(soundness failures, invertibility failures) of the rule instances on
+    the SOUNDNESS_WORDS words that rll.corpus samples from seed."""
+    rng = random.Random(seed)
+    words = [sample_word(rng) for _ in range(SOUNDNESS_WORDS)]
+    memo = {}
+
+    def valid(w, s):
+        def m(f):
+            key = (w, f)
+            if key not in memo:
+                memo[key] = member_denotational(w.stem, w.loop, f)
+            return memo[key]
+
+        return (not all(m(e) for e in s.lhs_sorted)) or any(m(f) for f in s.rhs_sorted)
+
+    def drop_first(w):
+        if w.stem:
+            return UPWord(w.stem[1:], w.loop, w.alphabet)
+        return UPWord("", w.loop[1:] + w.loop[:1], w.alphabet)
+
+    unsound = []
+    uninvertible = []
+    for inst in instances:
+        rule = inst.rule
+        for w in words:
+            if rule.startswith("h_") or rule == "r-p":
+                head = w.letter_at(0)
+                if rule == "r-p":
+                    prem = inst.premisses[ALPHABET.letters.index(head)]
+                elif rule[2:] == head:
+                    prem = inst.premisses[0]
+                else:
+                    # the word cannot enter any left-hand language, so the
+                    # conclusion holds outright
+                    if not valid(w, inst.conclusion):
+                        unsound.append("%s at %s" % (rule, w))
+                    continue
+                prem_ok = valid(drop_first(w), prem)
+                conc_ok = valid(w, inst.conclusion)
+                if prem_ok and not conc_ok:
+                    unsound.append("%s at %s" % (rule, w))
+                if conc_ok and not prem_ok:
+                    uninvertible.append("%s at %s" % (rule, w))
+            else:
+                prems_ok = all(valid(w, p) for p in inst.premisses)
+                conc_ok = valid(w, inst.conclusion)
+                if prems_ok and not conc_ok:
+                    unsound.append("%s at %s" % (rule, w))
+                if conc_ok and not prems_ok and rule in LOGICAL_RULE.values():
+                    uninvertible.append("%s at %s" % (rule, w))
+    return unsound, uninvertible

@@ -257,6 +257,22 @@ def test_a_lasso_failing_its_replay_exits_70(monkeypatch, capsys, tmp_path):
     assert out.err == "error: internal error: counterexample lasso has a progressing trace\n"
 
 
+@pytest.mark.parametrize(
+    "exc", [KeyError("alphabet"), TypeError("bad operand\ntype"), AssertionError()], ids=repr
+)
+def test_any_other_exception_exits_70_with_one_line(monkeypatch, capsys, exc):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli_module, "_cmd_parse", fail)
+    code = cli_module.main(["parse", "--alphabet", "ab", "--expr", "a T"])
+    out = capsys.readouterr()
+    assert code == 70
+    assert out.out == ""
+    assert out.err.startswith("error: internal error: %s: " % type(exc).__name__)
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")
+
+
 # ---------------------------------------------------------------------------
 # the exit-code contract on generated input
 

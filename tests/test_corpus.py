@@ -1,5 +1,7 @@
 import random
 
+from oracles import ref_soundness_violations
+from rll.calculus import RuleInstance, make_instance, parse_sequent
 from rll.corpus import (
     ALIASES,
     ALPHABET,
@@ -11,6 +13,8 @@ from rll.corpus import (
     random_expression,
     run_suite,
     sample_word,
+    saturation_instances,
+    soundness_violations,
 )
 from rll.expr import ast_size, free_vars, is_guarded
 
@@ -57,3 +61,27 @@ def test_suite_filtering_skips_unrelated_rows():
         "none-sub-all-unfold-right",
     ]
     assert all(r.ok for r in rows)
+
+
+def test_the_soundness_batch_matches_the_word_by_word_reference():
+    # a broken copy keeps an instance's rule, conclusion and principal but
+    # takes the premisses of a random instance of the same rule, so the
+    # failures run into the thousands and must match in order; the bundled
+    # languages ignore a word's first letters, the two letter rules added
+    # here do not
+    instances = saturation_instances() + (
+        make_instance("h_a", parse_sequent("a b T |- a a T, a b b T", ALPHABET), "a"),
+        make_instance("r-p", parse_sequent("|- a b T, b a T, b b 0", ALPHABET)),
+    )
+    by_rule = {}
+    for inst in instances:
+        by_rule.setdefault(inst.rule, []).append(inst)
+    rng = random.Random(2718)
+    broken = tuple(
+        RuleInstance(i.rule, i.conclusion, i.principal, rng.choice(by_rule[i.rule]).premisses)
+        for i in instances
+    )
+    for seed in (0, 1):
+        unsound, uninvertible = soundness_violations(instances + broken, seed)
+        assert (unsound, uninvertible) == ref_soundness_violations(instances + broken, seed)
+        assert len(unsound) > 1000 and len(uninvertible) > 1000, (len(unsound), len(uninvertible))

@@ -197,8 +197,11 @@ def test_pretty_round_trip():
         e = p(text)
         assert parse(pretty(e), AB) == e
     for i in range(300):
-        e = canonical(gen_expr(rng, AB, rng.randint(1, 14)))
+        raw = gen_expr(rng, AB, rng.randint(1, 14))
+        e = canonical(raw)
         assert parse(pretty(e), AB) == e, pretty(e)
+        # alpha-equivalent terms print alike, whatever their binder names
+        assert pretty(raw) == pretty(e)
     # past binder depth 64 the fallback names must not capture a free variable
     deep = parse("".join("mu X%d. " % i for i in range(65)) + "a V_64", Alphabet("a"))
     assert "V_64" in free_vars(deep)

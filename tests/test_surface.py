@@ -1,7 +1,9 @@
 """`src/rll` holds only product code: every top-level function and class is
 referenced, transitively, from `cli.main` or from code that runs on import.
 A name referenced only inside an unreachable definition does not count.
-Test-only algorithms belong in `tests/oracles.py`."""
+Test-only algorithms belong in `tests/oracles.py`.  Every import sits at
+the top of its module: an import inside a function or class body usually
+works round a module cycle, which belongs fixed in the module layout."""
 
 import ast
 from pathlib import Path
@@ -47,3 +49,16 @@ def _unreachable_definitions():
 def test_every_definition_in_src_is_reachable_from_the_cli():
     unreachable = _unreachable_definitions()
     assert unreachable == [], "not reachable from cli.main: " + ", ".join(unreachable)
+
+
+def test_no_import_inside_a_function_or_class_body():
+    nested = []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                nested += [
+                    "%s:%d" % (path.name, node.lineno)
+                    for node in ast.walk(stmt)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                ]
+    assert nested == [], "import inside a function or class body: " + ", ".join(sorted(set(nested)))
