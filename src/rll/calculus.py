@@ -8,15 +8,18 @@ sequent whose left side holds two formulas with clashing head letters, h_a
 strips a common head letter from both sides, and r-p splits a left-empty
 sequent into one premiss per alphabet letter.
 
-Rule applications are first-class values (RuleInstance) so that proofs can
-store them, and immediate_ancestry exposes how formulas of the premisses
-descend from formulas of the conclusion — the raw material for traces.
+This module is the one place that states each rule fact.  PRINCIPAL_RULES
+and the three letter rules are every rule there is; premiss_letters names
+the letter that each premiss of h_a or r-p strips; and immediate_ancestry
+says how the formulas of the premisses descend from those of the
+conclusion — the raw material for traces.  Rule applications are
+first-class values (RuleInstance) so that proofs can store them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from .expr import (
     Alphabet,
@@ -109,25 +112,6 @@ def parse_sequent(text: str, alphabet: Alphabet) -> Sequent:
 # ---------------------------------------------------------------------------
 # rules
 
-RULE_NAMES = (
-    "l-p",
-    "r-p",
-    "l-w",
-    "r-w",
-    "0-l",
-    "+-l",
-    "μ-l",
-    "⊤-l",
-    "∩-l",
-    "ν-l",
-    "0-r",
-    "+-r",
-    "μ-r",
-    "⊤-r",
-    "∩-r",
-    "ν-r",
-)  # plus h_<letter>, one per alphabet letter
-
 _ASCII_RULE_ALIASES = {
     "mu-l": "μ-l",
     "nu-l": "ν-l",
@@ -154,22 +138,6 @@ class RuleInstance:
     conclusion: Sequent
     principal: Union[Expr, str, None]
     premisses: Tuple[Sequent, ...]
-
-
-@dataclass(frozen=True)
-class AncestryEdge:
-    """A formula of a premiss descending from a formula of the conclusion.
-
-    kind is "principal" when the premiss formula is an auxiliary of the
-    decomposed principal, "letter" when a head letter was stripped (h_a and
-    r-p), and "identity" when the formula simply persists."""
-
-    premiss_index: int
-    premiss_side: str
-    premiss_formula: Expr
-    conclusion_side: str
-    conclusion_formula: Expr
-    kind: str
 
 
 class _Violation(ValueError):
@@ -202,7 +170,6 @@ PRINCIPAL_RULES = {
 }
 # the logical rule for a principal formula of this constructor on this side
 LOGICAL_RULE = {key: rule for rule, key in PRINCIPAL_RULES.items() if key[0] is not Expr}
-AXIOM_RULES = ("0-l", "⊤-r", "l-p")
 
 
 def _auxiliaries(rule, p):
@@ -300,36 +267,43 @@ def validate_instance(r: RuleInstance) -> Optional[str]:
     return "premisses do not match the %s schema for this conclusion" % rule
 
 
-def immediate_ancestry(r: RuleInstance):
-    """The descent of premiss formulas from conclusion formulas, as a list of
-    edges in a fixed order (premiss, then side, then formula).  A principal
-    formula whose auxiliary coincides with a persisting formula yields both
-    a principal and an identity edge."""
-    edges = []
-    if r.rule in AXIOM_RULES:
-        return edges
-    if r.rule.startswith("h_"):
-        a = r.rule[2:]
-        prem = r.premisses[0]
-        for side, cedent in (("L", prem.lhs_sorted), ("R", prem.rhs_sorted)):
-            for g in cedent:
-                edges.append(AncestryEdge(0, side, g, side, Letter(a, g), "letter"))
-        return edges
+def premiss_letters(r: RuleInstance) -> Optional[Tuple[str, ...]]:
+    """The letter that each premiss of a letter rule strips: ("a",) for h_a
+    and the alphabet's letters, in order, for r-p.  None for every other
+    rule."""
     if r.rule == "r-p":
-        for i, c in enumerate(r.conclusion.alphabet):
-            for g in r.premisses[i].rhs_sorted:
-                edges.append(AncestryEdge(i, "R", g, "R", Letter(c, g), "letter"))
-        return edges
-    side = PRINCIPAL_RULES[r.rule][1]
-    aux = _auxiliaries(r.rule, r.principal)
+        return r.conclusion.alphabet.letters
+    if r.rule.startswith("h_"):
+        return (r.rule[2:],)
+    return None
+
+
+def immediate_ancestry(r: RuleInstance) -> Dict[Tuple[int, str, Expr], Tuple[Expr, ...]]:
+    """The descent of premiss formulas from conclusion formulas, as
+    {(premiss index, side, conclusion formula): premiss formulas}, each value
+    sorted by expr_sort_key.  A letter-prefixed formula descends to its body
+    under h_a and r-p, a principal formula to its auxiliaries, and every
+    other formula to itself.  A formula that is both an auxiliary and a
+    persisting formula descends from both."""
+    if not r.premisses:
+        return {}
+    letters = premiss_letters(r)
+    if letters is None:
+        _, rule_side = PRINCIPAL_RULES[r.rule]
+        aux = _auxiliaries(r.rule, r.principal)
+    grouped = {}
     for i, prem in enumerate(r.premisses):
-        for sd, cedent, conc in (
+        for side, cedent, conc in (
             ("L", prem.lhs_sorted, r.conclusion.lhs),
             ("R", prem.rhs_sorted, r.conclusion.rhs),
         ):
             for g in cedent:
-                if sd == side and i < len(aux) and g in aux[i]:
-                    edges.append(AncestryEdge(i, sd, g, sd, r.principal, "principal"))
-                if g in conc:
-                    edges.append(AncestryEdge(i, sd, g, sd, g, "identity"))
-    return edges
+                if letters is not None:
+                    sources = (Letter(letters[i], g),)
+                else:
+                    sources = {g} if g in conc else set()
+                    if side == rule_side and g in aux[i]:
+                        sources.add(r.principal)
+                for f in sources:
+                    grouped.setdefault((i, side, f), []).append(g)
+    return {key: tuple(gs) for key, gs in grouped.items()}

@@ -31,7 +31,7 @@ from .expr import (
     subformula_leq,
     unfold,
 )
-from .calculus import LOGICAL_RULE, Sequent, make_instance
+from .calculus import LOGICAL_RULE, Sequent, make_instance, premiss_letters
 from .semantics import (
     UPWord,
     apa_accepts,
@@ -291,10 +291,6 @@ def proofs():
     return {name: (build(), expected) for name, build, expected in _PROOF_TABLE}
 
 
-PAPER_PROOF_NAMES = tuple(name for name, _, expected in _PROOF_TABLE[:5])
-LOOP_FIXTURE_NAMES = tuple(name for name, _, _ in _PROOF_TABLE[5:])
-
-
 # ---------------------------------------------------------------------------
 # short aliases accepted wherever a named expression can appear
 
@@ -453,11 +449,10 @@ def soundness_violations(instances, seed: int):
     uninvertible = []
     for inst in instances:
         rule = inst.rule
-        letter_rule = rule.startswith("h_") or rule == "r-p"
-        letters = rule[2:] if rule.startswith("h_") else ALPHABET.letters
-        invertible = letter_rule or rule in LOGICAL_RULE.values()
+        letters = premiss_letters(inst)
+        invertible = letters is not None or rule in LOGICAL_RULE.values()
         for w in words:
-            if letter_rule:
+            if letters is not None:
                 after = truths[_drop_first(w)]
                 prems = [p for c, p in zip(letters, inst.premisses) if c == w.letter_at(0)]
             else:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 from .expr import Letter, Top, Zero, expr_sort_key, is_guarded, pretty
 from .semantics import UPWord, member
-from .calculus import LOGICAL_RULE, RuleInstance, Sequent, make_instance
+from .calculus import LOGICAL_RULE, RuleInstance, Sequent, make_instance, premiss_letters
 from .proof import Lasso, ProofGraph, check
 
 
@@ -84,25 +84,23 @@ def saturate(s: Sequent, max_nodes: int = 200000) -> ProofGraph:
 
 
 def extract_countermodel(p: ProofGraph, lasso: Lasso) -> UPWord:
-    """Fold a rejected branch into the word it consumes: h_a steps and r-p
-    child indices contribute letters, all other rules none."""
-    alphabet = p.alphabet
+    """Fold a rejected branch into the word it consumes: an edge j out of
+    a letter rule contributes the letter that premiss j strips, as
+    premiss_letters names it, and every other edge none."""
 
     def letters(nodes, edges):
         out = []
         for nid, j in zip(nodes, edges):
-            inst = p.instance[nid]
-            if inst.rule.startswith("h_"):
-                out.append(inst.rule[2:])
-            elif inst.rule == "r-p":
-                out.append(alphabet.letters[j])
+            stripped = premiss_letters(p.instance[nid])
+            if stripped is not None:
+                out.append(stripped[j])
         return "".join(out)
 
     stem = letters(lasso.stem, lasso.stem_edges)
     cycle = letters(lasso.cycle, lasso.cycle_edges)
     if not cycle:
         raise RuntimeError("internal error: rejected branch consumes no letters on its cycle")
-    return UPWord(stem, cycle, alphabet)
+    return UPWord(stem, cycle, p.alphabet)
 
 
 @dataclass(frozen=True)

@@ -57,9 +57,6 @@ class Alphabet:
             raise ValueError("alphabet letters must be distinct: %r" % (letters,))
         self.letters = letters
 
-    def index(self, a: str) -> int:
-        return self.letters.index(a)
-
     def __contains__(self, a):
         return a in self.letters
 

@@ -42,7 +42,6 @@ from .expr import Expr, Mu, Nu, ParseError, expr_sort_key, parse, pretty, subfor
 from .expr import Alphabet
 from .calculus import (
     PRINCIPAL_RULES,
-    RULE_NAMES,
     RuleInstance,
     Sequent,
     canonical_rule_name,
@@ -174,7 +173,7 @@ def parse_proof(text: str) -> ProofGraph:
             raise ParseError("node %s: empty rule clause" % nid)
         bits = rule_rest.split(None, 1)
         rule = canonical_rule_name(bits[0])
-        if rule not in RULE_NAMES and not rule.startswith("h_"):
+        if rule not in PRINCIPAL_RULES and rule not in ("l-p", "r-p") and not rule.startswith("h_"):
             raise ParseError("node %s: unknown rule %r" % (nid, bits[0]))
         principal_text = None
         if len(bits) > 1:
@@ -273,18 +272,6 @@ class TraceAutomaton:
     accepting: Dict[str, int]
 
 
-def _grouped_ancestry(inst: RuleInstance):
-    grouped = {}
-    for edge in immediate_ancestry(inst):
-        key = (edge.premiss_index, edge.conclusion_side, edge.conclusion_formula)
-        grouped.setdefault(key, [])
-        if edge.premiss_formula not in grouped[key]:
-            grouped[key].append(edge.premiss_formula)
-    for key in grouped:
-        grouped[key].sort(key=expr_sort_key)
-    return grouped
-
-
 def _may_commit(side: str, f: Expr) -> bool:
     return isinstance(f, Mu) if side == "L" else isinstance(f, Nu)
 
@@ -296,7 +283,7 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     to a critical formula; committed runs die when a strictly smaller
     formula is unfolded on the trace and visit an accepting state whenever
     the critical formula itself is the one unfolded."""
-    anc = {nid: _grouped_ancestry(p.instance[nid]) for nid in p.order}
+    anc = {nid: immediate_ancestry(p.instance[nid]) for nid in p.order}
     labels = {nid: [] for nid in p.order}
     numbers = {nid: {} for nid in p.order}  # label -> its number at nid
     accepting = dict.fromkeys(p.order, 0)

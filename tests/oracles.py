@@ -19,9 +19,13 @@
   automata, the reference that the profile-based progress search of
   rll.proof is checked against; one_node_automaton presents a labelled
   automaton in the numbered form that search reads.
+- ref_immediate_ancestry lists formula ancestry as edges tagged with their
+  kind (principal, letter or identity), and ref_grouped_ancestry groups
+  them per conclusion formula; rll.calculus states ancestry once, as that
+  grouping, from its rule table and premiss_letters.
 - ref_trace_automaton builds the trace automaton of a proof graph as a
-  labelled automaton, state by state; rll.proof numbers its states per node
-  and builds each edge's reach rows directly.
+  labelled automaton, state by state, over ref_grouped_ancestry; rll.proof
+  numbers its states per node and builds each edge's reach rows directly.
 - labelled_game numbers a parity game given as labelled dicts, checking
   them first; rll.semantics builds its games as numbered arrays only.
   ref_eval_game builds the evaluation game as labelled dicts over
@@ -45,7 +49,7 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Optional
 
-from rll.calculus import LOGICAL_RULE, PRINCIPAL_RULES, Sequent, immediate_ancestry, make_instance
+from rll.calculus import LOGICAL_RULE, PRINCIPAL_RULES, Sequent, make_instance
 from rll.corpus import ALPHABET, SOUNDNESS_WORDS, sample_word
 from rll.expr import (
     Alphabet,
@@ -572,6 +576,87 @@ def _complement_state_key(st):
 
 
 # ---------------------------------------------------------------------------
+# Formula ancestry as a list of tagged edges
+
+
+class AncestryEdge(NamedTuple):
+    """A formula of a premiss descending from a formula of the conclusion.
+
+    kind is "principal" when the premiss formula is an auxiliary of the
+    decomposed principal, "letter" when a head letter was stripped (h_a and
+    r-p), and "identity" when the formula simply persists."""
+
+    premiss_index: int
+    premiss_side: str
+    premiss_formula: Expr
+    conclusion_side: str
+    conclusion_formula: Expr
+    kind: str
+
+
+def _ref_auxiliaries(rule, p):
+    """The formulas that take the place of principal p in each premiss of
+    one of the PRINCIPAL_RULES."""
+    if rule in ("+-l", "∩-r"):
+        return ({p.left}, {p.right})
+    if rule in ("∩-l", "+-r"):
+        return ({p.left, p.right},)
+    if rule in ("0-l", "⊤-r"):
+        return ()
+    if rule[0] in "μν":
+        return ({unfold(p)},)
+    return (set(),)  # ⊤-l, 0-r and the weakenings
+
+
+def ref_immediate_ancestry(r):
+    """The descent of premiss formulas from conclusion formulas, as a list of
+    edges in a fixed order (premiss, then side, then formula).  A principal
+    formula whose auxiliary coincides with a persisting formula yields both
+    a principal and an identity edge."""
+    edges = []
+    if r.rule in ("0-l", "⊤-r", "l-p"):
+        return edges
+    if r.rule.startswith("h_"):
+        a = r.rule[2:]
+        prem = r.premisses[0]
+        for side, cedent in (("L", prem.lhs_sorted), ("R", prem.rhs_sorted)):
+            for g in cedent:
+                edges.append(AncestryEdge(0, side, g, side, Letter(a, g), "letter"))
+        return edges
+    if r.rule == "r-p":
+        for i, c in enumerate(r.conclusion.alphabet):
+            for g in r.premisses[i].rhs_sorted:
+                edges.append(AncestryEdge(i, "R", g, "R", Letter(c, g), "letter"))
+        return edges
+    side = PRINCIPAL_RULES[r.rule][1]
+    aux = _ref_auxiliaries(r.rule, r.principal)
+    for i, prem in enumerate(r.premisses):
+        for sd, cedent, conc in (
+            ("L", prem.lhs_sorted, r.conclusion.lhs),
+            ("R", prem.rhs_sorted, r.conclusion.rhs),
+        ):
+            for g in cedent:
+                if sd == side and i < len(aux) and g in aux[i]:
+                    edges.append(AncestryEdge(i, sd, g, sd, r.principal, "principal"))
+                if g in conc:
+                    edges.append(AncestryEdge(i, sd, g, sd, g, "identity"))
+    return edges
+
+
+def ref_grouped_ancestry(r):
+    """ref_immediate_ancestry grouped by (premiss index, conclusion side,
+    conclusion formula), each group's premiss formulas de-duplicated and
+    sorted by expr_sort_key."""
+    grouped = {}
+    for edge in ref_immediate_ancestry(r):
+        key = (edge.premiss_index, edge.conclusion_side, edge.conclusion_formula)
+        grouped.setdefault(key, [])
+        if edge.premiss_formula not in grouped[key]:
+            grouped[key].append(edge.premiss_formula)
+    return {key: tuple(sorted(gs, key=expr_sort_key)) for key, gs in grouped.items()}
+
+
+# ---------------------------------------------------------------------------
 # The trace automaton of a proof graph, labelled
 
 
@@ -587,17 +672,7 @@ def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
     """The trace automaton of p as a labelled automaton over the edges
     (nid, j): states are TraceStates in breadth-first discovery order, and
     a state is found accepting or dead when it is dequeued."""
-    anc = {}
-    for nid in p.order:
-        grouped = {}
-        for edge in immediate_ancestry(p.instance[nid]):
-            key = (edge.premiss_index, edge.conclusion_side, edge.conclusion_formula)
-            grouped.setdefault(key, [])
-            if edge.premiss_formula not in grouped[key]:
-                grouped[key].append(edge.premiss_formula)
-        for key in grouped:
-            grouped[key].sort(key=expr_sort_key)
-        anc[nid] = grouped
+    anc = {nid: ref_grouped_ancestry(p.instance[nid]) for nid in p.order}
     alphabet = tuple((nid, j) for nid in p.order for j in range(len(p.children[nid])))
 
     root_seq = p.sequent(p.root)

@@ -25,9 +25,7 @@ from rll.corpus import (
     CLOSED_FORM_WORDS,
     COMPLEMENT_ROUND_NAMES,
     DECISIONS,
-    LOOP_FIXTURE_NAMES,
     MEMBERSHIP_SAMPLES,
-    PAPER_PROOF_NAMES,
     SOUNDNESS_WORDS,
     bound_failures,
     closed_form_failures,
@@ -41,6 +39,19 @@ from rll.proof import check
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 20260815
+PAPER_PROOF_NAMES = (
+    "only-a-has-inf-a",
+    "fin-a-cap-only-a-empty",
+    "fin-a-has-inf-b",
+    "fin-a-or-inf-a-total",
+    "fin-a-cap-fin-b-empty",
+)
+LOOP_FIXTURE_NAMES = (
+    "none-sub-all-unfold-left",
+    "none-sub-all-unfold-right",
+    "all-sub-none-unfold-left",
+    "all-sub-none-unfold-right",
+)
 
 
 def _passed(n, text):
@@ -66,7 +77,7 @@ def test_criterion_2_single_node_loops_get_exact_verdicts():
         "all-sub-none-unfold-left": False,
         "all-sub-none-unfold-right": False,
     }
-    assert set(LOOP_FIXTURE_NAMES) == set(expected)
+    assert set(fixtures) - set(PAPER_PROOF_NAMES) == set(LOOP_FIXTURE_NAMES) == set(expected)
     for name, want in expected.items():
         p, _ = fixtures[name]
         r = check(p)

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rll.expr import Alphabet, ParseError, parse
+from rll.expr import Alphabet, ParseError, expr_sort_key, parse
 from rll.calculus import (
     RuleInstance,
     Sequent,
@@ -13,10 +13,11 @@ from rll.calculus import (
     immediate_ancestry,
     make_instance,
     parse_sequent,
+    premiss_letters,
     validate_instance,
 )
 from rll.semantics import UPWord, member
-from oracles import applicable_steps, gen_expr, gen_word
+from oracles import applicable_steps, gen_expr, gen_word, ref_grouped_ancestry, ref_immediate_ancestry
 
 AB = Alphabet("ab")
 
@@ -165,49 +166,43 @@ def test_contextfree_plus_is_a_degenerate_case_only():
 # ancestry
 
 
-def _edges(inst):
-    return {
-        (d.premiss_index, d.premiss_side, d.premiss_formula, d.conclusion_formula, d.kind)
-        for d in immediate_ancestry(inst)
-    }
-
-
 def test_ancestry_of_an_unfolding():
     inst = make_instance("μ-l", seq("T, mu X. a X |- 0"), e("mu X. a X"))
-    assert _edges(inst) == {
-        (0, "L", e("a mu X. a X"), e("mu X. a X"), "principal"),
-        (0, "L", e("T"), e("T"), "identity"),
-        (0, "R", e("0"), e("0"), "identity"),
+    assert immediate_ancestry(inst) == {
+        (0, "L", e("mu X. a X")): (e("a mu X. a X"),),
+        (0, "L", e("T")): (e("T"),),
+        (0, "R", e("0")): (e("0"),),
     }
 
 
 def test_ancestry_of_a_self_unfolding_records_both_edges():
     inst = make_instance("μ-l", seq("mu X. X |-"), e("mu X. X"))
-    assert _edges(inst) == {
-        (0, "L", e("mu X. X"), e("mu X. X"), "principal"),
-        (0, "L", e("mu X. X"), e("mu X. X"), "identity"),
+    assert immediate_ancestry(inst) == {(0, "L", e("mu X. X")): (e("mu X. X"),)}
+    assert {(d.premiss_formula, d.conclusion_formula, d.kind) for d in ref_immediate_ancestry(inst)} == {
+        (e("mu X. X"), e("mu X. X"), "principal"),
+        (e("mu X. X"), e("mu X. X"), "identity"),
     }
 
 
 def test_ancestry_of_the_letter_rules():
     h = make_instance("h_a", seq("a 0, a T |- a (mu X. X)"), "a")
-    assert _edges(h) == {
-        (0, "L", e("0"), e("a 0"), "letter"),
-        (0, "L", e("T"), e("a T"), "letter"),
-        (0, "R", e("mu X. X"), e("a mu X. X"), "letter"),
+    assert immediate_ancestry(h) == {
+        (0, "L", e("a 0")): (e("0"),),
+        (0, "L", e("a T")): (e("T"),),
+        (0, "R", e("a mu X. X")): (e("mu X. X"),),
     }
     rp = make_instance("r-p", seq("|- a 0, b T"))
-    assert _edges(rp) == {
-        (0, "R", e("0"), e("a 0"), "letter"),
-        (1, "R", e("T"), e("b T"), "letter"),
+    assert immediate_ancestry(rp) == {
+        (0, "R", e("a 0")): (e("0"),),
+        (1, "R", e("b T")): (e("T"),),
     }
 
 
 def test_ancestry_of_weakening_drops_the_principal():
     inst = make_instance("l-w", seq("0, T |- a 0"), e("T"))
-    assert _edges(inst) == {
-        (0, "L", e("0"), e("0"), "identity"),
-        (0, "R", e("a 0"), e("a 0"), "identity"),
+    assert immediate_ancestry(inst) == {
+        (0, "L", e("0")): (e("0"),),
+        (0, "R", e("a 0")): (e("a 0"),),
     }
 
 
@@ -217,23 +212,39 @@ def test_axioms_have_no_ancestry():
         ("a 0 |- T", "⊤-r", e("T")),
         ("a 0, b 0 |-", "l-p", None),
     ]:
-        assert immediate_ancestry(make_instance(rule, seq(text), principal)) == []
+        assert immediate_ancestry(make_instance(rule, seq(text), principal)) == {}
 
 
-def test_ancestry_edges_connect_the_actual_cedents():
+def _random_steps():
+    """Every applicable rule instance of 150 seeded random sequents."""
     rng = random.Random(13)
     for _ in range(150):
         lhs = [gen_expr(rng, AB, rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
         rhs = [gen_expr(rng, AB, rng.randint(1, 4)) for _ in range(rng.randint(0, 2))]
-        s = Sequent(lhs, rhs, AB)
-        for inst in applicable_steps(s):
-            for d in immediate_ancestry(inst):
-                assert d.premiss_side == d.conclusion_side
-                prem = inst.premisses[d.premiss_index]
-                side = prem.lhs if d.premiss_side == "L" else prem.rhs
-                conc = s.lhs if d.conclusion_side == "L" else s.rhs
-                assert d.premiss_formula in side
-                assert d.conclusion_formula in conc
+        yield from applicable_steps(Sequent(lhs, rhs, AB))
+
+
+def test_ancestry_edges_connect_the_actual_cedents():
+    for inst in _random_steps():
+        for (i, side, f), gs in immediate_ancestry(inst).items():
+            prem = inst.premisses[i]
+            assert set(gs) <= (prem.lhs if side == "L" else prem.rhs)
+            assert f in (inst.conclusion.lhs if side == "L" else inst.conclusion.rhs)
+
+
+def test_ancestry_is_the_grouped_reference_with_sorted_values():
+    for inst in _random_steps():
+        anc = immediate_ancestry(inst)
+        assert anc == ref_grouped_ancestry(inst), inst
+        for gs in anc.values():
+            assert type(gs) is tuple and list(gs) == sorted(set(gs), key=expr_sort_key), inst
+
+
+def test_premiss_letters_name_the_letter_each_premiss_strips():
+    abc = Alphabet("abc")
+    assert premiss_letters(make_instance("h_a", seq("a 0 |- a T"), "a")) == ("a",)
+    assert premiss_letters(make_instance("r-p", parse_sequent("|- a 0, c T", abc))) == ("a", "b", "c")
+    assert premiss_letters(make_instance("+-l", seq("a 0 + b 0 |-"), e("a 0 + b 0"))) is None
 
 
 # ---------------------------------------------------------------------------

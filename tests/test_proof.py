@@ -4,12 +4,7 @@ import random
 import pytest
 
 from rll.calculus import make_instance, parse_sequent
-from rll.corpus import (
-    ALPHABET,
-    DECISIONS,
-    PAPER_PROOF_NAMES,
-    proofs,
-)
+from rll.corpus import ALPHABET, DECISIONS, proofs
 from rll.decide import saturate
 from rll.expr import Alphabet, ParseError, fl_closure, parse
 from rll.proof import (
@@ -35,6 +30,7 @@ from oracles import (
     ref_trace_automaton,
     unroll_edge,
 )
+from test_acceptance import PAPER_PROOF_NAMES
 
 AB = ALPHABET
 FIXTURES = proofs()

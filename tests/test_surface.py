@@ -1,9 +1,11 @@
 """`src/rll` holds only product code: every top-level function and class is
 referenced, transitively, from `cli.main` or from code that runs on import.
 A name referenced only inside an unreachable definition does not count.
-Test-only algorithms belong in `tests/oracles.py`.  Every import sits at
-the top of its module: an import inside a function or class body usually
-works round a module cycle, which belongs fixed in the module layout."""
+Every other top-level name that a module assigns is read by some code in
+`src/rll`, and every top-level import is used by its module.  Test-only
+algorithms and data belong in `tests/`.  Every import sits at the top of
+its module: an import inside a function or class body usually works round
+a module cycle, which belongs fixed in the module layout."""
 
 import ast
 from pathlib import Path
@@ -62,3 +64,46 @@ def test_no_import_inside_a_function_or_class_body():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert nested == [], "import inside a function or class body: " + ", ".join(sorted(set(nested)))
+
+
+def _modules():
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))}
+
+
+def _loaded(tree):
+    """The names that code in tree reads."""
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+
+
+def test_every_top_level_assignment_in_src_is_read():
+    modules = _modules()
+    reads = {mod: _loaded(tree) for mod, tree in modules.items()}
+    for mod, tree in modules.items():  # a name imported from a module is read where its alias is
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ImportFrom) and stmt.level == 1 and stmt.module in modules:
+                for alias in stmt.names:
+                    if (alias.asname or alias.name) in reads[mod]:
+                        reads[stmt.module].add(alias.name)
+    unread = []
+    for mod, tree in modules.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                for target in targets:
+                    for node in ast.walk(target):
+                        if isinstance(node, ast.Name) and not node.id.startswith("__") and node.id not in reads[mod]:
+                            unread.append("%s.%s" % (mod, node.id))
+    assert unread == [], "assigned but never read in src/rll: " + ", ".join(unread)
+
+
+def test_every_top_level_import_in_src_is_used():
+    unused = []
+    for mod, tree in _modules().items():
+        used = _loaded(tree)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Import, ast.ImportFrom)) and getattr(stmt, "module", None) != "__future__":
+                for alias in stmt.names:
+                    name = alias.asname or alias.name.split(".")[0]
+                    if name not in used:
+                        unused.append("%s: %s" % (mod, name))
+    assert unused == [], "unused imports in src/rll: " + ", ".join(unused)
