@@ -33,15 +33,16 @@ from .expr import (
 )
 from .calculus import LOGICAL_RULE, Sequent, make_instance, premiss_letters
 from .semantics import (
+    ParityGame,
     UPWord,
-    apa_accepts,
     build_eval_game,
     member,
     parse_word,
     solve_spm,
     solve_zielonka,
+    suffixes_in,
 )
-from .automaton import build_apa, default_coloring
+from .automaton import default_coloring
 from .proof import ProofGraph, check
 from .decide import Proved, Refuted, decide, saturate
 
@@ -361,11 +362,12 @@ def random_expression(rng, size: int, scope=()):
 
 
 def membership_mismatches(seed: int):
-    """Cross-validate word membership three ways on random instances: the
-    default game solver, the progress-measure solver, and the acceptance
-    game of the expression's automaton.  The two solvers must agree on every
-    position of the evaluation game, all three on the word's membership.
-    Returns disagreement descriptions."""
+    """Cross-validate word membership three ways on random instances, at
+    every position of the evaluation game: the default game solver, the
+    progress-measure solver, and the default solver on the dual game
+    (owners swapped, every priority one higher), which Eloise must win
+    exactly where Abelard wins the original.  Returns disagreement
+    descriptions."""
     rng = random.Random(seed)
     out = []
     for _ in range(MEMBERSHIP_SAMPLES):
@@ -374,13 +376,12 @@ def membership_mismatches(seed: int):
         game = build_eval_game(w, e)
         winner, _ = solve_zielonka(game)
         measures = solve_spm(game)
-        z, s = winner[0] == 1, measures[0] == 1  # (0, e): a closure lists its root first
-        g = apa_accepts(build_apa(e), w)
-        if winner != measures or z != g:
-            out.append(
-                "%s on %s: game=%s, measures=%s, automaton=%s"
-                % (pretty(e), w, z, s, g)
-            )
+        dual = ParityGame(bytes(1 - x for x in game.is_e), tuple(c + 1 for c in game.prio), game.out)
+        lost, _ = solve_zielonka(dual)
+        if winner != measures or lost != bytes(1 - x for x in winner):
+            # (0, e): a closure lists its root first
+            z, s, d = winner[0] == 1, measures[0] == 1, lost[0] == 0
+            out.append("%s on %s: game=%s, measures=%s, dual=%s" % (pretty(e), w, z, s, d))
     return out
 
 
@@ -420,12 +421,6 @@ def saturation_instances():
     return tuple(seen)
 
 
-def _drop_first(w: UPWord) -> UPWord:
-    if w.stem:
-        return UPWord(w.stem[1:], w.loop, w.alphabet)
-    return UPWord("", w.loop[1:] + w.loop[:1], w.alphabet)
-
-
 def _holds(s: Sequent, truths: frozenset) -> bool:
     """Γ ⊢ Δ holds at a word with true formulas `truths`: some of Γ fails or some of Δ holds."""
     return not s.lhs <= truths or not s.rhs.isdisjoint(truths)
@@ -436,14 +431,17 @@ def soundness_violations(instances, seed: int):
     premiss truth must force conclusion truth at each word, and logical and
     letter rules must be invertible.  A letter rule checks the premisses of
     the word's head letter one letter on (h_b has none at a word `a...`).
-    Returns (soundness failures, invertibility failures)."""
+    One solve per (word, formula) gives the formula's truth at the word and
+    one letter on, at offsets 0 and w.advance(0) of suffixes_in.  Returns
+    (soundness failures, invertibility failures)."""
     rng = random.Random(seed)
     words = [sample_word(rng) for _ in range(SOUNDNESS_WORDS)]
     formulas = {f for inst in instances for s in (inst.conclusion, *inst.premisses) for f in s.lhs | s.rhs}
-    truths = {}
-    for w in words + [_drop_first(w) for w in words]:
+    truths = {}  # word -> (the formulas true at it, those true one letter on)
+    for w in words:
         if w not in truths:
-            truths[w] = frozenset(f for f in formulas if member(w, f))
+            bits = {f: suffixes_in(w, f) for f in formulas}
+            truths[w] = tuple(frozenset(f for f in formulas if bits[f][o]) for o in (0, w.advance(0)))
 
     unsound = []
     uninvertible = []
@@ -452,13 +450,13 @@ def soundness_violations(instances, seed: int):
         letters = premiss_letters(inst)
         invertible = letters is not None or rule in LOGICAL_RULE.values()
         for w in words:
+            now, after = truths[w]
             if letters is not None:
-                after = truths[_drop_first(w)]
                 prems = [p for c, p in zip(letters, inst.premisses) if c == w.letter_at(0)]
             else:
-                after, prems = truths[w], inst.premisses
+                after, prems = now, inst.premisses
             prems_ok = all(_holds(p, after) for p in prems)
-            conc_ok = _holds(inst.conclusion, truths[w])
+            conc_ok = _holds(inst.conclusion, now)
             if prems_ok and not conc_ok:
                 unsound.append("%s at %s" % (rule, w))
             if conc_ok and not prems_ok and invertible:

@@ -432,28 +432,23 @@ def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
         for nid in order
     }
 
-    # stems: reachability profiles of all finite paths from the root, each
-    # linked to the profile it extends and the edge it adds
-    root = automaton.root
-    ident = tuple(1 << k for k in range(len(automaton.labels[root])))
-    stems = {(root, ident): None}
-    stem_queue = [(root, ident)]
+    # stems: per node, the states that finite paths from the root reach from
+    # the initial states, each mask once, linked to the stem it extends and
+    # the edge it adds; reached[m] lists m's masks in discovery order
+    mask = 0
+    for k in automaton.initials:
+        mask |= 1 << k
+    stem_queue = [(automaton.root, mask)]
+    stems = {stem_queue[0]: None}
+    reached = {}
     for key in stem_queue:  # the queue grows while it is walked
-        m, r = key
+        m, mask = key
+        reached.setdefault(m, []).append(mask)
         for j, (dst, rows) in enumerate(zip(children[m], automaton.reach[m])):
-            key2 = (dst, _compose_r(r, rows))
+            key2 = (dst, _row_or(mask, rows))
             if key2 not in stems:
                 stems[key2] = (key, (m, j))
                 stem_queue.append(key2)
-    # per node, the states its stems reach from the initial states, each
-    # with the first stem (in discovery order) that reaches exactly them
-    reached = {}
-    for key in stems:
-        m, r = key
-        mask = 0
-        for k in automaton.initials:
-            mask |= r[k]
-        reached.setdefault(m, {}).setdefault(mask, key)
 
     if all(
         _rejected_stem(loop, reached) is None
@@ -509,9 +504,9 @@ def _rejected_stem(loop, reached):
     for j, a_row in enumerate(a):
         if (a_row >> j) & 1:
             diag |= 1 << j
-    for mask, stem in reached[u].items():
+    for mask in reached[u]:
         if not _row_or(mask, r) & diag:
-            return stem
+            return u, mask
     return None
 
 

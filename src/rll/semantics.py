@@ -11,12 +11,17 @@ even, and she wins from (0, e) iff the word belongs to the language.
 Games are numbered end to end, with no label layer: positions are 0..n-1,
 held as arrays of owner, priority and successor numbers, and
 (o, fl.members[k]) is number o*|fl| + k, read straight off the closure's own
-numbering (fl.succ) and colouring.  The acceptance game of an expression's
-automaton (apa_accepts) is built the same way from the automaton's numbered
-states and transitions.  Two independent solvers are provided: a recursive
-attractor solver (production) and a small-progress-measures solver
-(oracle); they are cross-checked against each other and against the
-automaton route.  Both route deadlocks to two sinks numbered n and n+1 and
+numbering (fl.succ) and colouring.  build_eval_game lays out the one arena:
+the closure is the expression's automaton (automaton.build_apa), so this
+game is also that automaton's acceptance game.  Eloise wins (o, members[k])
+iff the suffix at offset o lies in the language of members[k], so one solve
+answers membership for every suffix of the word (suffixes_in).
+
+Two independent solvers are provided: a recursive attractor solver
+(production) and a small-progress-measures solver, an oracle for small
+games only, since its measures grow with the number of odd priorities;
+`corpus run` cross-checks the two, and the attractor solver against itself
+on the dual game.  Both route deadlocks to two sinks numbered n and n+1 and
 return per-position arrays: a winner byte for each position and, from the
 attractor solver, a winning move wherever the position's owner wins.
 """
@@ -26,7 +31,7 @@ from __future__ import annotations
 import re
 from collections import deque
 
-from .automaton import Apa, default_coloring
+from .automaton import default_coloring
 from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, canonical, fl_closure, free_vars
 
 
@@ -93,7 +98,7 @@ class ParityGame:
     has priority `prio[p]` and moves to the numbers in `out[p]`; a position
     without moves is a deadlock and loses for its owner, which the solvers
     play as a move into a losing sink numbered n or n+1.  build_eval_game
-    and apa_accepts fill the arrays well formed: every move stays below n."""
+    fills the arrays well formed: every move stays below n."""
 
     __slots__ = ("positions", "is_e", "prio", "out")
 
@@ -121,25 +126,6 @@ def build_eval_game(w: UPWord, e: Expr) -> ParityGame:
         elif targets:  # the same move at every offset, shifted by m
             out[k::m] = list(zip(*(range(t, n * m, m) for t in targets)))
     return ParityGame(is_e * n, default_coloring(fl) * n, tuple(out))
-
-
-def apa_accepts(apa: Apa, w: UPWord) -> bool:
-    """Solve the acceptance game of the automaton on an ultimately periodic
-    word: same arena as the evaluation game, played over the automaton's own
-    states and transitions, with (offset o, state k) numbered
-    o*|states| + k."""
-    by_source = [[] for _ in apa.states]
-    for src, letter, dst in apa.transitions:
-        by_source[src].append((letter, dst))
-    m, n = len(apa.states), w.n_offsets()
-    out = []
-    for o in range(n):
-        here, there, c = o * m, w.advance(o) * m, w.letter_at(o)
-        for moves in by_source:
-            out.append(tuple((here if letter is None else there) + j for letter, j in moves if letter in (None, c)))
-    is_e = bytes(1 - u for u in apa.universal)
-    winner, _ = solve_zielonka(ParityGame(is_e * n, apa.colour * n, tuple(out)))
-    return winner[0] == 1  # (0, state 0): the initial state
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +312,17 @@ def solve_spm(game: ParityGame) -> bytes:
 # ---------------------------------------------------------------------------
 
 
+def suffixes_in(w: UPWord, e: Expr) -> bytes:
+    """One byte per offset o of the word: 1 iff the suffix at o lies in the
+    language of the closed expression e, read off one solved evaluation game
+    at the positions (o, e) (a closure lists its root first)."""
+    winner, _ = solve_zielonka(build_eval_game(w, e))
+    return winner[:: len(fl_closure(e).members)]
+
+
 def member(w: UPWord, e: Expr) -> bool:
     """True iff the word lies in the language of the closed expression e."""
     e = canonical(e)
     if free_vars(e):
         raise ValueError("member requires a closed expression; free: %s" % ", ".join(sorted(free_vars(e))))
-    winner, _ = solve_zielonka(build_eval_game(w, e))
-    return winner[0] == 1  # (0, e): a closure lists its root first
+    return suffixes_in(w, e)[0] == 1

@@ -32,6 +32,10 @@
   EvalPosition labels, position by position, each move derived from the
   member's constructor; rll.semantics fills the numbered arrays directly
   from the closure's numbering.
+- ref_acceptance_game builds the acceptance game of an alternating parity
+  automaton on a word from the automaton's own states and transitions;
+  since the automaton is the numbered closure, it must equal the
+  evaluation game array for array.
 - ref_find_unaccepted_branch is the progress search of rll.proof as one
   full pass: loops start at every node of a cyclic SCC and every witness is
   a whole edge tuple.  rll.proof decides the verdict over feedback nodes and
@@ -248,6 +252,25 @@ def ref_eval_game(w, e):
             else:  # 0 or T
                 moves[pos] = ()
     return positions, owner, moves, priority
+
+
+def ref_acceptance_game(apa, w) -> ParityGame:
+    """The acceptance game of an automaton (rll.automaton.Apa) on an
+    ultimately periodic word: (offset o, state k) is position o*|states| + k,
+    owned by Abelard iff state k is universal and coloured like it; an
+    epsilon transition stays at o, a letter transition that matches the
+    letter at o moves to the next offset, and one that does not is no move."""
+    by_source = [[] for _ in apa.states]
+    for src, letter, dst in apa.transitions:
+        by_source[src].append((letter, dst))
+    m, n = len(apa.states), w.n_offsets()
+    out = []
+    for o in range(n):
+        here, there, c = o * m, w.advance(o) * m, w.letter_at(o)
+        for moves in by_source:
+            out.append(tuple((here if letter is None else there) + j for letter, j in moves if letter in (None, c)))
+    is_e = bytes(1 - u for u in apa.universal)
+    return ParityGame(is_e * n, apa.colour * n, tuple(out))
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,8 @@ import pytest
 
 from rll.expr import Alphabet, Cap, Letter, Mu, Nu, Plus, ast_size, canonical, fl_closure, parse, subformula_leq, unfold
 from rll.automaton import build_apa, default_coloring, export_dot
-from rll.semantics import UPWord, apa_accepts, member, parse_word
-from oracles import gen_expr, gen_word
+from rll.semantics import UPWord, build_eval_game, member, parse_word, solve_zielonka
+from oracles import gen_expr, gen_word, member_denotational, ref_acceptance_game
 
 AB = Alphabet("ab")
 
@@ -144,21 +144,29 @@ def test_state_count_is_bounded_by_the_expression_size():
 
 
 def test_acceptance_examples():
-    aw = build_apa(e("nu X. a X"))
-    assert apa_accepts(aw, parse_word("(a)^w", AB))
-    assert not apa_accepts(aw, parse_word("a(b)^w", AB))
-    i_a = build_apa(e("nu X. mu Y. (a X + b Y)"))
-    assert apa_accepts(i_a, parse_word("(ab)^w", AB))
-    assert not apa_accepts(i_a, parse_word("ab(b)^w", AB))
+    # the automaton's acceptance game is the evaluation game, so acceptance
+    # is membership
+    aw = e("nu X. a X")
+    assert member(parse_word("(a)^w", AB), aw)
+    assert not member(parse_word("a(b)^w", AB), aw)
+    i_a = e("nu X. mu Y. (a X + b Y)")
+    assert member(parse_word("(ab)^w", AB), i_a)
+    assert not member(parse_word("ab(b)^w", AB), i_a)
 
 
 def test_acceptance_agrees_with_membership():
+    # the acceptance game laid out from the automaton's own transitions is
+    # the evaluation game, array for array, and Eloise wins it from (0,
+    # state 0) iff the word lies in the language
     rng = random.Random(33)
-    for _ in range(300):
+    for _ in range(500):
         expr = gen_expr(rng, AB, rng.randint(1, 7))
         stem, loop = gen_word(rng, AB)
         word = UPWord(stem, loop, AB)
-        assert apa_accepts(build_apa(expr), word) is member(word, expr)
+        ref = ref_acceptance_game(build_apa(expr), word)
+        game = build_eval_game(word, expr)
+        assert (ref.is_e, ref.prio, ref.out) == (game.is_e, game.prio, game.out)
+        assert solve_zielonka(ref)[0][0] == member_denotational(stem, loop, expr)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+import rll.corpus
 from oracles import ref_soundness_violations
 from rll.calculus import RuleInstance, make_instance, parse_sequent
 from rll.corpus import (
@@ -9,6 +12,7 @@ from rll.corpus import (
     EXPRESSIONS,
     MAX_LOOP,
     MAX_STEM,
+    membership_mismatches,
     name_table,
     random_expression,
     run_suite,
@@ -85,3 +89,44 @@ def test_the_soundness_batch_matches_the_word_by_word_reference():
         unsound, uninvertible = soundness_violations(instances + broken, seed)
         assert (unsound, uninvertible) == ref_soundness_violations(instances + broken, seed)
         assert len(unsound) > 1000 and len(uninvertible) > 1000, (len(unsound), len(uninvertible))
+
+
+def _lie_once(monkeypatch, name, call, position):
+    """Replace corpus.<name> by a solver that flips one position of the
+    winner bytes it returns on its call-th call (numbered from 0)."""
+    solver = getattr(rll.corpus, name)
+    count = [0]
+
+    def lying(game):
+        result = solver(game)
+        winner = result[0] if name == "solve_zielonka" else result
+        if count[0] == call:
+            p = position % len(winner)
+            winner = winner[:p] + bytes([1 - winner[p]]) + winner[p + 1:]
+        count[0] += 1
+        return (winner, result[1]) if name == "solve_zielonka" else winner
+
+    monkeypatch.setattr(rll.corpus, name, lying)
+
+
+# the three legs of the membership row: per sample, solve_zielonka runs on
+# the evaluation game (call 0) and then on its dual (call 1), and solve_spm
+# once; a lie at the root shows in the reported leg, one at the last
+# position only in the comparison of whole winner arrays
+@pytest.mark.parametrize("position", [0, -1], ids=["root", "last"])
+@pytest.mark.parametrize(
+    "name,call,leg",
+    [("solve_zielonka", 0, "game"), ("solve_spm", 0, "measures"), ("solve_zielonka", 1, "dual")],
+    ids=["primary", "measures", "dual"],
+)
+def test_the_membership_row_fails_when_one_leg_lies(monkeypatch, name, call, leg, position):
+    _lie_once(monkeypatch, name, call, position)
+    (mismatch,) = membership_mismatches(3)
+    if position == 0:
+        values = dict(part.split("=") for part in mismatch.split(": ", 1)[1].split(", "))
+        assert [k for k, v in values.items() if list(values.values()).count(v) == 1] == [leg], mismatch
+    monkeypatch.undo()
+    _lie_once(monkeypatch, name, call, position)
+    (row,) = run_suite(3, "membership/three")
+    assert row.name == "three-way-agreement" and not row.ok
+    assert row.detail.startswith("1000 samples; first disagreement: "), row.detail

@@ -18,6 +18,7 @@ from rll.semantics import (
     parse_word,
     solve_spm,
     solve_zielonka,
+    suffixes_in,
 )
 from oracles import EvalPosition, gen_expr, gen_word, labelled_game, member_denotational, ref_eval_game
 
@@ -161,6 +162,25 @@ def test_large_games_agree_with_denotational_fixpoints():
     assert seen == {True, False}
 
 
+def test_suffixes_in_reads_membership_of_every_suffix():
+    # byte o is membership of the suffix at offset o, which for an offset in
+    # the loop is the loop rotated to start there
+    rng = random.Random(1618)
+    for _ in range(300):
+        expr = gen_expr(rng, AB, rng.randint(1, 7))
+        stem, loop = gen_word(rng, AB)
+        word = UPWord(stem, loop, AB)
+        got = suffixes_in(word, expr)
+        assert len(got) == word.n_offsets()
+        for o in range(word.n_offsets()):
+            if o < len(stem):
+                suffix = stem[o:], loop
+            else:
+                suffix = "", loop[o - len(stem):] + loop[:o - len(stem)]
+            assert got[o] == member_denotational(*suffix, expr), (pretty(expr), stem, loop, o)
+        assert got[0] == member(word, expr)
+
+
 def test_membership_respects_the_lattice_operations():
     rng = random.Random(7)
     for _ in range(200):
@@ -280,6 +300,10 @@ def test_solvers_and_strategies_on_random_games():
         assert len(winner) == len(choice) == len(game.positions)
         assert set(winner) <= {0, 1}
         assert solve_spm(game) == winner
+        # the dual game (owners swapped, priorities one higher) swaps the
+        # winners, deadlocks included
+        dual = ParityGame(bytes(1 - x for x in game.is_e), tuple(c + 1 for c in game.prio), game.out)
+        assert solve_zielonka(dual)[0] == bytes(1 - x for x in winner)
         _check_strategy(game, winner, choice, 1)
         _check_strategy(game, winner, choice, 0)
 
