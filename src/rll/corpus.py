@@ -36,9 +36,9 @@ from .semantics import (
     ParityGame,
     UPWord,
     build_eval_game,
+    first_uncertified,
     member,
     parse_word,
-    solve_spm,
     solve_zielonka,
     suffixes_in,
 )
@@ -362,26 +362,32 @@ def random_expression(rng, size: int, scope=()):
 
 
 def membership_mismatches(seed: int):
-    """Cross-validate word membership three ways on random instances, at
-    every position of the evaluation game: the default game solver, the
-    progress-measure solver, and the default solver on the dual game
-    (owners swapped, every priority one higher), which Eloise must win
-    exactly where Abelard wins the original.  Returns disagreement
-    descriptions."""
+    """Check word membership three ways on random instances, at every
+    position of the evaluation game: the default game solver, its winning
+    strategies as a certificate of its winners (first_uncertified), and the
+    same solver on the dual game (owners swapped, every priority one
+    higher), which Eloise must win exactly where Abelard wins the original.
+    Returns one description per failing instance, naming the first position
+    where a check fails as its offset and closure member, and the checks
+    that fail there."""
     rng = random.Random(seed)
     out = []
     for _ in range(MEMBERSHIP_SAMPLES):
         e = canonical(random_expression(rng, rng.randint(1, 12)))
         w = sample_word(rng)
         game = build_eval_game(w, e)
-        winner, _ = solve_zielonka(game)
-        measures = solve_spm(game)
+        winner, choice = solve_zielonka(game)
+        uncertified = first_uncertified(game, winner, choice)
         dual = ParityGame(bytes(1 - x for x in game.is_e), tuple(c + 1 for c in game.prio), game.out)
         lost, _ = solve_zielonka(dual)
-        if winner != measures or lost != bytes(1 - x for x in winner):
-            # (0, e): a closure lists its root first
-            z, s, d = winner[0] == 1, measures[0] == 1, lost[0] == 0
-            out.append("%s on %s: game=%s, measures=%s, dual=%s" % (pretty(e), w, z, s, d))
+        parted = next((p for p, (x, y) in enumerate(zip(winner, lost)) if x == y), None)
+        legs = {"certificate": uncertified, "dual": parted}
+        p = min((q for q in legs.values() if q is not None), default=None)
+        if p is not None:
+            members = fl_closure(e).members
+            where = "offset %d in %s" % (p // len(members), pretty(members[p % len(members)]))
+            there = " and ".join(leg for leg, q in legs.items() if q == p)
+            out.append("%s on %s: at %s, game=%s, failing: %s" % (pretty(e), w, where, winner[p] == 1, there))
     return out
 
 

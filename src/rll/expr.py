@@ -264,50 +264,26 @@ def canonical(e: Expr) -> Expr:
     return c
 
 
-def substitute(e: Expr, name: str, repl: Expr) -> Expr:
-    """Capture-avoiding substitution of repl for the free occurrences of
-    Var(name) in e.  Binders shadow: substituting for X inside mu X. ... is a
-    no-op on the bound occurrences."""
-    repl_free = free_vars(repl)
-
-    def freshen(base, avoid):
-        i = 1
-        cand = base + "_1"
-        while cand in avoid:
-            i += 1
-            cand = base + "_%d" % i
-        return cand
-
-    def go(t):
-        if isinstance(t, Var):
-            return repl if t.name == name else t
-        if isinstance(t, Letter):
-            return Letter(t.letter, go(t.body))
-        if isinstance(t, Plus):
-            return Plus(go(t.left), go(t.right))
-        if isinstance(t, Cap):
-            return Cap(go(t.left), go(t.right))
-        if isinstance(t, _BINDERS):
-            if t.var == name:
-                return t
-            if name not in free_vars(t.body):
-                return t
-            if t.var in repl_free:
-                # the binder would capture a free variable of repl: rename it
-                fresh = freshen(t.var, repl_free | free_vars(t.body) | {name})
-                body = substitute(t.body, t.var, Var(fresh))
-                return type(t)(fresh, go(body))
-            return type(t)(t.var, go(t.body))
-        return t
-
-    return go(e)
-
-
 def unfold(e: Expr) -> Expr:
-    """One unfolding of a fixpoint: sigma X. f  ->  f[X := sigma X. f]."""
+    """One unfolding of a fixpoint: sigma X. f  ->  f[X := sigma X. f].
+    The substitution walks the canonical form, whose inner binders are named
+    .n apart from its own, so none shadows X or captures a free name."""
     if not isinstance(e, _BINDERS):
         raise ValueError("unfold expects a fixpoint expression, got %s" % pretty(e))
-    return canonical(substitute(e.body, e.var, e))
+    e = canonical(e)
+
+    def go(t):
+        if e.var not in t._free:
+            return t
+        if isinstance(t, Var):
+            return e
+        if isinstance(t, Letter):
+            return Letter(t.letter, go(t.body))
+        if isinstance(t, (Plus, Cap)):
+            return type(t)(go(t.left), go(t.right))
+        return type(t)(t.var, go(t.body))
+
+    return canonical(go(e.body))
 
 
 def is_guarded(e: Expr) -> bool:

@@ -419,8 +419,8 @@ def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
     every cycle.  Only on a rejection does the witness pass start loops at
     every node, and it stops at its first hit, so the lasso is the first one
     in the breadth-first order of all loops."""
-    sccs, feedback = _sccs(order, children)
-    scc_of = {nid: i for i, comp in enumerate(sccs) for nid in comp}
+    comps, feedback = sccs(order, children)
+    scc_of = {nid: i for i, comp in enumerate(comps) for nid in comp}
     # per node, its out-edges inside its SCC as (edge, child, reach rows,
     # accepting rows): loops never leave the SCC they start in
     inner = {
@@ -520,7 +520,7 @@ def _path(links, key):
     return tuple(edges)
 
 
-def _sccs(order, children):
+def sccs(order, children):
     """The strongly connected components, in Tarjan's order, and a feedback
     node set: the nodes that an edge reaches while they are still on the
     stack.  That set holds every DFS back-edge target, so it meets every

@@ -17,22 +17,22 @@ game is also that automaton's acceptance game.  Eloise wins (o, members[k])
 iff the suffix at offset o lies in the language of members[k], so one solve
 answers membership for every suffix of the word (suffixes_in).
 
-Two independent solvers are provided: a recursive attractor solver
-(production) and a small-progress-measures solver, an oracle for small
-games only, since its measures grow with the number of odd priorities;
-`corpus run` cross-checks the two, and the attractor solver against itself
-on the dual game.  Both route deadlocks to two sinks numbered n and n+1 and
-return per-position arrays: a winner byte for each position and, from the
-attractor solver, a winning move wherever the position's owner wins.
+Zielonka's recursive attractor solver returns per-position arrays: a
+winner byte for each position and a winning move wherever the position's
+owner wins.  Those moves are positional strategies, and first_uncertified
+checks them as a certificate of every reported winner, with no second
+solver; `corpus run` checks that certificate on every sampled game, and the
+solver against itself on the dual game.
 """
 
 from __future__ import annotations
 
 import re
-from collections import deque
+from typing import Optional
 
 from .automaton import default_coloring
 from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, canonical, fl_closure, free_vars
+from .proof import sccs
 
 
 class UPWord:
@@ -96,8 +96,8 @@ class ParityGame:
 
     `positions` is range(n).  Position p belongs to Eloise iff `is_e[p]`,
     has priority `prio[p]` and moves to the numbers in `out[p]`; a position
-    without moves is a deadlock and loses for its owner, which the solvers
-    play as a move into a losing sink numbered n or n+1.  build_eval_game
+    without moves is a deadlock and loses for its owner, which the solver
+    plays as a move into a losing sink numbered n or n+1.  build_eval_game
     fills the arrays well formed: every move stays below n."""
 
     __slots__ = ("positions", "is_e", "prio", "out")
@@ -128,43 +128,24 @@ def build_eval_game(w: UPWord, e: Expr) -> ParityGame:
     return ParityGame(is_e * n, default_coloring(fl) * n, tuple(out))
 
 
-# ---------------------------------------------------------------------------
-# Both solvers play the game made total: position n is a sink for a stuck
-# Eloise (priority 1), n+1 one for a stuck Abelard (priority 0); both belong
-# to Eloise and loop on themselves.
-
-
-def _totalise(game: ParityGame):
-    """Returns (is_e, prio, succ) of the total game, in which every deadlock
-    moves to its owner's losing sink.  Duplicate moves may stay: the
-    attractor counts successors with multiplicity and meets a position once
-    per move in the predecessor lists."""
-    n = len(game.positions)
-    stuck = ((n + 1,), (n,))  # indexed by is_e
-    succ = [ms or stuck[e] for ms, e in zip(game.out, game.is_e)]
-    succ += (stuck[1], stuck[0])
-    return game.is_e + b"\1\1", game.prio + (1, 0), succ
-
-
-def _predecessors(succ):
-    pred = [[] for _ in succ]
-    for p, ms in enumerate(succ):
-        for q in ms:
-            pred[q].append(p)
-    return pred
-
-
-# ---------------------------------------------------------------------------
-# Zielonka's recursive solver
-
-
 def solve_zielonka(game: ParityGame):
     """Solve a min-parity game: returns (winner, choice) over the positions
     0..n-1, where winner[p] is 1 iff Eloise wins from p and choice[p] is a
     winning move of p's owner wherever that owner wins (a positional
     strategy on each winning region)."""
-    is_e, prio, succ = _totalise(game)
-    pred = _predecessors(succ)
+    # the game made total: position n is a sink for a stuck Eloise (priority
+    # 1), n+1 one for a stuck Abelard (priority 0); both belong to Eloise and
+    # loop on themselves.  Duplicate moves may stay: the attractor counts
+    # successors with multiplicity and meets a position once per move in
+    # the predecessor lists.
+    n = len(game.positions)
+    stuck = ((n + 1,), (n,))  # indexed by is_e
+    succ = [ms or stuck[e] for ms, e in zip(game.out, game.is_e)] + [stuck[1], stuck[0]]
+    is_e, prio = game.is_e + b"\1\1", game.prio + (1, 0)
+    pred = [[] for _ in succ]
+    for p, ms in enumerate(succ):
+        for q in ms:
+            pred[q].append(p)
     # the subgame being solved is the set of positions p with live[p] == 1
     live = bytearray(b"\1") * len(succ)
     choice = [0] * len(succ)  # a move per position; read only where its owner wins
@@ -228,85 +209,44 @@ def solve_zielonka(game: ParityGame):
             live[p] = 1
         return (w_e, b + w_a) if to_e else (b + w_e, w_a)
 
-    n = len(game.positions)
     winner = bytearray(len(succ))
     for p in solve(list(range(len(succ))))[0]:
         winner[p] = 1
     return bytes(winner[:n]), choice[:n]
 
 
-# ---------------------------------------------------------------------------
-# Small progress measures (independent oracle solver)
-
-
-def solve_spm(game: ParityGame) -> bytes:
-    """Jurdzinski's small-progress-measures solver; returns winner[p], 1 iff
-    Eloise wins from p, over the positions 0..n-1.  Implemented over the
-    max-parity mirror of the game."""
-    is_e, priority, succ = _totalise(game)
-    maxp = max(priority)
-    top_even = maxp if maxp % 2 == 0 else maxp + 1
-    pr = [top_even - c for c in priority]
-    odd_prios = sorted({v for v in pr if v % 2 == 1}, reverse=True)
-    counts = {i: pr.count(i) for i in odd_prios}
-    bottom = tuple(0 for _ in odd_prios)
-    TOPM = None  # represented as None
-
-    def prog(rho_w, p_v):
-        if rho_w is TOPM:
-            return TOPM
-        keep = sum(1 for i in odd_prios if i >= p_v)
-        prefix = list(rho_w[:keep])
-        if p_v % 2 == 0:
-            return tuple(prefix) + tuple(0 for _ in range(len(odd_prios) - keep))
-        # strictly increase within the prefix, least solution
-        k = keep - 1
-        while k >= 0:
-            if prefix[k] < counts[odd_prios[k]]:
-                prefix[k] += 1
-                for j in range(k + 1, keep):
-                    prefix[j] = 0
-                return tuple(prefix) + tuple(0 for _ in range(len(odd_prios) - keep))
-            k -= 1
-        return TOPM
-
-    def less(a, b):  # measure order, None = top
-        if b is TOPM:
-            return a is not TOPM
-        if a is TOPM:
-            return False
-        return a < b
-
-    rho = [bottom] * len(succ)
-    pred = _predecessors(succ)
-
-    def lift(v):
-        vals = [prog(rho[q], pr[v]) for q in succ[v]]
-        if is_e[v]:
-            best = vals[0]
-            for x in vals[1:]:
-                if less(x, best):
-                    best = x
-            return best
-        best = vals[0]
-        for x in vals[1:]:
-            if less(best, x):
-                best = x
-        return best
-
-    queue = deque(range(len(succ)))
-    queued = bytearray(b"\1") * len(succ)
-    while queue:
-        v = queue.popleft()
-        queued[v] = 0
-        new = lift(v)
-        if less(rho[v], new):
-            rho[v] = new
-            for u in pred[v]:
-                if not queued[u]:
-                    queued[u] = 1
-                    queue.append(u)
-    return bytes(rho[p] is not TOPM for p in game.positions)
+def first_uncertified(game: ParityGame, winner: bytes, choice) -> Optional[int]:
+    """Check the strategies in `choice` as a certificate of `winner`: None
+    when they prove the winner of every position, else the least position
+    at which a check fails.  In each region the winner's choice is a move
+    that stays in the region, no opponent move leaves it, and the winner is
+    never stuck there.  Then, in each strongly connected component of the
+    remaining moves that holds a cycle, the least priority has the winner's
+    parity, and the check repeats on the component without its positions
+    of that priority: every play the strategies allow is won."""
+    failed = set()
+    plays = []
+    for p, ms in enumerate(game.out):
+        if game.is_e[p] == winner[p]:
+            ms = (choice[p],) if choice[p] in ms else ()
+            if not ms:  # stuck, or a choice that is not a move
+                failed.add(p)
+        inside = tuple(q for q in ms if winner[q] == winner[p])
+        if len(inside) < len(ms):
+            failed.add(p)
+        plays.append(inside)
+    comps = sccs(game.positions, plays)[0]
+    while comps:
+        comp = comps.pop()
+        if len(comp) == 1 and comp[0] not in plays[comp[0]]:
+            continue  # no cycle
+        d = min(game.prio[p] for p in comp)
+        if d % 2 == winner[comp[0]]:  # Eloise (1) wins by an even priority
+            failed.add(min(comp))
+            continue
+        rest = {p for p in comp if game.prio[p] != d}
+        comps += sccs(rest, {p: [q for q in plays[p] if q in rest] for p in rest})[0]
+    return min(failed, default=None)
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,11 @@
   automaton on a word from the automaton's own states and transitions;
   since the automaton is the numbered closure, it must equal the
   evaluation game array for array.
+- solve_spm is Jurdzinski's small-progress-measures solver, with its own
+  deadlock sinks; it shares no code with the Zielonka solver of
+  rll.semantics, and the tests compare their winners on small games.  The
+  product does not solve a game twice: `corpus run` checks Zielonka's
+  winning strategies as a certificate (semantics.first_uncertified).
 - ref_find_unaccepted_branch is the progress search of rll.proof as one
   full pass: loops start at every node of a cyclic SCC and every witness is
   a whole edge tuple.  rll.proof decides the verdict over feedback nodes and
@@ -51,6 +56,7 @@
 from __future__ import annotations
 
 import random
+from collections import deque
 from typing import NamedTuple, Optional
 
 from rll.calculus import LOGICAL_RULE, PRINCIPAL_RULES, Sequent, make_instance
@@ -271,6 +277,80 @@ def ref_acceptance_game(apa, w) -> ParityGame:
             out.append(tuple((here if letter is None else there) + j for letter, j in moves if letter in (None, c)))
     is_e = bytes(1 - u for u in apa.universal)
     return ParityGame(is_e * n, apa.colour * n, tuple(out))
+
+
+def solve_spm(game: ParityGame) -> bytes:
+    """Jurdzinski's small-progress-measures solver; returns winner[p], 1 iff
+    Eloise wins from p, over the positions 0..n-1.  Implemented over the
+    max-parity mirror of the game.  A deadlock moves to a self-looping sink
+    that its owner loses: position n (priority 1) for Eloise, n+1 (priority
+    0) for Abelard.  It shares no code with solve_zielonka, so the tests
+    cross-check the two; its measures grow with the number of odd
+    priorities, so it suits small games only."""
+    n = len(game.positions)
+    succ = [ms or ((n,) if e else (n + 1,)) for ms, e in zip(game.out, game.is_e)] + [(n,), (n + 1,)]
+    is_e = game.is_e + b"\1\1"
+    priority = game.prio + (1, 0)
+    maxp = max(priority)
+    top_even = maxp if maxp % 2 == 0 else maxp + 1
+    pr = [top_even - c for c in priority]
+    odd_prios = sorted({v for v in pr if v % 2 == 1}, reverse=True)
+    counts = {i: pr.count(i) for i in odd_prios}
+    bottom = tuple(0 for _ in odd_prios)
+    TOPM = None  # represented as None
+
+    def prog(rho_w, p_v):
+        if rho_w is TOPM:
+            return TOPM
+        keep = sum(1 for i in odd_prios if i >= p_v)
+        prefix = list(rho_w[:keep])
+        if p_v % 2 == 0:
+            return tuple(prefix) + tuple(0 for _ in range(len(odd_prios) - keep))
+        # strictly increase within the prefix, least solution
+        k = keep - 1
+        while k >= 0:
+            if prefix[k] < counts[odd_prios[k]]:
+                prefix[k] += 1
+                for j in range(k + 1, keep):
+                    prefix[j] = 0
+                return tuple(prefix) + tuple(0 for _ in range(len(odd_prios) - keep))
+            k -= 1
+        return TOPM
+
+    def less(a, b):  # measure order, None = top
+        if b is TOPM:
+            return a is not TOPM
+        if a is TOPM:
+            return False
+        return a < b
+
+    rho = [bottom] * len(succ)
+    pred = [[] for _ in succ]
+    for p, ms in enumerate(succ):
+        for q in ms:
+            pred[q].append(p)
+
+    def lift(v):
+        vals = [prog(rho[q], pr[v]) for q in succ[v]]
+        best = vals[0]
+        for x in vals[1:]:
+            if (less(x, best) if is_e[v] else less(best, x)):
+                best = x
+        return best
+
+    queue = deque(range(len(succ)))
+    queued = bytearray(b"\1") * len(succ)
+    while queue:
+        v = queue.popleft()
+        queued[v] = 0
+        new = lift(v)
+        if less(rho[v], new):
+            rho[v] = new
+            for u in pred[v]:
+                if not queued[u]:
+                    queued[u] = 1
+                    queue.append(u)
+    return bytes(rho[p] is not TOPM for p in game.positions)
 
 
 # ---------------------------------------------------------------------------

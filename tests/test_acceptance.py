@@ -7,9 +7,9 @@ failing criterion shows up as a failed test (and no line).  Criteria:
 2. the four single-node unfolding loops get their exact verdicts;
 3. the 20-sequent decision corpus is fully verified in both directions;
 4. six expressions join with and meet their complements as proved sequents;
-5. three membership routes (two solvers, and the default solver on the
-   dual game) agree on >= 1000 random instances, plus hand-derived closed
-   forms;
+5. on >= 1000 random instances, the solver's winning strategies certify
+   its winners at every position and the solver on the dual game swaps
+   them, plus hand-derived closed forms;
 6. every search-generated rule instance is sound (and invertible where
    advertised) on 200 sampled words;
 7. closure sizes are bounded by AST sizes and the default colouring obeys

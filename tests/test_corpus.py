@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -20,7 +21,8 @@ from rll.corpus import (
     saturation_instances,
     soundness_violations,
 )
-from rll.expr import ast_size, free_vars, is_guarded
+from rll.expr import ast_size, canonical, fl_closure, free_vars, is_guarded, parse, pretty
+from rll.semantics import parse_word
 
 
 def test_aliases_point_at_bundled_expressions():
@@ -92,41 +94,69 @@ def test_the_soundness_batch_matches_the_word_by_word_reference():
 
 
 def _lie_once(monkeypatch, name, call, position):
-    """Replace corpus.<name> by a solver that flips one position of the
-    winner bytes it returns on its call-th call (numbered from 0)."""
-    solver = getattr(rll.corpus, name)
+    """Replace corpus.<name> by a copy that lies about one position on its
+    call-th call (numbered from 0): solve_zielonka flips the position's
+    winner byte, first_uncertified reports the position.  Returns the list
+    that receives the game of that call."""
+    real = getattr(rll.corpus, name)
     count = [0]
+    games = []
 
-    def lying(game):
-        result = solver(game)
-        winner = result[0] if name == "solve_zielonka" else result
+    def lying(game, *args):
+        result = real(game, *args)
         if count[0] == call:
-            p = position % len(winner)
-            winner = winner[:p] + bytes([1 - winner[p]]) + winner[p + 1:]
+            games.append(game)
+            p = position % len(game.positions)
+            if name == "first_uncertified":
+                result = p
+            else:
+                winner, choice = result
+                result = winner[:p] + bytes([1 - winner[p]]) + winner[p + 1:], choice
         count[0] += 1
-        return (winner, result[1]) if name == "solve_zielonka" else winner
+        return result
 
     monkeypatch.setattr(rll.corpus, name, lying)
+    return games
 
 
 # the three legs of the membership row: per sample, solve_zielonka runs on
-# the evaluation game (call 0) and then on its dual (call 1), and solve_spm
-# once; a lie at the root shows in the reported leg, one at the last
-# position only in the comparison of whole winner arrays
+# the evaluation game and then on its dual, and first_uncertified checks
+# the strategies of the first solve.  A flipped winner fails the
+# certificate at its position or at one that moves there, and the dual at
+# its position; a lie of the certificate or the dual fails that leg alone.
+# Sample 10 of seed 3 is a game of 40 positions that both players win
+# somewhere, and its last position has another one moving to it.
+LYING_SAMPLE = 10
+
+
 @pytest.mark.parametrize("position", [0, -1], ids=["root", "last"])
 @pytest.mark.parametrize(
-    "name,call,leg",
-    [("solve_zielonka", 0, "game"), ("solve_spm", 0, "measures"), ("solve_zielonka", 1, "dual")],
-    ids=["primary", "measures", "dual"],
+    "name,call,legs",
+    [
+        ("solve_zielonka", 2 * LYING_SAMPLE, "certificate and dual"),
+        ("first_uncertified", LYING_SAMPLE, "certificate"),
+        ("solve_zielonka", 2 * LYING_SAMPLE + 1, "dual"),
+    ],
+    ids=["primary", "certificate", "dual"],
 )
-def test_the_membership_row_fails_when_one_leg_lies(monkeypatch, name, call, leg, position):
-    _lie_once(monkeypatch, name, call, position)
+def test_the_membership_row_fails_when_one_leg_lies(monkeypatch, name, call, legs, position):
+    games = _lie_once(monkeypatch, name, call, position)
     (mismatch,) = membership_mismatches(3)
-    if position == 0:
-        values = dict(part.split("=") for part in mismatch.split(": ", 1)[1].split(", "))
-        assert [k for k, v in values.items() if list(values.values()).count(v) == 1] == [leg], mismatch
+    found = re.fullmatch(r"(.+) on (\S+): at (offset \d+ in .+), game=(?:True|False), failing: (.+)", mismatch)
+    assert found, mismatch
+    text, word, where, failing = found.groups()
+    game, members = games[0], fl_closure(canonical(parse(text, ALPHABET))).members
+    assert len(game.positions) == parse_word(word, ALPHABET).n_offsets() * len(members)
+    p = position % len(game.positions)
+    # the first failing position, and the legs that fail there
+    expected = {}
+    if name == "solve_zielonka" and call % 2 == 0:
+        expected = {q: "certificate" for q in game.positions if p in game.out[q]}
+    expected[p] = legs
+    at = [q for q in expected if where == "offset %d in %s" % (q // len(members), pretty(members[q % len(members)]))]
+    assert len(at) == 1 and failing == expected[at[0]], mismatch
     monkeypatch.undo()
     _lie_once(monkeypatch, name, call, position)
     (row,) = run_suite(3, "membership/three")
     assert row.name == "three-way-agreement" and not row.ok
-    assert row.detail.startswith("1000 samples; first disagreement: "), row.detail
+    assert row.detail == "1000 samples; first disagreement: " + mismatch, row.detail

@@ -27,7 +27,6 @@ from rll.expr import (
     parse,
     pretty,
     subformula_leq,
-    substitute,
     unfold,
 )
 from rll import expr as expr_module
@@ -145,19 +144,16 @@ def test_is_guarded():
         is_guarded(Var("X"))
 
 
-def test_substitute_respects_binding():
-    e = Mu("X", Var("X"))
-    assert substitute(e, "X", TOP) == e
-    # capture avoidance: the binder Y must be renamed away
-    e2 = Nu("Y", Plus(Var("X"), Var("Y")))
-    got = canonical(substitute(e2, "X", Var("Y")))
-    want = canonical(Nu("Q", Plus(Var("Y"), Var("Q"))))
-    assert got == want
-
-
 def test_unfold():
     assert unfold(p("mu X. a X")) == p("a mu X. a X")
     assert unfold(p("nu X. X")) == p("nu X. X")
+    # an inner binder of the same name shadows: mu X. X is closed already
+    assert unfold(Mu("X", Mu("X", Var("X")))) is canonical(Mu("X", Var("X")))
+    # the binder Z must not capture the free Z of the replacement
+    e = Mu("X", Plus(Var("Z"), Nu("Z", Var("X"))))
+    assert unfold(e) is unfold(canonical(e))
+    assert unfold(e) is canonical(Plus(Var("Z"), Nu("Y", e)))
+    assert free_vars(unfold(e)) == {"Z"}
     i_a = p(I_A)
     i_a1 = unfold(i_a)
     assert isinstance(i_a1, Mu)

@@ -17,7 +17,7 @@ from rll.proof import (
     parse_proof,
     serialize_proof,
     _find_unaccepted_branch,
-    _sccs,
+    sccs,
 )
 from oracles import (
     BuchiAutomaton,
@@ -265,7 +265,7 @@ def test_deleting_the_feedback_nodes_leaves_an_acyclic_graph():
     graphs += [(p.order, p.children) for p, _ in FIXTURES.values()]
     graphs += [(p.order, p.children) for p in (saturate(s) for _, s, _ in DECISIONS)]
     for order, children in graphs:
-        comps, feedback = _sccs(order, children)
+        comps, feedback = sccs(order, children)
         assert sorted(v for comp in comps for v in comp) == sorted(order)
         cyclic = {
             v for comp in comps if len(comp) > 1 or comp[0] in children[comp[0]] for v in comp

@@ -1,8 +1,10 @@
-"""Membership of ultimately periodic words: game construction and solvers.
+"""Membership of ultimately periodic words: game construction, the solver
+and the certificate of its strategies.
 
-The two parity-game solvers are checked against each other, against a direct
-denotational fixpoint computation (tests/oracles.py), and on synthetic games
-where strategies are replayed move by move.
+Zielonka's solver is checked against the small-progress-measures oracle and
+a direct denotational fixpoint computation (tests/oracles.py), and its
+winning strategies against first_uncertified, on evaluation games and on
+synthetic ones; the certificate itself must flag planted faults.
 """
 
 import random
@@ -14,13 +16,13 @@ from rll.semantics import (
     ParityGame,
     UPWord,
     build_eval_game,
+    first_uncertified,
     member,
     parse_word,
-    solve_spm,
     solve_zielonka,
     suffixes_in,
 )
-from oracles import EvalPosition, gen_expr, gen_word, labelled_game, member_denotational, ref_eval_game
+from oracles import EvalPosition, gen_expr, gen_word, labelled_game, member_denotational, ref_eval_game, solve_spm
 
 AB = Alphabet("ab")
 
@@ -123,14 +125,14 @@ def test_solvers_agree_with_denotational_fixpoints():
         assert winner[0] == expected
         assert len(winner) == len(game.positions)
         assert solve_spm(game) == winner
-        _check_strategy(game, winner, choice, 1)
-        _check_strategy(game, winner, choice, 0)
+        assert first_uncertified(game, winner, choice) is None
 
 
 def test_large_games_agree_with_denotational_fixpoints():
     # six games of 2,000 to 25,000 positions over long words, too large for
-    # solve_spm: the winner at every offset's root and at sampled positions
-    # o*m + k must be membership of the suffix at o in fl.members[k]
+    # solve_spm: the strategies must certify the winner at every position,
+    # and the winner at every offset's root and at sampled positions o*m + k
+    # must be membership of the suffix at o in fl.members[k]
     rng = random.Random(2580)
     seen = set()
     for target in (2000, 4000, 7000, 11000, 17000, 25000):
@@ -147,7 +149,8 @@ def test_large_games_agree_with_denotational_fixpoints():
         loop = "".join(rng.choice(loop_letters) for _ in range(n - cut))
         game = build_eval_game(UPWord(stem, loop, alphabet), expr)
         assert 2000 <= len(game.positions) <= 25000
-        winner, _ = solve_zielonka(game)
+        winner, choice = solve_zielonka(game)
+        assert first_uncertified(game, winner, choice) is None
 
         def suffix(o):
             if o < cut:
@@ -227,66 +230,6 @@ def _random_game(rng, n_positions, max_priority, label=lambda i: i, duplicates=F
     return labelled_game(positions, owner, moves, priority)[1]
 
 
-def _check_strategy(game, winner, choice, player):
-    """Replaying `choice` inside the winning region of `player` (1 for
-    Eloise, 0 for Abelard) must never leave it and never strand the player,
-    and every reachable cycle must have a min priority of the player's
-    parity.  Opponent deadlocks are terminal wins and fine."""
-    region = [p for p in game.positions if winner[p] == player]
-    succ = {}
-    for p in region:
-        if game.is_e[p] == player:
-            assert game.out[p], "deadlocked position %d counted as won" % p
-            assert choice[p] in game.out[p], "choice at %d is not a move" % p
-            assert winner[choice[p]] == player, "strategy move leaves the region at %d" % p
-            succ[p] = (choice[p],)
-        else:
-            for q in game.out[p]:
-                assert winner[q] == player, "opponent escapes the region from %d" % p
-            succ[p] = game.out[p]
-    # iterative Tarjan; any SCC containing a cycle must have the right parity
-    index, low, onstack = {}, {}, set()
-    stack = []
-    counter = 0
-    for start in region:
-        if start in index:
-            continue
-        work = [(start, 0)]
-        while work:
-            v, i = work.pop()
-            if i == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                onstack.add(v)
-            recurse = False
-            for j in range(i, len(succ[v])):
-                u = succ[v][j]
-                if u not in index:
-                    work.append((v, j + 1))
-                    work.append((u, 0))
-                    recurse = True
-                    break
-                if u in onstack:
-                    low[v] = min(low[v], index[u])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    onstack.discard(u)
-                    comp.append(u)
-                    if u == v:
-                        break
-                cyclic = len(comp) > 1 or v in succ[v]
-                if cyclic:
-                    assert min(game.prio[u] for u in comp) % 2 != player
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-
 def test_solvers_and_strategies_on_random_games():
     rng = random.Random(4242)
     games = [_random_game(rng, rng.randint(1, 14), rng.randint(0, 5)) for _ in range(300)]
@@ -304,8 +247,61 @@ def test_solvers_and_strategies_on_random_games():
         # winners, deadlocks included
         dual = ParityGame(bytes(1 - x for x in game.is_e), tuple(c + 1 for c in game.prio), game.out)
         assert solve_zielonka(dual)[0] == bytes(1 - x for x in winner)
-        _check_strategy(game, winner, choice, 1)
-        _check_strategy(game, winner, choice, 0)
+        assert first_uncertified(game, winner, choice) is None
+
+
+# ---------------------------------------------------------------------------
+# the certificate flags planted faults
+
+
+def _game(*rows):
+    """A game from (owner, priority, moves) rows, one per position."""
+    return ParityGame(bytes(o == "E" for o, _, _ in rows), tuple(c for _, c, _ in rows), tuple(m for _, _, m in rows))
+
+
+def test_the_certificate_checks_every_cycle_not_only_the_least_priority():
+    # Abelard owns every position; the SCC {0, 1, 2} has least priority 0,
+    # but without position 0 Abelard loops between 1 and 2 on priority 1
+    game = _game(("A", 0, (1,)), ("A", 1, (0, 2)), ("A", 1, (1,)))
+    assert solve_zielonka(game)[0] == b"\0\0\0"
+    assert first_uncertified(game, b"\1\1\1", [0, 0, 0]) == 1
+
+
+@pytest.mark.parametrize(
+    "rows,winner,choice,position",
+    [
+        # a choice that is not a move: 0 only loops on itself
+        ([("E", 0, (0,)), ("E", 0, (1,))], b"\1\1", [1, 1], 0),
+        # a choice that leaves Eloise's region for Abelard's position 1
+        ([("E", 0, (0, 1)), ("E", 1, (1,))], b"\1\0", [1, 1], 0),
+        # an Abelard move that escapes Eloise's claimed region at 0
+        ([("A", 0, (0, 1)), ("A", 1, (1,))], b"\1\0", [0, 1], 0),
+        # Eloise is stuck at 0 but is said to win there
+        ([("E", 0, ())], b"\1", [0], 0),
+        # Abelard is stuck at 0 but is said to win there
+        ([("A", 1, ())], b"\0", [0], 0),
+    ],
+    ids=["not-a-move", "choice-leaves", "opponent-escapes", "eloise-stuck", "abelard-stuck"],
+)
+def test_the_certificate_flags_planted_faults(rows, winner, choice, position):
+    game = _game(*rows)
+    assert first_uncertified(game, winner, choice) == position
+    right, strategy = solve_zielonka(game)
+    assert right != winner or strategy != choice
+    assert first_uncertified(game, right, strategy) is None
+
+
+def test_the_certificate_flags_a_flipped_winner_at_the_root_and_the_last_position():
+    # one flipped winner byte fails the check at that position, so the
+    # least failing position is it or one of the positions that move to it
+    rng = random.Random(31)
+    for _ in range(300):
+        game = build_eval_game(UPWord(*gen_word(rng, AB), AB), gen_expr(rng, AB, rng.randint(1, 8)))
+        winner, choice = solve_zielonka(game)
+        for p in (0, len(winner) - 1):
+            flipped = winner[:p] + bytes([1 - winner[p]]) + winner[p + 1:]
+            q = first_uncertified(game, flipped, choice)
+            assert q is not None and (q == p or p in game.out[q]), (p, q)
 
 
 def test_deadlocks_lose_for_their_owner():
@@ -328,6 +324,7 @@ def test_the_empty_game_has_empty_regions():
     assert g.positions == range(0)
     assert solve_zielonka(g) == (b"", [])
     assert solve_spm(g) == b""
+    assert first_uncertified(g, b"", []) is None
 
 
 def test_repeated_positions_are_rejected():

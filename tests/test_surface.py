@@ -2,7 +2,8 @@
 referenced, transitively, from `cli.main` or from code that runs on import.
 A name referenced only inside an unreachable definition does not count.
 Every other top-level name that a module assigns is read by some code in
-`src/rll`, and every top-level import is used by its module.  Test-only
+`src/rll`, and every top-level import is used by its module, and no module
+imports a private (underscored) name from another.  Test-only
 algorithms and data belong in `tests/`.  Every import sits at the top of
 its module: an import inside a function or class body usually works round
 a module cycle, which belongs fixed in the module layout."""
@@ -107,3 +108,17 @@ def test_every_top_level_import_in_src_is_used():
                     if name not in used:
                         unused.append("%s: %s" % (mod, name))
     assert unused == [], "unused imports in src/rll: " + ", ".join(unused)
+
+
+def test_no_module_in_src_imports_a_private_name_from_another():
+    # a helper that two modules share is part of the package's surface, so
+    # it carries a public name
+    private = [
+        "%s: %s.%s" % (mod, stmt.module, alias.name)
+        for mod, tree in _modules().items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.ImportFrom) and stmt.level == 1
+        for alias in stmt.names
+        if alias.name.startswith("_")
+    ]
+    assert private == [], "private names imported across src/rll: " + ", ".join(private)
