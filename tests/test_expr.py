@@ -144,9 +144,8 @@ def test_is_guarded():
         is_guarded(Var("X"))
 
 
-def test_unfold():
-    assert unfold(p("mu X. a X")) == p("a mu X. a X")
-    assert unfold(p("nu X. X")) == p("nu X. X")
+def test_substitute_respects_binding():
+    # unfold substitutes the fixpoint for its variable.
     # an inner binder of the same name shadows: mu X. X is closed already
     assert unfold(Mu("X", Mu("X", Var("X")))) is canonical(Mu("X", Var("X")))
     # the binder Z must not capture the free Z of the replacement
@@ -154,6 +153,11 @@ def test_unfold():
     assert unfold(e) is unfold(canonical(e))
     assert unfold(e) is canonical(Plus(Var("Z"), Nu("Y", e)))
     assert free_vars(unfold(e)) == {"Z"}
+
+
+def test_unfold():
+    assert unfold(p("mu X. a X")) == p("a mu X. a X")
+    assert unfold(p("nu X. X")) == p("nu X. X")
     i_a = p(I_A)
     i_a1 = unfold(i_a)
     assert isinstance(i_a1, Mu)
