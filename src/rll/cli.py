@@ -12,15 +12,22 @@ corpus       bundled fixtures: run the regression suite, list or show entries
 
 Expressions, words and sequents are taken from flags; bundled expression
 names (and their short aliases such as f_a, i_a') may be used wherever an
-expression can appear.  `--json` wraps the result in a single-line envelope
-{command, inputs, result, witness?}.
+expression can appear.  Alphabet letters are `a`-`z`.
+
+Each handler returns its Outcome and main alone prints it.  In text mode
+that is the result, then its witness lines (`check`'s violations or lasso);
+`export-apa` prints its counts and `corpus` one line per row or entry.
+`--json` prints one line instead, the envelope {command, inputs, result,
+witness?}, whose inputs are the command's arguments except `--json` and the
+output files `--emit-proof` and `--dot`.
 
 Exit codes: 0 positive verdict or success, 1 negative verdict or failing
 corpus row, 2 locally invalid proof, 3 progress failure, 4 unguarded input,
 5 proof search over its node budget, 64 usage errors, input-syntax errors and
 input nested too deeply, 70 internal error (a failed self-check, or any
 other exception, reported as `error: internal error: <type>: <message>`).
-Codes 5 and 70 print one `error:` line on stderr.
+Codes 5, 64 and 70 print an `error:` line on stderr and nothing on stdout;
+code 4 prints its result, and in text mode also an `error:` line on stderr.
 """
 
 from __future__ import annotations
@@ -29,22 +36,20 @@ import argparse
 import json
 import re
 import sys
+from typing import NamedTuple, Sequence
 
 from .automaton import build_apa, export_dot
 from .calculus import format_sequent, parse_sequent
-from .corpus import (
-    DECISIONS,
-    EXPRESSIONS,
-    name_table,
-    proofs,
-    run_suite,
-)
+from .corpus import DECISIONS, EXPRESSIONS, name_table, proofs, run_suite
 from .decide import BudgetExceededError, Proved, UnguardedSequentError, decide
 from .expr import Alphabet, complement, parse, pretty
 from .proof import check, parse_proof, serialize_proof
 from .semantics import member, parse_word
 
 _NAME_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_'-]*")
+# parsed arguments that are not a command's inputs: the command chosen, its
+# handler, and the output options
+_NOT_INPUTS = frozenset({"command", "corpus_command", "func", "json", "emit_proof", "dot"})
 
 
 def _expand_names(text: str) -> str:
@@ -60,60 +65,39 @@ def _expand_names(text: str) -> str:
     return _NAME_TOKEN.sub(sub, text)
 
 
-def _emit(args, command, inputs, result, witness=None, extra_lines=()):
-    if args.json:
-        envelope = {"command": command, "inputs": inputs, "result": result}
-        if witness is not None:
-            envelope["witness"] = witness
-        print(json.dumps(envelope, sort_keys=True, ensure_ascii=False))
-        return
-    print(result)
-    for line in extra_lines:
-        print(line)
+class Outcome(NamedTuple):
+    """What a command answers: its exit code, its result, an optional
+    witness, the text lines that follow the result, and a line for stderr in
+    text mode.  A result that is not a string shows only in the envelope."""
+
+    code: int
+    result: object
+    witness: object = None
+    lines: Sequence[str] = ()
+    stderr: str | None = None
 
 
-def _alphabet(args) -> Alphabet:
-    return Alphabet(args.alphabet)
+def _cmd_parse(args) -> Outcome:
+    return Outcome(0, pretty(parse(_expand_names(args.expr), Alphabet(args.alphabet))))
 
 
-def _cmd_parse(args) -> int:
-    alphabet = _alphabet(args)
+def _cmd_member(args) -> Outcome:
+    alphabet = Alphabet(args.alphabet)
     e = parse(_expand_names(args.expr), alphabet)
-    inputs = {"alphabet": args.alphabet, "expr": args.expr}
-    _emit(args, "parse", inputs, pretty(e))
-    return 0
+    if member(parse_word(args.word, alphabet), e):
+        return Outcome(0, "member")
+    return Outcome(1, "nonmember")
 
 
-def _cmd_member(args) -> int:
-    alphabet = _alphabet(args)
-    e = parse(_expand_names(args.expr), alphabet)
-    w = parse_word(args.word, alphabet)
-    verdict = member(w, e)
-    inputs = {"alphabet": args.alphabet, "word": args.word, "expr": args.expr}
-    _emit(args, "member", inputs, "member" if verdict else "nonmember")
-    return 0 if verdict else 1
-
-
-def _cmd_check(args) -> int:
+def _cmd_check(args) -> Outcome:
     with open(args.file, "r", encoding="utf-8") as f:
         text = f.read()
-    p = parse_proof(text)
-    r = check(p)
-    inputs = {"file": args.file}
+    r = check(parse_proof(text))
     if r.ok:
-        _emit(args, "check", inputs, "accepted")
-        return 0
+        return Outcome(0, "accepted")
     if r.violations:
-        witness = {"violations": list(r.violations)}
-        _emit(
-            args,
-            "check",
-            inputs,
-            "local",
-            witness,
-            ["violation: %s" % v for v in r.violations],
-        )
-        return 2
+        lines = ["violation: %s" % v for v in r.violations]
+        return Outcome(2, "local", {"violations": list(r.violations)}, lines)
     lasso = r.lasso
     witness = {
         "stem": list(lasso.stem),
@@ -121,48 +105,32 @@ def _cmd_check(args) -> int:
         "stem_edges": list(lasso.stem_edges),
         "cycle_edges": list(lasso.cycle_edges),
     }
-    line = "lasso: stem %s cycle %s" % (
-        " ".join(lasso.stem) or "-",
-        " ".join(lasso.cycle),
-    )
-    _emit(args, "check", inputs, "progress", witness, [line])
-    return 3
+    line = "lasso: stem %s cycle %s" % (" ".join(lasso.stem), " ".join(lasso.cycle))
+    return Outcome(3, "progress", witness, [line])
 
 
-def _cmd_decide(args) -> int:
-    alphabet = _alphabet(args)
-    s = parse_sequent(_expand_names(args.sequent), alphabet)
-    inputs = {"alphabet": args.alphabet, "sequent": args.sequent}
+def _cmd_decide(args) -> Outcome:
+    s = parse_sequent(_expand_names(args.sequent), Alphabet(args.alphabet))
     try:
         out = decide(s)
     except UnguardedSequentError as exc:
-        _emit(args, "decide", inputs, "unguarded", {"message": str(exc)})
-        if not args.json:
-            print("error: %s" % exc, file=sys.stderr)
-        return 4
+        return Outcome(4, "unguarded", {"message": str(exc)}, stderr="error: %s" % exc)
     if isinstance(out, Proved):
         text = serialize_proof(out.proof)
         if args.emit_proof:
             with open(args.emit_proof, "w", encoding="utf-8") as f:
                 f.write(text)
-        _emit(args, "decide", inputs, "proved", {"proof": text})
-        return 0
-    _emit(args, "decide", inputs, "refuted %s" % out.word, {"word": str(out.word)})
-    return 1
+        return Outcome(0, "proved", {"proof": text})
+    return Outcome(1, "refuted %s" % out.word, {"word": str(out.word)})
 
 
-def _cmd_complement(args) -> int:
-    alphabet = _alphabet(args)
-    e = parse(_expand_names(args.expr), alphabet)
-    inputs = {"alphabet": args.alphabet, "expr": args.expr}
-    _emit(args, "complement", inputs, pretty(complement(e, alphabet)))
-    return 0
+def _cmd_complement(args) -> Outcome:
+    alphabet = Alphabet(args.alphabet)
+    return Outcome(0, pretty(complement(parse(_expand_names(args.expr), alphabet), alphabet)))
 
 
-def _cmd_export_apa(args) -> int:
-    alphabet = _alphabet(args)
-    e = parse(_expand_names(args.expr), alphabet)
-    apa = build_apa(e)
+def _cmd_export_apa(args) -> Outcome:
+    apa = build_apa(parse(_expand_names(args.expr), Alphabet(args.alphabet)))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as f:
             f.write(export_dot(apa))
@@ -171,69 +139,42 @@ def _cmd_export_apa(args) -> int:
         "transitions": len(apa.transitions),
         "colours": len(set(apa.colour)),
     }
-    inputs = {"alphabet": args.alphabet, "expr": args.expr}
-    if args.json:
-        _emit(args, "export-apa", inputs, counts)
-    else:
-        print(
-            "states=%d transitions=%d colours=%d"
-            % (counts["states"], counts["transitions"], counts["colours"])
-        )
-    return 0
+    line = "states=%(states)d transitions=%(transitions)d colours=%(colours)d" % counts
+    return Outcome(0, counts, lines=[line])
 
 
-def _cmd_corpus_run(args) -> int:
+def _cmd_corpus_run(args) -> Outcome:
     rows = run_suite(args.seed, args.filter)
     if not rows:
-        print("error: no corpus row matches %r" % args.filter, file=sys.stderr)
-        return 64
+        raise ValueError("no corpus row matches %r" % args.filter)
     passed = sum(1 for r in rows if r.ok)
-    if args.json:
-        result = {
-            "passed": passed,
-            "failed": len(rows) - passed,
-            "rows": [
-                {"group": r.group, "name": r.name, "ok": r.ok, "detail": r.detail}
-                for r in rows
-            ],
-        }
-        inputs = {"seed": args.seed, "filter": args.filter}
-        _emit(args, "corpus run", inputs, result)
-    else:
-        for r in rows:
-            print(
-                "%s %s/%s - %s" % ("PASS" if r.ok else "FAIL", r.group, r.name, r.detail)
-            )
-        print("passed %d/%d" % (passed, len(rows)))
-    return 0 if passed == len(rows) else 1
+    result = {
+        "passed": passed,
+        "failed": len(rows) - passed,
+        "rows": [{"group": r.group, "name": r.name, "ok": r.ok, "detail": r.detail} for r in rows],
+    }
+    lines = ["%s %s/%s - %s" % ("PASS" if r.ok else "FAIL", r.group, r.name, r.detail) for r in rows]
+    lines.append("passed %d/%d" % (passed, len(rows)))
+    return Outcome(0 if passed == len(rows) else 1, result, lines=lines)
 
 
-def _cmd_corpus_list(args) -> int:
+def _cmd_corpus_list(args) -> Outcome:
     fixtures = proofs()
-    expr_rows = {name: pretty(e) for name, e in EXPRESSIONS.items()}
-    decision_rows = {name: format_sequent(s) for name, s, _ in DECISIONS}
-    proof_rows = {name: len(p.order) for name, (p, _) in fixtures.items()}
-    if args.json:
-        result = {
-            "expressions": expr_rows,
-            "decisions": decision_rows,
-            "proofs": proof_rows,
-        }
-        _emit(args, "corpus list", {}, result)
-    else:
-        for name, text in expr_rows.items():
-            print("expression %s: %s" % (name, text))
-        for name, s, verdict in DECISIONS:
-            print("decision %s: %s  [%s]" % (name, format_sequent(s), verdict))
-        for name, (p, expected) in fixtures.items():
-            print(
-                "proof %s: %d nodes  [%s]"
-                % (name, len(p.order), "accepted" if expected else "rejected")
-            )
-    return 0
+    result = {
+        "expressions": {name: pretty(e) for name, e in EXPRESSIONS.items()},
+        "decisions": {name: format_sequent(s) for name, s, _ in DECISIONS},
+        "proofs": {name: len(p.order) for name, (p, _) in fixtures.items()},
+    }
+    lines = ["expression %s: %s" % row for row in result["expressions"].items()]
+    lines += ["decision %s: %s  [%s]" % (name, format_sequent(s), verdict) for name, s, verdict in DECISIONS]
+    lines += [
+        "proof %s: %d nodes  [%s]" % (name, len(p.order), "accepted" if expected else "rejected")
+        for name, (p, expected) in fixtures.items()
+    ]
+    return Outcome(0, result, lines=lines)
 
 
-def _cmd_corpus_show(args) -> int:
+def _cmd_corpus_show(args) -> Outcome:
     # a name may denote an expression, a decision and a proof fixture
     name = args.name
     found = {}
@@ -247,78 +188,64 @@ def _cmd_corpus_show(args) -> int:
     if name in fixtures:
         found["proof"] = serialize_proof(fixtures[name][0])
     if not found:
-        print("error: unknown corpus entry %r" % name, file=sys.stderr)
-        return 64
-    if args.json:
-        _emit(args, "corpus show", {"name": name}, found)
-    else:
-        for kind, text in found.items():
-            if kind == "proof":
-                print(text, end="")
-            else:
-                print("%s: %s" % (kind, text))
-    return 0
+        raise ValueError("unknown corpus entry %r" % name)
+    lines = []
+    for kind, text in found.items():
+        lines += text.splitlines() if kind == "proof" else ["%s: %s" % (kind, text)]
+    return Outcome(0, found, lines=lines)
 
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="rll", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_json(p):
+    def finish(p, func):  # every command takes --json and names its handler
         p.add_argument("--json", action="store_true", help="single-line JSON envelope")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("parse", help="print the canonical form of an expression")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--expr", required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_parse)
+    finish(p, _cmd_parse)
 
     p = sub.add_parser("member", help="test a word stem(loop)^w against an expression")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--expr", required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_member)
+    finish(p, _cmd_member)
 
     p = sub.add_parser("check", help="check a cyclic proof file")
     p.add_argument("file")
-    add_json(p)
-    p.set_defaults(func=_cmd_check)
+    finish(p, _cmd_check)
 
     p = sub.add_parser("decide", help="prove or refute an inclusion sequent")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--sequent", required=True)
     p.add_argument("--emit-proof", metavar="FILE", help="write the proof when proved")
-    add_json(p)
-    p.set_defaults(func=_cmd_decide)
+    finish(p, _cmd_decide)
 
     p = sub.add_parser("complement", help="print the structural complement")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--expr", required=True)
-    add_json(p)
-    p.set_defaults(func=_cmd_complement)
+    finish(p, _cmd_complement)
 
     p = sub.add_parser("export-apa", help="the automaton of an expression")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--dot", metavar="FILE", help="write a DOT rendering")
-    add_json(p)
-    p.set_defaults(func=_cmd_export_apa)
+    finish(p, _cmd_export_apa)
 
     p = sub.add_parser("corpus", help="bundled fixtures and regression suite")
     csub = p.add_subparsers(dest="corpus_command", required=True)
     c = csub.add_parser("run", help="run the regression suite")
     c.add_argument("--filter", help="only rows whose group/name contains this")
     c.add_argument("--seed", type=int, default=0, help="seed for sampled batches")
-    add_json(c)
-    c.set_defaults(func=_cmd_corpus_run)
+    finish(c, _cmd_corpus_run)
     c = csub.add_parser("list", help="list bundled expressions, decisions, proofs")
-    add_json(c)
-    c.set_defaults(func=_cmd_corpus_list)
+    finish(c, _cmd_corpus_list)
     c = csub.add_parser("show", help="print one bundled entry")
     c.add_argument("name")
-    add_json(c)
-    c.set_defaults(func=_cmd_corpus_show)
+    finish(c, _cmd_corpus_show)
 
     return parser
 
@@ -330,7 +257,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 64
     try:
-        return args.func(args)
+        out = args.func(args)
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 64
@@ -348,7 +275,21 @@ def main(argv=None) -> int:
         message = " ".join(str(exc).split())
         print("error: internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
         return 70
-
+    if args.json:
+        command = args.command if args.command != "corpus" else "corpus " + args.corpus_command
+        inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
+        envelope = {"command": command, "inputs": inputs, "result": out.result}
+        if out.witness is not None:
+            envelope["witness"] = out.witness
+        print(json.dumps(envelope, sort_keys=True, ensure_ascii=False))
+        return out.code
+    if isinstance(out.result, str):
+        print(out.result)
+    for line in out.lines:
+        print(line)
+    if out.stderr is not None:
+        print(out.stderr, file=sys.stderr)
+    return out.code
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -3,7 +3,9 @@ referenced, transitively, from `cli.main` or from code that runs on import.
 A name referenced only inside an unreachable definition does not count.
 Every other top-level name that a module assigns is read by some code in
 `src/rll`, and every top-level import is used by its module, and no module
-imports a private (underscored) name from another.  Test-only
+imports a private (underscored) name from another.  Only `cli.main`
+prints or reads the `--json` flag, so every command shares its one output
+path.  Test-only
 algorithms and data belong in `tests/`.  Every import sits at the top of
 its module: an import inside a function or class body usually works round
 a module cycle, which belongs fixed in the module layout."""
@@ -122,3 +124,23 @@ def test_no_module_in_src_imports_a_private_name_from_another():
         if alias.name.startswith("_")
     ]
     assert private == [], "private names imported across src/rll: " + ", ".join(private)
+
+
+def test_only_cli_main_prints_or_reads_the_json_flag():
+    found = []
+    for mod, tree in _modules().items():
+        skip = set()
+        if mod == "cli":
+            main = next(s for s in tree.body if isinstance(s, ast.FunctionDef) and s.name == "main")
+            skip = {id(node) for node in ast.walk(main)}
+        for node in ast.walk(tree):
+            if id(node) in skip:
+                continue
+            if isinstance(node, ast.Name) and node.id == "print":
+                found.append("%s:%d print" % (mod, node.lineno))
+            elif isinstance(node, ast.Attribute) and (
+                node.attr == "json"
+                or node.attr in ("stdout", "stderr") and isinstance(node.value, ast.Name) and node.value.id == "sys"
+            ):
+                found.append("%s:%d .%s" % (mod, node.lineno, node.attr))
+    assert found == [], "output outside cli.main: " + ", ".join(found)
