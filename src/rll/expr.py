@@ -38,11 +38,12 @@ class ParseError(ValueError):
 
 
 def _is_letter(a) -> bool:
-    return isinstance(a, str) and len(a) == 1 and a.isalpha() and a.islower()
+    # exactly the letters the expression and word syntax can read
+    return isinstance(a, str) and len(a) == 1 and "a" <= a <= "z"
 
 
 class Alphabet:
-    """Ordered alphabet of distinct single-character lowercase letters."""
+    """Ordered alphabet of distinct letters ``a``-``z``."""
 
     __slots__ = ("letters",)
 
@@ -52,7 +53,7 @@ class Alphabet:
             raise ValueError("alphabet must not be empty")
         for a in letters:
             if not _is_letter(a):
-                raise ValueError("alphabet letters must be single lowercase characters, got %r" % (a,))
+                raise ValueError("alphabet letters must be single letters a-z, got %r" % (a,))
         if len(set(letters)) != len(letters):
             raise ValueError("alphabet letters must be distinct: %r" % (letters,))
         self.letters = letters
@@ -105,7 +106,7 @@ class Expr:
         if cls is Var and not (isinstance(fields[0], str) and fields[0]):
             raise ValueError("variable name must be a nonempty string")
         if cls is Letter and not _is_letter(fields[0]):
-            raise ValueError("letter must be a single lowercase character, got %r" % (fields[0],))
+            raise ValueError("letter must be a single letter a-z, got %r" % (fields[0],))
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             setattr(node, name, value)
@@ -339,7 +340,8 @@ def parse(text: str, alphabet: Alphabet) -> Expr:
     Grammar (loosest to tightest): sums ``e + f``, intersections ``e & f``,
     letter prefixes ``a e``, then atoms ``0``, ``T``, variables, parentheses
     and the binders ``mu X. e`` / ``nu X. e``, which extend maximally to the
-    right.  ``mu``/``nu`` are reserved words.  Any other lowercase word must
+    right.  ``mu``, ``nu`` and ``T`` are reserved: ``T`` is always the
+    constant, so it cannot be bound.  Any other lowercase word must
     spell one or more letters of the alphabet, read as nested prefixes.  The
     result is canonically renamed.  Input nested deeper than the
     interpreter's recursion limit allows raises ParseError.
@@ -402,6 +404,8 @@ def parse(text: str, alphabet: Alphabet) -> Expr:
             var = peek()
             if var is None or not re.fullmatch(r"[A-Z][A-Za-z0-9_']*", var):
                 err("expected a variable after %r" % tok)
+            if var == "T":
+                err("T is the constant T and cannot be bound")
             advance()
             if peek() != ".":
                 err("expected '.' after the bound variable")

@@ -171,6 +171,20 @@ def test_corpus_run_with_a_filter_matching_no_row_exits_64(capsys, json_flag):
     assert out.err == "error: no corpus row matches 'nosuchrow'\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("decide", "--alphabet", "aé", "--sequent", "|- a T"),
+        ("member", "--alphabet", "ab", "--word", "(a)^w", "--expr", "mu T. a T"),
+    ],
+    ids=["letter-outside-a-z", "binder-named-T"],
+)
+def test_input_no_parser_can_read_back_exits_64(capsys, argv):
+    assert cli_module.main(list(argv)) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
 def test_corpus_list_and_show():
     r = rll("corpus", "list")
     assert r.returncode == 0

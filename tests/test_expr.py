@@ -112,8 +112,19 @@ def test_parse_errors():
         p("(a T")
     with pytest.raises(ParseError):
         p("mu x. T")  # bound variables are uppercase
+    for binder in ("mu", "nu"):
+        with pytest.raises(ParseError, match="cannot be bound"):
+            p("%s T. a T" % binder)  # T is always the constant
     with pytest.raises(ParseError):
         p("")
+
+
+def test_letters_are_exactly_a_to_z():
+    # no expression or word could spell a letter outside a-z
+    with pytest.raises(ValueError):
+        Alphabet("aé")
+    with pytest.raises(ValueError):
+        Letter("é", TOP)
 
 
 def test_deep_input_within_the_recursion_limit_parses():
