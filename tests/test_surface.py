@@ -4,8 +4,8 @@ A name referenced only inside an unreachable definition does not count.
 Every other top-level name that a module assigns is read by some code in
 `src/rll`, and every top-level import is used by its module, and no module
 imports a private (underscored) name from another.  Only `cli.main`
-prints or reads the `--json` flag, so every command shares its one output
-path.  Test-only
+prints, names `sys.stdout` or `sys.stderr`, or reads the `--json` flag, so
+every command shares its one output path.  Test-only
 algorithms and data belong in `tests/`.  Every import sits at the top of
 its module: an import inside a function or class body usually works round
 a module cycle, which belongs fixed in the module layout."""
