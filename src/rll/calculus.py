@@ -94,17 +94,29 @@ def format_sequent(s: Sequent) -> str:
     return ("%s |- %s" % (left, right)).strip()
 
 
-def parse_sequent(text: str, alphabet: Alphabet) -> Sequent:
-    """Parse `e1, e2 |- f1, f2`; either side may be empty."""
+def parse_sequent(text: str, alphabet: Alphabet, formulas=None, names=None) -> Sequent:
+    """Parse `e1, e2 |- f1, f2`; either side may be empty.  `names` is
+    passed on to parse.  `formulas`, a dict from formula text to term that
+    a caller may share across sequents, is read and filled: a text found
+    there is not parsed again."""
     parts = text.split("|-")
     if len(parts) != 2:
         raise ParseError("a sequent needs exactly one '|-': %r" % text)
+
+    if formulas is None:
+        formulas = {}
+
+    def formula(piece):
+        key = piece.strip()
+        if key not in formulas:
+            formulas[key] = parse(piece, alphabet, names)
+        return formulas[key]
 
     def cedent(chunk):
         chunk = chunk.strip()
         if not chunk:
             return ()
-        return tuple(parse(piece, alphabet) for piece in chunk.split(","))
+        return tuple(formula(piece) for piece in chunk.split(","))
 
     return Sequent(cedent(parts[0]), cedent(parts[1]), alphabet)
 

@@ -12,7 +12,8 @@ corpus       bundled fixtures: run the regression suite, list or show entries
 
 Expressions, words and sequents are taken from flags; bundled expression
 names (and their short aliases such as f_a, i_a') may be used wherever an
-expression can appear.  Alphabet letters are `a`-`z`.
+expression can appear, as atoms.  A word that spells letters of the
+alphabet is read as letters first.  Alphabet letters are `a`-`z`.
 
 Each handler returns its Outcome and main alone prints it.  In text mode
 that is the result, then its witness lines (`check`'s violations or lasso);
@@ -34,7 +35,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import re
 import sys
 from typing import NamedTuple, Sequence
 
@@ -46,23 +46,9 @@ from .expr import Alphabet, complement, parse, pretty
 from .proof import check, parse_proof, serialize_proof
 from .semantics import member, parse_word
 
-_NAME_TOKEN = re.compile(r"[A-Za-z][A-Za-z0-9_'-]*")
 # parsed arguments that are not a command's inputs: the command chosen, its
 # handler, and the output options
 _NOT_INPUTS = frozenset({"command", "corpus_command", "func", "json", "emit_proof", "dot"})
-
-
-def _expand_names(text: str) -> str:
-    """Replace bundled expression names with their parenthesised forms."""
-    table = name_table()
-
-    def sub(m):
-        name = m.group(0)
-        if name in table:
-            return "(%s)" % pretty(table[name])
-        return name
-
-    return _NAME_TOKEN.sub(sub, text)
 
 
 class Outcome(NamedTuple):
@@ -78,12 +64,12 @@ class Outcome(NamedTuple):
 
 
 def _cmd_parse(args) -> Outcome:
-    return Outcome(0, pretty(parse(_expand_names(args.expr), Alphabet(args.alphabet))))
+    return Outcome(0, pretty(parse(args.expr, Alphabet(args.alphabet), name_table())))
 
 
 def _cmd_member(args) -> Outcome:
     alphabet = Alphabet(args.alphabet)
-    e = parse(_expand_names(args.expr), alphabet)
+    e = parse(args.expr, alphabet, name_table())
     if member(parse_word(args.word, alphabet), e):
         return Outcome(0, "member")
     return Outcome(1, "nonmember")
@@ -110,7 +96,7 @@ def _cmd_check(args) -> Outcome:
 
 
 def _cmd_decide(args) -> Outcome:
-    s = parse_sequent(_expand_names(args.sequent), Alphabet(args.alphabet))
+    s = parse_sequent(args.sequent, Alphabet(args.alphabet), names=name_table())
     try:
         out = decide(s)
     except UnguardedSequentError as exc:
@@ -126,11 +112,11 @@ def _cmd_decide(args) -> Outcome:
 
 def _cmd_complement(args) -> Outcome:
     alphabet = Alphabet(args.alphabet)
-    return Outcome(0, pretty(complement(parse(_expand_names(args.expr), alphabet), alphabet)))
+    return Outcome(0, pretty(complement(parse(args.expr, alphabet, name_table()), alphabet)))
 
 
 def _cmd_export_apa(args) -> Outcome:
-    apa = build_apa(parse(_expand_names(args.expr), Alphabet(args.alphabet)))
+    apa = build_apa(parse(args.expr, Alphabet(args.alphabet), name_table()))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as f:
             f.write(export_dot(apa))

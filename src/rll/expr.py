@@ -22,9 +22,12 @@ identity.  Bound variables are renamed by binder depth (see canonical), and
 parse, unfold, complement and fl_closure return canonical terms, so
 alpha-equivalent inputs come out as the same object.  Each node holds its
 structural facts, each computed once: free variables, letters and sort key
-when the node is built; its canonical form, its set of canonical subterms
-and, for a closed canonical root, its closure on first use.  The intern
-table holds its nodes weakly, so it keeps no term alive.
+when the node is built; on first use, its canonical form, its set of
+canonical subterms, and, for a canonical node, its printed text, for a
+canonical fixpoint its unfolding and for a closed canonical root its
+closure.  The intern table holds its nodes weakly, so it keeps no term
+alive; a fixpoint's unfolding contains the fixpoint, and the collector
+frees such cycles like any other.
 """
 
 from __future__ import annotations
@@ -94,7 +97,9 @@ class Expr:
     """Base class for expression nodes.  Nodes are interned and immutable:
     build them with the constructors and never assign to their fields."""
 
-    __slots__ = ("__weakref__", "_free", "_letters", "_key", "_canon", "_subterms", "_closure")
+    __slots__ = (
+        "__weakref__", "_free", "_letters", "_key", "_canon", "_subterms", "_closure", "_text", "_unfolded",
+    )
 
     def __new__(cls, *fields):
         ident = (cls, *[id(f) if isinstance(f, Expr) else f for f in fields])
@@ -125,7 +130,7 @@ class Expr:
         node._letters = letters
         label = [f for f in fields if isinstance(f, str)]  # the letter or variable name, if any
         node._key = (cls._rank, tuple(k._key for k in kids), label[0] if label else "")
-        node._canon = node._subterms = node._closure = None
+        node._canon = node._subterms = node._closure = node._text = node._unfolded = None
         _NODES[ident] = node
         return node
 
@@ -268,10 +273,13 @@ def canonical(e: Expr) -> Expr:
 def unfold(e: Expr) -> Expr:
     """One unfolding of a fixpoint: sigma X. f  ->  f[X := sigma X. f].
     The substitution walks the canonical form, whose inner binders are named
-    .n apart from its own, so none shadows X or captures a free name."""
+    .n apart from its own, so none shadows X or captures a free name.
+    Computed once per canonical fixpoint, which holds its unfolding."""
     if not isinstance(e, _BINDERS):
         raise ValueError("unfold expects a fixpoint expression, got %s" % pretty(e))
     e = canonical(e)
+    if e._unfolded is not None:
+        return e._unfolded
 
     def go(t):
         if e.var not in t._free:
@@ -284,7 +292,8 @@ def unfold(e: Expr) -> Expr:
             return type(t)(go(t.left), go(t.right))
         return type(t)(t.var, go(t.body))
 
-    return canonical(go(e.body))
+    e._unfolded = canonical(go(e.body))
+    return e._unfolded
 
 
 def is_guarded(e: Expr) -> bool:
@@ -324,29 +333,42 @@ def expr_sort_key(e: Expr):
 
 
 _TOKEN = re.compile(r"[().+&]|[A-Za-z][A-Za-z0-9_']*|0|\S")
+_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_']*")
+_VARIABLE = re.compile(r"[A-Z][A-Za-z0-9_']*")
+_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_'-]*")  # a bundled name may hold hyphens
 
 
-def _tokenize(text):
+def _tokenize(text, alphabet, names):
+    """(token, position) pairs, then (None, len(text)).  A word of `names`
+    that does not spell letters of the alphabet is one token: its term."""
     toks = []
-    for m in _TOKEN.finditer(text):
-        toks.append((m.group(0), m.start()))
+    start = 0
+    for m in _NAME.finditer(text) if names else ():
+        word = m.group(0)
+        if word in names and not all(c in alphabet for c in word):
+            toks += ((t.group(0), t.start()) for t in _TOKEN.finditer(text, start, m.start()))
+            toks.append((names[word], m.start()))
+            start = m.end()
+    toks += ((t.group(0), t.start()) for t in _TOKEN.finditer(text, start))
     toks.append((None, len(text)))
     return toks
 
 
-def parse(text: str, alphabet: Alphabet) -> Expr:
+def parse(text: str, alphabet: Alphabet, names=None) -> Expr:
     """Parse the ASCII expression syntax over the given alphabet.
 
     Grammar (loosest to tightest): sums ``e + f``, intersections ``e & f``,
-    letter prefixes ``a e``, then atoms ``0``, ``T``, variables, parentheses
-    and the binders ``mu X. e`` / ``nu X. e``, which extend maximally to the
-    right.  ``mu``, ``nu`` and ``T`` are reserved: ``T`` is always the
-    constant, so it cannot be bound.  Any other lowercase word must
-    spell one or more letters of the alphabet, read as nested prefixes.  The
-    result is canonically renamed.  Input nested deeper than the
-    interpreter's recursion limit allows raises ParseError.
+    letter prefixes ``a e``, then atoms ``0``, ``T``, variables, parentheses,
+    names and the binders ``mu X. e`` / ``nu X. e``, which extend maximally
+    to the right.  ``mu``, ``nu`` and ``T`` are reserved: ``T`` is always
+    the constant, so it cannot be bound.  A lowercase word that spells one
+    or more letters of the alphabet is read as nested prefixes; otherwise,
+    if `names` (a dict from name to closed term) holds the word, it is an
+    atom that stands for that term.  The result is canonically renamed.
+    Input nested deeper than the interpreter's recursion limit allows raises
+    ParseError.
     """
-    toks = _tokenize(text)
+    toks = _tokenize(text, alphabet, names)
     pos = 0
     bound = []  # the enclosing binders' variables, outermost first
 
@@ -381,17 +403,19 @@ def parse(text: str, alphabet: Alphabet) -> Expr:
         # a run of letter prefixes, then an atom
         letters = ""
         tok = peek()
-        while tok is not None and re.fullmatch(r"[a-z][A-Za-z0-9_']*", tok) and tok not in ("mu", "nu"):
+        while isinstance(tok, str) and _LOWER_WORD.fullmatch(tok) and tok not in ("mu", "nu"):
             if not all(c in alphabet for c in tok):
                 err("unknown name or letter outside alphabet: %r" % tok)
             letters += advance()
             tok = peek()
         if tok is None:
             err("unexpected end of input")
-        if tok not in ("0", "T", "(", "mu", "nu") and not re.fullmatch(r"[A-Z][A-Za-z0-9_']*", tok):
+        if not isinstance(tok, Expr) and tok not in ("0", "T", "(", "mu", "nu") and not _VARIABLE.fullmatch(tok):
             err("unexpected token %r" % tok)
         advance()
-        if tok == "0":
+        if isinstance(tok, Expr):  # a name
+            e = tok
+        elif tok == "0":
             e = ZERO
         elif tok == "T":
             e = TOP
@@ -402,7 +426,7 @@ def parse(text: str, alphabet: Alphabet) -> Expr:
             advance()
         elif tok in ("mu", "nu"):
             var = peek()
-            if var is None or not re.fullmatch(r"[A-Z][A-Za-z0-9_']*", var):
+            if not isinstance(var, str) or not _VARIABLE.fullmatch(var):
                 err("expected a variable after %r" % tok)
             if var == "T":
                 err("T is the constant T and cannot be bound")
@@ -451,8 +475,15 @@ def pretty(e: Expr) -> str:
     """Render canonical(e) in the parseable ASCII syntax with minimal
     parentheses, so alpha-equivalent terms print alike.  The binder at depth
     d is displayed as the d-th of X, Y, Z, ... that is not a free variable
-    of e, and past depth 64 as V_<d>, with a `_` added until it is not one."""
+    of e, and past depth 64 as V_<d>, with a `_` added until it is not one.
+    Rendered once per canonical node, which holds its text."""
     e = canonical(e)
+    if e._text is None:
+        e._text = _render(e)
+    return e._text
+
+
+def _render(e: Expr) -> str:
     avoid = free_vars(e)
     display = []
     gen = (name for name in _display_candidates() if name not in avoid)

@@ -136,7 +136,8 @@ def parse_proof(text: str) -> ProofGraph:
 
     `#` starts a comment; records may appear in any order after the alphabet
     line; ASCII rule aliases (mu-l, top-r, ...) are accepted; the principal
-    clause may be omitted when it is unambiguous."""
+    clause may be omitted when it is unambiguous.  Each distinct formula
+    text is parsed once per call."""
     alphabet = None
     records = []  # (nid, sequent_text, rule, principal_text, children ids)
     root = None
@@ -196,10 +197,11 @@ def parse_proof(text: str) -> ProofGraph:
         raise ParseError("no node records")
 
     sequents = {}
+    formulas = {}  # formula text -> term, so that each distinct text is parsed once
     for nid, sequent_text, _, _, _ in records:
         if nid in sequents:
             raise ParseError("duplicate node id %r" % nid)
-        sequents[nid] = parse_sequent(sequent_text, alphabet)
+        sequents[nid] = parse_sequent(sequent_text, alphabet, formulas)
     nodes = []
     for nid, _, rule, principal_text, kids in records:
         for cid in kids:
@@ -211,6 +213,8 @@ def parse_proof(text: str) -> ProofGraph:
             if principal_text is not None and principal_text != rule[2:]:
                 raise ParseError("node %s: %s acts on the letter %r" % (nid, rule, rule[2:]))
             principal = rule[2:]
+        elif principal_text in formulas:
+            principal = formulas[principal_text]
         elif principal_text is not None:
             principal = parse(principal_text, alphabet)
         elif rule in ("l-p", "r-p"):

@@ -7,9 +7,9 @@
   with the game-based membership of rll.semantics, which it cross-checks.
 - gen_expr, gen_guarded_expr, gen_word and gen_guarded_sequent draw random
   expressions, guarded expressions, words and guarded sequents.
-- ref_free_vars, ref_equal, ref_canonical, ref_subformula_leq and
-  ref_sort_key are plain recursive copies of the term facts that rll.expr
-  memoises per interned node.
+- ref_free_vars, ref_equal, ref_canonical, ref_unfold, ref_subformula_leq
+  and ref_sort_key are plain recursive copies of the term facts that
+  rll.expr memoises per interned node.
 - fl_leq, fl_lt and compare_dependency are the closure preorder and the
   dependency order on expressions.
 - applicable_steps lists every rule instance that concludes a sequent.
@@ -407,6 +407,25 @@ def ref_canonical(e):
         return t
 
     return go(e, 0, {})
+
+
+def ref_unfold(e):
+    """sigma X. f  ->  f[X := sigma X. f], substituted in ref_canonical(e)
+    and renamed again; an inner binder of X's name stops the substitution."""
+    c = ref_canonical(e)
+
+    def sub(t):
+        if isinstance(t, Var):
+            return c if t.name == c.var else t
+        if isinstance(t, Letter):
+            return Letter(t.letter, sub(t.body))
+        if isinstance(t, (Plus, Cap)):
+            return type(t)(sub(t.left), sub(t.right))
+        if isinstance(t, (Mu, Nu)):
+            return t if t.var == c.var else type(t)(t.var, sub(t.body))
+        return t
+
+    return ref_canonical(sub(c.body))
 
 
 def ref_subformula_leq(f, g) -> bool:

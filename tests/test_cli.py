@@ -51,6 +51,29 @@ def test_parse_prints_a_reparseable_canonical_form():
     assert e == parse("mu X. a X + b X + nu Y. b Y", ALPHABET)
 
 
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        # a word that spells letters of the alphabet is read as letters
+        (["parse", "--alphabet", "any", "--expr", "any T"], 0, "a n y T\n", ""),
+        (["parse", "--alphabet", "ab", "--expr", "a any"], 0, "a nu X. a X + b X\n", ""),
+        (["parse", "--alphabet", "abc", "--expr", "mu X. a X + any"], 0, "mu X. a X + nu Y. a Y + b Y\n", ""),
+        (["parse", "--alphabet", "ab", "--expr", "i_a' + X"], 0,
+         "(mu Y. a (nu Z. mu W. a Z + b W) + b Y) + X\n", ""),
+        # errors quote what was typed, at its own positions
+        (["parse", "--alphabet", "ab", "--expr", "any T"], 64, "",
+         "error: trailing input at position 4 in 'any T'\n"),
+        (["decide", "--alphabet", "ab", "--sequent", "fin-a |- inf-b c"], 64, "",
+         "error: trailing input at position 6 in 'inf-b c'\n"),
+        (["parse", "--alphabet", "ab", "--expr", "fin-a-b"], 64, "",
+         "error: unknown name or letter outside alphabet: 'fin' at position 0 in 'fin-a-b'\n"),
+    ],
+)
+def test_bundled_names_are_atoms_and_letters_come_first(capsys, argv, code, out, err):
+    assert cli_module.main(argv) == code
+    assert capsys.readouterr() == (out, err)
+
+
 def test_json_envelopes_are_single_lines_with_the_declared_fields():
     r = rll("member", "--alphabet", "ab", "--word", "(ab)^w", "--expr", "i_a", "--json")
     assert r.returncode == 0

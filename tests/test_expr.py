@@ -39,6 +39,7 @@ from oracles import (
     ref_equal,
     ref_sort_key,
     ref_subformula_leq,
+    ref_unfold,
 )
 
 AB = Alphabet("ab")
@@ -164,6 +165,23 @@ def test_substitute_respects_binding():
     assert unfold(e) is unfold(canonical(e))
     assert unfold(e) is canonical(Plus(Var("Z"), Nu("Y", e)))
     assert free_vars(unfold(e)) == {"Z"}
+
+
+def test_unfold_and_pretty_fill_their_slots_with_what_the_references_give():
+    rng = random.Random(1414)
+    for _ in range(300):
+        var = rng.choice("PQ")
+        e = rng.choice((Mu, Nu))(var, gen_expr(rng, AB, rng.randint(1, 12), scope=(var, "Z")))
+        expected = ref_unfold(e)
+        first = unfold(e)
+        assert ref_equal(first, expected)
+        second = unfold(e)
+        assert second is first and ref_equal(second, expected)
+        c = canonical(e)
+        text = expr_module._render(c)
+        assert pretty(e) == text and pretty(c) == text
+        assert c._text == text and c._unfolded is first
+        assert p(text) is c
 
 
 def test_unfold():
@@ -395,5 +413,20 @@ def test_the_intern_table_keeps_no_term_alive():
     burst = [p(" ".join("ab"[int(bit)] for bit in bin(i)[2:]) + " mu X. a X + T") for i in range(10000)]
     assert len(expr_module._NODES) > before
     del burst
+    gc.collect()
+    assert len(expr_module._NODES) <= before
+
+
+def test_the_intern_table_keeps_no_term_alive_once_slots_are_filled():
+    # a fixpoint's unfolding holds the fixpoint: the collector must free the cycle
+    gc.collect()
+    before = len(expr_module._NODES)
+    burst = [p("mu X. " + " ".join("ab"[int(bit)] for bit in bin(i)[2:]) + " X + T") for i in range(2000)]
+    for e in burst:
+        pretty(e)
+        unfold(e)
+        assert e._text is not None and e._unfolded is not None
+    assert len(expr_module._NODES) > before
+    del burst, e
     gc.collect()
     assert len(expr_module._NODES) <= before

@@ -3,10 +3,12 @@ import random
 
 import pytest
 
-from rll.calculus import make_instance, parse_sequent
+import rll.calculus as calculus_module
+import rll.proof as proof_module
+from rll.calculus import Sequent, make_instance, parse_sequent
 from rll.corpus import ALPHABET, DECISIONS, proofs
-from rll.decide import saturate
-from rll.expr import Alphabet, ParseError, fl_closure, parse
+from rll.decide import Proved, decide, saturate
+from rll.expr import Alphabet, Cap, ParseError, complement, fl_closure, parse
 from rll.proof import (
     Lasso,
     ProofGraph,
@@ -439,6 +441,76 @@ def test_proof_files_infer_an_omitted_principal():
 def test_malformed_proof_files_are_rejected(text, message):
     with pytest.raises(ParseError, match=message):
         parse_proof(text)
+
+
+def test_a_formula_text_is_parsed_once_per_proof_file(monkeypatch):
+    calls = []
+
+    def counting_parse(text, alphabet, names=None):
+        calls.append(text.strip())
+        return parse(text, alphabet, names)
+
+    monkeypatch.setattr(calculus_module, "parse", counting_parse)
+    monkeypatch.setattr(proof_module, "parse", counting_parse)
+    text = (
+        "alphabet: ab\n"
+        "node n0: nu X. a X |- nu X. a X + b X ; rule ν-l principal nu X. a X ; children n1\n"
+        "node n1: a nu X. a X |- nu X. a X + b X ; rule ν-r principal nu X. a X + b X ; children n2\n"
+        "node n2: a nu X. a X |- a (nu X. a X + b X) + b nu X. a X + b X ; rule +-r ; children n3\n"
+        "node n3: a nu X. a X |- a (nu X. a X + b X), b nu X. a X + b X"
+        " ; rule r-w principal b nu X. a X + b X ; children n4\n"
+        "node n4: a nu X. a X |- a nu X. a X + b X ; rule h_a ; children n0\n"
+        "root n0\n"
+    )
+    p = parse_proof(text)
+    # seven distinct texts, each parsed once; `a (nu X. ...)` and `a nu X. ...` are one term
+    assert len(calls) == len(set(calls)) == 7
+    any_ab = parse("nu X. a X + b X", AB)
+    assert p.instance["n1"].principal is any_ab and p.sequent("n0").rhs == {any_ab}
+    assert p.instance["n3"].principal is next(iter(p.sequent("n2").rhs)).right
+    assert p.sequent("n4").rhs == p.sequent("n3").rhs - {p.instance["n3"].principal}
+    assert check(p).ok
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (
+            "b T,  a x |- a T ; rule l-w principal b T ; children n1",
+            "a x |- a T ; rule r-w principal a T ; children n0",
+            "unknown name or letter outside alphabet: 'x' at position 4 in '  a x'",
+        ),
+        (
+            "a x |- a T ; rule r-w principal a T ; children n0",
+            "b T,  a x |- a T ; rule l-w principal b T ; children n1",
+            "unknown name or letter outside alphabet: 'x' at position 2 in 'a x'",
+        ),
+    ],
+)
+def test_a_malformed_formula_on_two_nodes_reports_its_first_occurrence(first, second, message):
+    text = "alphabet: ab\nnode n0: %s\nnode n1: %s\nroot n0\n" % (first, second)
+    with pytest.raises(ParseError) as info:
+        parse_proof(text)
+    assert str(info.value) == message
+
+
+def test_the_proofs_decide_emits_round_trip_byte_for_byte():
+    abc = Alphabet("abc")
+    sequents = [s for _, s, _ in DECISIONS]
+    for text in (  # complement round trips e & complement(e) |- over three letters
+        "nu X. mu Y. a X + b Y + c Y",
+        "nu X. mu Y. a (nu Z. mu W. b X + a W + c W) + b Y + c Y",
+        "mu X. a X + b X + c X + nu Y. b Y",
+    ):
+        e = parse(text, abc)
+        sequents.append(Sequent([Cap(e, complement(e, abc))], [], abc))
+    emitted = [out.proof for out in map(decide, sequents) if isinstance(out, Proved)]
+    assert len(emitted) == 19
+    for p in emitted:
+        text = serialize_proof(p)
+        p2 = parse_proof(text)
+        assert serialize_proof(p2) == text
+        assert all(p2.instance[nid] == p.instance[nid] for nid in p.order)
 
 
 def test_loading_tolerates_weakened_plus_premisses():
