@@ -332,26 +332,10 @@ def expr_sort_key(e: Expr):
 # Parsing
 
 
-_TOKEN = re.compile(r"[().+&]|[A-Za-z][A-Za-z0-9_']*|0|\S")
-_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_']*")
+# a lowercase word may hold hyphens, as bundled names do
+_TOKEN = re.compile(r"[().+&]|[a-z][A-Za-z0-9_'-]*|[A-Z][A-Za-z0-9_']*|0|\S")
+_LOWER_WORD = re.compile(r"[a-z][A-Za-z0-9_'-]*")
 _VARIABLE = re.compile(r"[A-Z][A-Za-z0-9_']*")
-_NAME = re.compile(r"[A-Za-z][A-Za-z0-9_'-]*")  # a bundled name may hold hyphens
-
-
-def _tokenize(text, alphabet, names):
-    """(token, position) pairs, then (None, len(text)).  A word of `names`
-    that does not spell letters of the alphabet is one token: its term."""
-    toks = []
-    start = 0
-    for m in _NAME.finditer(text) if names else ():
-        word = m.group(0)
-        if word in names and not all(c in alphabet for c in word):
-            toks += ((t.group(0), t.start()) for t in _TOKEN.finditer(text, start, m.start()))
-            toks.append((names[word], m.start()))
-            start = m.end()
-    toks += ((t.group(0), t.start()) for t in _TOKEN.finditer(text, start))
-    toks.append((None, len(text)))
-    return toks
 
 
 def parse(text: str, alphabet: Alphabet, names=None) -> Expr:
@@ -368,7 +352,8 @@ def parse(text: str, alphabet: Alphabet, names=None) -> Expr:
     Input nested deeper than the interpreter's recursion limit allows raises
     ParseError.
     """
-    toks = _tokenize(text, alphabet, names)
+    toks = [(m.group(0), m.start()) for m in _TOKEN.finditer(text)]
+    toks.append((None, len(text)))
     pos = 0
     bound = []  # the enclosing binders' variables, outermost first
 
@@ -399,22 +384,26 @@ def parse(text: str, alphabet: Alphabet, names=None) -> Expr:
             e = Cap(e, parse_prefix())
         return e
 
+    def is_word(tok):
+        return tok is not None and tok not in ("mu", "nu") and _LOWER_WORD.fullmatch(tok)
+
     def parse_prefix():
         # a run of letter prefixes, then an atom
         letters = ""
-        tok = peek()
-        while isinstance(tok, str) and _LOWER_WORD.fullmatch(tok) and tok not in ("mu", "nu"):
-            if not all(c in alphabet for c in tok):
-                err("unknown name or letter outside alphabet: %r" % tok)
+        while is_word(peek()) and all(c in alphabet for c in peek()):
             letters += advance()
-            tok = peek()
+        tok = peek()
         if tok is None:
             err("unexpected end of input")
-        if not isinstance(tok, Expr) and tok not in ("0", "T", "(", "mu", "nu") and not _VARIABLE.fullmatch(tok):
+        if is_word(tok):
+            # not letters of the alphabet: a bundled name over it, or an error
+            if not names or tok not in names or not all(c in alphabet for c in letters_of(names[tok])):
+                err("unknown name or letter outside alphabet: %r" % tok)
+        elif tok not in ("0", "T", "(", "mu", "nu") and not _VARIABLE.fullmatch(tok):
             err("unexpected token %r" % tok)
         advance()
-        if isinstance(tok, Expr):  # a name
-            e = tok
+        if is_word(tok):
+            e = names[tok]
         elif tok == "0":
             e = ZERO
         elif tok == "T":
@@ -426,7 +415,7 @@ def parse(text: str, alphabet: Alphabet, names=None) -> Expr:
             advance()
         elif tok in ("mu", "nu"):
             var = peek()
-            if not isinstance(var, str) or not _VARIABLE.fullmatch(var):
+            if var is None or not _VARIABLE.fullmatch(var):
                 err("expected a variable after %r" % tok)
             if var == "T":
                 err("T is the constant T and cannot be bound")

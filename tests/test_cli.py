@@ -66,7 +66,16 @@ def test_parse_prints_a_reparseable_canonical_form():
         (["decide", "--alphabet", "ab", "--sequent", "fin-a |- inf-b c"], 64, "",
          "error: trailing input at position 6 in 'inf-b c'\n"),
         (["parse", "--alphabet", "ab", "--expr", "fin-a-b"], 64, "",
-         "error: unknown name or letter outside alphabet: 'fin' at position 0 in 'fin-a-b'\n"),
+         "error: unknown name or letter outside alphabet: 'fin-a-b' at position 0 in 'fin-a-b'\n"),
+        # a name whose letters are not all in the alphabet is refused
+        (["parse", "--alphabet", "a", "--expr", "only-b"], 64, "",
+         "error: unknown name or letter outside alphabet: 'only-b' at position 0 in 'only-b'\n"),
+        (["member", "--alphabet", "a", "--word", "(a)^w", "--expr", "a any"], 64, "",
+         "error: unknown name or letter outside alphabet: 'any' at position 2 in 'a any'\n"),
+        (["export-apa", "--alphabet", "a", "--expr", "only-a + i_b"], 64, "",
+         "error: unknown name or letter outside alphabet: 'i_b' at position 9 in 'only-a + i_b'\n"),
+        (["decide", "--alphabet", "a", "--sequent", "only-a |- only-b"], 64, "",
+         "error: unknown name or letter outside alphabet: 'only-b' at position 0 in 'only-b'\n"),
     ],
 )
 def test_bundled_names_are_atoms_and_letters_come_first(capsys, argv, code, out, err):
