@@ -12,8 +12,9 @@ corpus       bundled fixtures: run the regression suite, list or show entries
 
 Expressions, words and sequents are taken from flags; bundled expression
 names (and their short aliases such as f_a, i_a') may be used wherever an
-expression can appear, as atoms.  A word that spells letters of the
-alphabet is read as letters first.  Alphabet letters are `a`-`z`.
+expression can appear, as atoms, when all their letters are in the
+alphabet.  A word that spells letters of the alphabet is read as letters
+first.  Alphabet letters are `a`-`z`.
 
 Each handler returns its Outcome and main alone prints it.  In text mode
 that is the result, then its witness lines (`check`'s violations or lasso);

@@ -347,8 +347,9 @@ def parse(text: str, alphabet: Alphabet, names=None) -> Expr:
     to the right.  ``mu``, ``nu`` and ``T`` are reserved: ``T`` is always
     the constant, so it cannot be bound.  A lowercase word that spells one
     or more letters of the alphabet is read as nested prefixes; otherwise,
-    if `names` (a dict from name to closed term) holds the word, it is an
-    atom that stands for that term.  The result is canonically renamed.
+    if `names` (a dict from name to closed term) holds the word and every
+    letter of its term is in the alphabet, it is an atom that stands for
+    that term.  The result is canonically renamed.
     Input nested deeper than the interpreter's recursion limit allows raises
     ParseError.
     """
