@@ -528,38 +528,50 @@ def sccs(order, children):
     """The strongly connected components, in Tarjan's order, and a feedback
     node set: the nodes that an edge reaches while they are still on the
     stack.  That set holds every DFS back-edge target, so it meets every
-    cycle."""
-    index = {}
-    low = {}
-    onstack = set()
+    cycle.  Nodes are any hashable ids; `order` lists every node."""
+    number = {v: i for i, v in enumerate(order)}
+    feedback = set()
+    comps = tarjan([[number[c] for c in children[v]] for v in order], range(len(order)), feedback)
+    return [[order[i] for i in comp] for comp in comps], {order[i] for i in feedback}
+
+
+def tarjan(children, starts, feedback=None):
+    """Tarjan's algorithm over nodes numbered below len(children): the
+    strongly connected components of the nodes reachable from `starts`, in
+    Tarjan's order.  When `feedback` is a set, every node that an edge
+    reaches while it is still on the stack is added to it."""
+    index = [-1] * len(children)
+    low = [0] * len(children)
+    onstack = bytearray(len(children))
     stack = []
     out = []
-    feedback = set()
-    counter = [0]
+    counter = 0
 
-    for start in order:
-        if start in index:
+    for start in starts:
+        if index[start] >= 0:
             continue
         work = [(start, iter(children[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
+        index[start] = low[start] = counter
+        counter += 1
         stack.append(start)
-        onstack.add(start)
+        onstack[start] = 1
         while work:
             v, it = work[-1]
             advanced = False
             for u in it:
-                if u not in index:
-                    index[u] = low[u] = counter[0]
-                    counter[0] += 1
+                if index[u] < 0:
+                    index[u] = low[u] = counter
+                    counter += 1
                     stack.append(u)
-                    onstack.add(u)
+                    onstack[u] = 1
                     work.append((u, iter(children[u])))
                     advanced = True
                     break
-                if u in onstack:
-                    low[v] = min(low[v], index[u])
-                    feedback.add(u)
+                if onstack[u]:
+                    if index[u] < low[v]:
+                        low[v] = index[u]
+                    if feedback is not None:
+                        feedback.add(u)
             if advanced:
                 continue
             work.pop()
@@ -567,15 +579,16 @@ def sccs(order, children):
                 comp = []
                 while True:
                     u = stack.pop()
-                    onstack.discard(u)
+                    onstack[u] = 0
                     comp.append(u)
                     if u == v:
                         break
                 out.append(comp)
             if work:
                 parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return out, feedback
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+    return out
 
 
 def _progress_lasso(p: ProofGraph) -> Optional[Lasso]:

@@ -1,10 +1,13 @@
-"""Membership of ultimately periodic words: game construction, the solver
-and the certificate of its strategies.
+"""Membership of ultimately periodic words: game construction, the solvers
+and the certificate of the explicit solver's strategies.
 
 Zielonka's solver is checked against the small-progress-measures oracle and
 a direct denotational fixpoint computation (tests/oracles.py), and its
 winning strategies against first_uncertified, on evaluation games and on
-synthetic ones; the certificate itself must flag planted faults.
+synthetic ones; the certificate itself must flag planted faults.  The
+bitmask solver behind member (winning_offsets) must name the same winner
+as the explicit one at every offset and closure member of every evaluation
+game built here.
 """
 
 import random
@@ -21,6 +24,7 @@ from rll.semantics import (
     parse_word,
     solve_zielonka,
     suffixes_in,
+    winning_offsets,
 )
 from oracles import EvalPosition, gen_expr, gen_word, labelled_game, member_denotational, ref_eval_game, solve_spm
 
@@ -33,6 +37,16 @@ def w(text):
 
 def e(text):
     return parse(text, AB)
+
+
+def assert_bitmasks_agree(word, expr, winner):
+    """winning_offsets names solve_zielonka's `winner` (over
+    build_eval_game(word, expr)) at every offset o and member k."""
+    masks = winning_offsets(word, expr)
+    m = len(fl_closure(expr).members)
+    assert len(masks) == m
+    got = bytes((masks[k] >> o) & 1 for o in range(word.n_offsets()) for k in range(m))
+    assert got == winner, (pretty(expr), str(word))
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +140,7 @@ def test_solvers_agree_with_denotational_fixpoints():
         assert len(winner) == len(game.positions)
         assert solve_spm(game) == winner
         assert first_uncertified(game, winner, choice) is None
+        assert_bitmasks_agree(word, expr, winner)
 
 
 def test_large_games_agree_with_denotational_fixpoints():
@@ -147,10 +162,12 @@ def test_large_games_agree_with_denotational_fixpoints():
         loop_letters = rng.sample(alphabet.letters, rng.randint(1, len(alphabet.letters)))
         stem = "".join(rng.choice(alphabet.letters) for _ in range(cut))
         loop = "".join(rng.choice(loop_letters) for _ in range(n - cut))
-        game = build_eval_game(UPWord(stem, loop, alphabet), expr)
+        word = UPWord(stem, loop, alphabet)
+        game = build_eval_game(word, expr)
         assert 2000 <= len(game.positions) <= 25000
         winner, choice = solve_zielonka(game)
         assert first_uncertified(game, winner, choice) is None
+        assert_bitmasks_agree(word, expr, winner)
 
         def suffix(o):
             if o < cut:
@@ -163,6 +180,65 @@ def test_large_games_agree_with_denotational_fixpoints():
             assert winner[o * m + k] == expected, (pretty(expr), stem, loop, o, k)
             seen.add(expected)
     assert seen == {True, False}
+
+
+def test_bitmask_winners_agree_on_random_pairs():
+    # over two and three letters, stems empty or not: the bitmask winners
+    # equal the explicit solver's everywhere, and at offset 0 of the root
+    # they are membership
+    rng = random.Random(1998)
+    empty_stems = 0
+    for _ in range(3000):
+        alphabet = Alphabet(rng.choice(["ab", "abc"]))
+        expr = gen_expr(rng, alphabet, rng.randint(1, 8))
+        stem, loop = gen_word(rng, alphabet)
+        empty_stems += not stem
+        word = UPWord(stem, loop, alphabet)
+        winner, _ = solve_zielonka(build_eval_game(word, expr))
+        assert_bitmasks_agree(word, expr, winner)
+        assert winning_offsets(word, expr)[0] & 1 == member_denotational(stem, loop, expr)
+    assert empty_stems > 500
+
+
+@pytest.mark.parametrize(
+    "expr,word",
+    [
+        ("mu X. X", "ab(ba)^w"),
+        ("nu X. X", "ab(ba)^w"),
+        ("0", "(a)^w"),
+        ("T", "b(a)^w"),
+        ("c T", "ab(ab)^w"),  # c occurs nowhere in the word
+        ("nu X. (c X + a X) & mu Y. (b Y + c T)", "(ab)^w"),
+    ],
+)
+def test_bitmask_winners_agree_on_degenerate_members(expr, word):
+    abc = Alphabet("abc")
+    word, expr = parse_word(word, abc), parse(expr, abc)
+    winner, _ = solve_zielonka(build_eval_game(word, expr))
+    assert_bitmasks_agree(word, expr, winner)
+
+
+ALT_6 = "nu X0. mu X1. nu X2. mu X3. nu X4. mu X5. (a X0 + b X1 + c X2 + d X3 + e X4 + f X5)"
+
+
+@pytest.mark.parametrize(
+    "stem,loop",
+    [
+        ("", "".join(c * 20 for c in "fedcba")),
+        ("", "".join(c * 170 for c in "fedcba")),
+        ("ab", "b" * 1023 + "a"),
+    ],
+    ids=["blocks-20", "blocks-170", "long-b-run"],
+)
+def test_bitmask_winners_agree_where_nested_iteration_blows_up(stem, loop):
+    # block-structured loops under alternation depth 6: nested fixpoint
+    # iteration over offset masks takes seconds here, Zielonka's recursion
+    # over the same masks does not
+    alphabet = Alphabet("abcdef")
+    word, expr = UPWord(stem, loop, alphabet), parse(ALT_6, alphabet)
+    winner, _ = solve_zielonka(build_eval_game(word, expr))
+    assert_bitmasks_agree(word, expr, winner)
+    assert member(word, expr)
 
 
 def test_suffixes_in_reads_membership_of_every_suffix():
