@@ -41,12 +41,14 @@ def e(text):
 
 def assert_bitmasks_agree(word, expr, winner):
     """winning_offsets names solve_zielonka's `winner` (over
-    build_eval_game(word, expr)) at every offset o and member k."""
+    build_eval_game(word, expr)) at every offset o and member k; returns
+    the masks."""
     masks = winning_offsets(word, expr)
     m = len(fl_closure(expr).members)
     assert len(masks) == m
     got = bytes((masks[k] >> o) & 1 for o in range(word.n_offsets()) for k in range(m))
     assert got == winner, (pretty(expr), str(word))
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +197,8 @@ def test_bitmask_winners_agree_on_random_pairs():
         empty_stems += not stem
         word = UPWord(stem, loop, alphabet)
         winner, _ = solve_zielonka(build_eval_game(word, expr))
-        assert_bitmasks_agree(word, expr, winner)
-        assert winning_offsets(word, expr)[0] & 1 == member_denotational(stem, loop, expr)
+        masks = assert_bitmasks_agree(word, expr, winner)
+        assert masks[0] & 1 == member_denotational(stem, loop, expr)
     assert empty_stems > 500
 
 
