@@ -363,7 +363,7 @@ def random_expression(rng, size: int, scope=()):
 
 def membership_mismatches(seed: int):
     """Check word membership three ways on random instances, at every
-    position of the evaluation game: the default game solver, its winning
+    position of the explicit evaluation game: solve_zielonka, its winning
     strategies as a certificate of its winners (first_uncertified), and the
     same solver on the dual game (owners swapped, every priority one
     higher), which Eloise must win exactly where Abelard wins the original.
