@@ -6,8 +6,8 @@ letter transitions, every other one-step reduct an epsilon transition.  Sums
 and 0 branch existentially, intersections and T universally; states with a
 unique transition are existential by convention.  The colouring assigns
 fixpoint states numbers that respect the subformula order, odd for mu and
-even for nu.  Its acceptance game on a word is the evaluation game of
-semantics.build_eval_game, which numbers the same states the same way.
+even for nu.  Its acceptance game on a word is the evaluation game that
+semantics.winning_offsets solves, over the same state numbers.
 """
 
 from __future__ import annotations

@@ -21,6 +21,7 @@ from .expr import (
     Mu,
     Nu,
     Plus,
+    Top,
     Var,
     ast_size,
     canonical,
@@ -32,16 +33,7 @@ from .expr import (
     unfold,
 )
 from .calculus import LOGICAL_RULE, Sequent, make_instance, premiss_letters
-from .semantics import (
-    ParityGame,
-    UPWord,
-    build_eval_game,
-    first_uncertified,
-    member,
-    parse_word,
-    solve_zielonka,
-    suffixes_in,
-)
+from .semantics import UPWord, member, parse_word, suffixes_in, winning_offsets
 from .automaton import default_coloring
 from .proof import ProofGraph, check
 from .decide import Proved, Refuted, decide, saturate
@@ -320,7 +312,7 @@ def name_table():
 COMPLEMENT_ROUND_NAMES = ("only-a", "any", "fin-a", "fin-b", "inf-a", "inf-b")
 
 # sample sizes of the batches in corpus run
-MEMBERSHIP_SAMPLES = 1000  # random (expression, word) pairs checked three ways
+MEMBERSHIP_SAMPLES = 1000  # random (expression, word) pairs whose membership solve is checked
 CLOSED_FORM_WORDS = 50  # sampled words each for 0 and T
 SOUNDNESS_WORDS = 200  # sampled words per rule instance
 MAX_STEM = MAX_LOOP = 3  # most letters in a sampled word's stem and loop; a loop has at least one
@@ -361,33 +353,63 @@ def random_expression(rng, size: int, scope=()):
     return (Mu if kind == "mu" else Nu)(var, body)
 
 
+def _fixpoint_offsets(w: UPWord, terms) -> list:
+    """Per closed term, the offsets of w whose suffix lies in the term's
+    language, as a bitmask: the Knaster-Tarski semantics, walking the term
+    with mu and nu iterated from no offset and from every offset."""
+    n = w.n_offsets()
+    full = (1 << n) - 1
+
+    def walk(f, env):
+        if isinstance(f, Var):
+            return env[f.name]
+        if isinstance(f, Letter):
+            body = walk(f.body, env)
+            return sum(1 << o for o in range(n) if w.letter_at(o) == f.letter and body >> w.advance(o) & 1)
+        if isinstance(f, Plus):
+            return walk(f.left, env) | walk(f.right, env)
+        if isinstance(f, Cap):
+            return walk(f.left, env) & walk(f.right, env)
+        if isinstance(f, (Mu, Nu)):
+            x = 0 if isinstance(f, Mu) else full
+            while True:
+                y = walk(f.body, {**env, f.var: x})
+                if y == x:
+                    return x
+                x = y
+        return full if isinstance(f, Top) else 0
+
+    return [walk(f, {}) for f in terms]
+
+
 def membership_mismatches(seed: int):
-    """Check word membership three ways on random instances, at every
-    position of the explicit evaluation game: solve_zielonka, its winning
-    strategies as a certificate of its winners (first_uncertified), and the
-    same solver on the dual game (owners swapped, every priority one
-    higher), which Eloise must win exactly where Abelard wins the original.
-    Returns one description per failing instance, naming the first position
-    where a check fails as its offset and closure member, and the checks
-    that fail there."""
+    """Check the membership solver that member runs (winning_offsets) on
+    random instances, at every offset and closure member, two ways: each
+    member's mask must be the Knaster-Tarski semantics of that member
+    (fixpoint), and the semantics of the expression's complement must be the
+    root's mask negated (dual).  The semantics is a walk of the term alone:
+    it reads no closure numbering, colouring or game.  Returns one
+    description per failing instance, naming the first place where a check
+    fails as its offset and closure member, and the checks that fail there."""
     rng = random.Random(seed)
     out = []
     for _ in range(MEMBERSHIP_SAMPLES):
         e = canonical(random_expression(rng, rng.randint(1, 12)))
         w = sample_word(rng)
-        game = build_eval_game(w, e)
-        winner, choice = solve_zielonka(game)
-        uncertified = first_uncertified(game, winner, choice)
-        dual = ParityGame(bytes(1 - x for x in game.is_e), tuple(c + 1 for c in game.prio), game.out)
-        lost, _ = solve_zielonka(dual)
-        parted = next((p for p, (x, y) in enumerate(zip(winner, lost)) if x == y), None)
-        legs = {"certificate": uncertified, "dual": parted}
-        p = min((q for q in legs.values() if q is not None), default=None)
-        if p is not None:
-            members = fl_closure(e).members
-            where = "offset %d in %s" % (p // len(members), pretty(members[p % len(members)]))
-            there = " and ".join(leg for leg, q in legs.items() if q == p)
-            out.append("%s on %s: at %s, game=%s, failing: %s" % (pretty(e), w, where, winner[p] == 1, there))
+        members = fl_closure(e).members
+        masks = winning_offsets(w, e)
+        *truth, dual = _fixpoint_offsets(w, members + (complement(e, ALPHABET),))
+        m, n = len(members), w.n_offsets()
+        legs = {
+            "fixpoint": next(((o, k) for o in range(n) for k in range(m) if (masks[k] ^ truth[k]) >> o & 1), None),
+            "dual": next(((o, 0) for o in range(n) if ~(masks[0] ^ dual) >> o & 1), None),
+        }
+        first = min((q for q in legs.values() if q is not None), default=None)
+        if first is not None:
+            o, k = first
+            where = "offset %d in %s" % (o, pretty(members[k]))
+            there = " and ".join(leg for leg, q in legs.items() if q == first)
+            out.append("%s on %s: at %s, game=%s, failing: %s" % (pretty(e), w, where, masks[k] >> o & 1 == 1, there))
     return out
 
 

@@ -127,6 +127,15 @@ def check_local(p: ProofGraph):
 # proof files
 
 
+def _after_keyword(text: str, keyword: str) -> Optional[str]:
+    """The stripped text after a leading keyword, or None unless text starts
+    with the keyword followed by whitespace or its end."""
+    rest = text[len(keyword):]
+    if text.startswith(keyword) and (not rest or rest[0].isspace()):
+        return rest.strip()
+    return None
+
+
 def parse_proof(text: str) -> ProofGraph:
     """Load the structured-text proof format:
 
@@ -136,8 +145,10 @@ def parse_proof(text: str) -> ProofGraph:
 
     `#` starts a comment; records may appear in any order after the alphabet
     line; ASCII rule aliases (mu-l, top-r, ...) are accepted; the principal
-    clause may be omitted when it is unambiguous.  Each distinct formula
-    text is parsed once per call."""
+    clause may be omitted when it is unambiguous.  The keywords root, rule,
+    principal and children end at whitespace or at the end of their clause,
+    so `rootn0` is no root line.  Each distinct formula text is parsed once
+    per call."""
     alphabet = None
     records = []  # (nid, sequent_text, rule, principal_text, children ids)
     root = None
@@ -150,10 +161,11 @@ def parse_proof(text: str) -> ProofGraph:
                 raise ParseError("duplicate alphabet line")
             alphabet = Alphabet(line[len("alphabet:"):].strip())
             continue
-        if line.startswith("root"):
+        root_text = _after_keyword(line, "root")
+        if root_text is not None:
             if root is not None:
                 raise ParseError("duplicate root line")
-            root = line[len("root"):].strip()
+            root = root_text
             continue
         if not line.startswith("node "):
             raise ParseError("unrecognised proof line: %r" % raw_line)
@@ -167,9 +179,9 @@ def parse_proof(text: str) -> ProofGraph:
         if len(parts) < 2 or len(parts) > 3:
             raise ParseError("node %s: expected '<sequent> ; rule ... [; children ...]'" % nid)
         sequent_text = parts[0]
-        if not parts[1].startswith("rule"):
+        rule_rest = _after_keyword(parts[1], "rule")
+        if rule_rest is None:
             raise ParseError("node %s: missing rule clause" % nid)
-        rule_rest = parts[1][len("rule"):].strip()
         if not rule_rest:
             raise ParseError("node %s: empty rule clause" % nid)
         bits = rule_rest.split(None, 1)
@@ -178,14 +190,14 @@ def parse_proof(text: str) -> ProofGraph:
             raise ParseError("node %s: unknown rule %r" % (nid, bits[0]))
         principal_text = None
         if len(bits) > 1:
-            if not bits[1].startswith("principal"):
+            principal_text = _after_keyword(bits[1], "principal")
+            if principal_text is None:
                 raise ParseError("node %s: unexpected text after the rule name" % nid)
-            principal_text = bits[1][len("principal"):].strip()
         kids = ()
         if len(parts) == 3:
-            if not parts[2].startswith("children"):
+            kid_text = _after_keyword(parts[2], "children")
+            if kid_text is None:
                 raise ParseError("node %s: expected a children clause" % nid)
-            kid_text = parts[2][len("children"):].strip()
             if kid_text:
                 kids = tuple(k.strip() for k in kid_text.split(","))
         records.append((nid, sequent_text, rule, principal_text, kids))

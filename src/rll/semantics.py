@@ -14,30 +14,17 @@ member and suffixes_in solve the game symbolically (winning_offsets): the
 offsets where Eloise wins from a closure member form one int bitmask, a
 letter move is a shift of it, and Zielonka's recursion runs over lists of
 such masks, one per member.  No position is ever laid out, so one solve
-answers membership for every suffix of the word.
-
-The explicit game is the cross-check.  build_eval_game numbers it end to
-end, with no label layer: positions are 0..n-1, held as arrays of owner,
-priority and successor numbers, and (o, fl.members[k]) is number o*|fl| + k,
-read straight off the closure's own numbering (fl.succ) and colouring.
-solve_zielonka, Zielonka's recursive attractor solver, returns per-position
-arrays: a winner byte for each position and a winning move wherever the
-position's owner wins.  Those moves are positional strategies, and
-first_uncertified checks them as a certificate of every reported winner,
-with no second solver; `corpus run` checks that certificate on every
-sampled game, and the solver against itself on the dual game, and the
-tests check the bitmask winners against the explicit ones at every
-position.
+answers membership for every suffix of the word.  `corpus run` checks the
+masks against the fixpoint semantics of every closure member, and the tests
+against an explicit solve of the game at every position.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Optional
 
 from .automaton import default_coloring
 from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, canonical, fl_closure, free_vars
-from .proof import tarjan
 
 
 class UPWord:
@@ -96,198 +83,33 @@ def parse_word(text: str, alphabet: Alphabet) -> UPWord:
     return UPWord(m.group(1), m.group(2), alphabet)
 
 
-class ParityGame:
-    """A finite min-parity game over positions numbered 0..n-1.
-
-    `positions` is range(n).  Position p belongs to Eloise iff `is_e[p]`,
-    has priority `prio[p]` and moves to the numbers in `out[p]`; a position
-    without moves is a deadlock and loses for its owner, which the solver
-    plays as a move into a losing sink numbered n or n+1.  build_eval_game
-    fills the arrays well formed: every move stays below n."""
-
-    __slots__ = ("positions", "is_e", "prio", "out")
-
-    def __init__(self, is_e: bytes, prio: tuple, out: tuple):
-        self.positions = range(len(is_e))
-        self.is_e, self.prio, self.out = is_e, prio, out
-
-
-def build_eval_game(w: UPWord, e: Expr) -> ParityGame:
-    """The evaluation game of a closed expression on an ultimately periodic
-    word: (offset o, fl.members[k]) is position o*|fl| + k.  Letter
-    positions advance on a match and deadlock (for Eloise) on a mismatch;
-    0 deadlocks for Eloise, T for Abelard; + is Eloise's choice, &
-    Abelard's; fixpoints unfold deterministically."""
-    fl = fl_closure(e)
-    m, n = len(fl.members), w.n_offsets()
-    next_block = [w.advance(o) * m for o in range(n)]
-    letters = [w.letter_at(o) for o in range(n)]
-    is_e = bytes(not isinstance(f, (Top, Cap)) for f in fl.members)
-    out = [()] * (n * m)  # 0 and T keep no moves
-    for k, (f, targets) in enumerate(zip(fl.members, fl.succ)):
-        if isinstance(f, Letter):
-            t, letter = targets[0], f.letter
-            out[k::m] = [(b + t,) if c == letter else () for b, c in zip(next_block, letters)]
-        elif targets:  # the same move at every offset, shifted by m
-            out[k::m] = list(zip(*(range(t, n * m, m) for t in targets)))
-    return ParityGame(is_e * n, default_coloring(fl) * n, tuple(out))
-
-
-def solve_zielonka(game: ParityGame):
-    """Solve a min-parity game: returns (winner, choice) over the positions
-    0..n-1, where winner[p] is 1 iff Eloise wins from p and choice[p] is a
-    winning move of p's owner wherever that owner wins (a positional
-    strategy on each winning region)."""
-    # the game made total: position n is a sink for a stuck Eloise (priority
-    # 1), n+1 one for a stuck Abelard (priority 0); both belong to Eloise and
-    # loop on themselves.  Duplicate moves may stay: the attractor counts
-    # successors with multiplicity and meets a position once per move in
-    # the predecessor lists.
-    n = len(game.positions)
-    stuck = ((n + 1,), (n,))  # indexed by is_e
-    succ = [ms or stuck[e] for ms, e in zip(game.out, game.is_e)] + [stuck[1], stuck[0]]
-    is_e, prio = game.is_e + b"\1\1", game.prio + (1, 0)
-    pred = [[] for _ in succ]
-    for p, ms in enumerate(succ):
-        for q in ms:
-            pred[q].append(p)
-    # the subgame being solved is the set of positions p with live[p] == 1
-    live = bytearray(b"\1") * len(succ)
-    choice = [0] * len(succ)  # a move per position; read only where its owner wins
-    left = [0] * len(succ)  # 0 outside an attractor search
-
-    def attract(target, to_e):
-        """The positions of the subgame from which the player (Eloise iff
-        to_e) can force a visit to target, marked 2 in live while the search
-        runs; the player's forcing moves go into choice.  An opponent
-        position with several moves is attracted once `left`, its count of
-        successors in the subgame not yet attracted, taken when the search
-        first reaches it, falls to 0."""
-        order = list(target)
-        for p in order:
-            live[p] = 2
-        reached = []
-        for q in order:
-            for p in pred[q]:
-                if live[p] != 1:
-                    continue
-                if is_e[p] == to_e:
-                    choice[p] = q
-                elif len(succ[p]) > 1:
-                    if not left[p]:
-                        left[p] = len([r for r in succ[p] if live[r]])
-                        reached.append(p)
-                    left[p] -= 1
-                    if left[p]:
-                        continue
-                live[p] = 2
-                order.append(p)
-        for p in reached:
-            left[p] = 0
-        return order
-
-    def solve(region):
-        """(Eloise's, Abelard's) winning positions in the subgame on region,
-        with the winners' moves in choice.  Leaves live as it found it."""
-        if not region:
-            return [], []
-        d = min(map(prio.__getitem__, region))
-        to_e = d % 2 == 0
-        z = [p for p in region if prio[p] == d]
-        a = attract(z, to_e)
-        for p in a:
-            live[p] = 0
-        w_e, w_a = solve([p for p in region if live[p]])
-        for p in a:
-            live[p] = 1
-        w_other = w_a if to_e else w_e
-        if not w_other:
-            for p in z:
-                if is_e[p] == to_e:
-                    choice[p] = next(q for q in succ[p] if live[q])
-            return (region, []) if to_e else ([], region)
-        b = attract(w_other, not to_e)
-        for p in b:
-            live[p] = 0
-        w_e, w_a = solve([p for p in region if live[p]])
-        for p in b:
-            live[p] = 1
-        return (w_e, b + w_a) if to_e else (b + w_e, w_a)
-
-    winner = bytearray(len(succ))
-    for p in solve(list(range(len(succ))))[0]:
-        winner[p] = 1
-    return bytes(winner[:n]), choice[:n]
-
-
-def first_uncertified(game: ParityGame, winner: bytes, choice) -> Optional[int]:
-    """Check the strategies in `choice` as a certificate of `winner`: None
-    when they prove the winner of every position, else the least position
-    at which a check fails.  In each region the winner's choice is a move
-    that stays in the region, no opponent move leaves it, and the winner is
-    never stuck there.  Then, in each strongly connected component of the
-    remaining moves that holds a cycle, the least priority has the winner's
-    parity, and the check repeats on the component without its positions
-    of that priority: every play the strategies allow is won."""
-    failed = set()
-    plays = []
-    for p, ms in enumerate(game.out):
-        if game.is_e[p] == winner[p]:
-            ms = (choice[p],) if choice[p] in ms else ()
-            if not ms:  # stuck, or a choice that is not a move
-                failed.add(p)
-        inside = tuple(q for q in ms if winner[q] == winner[p])
-        if len(inside) < len(ms):
-            failed.add(p)
-        plays.append(inside)
-    comps = tarjan(plays, game.positions)
-    while comps:  # one round per layer of removed priorities
-        label = [-1] * len(plays)  # the component a position is split again in
-        rest = []
-        for i, comp in enumerate(comps):
-            if len(comp) == 1 and comp[0] not in plays[comp[0]]:
-                continue  # no cycle
-            d = min(game.prio[p] for p in comp)
-            if d % 2 == winner[comp[0]]:  # Eloise (1) wins by an even priority
-                failed.add(min(comp))
-                continue
-            for p in comp:
-                if game.prio[p] != d:
-                    label[p] = i
-                    rest.append(p)
-        plays = [[q for q in ms if label[q] == label[p]] if label[p] >= 0 else () for p, ms in enumerate(plays)]
-        comps = tarjan(plays, rest)
-    return min(failed, default=None)
-
-
-# ---------------------------------------------------------------------------
-
-
 def winning_offsets(w: UPWord, e: Expr) -> list:
     """Solve the evaluation game of a closed expression on a word over
-    bitmasks of offsets: bit o of the k-th int is 1 iff Eloise wins
-    (o, fl.members[k]), which is the winner byte o*|fl| + k of
-    solve_zielonka(build_eval_game(w, e)).
+    bitmasks of offsets: bit o of the k-th int is 1 iff Eloise wins from
+    (offset o, fl.members[k]), that is, iff the suffix at o lies in the
+    language of that member.
 
     A region is a list of m + 2 ints, one offset mask per closure member
     plus two sinks that loop on themselves at every offset: m, where Eloise
     loses (priority 1), and m + 1, where she wins (priority 0).  The moves
-    are build_eval_game's, read from the same closure numbering and
-    colouring: a letter member steps to its body at the offsets carrying its
-    letter and to sink m elsewhere, 0 moves to sink m and T to sink m + 1,
-    and every other member moves at the same offset.  The offsets from
-    which a letter step lands in a mask B are its pre-image
-    (B >> 1) | ((B >> s) & 1) << (n - 1), with s = |stem| and n = |stem| +
-    |loop|, masked with the letter's offsets.  The recursion is
-    solve_zielonka's, attractor for attractor, so the winning regions are
-    the same, and it cannot take more steps than the explicit solver.
+    are read from the closure numbering (fl.succ) and owners and priorities
+    from the members and their colouring: a letter member steps to its body
+    at the offsets carrying its letter and to sink m elsewhere, 0 moves to
+    sink m and T to sink m + 1, and every other member moves at the same
+    offset.  The offsets from which a letter step lands in a mask B are its
+    pre-image (B >> 1) | ((B >> s) & 1) << (n - 1), with s = |stem| and
+    n = |stem| + |loop|, masked with the letter's offsets.  The recursion
+    is Zielonka's, attractor for attractor, so it takes no more steps than
+    the recursion over explicit positions.
 
     Nested fixpoint iteration over the same masks, the textbook symbolic
     route, was measured first and rejected: each fixpoint restarts its
     inner ones, and a letter step moves a mask by one offset per round, so
     block-structured words blow up.  Alternation depth 6 over the 120-letter
     loop (f^20 e^20 d^20 c^20 b^20 a^20)^w took 12.1 s against 0.003 s for
-    the explicit game, and the 240-letter loop ran past 60 s."""
+    the explicit game, and the 240-letter loop ran past 60 s.  On the short
+    words of `corpus run` it is cheap, and there it is the oracle these
+    masks are checked against (corpus.membership_mismatches)."""
     fl = fl_closure(e)
     m, n, s = len(fl.members), w.n_offsets(), len(w.stem)
     full, last = (1 << n) - 1, n - 1

@@ -26,21 +26,31 @@
 - ref_trace_automaton builds the trace automaton of a proof graph as a
   labelled automaton, state by state, over ref_grouped_ancestry; rll.proof
   numbers its states per node and builds each edge's reach rows directly.
+- build_eval_game numbers the evaluation game of rll.semantics end to end,
+  with no label layer: positions are 0..n-1, held as arrays of owner,
+  priority and successor numbers, and (o, fl.members[k]) is number
+  o*|fl| + k, read straight off the closure's own numbering (fl.succ) and
+  colouring.  solve_zielonka, Zielonka's recursive attractor solver,
+  returns per-position arrays: a winner byte for each position and a
+  winning move wherever the position's owner wins.  Those moves are
+  positional strategies, and first_uncertified checks them as a
+  certificate of every reported winner.  This explicit game is the
+  reference that the bitmask solver of rll.semantics (winning_offsets) is
+  compared with at every offset and closure member; the product lays out
+  no position.
 - labelled_game numbers a parity game given as labelled dicts, checking
-  them first; rll.semantics builds its games as numbered arrays only.
-  ref_eval_game builds the evaluation game as labelled dicts over
-  EvalPosition labels, position by position, each move derived from the
-  member's constructor; rll.semantics fills the numbered arrays directly
-  from the closure's numbering.
+  them first; build_eval_game builds numbered arrays only.  ref_eval_game
+  builds the evaluation game as labelled dicts over EvalPosition labels,
+  position by position, each move derived from the member's constructor;
+  build_eval_game fills the numbered arrays directly from the closure's
+  numbering.
 - ref_acceptance_game builds the acceptance game of an alternating parity
   automaton on a word from the automaton's own states and transitions;
   since the automaton is the numbered closure, it must equal the
   evaluation game array for array.
 - solve_spm is Jurdzinski's small-progress-measures solver, with its own
-  deadlock sinks; it shares no code with the Zielonka solver of
-  rll.semantics, and the tests compare their winners on small games.  The
-  product does not solve a game twice: `corpus run` checks Zielonka's
-  winning strategies as a certificate (semantics.first_uncertified).
+  deadlock sinks; it shares no code with solve_zielonka, and the tests
+  compare their winners on small games.
 - ref_find_unaccepted_branch is the progress search of rll.proof as one
   full pass: loops start at every node of a cyclic SCC and every witness is
   a whole edge tuple.  rll.proof decides the verdict over feedback nodes and
@@ -79,8 +89,8 @@ from rll.expr import (
     unfold,
 )
 from rll.automaton import default_coloring
-from rll.proof import ProofGraph, TraceAutomaton
-from rll.semantics import ParityGame, UPWord
+from rll.proof import ProofGraph, TraceAutomaton, tarjan
+from rll.semantics import UPWord
 
 
 def member_denotational(stem: str, loop: str, e) -> bool:
@@ -204,6 +214,175 @@ def gen_guarded_sequent(rng, alphabet: Alphabet, max_size=8, max_side=2):
         return {gen_guarded_expr(rng, alphabet, rng.randint(1, max_size)) for _ in range(n)}
 
     return Sequent(side(), side(), alphabet)
+
+
+# ---------------------------------------------------------------------------
+# The explicit evaluation game, Zielonka's solver over it and the certificate
+# of its strategies
+
+
+class ParityGame:
+    """A finite min-parity game over positions numbered 0..n-1.
+
+    `positions` is range(n).  Position p belongs to Eloise iff `is_e[p]`,
+    has priority `prio[p]` and moves to the numbers in `out[p]`; a position
+    without moves is a deadlock and loses for its owner, which the solver
+    plays as a move into a losing sink numbered n or n+1.  build_eval_game
+    fills the arrays well formed: every move stays below n."""
+
+    __slots__ = ("positions", "is_e", "prio", "out")
+
+    def __init__(self, is_e: bytes, prio: tuple, out: tuple):
+        self.positions = range(len(is_e))
+        self.is_e, self.prio, self.out = is_e, prio, out
+
+
+def build_eval_game(w: UPWord, e: Expr) -> ParityGame:
+    """The evaluation game of a closed expression on an ultimately periodic
+    word: (offset o, fl.members[k]) is position o*|fl| + k.  Letter
+    positions advance on a match and deadlock (for Eloise) on a mismatch;
+    0 deadlocks for Eloise, T for Abelard; + is Eloise's choice, &
+    Abelard's; fixpoints unfold deterministically."""
+    fl = fl_closure(e)
+    m, n = len(fl.members), w.n_offsets()
+    next_block = [w.advance(o) * m for o in range(n)]
+    letters = [w.letter_at(o) for o in range(n)]
+    is_e = bytes(not isinstance(f, (Top, Cap)) for f in fl.members)
+    out = [()] * (n * m)  # 0 and T keep no moves
+    for k, (f, targets) in enumerate(zip(fl.members, fl.succ)):
+        if isinstance(f, Letter):
+            t, letter = targets[0], f.letter
+            out[k::m] = [(b + t,) if c == letter else () for b, c in zip(next_block, letters)]
+        elif targets:  # the same move at every offset, shifted by m
+            out[k::m] = list(zip(*(range(t, n * m, m) for t in targets)))
+    return ParityGame(is_e * n, default_coloring(fl) * n, tuple(out))
+
+
+def solve_zielonka(game: ParityGame):
+    """Solve a min-parity game: returns (winner, choice) over the positions
+    0..n-1, where winner[p] is 1 iff Eloise wins from p and choice[p] is a
+    winning move of p's owner wherever that owner wins (a positional
+    strategy on each winning region)."""
+    # the game made total: position n is a sink for a stuck Eloise (priority
+    # 1), n+1 one for a stuck Abelard (priority 0); both belong to Eloise and
+    # loop on themselves.  Duplicate moves may stay: the attractor counts
+    # successors with multiplicity and meets a position once per move in
+    # the predecessor lists.
+    n = len(game.positions)
+    stuck = ((n + 1,), (n,))  # indexed by is_e
+    succ = [ms or stuck[e] for ms, e in zip(game.out, game.is_e)] + [stuck[1], stuck[0]]
+    is_e, prio = game.is_e + b"\1\1", game.prio + (1, 0)
+    pred = [[] for _ in succ]
+    for p, ms in enumerate(succ):
+        for q in ms:
+            pred[q].append(p)
+    # the subgame being solved is the set of positions p with live[p] == 1
+    live = bytearray(b"\1") * len(succ)
+    choice = [0] * len(succ)  # a move per position; read only where its owner wins
+    left = [0] * len(succ)  # 0 outside an attractor search
+
+    def attract(target, to_e):
+        """The positions of the subgame from which the player (Eloise iff
+        to_e) can force a visit to target, marked 2 in live while the search
+        runs; the player's forcing moves go into choice.  An opponent
+        position with several moves is attracted once `left`, its count of
+        successors in the subgame not yet attracted, taken when the search
+        first reaches it, falls to 0."""
+        order = list(target)
+        for p in order:
+            live[p] = 2
+        reached = []
+        for q in order:
+            for p in pred[q]:
+                if live[p] != 1:
+                    continue
+                if is_e[p] == to_e:
+                    choice[p] = q
+                elif len(succ[p]) > 1:
+                    if not left[p]:
+                        left[p] = len([r for r in succ[p] if live[r]])
+                        reached.append(p)
+                    left[p] -= 1
+                    if left[p]:
+                        continue
+                live[p] = 2
+                order.append(p)
+        for p in reached:
+            left[p] = 0
+        return order
+
+    def solve(region):
+        """(Eloise's, Abelard's) winning positions in the subgame on region,
+        with the winners' moves in choice.  Leaves live as it found it."""
+        if not region:
+            return [], []
+        d = min(map(prio.__getitem__, region))
+        to_e = d % 2 == 0
+        z = [p for p in region if prio[p] == d]
+        a = attract(z, to_e)
+        for p in a:
+            live[p] = 0
+        w_e, w_a = solve([p for p in region if live[p]])
+        for p in a:
+            live[p] = 1
+        w_other = w_a if to_e else w_e
+        if not w_other:
+            for p in z:
+                if is_e[p] == to_e:
+                    choice[p] = next(q for q in succ[p] if live[q])
+            return (region, []) if to_e else ([], region)
+        b = attract(w_other, not to_e)
+        for p in b:
+            live[p] = 0
+        w_e, w_a = solve([p for p in region if live[p]])
+        for p in b:
+            live[p] = 1
+        return (w_e, b + w_a) if to_e else (b + w_e, w_a)
+
+    winner = bytearray(len(succ))
+    for p in solve(list(range(len(succ))))[0]:
+        winner[p] = 1
+    return bytes(winner[:n]), choice[:n]
+
+
+def first_uncertified(game: ParityGame, winner: bytes, choice) -> Optional[int]:
+    """Check the strategies in `choice` as a certificate of `winner`: None
+    when they prove the winner of every position, else the least position
+    at which a check fails.  In each region the winner's choice is a move
+    that stays in the region, no opponent move leaves it, and the winner is
+    never stuck there.  Then, in each strongly connected component of the
+    remaining moves that holds a cycle, the least priority has the winner's
+    parity, and the check repeats on the component without its positions
+    of that priority: every play the strategies allow is won."""
+    failed = set()
+    plays = []
+    for p, ms in enumerate(game.out):
+        if game.is_e[p] == winner[p]:
+            ms = (choice[p],) if choice[p] in ms else ()
+            if not ms:  # stuck, or a choice that is not a move
+                failed.add(p)
+        inside = tuple(q for q in ms if winner[q] == winner[p])
+        if len(inside) < len(ms):
+            failed.add(p)
+        plays.append(inside)
+    comps = tarjan(plays, game.positions)
+    while comps:  # one round per layer of removed priorities
+        label = [-1] * len(plays)  # the component a position is split again in
+        rest = []
+        for i, comp in enumerate(comps):
+            if len(comp) == 1 and comp[0] not in plays[comp[0]]:
+                continue  # no cycle
+            d = min(game.prio[p] for p in comp)
+            if d % 2 == winner[comp[0]]:  # Eloise (1) wins by an even priority
+                failed.add(min(comp))
+                continue
+            for p in comp:
+                if game.prio[p] != d:
+                    label[p] = i
+                    rest.append(p)
+        plays = [[q for q in ms if label[q] == label[p]] if label[p] >= 0 else () for p, ms in enumerate(plays)]
+        comps = tarjan(plays, rest)
+    return min(failed, default=None)
 
 
 def labelled_game(positions, owner, moves, priority):

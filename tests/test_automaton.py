@@ -6,8 +6,8 @@ import pytest
 
 from rll.expr import Alphabet, Cap, Letter, Mu, Nu, Plus, ast_size, canonical, fl_closure, parse, subformula_leq, unfold
 from rll.automaton import build_apa, default_coloring, export_dot
-from rll.semantics import UPWord, build_eval_game, member, parse_word, solve_zielonka
-from oracles import gen_expr, gen_word, member_denotational, ref_acceptance_game
+from rll.semantics import UPWord, member, parse_word
+from oracles import build_eval_game, gen_expr, gen_word, member_denotational, ref_acceptance_game, solve_zielonka
 
 AB = Alphabet("ab")
 

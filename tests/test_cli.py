@@ -146,6 +146,14 @@ def test_check_reports_local_violations_with_exit_2(tmp_path):
     assert "violation:" in r.stdout
 
 
+def test_check_rejects_a_root_keyword_glued_to_its_node_with_exit_64(capsys, tmp_path):
+    f = tmp_path / "glued.prf"
+    f.write_text("alphabet: ab\nnode n0: mu X. X |- nu X. X ; rule mu-l ; children n0\nrootn0")
+    assert cli_module.main(["check", str(f)]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: unrecognised proof line: 'rootn0'\n"
+
+
 def test_check_reports_progress_failures_with_a_lasso(tmp_path):
     f = tmp_path / "prog.prf"
     f.write_text(

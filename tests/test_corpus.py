@@ -4,11 +4,14 @@ import re
 import pytest
 
 import rll.corpus
+import rll.semantics
 from oracles import ref_soundness_violations
+from rll.automaton import default_coloring
 from rll.calculus import RuleInstance, make_instance, parse_sequent
 from rll.corpus import (
     ALIASES,
     ALPHABET,
+    COMPLEMENT_ROUND_NAMES,
     DECISIONS,
     EXPRESSIONS,
     MAX_LOOP,
@@ -21,8 +24,8 @@ from rll.corpus import (
     saturation_instances,
     soundness_violations,
 )
-from rll.expr import ast_size, canonical, fl_closure, free_vars, is_guarded, parse, pretty
-from rll.semantics import parse_word
+from rll.expr import Mu, Nu, ast_size, canonical, fl_closure, free_vars, is_guarded, parse, pretty
+from rll.semantics import parse_word, winning_offsets
 
 
 def test_aliases_point_at_bundled_expressions():
@@ -93,70 +96,96 @@ def test_the_soundness_batch_matches_the_word_by_word_reference():
         assert len(unsound) > 1000 and len(uninvertible) > 1000, (len(unsound), len(uninvertible))
 
 
-def _lie_once(monkeypatch, name, call, position):
-    """Replace corpus.<name> by a copy that lies about one position on its
-    call-th call (numbered from 0): solve_zielonka flips the position's
-    winner byte, first_uncertified reports the position.  Returns the list
-    that receives the game of that call."""
+def _lie_once(monkeypatch, name, call, lie):
+    """Replace corpus.<name> by a copy that lies on its call-th call
+    (numbered from 0).  winning_offsets and _fixpoint_offsets flip one bit
+    of the list of masks they return, given as lie = (offset, index into
+    the list), either counted from the end when negative; complement
+    returns its argument unchanged.  Returns the list that receives the
+    arguments of that call."""
     real = getattr(rll.corpus, name)
     count = [0]
-    games = []
+    calls = []
 
-    def lying(game, *args):
-        result = real(game, *args)
+    def lying(*args):
+        result = real(*args)
         if count[0] == call:
-            games.append(game)
-            p = position % len(game.positions)
-            if name == "first_uncertified":
-                result = p
+            calls.append(args)
+            if name == "complement":
+                result = args[0]
             else:
-                winner, choice = result
-                result = winner[:p] + bytes([1 - winner[p]]) + winner[p + 1:], choice
+                o, k = lie
+                result = list(result)
+                result[k] ^= 1 << (o % args[0].n_offsets())
         count[0] += 1
         return result
 
     monkeypatch.setattr(rll.corpus, name, lying)
-    return games
+    return calls
 
 
-# the three legs of the membership row: per sample, solve_zielonka runs on
-# the evaluation game and then on its dual, and first_uncertified checks
-# the strategies of the first solve.  A flipped winner fails the
-# certificate at its position or at one that moves there, and the dual at
-# its position; a lie of the certificate or the dual fails that leg alone.
-# Sample 10 of seed 3 is a game of 40 positions that both players win
-# somewhere, and its last position has another one moving to it.
+# the two legs of the membership row: per sample, winning_offsets solves
+# the evaluation game over offset bitmasks, and _fixpoint_offsets evaluates
+# every closure member and then the complement of the root by Knaster-Tarski
+# iteration; the masks must equal the members' values, and the root's must
+# be the negation of the complement's.  A lie of the solver fails the
+# fixpoint leg where it lies, and the dual leg too at the root; a lie of a
+# member's value fails the fixpoint leg alone, and a lie of the
+# complement's value, or a complement that returns the expression itself,
+# the dual leg alone.  Sample 10 of seed 3 has 8 closure members over 5
+# offsets, and both truth values occur.
 LYING_SAMPLE = 10
 
 
-@pytest.mark.parametrize("position", [0, -1], ids=["root", "last"])
 @pytest.mark.parametrize(
-    "name,call,legs",
+    "name,lie,at,legs",
     [
-        ("solve_zielonka", 2 * LYING_SAMPLE, "certificate and dual"),
-        ("first_uncertified", LYING_SAMPLE, "certificate"),
-        ("solve_zielonka", 2 * LYING_SAMPLE + 1, "dual"),
+        ("winning_offsets", (0, 0), (0, 0), "fixpoint and dual"),
+        ("winning_offsets", (-1, -1), (-1, -1), "fixpoint"),
+        ("_fixpoint_offsets", (0, 0), (0, 0), "fixpoint"),
+        ("_fixpoint_offsets", (-1, -2), (-1, -1), "fixpoint"),  # the last value is the complement's
+        ("_fixpoint_offsets", (0, -1), (0, 0), "dual"),
+        ("_fixpoint_offsets", (-1, -1), (-1, 0), "dual"),
+        ("complement", None, (0, 0), "dual"),
     ],
-    ids=["primary", "certificate", "dual"],
+    ids=["primary-root", "primary-last", "fixpoint-root", "fixpoint-last", "dual-root", "dual-last", "complement"],
 )
-def test_the_membership_row_fails_when_one_leg_lies(monkeypatch, name, call, legs, position):
-    games = _lie_once(monkeypatch, name, call, position)
+def test_the_membership_row_fails_when_one_leg_lies(monkeypatch, name, lie, at, legs):
+    calls = _lie_once(monkeypatch, name, LYING_SAMPLE, lie)
     (mismatch,) = membership_mismatches(3)
-    found = re.fullmatch(r"(.+) on (\S+): at (offset \d+ in .+), game=(?:True|False), failing: (.+)", mismatch)
+    found = re.fullmatch(r"(.+) on (\S+): at (offset \d+ in .+), game=(True|False), failing: (.+)", mismatch)
     assert found, mismatch
-    text, word, where, failing = found.groups()
-    game, members = games[0], fl_closure(canonical(parse(text, ALPHABET))).members
-    assert len(game.positions) == parse_word(word, ALPHABET).n_offsets() * len(members)
-    p = position % len(game.positions)
-    # the first failing position, and the legs that fail there
-    expected = {}
-    if name == "solve_zielonka" and call % 2 == 0:
-        expected = {q: "certificate" for q in game.positions if p in game.out[q]}
-    expected[p] = legs
-    at = [q for q in expected if where == "offset %d in %s" % (q // len(members), pretty(members[q % len(members)]))]
-    assert len(at) == 1 and failing == expected[at[0]], mismatch
+    text, word, where, game, failing = found.groups()
+    e, w = canonical(parse(text, ALPHABET)), parse_word(word, ALPHABET)
+    assert calls[0][0] == (e if name == "complement" else w)
+    members = fl_closure(e).members
+    o, k = at[0] % w.n_offsets(), at[1] % len(members)
+    assert where == "offset %d in %s" % (o, pretty(members[k])) and failing == legs, mismatch
+    # game= quotes the solver's mask, which is a lie only when the solver lies
+    assert game == str((winning_offsets(w, e)[k] >> o & 1 == 1) != (name == "winning_offsets")), mismatch
     monkeypatch.undo()
-    _lie_once(monkeypatch, name, call, position)
+    # run_suite complements the round-trip expressions before the membership row
+    _lie_once(monkeypatch, name, LYING_SAMPLE + (name == "complement") * len(COMPLEMENT_ROUND_NAMES), lie)
     (row,) = run_suite(3, "membership/three")
     assert row.name == "three-way-agreement" and not row.ok
     assert row.detail == "1000 samples; first disagreement: " + mismatch, row.detail
+
+
+def _last_fixpoint_keeps_parity(fl):
+    """default_coloring with a planted fault: the fixpoint enumerated last
+    keeps the colour before it instead of stepping to its own parity.
+    Colours rise by one at each parity step, so when that step was taken
+    the last fixpoint alone holds the top colour, and every member that
+    holds it drops by one."""
+    colours = default_coloring(fl)
+    top = max(colours)
+    if top and [c for f, c in zip(fl.members, colours) if isinstance(f, (Mu, Nu))].count(top) == 1:
+        return tuple(c - 1 if c == top else c for c in colours)
+    return colours
+
+
+def test_the_membership_row_catches_a_colouring_fault(monkeypatch):
+    # the solver reads the colouring; the fixpoint semantics does not
+    monkeypatch.setattr(rll.semantics, "default_coloring", _last_fixpoint_keeps_parity)
+    mismatches = membership_mismatches(7)
+    assert any("fixpoint" in m.rpartition("failing: ")[2] for m in mismatches), mismatches

@@ -414,6 +414,16 @@ def test_proof_files_infer_an_omitted_principal():
     assert p.instance["n0"].principal == parse("mu X. X", AB)
 
 
+ONE_NODE_PROOF = "alphabet: ab\nnode n0: mu X. X |- nu X. X ; rule mu-l principal mu X. X ; children n0\nroot n0\n"
+
+
+def test_proof_file_keywords_may_be_followed_by_any_whitespace_or_end_their_clause():
+    spaced = ONE_NODE_PROOF.replace("root n0", "root\tn0").replace("principal mu", "principal\tmu")
+    assert check(parse_proof(spaced)).ok
+    p = parse_proof("alphabet: ab\nnode n0: 0 |- ; rule 0-l ; children\nroot n0")
+    assert p.children["n0"] == () and check(p).ok
+
+
 @pytest.mark.parametrize(
     "text, message",
     [
@@ -436,6 +446,16 @@ def test_proof_files_infer_an_omitted_principal():
             "alphabet: ab\nnode n0: a 0, b 0 |- a 0 ; rule l-w ; children n0\nroot n0",
             "undetermined",
         ),
+    ]
+    + [  # a keyword glued to its value
+        (ONE_NODE_PROOF.replace(keyword, glued), message)
+        for keyword, glued, message in [
+            ("root n0", "rootn0", "unrecognised proof line: 'rootn0'"),
+            ("rule mu-l", "rulemu-l", "node n0: missing rule clause"),
+            ("rule mu-l", "ruleμ-l", "node n0: missing rule clause"),
+            ("principal mu", "principalmu", "node n0: unexpected text after the rule name"),
+            ("children n0", "childrenn0", "node n0: expected a children clause"),
+        ]
     ],
 )
 def test_malformed_proof_files_are_rejected(text, message):

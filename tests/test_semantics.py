@@ -1,13 +1,13 @@
 """Membership of ultimately periodic words: game construction, the solvers
 and the certificate of the explicit solver's strategies.
 
-Zielonka's solver is checked against the small-progress-measures oracle and
-a direct denotational fixpoint computation (tests/oracles.py), and its
-winning strategies against first_uncertified, on evaluation games and on
-synthetic ones; the certificate itself must flag planted faults.  The
-bitmask solver behind member (winning_offsets) must name the same winner
-as the explicit one at every offset and closure member of every evaluation
-game built here.
+The explicit evaluation game and Zielonka's solver over it, both kept in
+tests/oracles.py, are checked against the small-progress-measures oracle
+and a direct denotational fixpoint computation, and the solver's winning
+strategies against first_uncertified, on evaluation games and on synthetic
+ones; the certificate itself must flag planted faults.  The bitmask solver
+behind member (winning_offsets) must name the same winner as the explicit
+one at every offset and closure member of every evaluation game built here.
 """
 
 import random
@@ -15,18 +15,20 @@ import random
 import pytest
 
 from rll.expr import ZERO, Alphabet, Cap, ParseError, Plus, canonical, fl_closure, parse, pretty
-from rll.semantics import (
+from rll.semantics import UPWord, member, parse_word, suffixes_in, winning_offsets
+from oracles import (
+    EvalPosition,
     ParityGame,
-    UPWord,
     build_eval_game,
     first_uncertified,
-    member,
-    parse_word,
+    gen_expr,
+    gen_word,
+    labelled_game,
+    member_denotational,
+    ref_eval_game,
+    solve_spm,
     solve_zielonka,
-    suffixes_in,
-    winning_offsets,
 )
-from oracles import EvalPosition, gen_expr, gen_word, labelled_game, member_denotational, ref_eval_game, solve_spm
 
 AB = Alphabet("ab")
 
