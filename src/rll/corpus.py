@@ -26,6 +26,7 @@ from .expr import (
     ast_size,
     canonical,
     complement,
+    expr_sort_key,
     fl_closure,
     parse,
     pretty,
@@ -33,7 +34,7 @@ from .expr import (
     unfold,
 )
 from .calculus import LOGICAL_RULE, Sequent, make_instance, premiss_letters
-from .semantics import UPWord, member, parse_word, suffixes_in, winning_offsets
+from .semantics import UPWord, member, parse_word, winning_offsets
 from .automaton import default_coloring
 from .proof import ProofGraph, check
 from .decide import Proved, Refuted, decide, saturate
@@ -459,17 +460,22 @@ def soundness_violations(instances, seed: int):
     premiss truth must force conclusion truth at each word, and logical and
     letter rules must be invertible.  A letter rule checks the premisses of
     the word's head letter one letter on (h_b has none at a word `a...`).
-    One solve per (word, formula) gives the formula's truth at the word and
-    one letter on, at offsets 0 and w.advance(0) of suffixes_in.  Returns
-    (soundness failures, invertibility failures)."""
+    One solve per word, over the + of the instances' formulas, each of them
+    a closure member, gives their truth at the word and one letter on, at
+    offsets 0 and w.advance(0).  Returns (soundness failures, invertibility
+    failures)."""
     rng = random.Random(seed)
     words = [sample_word(rng) for _ in range(SOUNDNESS_WORDS)]
     formulas = {f for inst in instances for s in (inst.conclusion, *inst.premisses) for f in s.lhs | s.rhs}
-    truths = {}  # word -> (the formulas true at it, those true one letter on)
+    root = ZERO
+    for f in sorted(formulas, key=expr_sort_key):
+        root = Plus(root, f)
+    members = fl_closure(root).members
+    truths = {}  # word -> (the members true at it, those true one letter on)
     for w in words:
         if w not in truths:
-            bits = {f: suffixes_in(w, f) for f in formulas}
-            truths[w] = tuple(frozenset(f for f in formulas if bits[f][o]) for o in (0, w.advance(0)))
+            masks = winning_offsets(w, root)
+            truths[w] = tuple(frozenset(f for f, b in zip(members, masks) if b >> o & 1) for o in (0, w.advance(0)))
 
     unsound = []
     uninvertible = []

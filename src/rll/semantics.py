@@ -10,11 +10,11 @@ even, and she wins from (0, e) iff the word belongs to the language.  The
 closure is the expression's automaton (automaton.build_apa), so this game
 is also that automaton's acceptance game.
 
-member and suffixes_in solve the game symbolically (winning_offsets): the
-offsets where Eloise wins from a closure member form one int bitmask, a
-letter move is a shift of it, and Zielonka's recursion runs over lists of
-such masks, one per member.  No position is ever laid out, so one solve
-answers membership for every suffix of the word.  `corpus run` checks the
+member solves the game symbolically (winning_offsets): the offsets where
+Eloise wins from a closure member form one int bitmask, a letter move is a
+shift of it, and Zielonka's recursion runs over lists of such masks, one per
+member.  No position is ever laid out, so one solve answers membership for
+every suffix of the word and every closure member.  `corpus run` checks the
 masks against the fixpoint semantics of every closure member, and the tests
 against an explicit solve of the game at every position.
 """
@@ -187,14 +187,6 @@ def winning_offsets(w: UPWord, e: Expr) -> list:
         return w_e if to_e else [x | y for x, y in zip(b, w_e)]
 
     return solve([full] * (m + 2))[:m]
-
-
-def suffixes_in(w: UPWord, e: Expr) -> bytes:
-    """One byte per offset o of the word: 1 iff the suffix at o lies in the
-    language of the closed expression e, read off the winning offsets of
-    the root (a closure lists its root first)."""
-    root = winning_offsets(w, e)[0]
-    return bytes((root >> o) & 1 for o in range(w.n_offsets()))
 
 
 def member(w: UPWord, e: Expr) -> bool:

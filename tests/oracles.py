@@ -56,11 +56,12 @@
   a whole edge tuple.  rll.proof decides the verdict over feedback nodes and
   runs the full search, with an early exit, only on a rejection; the two
   must return the same lasso.
-- ref_soundness_violations samples rule instances word by word, as
-  rll.corpus did before it computed one truth set per word: each sequent
-  is evaluated formula by formula, letter rules take a branch of their
-  own, and membership is member_denotational, memoised per (word,
-  formula).  The two must return the same failures in the same order.
+- ref_soundness_violations samples rule instances word by word, while
+  rll.corpus reads every formula's truth off one winning_offsets solve per
+  word: here each sequent is evaluated formula by formula, letter rules
+  take a branch of their own, and membership is member_denotational,
+  memoised per (word, formula).  The two must return the same failures in
+  the same order.
 """
 
 from __future__ import annotations

@@ -5,7 +5,7 @@ import pytest
 
 import rll.corpus
 import rll.semantics
-from oracles import ref_soundness_violations
+from oracles import gen_guarded_sequent, ref_soundness_violations
 from rll.automaton import default_coloring
 from rll.calculus import RuleInstance, make_instance, parse_sequent
 from rll.corpus import (
@@ -16,6 +16,7 @@ from rll.corpus import (
     EXPRESSIONS,
     MAX_LOOP,
     MAX_STEM,
+    SOUNDNESS_WORDS,
     membership_mismatches,
     name_table,
     random_expression,
@@ -24,6 +25,7 @@ from rll.corpus import (
     saturation_instances,
     soundness_violations,
 )
+from rll.decide import saturate
 from rll.expr import Mu, Nu, ast_size, canonical, fl_closure, free_vars, is_guarded, parse, pretty
 from rll.semantics import parse_word, winning_offsets
 
@@ -72,16 +74,28 @@ def test_suite_filtering_skips_unrelated_rows():
     assert all(r.ok for r in rows)
 
 
+def _generated_instances(seed: int, draws: int):
+    """The distinct rule instances that saturating `draws` random guarded
+    sequents generates, in first-seen order."""
+    rng = random.Random(seed)
+    seen = {}
+    for _ in range(draws):
+        p = saturate(gen_guarded_sequent(rng, ALPHABET))
+        for nid in p.order:
+            seen.setdefault(p.instance[nid], None)
+    return tuple(seen)
+
+
 def test_the_soundness_batch_matches_the_word_by_word_reference():
     # a broken copy keeps an instance's rule, conclusion and principal but
     # takes the premisses of a random instance of the same rule, so the
     # failures run into the thousands and must match in order; the bundled
     # languages ignore a word's first letters, the two letter rules added
-    # here do not
+    # here and the random guarded sequents' instances do not
     instances = saturation_instances() + (
         make_instance("h_a", parse_sequent("a b T |- a a T, a b b T", ALPHABET), "a"),
         make_instance("r-p", parse_sequent("|- a b T, b a T, b b 0", ALPHABET)),
-    )
+    ) + _generated_instances(31, 12)
     by_rule = {}
     for inst in instances:
         by_rule.setdefault(inst.rule, []).append(inst)
@@ -94,6 +108,36 @@ def test_the_soundness_batch_matches_the_word_by_word_reference():
         unsound, uninvertible = soundness_violations(instances + broken, seed)
         assert (unsound, uninvertible) == ref_soundness_violations(instances + broken, seed)
         assert len(unsound) > 1000 and len(uninvertible) > 1000, (len(unsound), len(uninvertible))
+
+
+def test_the_soundness_batch_solves_once_per_word(monkeypatch):
+    # every formula's truth is read off one winning_offsets per distinct
+    # sampled word; inf-a is one of the formulas, and a lie about it at the
+    # first word, at offset 0, fails the batch at that word alone
+    instances = saturation_instances()
+    rng = random.Random(7)
+    words = list(dict.fromkeys(sample_word(rng) for _ in range(SOUNDNESS_WORDS)))
+    real = rll.corpus.winning_offsets
+    calls = []
+
+    def counting(w, e):
+        calls.append(w)
+        return real(w, e)
+
+    monkeypatch.setattr(rll.corpus, "winning_offsets", counting)
+    assert soundness_violations(instances, 7) == ([], [])
+    assert calls == words and len(words) == 94
+
+    def lying(w, e):
+        masks = list(real(w, e))
+        if w == words[0]:
+            masks[fl_closure(e).members.index(canonical(EXPRESSIONS["inf-a"]))] ^= 1
+        return masks
+
+    monkeypatch.setattr(rll.corpus, "winning_offsets", lying)
+    unsound, uninvertible = soundness_violations(instances, 7)
+    assert unsound and uninvertible, (unsound, uninvertible)
+    assert all(f.endswith(" at %s" % words[0]) for f in unsound + uninvertible), (unsound, uninvertible)
 
 
 def _lie_once(monkeypatch, name, call, lie):

@@ -15,7 +15,7 @@ import random
 import pytest
 
 from rll.expr import ZERO, Alphabet, Cap, ParseError, Plus, canonical, fl_closure, parse, pretty
-from rll.semantics import UPWord, member, parse_word, suffixes_in, winning_offsets
+from rll.semantics import UPWord, member, parse_word, winning_offsets
 from oracles import (
     EvalPosition,
     ParityGame,
@@ -245,23 +245,23 @@ def test_bitmask_winners_agree_where_nested_iteration_blows_up(stem, loop):
     assert member(word, expr)
 
 
-def test_suffixes_in_reads_membership_of_every_suffix():
-    # byte o is membership of the suffix at offset o, which for an offset in
-    # the loop is the loop rotated to start there
+def test_the_root_mask_reads_membership_of_every_suffix():
+    # bit o of the root's mask is membership of the suffix at offset o,
+    # which for an offset in the loop is the loop rotated to start there
     rng = random.Random(1618)
     for _ in range(300):
         expr = gen_expr(rng, AB, rng.randint(1, 7))
         stem, loop = gen_word(rng, AB)
         word = UPWord(stem, loop, AB)
-        got = suffixes_in(word, expr)
-        assert len(got) == word.n_offsets()
+        root = winning_offsets(word, expr)[0]
+        assert root >> word.n_offsets() == 0
         for o in range(word.n_offsets()):
             if o < len(stem):
                 suffix = stem[o:], loop
             else:
                 suffix = "", loop[o - len(stem):] + loop[:o - len(stem)]
-            assert got[o] == member_denotational(*suffix, expr), (pretty(expr), stem, loop, o)
-        assert got[0] == member(word, expr)
+            assert root >> o & 1 == member_denotational(*suffix, expr), (pretty(expr), stem, loop, o)
+        assert (root & 1 == 1) == member(word, expr)
 
 
 def test_membership_respects_the_lattice_operations():
