@@ -18,7 +18,8 @@ automaton, it composes those rows into boolean reachability/acceptance
 profiles of finite paths and applies the standard lasso criterion to
 idempotent loop profiles (Fogarty & Vardi, "Efficient Büchi universality
 checking", TACAS 2010), which is exact for ultimately periodic branches and
-therefore for universality.
+therefore for universality.  Those profiles form a finite monoid, so each
+distinct one is interned as an int and composed with each edge only once.
 
 The verdict is decided over loops that start at feedback nodes only: the
 nodes an edge reaches while they are on the Tarjan stack, a set that meets
@@ -38,8 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .expr import Expr, Mu, Nu, ParseError, expr_sort_key, parse, pretty, subformula_leq
-from .expr import Alphabet
+from .expr import Alphabet, Expr, Mu, Nu, ParseError, expr_sort_key, parse, pretty, subformula_leq
 from .calculus import (
     PRINCIPAL_RULES,
     RuleInstance,
@@ -413,8 +413,12 @@ class Lasso:
     cycle_edges: Tuple[int, ...]
 
 
-def _compose_r(r1, r2):
-    return tuple(_row_or(bits, r2) for bits in r1)
+def _compose_r(p, q):
+    """The profile (R, A) of a path of profile p followed by one of profile
+    q; A[k] holds the states that k reaches through an accepting state."""
+    (r1, a1), (r2, a2) = p, q
+    return tuple(_row_or(bits, r2) for bits in r1), tuple(
+        _row_or(a_row, r2) | _row_or(r_row, a2) for r_row, a_row in zip(r1, a1))
 
 
 def _row_or(bits, rows):
@@ -431,17 +435,33 @@ def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
     children, and its trace automaton.  Returns None when every branch from
     the root is accepted, otherwise (stem edges, cycle edges).
 
-    The verdict pass starts loops only at feedback nodes, a set that meets
-    every cycle.  Only on a rejection does the witness pass start loops at
-    every node, and it stops at its first hit, so the lasso is the first one
-    in the breadth-first order of all loops."""
+    Profiles are interned per call: profiles[i] is the (R, A) pair with id
+    i, and an in-SCC edge carries the id of its own profile.  Each product
+    (i, e), idempotence test and diagonal, and rejected-stem scan at (node,
+    i) is computed once for both passes.  The verdict pass starts loops only
+    at feedback nodes, a set that meets every cycle.  Only on a rejection
+    does the witness pass start loops at every node; it stops at its first
+    hit, so the lasso is the first one in the breadth-first order of loops."""
     comps, feedback = sccs(order, children)
     scc_of = {nid: i for i, comp in enumerate(comps) for nid in comp}
-    # per node, its out-edges inside its SCC as (edge, child, reach rows,
-    # accepting rows): loops never leave the SCC they start in
+    profiles, ids, products, diagonals, rejections = [], {}, {}, {}, {}
+
+    def intern(profile):
+        if profile not in ids:
+            ids[profile] = len(profiles)
+            profiles.append(profile)
+        return ids[profile]
+
+    def compose(i, e):
+        if (i, e) not in products:
+            products[i, e] = intern(_compose_r(profiles[i], profiles[e]))
+        return products[i, e]
+
+    # per node, its out-edges inside its SCC as (edge, child, profile id):
+    # loops never leave the SCC they start in
     inner = {
         nid: tuple(
-            ((nid, j), dst, rows, tuple(row & automaton.accepting[dst] for row in rows))
+            ((nid, j), dst, intern((rows, tuple(row & automaton.accepting[dst] for row in rows))))
             for j, (dst, rows) in enumerate(zip(children[nid], automaton.reach[nid]))
             if scc_of[dst] == scc_of[nid]
         )
@@ -451,10 +471,7 @@ def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
     # stems: per node, the states that finite paths from the root reach from
     # the initial states, each mask once, linked to the stem it extends and
     # the edge it adds; reached[m] lists m's masks in discovery order
-    mask = 0
-    for k in automaton.initials:
-        mask |= 1 << k
-    stem_queue = [(automaton.root, mask)]
+    stem_queue = [(automaton.root, sum(1 << k for k in automaton.initials))]
     stems = {stem_queue[0]: None}
     reached = {}
     for key in stem_queue:  # the queue grows while it is walked
@@ -466,64 +483,55 @@ def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
                 stems[key2] = (key, (m, j))
                 stem_queue.append(key2)
 
-    if all(
-        _rejected_stem(loop, reached) is None
-        for loop in _loop_profiles([nid for nid in order if nid in feedback], inner, {})
-    ):
+    def rejected_stem(loop):
+        """For a loop (u, u, i) whose profile is idempotent, the first stem
+        (u, mask) whose lasso with the loop has no accepting run; else None."""
+        u, v, i = loop
+        if u != v:
+            return None
+        if i not in diagonals:  # the diagonal of A, or None when i is not idempotent
+            a = profiles[i][1]
+            diagonals[i] = sum(a[k] & 1 << k for k in range(len(a))) if compose(i, i) == i else None
+        if (u, i) not in rejections:
+            r, diag = profiles[i][0], diagonals[i]
+            rejections[u, i] = None if diag is None else next(
+                ((u, m) for m in reached[u] if not _row_or(m, r) & diag), None)
+        return rejections[u, i]
+
+    starts = [nid for nid in order if nid in feedback]
+    if all(rejected_stem(loop) is None for loop in _loop_profiles(starts, inner, compose, {})):
         return None
     links = {}
-    for loop in _loop_profiles(order, inner, links):
-        stem = _rejected_stem(loop, reached)
+    for loop in _loop_profiles(order, inner, compose, links):
+        stem = rejected_stem(loop)
         if stem is not None:
             return _path(stems, stem), _path(links, loop)
     raise RuntimeError("internal error: the progress passes disagree")
 
 
-def _loop_profiles(starts, inner, links):
-    """Yield the loop profiles (u, v, R, A) of the nonempty paths from a node
-    u of `starts` that stay inside u's SCC, each once, breadth-first.  links
-    maps each to the profile it extends (None for a single edge) and the
-    edge it adds."""
+def _loop_profiles(starts, inner, compose, links):
+    """Yield the loop keys (u, v, i) of the nonempty paths from a node u of
+    `starts` that stay inside u's SCC, one per profile id i, breadth-first;
+    compose(i, e) is the id of i followed by e.  links maps each key to the
+    key it extends (None for a single edge) and the edge it adds.  An id
+    names one (R, A) pair, so the keys and their order are those that the
+    matrices themselves would give, and the first hit does not move."""
     queue = []
     for u in starts:
-        for edge, dst, re_, ae_ in inner[u]:
-            key = (u, dst, re_, ae_)
+        for edge, dst, e in inner[u]:
+            key = (u, dst, e)
             if key not in links:
                 links[key] = (None, edge)
                 queue.append(key)
                 yield key
     for key in queue:  # the queue grows while it is walked
-        u, v, r, a = key
-        for edge, dst, re_, ae_ in inner[v]:
-            key2 = (
-                u,
-                dst,
-                _compose_r(r, re_),
-                tuple(_row_or(a_row, re_) | _row_or(r_row, ae_) for r_row, a_row in zip(r, a)),
-            )
+        u, v, i = key
+        for edge, dst, e in inner[v]:
+            key2 = (u, dst, compose(i, e))
             if key2 not in links:
                 links[key2] = (key, edge)
                 queue.append(key2)
                 yield key2
-
-
-def _rejected_stem(loop, reached):
-    """For a loop profile (u, v, R, A) with u == v that is idempotent, the
-    first stem to u whose lasso with the loop has no accepting run; for any
-    other loop, or when there is no such stem, None."""
-    u, v, r, a = loop
-    if u != v or _compose_r(r, r) != r:
-        return None
-    if tuple(_row_or(a_row, r) | _row_or(r_row, a) for r_row, a_row in zip(r, a)) != a:
-        return None  # not idempotent
-    diag = 0
-    for j, a_row in enumerate(a):
-        if (a_row >> j) & 1:
-            diag |= 1 << j
-    for mask in reached[u]:
-        if not _row_or(mask, r) & diag:
-            return u, mask
-    return None
 
 
 def _path(links, key):

@@ -52,10 +52,12 @@
   deadlock sinks; it shares no code with solve_zielonka, and the tests
   compare their winners on small games.
 - ref_find_unaccepted_branch is the progress search of rll.proof as one
-  full pass: loops start at every node of a cyclic SCC and every witness is
-  a whole edge tuple.  rll.proof decides the verdict over feedback nodes and
-  runs the full search, with an early exit, only on a rejection; the two
-  must return the same lasso.
+  full pass: loops start at every node of a cyclic SCC, every witness is a
+  whole edge tuple, and each loop key holds its (R, A) matrices, composed
+  afresh on every step.  rll.proof interns each profile as an int, composes
+  each (profile, edge) pair once, decides the verdict over feedback nodes
+  and runs the full search, with an early exit, only on a rejection; the
+  two must return the same lasso.
 - ref_soundness_violations samples rule instances word by word, while
   rll.corpus reads every formula's truth off one winning_offsets solve per
   word: here each sequent is evaluated formula by formula, letter rules

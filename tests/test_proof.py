@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -230,6 +231,89 @@ def test_the_progress_search_returns_the_reference_lasso():
             else:
                 rejected += 1
     assert accepted >= 100 and rejected >= 100  # both verdicts are well represented
+
+
+# The 3-letter refutations of the decide benchmark, over abc: interning
+# merges the most profiles here.  Lassos and words recorded before the
+# progress search interned its profiles.
+INF_A3 = "nu X. mu Y. (a X + b Y + c Y)"
+INF_B3 = "nu X. mu Y. (b X + a Y + c Y)"
+INF_C3 = "nu X. mu Y. (c X + a Y + b Y)"
+FIN_A3 = "mu X. (a X + b X + c X + nu Y. (b Y + c Y))"
+ANY3 = "nu X. (a X + b X + c X)"
+
+
+def _nodes(*numbers):
+    return tuple("n%d" % i for i in numbers)
+
+
+THREE_LETTER_REFUTATIONS = {
+    "inf-a3 & inf-b3 |- inf-c3 + fin-a3": (
+        "%s & %s |- %s + %s" % (INF_A3, INF_B3, INF_C3, FIN_A3),
+        Lasso(
+            stem=_nodes(*range(16), 17),
+            cycle=_nodes(
+                17, 20, 23, 27, 35, 44, 53, 62, 71, 80, 89, 99, 110, 116, 122, 129, 136, 143, 151, 162,
+                175, 188, 201, 215, 232, 252, 275, 299, 322, 343, 364, 385, 407, 433, 459, 483, 504,
+                37, 46, 55, 64, 73, 82, 91, 101, 111, 118, 125, 132, 139, 146, 154, 165, 178, 191, 204,
+                218, 235, 255, 278, 302,
+            ),
+            stem_edges=(0,) * 16,
+            cycle_edges=(0, 0, 0, 1) + (0,) * 28 + (1,) + (0,) * 28,
+        ),
+        "(ab)^w",
+    ),
+    "any3 |- inf-a3 + inf-b3": (
+        "%s |- %s + %s" % (ANY3, INF_A3, INF_B3),
+        Lasso(
+            stem=_nodes(0, 1, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30),
+            cycle=_nodes(30, 33, 36, 39, 42, 45, 48, 51, 54, 57, 60, 64, 69, 73, 78, 84, 89, 92),
+            stem_edges=(0, 1) + (0,) * 9,
+            cycle_edges=(0,) * 13 + (1, 0, 0, 0, 0),
+        ),
+        "(c)^w",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREE_LETTER_REFUTATIONS))
+def test_three_letter_refutations_keep_their_lasso(name):
+    text, lasso, word = THREE_LETTER_REFUTATIONS[name]
+    s = parse_sequent(text, Alphabet("abc"))
+    p = saturate(s)
+    automaton = build_trace_automaton(p)
+    found = _find_unaccepted_branch(p.order, p.children, automaton)
+    assert found == ref_find_unaccepted_branch(p.order, p.children, automaton)
+    assert check(p).lasso == lasso
+    assert str(decide(s).word) == word
+
+
+def test_the_progress_search_composes_each_product_once(monkeypatch):
+    text = THREE_LETTER_REFUTATIONS["inf-a3 & inf-b3 |- inf-c3 + fin-a3"][0]
+    p = saturate(parse_sequent(text, Alphabet("abc")))
+    automaton = build_trace_automaton(p)
+    compose_r, loop_profiles = proof_module._compose_r, proof_module._loop_profiles
+    calls = Counter()
+    keys = []
+
+    def counting_compose_r(profile, other):
+        calls[profile, other] += 1
+        return compose_r(profile, other)
+
+    def recording_loop_profiles(*args):
+        for key in loop_profiles(*args):
+            keys.append(key)
+            yield key
+
+    monkeypatch.setattr(proof_module, "_compose_r", counting_compose_r)
+    monkeypatch.setattr(proof_module, "_loop_profiles", recording_loop_profiles)
+    assert _find_unaccepted_branch(p.order, p.children, automaton) is not None
+    # over both passes, each (profile, edge) product and each idempotence
+    # test (a profile composed with itself) is composed once
+    assert calls and max(calls.values()) == 1
+    profiles = {i for _, _, i in keys}
+    assert len(profiles) * 4 < len(keys)
+    assert sum(calls.values()) * 2 < len(keys)
 
 
 def _random_digraph(rng):
