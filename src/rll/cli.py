@@ -79,20 +79,23 @@ def _cmd_member(args) -> Outcome:
 def _cmd_check(args) -> Outcome:
     with open(args.file, "r", encoding="utf-8") as f:
         text = f.read()
-    r = check(parse_proof(text))
+    p = parse_proof(text)
+    r = check(p)
     if r.ok:
         return Outcome(0, "accepted")
     if r.violations:
         lines = ["violation: %s" % v for v in r.violations]
         return Outcome(2, "local", {"violations": list(r.violations)}, lines)
     lasso = r.lasso
+    stem = [p.order[v] for v in lasso.stem]
+    cycle = [p.order[v] for v in lasso.cycle]
     witness = {
-        "stem": list(lasso.stem),
-        "cycle": list(lasso.cycle),
+        "stem": stem,
+        "cycle": cycle,
         "stem_edges": list(lasso.stem_edges),
         "cycle_edges": list(lasso.cycle_edges),
     }
-    line = "lasso: stem %s cycle %s" % (" ".join(lasso.stem), " ".join(lasso.cycle))
+    line = "lasso: stem %s cycle %s" % (" ".join(stem), " ".join(cycle))
     return Outcome(3, "progress", witness, [line])
 
 

@@ -440,14 +440,7 @@ def closed_form_failures(seed: int):
 def saturation_instances():
     """Every distinct rule instance the search strategy generates across the
     bundled decision sequents, in first-seen order."""
-    seen = {}
-    for _, s, _ in DECISIONS:
-        p = saturate(s)
-        for nid in p.order:
-            inst = p.instance[nid]
-            if inst not in seen:
-                seen[inst] = None
-    return tuple(seen)
+    return tuple(dict.fromkeys(inst for _, s, _ in DECISIONS for inst in saturate(s).instance))
 
 
 def _holds(s: Sequent, truths: frozenset) -> bool:

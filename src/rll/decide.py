@@ -90,8 +90,8 @@ def extract_countermodel(p: ProofGraph, lasso: Lasso) -> UPWord:
 
     def letters(nodes, edges):
         out = []
-        for nid, j in zip(nodes, edges):
-            stripped = premiss_letters(p.instance[nid])
+        for v, j in zip(nodes, edges):
+            stripped = premiss_letters(p.instance[v])
             if stripped is not None:
                 out.append(stripped[j])
         return "".join(out)

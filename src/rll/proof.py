@@ -2,11 +2,14 @@
 
 A proof is a finite graph of sequents: each node carries a rule instance
 whose premisses are exactly its children's sequents, and back-edges make the
-object cyclic.  Local checking is per-node schema validation.  The global
-progress condition asks that every infinite branch carries a trace — a path
-of formulas through the ancestry relation — that commits to a critical
-left-mu or right-nu formula, never unfolds anything strictly smaller
-afterwards, and unfolds the critical formula itself infinitely often.
+object cyclic.  The graph is numbered once, when it is built, and every
+stage after that reads node numbers; the names of a proof file's nodes are
+read back only to report errors and to print.  Local checking is per-node
+schema validation.  The global progress condition asks that every infinite
+branch carries a trace — a path of formulas through the ancestry relation —
+that commits to a critical left-mu or right-nu formula, never unfolds
+anything strictly smaller afterwards, and unfolds the critical formula
+itself infinitely often.
 
 build_trace_automaton turns that condition into a Büchi automaton over the
 graph's edges whose language is the set of branches possessing such a trace.
@@ -37,7 +40,7 @@ next to the full search as one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from .expr import Alphabet, Expr, Mu, Nu, ParseError, expr_sort_key, parse, pretty, subformula_leq
 from .calculus import (
@@ -52,42 +55,43 @@ from .calculus import (
 )
 
 class ProofGraph:
-    """Finite rooted graph of rule instances.  Construction checks the graph
-    shape (known ids, reachability); rule-level validation is check_local."""
+    """Finite rooted graph of rule instances, numbered once: node i is the
+    record named order[i], instance[i] is its rule instance, children[i]
+    holds the numbers of its children, and root is a number.  The names
+    are read only to report errors and to print.  Construction checks the
+    graph shape (distinct names, known ids, reachability); rule-level
+    validation is check_local."""
 
     def __init__(self, nodes, root: str):
-        # nodes: iterable of (node_id, RuleInstance, children ids)
-        self.instance: Dict[str, RuleInstance] = {}
-        self.children: Dict[str, Tuple[str, ...]] = {}
-        order = []
-        for nid, inst, kids in nodes:
-            if nid in self.instance:
+        # nodes: iterable of (name, RuleInstance, children names)
+        nodes = list(nodes)
+        number = {}
+        for nid, _, _ in nodes:
+            if nid in number:
                 raise ValueError("duplicate node id %r" % nid)
-            self.instance[nid] = inst
-            self.children[nid] = tuple(kids)
-            order.append(nid)
-        self.order = tuple(order)
-        self.root = root
-        if root not in self.instance:
+            number[nid] = len(number)
+        if root not in number:
             raise ValueError("root %r is not a node" % root)
-        for nid in self.order:
-            for cid in self.children[nid]:
-                if cid not in self.instance:
+        children = []
+        for nid, _, kids in nodes:
+            for cid in kids:
+                if cid not in number:
                     raise ValueError("node %r references unknown child %r" % (nid, cid))
-        seen = {root}
-        queue = [root]
-        while queue:
-            n = queue.pop()
-            for c in self.children[n]:
-                if c not in seen:
-                    seen.add(c)
-                    queue.append(c)
-        unreachable = [nid for nid in self.order if nid not in seen]
+            children.append(tuple(number[cid] for cid in kids))
+        self.order = tuple(nid for nid, _, _ in nodes)
+        self.instance = tuple(inst for _, inst, _ in nodes)
+        self.children = tuple(children)
+        self.root = number[root]
+        reached = bytearray(len(nodes))
+        for comp in tarjan(self.children, [self.root]):
+            for v in comp:
+                reached[v] = 1
+        unreachable = [nid for nid, r in zip(self.order, reached) if not r]
         if unreachable:
             raise ValueError("unreachable nodes: %s" % ", ".join(unreachable))
 
-    def sequent(self, nid: str) -> Sequent:
-        return self.instance[nid].conclusion
+    def sequent(self, v: int) -> Sequent:
+        return self.instance[v].conclusion
 
     @property
     def alphabet(self) -> Alphabet:
@@ -99,25 +103,23 @@ def check_local(p: ProofGraph):
     the graph is a well-formed preproof)."""
     violations = []
     ab = p.alphabet
-    for nid in p.order:
-        inst = p.instance[nid]
+    for nid, inst, kids in zip(p.order, p.instance, p.children):
         if inst.conclusion.alphabet != ab:
             violations.append("node %s: alphabet differs from the root's" % nid)
         v = validate_instance(inst)
         if v is not None:
             violations.append("node %s: %s" % (nid, v))
             continue
-        kids = p.children[nid]
         if len(kids) != len(inst.premisses):
             violations.append(
                 "node %s: %d children for %d premisses" % (nid, len(kids), len(inst.premisses))
             )
             continue
-        for j, cid in enumerate(kids):
-            if p.instance[cid].conclusion != inst.premisses[j]:
+        for j, c in enumerate(kids):
+            if p.sequent(c) != inst.premisses[j]:
                 violations.append(
                     "node %s: child %s carries %s, premiss %d is %s"
-                    % (nid, cid, format_sequent(p.instance[cid].conclusion), j,
+                    % (nid, p.order[c], format_sequent(p.sequent(c)), j,
                        format_sequent(inst.premisses[j]))
                 )
     return violations
@@ -250,16 +252,15 @@ def parse_proof(text: str) -> ProofGraph:
 
 def serialize_proof(p: ProofGraph) -> str:
     lines = ["alphabet: %s" % str(p.alphabet)]
-    for nid in p.order:
-        inst = p.instance[nid]
+    for nid, inst, kids in zip(p.order, p.instance, p.children):
         rule_clause = inst.rule
         if isinstance(inst.principal, Expr):
             rule_clause += " principal %s" % pretty(inst.principal)
         lines.append(
             "node %s: %s ; rule %s ; children %s"
-            % (nid, format_sequent(inst.conclusion), rule_clause, ", ".join(p.children[nid]))
+            % (nid, format_sequent(inst.conclusion), rule_clause, ", ".join(p.order[c] for c in kids))
         )
-    lines.append("root %s" % p.root)
+    lines.append("root %s" % p.order[p.root])
     return "\n".join(lines) + "\n"
 
 
@@ -269,23 +270,24 @@ def serialize_proof(p: ProofGraph) -> str:
 
 @dataclass(frozen=True)
 class TraceAutomaton:
-    """A Büchi automaton over the edges (nid, j) of a proof graph, whose
-    states are numbered per node in discovery order.
+    """A Büchi automaton over the edges (v, j) of a numbered proof graph,
+    whose states are numbered per node in discovery order.  Every table is
+    indexed by node number.
 
-    - labels[nid][k] is state k of nid: (side, formula, critical), where
+    - labels[v][k] is state k of node v: (side, formula, critical), where
       critical is None while the trace is still searching;
-    - states lists every state as (nid, k), in discovery order;
+    - states lists every state as (v, k), in discovery order;
     - initials are the numbers of the root's initial states;
-    - reach[nid][j][k] is a bitmask of the states of nid's j-th child that
+    - reach[v][j][k] is a bitmask of the states of v's j-th child that
       state k steps to along edge j;
-    - accepting[nid] is a bitmask of nid's accepting states."""
+    - accepting[v] is a bitmask of v's accepting states."""
 
-    root: str
-    labels: Dict[str, Tuple[Tuple[str, Expr, Optional[Expr]], ...]]
-    states: Tuple[Tuple[str, int], ...]
+    root: int
+    labels: Tuple[Tuple[Tuple[str, Expr, Optional[Expr]], ...], ...]
+    states: Tuple[Tuple[int, int], ...]
     initials: Tuple[int, ...]
-    reach: Dict[str, Tuple[Tuple[int, ...], ...]]
-    accepting: Dict[str, int]
+    reach: Tuple[Tuple[Tuple[int, ...], ...], ...]
+    accepting: Tuple[int, ...]
 
 
 def _may_commit(side: str, f: Expr) -> bool:
@@ -299,27 +301,27 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     to a critical formula; committed runs die when a strictly smaller
     formula is unfolded on the trace and visit an accepting state whenever
     the critical formula itself is the one unfolded."""
-    anc = {nid: immediate_ancestry(p.instance[nid]) for nid in p.order}
-    labels = {nid: [] for nid in p.order}
-    numbers = {nid: {} for nid in p.order}  # label -> its number at nid
-    accepting = dict.fromkeys(p.order, 0)
+    anc = [immediate_ancestry(inst) for inst in p.instance]
+    labels = [[] for _ in p.order]
+    numbers = [{} for _ in p.order]  # per node, label -> its number there
+    accepting = [0] * len(p.order)
     dead = set()
     states = []
 
-    def number(nid, label):
-        k = numbers[nid].get(label)
+    def number(v, label):
+        k = numbers[v].get(label)
         if k is None:
-            k = numbers[nid][label] = len(labels[nid])
-            labels[nid].append(label)
-            states.append((nid, k))
+            k = numbers[v][label] = len(labels[v])
+            labels[v].append(label)
+            states.append((v, k))
             side, f, critical = label
-            inst = p.instance[nid]
+            inst = p.instance[v]
             _, rule_side = PRINCIPAL_RULES.get(inst.rule, (None, None))
             if critical is not None and rule_side == side and inst.principal == f:
                 if f == critical:
-                    accepting[nid] |= 1 << k
+                    accepting[v] |= 1 << k
                 elif subformula_leq(f, critical):
-                    dead.add((nid, k))  # the trace unfolds below its critical formula
+                    dead.add((v, k))  # the trace unfolds below its critical formula
         return k
 
     root_seq = p.sequent(p.root)
@@ -328,33 +330,33 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
         for side, cedent in (("L", root_seq.lhs_sorted), ("R", root_seq.rhs_sorted))
         for f in cedent
     )
-    rows = {nid: [[] for _ in p.children[nid]] for nid in p.order}
-    for nid, k in states:  # the breadth-first queue: it grows while it is walked
-        side, f, critical = labels[nid][k]
-        for j, child in enumerate(p.children[nid]):
+    rows = [[[] for _ in kids] for kids in p.children]
+    for v, k in states:  # the breadth-first queue: it grows while it is walked
+        side, f, critical = labels[v][k]
+        for j, child in enumerate(p.children[v]):
             row = 0
-            if (nid, k) not in dead:
-                for f2 in anc[nid].get((j, side, f), ()):
+            if (v, k) not in dead:
+                for f2 in anc[v].get((j, side, f), ()):
                     if critical is None:
                         row |= 1 << number(child, (side, f2, None))
                         if _may_commit(side, f2):
                             row |= 1 << number(child, (side, f2, f2))
                     else:
                         row |= 1 << number(child, (side, f2, critical))
-            rows[nid][j].append(row)
+            rows[v][j].append(row)
     return TraceAutomaton(
         root=p.root,
-        labels={nid: tuple(at) for nid, at in labels.items()},
+        labels=tuple(map(tuple, labels)),
         states=tuple(states),
         initials=initials,
-        reach={nid: tuple(map(tuple, per_edge)) for nid, per_edge in rows.items()},
-        accepting=accepting,
+        reach=tuple(tuple(map(tuple, per_edge)) for per_edge in rows),
+        accepting=tuple(accepting),
     )
 
 
 def accepts_lasso(automaton: TraceAutomaton, stem, cycle) -> bool:
     """Does the automaton accept the branch stem·cycle^ω?  stem and cycle
-    are sequences of edges (nid, j) that form a path from the root, and the
+    are sequences of edges (v, j) that form a path from the root, and the
     cycle returns to its first node.  Decided on the finite product of the
     lasso's positions with the states of each position's node."""
     if not cycle:
@@ -362,7 +364,7 @@ def accepts_lasso(automaton: TraceAutomaton, stem, cycle) -> bool:
     word = tuple(stem) + tuple(cycle)
     n = len(word)
     wrap = len(stem)
-    rows = [automaton.reach[nid][j] for nid, j in word]
+    rows = [automaton.reach[v][j] for v, j in word]
 
     def advance(i):
         return i + 1 if i + 1 < n else wrap
@@ -404,11 +406,12 @@ def accepts_lasso(automaton: TraceAutomaton, stem, cycle) -> bool:
 
 @dataclass(frozen=True)
 class Lasso:
-    """An infinite branch stem·cycle^ω, as node ids plus the child indices
-    taken between them; cycle[0] is the node the stem lands on."""
+    """An infinite branch stem·cycle^ω, as node numbers plus the child
+    indices taken between them; cycle[0] is the node the stem lands on.
+    The proof graph's order names the numbers."""
 
-    stem: Tuple[str, ...]
-    cycle: Tuple[str, ...]
+    stem: Tuple[int, ...]
+    cycle: Tuple[int, ...]
     stem_edges: Tuple[int, ...]
     cycle_edges: Tuple[int, ...]
 
@@ -430,10 +433,11 @@ def _row_or(bits, rows):
     return out
 
 
-def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
-    """Core of the progress check over a graph given by its node order and
-    children, and its trace automaton.  Returns None when every branch from
-    the root is accepted, otherwise (stem edges, cycle edges).
+def _find_unaccepted_branch(children, automaton: TraceAutomaton):
+    """Core of the progress check over a graph given by its children table,
+    nodes numbered below len(children), and its trace automaton.  Returns
+    None when every branch from the root is accepted, otherwise (stem
+    edges, cycle edges).
 
     Profiles are interned per call: profiles[i] is the (R, A) pair with id
     i, and an in-SCC edge carries the id of its own profile.  Each product
@@ -442,8 +446,12 @@ def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
     at feedback nodes, a set that meets every cycle.  Only on a rejection
     does the witness pass start loops at every node; it stops at its first
     hit, so the lasso is the first one in the breadth-first order of loops."""
-    comps, feedback = sccs(order, children)
-    scc_of = {nid: i for i, comp in enumerate(comps) for nid in comp}
+    n = len(children)
+    feedback = set()
+    scc_of = [0] * n
+    for i, comp in enumerate(tarjan(children, range(n), feedback)):
+        for v in comp:
+            scc_of[v] = i
     profiles, ids, products, diagonals, rejections = [], {}, {}, {}, {}
 
     def intern(profile):
@@ -459,24 +467,24 @@ def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
 
     # per node, its out-edges inside its SCC as (edge, child, profile id):
     # loops never leave the SCC they start in
-    inner = {
-        nid: tuple(
-            ((nid, j), dst, intern((rows, tuple(row & automaton.accepting[dst] for row in rows))))
-            for j, (dst, rows) in enumerate(zip(children[nid], automaton.reach[nid]))
-            if scc_of[dst] == scc_of[nid]
+    inner = [
+        tuple(
+            ((v, j), dst, intern((rows, tuple(row & automaton.accepting[dst] for row in rows))))
+            for j, (dst, rows) in enumerate(zip(children[v], automaton.reach[v]))
+            if scc_of[dst] == scc_of[v]
         )
-        for nid in order
-    }
+        for v in range(n)
+    ]
 
     # stems: per node, the states that finite paths from the root reach from
     # the initial states, each mask once, linked to the stem it extends and
     # the edge it adds; reached[m] lists m's masks in discovery order
     stem_queue = [(automaton.root, sum(1 << k for k in automaton.initials))]
     stems = {stem_queue[0]: None}
-    reached = {}
+    reached = [[] for _ in range(n)]
     for key in stem_queue:  # the queue grows while it is walked
         m, mask = key
-        reached.setdefault(m, []).append(mask)
+        reached[m].append(mask)
         for j, (dst, rows) in enumerate(zip(children[m], automaton.reach[m])):
             key2 = (dst, _row_or(mask, rows))
             if key2 not in stems:
@@ -498,11 +506,11 @@ def _find_unaccepted_branch(order, children, automaton: TraceAutomaton):
                 ((u, m) for m in reached[u] if not _row_or(m, r) & diag), None)
         return rejections[u, i]
 
-    starts = [nid for nid in order if nid in feedback]
+    starts = sorted(feedback)
     if all(rejected_stem(loop) is None for loop in _loop_profiles(starts, inner, compose, {})):
         return None
     links = {}
-    for loop in _loop_profiles(order, inner, compose, links):
+    for loop in _loop_profiles(range(n), inner, compose, links):
         stem = rejected_stem(loop)
         if stem is not None:
             return _path(stems, stem), _path(links, loop)
@@ -542,17 +550,6 @@ def _path(links, key):
         edges.append(edge)
     edges.reverse()
     return tuple(edges)
-
-
-def sccs(order, children):
-    """The strongly connected components, in Tarjan's order, and a feedback
-    node set: the nodes that an edge reaches while they are still on the
-    stack.  That set holds every DFS back-edge target, so it meets every
-    cycle.  Nodes are any hashable ids; `order` lists every node."""
-    number = {v: i for i, v in enumerate(order)}
-    feedback = set()
-    comps = tarjan([[number[c] for c in children[v]] for v in order], range(len(order)), feedback)
-    return [[order[i] for i in comp] for comp in comps], {order[i] for i in feedback}
 
 
 def tarjan(children, starts, feedback=None):
@@ -616,18 +613,18 @@ def _progress_lasso(p: ProofGraph) -> Optional[Lasso]:
     progressing trace; otherwise a lasso branch with no such trace,
     re-verified by replaying it through the trace automaton."""
     automaton = build_trace_automaton(p)
-    found = _find_unaccepted_branch(p.order, p.children, automaton)
+    found = _find_unaccepted_branch(p.children, automaton)
     if found is None:
         return None
     stem_syms, cycle_syms = found
     if accepts_lasso(automaton, stem_syms, cycle_syms):
         raise RuntimeError("internal error: counterexample lasso has a progressing trace")
     stem_nodes = [p.root]
-    for nid, j in stem_syms:
-        stem_nodes.append(p.children[nid][j])
+    for v, j in stem_syms:
+        stem_nodes.append(p.children[v][j])
     cycle_nodes = [stem_nodes[-1]]
-    for nid, j in cycle_syms[:-1]:
-        cycle_nodes.append(p.children[nid][j])
+    for v, j in cycle_syms[:-1]:
+        cycle_nodes.append(p.children[v][j])
     return Lasso(
         stem=tuple(stem_nodes),
         cycle=tuple(cycle_nodes),

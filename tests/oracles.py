@@ -703,18 +703,20 @@ def applicable_steps(s):
     )
 
 
-def unroll_edge(p, parent: str, index: int):
-    """Duplicate the target of one edge: the parent's index-th child becomes
-    a fresh copy of the old child (same rule, same children), and any node
-    left unreachable is dropped.  The branch language is unchanged, so every
-    checking verdict must be too."""
+def unroll_edge(p, parent: int, index: int):
+    """Duplicate the target of one edge: node parent's index-th child
+    becomes a fresh copy of the old child (same rule, same children, its
+    name primed), and any node left unreachable is dropped.  The branch
+    language is unchanged, so every checking verdict must be too."""
     child = p.children[parent][index]
-    fresh = child + "'"
-    while fresh in p.instance:
-        fresh += "'"
-    children = {nid: list(p.children[nid]) for nid in p.order}
+    fresh = len(p.order)
+    name = p.order[child] + "'"
+    while name in p.order:
+        name += "'"
+    names = p.order + (name,)
+    instance = p.instance + (p.instance[child],)
+    children = [list(kids) for kids in p.children] + [list(p.children[child])]
     children[parent][index] = fresh
-    children[fresh] = list(p.children[child])
     reachable = {p.root}
     queue = [p.root]
     while queue:
@@ -723,12 +725,10 @@ def unroll_edge(p, parent: str, index: int):
                 reachable.add(c)
                 queue.append(c)
     nodes = []
-    for nid in p.order:
-        if nid in reachable:
-            nodes.append((nid, p.instance[nid], tuple(children[nid])))
-    if fresh in reachable:
-        nodes.append((fresh, p.instance[child], tuple(children[fresh])))
-    return ProofGraph(nodes, p.root)
+    for v in range(fresh + 1):
+        if v in reachable:
+            nodes.append((names[v], instance[v], tuple(names[c] for c in children[v])))
+    return ProofGraph(nodes, p.order[p.root])
 
 
 # ---------------------------------------------------------------------------
@@ -750,8 +750,8 @@ class BuchiAutomaton(NamedTuple):
 
 
 def one_node_automaton(b: BuchiAutomaton):
-    """b as a numbered automaton over a graph with the one node "w", whose
-    j-th edge reads b.alphabet[j] and leads back to "w"; state k is
+    """b as a numbered automaton over a graph with the one node 0, whose
+    j-th edge reads b.alphabet[j] and leads back to 0; state k is
     b.states[k], which also serves as its label.  Returns that automaton and
     the graph's children table.  edges_of(b, word) spells a word over
     b.alphabet as edges of that graph."""
@@ -764,18 +764,18 @@ def one_node_automaton(b: BuchiAutomaton):
         return bits
 
     automaton = TraceAutomaton(
-        root="w",
-        labels={"w": tuple(b.states)},
-        states=tuple(("w", k) for k in range(len(b.states))),
+        root=0,
+        labels=(tuple(b.states),),
+        states=tuple((0, k) for k in range(len(b.states))),
         initials=tuple(number[q] for q in b.initials),
-        reach={"w": tuple(tuple(mask(b.successors(q, a)) for q in b.states) for a in b.alphabet)},
-        accepting={"w": mask(b.accepting)},
+        reach=(tuple(tuple(mask(b.successors(q, a)) for q in b.states) for a in b.alphabet),),
+        accepting=(mask(b.accepting),),
     )
-    return automaton, {"w": ("w",) * len(b.alphabet)}
+    return automaton, ((0,) * len(b.alphabet),)
 
 
 def edges_of(b: BuchiAutomaton, word):
-    return tuple(("w", b.alphabet.index(a)) for a in word)
+    return tuple((0, b.alphabet.index(a)) for a in word)
 
 
 def complement_buchi(b):
@@ -965,7 +965,7 @@ def ref_grouped_ancestry(r):
 
 
 class TraceState(NamedTuple):
-    node: str
+    node: int
     side: str
     formula: Expr
     phase: str  # "search" | "committed"
@@ -974,10 +974,10 @@ class TraceState(NamedTuple):
 
 def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
     """The trace automaton of p as a labelled automaton over the edges
-    (nid, j): states are TraceStates in breadth-first discovery order, and
+    (v, j): states are TraceStates in breadth-first discovery order, and
     a state is found accepting or dead when it is dequeued."""
-    anc = {nid: ref_grouped_ancestry(p.instance[nid]) for nid in p.order}
-    alphabet = tuple((nid, j) for nid in p.order for j in range(len(p.children[nid])))
+    anc = [ref_grouped_ancestry(inst) for inst in p.instance]
+    alphabet = tuple((v, j) for v, kids in enumerate(p.children) for j in range(len(kids)))
 
     root_seq = p.sequent(p.root)
     initials = []
@@ -1023,27 +1023,27 @@ def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
 # The progress search, as one full pass
 
 
-def ref_find_unaccepted_branch(order, children, automaton: TraceAutomaton):
+def ref_find_unaccepted_branch(children, automaton: TraceAutomaton):
     """The progress search of rll.proof as one full pass: loops start at
     every node of every cyclic SCC, witnesses are whole edge tuples, and all
     profiles are built before the lasso test.  Returns None when every
     branch from the root is accepted, otherwise (stem edges, cycle edges)."""
     # per node, its out-edges as (edge, child, reach rows, accepting rows);
     # witnesses share these edge tuples
-    out = {
-        nid: tuple(
-            ((nid, j), dst, rows, tuple(row & automaton.accepting[dst] for row in rows))
-            for j, (dst, rows) in enumerate(zip(children[nid], automaton.reach[nid]))
+    out = [
+        tuple(
+            ((v, j), dst, rows, tuple(row & automaton.accepting[dst] for row in rows))
+            for j, (dst, rows) in enumerate(zip(children[v], automaton.reach[v]))
         )
-        for nid in order
-    }
+        for v in range(len(children))
+    ]
 
     # strongly connected components of the node graph (loops live inside them)
-    sccs = _ref_sccs(order, children)
+    sccs = _ref_sccs(children)
     scc_of = {}
     for comp in sccs:
-        for nid in comp:
-            scc_of[nid] = id(comp)
+        for v in comp:
+            scc_of[v] = id(comp)
     cyclic_nodes = set()
     for comp in sccs:
         if len(comp) > 1 or comp[0] in children[comp[0]]:
@@ -1065,13 +1065,13 @@ def ref_find_unaccepted_branch(order, children, automaton: TraceAutomaton):
     # loop profiles: (start, end, R, A) of paths inside one SCC
     loops = {}
     loop_queue = []
-    for nid in order:
-        if nid not in cyclic_nodes:
+    for v in range(len(children)):
+        if v not in cyclic_nodes:
             continue
-        for edge, dst, re_, ae_ in out[nid]:
-            if dst not in cyclic_nodes or scc_of[dst] != scc_of[nid]:
+        for edge, dst, re_, ae_ in out[v]:
+            if dst not in cyclic_nodes or scc_of[dst] != scc_of[v]:
                 continue
-            key = (nid, dst, re_, ae_)
+            key = (v, dst, re_, ae_)
             if key not in loops:
                 loops[key] = (edge,)
                 loop_queue.append(key)
@@ -1127,7 +1127,7 @@ def _ref_row_or(bits, rows):
     return out
 
 
-def _ref_sccs(order, children):
+def _ref_sccs(children):
     index = {}
     low = {}
     onstack = set()
@@ -1135,7 +1135,7 @@ def _ref_sccs(order, children):
     out = []
     counter = [0]
 
-    for start in order:
+    for start in range(len(children)):
         if start in index:
             continue
         work = [(start, iter(children[start]))]

@@ -14,8 +14,9 @@ import pytest
 import rll.cli as cli_module
 import rll.decide as decide_module
 import rll.proof as proof_module
-from rll.calculus import format_sequent
+from rll.calculus import format_sequent, parse_sequent
 from rll.corpus import ALPHABET, proofs
+from rll.decide import saturate
 from rll.proof import serialize_proof
 from rll.expr import Alphabet, parse, pretty
 from rll.proof import check, parse_proof
@@ -172,6 +173,73 @@ def test_check_reports_progress_failures_with_a_lasso(tmp_path):
     env = json.loads(r.stdout)
     assert env["result"] == "progress"
     assert env["witness"]["cycle"] == ["n0", "n1", "n2"]
+
+
+def _renamed_any3_proof():
+    """The saturated proof of any3 |- inf-a3 + inf-b3 over abc, with its
+    nodes renamed v0..v94 in a shuffled order, its node records shuffled
+    and its root line right after the alphabet line."""
+    sequent = "nu X. (a X + b X + c X) |- nu X. mu Y. (a X + b Y + c Y) + nu X. mu Y. (b X + a Y + c Y)"
+    p = saturate(parse_sequent(sequent, Alphabet("abc")))
+    alphabet, *records, root = serialize_proof(p).splitlines()
+    rng = random.Random(19)
+    ids = ["v%d" % i for i in range(len(records))]
+    rng.shuffle(ids)
+    rng.shuffle(records)
+    text = "\n".join([alphabet, root] + records) + "\n"
+    return re.sub(r"\bn(\d+)\b", lambda m: ids[int(m.group(1))], text)
+
+
+# the lasso that `rll check` prints on that file, in the file's own names
+RENAMED_ANY3_STEM = ["v57", "v55", "v84", "v38", "v4", "v62", "v59", "v7", "v17", "v94", "v91", "v78"]
+RENAMED_ANY3_CYCLE = [
+    "v78", "v0", "v43", "v8", "v75", "v82", "v40", "v36", "v28",
+    "v48", "v85", "v12", "v71", "v39", "v52", "v74", "v25", "v66",
+]
+
+
+def test_check_prints_the_lasso_in_the_file_s_own_node_names(capsys, tmp_path):
+    text = _renamed_any3_proof()
+    _, root_line, first_record = text.splitlines()[:3]
+    assert root_line == "root v57" and not first_record.startswith("node v57:")
+    assert "node n" not in text
+    f = tmp_path / "renamed.proof"
+    f.write_text(text)
+    assert cli_module.main(["check", str(f)]) == 3
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == "progress\nlasso: stem %s cycle %s\n" % (
+        " ".join(RENAMED_ANY3_STEM), " ".join(RENAMED_ANY3_CYCLE))
+    assert cli_module.main(["check", "--json", str(f)]) == 3
+    out = capsys.readouterr()
+    assert out.err == ""
+    assert out.out == (
+        '{"command": "check", "inputs": {"file": %s}, "result": "progress", "witness": '
+        '{"cycle": %s, "cycle_edges": [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0], '
+        '"stem": %s, "stem_edges": [0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0]}}\n'
+        % (json.dumps(str(f)), json.dumps(RENAMED_ANY3_CYCLE), json.dumps(RENAMED_ANY3_STEM))
+    )
+
+
+LOOP_RECORD = "node %s: mu X. X |- nu X. X ; rule mu-l ; children %s\n"
+
+
+@pytest.mark.parametrize(
+    "records, root, message",
+    [
+        ([("top", "top"), ("top", "top")], "top", "duplicate node id 'top'"),
+        ([("top", "top")], "bottom", "root 'bottom' is not a node"),
+        ([("z", "z"), ("top", "top"), ("a1", "z")], "top", "unreachable nodes: z, a1"),
+    ],
+    ids=["duplicate-id", "root-names-no-node", "unreachable-nodes"],
+)
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_check_refuses_a_malformed_graph_with_exit_64(capsys, tmp_path, records, root, message, json_flag):
+    f = tmp_path / "graph.proof"
+    f.write_text("alphabet: ab\n" + "".join(LOOP_RECORD % r for r in records) + "root %s\n" % root)
+    assert cli_module.main(["check", *json_flag, str(f)]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: %s\n" % message
 
 
 def test_complement_output_disagrees_pointwise_with_its_input():

@@ -81,8 +81,8 @@ def _generated_instances(seed: int, draws: int):
     seen = {}
     for _ in range(draws):
         p = saturate(gen_guarded_sequent(rng, ALPHABET))
-        for nid in p.order:
-            seen.setdefault(p.instance[nid], None)
+        for inst in p.instance:
+            seen.setdefault(inst, None)
     return tuple(seen)
 
 

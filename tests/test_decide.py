@@ -83,9 +83,9 @@ def test_an_empty_left_side_partitions_on_the_right():
 
 def test_saturation_builds_a_locally_valid_graph_rooted_at_n0():
     p = saturate(_s("mu X. a X + b X |- nu X. a X + b X"))
-    assert p.root == "n0"
+    assert p.root == 0 and p.order[0] == "n0"
     assert not check_local(p)
-    assert p.sequent("n0") == _s("mu X. a X + b X |- nu X. a X + b X")
+    assert p.sequent(0) == _s("mu X. a X + b X |- nu X. a X + b X")
 
 
 def test_saturation_is_deterministic():

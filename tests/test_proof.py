@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -20,7 +21,7 @@ from rll.proof import (
     parse_proof,
     serialize_proof,
     _find_unaccepted_branch,
-    sccs,
+    tarjan,
 )
 from oracles import (
     BuchiAutomaton,
@@ -106,12 +107,12 @@ def test_right_unfolding_the_universal_fixpoint_is_a_proof():
 def test_left_unfolding_the_universal_fixpoint_is_rejected():
     r = check(_loop("nu X. X |- mu X. X", "ν-l", "nu X. X"))
     assert not r.ok and r.reason == "progress"
-    assert r.lasso == Lasso(stem=("n0",), cycle=("n0",), stem_edges=(), cycle_edges=(0,))
+    assert r.lasso == Lasso(stem=(0,), cycle=(0,), stem_edges=(), cycle_edges=(0,))
 
 
 def test_right_unfolding_the_empty_fixpoint_is_rejected():
     r = check(_loop("nu X. X |- mu X. X", "μ-r", "mu X. X"))
-    assert not r.ok and r.lasso.cycle == ("n0",)
+    assert not r.ok and r.lasso.cycle == (0,)
 
 
 def test_an_empty_root_sequent_rejects_every_branch():
@@ -119,7 +120,7 @@ def test_an_empty_root_sequent_rejects_every_branch():
     p = ProofGraph([("n0", make_instance("r-p", s), ("n0", "n0"))], "n0")
     r = check(p)
     assert not r.ok and r.reason == "progress"
-    assert r.lasso.cycle == ("n0",)
+    assert r.lasso.cycle == (0,)
 
 
 def test_a_finite_axiom_tree_is_vacuously_progressing():
@@ -165,18 +166,18 @@ def _assert_genuine_counterbranch(p, lasso):
     # and the lasso really is a branch of the graph
     at = lasso.stem[0]
     assert at == p.root
-    for nid, j in stem_syms:
-        at = p.children[nid][j]
+    for v, j in stem_syms:
+        at = p.children[v][j]
     assert at == lasso.cycle[0]
-    for nid, j in cycle_syms:
-        at = p.children[nid][j]
+    for v, j in cycle_syms:
+        at = p.children[v][j]
     assert at == lasso.cycle[0]
 
 
 def _assert_unrolling_preserves_the_verdict(p, before):
-    for nid in p.order:
-        for j in range(len(p.children[nid])):
-            assert check(unroll_edge(p, nid, j)).ok == before, (nid, j)
+    for v, kids in enumerate(p.children):
+        for j in range(len(kids)):
+            assert check(unroll_edge(p, v, j)).ok == before, (v, j)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -211,9 +212,9 @@ def test_random_saturated_graphs_keep_their_verdicts_and_genuine_lassos():
 def _with_unrolled_edges(p):
     """p and every unroll_edge variant of it."""
     yield p
-    for nid in p.order:
-        for j in range(len(p.children[nid])):
-            yield unroll_edge(p, nid, j)
+    for v, kids in enumerate(p.children):
+        for j in range(len(kids)):
+            yield unroll_edge(p, v, j)
 
 
 def test_the_progress_search_returns_the_reference_lasso():
@@ -224,8 +225,8 @@ def test_the_progress_search_returns_the_reference_lasso():
     for p in graphs:
         for g in _with_unrolled_edges(p):
             automaton = build_trace_automaton(g)
-            found = _find_unaccepted_branch(g.order, g.children, automaton)
-            assert found == ref_find_unaccepted_branch(g.order, g.children, automaton)
+            found = _find_unaccepted_branch(g.children, automaton)
+            assert found == ref_find_unaccepted_branch(g.children, automaton)
             if found is None:
                 accepted += 1
             else:
@@ -235,7 +236,7 @@ def test_the_progress_search_returns_the_reference_lasso():
 
 # The 3-letter refutations of the decide benchmark, over abc: interning
 # merges the most profiles here.  Lassos and words recorded before the
-# progress search interned its profiles.
+# progress search interned its profiles; node i is named "n<i>" there.
 INF_A3 = "nu X. mu Y. (a X + b Y + c Y)"
 INF_B3 = "nu X. mu Y. (b X + a Y + c Y)"
 INF_C3 = "nu X. mu Y. (c X + a Y + b Y)"
@@ -243,16 +244,12 @@ FIN_A3 = "mu X. (a X + b X + c X + nu Y. (b Y + c Y))"
 ANY3 = "nu X. (a X + b X + c X)"
 
 
-def _nodes(*numbers):
-    return tuple("n%d" % i for i in numbers)
-
-
 THREE_LETTER_REFUTATIONS = {
     "inf-a3 & inf-b3 |- inf-c3 + fin-a3": (
         "%s & %s |- %s + %s" % (INF_A3, INF_B3, INF_C3, FIN_A3),
         Lasso(
-            stem=_nodes(*range(16), 17),
-            cycle=_nodes(
+            stem=(*range(16), 17),
+            cycle=(
                 17, 20, 23, 27, 35, 44, 53, 62, 71, 80, 89, 99, 110, 116, 122, 129, 136, 143, 151, 162,
                 175, 188, 201, 215, 232, 252, 275, 299, 322, 343, 364, 385, 407, 433, 459, 483, 504,
                 37, 46, 55, 64, 73, 82, 91, 101, 111, 118, 125, 132, 139, 146, 154, 165, 178, 191, 204,
@@ -266,8 +263,8 @@ THREE_LETTER_REFUTATIONS = {
     "any3 |- inf-a3 + inf-b3": (
         "%s |- %s + %s" % (ANY3, INF_A3, INF_B3),
         Lasso(
-            stem=_nodes(0, 1, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30),
-            cycle=_nodes(30, 33, 36, 39, 42, 45, 48, 51, 54, 57, 60, 64, 69, 73, 78, 84, 89, 92),
+            stem=(0, 1, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30),
+            cycle=(30, 33, 36, 39, 42, 45, 48, 51, 54, 57, 60, 64, 69, 73, 78, 84, 89, 92),
             stem_edges=(0, 1) + (0,) * 9,
             cycle_edges=(0,) * 13 + (1, 0, 0, 0, 0),
         ),
@@ -282,8 +279,9 @@ def test_three_letter_refutations_keep_their_lasso(name):
     s = parse_sequent(text, Alphabet("abc"))
     p = saturate(s)
     automaton = build_trace_automaton(p)
-    found = _find_unaccepted_branch(p.order, p.children, automaton)
-    assert found == ref_find_unaccepted_branch(p.order, p.children, automaton)
+    found = _find_unaccepted_branch(p.children, automaton)
+    assert found == ref_find_unaccepted_branch(p.children, automaton)
+    assert p.order == tuple("n%d" % i for i in range(len(p.order)))
     assert check(p).lasso == lasso
     assert str(decide(s).word) == word
 
@@ -307,7 +305,7 @@ def test_the_progress_search_composes_each_product_once(monkeypatch):
 
     monkeypatch.setattr(proof_module, "_compose_r", counting_compose_r)
     monkeypatch.setattr(proof_module, "_loop_profiles", recording_loop_profiles)
-    assert _find_unaccepted_branch(p.order, p.children, automaton) is not None
+    assert _find_unaccepted_branch(p.children, automaton) is not None
     # over both passes, each (profile, edge) product and each idempotence
     # test (a profile composed with itself) is composed once
     assert calls and max(calls.values()) == 1
@@ -319,10 +317,8 @@ def test_the_progress_search_composes_each_product_once(monkeypatch):
 def _random_digraph(rng):
     """Up to 12 nodes with up to 3 out-edges each, drawn with repetition, so
     that self-loops, repeated edges and cycles nested in cycles all occur."""
-    order = ["v%d" % i for i in range(rng.randint(1, 12))]
-    children = {v: tuple(rng.choice(order) for _ in range(rng.randint(0, 3))) for v in order}
-    rng.shuffle(order)
-    return order, children
+    n = rng.randint(1, 12)
+    return [tuple(rng.randrange(n) for _ in range(rng.randint(0, 3))) for _ in range(n)]
 
 
 def _is_acyclic(nodes, children):
@@ -348,42 +344,44 @@ def _is_acyclic(nodes, children):
 def test_deleting_the_feedback_nodes_leaves_an_acyclic_graph():
     rng = random.Random(1104)
     graphs = [_random_digraph(rng) for _ in range(1000)]
-    graphs += [(p.order, p.children) for p, _ in FIXTURES.values()]
-    graphs += [(p.order, p.children) for p in (saturate(s) for _, s, _ in DECISIONS)]
-    for order, children in graphs:
-        comps, feedback = sccs(order, children)
-        assert sorted(v for comp in comps for v in comp) == sorted(order)
+    graphs += [p.children for p, _ in FIXTURES.values()]
+    graphs += [saturate(s).children for _, s, _ in DECISIONS]
+    for children in graphs:
+        feedback = set()
+        comps = tarjan(children, range(len(children)), feedback)
+        assert sorted(v for comp in comps for v in comp) == list(range(len(children)))
         cyclic = {
             v for comp in comps if len(comp) > 1 or comp[0] in children[comp[0]] for v in comp
         }
         assert feedback <= cyclic
-        assert _is_acyclic([v for v in order if v not in feedback], children), (order, children)
+        assert _is_acyclic([v for v in range(len(children)) if v not in feedback], children), children
 
 
 def _assert_matches_the_labelled_reference(p):
     bp = build_trace_automaton(p)
     ref = ref_trace_automaton(p)
 
-    def label(nid, k):
-        return (nid,) + bp.labels[nid][k]
+    def label(v, k):
+        return (v,) + bp.labels[v][k]
 
     def strip(st):
         return (st.node, st.side, st.formula, st.critical)
 
-    assert [label(nid, k) for nid, k in bp.states] == [strip(st) for st in ref.states]
+    assert [label(v, k) for v, k in bp.states] == [strip(st) for st in ref.states]
     assert all(st.phase == ("search" if st.critical is None else "committed") for st in ref.states)
-    for nid, labels in bp.labels.items():
-        assert [k for n, k in bp.states if n == nid] == list(range(len(labels)))
+    assert len(bp.labels) == len(bp.accepting) == len(bp.reach) == len(p.order)
+    for v, labels in enumerate(bp.labels):
+        assert [k for n, k in bp.states if n == v] == list(range(len(labels)))
     assert [label(p.root, k) for k in bp.initials] == [strip(st) for st in ref.initials]
-    accepting = {label(nid, k) for nid, k in bp.states if bp.accepting[nid] >> k & 1}
+    accepting = {label(v, k) for v, k in bp.states if bp.accepting[v] >> k & 1}
     assert accepting == {strip(st) for st in ref.accepting}
-    assert all(mask >> len(bp.labels[nid]) == 0 for nid, mask in bp.accepting.items())
-    for (nid, k), st in zip(bp.states, ref.states):
-        for j, child in enumerate(p.children[nid]):
-            row = bp.reach[nid][j][k]
+    assert all(mask >> len(bp.labels[v]) == 0 for v, mask in enumerate(bp.accepting))
+    for (v, k), st in zip(bp.states, ref.states):
+        for j, child in enumerate(p.children[v]):
+            row = bp.reach[v][j][k]
             assert row >> len(bp.labels[child]) == 0
             successors = {label(child, k2) for k2 in range(len(bp.labels[child])) if row >> k2 & 1}
-            assert successors == {strip(t) for t in ref.successors(st, (nid, j))}, (nid, k, j)
+            assert successors == {strip(t) for t in ref.successors(st, (v, j))}, (v, k, j)
 
 
 def test_numbered_trace_automaton_matches_the_labelled_reference():
@@ -391,10 +389,8 @@ def test_numbered_trace_automaton_matches_the_labelled_reference():
     graphs += [saturate(s) for _, s, _ in DECISIONS]
     graphs += _random_saturated_graphs(seed=20261018)
     for p in graphs:
-        _assert_matches_the_labelled_reference(p)
-        for nid in p.order:
-            for j in range(len(p.children[nid])):
-                _assert_matches_the_labelled_reference(unroll_edge(p, nid, j))
+        for g in _with_unrolled_edges(p):
+            _assert_matches_the_labelled_reference(g)
 
 
 @pytest.mark.parametrize("name", sorted(FIXTURES))
@@ -404,8 +400,8 @@ def test_node_formulas_stay_inside_the_root_closures(name):
     universe = set()
     for f in root.lhs | root.rhs:
         universe.update(fl_closure(f).members)
-    for nid in p.order:
-        s = p.sequent(nid)
+    for nid, inst in zip(p.order, p.instance):
+        s = inst.conclusion
         assert (s.lhs | s.rhs) <= universe, nid
 
 
@@ -414,15 +410,14 @@ def test_trace_automaton_size_is_within_its_bound(name):
     p, _ = FIXTURES[name]
     bp = build_trace_automaton(p)
     formulas = set()
-    for nid in p.order:
-        s = p.sequent(nid)
-        formulas |= s.lhs | s.rhs
+    for inst in p.instance:
+        formulas |= inst.conclusion.lhs | inst.conclusion.rhs
     bound = len(p.order) * 2 * len(formulas) * (len(formulas) + 1)
     assert len(bp.states) <= bound
-    edges = {(nid, j) for nid in p.order for j in range(len(p.children[nid]))}
-    assert {(nid, j) for nid, rows in bp.reach.items() for j in range(len(rows))} == edges
-    for nid, rows in bp.reach.items():
-        assert all(len(per_state) == len(bp.labels[nid]) for per_state in rows)
+    edges = {(v, j) for v, kids in enumerate(p.children) for j in range(len(kids))}
+    assert {(v, j) for v, rows in enumerate(bp.reach) for j in range(len(rows))} == edges
+    for v, rows in enumerate(bp.reach):
+        assert all(len(per_state) == len(bp.labels[v]) for per_state in rows)
     root = p.sequent(p.root)
     assert len(bp.initials) == len(root.lhs) + len(root.rhs)
 
@@ -458,9 +453,7 @@ def _assert_round_trips(p):
     p2 = parse_proof(text)
     assert serialize_proof(p2) == text
     assert p2.order == p.order and p2.root == p.root
-    for nid in p.order:
-        assert p2.instance[nid] == p.instance[nid]
-        assert p2.children[nid] == p.children[nid]
+    assert p2.instance == p.instance and p2.children == p.children
     verdict = check(p).ok
     assert check(p2).ok == verdict
     return verdict
@@ -484,7 +477,7 @@ node n0: mu X. X |- nu X. X ; rule mu-l principal mu X. X ; children n0
 root n0
 """
     p = parse_proof(text)
-    assert p.instance["n0"].rule == "μ-l"
+    assert p.order == ("n0",) and p.instance[0].rule == "μ-l"
     assert check(p).ok
 
 
@@ -495,7 +488,7 @@ def test_proof_files_infer_an_omitted_principal():
         "root n0\n"
     )
     p = parse_proof(text)
-    assert p.instance["n0"].principal == parse("mu X. X", AB)
+    assert p.order == ("n0",) and p.instance[0].principal == parse("mu X. X", AB)
 
 
 ONE_NODE_PROOF = "alphabet: ab\nnode n0: mu X. X |- nu X. X ; rule mu-l principal mu X. X ; children n0\nroot n0\n"
@@ -505,7 +498,7 @@ def test_proof_file_keywords_may_be_followed_by_any_whitespace_or_end_their_clau
     spaced = ONE_NODE_PROOF.replace("root n0", "root\tn0").replace("principal mu", "principal\tmu")
     assert check(parse_proof(spaced)).ok
     p = parse_proof("alphabet: ab\nnode n0: 0 |- ; rule 0-l ; children\nroot n0")
-    assert p.children["n0"] == () and check(p).ok
+    assert p.order == ("n0",) and p.children == ((),) and check(p).ok
 
 
 @pytest.mark.parametrize(
@@ -570,9 +563,10 @@ def test_a_formula_text_is_parsed_once_per_proof_file(monkeypatch):
     # seven distinct texts, each parsed once; `a (nu X. ...)` and `a nu X. ...` are one term
     assert len(calls) == len(set(calls)) == 7
     any_ab = parse("nu X. a X + b X", AB)
-    assert p.instance["n1"].principal is any_ab and p.sequent("n0").rhs == {any_ab}
-    assert p.instance["n3"].principal is next(iter(p.sequent("n2").rhs)).right
-    assert p.sequent("n4").rhs == p.sequent("n3").rhs - {p.instance["n3"].principal}
+    assert p.order == ("n0", "n1", "n2", "n3", "n4")
+    assert p.instance[1].principal is any_ab and p.sequent(0).rhs == {any_ab}
+    assert p.instance[3].principal is next(iter(p.sequent(2).rhs)).right
+    assert p.sequent(4).rhs == p.sequent(3).rhs - {p.instance[3].principal}
     assert check(p).ok
 
 
@@ -598,23 +592,62 @@ def test_a_malformed_formula_on_two_nodes_reports_its_first_occurrence(first, se
     assert str(info.value) == message
 
 
-def test_the_proofs_decide_emits_round_trip_byte_for_byte():
+def _emitted_proofs():
+    """The proofs that decide emits on the bundled decisions and on three
+    complement round trips e & complement(e) |- over three letters."""
     abc = Alphabet("abc")
     sequents = [s for _, s, _ in DECISIONS]
-    for text in (  # complement round trips e & complement(e) |- over three letters
+    for text in (
         "nu X. mu Y. a X + b Y + c Y",
         "nu X. mu Y. a (nu Z. mu W. b X + a W + c W) + b Y + c Y",
         "mu X. a X + b X + c X + nu Y. b Y",
     ):
         e = parse(text, abc)
         sequents.append(Sequent([Cap(e, complement(e, abc))], [], abc))
-    emitted = [out.proof for out in map(decide, sequents) if isinstance(out, Proved)]
+    return [out.proof for out in map(decide, sequents) if isinstance(out, Proved)]
+
+
+def test_the_proofs_decide_emits_round_trip_byte_for_byte():
+    emitted = _emitted_proofs()
     assert len(emitted) == 19
     for p in emitted:
         text = serialize_proof(p)
         p2 = parse_proof(text)
         assert serialize_proof(p2) == text
-        assert all(p2.instance[nid] == p.instance[nid] for nid in p.order)
+        assert p2.order == p.order and p2.instance == p.instance
+
+
+def _renamed(p, rng):
+    """p with every node renamed, records kept in order, and the renaming.
+    New names are drawn from a shuffled numbering, so a node may take the
+    name another node had."""
+    numbers = list(range(len(p.order)))
+    rng.shuffle(numbers)
+    names = {old: "%s%d" % (rng.choice("nqx"), k) for old, k in zip(p.order, numbers)}
+    nodes = [
+        (names[nid], inst, tuple(names[p.order[c]] for c in kids))
+        for nid, inst, kids in zip(p.order, p.instance, p.children)
+    ]
+    return ProofGraph(nodes, names[p.order[p.root]]), names
+
+
+def test_renaming_the_nodes_changes_only_the_names():
+    rng = random.Random(1919)
+    graphs = [p for p, _ in FIXTURES.values()] + _emitted_proofs()
+    graphs += _random_saturated_graphs(seed=20261019)
+    rejected = 0
+    for p in graphs:
+        q, names = _renamed(p, rng)
+        assert q.order == tuple(names[nid] for nid in p.order)
+        assert q.root == p.root and q.instance == p.instance and q.children == p.children
+        r, r2 = check(p), check(q)
+        assert (r2.ok, r2.violations, r2.lasso) == (r.ok, r.violations, r.lasso)
+        rejected += not r.ok
+        assert build_trace_automaton(q) == build_trace_automaton(p)
+        # the node ids here are n<digits>, which no formula text contains
+        renamed_text = re.sub(r"\bn\d+\b", lambda m: names[m.group()], serialize_proof(p))
+        assert serialize_proof(q) == renamed_text
+    assert len(graphs) == 9 + 19 + 200 and rejected >= 20
 
 
 def test_loading_tolerates_weakened_plus_premisses():
@@ -712,7 +745,7 @@ def test_complementation_is_deterministic():
 
 def _universal_by_profiles(b):
     automaton, children = one_node_automaton(b)
-    return _find_unaccepted_branch(("w",), children, automaton)
+    return _find_unaccepted_branch(children, automaton)
 
 
 def _complement_is_empty(c):
