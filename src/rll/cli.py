@@ -87,13 +87,13 @@ def _cmd_check(args) -> Outcome:
         lines = ["violation: %s" % v for v in r.violations]
         return Outcome(2, "local", {"violations": list(r.violations)}, lines)
     lasso = r.lasso
-    stem = [p.order[v] for v in lasso.stem]
-    cycle = [p.order[v] for v in lasso.cycle]
+    stem = [p.order[v] for v, _ in lasso.stem + lasso.cycle[:1]]
+    cycle = [p.order[v] for v, _ in lasso.cycle]
     witness = {
         "stem": stem,
         "cycle": cycle,
-        "stem_edges": list(lasso.stem_edges),
-        "cycle_edges": list(lasso.cycle_edges),
+        "stem_edges": [j for _, j in lasso.stem],
+        "cycle_edges": [j for _, j in lasso.cycle],
     }
     line = "lasso: stem %s cycle %s" % (" ".join(stem), " ".join(cycle))
     return Outcome(3, "progress", witness, [line])

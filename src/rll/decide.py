@@ -8,8 +8,9 @@ formulas), or partition on the first letter (r-p) when the LHS is empty.
 Saturating the strategy with memoised sequents yields a finite cyclic
 preproof; the sequent is valid exactly when that preproof passes the
 progress check, and a failing branch folds into an ultimately periodic
-countermodel by reading off the letters consumed along its lasso.  Every
-countermodel is re-verified by the membership solver before it is returned.
+countermodel: each edge of its lasso that leaves a letter rule contributes
+the letter that its premiss strips.  Every countermodel is re-verified by
+the membership solver before it is returned.
 """
 
 from __future__ import annotations
@@ -88,16 +89,16 @@ def extract_countermodel(p: ProofGraph, lasso: Lasso) -> UPWord:
     a letter rule contributes the letter that premiss j strips, as
     premiss_letters names it, and every other edge none."""
 
-    def letters(nodes, edges):
+    def letters(edges):
         out = []
-        for v, j in zip(nodes, edges):
+        for v, j in edges:
             stripped = premiss_letters(p.instance[v])
             if stripped is not None:
                 out.append(stripped[j])
         return "".join(out)
 
-    stem = letters(lasso.stem, lasso.stem_edges)
-    cycle = letters(lasso.cycle, lasso.cycle_edges)
+    stem = letters(lasso.stem)
+    cycle = letters(lasso.cycle)
     if not cycle:
         raise RuntimeError("internal error: rejected branch consumes no letters on its cycle")
     return UPWord(stem, cycle, p.alphabet)

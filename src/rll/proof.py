@@ -31,10 +31,11 @@ start at a feedback node before the Ramsey argument is applied there; the
 size-change principle likewise composes only from call sites (Lee, Jones &
 Ben-Amram, "The size-change principle for program termination", POPL 2001).
 Only on a rejection does the full search, with loops from every node, build
-the lasso: it stops at its first hit, and that lasso is re-verified by
-replay on the same automaton.  A general rank-based complementation lives in
-tests/oracles.py as the reference this profile search is checked against,
-next to the full search as one pass.
+the lasso: it stops at its first hit, and the lasso is the path of edges
+(v, j) that it found, a stem from the root and a cycle back to the stem's
+end, re-verified by replay on the same automaton.  A general rank-based
+complementation lives in tests/oracles.py as the reference this profile
+search is checked against, next to the full search as one pass.
 """
 
 from __future__ import annotations
@@ -302,9 +303,9 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     formula is unfolded on the trace and visit an accepting state whenever
     the critical formula itself is the one unfolded."""
     anc = [immediate_ancestry(inst) for inst in p.instance]
-    labels = [[] for _ in p.order]
-    numbers = [{} for _ in p.order]  # per node, label -> its number there
-    accepting = [0] * len(p.order)
+    labels = [[] for _ in p.instance]
+    numbers = [{} for _ in p.instance]  # per node, label -> its number there
+    accepting = [0] * len(p.instance)
     dead = set()
     states = []
 
@@ -406,14 +407,12 @@ def accepts_lasso(automaton: TraceAutomaton, stem, cycle) -> bool:
 
 @dataclass(frozen=True)
 class Lasso:
-    """An infinite branch stem·cycle^ω, as node numbers plus the child
-    indices taken between them; cycle[0] is the node the stem lands on.
-    The proof graph's order names the numbers."""
+    """An infinite branch stem·cycle^ω, as the edges (v, j) it takes: the
+    stem leads from the root to the cycle's first node cycle[0][0], and
+    the cycle returns there.  The proof graph's order names the nodes."""
 
-    stem: Tuple[int, ...]
-    cycle: Tuple[int, ...]
-    stem_edges: Tuple[int, ...]
-    cycle_edges: Tuple[int, ...]
+    stem: Tuple[Tuple[int, int], ...]
+    cycle: Tuple[Tuple[int, int], ...]
 
 
 def _compose_r(p, q):
@@ -608,36 +607,17 @@ def tarjan(children, starts, feedback=None):
     return out
 
 
-def _progress_lasso(p: ProofGraph) -> Optional[Lasso]:
-    """None when every infinite branch of a locally valid proof has a
-    progressing trace; otherwise a lasso branch with no such trace,
-    re-verified by replaying it through the trace automaton."""
-    automaton = build_trace_automaton(p)
-    found = _find_unaccepted_branch(p.children, automaton)
-    if found is None:
-        return None
-    stem_syms, cycle_syms = found
-    if accepts_lasso(automaton, stem_syms, cycle_syms):
-        raise RuntimeError("internal error: counterexample lasso has a progressing trace")
-    stem_nodes = [p.root]
-    for v, j in stem_syms:
-        stem_nodes.append(p.children[v][j])
-    cycle_nodes = [stem_nodes[-1]]
-    for v, j in cycle_syms[:-1]:
-        cycle_nodes.append(p.children[v][j])
-    return Lasso(
-        stem=tuple(stem_nodes),
-        cycle=tuple(cycle_nodes),
-        stem_edges=tuple(j for _, j in stem_syms),
-        cycle_edges=tuple(j for _, j in cycle_syms),
-    )
-
-
 @dataclass(frozen=True)
 class CheckResult:
-    ok: bool
+    """The local violations, else the lasso of a branch that carries no
+    progressing trace; a proof with neither is accepted."""
+
     violations: Tuple[str, ...]
     lasso: Optional[Lasso]
+
+    @property
+    def ok(self) -> bool:
+        return not self.violations and self.lasso is None
 
     @property
     def reason(self) -> str:
@@ -647,11 +627,16 @@ class CheckResult:
 
 
 def check(p: ProofGraph) -> CheckResult:
-    """check_local, then, on a locally valid proof only, the progress check."""
+    """check_local, then, on a locally valid proof only, the progress check:
+    the search's first unaccepted branch, re-verified by replaying it
+    through the trace automaton, is the lasso of the result."""
     violations = check_local(p)
     if violations:
-        return CheckResult(False, tuple(violations), None)
-    lasso = _progress_lasso(p)
-    if lasso is not None:
-        return CheckResult(False, (), lasso)
-    return CheckResult(True, (), None)
+        return CheckResult(tuple(violations), None)
+    automaton = build_trace_automaton(p)
+    found = _find_unaccepted_branch(p.children, automaton)
+    if found is None:
+        return CheckResult((), None)
+    if accepts_lasso(automaton, *found):
+        raise RuntimeError("internal error: counterexample lasso has a progressing trace")
+    return CheckResult((), Lasso(*found))

@@ -107,12 +107,12 @@ def test_right_unfolding_the_universal_fixpoint_is_a_proof():
 def test_left_unfolding_the_universal_fixpoint_is_rejected():
     r = check(_loop("nu X. X |- mu X. X", "ν-l", "nu X. X"))
     assert not r.ok and r.reason == "progress"
-    assert r.lasso == Lasso(stem=(0,), cycle=(0,), stem_edges=(), cycle_edges=(0,))
+    assert r.lasso == Lasso(stem=(), cycle=((0, 0),))
 
 
 def test_right_unfolding_the_empty_fixpoint_is_rejected():
     r = check(_loop("nu X. X |- mu X. X", "μ-r", "mu X. X"))
-    assert not r.ok and r.lasso.cycle == (0,)
+    assert not r.ok and [v for v, _ in r.lasso.cycle] == [0]
 
 
 def test_an_empty_root_sequent_rejects_every_branch():
@@ -120,7 +120,7 @@ def test_an_empty_root_sequent_rejects_every_branch():
     p = ProofGraph([("n0", make_instance("r-p", s), ("n0", "n0"))], "n0")
     r = check(p)
     assert not r.ok and r.reason == "progress"
-    assert r.lasso.cycle == (0,)
+    assert [v for v, _ in r.lasso.cycle] == [0]
 
 
 def test_a_finite_axiom_tree_is_vacuously_progressing():
@@ -159,19 +159,20 @@ def _random_saturated_graphs(seed, n=200):
 
 
 def _assert_genuine_counterbranch(p, lasso):
-    bp = build_trace_automaton(p)
-    stem_syms = tuple(zip(lasso.stem, lasso.stem_edges))
-    cycle_syms = tuple(zip(lasso.cycle, lasso.cycle_edges))
-    assert not accepts_lasso(bp, stem_syms, cycle_syms)
-    # and the lasso really is a branch of the graph
-    at = lasso.stem[0]
-    assert at == p.root
-    for v, j in stem_syms:
+    assert not accepts_lasso(build_trace_automaton(p), lasso.stem, lasso.cycle)
+    # and the lasso really is a branch of the graph: the stem leaves the
+    # root, each edge leaves the node the one before it enters, and the stem
+    # lands on the cycle's first node, where the cycle returns
+    start = lasso.cycle[0][0]
+    at = p.root
+    for v, j in lasso.stem:
+        assert v == at
         at = p.children[v][j]
-    assert at == lasso.cycle[0]
-    for v, j in cycle_syms:
+    assert at == start
+    for v, j in lasso.cycle:
+        assert v == at
         at = p.children[v][j]
-    assert at == lasso.cycle[0]
+    assert at == start
 
 
 def _assert_unrolling_preserves_the_verdict(p, before):
@@ -225,18 +226,30 @@ def test_the_progress_search_returns_the_reference_lasso():
     for p in graphs:
         for g in _with_unrolled_edges(p):
             automaton = build_trace_automaton(g)
-            found = _find_unaccepted_branch(g.children, automaton)
-            assert found == ref_find_unaccepted_branch(g.children, automaton)
-            if found is None:
+            ref = ref_find_unaccepted_branch(g.children, automaton)
+            assert _find_unaccepted_branch(g.children, automaton) == ref
+            # and check answers with the same branch, or with none
+            r = check(g)
+            assert not r.violations
+            if ref is None:
+                assert r.lasso is None
                 accepted += 1
             else:
+                assert r.lasso == Lasso(*ref)
                 rejected += 1
     assert accepted >= 100 and rejected >= 100  # both verdicts are well represented
+
+
+def _edges(nodes, indices):
+    """The edges (v, j) that take child index indices[i] out of nodes[i]."""
+    return tuple(zip(nodes, indices, strict=True))
 
 
 # The 3-letter refutations of the decide benchmark, over abc: interning
 # merges the most profiles here.  Lassos and words recorded before the
 # progress search interned its profiles; node i is named "n<i>" there.
+# A lasso then listed the nodes of its stem, ending where its cycle starts,
+# and those of its cycle, each with the child indices taken between them.
 INF_A3 = "nu X. mu Y. (a X + b Y + c Y)"
 INF_B3 = "nu X. mu Y. (b X + a Y + c Y)"
 INF_C3 = "nu X. mu Y. (c X + a Y + b Y)"
@@ -248,25 +261,27 @@ THREE_LETTER_REFUTATIONS = {
     "inf-a3 & inf-b3 |- inf-c3 + fin-a3": (
         "%s & %s |- %s + %s" % (INF_A3, INF_B3, INF_C3, FIN_A3),
         Lasso(
-            stem=(*range(16), 17),
-            cycle=(
-                17, 20, 23, 27, 35, 44, 53, 62, 71, 80, 89, 99, 110, 116, 122, 129, 136, 143, 151, 162,
-                175, 188, 201, 215, 232, 252, 275, 299, 322, 343, 364, 385, 407, 433, 459, 483, 504,
-                37, 46, 55, 64, 73, 82, 91, 101, 111, 118, 125, 132, 139, 146, 154, 165, 178, 191, 204,
-                218, 235, 255, 278, 302,
+            stem=_edges(range(16), (0,) * 16),
+            cycle=_edges(
+                (
+                    17, 20, 23, 27, 35, 44, 53, 62, 71, 80, 89, 99, 110, 116, 122, 129, 136, 143, 151, 162,
+                    175, 188, 201, 215, 232, 252, 275, 299, 322, 343, 364, 385, 407, 433, 459, 483, 504,
+                    37, 46, 55, 64, 73, 82, 91, 101, 111, 118, 125, 132, 139, 146, 154, 165, 178, 191, 204,
+                    218, 235, 255, 278, 302,
+                ),
+                (0, 0, 0, 1) + (0,) * 28 + (1,) + (0,) * 28,
             ),
-            stem_edges=(0,) * 16,
-            cycle_edges=(0, 0, 0, 1) + (0,) * 28 + (1,) + (0,) * 28,
         ),
         "(ab)^w",
     ),
     "any3 |- inf-a3 + inf-b3": (
         "%s |- %s + %s" % (ANY3, INF_A3, INF_B3),
         Lasso(
-            stem=(0, 1, 3, 6, 9, 12, 15, 18, 21, 24, 27, 30),
-            cycle=(30, 33, 36, 39, 42, 45, 48, 51, 54, 57, 60, 64, 69, 73, 78, 84, 89, 92),
-            stem_edges=(0, 1) + (0,) * 9,
-            cycle_edges=(0,) * 13 + (1, 0, 0, 0, 0),
+            stem=_edges((0, 1, 3, 6, 9, 12, 15, 18, 21, 24, 27), (0, 1) + (0,) * 9),
+            cycle=_edges(
+                (30, 33, 36, 39, 42, 45, 48, 51, 54, 57, 60, 64, 69, 73, 78, 84, 89, 92),
+                (0,) * 13 + (1, 0, 0, 0, 0),
+            ),
         ),
         "(c)^w",
     ),
@@ -283,6 +298,8 @@ def test_three_letter_refutations_keep_their_lasso(name):
     assert found == ref_find_unaccepted_branch(p.children, automaton)
     assert p.order == tuple("n%d" % i for i in range(len(p.order)))
     assert check(p).lasso == lasso
+    # the recorded node lists also fixed where the stem lands: cycle[0][0]
+    _assert_genuine_counterbranch(p, lasso)
     assert str(decide(s).word) == word
 
 

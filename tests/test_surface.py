@@ -5,7 +5,8 @@ Every other top-level name that a module assigns is read by some code in
 `src/rll`, and every top-level import is used by its module, and no module
 imports a private (underscored) name from another.  Only `cli.main`
 prints, names `sys.stdout` or `sys.stderr`, or reads the `--json` flag, so
-every command shares its one output path.  Test-only
+every command shares its one output path.  A proof graph's node names,
+`ProofGraph.order`, are read only at the file boundary.  Test-only
 algorithms and data belong in `tests/`.  Every import sits at the top of
 its module: an import inside a function or class body usually works round
 a module cycle, which belongs fixed in the module layout."""
@@ -144,3 +145,47 @@ def test_only_cli_main_prints_or_reads_the_json_flag():
             ):
                 found.append("%s:%d .%s" % (mod, node.lineno, node.attr))
     assert found == [], "output outside cli.main: " + ", ".join(found)
+
+
+# the file boundary: where a proof graph is numbered, where check_local words
+# its messages, where a proof file is written and where rll check prints a
+# lasso; elsewhere a graph is read by its numbers
+ORDER_READERS = {
+    ("proof", "ProofGraph.__init__"),
+    ("proof", "check_local"),
+    ("proof", "serialize_proof"),
+    ("cli", "_cmd_check"),
+}
+
+
+def _functions(tree):
+    """The top-level functions and the methods of top-level classes, by
+    qualified name."""
+    for stmt in tree.body:
+        if isinstance(stmt, ast.FunctionDef):
+            yield stmt.name, stmt
+        elif isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if isinstance(sub, ast.FunctionDef):
+                    yield "%s.%s" % (stmt.name, sub.name), sub
+
+
+def test_node_names_are_read_only_at_the_file_boundary():
+    found, readers = [], set()
+    for mod, tree in _modules().items():
+        allowed = set()
+        for name, fn in _functions(tree):
+            if (mod, name) in ORDER_READERS:
+                readers.add((mod, name))
+                allowed |= {id(node) for node in ast.walk(fn)}
+        for node in ast.walk(tree):  # len(x.order) counts nodes, so it reads no name
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "len":
+                allowed |= {id(arg) for arg in node.args}
+        found += [
+            "%s:%d" % (mod, node.lineno)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "order"
+            and isinstance(node.ctx, ast.Load) and id(node) not in allowed
+        ]
+    assert readers == ORDER_READERS
+    assert found == [], "node names read outside the file boundary: " + ", ".join(found)
