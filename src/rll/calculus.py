@@ -13,7 +13,8 @@ and the three letter rules are every rule there is; premiss_letters names
 the letter that each premiss of h_a or r-p strips; and immediate_ancestry
 says how the formulas of the premisses descend from those of the
 conclusion — the raw material for traces.  Rule applications are
-first-class values (RuleInstance) so that proofs can store them.
+first-class values (RuleInstance) so that proofs can store them.  A sequent
+is checked once, where it enters; premisses are derived without re-checking.
 """
 
 from __future__ import annotations
@@ -43,15 +44,16 @@ from .expr import (
 
 
 class Sequent:
-    """Two finite sets of closed expressions; duplicates collapse."""
+    """Two finite sets of closed expressions; duplicates collapse.  The
+    constructor checks every formula; _premiss derives rule premisses without
+    re-checking.  lhs_sorted and rhs_sorted are the cedents sorted once."""
 
-    __slots__ = ("lhs", "rhs", "alphabet", "_hash")
+    __slots__ = ("lhs", "rhs", "alphabet", "lhs_sorted", "rhs_sorted", "_hash")
 
     def __init__(self, lhs, rhs, alphabet: Alphabet):
-        self.lhs = frozenset(canonical(e) for e in lhs)
-        self.rhs = frozenset(canonical(e) for e in rhs)
-        self.alphabet = alphabet
-        for e in self.lhs | self.rhs:
+        lhs = frozenset(canonical(e) for e in lhs)
+        rhs = frozenset(canonical(e) for e in rhs)
+        for e in lhs | rhs:
             if free_vars(e):
                 raise ValueError("sequent formulas must be closed: %s" % pretty(e))
             stray = letters_of(e).difference(alphabet)
@@ -60,15 +62,13 @@ class Sequent:
                     "formula %s uses letters outside the alphabet: %s"
                     % (pretty(e), ", ".join(sorted(stray)))
                 )
-        self._hash = hash((self.lhs, self.rhs, alphabet))
+        self._fill(lhs, rhs, alphabet)
 
-    @property
-    def lhs_sorted(self) -> Tuple[Expr, ...]:
-        return tuple(sorted(self.lhs, key=expr_sort_key))
-
-    @property
-    def rhs_sorted(self) -> Tuple[Expr, ...]:
-        return tuple(sorted(self.rhs, key=expr_sort_key))
+    def _fill(self, lhs: frozenset, rhs: frozenset, alphabet: Alphabet):
+        self.lhs, self.rhs, self.alphabet = lhs, rhs, alphabet
+        self.lhs_sorted = tuple(sorted(lhs, key=expr_sort_key))
+        self.rhs_sorted = tuple(sorted(rhs, key=expr_sort_key))
+        self._hash = hash((lhs, rhs, alphabet))
 
     def __eq__(self, other):
         return (
@@ -86,6 +86,17 @@ class Sequent:
 
     def __repr__(self):
         return "Sequent[%s]" % format_sequent(self)
+
+
+def _premiss(lhs, rhs, alphabet: Alphabet) -> Sequent:
+    """A rule premiss, built from parts of a checked conclusion's formulas
+    without the constructor's checks, which it passes by construction: the
+    left, right or body of a closed canonical +, & or letter term is closed
+    and canonical, unfold returns a canonical term, and neither adds a
+    letter."""
+    s = object.__new__(Sequent)
+    s._fill(frozenset(lhs), frozenset(rhs), alphabet)
+    return s
 
 
 def format_sequent(s: Sequent) -> str:
@@ -211,8 +222,8 @@ def _expected_premisses(rule, s: Sequent, principal):
         _need(isinstance(principal, cls) and principal in cedent, message)
         rest = cedent - {principal}
         if side == "L":
-            return tuple(Sequent(rest | aux, s.rhs, ab) for aux in _auxiliaries(rule, principal))
-        return tuple(Sequent(s.lhs, rest | aux, ab) for aux in _auxiliaries(rule, principal))
+            return tuple(_premiss(rest | aux, s.rhs, ab) for aux in _auxiliaries(rule, principal))
+        return tuple(_premiss(s.lhs, rest | aux, ab) for aux in _auxiliaries(rule, principal))
     if rule == "l-p":
         _need(principal is None, "l-p takes no principal formula")
         _need(len(s.lhs) == 2 and not s.rhs, "l-p requires exactly two left formulas and an empty right side")
@@ -227,7 +238,7 @@ def _expected_premisses(rule, s: Sequent, principal):
         _need(not s.lhs, "r-p requires an empty left side")
         _need(all(isinstance(e, Letter) for e in s.rhs), "r-p requires every right formula to start with a letter")
         return tuple(
-            Sequent((), [e.body for e in s.rhs if e.letter == c], ab) for c in ab
+            _premiss((), [e.body for e in s.rhs if e.letter == c], ab) for c in ab
         )
     if rule.startswith("h_"):
         a = rule[2:]
@@ -242,7 +253,7 @@ def _expected_premisses(rule, s: Sequent, principal):
             all(isinstance(e, Letter) and e.letter == a for e in s.rhs),
             "h_%s requires every right formula to start with %s" % (a, a),
         )
-        return (Sequent([e.body for e in s.lhs], [e.body for e in s.rhs], ab),)
+        return (_premiss([e.body for e in s.lhs], [e.body for e in s.rhs], ab),)
     raise _Violation("unknown rule %r" % rule)
 
 
@@ -272,7 +283,7 @@ def validate_instance(r: RuleInstance) -> Optional[str]:
     if rule == "+-l":
         degenerate = (
             expected[0],
-            Sequent({r.principal.right}, r.conclusion.rhs, r.conclusion.alphabet),
+            _premiss({r.principal.right}, r.conclusion.rhs, r.conclusion.alphabet),
         )
         if tuple(r.premisses) == degenerate:
             return None

@@ -4,8 +4,11 @@ import random
 
 import pytest
 
+import rll.calculus as calculus_module
+from rll.corpus import proofs
 from rll.expr import Alphabet, ParseError, expr_sort_key, parse
 from rll.calculus import (
+    PRINCIPAL_RULES,
     RuleInstance,
     Sequent,
     canonical_rule_name,
@@ -16,8 +19,16 @@ from rll.calculus import (
     premiss_letters,
     validate_instance,
 )
+from rll.proof import check_local
 from rll.semantics import UPWord, member
-from oracles import applicable_steps, gen_expr, gen_word, ref_grouped_ancestry, ref_immediate_ancestry
+from oracles import (
+    applicable_steps,
+    gen_expr,
+    gen_guarded_sequent,
+    gen_word,
+    ref_grouped_ancestry,
+    ref_immediate_ancestry,
+)
 
 AB = Alphabet("ab")
 
@@ -52,6 +63,41 @@ def test_sequent_rejects_bad_input():
         Sequent([parse("a X", AB)], [], AB)  # open formula
     with pytest.raises(ValueError):
         Sequent([parse("a c 0", Alphabet("abc"))], [], AB)  # stray letter
+
+
+def _assert_built_as_checked(s):
+    """s equals the sequent the checking constructor builds from its
+    cedents, in every stored field."""
+    q = Sequent(s.lhs, s.rhs, s.alphabet)
+    assert (s.lhs, s.rhs, hash(s), s.lhs_sorted, s.rhs_sorted) == (q.lhs, q.rhs, hash(q), q.lhs_sorted, q.rhs_sorted)
+    assert s == q and q == s
+
+
+def test_derived_premisses_equal_the_checked_sequents(monkeypatch):
+    instances = []
+    for alphabet in (AB, Alphabet("abc")):
+        rng = random.Random(21)
+        for _ in range(200):
+            instances += applicable_steps(gen_guarded_sequent(rng, alphabet))
+    graphs = [p for p, _ in proofs().values()]
+    instances += [inst for p in graphs for inst in p.instance]
+    assert {inst.rule for inst in instances} >= set(PRINCIPAL_RULES) | {"l-p", "r-p", "h_a", "h_b", "h_c"}
+    rederived = []
+    built = calculus_module._premiss
+
+    def recording(*args):
+        rederived.append(built(*args))
+        return rederived[-1]
+
+    monkeypatch.setattr(calculus_module, "_premiss", recording)
+    for p in graphs:
+        check_local(p)
+    assert len(rederived) == sum(len(inst.premisses) for p in graphs for inst in p.instance)
+    # the context-dropping +-l premiss that validate_instance derives
+    degenerate = RuleInstance("+-l", seq("a 0 + b 0, T |- 0"), e("a 0 + b 0"), (seq("a 0, T |- 0"), seq("b 0 |- 0")))
+    assert validate_instance(degenerate) is None and rederived[-1] == seq("b 0 |- 0")
+    for prem in [prem for inst in instances for prem in inst.premisses] + rederived:
+        _assert_built_as_checked(prem)
 
 
 def test_rule_name_aliases():

@@ -242,6 +242,30 @@ def test_check_refuses_a_malformed_graph_with_exit_64(capsys, tmp_path, records,
     assert out.out == "" and out.err == "error: %s\n" % message
 
 
+# a sequent is checked where it enters: parse_sequent and parse_proof build it
+# through the checking constructor, never the unchecked premiss path
+OPEN_SEQUENT_ERROR = "error: sequent formulas must be closed: a X\n"
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_decide_refuses_an_open_sequent_with_exit_64(capsys, json_flag):
+    assert cli_module.main(["decide", "--alphabet", "ab", "--sequent", "a X |- b 0", *json_flag]) == 64
+    assert capsys.readouterr() == ("", OPEN_SEQUENT_ERROR)
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_check_refuses_a_proof_node_with_an_open_sequent_with_exit_64(capsys, tmp_path, json_flag):
+    f = tmp_path / "open.proof"
+    f.write_text("alphabet: ab\nnode n0: a X |- ; rule h_a ; children n0\nroot n0\n")
+    assert cli_module.main(["check", *json_flag, str(f)]) == 64
+    assert capsys.readouterr() == ("", OPEN_SEQUENT_ERROR)
+
+
+def test_parse_sequent_refuses_an_open_formula():
+    with pytest.raises(ValueError, match="^sequent formulas must be closed: a X$"):
+        parse_sequent("a X |-", ALPHABET)
+
+
 def test_complement_output_disagrees_pointwise_with_its_input():
     r = rll("complement", "--alphabet", "ab", "--expr", "nu X. a X")
     assert r.returncode == 0

@@ -6,7 +6,8 @@ Every other top-level name that a module assigns is read by some code in
 imports a private (underscored) name from another.  Only `cli.main`
 prints, names `sys.stdout` or `sys.stderr`, or reads the `--json` flag, so
 every command shares its one output path.  A proof graph's node names,
-`ProofGraph.order`, are read only at the file boundary.  Test-only
+`ProofGraph.order`, are read only at the file boundary.  Only
+`rll.calculus` builds a `Sequent` without its checking constructor.  Test-only
 algorithms and data belong in `tests/`.  Every import sits at the top of
 its module: an import inside a function or class body usually works round
 a module cycle, which belongs fixed in the module layout."""
@@ -189,3 +190,38 @@ def test_node_names_are_read_only_at_the_file_boundary():
         ]
     assert readers == ORDER_READERS
     assert found == [], "node names read outside the file boundary: " + ", ".join(found)
+
+
+# the ways to build a Sequent without the checks of its constructor: the
+# private constructor of rule premisses and the fill step it shares with
+# Sequent.__init__
+UNCHECKED_PATHS = {"_premiss", "_fill"}
+
+
+def _name(node):
+    """The name that a Name, Attribute or import alias node reads."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
+def test_only_calculus_builds_a_sequent_without_its_checks():
+    modules = _modules()
+    assert UNCHECKED_PATHS <= {name.split(".")[-1] for name, _ in _functions(modules["calculus"])}
+    found = []
+    for mod, tree in modules.items():
+        if mod == "calculus":
+            continue
+        for node in ast.walk(tree):
+            if _name(node) in UNCHECKED_PATHS:
+                found.append("%s:%d %s" % (mod, node.lineno, _name(node)))
+            elif (
+                isinstance(node, ast.Call) and _name(node.func) == "__new__"
+                and "Sequent" in {_name(n) for n in [node.func.value, *node.args]}
+            ):
+                found.append("%s:%d __new__" % (mod, node.lineno))
+    assert found == [], "Sequent built without its checks outside rll.calculus: " + ", ".join(found)
