@@ -151,16 +151,27 @@ def canonical_rule_name(name: str) -> str:
     return _ASCII_RULE_ALIASES.get(name, name)
 
 
+def is_rule_name(rule: str) -> bool:
+    """Is this canonical name in the rule table (any h_ name is)?"""
+    return rule in PRINCIPAL_RULES or rule in ("l-p", "r-p") or rule.startswith("h_")
+
+
 @dataclass(frozen=True)
 class RuleInstance:
-    """One application of a rule: its name, the conclusion, the principal
-    formula (a letter for h_a, absent for l-p/r-p) and the premisses in
-    order — left before right summand, alphabet order for r-p."""
+    """One application of a rule: its name, stored canonical (mu-l as μ-l),
+    the conclusion, the principal formula, canonical too (a letter for h_a,
+    absent for l-p/r-p), and the premisses in order, as a tuple."""
 
     rule: str
     conclusion: Sequent
     principal: Union[Expr, str, None]
     premisses: Tuple[Sequent, ...]
+
+    def __post_init__(self):
+        if self.rule in _ASCII_RULE_ALIASES:
+            object.__setattr__(self, "rule", _ASCII_RULE_ALIASES[self.rule])
+        if isinstance(self.principal, Expr) and canonical(self.principal) is not self.principal:
+            object.__setattr__(self, "principal", canonical(self.principal))
 
 
 class _Violation(ValueError):
@@ -273,21 +284,20 @@ def validate_instance(r: RuleInstance) -> Optional[str]:
     A +-l whose second premiss drops the context — just the right summand
     against the old right side — is also accepted; it abbreviates the full
     rule preceded by weakenings."""
-    rule = canonical_rule_name(r.rule)
     try:
-        expected = _expected_premisses(rule, r.conclusion, r.principal)
+        expected = _expected_premisses(r.rule, r.conclusion, r.principal)
     except _Violation as v:
         return str(v)
-    if tuple(r.premisses) == tuple(expected):
+    if r.premisses == expected:
         return None
-    if rule == "+-l":
+    if r.rule == "+-l":
         degenerate = (
             expected[0],
             _premiss({r.principal.right}, r.conclusion.rhs, r.conclusion.alphabet),
         )
-        if tuple(r.premisses) == degenerate:
+        if r.premisses == degenerate:
             return None
-    return "premisses do not match the %s schema for this conclusion" % rule
+    return "premisses do not match the %s schema for this conclusion" % r.rule
 
 
 def premiss_letters(r: RuleInstance) -> Optional[Tuple[str, ...]]:

@@ -111,13 +111,8 @@ def _build_proof(root_sequent: Sequent, derivation, root: str = "n0") -> ProofGr
     for nid in queue:  # the queue grows while it is walked
         rule, principal, kids = derivation[nid]
         inst = make_instance(rule, sequents[nid], principal)
-        if len(inst.premisses) != len(kids):
-            raise ValueError("node %s: %d premisses for %d children" % (nid, len(inst.premisses), len(kids)))
         for prem, cid in zip(inst.premisses, kids):
-            if cid in sequents:
-                if sequents[cid] != prem:
-                    raise ValueError("node %s: child %s already carries a different sequent" % (nid, cid))
-            else:
+            if cid not in sequents:
                 sequents[cid] = prem
                 queue.append(cid)
         ordered.append((nid, inst, tuple(kids)))

@@ -4,12 +4,12 @@ A proof is a finite graph of sequents: each node carries a rule instance
 whose premisses are exactly its children's sequents, and back-edges make the
 object cyclic.  The graph is numbered once, when it is built, and every
 stage after that reads node numbers; the names of a proof file's nodes are
-read back only to report errors and to print.  Local checking is per-node
-schema validation.  The global progress condition asks that every infinite
-branch carries a trace — a path of formulas through the ancestry relation —
-that commits to a critical left-mu or right-nu formula, never unfolds
-anything strictly smaller afterwards, and unfolds the critical formula
-itself infinitely often.
+read back only to report errors and to print.  Its structure is checked
+where it is built; local checking validates rule schemas only.  The global
+progress condition asks that every infinite branch carries a trace — a path
+of formulas through the ancestry relation — that commits to a critical
+left-mu or right-nu formula, never unfolds anything strictly smaller
+afterwards, and unfolds the critical formula itself infinitely often.
 
 build_trace_automaton turns that condition into a Büchi automaton over the
 graph's edges whose language is the set of branches possessing such a trace.
@@ -51,6 +51,7 @@ from .calculus import (
     canonical_rule_name,
     format_sequent,
     immediate_ancestry,
+    is_rule_name,
     parse_sequent,
     validate_instance,
 )
@@ -60,8 +61,9 @@ class ProofGraph:
     record named order[i], instance[i] is its rule instance, children[i]
     holds the numbers of its children, and root is a number.  The names
     are read only to report errors and to print.  Construction checks the
-    graph shape (distinct names, known ids, reachability); rule-level
-    validation is check_local."""
+    structure (distinct names, known children, reachability, the root's
+    alphabet everywhere, children carrying their parent's premisses in
+    order) and raises ValueError; rule schemas are check_local's."""
 
     def __init__(self, nodes, root: str):
         # nodes: iterable of (name, RuleInstance, children names)
@@ -73,12 +75,20 @@ class ProofGraph:
             number[nid] = len(number)
         if root not in number:
             raise ValueError("root %r is not a node" % root)
+        conclusions = [inst.conclusion for _, inst, _ in nodes]
+        alphabet = conclusions[number[root]].alphabet
         children = []
-        for nid, _, kids in nodes:
+        for nid, inst, kids in nodes:
+            if inst.conclusion.alphabet != alphabet:
+                raise ValueError("node %r: alphabet differs from the root's" % nid)
             for cid in kids:
                 if cid not in number:
                     raise ValueError("node %r references unknown child %r" % (nid, cid))
             children.append(tuple(number[cid] for cid in kids))
+            carried = tuple(conclusions[c] for c in children[-1])
+            if carried != inst.premisses:
+                raise ValueError("node %r: children carry [%s], premisses are [%s]" % (
+                    nid, "; ".join(map(str, carried)), "; ".join(map(str, inst.premisses))))
         self.order = tuple(nid for nid, _, _ in nodes)
         self.instance = tuple(inst for _, inst, _ in nodes)
         self.children = tuple(children)
@@ -100,29 +110,13 @@ class ProofGraph:
 
 
 def check_local(p: ProofGraph):
-    """Schema-validate every node; returns a list of violations (empty when
-    the graph is a well-formed preproof)."""
+    """Check each node's rule instance against its rule's schema, all that
+    construction leaves; returns the violations (none for a preproof)."""
     violations = []
-    ab = p.alphabet
-    for nid, inst, kids in zip(p.order, p.instance, p.children):
-        if inst.conclusion.alphabet != ab:
-            violations.append("node %s: alphabet differs from the root's" % nid)
+    for nid, inst in zip(p.order, p.instance):
         v = validate_instance(inst)
         if v is not None:
             violations.append("node %s: %s" % (nid, v))
-            continue
-        if len(kids) != len(inst.premisses):
-            violations.append(
-                "node %s: %d children for %d premisses" % (nid, len(kids), len(inst.premisses))
-            )
-            continue
-        for j, c in enumerate(kids):
-            if p.sequent(c) != inst.premisses[j]:
-                violations.append(
-                    "node %s: child %s carries %s, premiss %d is %s"
-                    % (nid, p.order[c], format_sequent(p.sequent(c)), j,
-                       format_sequent(inst.premisses[j]))
-                )
     return violations
 
 
@@ -189,7 +183,7 @@ def parse_proof(text: str) -> ProofGraph:
             raise ParseError("node %s: empty rule clause" % nid)
         bits = rule_rest.split(None, 1)
         rule = canonical_rule_name(bits[0])
-        if rule not in PRINCIPAL_RULES and rule not in ("l-p", "r-p") and not rule.startswith("h_"):
+        if not is_rule_name(rule):
             raise ParseError("node %s: unknown rule %r" % (nid, bits[0]))
         principal_text = None
         if len(bits) > 1:

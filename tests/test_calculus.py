@@ -14,6 +14,7 @@ from rll.calculus import (
     canonical_rule_name,
     format_sequent,
     immediate_ancestry,
+    is_rule_name,
     make_instance,
     parse_sequent,
     premiss_letters,
@@ -194,6 +195,14 @@ def test_validation_accepts_aliases_and_rejects_unknown_rules():
     inst = RuleInstance("mu-l", seq("mu X. X |-"), e("mu X. X"), (seq("mu X. X |-"),))
     assert validate_instance(inst) is None
     assert "unknown rule" in validate_instance(RuleInstance("cut", seq("|-"), None, ()))
+
+
+def test_the_rule_table_names_every_rule_by_its_canonical_name():
+    for rule in list(PRINCIPAL_RULES) + ["l-p", "r-p", "h_a", "h_z"]:
+        assert is_rule_name(rule), rule
+    for name in ["cut", "mu-l", "h", "", "l-p "]:
+        assert not is_rule_name(name), name
+    assert all(is_rule_name(canonical_rule_name(alias)) for alias in ["mu-l", "top-r", "cap-l"])
 
 
 def test_contextfree_plus_is_a_degenerate_case_only():

@@ -242,6 +242,24 @@ def test_check_refuses_a_malformed_graph_with_exit_64(capsys, tmp_path, records,
     assert out.out == "" and out.err == "error: %s\n" % message
 
 
+# parse_proof gives each node the premisses its children carry, so a μ-l node
+# with the wrong number of children is a schema violation, not a malformed graph
+SCHEMA_VIOLATION = "node n0: premisses do not match the μ-l schema for this conclusion"
+
+
+@pytest.mark.parametrize("children", ["n0, n0", ""], ids=["two-children", "no-children"])
+def test_check_reports_a_child_count_off_the_schema_with_exit_2(capsys, tmp_path, children):
+    f = tmp_path / "count.proof"
+    f.write_text("alphabet: ab\nnode n0: mu X. X |- nu X. X ; rule mu-l principal mu X. X ; "
+                 "children %s\nroot n0\n" % children)
+    assert cli_module.main(["check", str(f)]) == 2
+    assert capsys.readouterr() == ("local\nviolation: %s\n" % SCHEMA_VIOLATION, "")
+    assert cli_module.main(["check", "--json", str(f)]) == 2
+    assert capsys.readouterr() == (
+        '{"command": "check", "inputs": {"file": %s}, "result": "local", "witness": {"violations": [%s]}}\n'
+        % (json.dumps(str(f)), json.dumps(SCHEMA_VIOLATION, ensure_ascii=False)), "")
+
+
 # a sequent is checked where it enters: parse_sequent and parse_proof build it
 # through the checking constructor, never the unchecked premiss path
 OPEN_SEQUENT_ERROR = "error: sequent formulas must be closed: a X\n"

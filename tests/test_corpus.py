@@ -37,6 +37,26 @@ def test_aliases_point_at_bundled_expressions():
     assert set(EXPRESSIONS) <= set(table)
 
 
+@pytest.mark.parametrize(
+    "derivation, message",
+    [
+        # +-l has two premisses, and both children are n1, which carries the first
+        ({"n0": ("+-l", "a 0 + b 0", ("n1", "n1")), "n1": ("h_a", "a", ("n2",)), "n2": ("0-l", "0", ())},
+         "node 'n0': children carry [a 0 |-; a 0 |-], premisses are [a 0 |-; b 0 |-]"),
+        # h_a has one premiss but lists no child
+        ({"n0": ("+-l", "a 0 + b 0", ("n1", "n2")), "n1": ("h_a", "a", ()), "n2": ("h_b", "b", ("n3",)),
+          "n3": ("0-l", "0", ())},
+         "node 'n1': children carry [], premisses are [0 |-]"),
+    ],
+    ids=["shared-child", "missing-child"],
+)
+def test_a_mis_stated_derivation_fails_to_build(derivation, message):
+    derivation = {nid: (rule, principal if rule.startswith("h_") else parse(principal, ALPHABET), kids)
+                  for nid, (rule, principal, kids) in derivation.items()}
+    with pytest.raises(ValueError, match=re.escape(message)):
+        rll.corpus._build_proof(parse_sequent("a 0 + b 0 |-", ALPHABET), derivation)
+
+
 def test_every_bundled_expression_is_guarded_except_the_bare_fixpoints():
     for name, e in EXPRESSIONS.items():
         assert is_guarded(e) == (name not in ("none", "all")), name

@@ -4,6 +4,8 @@ tests/golden/capture.json holds the exit code, stdout and emitted DOT file
 of every captured `rll` command line; see tests/golden/regenerate.py for how
 it is made and when it may be regenerated.  tests/golden/rows.py dumps rll's
 output on every benchmark row; here it runs on the smoke rows only.
+tests/golden/graphs.py dumps the progress verdict on seeded random proof
+graphs; here it runs on three seeds.
 """
 
 import json
@@ -11,6 +13,7 @@ import json
 import pytest
 
 from golden.regenerate import CAPTURE, cases, run
+from golden import graphs
 from golden.rows import dump_lines, workloads
 
 with open(CAPTURE, encoding="utf-8") as _f:
@@ -40,3 +43,20 @@ def test_rows_dump_has_one_well_formed_line_per_smoke_row():
         assert (record["proof"] or "").startswith("alphabet: ") == proved, row.id
         if row.kind == "check":  # it read the proof its decide row wrote
             assert record["exit"] == 0, record
+
+
+def test_graphs_dump_has_one_well_formed_line_per_graph_and_repeats():
+    lines = graphs.dump_lines(3)
+    assert graphs.dump_lines(3) == lines
+    records = [json.loads(line) for line in lines]
+    keys = {"seed", "graph", "sequent", "nodes", "reason", "violations", "lasso", "trace_states"}
+    for line, record in zip(lines, records):
+        assert "\n" not in line and set(record) == keys
+        assert record["reason"] in ("accepted", "progress") and record["violations"] == []
+        assert (record["lasso"] is None) == (record["reason"] == "accepted")
+        assert record["nodes"] >= 1 and record["trace_states"] >= 0
+    # per seed, the saturated graph and then its unroll_edge variants, if any
+    for seed in range(3):
+        kinds = [r["graph"].split()[0] for r in records if r["seed"] == seed]
+        assert kinds in (["saturated"], ["saturated", "unroll", "unroll"])
+    assert [r["seed"] for r in records] == sorted(r["seed"] for r in records)

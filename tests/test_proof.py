@@ -7,10 +7,10 @@ import pytest
 
 import rll.calculus as calculus_module
 import rll.proof as proof_module
-from rll.calculus import Sequent, make_instance, parse_sequent
+from rll.calculus import RuleInstance, Sequent, make_instance, parse_sequent
 from rll.corpus import ALPHABET, DECISIONS, proofs
 from rll.decide import Proved, decide, saturate
-from rll.expr import Alphabet, Cap, ParseError, complement, fl_closure, parse
+from rll.expr import Alphabet, Cap, Mu, ParseError, Var, complement, fl_closure, parse
 from rll.proof import (
     Lasso,
     ProofGraph,
@@ -63,31 +63,53 @@ def test_graphs_validate_their_shape():
         ProofGraph([("n0", inst, ("n0",)), ("orphan", inst, ("orphan",))], "n0")
 
 
+# a graph's structure is checked where it is built: children that do not
+# carry their parent's premisses, or a node over another alphabet, never
+# make a ProofGraph, so check_local is left with rule schemas alone
+
+
 def test_local_check_reports_child_mismatches():
     s = parse_sequent("mu X. X |- nu X. X", AB)
     other = parse_sequent("nu X. X |- nu X. X", AB)
     inst = make_instance("μ-l", s, parse("mu X. X", AB))
     bad_child = make_instance("ν-l", other, parse("nu X. X", AB))
-    p = ProofGraph([("n0", inst, ("n1",)), ("n1", bad_child, ("n1",))], "n0")
-    violations = check_local(p)
-    assert len(violations) == 1
-    assert "child n1" in violations[0]
+    with pytest.raises(ValueError, match=re.escape(
+            "node 'n0': children carry [nu X. X |- nu X. X], premisses are [mu X. X |- nu X. X]")):
+        ProofGraph([("n0", inst, ("n1",)), ("n1", bad_child, ("n1",))], "n0")
 
 
 def test_local_check_requires_axiom_leaves():
     s = parse_sequent("mu X. X |- nu X. X", AB)
     inst = make_instance("μ-l", s, parse("mu X. X", AB))
-    p = ProofGraph([("n0", inst, ())], "n0")
-    violations = check_local(p)
-    assert violations and "0 children for 1 premisses" in violations[0]
+    for kids in [(), ("n0", "n0")]:
+        with pytest.raises(ValueError, match=re.escape(
+                "node 'n0': children carry [%s], premisses are [mu X. X |- nu X. X]"
+                % "; ".join(["mu X. X |- nu X. X"] * len(kids)))):
+            ProofGraph([("n0", inst, kids)], "n0")
+    # a leaf whose instance claims no premisses builds, and fails its schema
+    leaf = RuleInstance("μ-l", s, parse("mu X. X", AB), ())
+    assert check_local(ProofGraph([("n0", leaf, ())], "n0")) == [
+        "node n0: premisses do not match the μ-l schema for this conclusion"]
+
+
+def test_graphs_refuse_a_node_over_another_alphabet():
+    mu = parse("mu X. X", AB)
+    s, wide = parse_sequent("mu X. X |-", AB), parse_sequent("mu X. X |-", Alphabet("abc"))
+    forged = RuleInstance("μ-l", s, mu, (wide,))
+    with pytest.raises(ValueError, match="node 'n1': alphabet differs from the root's"):
+        ProofGraph([("n0", forged, ("n1",)), ("n1", make_instance("μ-l", wide, mu), ("n1",))], "n0")
 
 
 def test_progress_requires_a_locally_valid_graph():
+    # a forged μ-l premiss, carried by a child that loops: the graph builds,
+    # and check stops at the local violation without a progress search
     s = parse_sequent("mu X. X |- nu X. X", AB)
-    inst = make_instance("μ-l", s, parse("mu X. X", AB))
-    p = ProofGraph([("n0", inst, ())], "n0")
-    r = check(p)
+    forged = parse_sequent("nu X. X |- nu X. X", AB)
+    inst = RuleInstance("μ-l", s, parse("mu X. X", AB), (forged,))
+    child = make_instance("ν-l", forged, parse("nu X. X", AB))
+    r = check(ProofGraph([("n0", inst, ("n1",)), ("n1", child, ("n1",))], "n0"))
     assert r.reason == "local" and r.lasso is None
+    assert r.violations == ("node n0: premisses do not match the μ-l schema for this conclusion",)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +135,20 @@ def test_left_unfolding_the_universal_fixpoint_is_rejected():
 def test_right_unfolding_the_empty_fixpoint_is_rejected():
     r = check(_loop("nu X. X |- mu X. X", "μ-r", "mu X. X"))
     assert not r.ok and [v for v, _ in r.lasso.cycle] == [0]
+
+
+def test_an_ascii_rule_alias_is_stored_under_its_rule_name():
+    # and a principal with named binders is stored canonical
+    s = parse_sequent("mu X. X |-", AB)
+    loops = [ProofGraph([("n0", RuleInstance(rule, s, principal, (s,)), ("n0",))], "n0")
+             for rule, principal in [("μ-l", parse("mu X. X", AB)), ("mu-l", parse("mu X. X", AB)),
+                                     ("mu-l", Mu("X", Var("X")))]]
+    assert loops[0].instance[0].rule == "μ-l" and loops[0].instance[0].principal is parse("mu X. X", AB)
+    for loop in loops[1:]:
+        assert loop.instance == loops[0].instance
+        assert check(loop) == check(loops[0]) and check(loop).ok
+        assert serialize_proof(loop) == serialize_proof(loops[0])
+    assert "rule μ-l principal mu X. X" in serialize_proof(loops[0])
 
 
 def test_an_empty_root_sequent_rejects_every_branch():
@@ -530,7 +566,7 @@ def test_proof_file_keywords_may_be_followed_by_any_whitespace_or_end_their_clau
         ),
         (
             "alphabet: ab\nnode n0: |- ; rule cut ; children\nroot n0",
-            "unknown rule",
+            "node n0: unknown rule 'cut'",
         ),
         (
             "alphabet: ab\nnode n0: mu X. X |- ; rule h_a principal b ; children n0\nroot n0",
