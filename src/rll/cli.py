@@ -30,11 +30,16 @@ input nested too deeply, 70 internal error (a failed self-check, or any
 other exception, reported as `error: internal error: <type>: <message>`).
 Codes 5, 64 and 70 print an `error:` line on stderr and nothing on stdout;
 code 4 prints its result, and in text mode also an `error:` line on stderr.
+
+`main(argv)` may be called repeatedly in one process: the parser is built on
+the first call and reused, and each call prints and returns exactly what
+`python -m rll` with the same argv would.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import NamedTuple, Sequence
@@ -47,9 +52,9 @@ from .expr import Alphabet, complement, parse, pretty
 from .proof import check, parse_proof, serialize_proof
 from .semantics import member, parse_word
 
-# parsed arguments that are not a command's inputs: the command chosen, its
-# handler, and the output options
-_NOT_INPUTS = frozenset({"command", "corpus_command", "func", "json", "emit_proof", "dot"})
+# parsed arguments that are not a command's inputs: the command chosen and the
+# output options
+_NOT_INPUTS = frozenset({"command", "corpus_command", "json", "emit_proof", "dot"})
 
 
 class Outcome(NamedTuple):
@@ -185,57 +190,60 @@ def _cmd_corpus_show(args) -> Outcome:
     return Outcome(0, found, lines=lines)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built on the first main call and kept: parse_args returns a fresh
+    # namespace each call, and main picks each handler by command name when
+    # it runs, so the parser holds nothing from one call to the next
     parser = argparse.ArgumentParser(prog="rll", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def finish(p, func):  # every command takes --json and names its handler
+    def finish(p):  # every command takes --json
         p.add_argument("--json", action="store_true", help="single-line JSON envelope")
-        p.set_defaults(func=func)
 
     p = sub.add_parser("parse", help="print the canonical form of an expression")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--expr", required=True)
-    finish(p, _cmd_parse)
+    finish(p)
 
     p = sub.add_parser("member", help="test a word stem(loop)^w against an expression")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--word", required=True)
     p.add_argument("--expr", required=True)
-    finish(p, _cmd_member)
+    finish(p)
 
     p = sub.add_parser("check", help="check a cyclic proof file")
     p.add_argument("file")
-    finish(p, _cmd_check)
+    finish(p)
 
     p = sub.add_parser("decide", help="prove or refute an inclusion sequent")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--sequent", required=True)
     p.add_argument("--emit-proof", metavar="FILE", help="write the proof when proved")
-    finish(p, _cmd_decide)
+    finish(p)
 
     p = sub.add_parser("complement", help="print the structural complement")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--expr", required=True)
-    finish(p, _cmd_complement)
+    finish(p)
 
     p = sub.add_parser("export-apa", help="the automaton of an expression")
     p.add_argument("--alphabet", required=True)
     p.add_argument("--expr", required=True)
     p.add_argument("--dot", metavar="FILE", help="write a DOT rendering")
-    finish(p, _cmd_export_apa)
+    finish(p)
 
     p = sub.add_parser("corpus", help="bundled fixtures and regression suite")
     csub = p.add_subparsers(dest="corpus_command", required=True)
     c = csub.add_parser("run", help="run the regression suite")
     c.add_argument("--filter", help="only rows whose group/name contains this")
     c.add_argument("--seed", type=int, default=0, help="seed for sampled batches")
-    finish(c, _cmd_corpus_run)
+    finish(c)
     c = csub.add_parser("list", help="list bundled expressions, decisions, proofs")
-    finish(c, _cmd_corpus_list)
+    finish(c)
     c = csub.add_parser("show", help="print one bundled entry")
     c.add_argument("name")
-    finish(c, _cmd_corpus_show)
+    finish(c)
 
     return parser
 
@@ -246,8 +254,22 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 64
+    command = args.command if args.command != "corpus" else "corpus " + args.corpus_command
+    # looked up on each call, not stored in the cached parser, so a handler
+    # the module rebinds after the first call is the one that runs
+    handler = {
+        "parse": _cmd_parse,
+        "member": _cmd_member,
+        "check": _cmd_check,
+        "decide": _cmd_decide,
+        "complement": _cmd_complement,
+        "export-apa": _cmd_export_apa,
+        "corpus run": _cmd_corpus_run,
+        "corpus list": _cmd_corpus_list,
+        "corpus show": _cmd_corpus_show,
+    }[command]
     try:
-        out = args.func(args)
+        out = handler(args)
     except (ValueError, OSError) as exc:  # ParseError is a ValueError
         print("error: %s" % exc, file=sys.stderr)
         return 64
@@ -266,7 +288,6 @@ def main(argv=None) -> int:
         print("error: internal error: %s: %s" % (type(exc).__name__, message), file=sys.stderr)
         return 70
     if args.json:
-        command = args.command if args.command != "corpus" else "corpus " + args.corpus_command
         inputs = {k: v for k, v in vars(args).items() if k not in _NOT_INPUTS}
         envelope = {"command": command, "inputs": inputs, "result": out.result}
         if out.witness is not None:
@@ -280,6 +301,7 @@ def main(argv=None) -> int:
     if out.stderr is not None:
         print(out.stderr, file=sys.stderr)
     return out.code
+
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -11,6 +11,14 @@ sequent, the node count, the reason, the violations, the lasso as node
 names plus child indices (null when there is none) and the number of trace
 automaton states.  Two checkouts whose dumps for an N are identical give
 the same verdicts, reasons and lassos on those graphs.
+
+The generator's defaults draw small graphs, so a second band follows: seeds
+N..N + N//4 - 1 draw sequents of up to LARGE_SIZE AST nodes per formula and
+LARGE_SIDE formulas per side, and go through the same steps.  A draw whose
+saturation passes LARGE_BUDGET sequents prints one line instead, with reason
+"budget" and null node count, lasso and trace-state count.  The lines for
+seeds 0..N-1 do not depend on the band, so a dump made before it existed is
+a prefix of one made now.
 """
 
 from __future__ import annotations
@@ -25,9 +33,12 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from oracles import gen_guarded_sequent, unroll_edge  # noqa: E402
 from rll.calculus import format_sequent  # noqa: E402
-from rll.decide import saturate  # noqa: E402
+from rll.decide import BudgetExceededError, saturate  # noqa: E402
 from rll.expr import Alphabet  # noqa: E402
 from rll.proof import build_trace_automaton, check  # noqa: E402
+
+LARGE_SIZE, LARGE_SIDE = 48, 5  # the second band's gen_guarded_sequent bounds
+LARGE_BUDGET = 2000  # the second band's saturation budget, in sequents
 
 
 def _record(seed, graph, p):
@@ -54,11 +65,22 @@ def _record(seed, graph, p):
 
 def dump_lines(n: int):
     """One JSON line per graph, seed by seed: the saturated graph first,
-    then its unroll_edge variants."""
+    then its unroll_edge variants; seeds n.. are the larger band."""
     lines = []
-    for seed in range(n):
+    for seed in range(n + n // 4):
         rng = random.Random(seed)
-        p = saturate(gen_guarded_sequent(rng, Alphabet("abc" if seed % 2 else "ab")))
+        alphabet = Alphabet("abc" if seed % 2 else "ab")
+        if seed < n:
+            p = saturate(gen_guarded_sequent(rng, alphabet))
+        else:
+            s = gen_guarded_sequent(rng, alphabet, LARGE_SIZE, LARGE_SIDE)
+            try:
+                p = saturate(s, LARGE_BUDGET)
+            except BudgetExceededError:
+                record = {"seed": seed, "graph": "saturated", "sequent": format_sequent(s), "nodes": None,
+                          "reason": "budget", "violations": [], "lasso": None, "trace_states": None}
+                lines.append(json.dumps(record, ensure_ascii=False, sort_keys=True))
+                continue
         graphs = [("saturated", p)]
         edges = [(v, j) for v, kids in enumerate(p.children) for j in range(len(kids))]
         if edges:

@@ -1,5 +1,6 @@
 """End-to-end tests driving the command line through subprocesses, and
-in-process tests of the exit codes for failures no input can provoke."""
+in-process tests of the exit codes for failures no input can provoke and of
+repeated calls in one process."""
 
 import json
 import os
@@ -29,10 +30,10 @@ ROOT = Path(__file__).resolve().parent.parent
 def rll(*argv, **kwargs):
     env = dict(os.environ)
     env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    kwargs.setdefault("text", True)
     return subprocess.run(
         [sys.executable, "-m", "rll", *argv],
         capture_output=True,
-        text=True,
         env=env,
         **kwargs,
     )
@@ -435,6 +436,57 @@ def test_any_other_exception_exits_70_with_one_line(monkeypatch, capsys, exc):
     assert out.out == ""
     assert out.err.startswith("error: internal error: %s: " % type(exc).__name__)
     assert out.err.count("\n") == 1 and out.err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "exc", [KeyError("alphabet"), TypeError("bad operand\ntype"), AssertionError()], ids=repr
+)
+def test_a_handler_replaced_after_the_parser_is_built_is_the_one_that_runs(monkeypatch, capsys, exc):
+    def fail(args):
+        raise exc
+
+    assert cli_module._build_parser() is cli_module._build_parser()
+    assert cli_module.main(["parse", "--alphabet", "ab", "--expr", "a T"]) == 0
+    assert capsys.readouterr().out == "a T\n"
+    monkeypatch.setattr(cli_module, "_cmd_parse", fail)
+    code = cli_module.main(["parse", "--alphabet", "ab", "--expr", "a T"])
+    out = capsys.readouterr()
+    assert code == 70
+    assert out.out == ""
+    assert out.err.startswith("error: internal error: %s: " % type(exc).__name__)
+    assert out.err.count("\n") == 1 and out.err.endswith("\n")
+
+
+def test_main_called_repeatedly_in_one_process_prints_what_fresh_processes_do(monkeypatch, capsysbinary, tmp_path):
+    # the parser is built once per process; no call may see another's
+    # arguments, defaults or output
+    monkeypatch.setenv("COLUMNS", "80")  # help wraps at one width in both
+    monkeypatch.setenv("PYTHONIOENCODING", "utf-8")  # capsysbinary encodes UTF-8
+    corpus_run = ["corpus", "run", "--filter", "decisions/id-zero", "--json"]
+    calls = [
+        ["parse", "--alphabet", "ab", "--expr", "f_a + a T"],
+        ["member", "--alphabet", "ab", "--word", "(ab)^w", "--expr", "i_a", "--json"],
+        ["member", "--alphabet", "ab"],
+        ["--help"],
+        ["decide", "--alphabet", "ab", "--sequent", "only-a |- i_a", "--json", "--emit-proof", "{proof}"],
+        corpus_run[:2] + ["--seed", "5"] + corpus_run[2:],
+        corpus_run,
+    ]
+    here, fresh = tmp_path / "in-process.prf", tmp_path / "fresh.prf"
+    got = []
+    for argv in calls:
+        code = cli_module.main([str(here) if a == "{proof}" else a for a in argv])
+        out = capsysbinary.readouterr()
+        got.append((code, out.out, out.err))
+    want = []
+    for argv in calls:
+        r = rll(*[str(fresh) if a == "{proof}" else a for a in argv], text=False)
+        want.append((r.returncode, r.stdout, r.stderr))
+    assert [code for code, _, _ in got] == [0, 0, 64, 0, 0, 0, 0]
+    assert got == want
+    assert here.read_bytes() == fresh.read_bytes() and here.read_bytes().startswith(b"alphabet: ab\n")
+    assert json.loads(got[-2][1])["inputs"]["seed"] == 5
+    assert json.loads(got[-1][1])["inputs"] == {"filter": "decisions/id-zero", "seed": 0}
 
 
 # ---------------------------------------------------------------------------

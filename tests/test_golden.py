@@ -60,3 +60,24 @@ def test_graphs_dump_has_one_well_formed_line_per_graph_and_repeats():
         kinds = [r["graph"].split()[0] for r in records if r["seed"] == seed]
         assert kinds in (["saturated"], ["saturated", "unroll", "unroll"])
     assert [r["seed"] for r in records] == sorted(r["seed"] for r in records)
+
+
+def test_graphs_dump_appends_a_band_of_larger_draws(monkeypatch):
+    lines = graphs.dump_lines(8)
+    records = [json.loads(line) for line in lines]
+    # seeds 0..n-1 do not depend on n, so an older dump stays a prefix
+    small = [line for line, r in zip(lines, records) if r["seed"] < 4]
+    assert graphs.dump_lines(4)[: len(small)] == small
+    band = [r for r in records if r["seed"] >= 8]
+    assert {r["seed"] for r in band} == {8, 9}
+    assert all(r["reason"] in ("accepted", "progress") and r["nodes"] >= 1 for r in band)
+    # a draw past the budget prints one line and no unroll variants
+    monkeypatch.setattr(graphs, "LARGE_BUDGET", 2)
+    over = [json.loads(line) for line in graphs.dump_lines(8)]
+    assert over[: len(records) - len(band)] == records[: len(records) - len(band)]
+    budget = [r for r in over if r["reason"] == "budget"]
+    assert budget and all(r["seed"] >= 8 for r in budget)
+    for r in budget:
+        assert [o for o in over if o["seed"] == r["seed"]] == [r]
+        assert r["graph"] == "saturated" and r["nodes"] is None and r["trace_states"] is None
+        assert set(r) == set(records[0])
