@@ -14,11 +14,13 @@ the letter that each premiss of h_a or r-p strips; and immediate_ancestry
 says how the formulas of the premisses descend from those of the
 conclusion — the raw material for traces.  Rule applications are
 first-class values (RuleInstance) so that proofs can store them.  A sequent
-is checked once, where it enters; premisses are derived without re-checking.
+is checked once, where it enters, and interned as terms are, so equality is
+identity; a premiss is derived without re-checking, as a table lookup.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple, Union
 
@@ -43,14 +45,21 @@ from .expr import (
 )
 
 
+# (lhs, rhs, alphabet) -> the one live sequent with them; like expr._NODES,
+# it holds no sequent alive
+_SEQUENTS = weakref.WeakValueDictionary()
+
+
 class Sequent:
     """Two finite sets of closed expressions; duplicates collapse.  The
-    constructor checks every formula; _premiss derives rule premisses without
-    re-checking.  lhs_sorted and rhs_sorted are the cedents sorted once."""
+    constructor checks every formula and returns the one live sequent with
+    these cedents and alphabet, so equality is identity; _premiss derives rule
+    premisses without re-checking.  lhs_sorted and rhs_sorted are the cedents
+    sorted once, when the sequent is first built."""
 
-    __slots__ = ("lhs", "rhs", "alphabet", "lhs_sorted", "rhs_sorted", "_hash")
+    __slots__ = ("lhs", "rhs", "alphabet", "lhs_sorted", "rhs_sorted", "__weakref__")
 
-    def __init__(self, lhs, rhs, alphabet: Alphabet):
+    def __new__(cls, lhs, rhs, alphabet: Alphabet):
         lhs = frozenset(canonical(e) for e in lhs)
         rhs = frozenset(canonical(e) for e in rhs)
         for e in lhs | rhs:
@@ -62,24 +71,7 @@ class Sequent:
                     "formula %s uses letters outside the alphabet: %s"
                     % (pretty(e), ", ".join(sorted(stray)))
                 )
-        self._fill(lhs, rhs, alphabet)
-
-    def _fill(self, lhs: frozenset, rhs: frozenset, alphabet: Alphabet):
-        self.lhs, self.rhs, self.alphabet = lhs, rhs, alphabet
-        self.lhs_sorted = tuple(sorted(lhs, key=expr_sort_key))
-        self.rhs_sorted = tuple(sorted(rhs, key=expr_sort_key))
-        self._hash = hash((lhs, rhs, alphabet))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Sequent)
-            and other.lhs == self.lhs
-            and other.rhs == self.rhs
-            and other.alphabet == self.alphabet
-        )
-
-    def __hash__(self):
-        return self._hash
+        return _premiss(lhs, rhs, alphabet)
 
     def __str__(self):
         return format_sequent(self)
@@ -89,13 +81,20 @@ class Sequent:
 
 
 def _premiss(lhs, rhs, alphabet: Alphabet) -> Sequent:
-    """A rule premiss, built from parts of a checked conclusion's formulas
+    """The one live sequent with these cedents, built on first use.  A rule
+    premiss comes here straight from parts of a checked conclusion's formulas,
     without the constructor's checks, which it passes by construction: the
     left, right or body of a closed canonical +, & or letter term is closed
     and canonical, unfold returns a canonical term, and neither adds a
     letter."""
-    s = object.__new__(Sequent)
-    s._fill(frozenset(lhs), frozenset(rhs), alphabet)
+    key = (frozenset(lhs), frozenset(rhs), alphabet)
+    s = _SEQUENTS.get(key)
+    if s is None:
+        s = object.__new__(Sequent)
+        s.lhs, s.rhs, s.alphabet = key
+        s.lhs_sorted = tuple(sorted(s.lhs, key=expr_sort_key))
+        s.rhs_sorted = tuple(sorted(s.rhs, key=expr_sort_key))
+        _SEQUENTS[key] = s
     return s
 
 

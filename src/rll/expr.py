@@ -223,7 +223,7 @@ def ast_size(e: Expr) -> int:
     return 1 + sum(map(ast_size, _children(e)))
 
 
-def _require_closed(e: Expr, op: str):
+def require_closed(e: Expr, op: str):
     fv = free_vars(e)
     if fv:
         raise ValueError("%s requires a closed expression; free: %s" % (op, ", ".join(sorted(fv))))
@@ -299,7 +299,7 @@ def unfold(e: Expr) -> Expr:
 def is_guarded(e: Expr) -> bool:
     """True if every variable occurrence sits beneath at least one letter
     prefix inside its binder.  Requires a closed expression."""
-    _require_closed(e, "is_guarded")
+    require_closed(e, "is_guarded")
 
     def go(t, exposed):
         if isinstance(t, Var):
@@ -559,7 +559,7 @@ def fl_closure(e: Expr) -> FLClosure:
     and numbered once per canonical root."""
     root = canonical(e)
     if root._closure is None:
-        _require_closed(root, "fl_closure")
+        require_closed(root, "fl_closure")
         members = [root]
         number = {root: 0}
         succ = []

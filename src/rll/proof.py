@@ -43,7 +43,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .expr import Alphabet, Expr, Mu, Nu, ParseError, expr_sort_key, parse, pretty, subformula_leq
+from .expr import Alphabet, Expr, Mu, Nu, ParseError, parse, pretty, subformula_leq
 from .calculus import (
     PRINCIPAL_RULES,
     RuleInstance,
@@ -228,13 +228,13 @@ def parse_proof(text: str) -> ProofGraph:
             principal = parse(principal_text, alphabet)
         elif rule in ("l-p", "r-p"):
             principal = None
-        else:
-            candidates = [None] + sorted(conclusion.lhs | conclusion.rhs, key=expr_sort_key)
-            matching = []
-            for cand in candidates:
-                trial = RuleInstance(rule, conclusion, cand, premisses)
-                if validate_instance(trial) is None:
-                    matching.append(cand)
+        else:  # only a formula of the rule's class on the rule's side can match
+            cls, side = PRINCIPAL_RULES[rule]
+            cedent = conclusion.lhs_sorted if side == "L" else conclusion.rhs_sorted
+            matching = [
+                cand for cand in cedent
+                if isinstance(cand, cls) and validate_instance(RuleInstance(rule, conclusion, cand, premisses)) is None
+            ]
             if len(matching) != 1:
                 raise ParseError(
                     "node %s: principal formula for %s is %s; write it explicitly"

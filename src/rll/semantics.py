@@ -24,7 +24,7 @@ from __future__ import annotations
 import re
 
 from .automaton import default_coloring
-from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, canonical, fl_closure, free_vars
+from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, canonical, fl_closure, require_closed
 
 
 class UPWord:
@@ -192,6 +192,5 @@ def winning_offsets(w: UPWord, e: Expr) -> list:
 def member(w: UPWord, e: Expr) -> bool:
     """True iff the word lies in the language of the closed expression e."""
     e = canonical(e)
-    if free_vars(e):
-        raise ValueError("member requires a closed expression; free: %s" % ", ".join(sorted(free_vars(e))))
+    require_closed(e, "member")
     return winning_offsets(w, e)[0] & 1 == 1

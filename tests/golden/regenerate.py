@@ -21,6 +21,7 @@ import os
 import re
 import sys
 import tempfile
+from unittest import mock
 
 CAPTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "capture.json")
 DOT = "{dot}"  # stands for a scratch path in the argv of export-apa cases
@@ -80,12 +81,19 @@ def cases():
     both("corpus-list", ["corpus", "list"])
     for name in ("inf-a", "inf-a-not-fin-a", "fin-a-cap-only-a-empty", "zzz"):
         both("corpus-show/" + name, ["corpus", "show", name])
+    # argparse's own output: help, and usage errors raised before any handler runs
+    out.append(("help", ["--help"]))
+    out.append(("help/member", ["member", "--help"]))
+    out.append(("help/corpus-run", ["corpus", "run", "--help"]))
+    out.append(("usage/missing-flag", ["member", "--alphabet", "ab", "--expr", "i_a"]))
+    out.append(("usage/unknown-command", ["frobnicate"]))
     return out
 
 
 def run(argv):
-    """Run one command line in process: {"exit", "stdout"}, plus "stderr"
-    when it is not empty and "dot" when the command writes a DOT file."""
+    """Run one command line in process, with COLUMNS=80: {"exit", "stdout"},
+    plus "stderr" when it is not empty and "dot" when the command writes a
+    DOT file."""
     from rll.cli import main
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -100,7 +108,12 @@ def run(argv):
                         f.write(text)
         real_argv = [paths.get(a, a) for a in argv]
         out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # argparse wraps help and usage text at the width COLUMNS gives
+        with (
+            contextlib.redirect_stdout(out),
+            contextlib.redirect_stderr(err),
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}),
+        ):
             code = main(real_argv)
 
         def unpath(text):

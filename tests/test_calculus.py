@@ -1,5 +1,6 @@
 """Sequents, rule application, validation, ancestry."""
 
+import gc
 import random
 
 import pytest
@@ -67,11 +68,41 @@ def test_sequent_rejects_bad_input():
 
 
 def _assert_built_as_checked(s):
-    """s equals the sequent the checking constructor builds from its
-    cedents, in every stored field."""
-    q = Sequent(s.lhs, s.rhs, s.alphabet)
-    assert (s.lhs, s.rhs, hash(s), s.lhs_sorted, s.rhs_sorted) == (q.lhs, q.rhs, hash(q), q.lhs_sorted, q.rhs_sorted)
-    assert s == q and q == s
+    """s is the sequent the checking constructor returns for its cedents,
+    and its sorted cedents are its cedents sorted."""
+    assert Sequent(s.lhs, s.rhs, s.alphabet) is s
+    assert isinstance(s.lhs, frozenset) and isinstance(s.rhs, frozenset)
+    assert s.lhs_sorted == tuple(sorted(s.lhs, key=expr_sort_key))
+    assert s.rhs_sorted == tuple(sorted(s.rhs, key=expr_sort_key))
+
+
+def test_equal_sequents_are_one_object():
+    s = seq("a 0, mu X. a X + T |- nu Y. b Y")
+    # reordered and duplicated formulas, alpha-variants, an equal alphabet
+    assert seq("mu Z. a Z + T, a 0, a 0 |- nu X. b X") is s
+    assert Sequent([*s.lhs_sorted[::-1], *s.lhs], s.rhs_sorted, Alphabet("ab")) is s
+    assert seq("a 0 |- nu Y. b Y") is not s
+    assert parse_sequent(format_sequent(s), Alphabet("abc")) is not s
+    rng = random.Random(24)
+    for alphabet in (AB, Alphabet("abc")):
+        for _ in range(200):
+            q = gen_guarded_sequent(rng, alphabet)
+            lhs, rhs = list(q.lhs) * 2, list(q.rhs)
+            rng.shuffle(lhs)
+            rng.shuffle(rhs)
+            assert Sequent(lhs, rhs, Alphabet(str(alphabet))) is q
+            assert parse_sequent(format_sequent(q), alphabet) is q
+
+
+def test_the_sequent_table_keeps_no_sequent_alive():
+    gc.collect()
+    before = len(calculus_module._SEQUENTS)
+    burst = [seq(" ".join("ab"[int(bit)] for bit in bin(i)[2:]) + " T |- a T") for i in range(2000)]
+    burst += [prem for s in burst[:200] for inst in applicable_steps(s) for prem in inst.premisses]
+    assert len(calculus_module._SEQUENTS) > before
+    del burst
+    gc.collect()
+    assert len(calculus_module._SEQUENTS) <= before
 
 
 def test_derived_premisses_equal_the_checked_sequents(monkeypatch):
@@ -96,7 +127,7 @@ def test_derived_premisses_equal_the_checked_sequents(monkeypatch):
     assert len(rederived) == sum(len(inst.premisses) for p in graphs for inst in p.instance)
     # the context-dropping +-l premiss that validate_instance derives
     degenerate = RuleInstance("+-l", seq("a 0 + b 0, T |- 0"), e("a 0 + b 0"), (seq("a 0, T |- 0"), seq("b 0 |- 0")))
-    assert validate_instance(degenerate) is None and rederived[-1] == seq("b 0 |- 0")
+    assert validate_instance(degenerate) is None and rederived[-1] is seq("b 0 |- 0")
     for prem in [prem for inst in instances for prem in inst.premisses] + rederived:
         _assert_built_as_checked(prem)
 

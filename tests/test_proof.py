@@ -7,10 +7,10 @@ import pytest
 
 import rll.calculus as calculus_module
 import rll.proof as proof_module
-from rll.calculus import RuleInstance, Sequent, make_instance, parse_sequent
+from rll.calculus import RuleInstance, Sequent, make_instance, parse_sequent, validate_instance
 from rll.corpus import ALPHABET, DECISIONS, proofs
 from rll.decide import Proved, decide, saturate
-from rll.expr import Alphabet, Cap, Mu, ParseError, Var, complement, fl_closure, parse
+from rll.expr import Alphabet, Cap, Expr, Mu, ParseError, Var, complement, expr_sort_key, fl_closure, parse
 from rll.proof import (
     Lasso,
     ProofGraph,
@@ -591,6 +591,43 @@ def test_proof_file_keywords_may_be_followed_by_any_whitespace_or_end_their_clau
 def test_malformed_proof_files_are_rejected(text, message):
     with pytest.raises(ParseError, match=message):
         parse_proof(text)
+
+
+def test_an_omitted_principal_is_inferred_as_a_scan_of_every_formula_infers_it():
+    # the reference tries no principal and every formula of the conclusion;
+    # parse_proof tries only the rule's side and class, with the same result.
+    # Each graph is read as written and with l-w and r-w swapped.
+    graphs = [p for p, _ in proofs().values()] + list(_random_saturated_graphs(24, n=100))
+    swapped = {"l-w": "r-w", "r-w": "l-w"}
+    outcomes = Counter()
+    for p, swap in itertools.product(graphs, ({}, swapped)):
+        text = re.sub(r" principal [^;]*(?= ; children)", "", serialize_proof(p))
+        text = re.sub(r"rule ([lr]-w) ", lambda m: "rule %s " % swap.get(m.group(1), m.group(1)), text)
+        expected = []
+        for nid, inst in zip(p.order, p.instance):
+            if not isinstance(inst.principal, Expr):
+                expected.append(inst.principal)
+                continue
+            rule, conc = swap.get(inst.rule, inst.rule), inst.conclusion
+            matching = [
+                cand
+                for cand in [None, *sorted(conc.lhs | conc.rhs, key=expr_sort_key)]
+                if validate_instance(RuleInstance(rule, conc, cand, inst.premisses)) is None
+            ]
+            if len(matching) != 1:
+                expected = "node %s: principal formula for %s is %s; write it explicitly" % (
+                    nid, rule, "ambiguous" if matching else "undetermined")
+                break
+            expected.append(matching[0])
+        if isinstance(expected, list):
+            assert [inst.principal for inst in parse_proof(text).instance] == expected
+            outcomes["inferred"] += 1
+        else:
+            with pytest.raises(ParseError) as info:
+                parse_proof(text)
+            assert str(info.value) == expected
+            outcomes["refused"] += 1
+    assert outcomes["inferred"] > len(graphs) and outcomes["refused"]
 
 
 def test_a_formula_text_is_parsed_once_per_proof_file(monkeypatch):

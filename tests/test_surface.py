@@ -192,10 +192,9 @@ def test_node_names_are_read_only_at_the_file_boundary():
     assert found == [], "node names read outside the file boundary: " + ", ".join(found)
 
 
-# the ways to build a Sequent without the checks of its constructor: the
-# private constructor of rule premisses and the fill step it shares with
-# Sequent.__init__
-UNCHECKED_PATHS = {"_premiss", "_fill"}
+# the way to build a Sequent without the checks of its constructor: the
+# private constructor of rule premisses, which the checking one ends in
+UNCHECKED_PATHS = {"_premiss"}
 
 
 def _name(node):
