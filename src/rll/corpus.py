@@ -393,7 +393,7 @@ def membership_mismatches(seed: int):
         e = canonical(random_expression(rng, rng.randint(1, 12)))
         w = sample_word(rng)
         members = fl_closure(e).members
-        masks = winning_offsets(w, e)
+        masks = winning_offsets((w,), e)
         *truth, dual = _fixpoint_offsets(w, members + (complement(e, ALPHABET),))
         m, n = len(members), w.n_offsets()
         legs = {
@@ -438,51 +438,63 @@ def saturation_instances():
     return tuple(dict.fromkeys(inst for _, s, _ in DECISIONS for inst in saturate(s).instance))
 
 
-def _holds(s: Sequent, truths: frozenset) -> bool:
-    """Γ ⊢ Δ holds at a word with true formulas `truths`: some of Γ fails or some of Δ holds."""
-    return not s.lhs <= truths or not s.rhs.isdisjoint(truths)
-
-
 def soundness_violations(instances, seed: int):
     """Sample-check the given rule instances, as from saturation_instances():
     premiss truth must force conclusion truth at each word, and logical and
     letter rules must be invertible.  A letter rule checks the premisses of
     the word's head letter one letter on (h_b has none at a word `a...`).
-    One solve per word, over the + of the instances' formulas, each of them
-    a closure member, gives their truth at the word and one letter on, at
-    offsets 0 and w.advance(0).  Returns (soundness failures, invertibility
-    failures)."""
+    One solve, over the distinct words laid end to end and the + of the
+    instances' formulas, each of them a closure member, gives every
+    formula's truth at each word and one letter on (offsets 0 and
+    w.advance(0)), read as masks over the word indices.  Returns (soundness
+    failures, invertibility failures), instance by instance and word by
+    word."""
     rng = random.Random(seed)
     words = [sample_word(rng) for _ in range(SOUNDNESS_WORDS)]
+    distinct = tuple(dict.fromkeys(words))
     formulas = {f for inst in instances for s in (inst.conclusion, *inst.premisses) for f in s.lhs | s.rhs}
     root = ZERO
     for f in sorted(formulas, key=expr_sort_key):
         root = Plus(root, f)
-    members = fl_closure(root).members
-    truths = {}  # word -> (the members true at it, those true one letter on)
-    for w in words:
-        if w not in truths:
-            masks = winning_offsets(w, root)
-            truths[w] = tuple(frozenset(f for f, b in zip(members, masks) if b >> o & 1) for o in (0, w.advance(0)))
+    bases, base = {}, 0
+    for w in distinct:
+        bases[w] = base
+        base += w.n_offsets()
+    bits = [(bases[w], bases[w] + w.advance(0)) for w in words]  # per word: now, one letter on
+    every = (1 << len(words)) - 1
+    truth = {}  # (formula, one letter on?) -> the words where it is true
+    for f, mask in zip(fl_closure(root).members, winning_offsets(distinct, root)):
+        if f in formulas:
+            for on in (0, 1):
+                truth[f, on] = sum(1 << j for j, b in enumerate(bits) if mask >> b[on] & 1)
+    head = {c: sum(1 << j for j, w in enumerate(words) if w.letter_at(0) == c) for c in ALPHABET.letters}
+    holds = {}  # (sequent, one letter on?) -> the words where some of Γ fails or some of Δ holds
+
+    def valid(s: Sequent, on: int) -> int:
+        got = holds.get((s, on))
+        if got is None:
+            lhs, rhs = every, 0
+            for f in s.lhs:
+                lhs &= truth[f, on]
+            for f in s.rhs:
+                rhs |= truth[f, on]
+            got = holds[s, on] = every & ~lhs | rhs
+        return got
 
     unsound = []
     uninvertible = []
     for inst in instances:
-        rule = inst.rule
         letters = premiss_letters(inst)
-        invertible = letters is not None or rule in LOGICAL_RULE.values()
-        for w in words:
-            now, after = truths[w]
-            if letters is not None:
-                prems = [p for c, p in zip(letters, inst.premisses) if c == w.letter_at(0)]
-            else:
-                after, prems = now, inst.premisses
-            prems_ok = all(_holds(p, after) for p in prems)
-            conc_ok = _holds(inst.conclusion, now)
-            if prems_ok and not conc_ok:
-                unsound.append("%s at %s" % (rule, w))
-            if conc_ok and not prems_ok and invertible:
-                uninvertible.append("%s at %s" % (rule, w))
+        prems_ok = every
+        for i, p in enumerate(inst.premisses):
+            prems_ok &= valid(p, 0) if letters is None else valid(p, 1) | ~head.get(letters[i], 0)
+        conc_ok = valid(inst.conclusion, 0)
+        invertible = letters is not None or inst.rule in LOGICAL_RULE.values()
+        for out, bad in ((unsound, prems_ok & ~conc_ok), (uninvertible, invertible and conc_ok & ~prems_ok)):
+            while bad:
+                low = bad & -bad
+                out.append("%s at %s" % (inst.rule, words[low.bit_length() - 1]))
+                bad ^= low
     return unsound, uninvertible
 
 

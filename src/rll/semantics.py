@@ -14,9 +14,10 @@ member solves the game symbolically (winning_offsets): the offsets where
 Eloise wins from a closure member form one int bitmask, a letter move is a
 shift of it, and Zielonka's recursion runs over lists of such masks, one per
 member.  No position is ever laid out, so one solve answers membership for
-every suffix of the word and every closure member.  `corpus run` checks the
-masks against the fixpoint semantics of every closure member, and the tests
-against an explicit solve of the game at every position.
+every suffix of the word and every closure member, and words laid end to
+end in the masks are solved at once.  `corpus run` checks the masks against
+the fixpoint semantics of every closure member, and the tests against an
+explicit solve of the game at every position.
 """
 
 from __future__ import annotations
@@ -83,11 +84,15 @@ def parse_word(text: str, alphabet: Alphabet) -> UPWord:
     return UPWord(m.group(1), m.group(2), alphabet)
 
 
-def winning_offsets(w: UPWord, e: Expr) -> list:
-    """Solve the evaluation game of a closed expression on a word over
-    bitmasks of offsets: bit o of the k-th int is 1 iff Eloise wins from
-    (offset o, fl.members[k]), that is, iff the suffix at o lies in the
-    language of that member.
+def winning_offsets(words, e: Expr) -> list:
+    """Solve the evaluation game of a closed expression on words laid end
+    to end over bitmasks of offsets: word i's offset o is bit base_i + o,
+    with base_i the sum of the earlier words' n_offsets(), and that bit of
+    the k-th int is 1 iff Eloise wins from (o, fl.members[k]) on word i,
+    that is, iff the suffix of word i at o lies in the language of that
+    member.  No move leaves a word, so the game is the disjoint union of
+    the words' games and each word's bits are those of its own solve;
+    member solves the batch (w,).
 
     A region is a list of m + 2 ints, one offset mask per closure member
     plus two sinks that loop on themselves at every offset: m, where Eloise
@@ -97,10 +102,12 @@ def winning_offsets(w: UPWord, e: Expr) -> list:
     at the offsets carrying its letter and to sink m elsewhere, 0 moves to
     sink m and T to sink m + 1, and every other member moves at the same
     offset.  The offsets from which a letter step lands in a mask B are its
-    pre-image (B >> 1) | ((B >> s) & 1) << (n - 1), with s = |stem| and
-    n = |stem| + |loop|, masked with the letter's offsets.  The recursion
-    is Zielonka's, attractor for attractor, so it takes no more steps than
-    the recursion over explicit positions.
+    pre-image ((B >> 1) & KEEP) | OR over loop lengths L of
+    ((B & START_L) << (L - 1)), masked with the letter's offsets, where KEEP
+    clears each word's last offset and START_L marks the loop start of each
+    word whose loop has length L.  The recursion is Zielonka's, attractor
+    for attractor, so it takes no more steps than the recursion over
+    explicit positions.
 
     Nested fixpoint iteration over the same masks, the textbook symbolic
     route, was measured first and rejected: each fixpoint restarts its
@@ -111,10 +118,16 @@ def winning_offsets(w: UPWord, e: Expr) -> list:
     words of `corpus run` it is cheap, and there it is the oracle these
     masks are checked against (corpus.membership_mismatches)."""
     fl = fl_closure(e)
-    m, n, s = len(fl.members), w.n_offsets(), len(w.stem)
-    full, last = (1 << n) - 1, n - 1
+    m = len(fl.members)
+    word = "".join(w.stem + w.loop for w in words)
+    full = (1 << len(word)) - 1
+    keep, starts, base = full, {}, 0
+    for w in words:
+        base += w.n_offsets()
+        keep &= ~(1 << (base - 1))
+        starts[len(w.loop)] = starts.get(len(w.loop), 0) | 1 << (base - len(w.loop))
+    wraps = tuple((start, size - 1) for size, start in starts.items())
     lose, win = m, m + 1
-    word = w.stem + w.loop
     offsets = {}  # letter -> the offsets that carry it
     # per member: its moves as (target, letter step?, offsets where it exists)
     moves = []
@@ -158,7 +171,9 @@ def winning_offsets(w: UPWord, e: Expr) -> list:
                 for u, step, where in moves[k]:
                     b = attr[u] if own else region[u] & ~attr[u]
                     if step:
-                        b = (b >> 1) | ((b >> s) & 1) << last
+                        b, c = (b >> 1) & keep, b
+                        for start, shift in wraps:
+                            b |= (c & start) << shift
                     got |= b & where
                 got = got & free if own else ~got & free
                 if got:
@@ -193,4 +208,4 @@ def member(w: UPWord, e: Expr) -> bool:
     """True iff the word lies in the language of the closed expression e."""
     e = canonical(e)
     require_closed(e, "member")
-    return winning_offsets(w, e)[0] & 1 == 1
+    return winning_offsets((w,), e)[0] & 1 == 1

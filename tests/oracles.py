@@ -59,11 +59,12 @@
   and runs the full search, with an early exit, only on a rejection; the
   two must return the same lasso.
 - ref_soundness_violations samples rule instances word by word, while
-  rll.corpus reads every formula's truth off one winning_offsets solve per
-  word: here each sequent is evaluated formula by formula, letter rules
-  take a branch of their own, and membership is member_denotational,
-  memoised per (word, formula).  The two must return the same failures in
-  the same order.
+  rll.corpus reads every formula's truth off one winning_offsets solve over
+  all the sampled words and evaluates each sequent at every word at once,
+  as masks over the word indices: here each sequent is evaluated formula
+  by formula, letter rules take a branch of their own, and membership is
+  member_denotational, memoised per (word, formula).  The two must return
+  the same failures in the same order.
 """
 
 from __future__ import annotations

@@ -130,28 +130,28 @@ def test_the_soundness_batch_matches_the_word_by_word_reference():
         assert len(unsound) > 1000 and len(uninvertible) > 1000, (len(unsound), len(uninvertible))
 
 
-def test_the_soundness_batch_solves_once_per_word(monkeypatch):
-    # every formula's truth is read off one winning_offsets per distinct
-    # sampled word; inf-a is one of the formulas, and a lie about it at the
-    # first word, at offset 0, fails the batch at that word alone
+def test_the_soundness_batch_solves_once_over_its_distinct_words(monkeypatch):
+    # every formula's truth is read off one winning_offsets call over the
+    # distinct sampled words, laid end to end in first-seen order; inf-a is
+    # one of the formulas, and a lie about it at the first word's offset 0,
+    # bit 0, fails the batch at that word alone
     instances = saturation_instances()
     rng = random.Random(7)
-    words = list(dict.fromkeys(sample_word(rng) for _ in range(SOUNDNESS_WORDS)))
+    words = tuple(dict.fromkeys(sample_word(rng) for _ in range(SOUNDNESS_WORDS)))
     real = rll.corpus.winning_offsets
     calls = []
 
-    def counting(w, e):
-        calls.append(w)
-        return real(w, e)
+    def counting(ws, e):
+        calls.append(tuple(ws))
+        return real(ws, e)
 
     monkeypatch.setattr(rll.corpus, "winning_offsets", counting)
     assert soundness_violations(instances, 7) == ([], [])
-    assert calls == words and len(words) == 94
+    assert calls == [words] and len(words) == 94
 
-    def lying(w, e):
-        masks = list(real(w, e))
-        if w == words[0]:
-            masks[fl_closure(e).members.index(canonical(EXPRESSIONS["inf-a"]))] ^= 1
+    def lying(ws, e):
+        masks = list(real(ws, e))
+        masks[fl_closure(e).members.index(canonical(EXPRESSIONS["inf-a"]))] ^= 1
         return masks
 
     monkeypatch.setattr(rll.corpus, "winning_offsets", lying)
@@ -164,8 +164,9 @@ def _lie_once(monkeypatch, name, call, lie):
     """Replace corpus.<name> by a copy that lies on its call-th call
     (numbered from 0).  winning_offsets and _fixpoint_offsets flip one bit
     of the list of masks they return, given as lie = (offset, index into
-    the list), either counted from the end when negative; complement
-    returns its argument unchanged.  Returns the list that receives the
+    the list), either counted from the end when negative, and
+    winning_offsets is called on one word; complement returns its
+    argument unchanged.  Returns the list that receives the
     arguments of that call."""
     real = getattr(rll.corpus, name)
     count = [0]
@@ -180,7 +181,8 @@ def _lie_once(monkeypatch, name, call, lie):
             else:
                 o, k = lie
                 result = list(result)
-                result[k] ^= 1 << (o % args[0].n_offsets())
+                (w,) = args[0] if name == "winning_offsets" else args[:1]
+                result[k] ^= 1 << (o % w.n_offsets())
         count[0] += 1
         return result
 
@@ -221,12 +223,12 @@ def test_the_membership_row_fails_when_one_leg_lies(monkeypatch, name, lie, at, 
     assert found, mismatch
     text, word, where, game, failing = found.groups()
     e, w = canonical(parse(text, ALPHABET)), parse_word(word, ALPHABET)
-    assert calls[0][0] == (e if name == "complement" else w)
+    assert calls[0][0] == {"complement": e, "winning_offsets": (w,)}.get(name, w)
     members = fl_closure(e).members
     o, k = at[0] % w.n_offsets(), at[1] % len(members)
     assert where == "offset %d in %s" % (o, pretty(members[k])) and failing == legs, mismatch
     # game= quotes the solver's mask, which is a lie only when the solver lies
-    assert game == str((winning_offsets(w, e)[k] >> o & 1 == 1) != (name == "winning_offsets")), mismatch
+    assert game == str((winning_offsets((w,), e)[k] >> o & 1 == 1) != (name == "winning_offsets")), mismatch
     monkeypatch.undo()
     # run_suite complements the round-trip expressions before the membership row
     _lie_once(monkeypatch, name, LYING_SAMPLE + (name == "complement") * len(COMPLEMENT_ROUND_NAMES), lie)

@@ -593,16 +593,23 @@ def test_malformed_proof_files_are_rejected(text, message):
         parse_proof(text)
 
 
-def test_an_omitted_principal_is_inferred_as_a_scan_of_every_formula_infers_it():
-    # the reference tries no principal and every formula of the conclusion;
-    # parse_proof tries only the rule's side and class, with the same result.
-    # Each graph is read as written and with l-w and r-w swapped.
+def _principal_less_proofs():
+    """The bundled proofs and 100 random saturated graphs, each as
+    (graph, rule renaming, text without principal clauses), read as written
+    and with l-w and r-w swapped."""
     graphs = [p for p, _ in proofs().values()] + list(_random_saturated_graphs(24, n=100))
     swapped = {"l-w": "r-w", "r-w": "l-w"}
-    outcomes = Counter()
     for p, swap in itertools.product(graphs, ({}, swapped)):
         text = re.sub(r" principal [^;]*(?= ; children)", "", serialize_proof(p))
         text = re.sub(r"rule ([lr]-w) ", lambda m: "rule %s " % swap.get(m.group(1), m.group(1)), text)
+        yield p, swap, text
+
+
+def test_an_omitted_principal_is_inferred_as_a_scan_of_every_formula_infers_it():
+    # the reference tries no principal and every formula of the conclusion;
+    # parse_proof tries only the rule's side and class, with the same result
+    outcomes = Counter()
+    for p, swap, text in _principal_less_proofs():
         expected = []
         for nid, inst in zip(p.order, p.instance):
             if not isinstance(inst.principal, Expr):
@@ -627,7 +634,34 @@ def test_an_omitted_principal_is_inferred_as_a_scan_of_every_formula_infers_it()
                 parse_proof(text)
             assert str(info.value) == expected
             outcomes["refused"] += 1
-    assert outcomes["inferred"] > len(graphs) and outcomes["refused"]
+    assert outcomes["inferred"] > outcomes["refused"] > 0
+
+
+def test_an_omitted_principal_never_has_two_candidates():
+    # parse_proof's "ambiguous" refusal is not reached on these graphs: at
+    # every node, no principal or at most one formula of the conclusion
+    # gives the node's premisses, so every refusal is "undetermined".  Two
+    # principals of one rule differ in the first premiss of each path,
+    # which keeps the other one, unless a principal is its own unfolding,
+    # and only mu X. X and nu X. X are, one term each
+    candidates = Counter()
+    for p, swap, text in _principal_less_proofs():
+        for inst in p.instance:
+            if isinstance(inst.principal, Expr):
+                rule, conc = swap.get(inst.rule, inst.rule), inst.conclusion
+                matching = [
+                    cand
+                    for cand in [None, *conc.lhs | conc.rhs]
+                    if validate_instance(RuleInstance(rule, conc, cand, inst.premisses)) is None
+                ]
+                assert len(matching) <= 1, (rule, str(conc), matching)
+                candidates[len(matching)] += 1
+        try:
+            parse_proof(text)
+        except ParseError as err:
+            assert str(err).endswith(" is undetermined; write it explicitly"), str(err)
+            candidates["refused"] += 1
+    assert candidates[0] and candidates[1] and candidates["refused"], candidates
 
 
 def test_a_formula_text_is_parsed_once_per_proof_file(monkeypatch):

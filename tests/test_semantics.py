@@ -7,7 +7,8 @@ and a direct denotational fixpoint computation, and the solver's winning
 strategies against first_uncertified, on evaluation games and on synthetic
 ones; the certificate itself must flag planted faults.  The bitmask solver
 behind member (winning_offsets) must name the same winner as the explicit
-one at every offset and closure member of every evaluation game built here.
+one at every offset and closure member of every evaluation game built here,
+and over words laid end to end each word's bits must be its own solve.
 """
 
 import random
@@ -45,7 +46,7 @@ def assert_bitmasks_agree(word, expr, winner):
     """winning_offsets names solve_zielonka's `winner` (over
     build_eval_game(word, expr)) at every offset o and member k; returns
     the masks."""
-    masks = winning_offsets(word, expr)
+    masks = winning_offsets((word,), expr)
     m = len(fl_closure(expr).members)
     assert len(masks) == m
     got = bytes((masks[k] >> o) & 1 for o in range(word.n_offsets()) for k in range(m))
@@ -245,6 +246,35 @@ def test_bitmask_winners_agree_where_nested_iteration_blows_up(stem, loop):
     assert member(word, expr)
 
 
+def test_a_batch_of_words_solves_as_each_word_alone():
+    # words laid end to end: word i's block of bits, from the sum of the
+    # earlier words' offsets, is its own solve and the explicit solver's
+    # winners.  Batches mix loop lengths 1 to 3 (a one-letter loop wraps by
+    # a shift of 0), empty and nonempty stems and repeated words, and the
+    # first batch holds one word
+    rng = random.Random(4242)
+    mixed = repeats = 0
+    stems = set()
+    for size in [1] + [rng.randint(2, 7) for _ in range(200)]:
+        alphabet = Alphabet(rng.choice(["ab", "abc"]))
+        expr = gen_expr(rng, alphabet, rng.randint(1, 7))
+        pool = [UPWord(*gen_word(rng, alphabet), alphabet) for _ in range(rng.randint(1, size))]
+        words = [rng.choice(pool) for _ in range(size)]
+        mixed += len({len(word.loop) for word in words}) == 3
+        repeats += len(set(words)) < size
+        stems |= {bool(word.stem) for word in words}
+        masks = winning_offsets(words, expr)
+        base = 0
+        for word in words:
+            n = word.n_offsets()
+            winner, _ = solve_zielonka(build_eval_game(word, expr))
+            alone = assert_bitmasks_agree(word, expr, winner)
+            assert [b >> base & (1 << n) - 1 for b in masks] == alone, (pretty(expr), [str(u) for u in words], str(word))
+            base += n
+        assert all(b >> base == 0 for b in masks)
+    assert mixed > 10 and repeats > 50 and stems == {True, False}
+
+
 def test_the_root_mask_reads_membership_of_every_suffix():
     # bit o of the root's mask is membership of the suffix at offset o,
     # which for an offset in the loop is the loop rotated to start there
@@ -253,7 +283,7 @@ def test_the_root_mask_reads_membership_of_every_suffix():
         expr = gen_expr(rng, AB, rng.randint(1, 7))
         stem, loop = gen_word(rng, AB)
         word = UPWord(stem, loop, AB)
-        root = winning_offsets(word, expr)[0]
+        root = winning_offsets((word,), expr)[0]
         assert root >> word.n_offsets() == 0
         for o in range(word.n_offsets()):
             if o < len(stem):
