@@ -62,15 +62,13 @@ class Sequent:
     def __new__(cls, lhs, rhs, alphabet: Alphabet):
         lhs = frozenset(canonical(e) for e in lhs)
         rhs = frozenset(canonical(e) for e in rhs)
-        for e in lhs | rhs:
+        refused = [e for e in lhs | rhs if free_vars(e) or letters_of(e).difference(alphabet)]
+        if refused:  # name the first in printed order, left cedent first, whatever the hash seed
+            e = min(refused, key=lambda e: (e not in lhs, expr_sort_key(e)))
             if free_vars(e):
                 raise ValueError("sequent formulas must be closed: %s" % pretty(e))
-            stray = letters_of(e).difference(alphabet)
-            if stray:
-                raise ValueError(
-                    "formula %s uses letters outside the alphabet: %s"
-                    % (pretty(e), ", ".join(sorted(stray)))
-                )
+            stray = ", ".join(sorted(letters_of(e).difference(alphabet)))
+            raise ValueError("formula %s uses letters outside the alphabet: %s" % (pretty(e), stray))
         return _premiss(lhs, rhs, alphabet)
 
     def __str__(self):

@@ -41,6 +41,7 @@ search is checked against, next to the full search as one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import or_
 from typing import Optional, Tuple
 
 from .expr import Alphabet, Expr, Mu, Nu, ParseError, parse, pretty, subformula_leq
@@ -228,19 +229,15 @@ def parse_proof(text: str) -> ProofGraph:
             principal = parse(principal_text, alphabet)
         elif rule in ("l-p", "r-p"):
             principal = None
-        else:  # only a formula of the rule's class on the rule's side can match
+        else:  # only a formula of the rule's class on the rule's side can match, and at most one does
             cls, side = PRINCIPAL_RULES[rule]
             cedent = conclusion.lhs_sorted if side == "L" else conclusion.rhs_sorted
-            matching = [
+            principal = next((
                 cand for cand in cedent
                 if isinstance(cand, cls) and validate_instance(RuleInstance(rule, conclusion, cand, premisses)) is None
-            ]
-            if len(matching) != 1:
-                raise ParseError(
-                    "node %s: principal formula for %s is %s; write it explicitly"
-                    % (nid, rule, "ambiguous" if matching else "undetermined")
-                )
-            principal = matching[0]
+            ), None)
+            if principal is None:
+                raise ParseError("node %s: principal formula for %s is undetermined; write it explicitly" % (nid, rule))
         nodes.append((nid, RuleInstance(rule, conclusion, principal, premisses), kids))
     return ProofGraph(nodes, root)
 
@@ -409,12 +406,24 @@ class Lasso:
     cycle: Tuple[Tuple[int, int], ...]
 
 
-def _compose_r(p, q):
+def _compose_r(p, tables):
     """The profile (R, A) of a path of profile p followed by one of profile
-    q; A[k] holds the states that k reaches through an accepting state."""
-    (r1, a1), (r2, a2) = p, q
-    return tuple(_row_or(bits, r2) for bits in r1), tuple(
-        _row_or(a_row, r2) | _row_or(r_row, a2) for r_row, a_row in zip(r1, a1))
+    q, given q's row tables (TR, TA); A[k] holds the states that k reaches
+    through an accepting state.  Each edge profile keeps a table of its row
+    ORs, so a product reads each distinct row once."""
+    (r1, a1), (tr, ta) = p, tables
+    return tuple(map(tr.__getitem__, r1)), tuple(map(or_, map(tr.__getitem__, a1), map(ta.__getitem__, r1)))
+
+
+class _RowTable(dict):
+    """Bit set -> the OR of `rows` over its bits, filled on first use."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def __missing__(self, bits):
+        self[bits] = out = _row_or(bits, self.rows)
+        return out
 
 
 def _row_or(bits, rows):
@@ -435,17 +444,19 @@ def _find_unaccepted_branch(children, automaton: TraceAutomaton):
     Profiles are interned per call: profiles[i] is the (R, A) pair with id
     i, and an in-SCC edge carries the id of its own profile.  Each product
     (i, e), idempotence test and diagonal, and rejected-stem scan at (node,
-    i) is computed once for both passes.  The verdict pass starts loops only
-    at feedback nodes, a set that meets every cycle.  Only on a rejection
-    does the witness pass start loops at every node; it stops at its first
-    hit, so the lasso is the first one in the breadth-first order of loops."""
+    i) is computed once for both passes.  Each edge profile keeps a table of
+    its row ORs, so a product reads each distinct row once.  The verdict
+    pass starts loops only at feedback nodes, a set that meets every cycle.
+    Only on a rejection does the witness pass start loops at every node; it
+    stops at its first hit, so the lasso is the first one in the
+    breadth-first order of loops."""
     n = len(children)
     feedback = set()
     scc_of = [0] * n
     for i, comp in enumerate(tarjan(children, range(n), feedback)):
         for v in comp:
             scc_of[v] = i
-    profiles, ids, products, diagonals, rejections = [], {}, {}, {}, {}
+    profiles, ids, tables, products, diagonals, rejections = [], {}, {}, {}, {}, {}
 
     def intern(profile):
         if profile not in ids:
@@ -454,9 +465,12 @@ def _find_unaccepted_branch(children, automaton: TraceAutomaton):
         return ids[profile]
 
     def compose(i, e):
-        if (i, e) not in products:
-            products[i, e] = intern(_compose_r(profiles[i], profiles[e]))
-        return products[i, e]
+        product = products.get((i, e))
+        if product is None:
+            if e not in tables:
+                tables[e] = tuple(map(_RowTable, profiles[e]))
+            product = products[i, e] = intern(_compose_r(profiles[i], tables[e]))
+        return product
 
     # per node, its out-edges inside its SCC as (edge, child, profile id):
     # loops never leave the SCC they start in

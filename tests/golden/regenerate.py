@@ -31,6 +31,8 @@ SEEDS = (7, 20260815)
 EXTRA_PROOF_TEXTS = {
     "local": "alphabet: ab\nnode n0: a T |- ; rule h_a ; children n0\nroot n0\n",
     "malformed": "node n0: a T |- ; rule h_a ; children n0\n",
+    # several open formulas: the error names the first in printed order
+    "open": "alphabet: ab\nnode n0: b Y, a X, a Z |- b b V, a W ; rule h_a ; children n0\nroot n0\n",
 }
 
 
@@ -74,6 +76,7 @@ def cases():
     both("decide/unguarded", ["decide", "--alphabet", "ab", "--sequent", "mu X. X |-"])
     both("decide/text-proved", ["decide", "--alphabet", "ab", "--sequent", "only-a |- i_a"])
     both("decide/text-refuted", ["decide", "--alphabet", "ab", "--sequent", "i_a |- f_a"])
+    both("decide/open", ["decide", "--alphabet", "ab", "--sequent", "a X, b Y, a Z, b b V |- b W, a a U"])
     out.append(("complement/json", ["complement", "--alphabet", "ab", "--expr", "inf-a", "--json"]))
     out.append(("export-apa/json", ["export-apa", "--alphabet", "ab", "--expr", "inf-a", "--dot", DOT, "--json"]))
     both("corpus-run/filtered", ["corpus", "run", "--filter", "fin-a-cap"])

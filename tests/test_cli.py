@@ -231,8 +231,10 @@ LOOP_RECORD = "node %s: mu X. X |- nu X. X ; rule mu-l ; children %s\n"
         ([("top", "top"), ("top", "top")], "top", "duplicate node id 'top'"),
         ([("top", "top")], "bottom", "root 'bottom' is not a node"),
         ([("z", "z"), ("top", "top"), ("a1", "z")], "top", "unreachable nodes: z, a1"),
+        # the parser's text, which quotes the child but not the node
+        ([("n0", "n1")], "n0", "node n0 references unknown child 'n1'"),
     ],
-    ids=["duplicate-id", "root-names-no-node", "unreachable-nodes"],
+    ids=["duplicate-id", "root-names-no-node", "unreachable-nodes", "unknown-child"],
 )
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
 def test_check_refuses_a_malformed_graph_with_exit_64(capsys, tmp_path, records, root, message, json_flag):
@@ -278,6 +280,48 @@ def test_check_refuses_a_proof_node_with_an_open_sequent_with_exit_64(capsys, tm
     f.write_text("alphabet: ab\nnode n0: a X |- ; rule h_a ; children n0\nroot n0\n")
     assert cli_module.main(["check", *json_flag, str(f)]) == 64
     assert capsys.readouterr() == ("", OPEN_SEQUENT_ERROR)
+
+
+# Sequent names the first refused formula in printed order, left cedent first;
+# sequents are frozensets of terms that hash by identity, so any other order
+# would follow PYTHONHASHSEED
+REFUSED_SEQUENT_SCRIPT = """
+from rll.calculus import Sequent, parse_sequent
+from rll.expr import Alphabet, parse
+abc = Alphabet("abc")
+for lhs, rhs in [(["c T", "b c T", "a X"], ["c c T"]), (["a T", "b c T"], ["c T", "a Y", "c a T"])]:
+    try:
+        Sequent([parse(t, abc) for t in lhs], [parse(t, abc) for t in rhs], Alphabet("ab"))
+    except ValueError as err:
+        print(err)
+try:
+    parse_sequent("b Y, a Z |- b b V, a a U, a X", Alphabet("ab"))
+except ValueError as err:
+    print(err)
+"""
+
+
+def test_a_refused_sequent_names_the_same_formula_under_every_hash_seed(tmp_path):
+    f = tmp_path / "open.proof"
+    f.write_text("alphabet: ab\nnode n0: b Y, a X, a Z |- b b V, a W ; rule h_a ; children n0\nroot n0\n")
+    runs = {
+        "decide": ("-m", "rll", "decide", "--alphabet", "ab", "--sequent", "a X, b Y, a Z, b b V |- b W, a a U"),
+        "check": ("-m", "rll", "check", str(f)),
+        "parse_sequent": ("-c", REFUSED_SEQUENT_SCRIPT),
+    }
+    want = {
+        "decide": (64, "", "error: sequent formulas must be closed: a X\n"),
+        "check": (64, "", "error: sequent formulas must be closed: a X\n"),
+        "parse_sequent": (0, "formula c T uses letters outside the alphabet: c\n"
+                             "formula b c T uses letters outside the alphabet: c\n"
+                             "sequent formulas must be closed: b Y\n", ""),
+    }
+    for seed in ("0", "1", "2", "3", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        env["PYTHONPATH"] = str(ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+        for name, argv in runs.items():
+            r = subprocess.run([sys.executable, *argv], capture_output=True, text=True, env=env)
+            assert (r.returncode, r.stdout, r.stderr) == want[name], (seed, name)
 
 
 def test_parse_sequent_refuses_an_open_formula():

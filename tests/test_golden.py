@@ -5,7 +5,9 @@ of every captured `rll` command line; see tests/golden/regenerate.py for how
 it is made and when it may be regenerated.  tests/golden/rows.py dumps rll's
 output on every benchmark row; here it runs on the smoke rows only.
 tests/golden/graphs.py dumps the progress verdict on seeded random proof
-graphs; here it runs on three seeds.
+graphs; here it runs on three seeds.  tests/golden/scale.py digests the
+trace automaton and verdict of the scale rows; here it runs on the refuted
+3-letter row.
 """
 
 import json
@@ -13,7 +15,7 @@ import json
 import pytest
 
 from golden.regenerate import CAPTURE, cases, run
-from golden import graphs
+from golden import graphs, scale
 from golden.rows import dump_lines, workloads
 
 with open(CAPTURE, encoding="utf-8") as _f:
@@ -81,3 +83,18 @@ def test_graphs_dump_appends_a_band_of_larger_draws(monkeypatch):
         assert [o for o in over if o["seed"] == r["seed"]] == [r]
         assert r["graph"] == "saturated" and r["nodes"] is None and r["trace_states"] is None
         assert set(r) == set(records[0])
+
+
+def test_scale_dump_digests_the_refuted_three_letter_row():
+    assert list(scale.ROWS) == ["fin_c", "conj-2/4", "refuted-3"] and list(scale.STRETCH_ROWS) == ["fin-d4"]
+    line = scale.dump_line("refuted-3")
+    assert "\n" not in line and scale.dump_line("refuted-3") == line
+    record = json.loads(line)
+    assert set(record) == {"row", "nodes", "trace_states", "automaton_sha256", "reason", "lasso"}
+    # the automaton and the lasso that the trace build and the search give today
+    assert (record["row"], record["nodes"], record["trace_states"], record["reason"]) == (
+        "refuted-3", 534, 8083, "progress")
+    assert record["automaton_sha256"] == "fd1ad36c7d20e22bd293f4517964a703702c713373f1d528898bfc15e26e8680"
+    lasso = record["lasso"]
+    assert lasso["stem"] == ["n%d" % i for i in range(16)] and lasso["stem_edges"] == [0] * 16
+    assert lasso["cycle"][0] == "n17" and len(lasso["cycle"]) == len(lasso["cycle_edges"]) == 61

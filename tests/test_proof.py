@@ -343,13 +343,22 @@ def test_the_progress_search_composes_each_product_once(monkeypatch):
     text = THREE_LETTER_REFUTATIONS["inf-a3 & inf-b3 |- inf-c3 + fin-a3"][0]
     p = saturate(parse_sequent(text, Alphabet("abc")))
     automaton = build_trace_automaton(p)
-    compose_r, loop_profiles = proof_module._compose_r, proof_module._loop_profiles
-    calls = Counter()
+    compose_r, loop_profiles, row_or = proof_module._compose_r, proof_module._loop_profiles, proof_module._row_or
+    calls, row_ors, composing = Counter(), Counter(), [False]
     keys = []
 
-    def counting_compose_r(profile, other):
-        calls[profile, other] += 1
-        return compose_r(profile, other)
+    def counting_compose_r(profile, tables):
+        # a product is keyed by its profile and the profile its tables belong to
+        calls[profile, tuple(table.rows for table in tables)] += 1
+        composing[0] = True
+        product = compose_r(profile, tables)
+        composing[0] = False
+        return product
+
+    def counting_row_or(bits, rows):
+        # keyed by the rows object, which each table holds, and by whether a product asks
+        row_ors[bits, id(rows), composing[0]] += 1
+        return row_or(bits, rows)
 
     def recording_loop_profiles(*args):
         for key in loop_profiles(*args):
@@ -358,10 +367,17 @@ def test_the_progress_search_composes_each_product_once(monkeypatch):
 
     monkeypatch.setattr(proof_module, "_compose_r", counting_compose_r)
     monkeypatch.setattr(proof_module, "_loop_profiles", recording_loop_profiles)
-    assert _find_unaccepted_branch(p.children, automaton) is not None
+    monkeypatch.setattr(proof_module, "_row_or", counting_row_or)
+    found = _find_unaccepted_branch(p.children, automaton)
+    assert Lasso(*found) == THREE_LETTER_REFUTATIONS["inf-a3 & inf-b3 |- inf-c3 + fin-a3"][1]
     # over both passes, each (profile, edge) product and each idempotence
     # test (a profile composed with itself) is composed once
     assert calls and max(calls.values()) == 1
+    # and the products OR each bit set over each edge profile's rows once
+    # (R and A rows are two tables); the stem search's few calls come on top
+    inside = [n for (_, _, in_product), n in row_ors.items() if in_product]
+    assert inside and max(inside) == 1
+    assert sum(row_ors.values()) < 8000
     profiles = {i for _, _, i in keys}
     assert len(profiles) * 4 < len(keys)
     assert sum(calls.values()) * 2 < len(keys)
@@ -638,12 +654,12 @@ def test_an_omitted_principal_is_inferred_as_a_scan_of_every_formula_infers_it()
 
 
 def test_an_omitted_principal_never_has_two_candidates():
-    # parse_proof's "ambiguous" refusal is not reached on these graphs: at
-    # every node, no principal or at most one formula of the conclusion
-    # gives the node's premisses, so every refusal is "undetermined".  Two
-    # principals of one rule differ in the first premiss of each path,
-    # which keeps the other one, unless a principal is its own unfolding,
-    # and only mu X. X and nu X. X are, one term each
+    # parse_proof takes the first matching principal, which is safe: on
+    # these graphs, at every node, no principal or at most one formula of
+    # the conclusion gives the node's premisses, so every refusal is
+    # "undetermined".  Two principals of one rule differ in the first
+    # premiss of each path, which keeps the other one, unless a principal is
+    # its own unfolding, and only mu X. X and nu X. X are, one term each
     candidates = Counter()
     for p, swap, text in _principal_less_proofs():
         for inst in p.instance:
