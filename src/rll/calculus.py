@@ -9,11 +9,13 @@ strips a common head letter from both sides, and r-p splits a left-empty
 sequent into one premiss per alphabet letter.
 
 This module is the one place that states each rule fact.  PRINCIPAL_RULES
-and the three letter rules are every rule there is; premiss_letters names
-the letter that each premiss of h_a or r-p strips; and immediate_ancestry
-says how the formulas of the premisses descend from those of the
-conclusion — the raw material for traces.  Rule applications are
-first-class values (RuleInstance) so that proofs can store them.  A sequent
+and the three letter rules are every rule there is.  Traces follow formulas
+from a conclusion into its premisses: premiss_letters names the letter that
+each premiss of h_a or r-p strips, so a formula with that head letter
+descends to its body; auxiliaries names the formulas that take a principal's
+place in each premiss; any other formula that a premiss keeps descends to
+itself.  Rule applications are first-class values (RuleInstance) so that
+proofs can store them.  A sequent
 is checked once, where it enters, and interned as terms are, so equality is
 identity; a premiss is derived without re-checking, as a table lookup.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .expr import (
     Alphabet,
@@ -203,7 +205,7 @@ PRINCIPAL_RULES = {
 LOGICAL_RULE = {key: rule for rule, key in PRINCIPAL_RULES.items() if key[0] is not Expr}
 
 
-def _auxiliaries(rule, p):
+def auxiliaries(rule, p):
     """The formulas that take the place of principal p in each premiss of
     one of the PRINCIPAL_RULES."""
     if rule in ("+-l", "∩-r"):
@@ -230,8 +232,8 @@ def _expected_premisses(rule, s: Sequent, principal):
         _need(isinstance(principal, cls) and principal in cedent, message)
         rest = cedent - {principal}
         if side == "L":
-            return tuple(_premiss(rest | aux, s.rhs, ab) for aux in _auxiliaries(rule, principal))
-        return tuple(_premiss(s.lhs, rest | aux, ab) for aux in _auxiliaries(rule, principal))
+            return tuple(_premiss(rest | aux, s.rhs, ab) for aux in auxiliaries(rule, principal))
+        return tuple(_premiss(s.lhs, rest | aux, ab) for aux in auxiliaries(rule, principal))
     if rule == "l-p":
         _need(principal is None, "l-p takes no principal formula")
         _need(len(s.lhs) == 2 and not s.rhs, "l-p requires exactly two left formulas and an empty right side")
@@ -307,33 +309,3 @@ def premiss_letters(r: RuleInstance) -> Optional[Tuple[str, ...]]:
         return (r.rule[2:],)
     return None
 
-
-def immediate_ancestry(r: RuleInstance) -> Dict[Tuple[int, str, Expr], Tuple[Expr, ...]]:
-    """The descent of premiss formulas from conclusion formulas, as
-    {(premiss index, side, conclusion formula): premiss formulas}, each value
-    sorted by expr_sort_key.  A letter-prefixed formula descends to its body
-    under h_a and r-p, a principal formula to its auxiliaries, and every
-    other formula to itself.  A formula that is both an auxiliary and a
-    persisting formula descends from both."""
-    if not r.premisses:
-        return {}
-    letters = premiss_letters(r)
-    if letters is None:
-        _, rule_side = PRINCIPAL_RULES[r.rule]
-        aux = _auxiliaries(r.rule, r.principal)
-    grouped = {}
-    for i, prem in enumerate(r.premisses):
-        for side, cedent, conc in (
-            ("L", prem.lhs_sorted, r.conclusion.lhs),
-            ("R", prem.rhs_sorted, r.conclusion.rhs),
-        ):
-            for g in cedent:
-                if letters is not None:
-                    sources = (Letter(letters[i], g),)
-                else:
-                    sources = {g} if g in conc else set()
-                    if side == rule_side and g in aux[i]:
-                        sources.add(r.principal)
-                for f in sources:
-                    grouped.setdefault((i, side, f), []).append(g)
-    return {key: tuple(gs) for key, gs in grouped.items()}

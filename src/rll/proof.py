@@ -13,10 +13,13 @@ afterwards, and unfolds the critical formula itself infinitely often.
 
 build_trace_automaton turns that condition into a Büchi automaton over the
 graph's edges whose language is the set of branches possessing such a trace.
-Its states are numbered per node in discovery order, and each edge holds one
-reach row per state of its source: a bitmask of the child's states that the
-state steps to.  check runs the local check and then decides whether that
-language covers all branches.  Rather than complementing the (large) trace
+The graph's formulas are numbered once, by expr_sort_key rank; a state's
+label is one int over those numbers, and its descent along an edge is a mask
+read off premiss_letters and auxiliaries as it is walked.  States are
+numbered per node in discovery order, and each edge holds one reach row per
+state of its source: a bitmask of the child's states that the state steps
+to.  check runs the local check and then decides whether that language
+covers all branches.  Rather than complementing the (large) trace
 automaton, it composes those rows into boolean reachability/acceptance
 profiles of finite paths and applies the standard lasso criterion to
 idempotent loop profiles (Fogarty & Vardi, "Efficient Büchi universality
@@ -41,19 +44,21 @@ search is checked against, next to the full search as one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from operator import or_
 from typing import Optional, Tuple
 
-from .expr import Alphabet, Expr, Mu, Nu, ParseError, parse, pretty, subformula_leq
+from .expr import Alphabet, Expr, Letter, Mu, Nu, ParseError, expr_sort_key, parse, pretty, subformula_leq
 from .calculus import (
     PRINCIPAL_RULES,
     RuleInstance,
     Sequent,
+    auxiliaries,
     canonical_rule_name,
     format_sequent,
-    immediate_ancestry,
     is_rule_name,
     parse_sequent,
+    premiss_letters,
     validate_instance,
 )
 
@@ -263,11 +268,13 @@ def serialize_proof(p: ProofGraph) -> str:
 @dataclass(frozen=True)
 class TraceAutomaton:
     """A Büchi automaton over the edges (v, j) of a numbered proof graph,
-    whose states are numbered per node in discovery order.  Every table is
-    indexed by node number.
+    whose states are numbered per node in discovery order.  Every table but
+    formulas is indexed by node number.
 
-    - labels[v][k] is state k of node v: (side, formula, critical), where
-      critical is None while the trace is still searching;
+    - formulas lists the graph's distinct formulas in expr_sort_key order;
+    - labels[v][k] is state k of node v, the int 2 * (len(formulas) * (c +
+      1) + n) + side for formulas[n] on side 0 (left) or 1 (right), with c
+      the critical formula's number, -1 while the trace is still searching;
     - states lists every state as (v, k), in discovery order;
     - initials are the numbers of the root's initial states;
     - reach[v][j][k] is a bitmask of the states of v's j-th child that
@@ -275,15 +282,12 @@ class TraceAutomaton:
     - accepting[v] is a bitmask of v's accepting states."""
 
     root: int
-    labels: Tuple[Tuple[Tuple[str, Expr, Optional[Expr]], ...], ...]
+    formulas: Tuple[Expr, ...]
+    labels: Tuple[Tuple[int, ...], ...]
     states: Tuple[Tuple[int, int], ...]
     initials: Tuple[int, ...]
     reach: Tuple[Tuple[Tuple[int, ...], ...], ...]
     accepting: Tuple[int, ...]
-
-
-def _may_commit(side: str, f: Expr) -> bool:
-    return isinstance(f, Mu) if side == "L" else isinstance(f, Nu)
 
 
 def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
@@ -292,53 +296,75 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     current node's sequent on one side, either still searching or committed
     to a critical formula; committed runs die when a strictly smaller
     formula is unfolded on the trace and visit an accepting state whenever
-    the critical formula itself is the one unfolded."""
-    anc = [immediate_ancestry(inst) for inst in p.instance]
-    labels = [[] for _ in p.instance]
-    numbers = [{} for _ in p.instance]  # per node, label -> its number there
-    accepting = [0] * len(p.instance)
-    dead = set()
-    states = []
+    the critical formula itself is the one unfolded.  A cedent is a mask
+    over the formula numbers, whose ascending bits are its sorted order."""
+    sequents = [inst.conclusion for inst in p.instance]
+    formulas = tuple(sorted(set().union(*(s.lhs | s.rhs for s in sequents)), key=expr_sort_key))
+    number = {f: n for n, f in enumerate(formulas)}
+    bit = {f: 1 << n for n, f in enumerate(formulas)}
+    width = 2 * len(formulas)  # the labels with one critical formula
+    cedents = [(sum(map(bit.__getitem__, s.lhs)), sum(map(bit.__getitem__, s.rhs))) for s in sequents]
+    may_commit = tuple(sum(bit[f] for f in formulas if isinstance(f, cls)) for cls in (Mu, Nu))  # left mu, right nu
+    body = {(f.letter, n): bit.get(f.body, 0) for n, f in enumerate(formulas) if isinstance(f, Letter)}
+    below = cache(lambda f, c: subformula_leq(formulas[f], formulas[c]))  # per pair of numbers
 
-    def number(v, label):
-        k = numbers[v].get(label)
-        if k is None:
-            k = numbers[v][label] = len(labels[v])
-            labels[v].append(label)
-            states.append((v, k))
-            side, f, critical = label
-            inst = p.instance[v]
-            _, rule_side = PRINCIPAL_RULES.get(inst.rule, (None, None))
-            if critical is not None and rule_side == side and inst.principal == f:
-                if f == critical:
-                    accepting[v] |= 1 << k
-                elif subformula_leq(f, critical):
-                    dead.add((v, k))  # the trace unfolds below its critical formula
-        return k
-
-    root_seq = p.sequent(p.root)
-    initials = tuple(
-        number(p.root, (side, f, None))
-        for side, cedent in (("L", root_seq.lhs_sorted), ("R", root_seq.rhs_sorted))
-        for f in cedent
-    )
+    # per node, its principal as 2n + side (negative for none); per edge, the child, its index and
+    # cedents, what the edge descends by (the letter it strips, else the mask of its auxiliaries on the
+    # rule's side) and its reach rows
+    principal = [-1] * len(p.instance)
     rows = [[[] for _ in kids] for kids in p.children]
-    for v, k in states:  # the breadth-first queue: it grows while it is walked
-        side, f, critical = labels[v][k]
-        for j, child in enumerate(p.children[v]):
+    index = [{} for _ in p.instance]  # per node, label -> its state number there, in discovery order
+    steps = []
+    for v, (inst, kids) in enumerate(zip(p.instance, p.children)):
+        via = premiss_letters(inst) or ()
+        if kids and not via:
+            side = "LR".index(PRINCIPAL_RULES[inst.rule][1])
+            principal[v] = 2 * number.get(inst.principal, -1) + side
+            aux = auxiliaries(inst.rule, inst.principal)
+            via = [sum(bit[g] for g in aux[j] if g in bit) & cedents[c][side] for j, c in enumerate(kids)]
+        steps.append(tuple(zip(kids, map(index.__getitem__, kids), map(cedents.__getitem__, kids), via, rows[v])))
+
+    accepting = [0] * len(p.instance)
+    queue = [2 * n + side for side, m in enumerate(cedents[p.root]) for n in range(width // 2) if m >> n & 1]
+    initials = tuple(range(len(queue)))
+    index[p.root].update(zip(queue, initials))
+    states = [(p.root, k) for k in initials]  # the breadth-first queue; queue[i] is the label of states[i]
+    for (v, k), label in zip(states, queue):  # both grow while they are walked
+        critical, key = divmod(label, width)  # critical is the critical number + 1
+        side, f = key & 1, key >> 1
+        unfolds = key == principal[v]
+        if critical and unfolds:
+            if f == critical - 1:
+                accepting[v] |= 1 << k
+            elif below(f, critical - 1):  # the trace unfolds below its critical formula: it dies
+                for *_, out in steps[v]:
+                    out.append(0)
+                continue
+        base = label - 2 * f  # a descendant's label differs only in its formula number
+        for child, idx, cedent, via, out in steps[v]:
+            if type(via) is str:
+                down = body.get((via, f), 0) & cedent[side]
+            else:
+                down = 1 << f & cedent[side] | (via if unfolds else 0)
             row = 0
-            if (v, k) not in dead:
-                for f2 in anc[v].get((j, side, f), ()):
-                    if critical is None:
-                        row |= 1 << number(child, (side, f2, None))
-                        if _may_commit(side, f2):
-                            row |= 1 << number(child, (side, f2, f2))
-                    else:
-                        row |= 1 << number(child, (side, f2, critical))
-            rows[v][j].append(row)
+            while down:
+                low = down & -down
+                down ^= low
+                f2 = low.bit_length() - 1
+                x = base + 2 * f2
+                commits = not critical and may_commit[side] & low  # a search may commit to a left mu or right nu
+                for x in (x, x + width * (f2 + 1)) if commits else (x,):
+                    n = len(idx)
+                    k2 = idx.setdefault(x, n)
+                    if k2 == n:
+                        states.append((child, n))
+                        queue.append(x)
+                    row |= 1 << k2
+            out.append(row)
     return TraceAutomaton(
         root=p.root,
-        labels=tuple(map(tuple, labels)),
+        formulas=formulas,
+        labels=tuple(map(tuple, index)),
         states=tuple(states),
         initials=initials,
         reach=tuple(tuple(map(tuple, per_edge)) for per_edge in rows),

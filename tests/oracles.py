@@ -21,11 +21,15 @@
   automaton in the numbered form that search reads.
 - ref_immediate_ancestry lists formula ancestry as edges tagged with their
   kind (principal, letter or identity), and ref_grouped_ancestry groups
-  them per conclusion formula; rll.calculus states ancestry once, as that
-  grouping, from its rule table and premiss_letters.
+  them per conclusion formula.  rll.calculus states only the rule facts,
+  premiss_letters and auxiliaries, and rll.proof reads each state's descent
+  off them as a bitmask over proof-wide formula numbers, with no ancestry
+  table.
 - ref_trace_automaton builds the trace automaton of a proof graph as a
   labelled automaton, state by state, over ref_grouped_ancestry; rll.proof
-  numbers its states per node and builds each edge's reach rows directly.
+  numbers its states per node, packs each label as one int, and builds
+  each edge's reach rows directly.  trace_label decodes a packed label
+  through the automaton's formulas table.
 - build_eval_game numbers the evaluation game of rll.semantics end to end,
   with no label layer: positions are 0..n-1, held as arrays of owner,
   priority and successor numbers, and (o, fl.members[k]) is number
@@ -766,6 +770,7 @@ def one_node_automaton(b: BuchiAutomaton):
 
     automaton = TraceAutomaton(
         root=0,
+        formulas=(),
         labels=(tuple(b.states),),
         states=tuple((0, k) for k in range(len(b.states))),
         initials=tuple(number[q] for q in b.initials),
@@ -971,6 +976,14 @@ class TraceState(NamedTuple):
     formula: Expr
     phase: str  # "search" | "committed"
     critical: Optional[Expr]
+
+
+def trace_label(automaton: TraceAutomaton, label: int):
+    """The (side, formula, critical formula or None) that a packed label of
+    rll.proof's trace automaton names, decoded through its formulas table."""
+    critical, key = divmod(label, 2 * len(automaton.formulas))
+    formulas = automaton.formulas
+    return "LR"[key & 1], formulas[key >> 1], formulas[critical - 1] if critical else None
 
 
 def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:

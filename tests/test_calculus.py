@@ -14,14 +14,13 @@ from rll.calculus import (
     Sequent,
     canonical_rule_name,
     format_sequent,
-    immediate_ancestry,
     is_rule_name,
     make_instance,
     parse_sequent,
     premiss_letters,
     validate_instance,
 )
-from rll.proof import check_local
+from rll.proof import ProofGraph, build_trace_automaton, check_local
 from rll.semantics import UPWord, member
 from oracles import (
     applicable_steps,
@@ -30,6 +29,7 @@ from oracles import (
     gen_word,
     ref_grouped_ancestry,
     ref_immediate_ancestry,
+    trace_label,
 )
 
 AB = Alphabet("ab")
@@ -252,9 +252,31 @@ def test_contextfree_plus_is_a_degenerate_case_only():
 # ancestry
 
 
+def _descent(inst):
+    """The descent that the trace automaton reads off inst through
+    premiss_letters and auxiliaries, as {(premiss index, side, conclusion
+    formula): premiss formulas in formula-number order}: the search steps
+    of the initial states of a graph whose root carries inst over one leaf
+    per premiss."""
+    leaves = [("n%d" % (j + 1), RuleInstance("l-p", prem, None, ()), ()) for j, prem in enumerate(inst.premisses)]
+    p = ProofGraph([("n0", inst, tuple(nid for nid, _, _ in leaves))] + leaves, "n0")
+    a = build_trace_automaton(p)
+    grouped = {}
+    for k in a.initials:
+        side, f, _ = trace_label(a, a.labels[p.root][k])
+        for j, child in enumerate(p.children[p.root]):
+            row = a.reach[p.root][j][k]
+            found = [trace_label(a, a.labels[child][k2]) for k2 in range(len(a.labels[child])) if row >> k2 & 1]
+            assert all(s2 == side for s2, _, _ in found)
+            gs = sorted((g for _, g, critical in found if critical is None), key=a.formulas.index)
+            if gs:
+                grouped[j, side, f] = tuple(gs)
+    return grouped
+
+
 def test_ancestry_of_an_unfolding():
     inst = make_instance("μ-l", seq("T, mu X. a X |- 0"), e("mu X. a X"))
-    assert immediate_ancestry(inst) == {
+    assert _descent(inst) == {
         (0, "L", e("mu X. a X")): (e("a mu X. a X"),),
         (0, "L", e("T")): (e("T"),),
         (0, "R", e("0")): (e("0"),),
@@ -263,7 +285,7 @@ def test_ancestry_of_an_unfolding():
 
 def test_ancestry_of_a_self_unfolding_records_both_edges():
     inst = make_instance("μ-l", seq("mu X. X |-"), e("mu X. X"))
-    assert immediate_ancestry(inst) == {(0, "L", e("mu X. X")): (e("mu X. X"),)}
+    assert _descent(inst) == {(0, "L", e("mu X. X")): (e("mu X. X"),)}
     assert {(d.premiss_formula, d.conclusion_formula, d.kind) for d in ref_immediate_ancestry(inst)} == {
         (e("mu X. X"), e("mu X. X"), "principal"),
         (e("mu X. X"), e("mu X. X"), "identity"),
@@ -272,13 +294,13 @@ def test_ancestry_of_a_self_unfolding_records_both_edges():
 
 def test_ancestry_of_the_letter_rules():
     h = make_instance("h_a", seq("a 0, a T |- a (mu X. X)"), "a")
-    assert immediate_ancestry(h) == {
+    assert _descent(h) == {
         (0, "L", e("a 0")): (e("0"),),
         (0, "L", e("a T")): (e("T"),),
         (0, "R", e("a mu X. X")): (e("mu X. X"),),
     }
     rp = make_instance("r-p", seq("|- a 0, b T"))
-    assert immediate_ancestry(rp) == {
+    assert _descent(rp) == {
         (0, "R", e("a 0")): (e("0"),),
         (1, "R", e("b T")): (e("T"),),
     }
@@ -286,7 +308,7 @@ def test_ancestry_of_the_letter_rules():
 
 def test_ancestry_of_weakening_drops_the_principal():
     inst = make_instance("l-w", seq("0, T |- a 0"), e("T"))
-    assert immediate_ancestry(inst) == {
+    assert _descent(inst) == {
         (0, "L", e("0")): (e("0"),),
         (0, "R", e("a 0")): (e("a 0"),),
     }
@@ -298,7 +320,7 @@ def test_axioms_have_no_ancestry():
         ("a 0 |- T", "⊤-r", e("T")),
         ("a 0, b 0 |-", "l-p", None),
     ]:
-        assert immediate_ancestry(make_instance(rule, seq(text), principal)) == {}
+        assert _descent(make_instance(rule, seq(text), principal)) == {}
 
 
 def _random_steps():
@@ -312,7 +334,7 @@ def _random_steps():
 
 def test_ancestry_edges_connect_the_actual_cedents():
     for inst in _random_steps():
-        for (i, side, f), gs in immediate_ancestry(inst).items():
+        for (i, side, f), gs in _descent(inst).items():
             prem = inst.premisses[i]
             assert set(gs) <= (prem.lhs if side == "L" else prem.rhs)
             assert f in (inst.conclusion.lhs if side == "L" else inst.conclusion.rhs)
@@ -320,7 +342,7 @@ def test_ancestry_edges_connect_the_actual_cedents():
 
 def test_ancestry_is_the_grouped_reference_with_sorted_values():
     for inst in _random_steps():
-        anc = immediate_ancestry(inst)
+        anc = _descent(inst)
         assert anc == ref_grouped_ancestry(inst), inst
         for gs in anc.values():
             assert type(gs) is tuple and list(gs) == sorted(set(gs), key=expr_sort_key), inst

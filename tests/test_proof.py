@@ -10,7 +10,7 @@ import rll.proof as proof_module
 from rll.calculus import RuleInstance, Sequent, make_instance, parse_sequent, validate_instance
 from rll.corpus import ALPHABET, DECISIONS, proofs
 from rll.decide import Proved, decide, saturate
-from rll.expr import Alphabet, Cap, Expr, Mu, ParseError, Var, complement, expr_sort_key, fl_closure, parse
+from rll.expr import Alphabet, Cap, Expr, Mu, Nu, ParseError, Var, complement, expr_sort_key, fl_closure, parse
 from rll.proof import (
     Lasso,
     ProofGraph,
@@ -32,6 +32,7 @@ from oracles import (
     one_node_automaton,
     ref_find_unaccepted_branch,
     ref_trace_automaton,
+    trace_label,
     unroll_edge,
 )
 from test_acceptance import PAPER_PROOF_NAMES
@@ -383,6 +384,36 @@ def test_the_progress_search_composes_each_product_once(monkeypatch):
     assert sum(calls.values()) * 2 < len(keys)
 
 
+def test_the_trace_build_asks_each_subformula_question_once(monkeypatch):
+    text = THREE_LETTER_REFUTATIONS["inf-a3 & inf-b3 |- inf-c3 + fin-a3"][0]
+    p = saturate(parse_sequent(text, Alphabet("abc")))
+    subformula_leq, calls = proof_module.subformula_leq, Counter()
+
+    def counting_subformula_leq(f, g):
+        calls[f, g] += 1
+        return subformula_leq(f, g)
+
+    monkeypatch.setattr(proof_module, "subformula_leq", counting_subformula_leq)
+    automaton = build_trace_automaton(p)
+    assert len(automaton.states) == 8083
+    # one question per (formula, critical formula) pair, however many states ask it
+    assert calls and max(calls.values()) == 1
+
+
+def test_trace_labels_decode_to_cedent_formulas_through_the_formula_table():
+    graphs = [p for p, _ in FIXTURES.values()] + list(_random_saturated_graphs(seed=20261021))
+    for p in graphs:
+        automaton = build_trace_automaton(p)
+        formulas = {f for inst in p.instance for f in inst.conclusion.lhs | inst.conclusion.rhs}
+        assert automaton.formulas == tuple(sorted(formulas, key=expr_sort_key))
+        for v, labels in enumerate(automaton.labels):
+            s = p.sequent(v)
+            for side, f, critical in (trace_label(automaton, label) for label in labels):
+                assert f in (s.lhs if side == "L" else s.rhs)
+                if critical is not None:  # a critical formula is a left mu or a right nu
+                    assert isinstance(critical, Mu if side == "L" else Nu)
+
+
 def _random_digraph(rng):
     """Up to 12 nodes with up to 3 out-edges each, drawn with repetition, so
     that self-loops, repeated edges and cycles nested in cycles all occur."""
@@ -431,7 +462,7 @@ def _assert_matches_the_labelled_reference(p):
     ref = ref_trace_automaton(p)
 
     def label(v, k):
-        return (v,) + bp.labels[v][k]
+        return (v,) + trace_label(bp, bp.labels[v][k])
 
     def strip(st):
         return (st.node, st.side, st.formula, st.critical)
