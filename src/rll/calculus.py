@@ -301,10 +301,10 @@ def validate_instance(r: RuleInstance) -> Optional[str]:
 
 def premiss_letters(r: RuleInstance) -> Optional[Tuple[str, ...]]:
     """The letter that each premiss of a letter rule strips: ("a",) for h_a
-    and the alphabet's letters, in order, for r-p.  None for every other
-    rule."""
+    and, for r-p, the alphabet itself, which is the tuple of its letters in
+    order.  None for every other rule."""
     if r.rule == "r-p":
-        return r.conclusion.alphabet.letters
+        return r.conclusion.alphabet
     if r.rule.startswith("h_"):
         return (r.rule[2:],)
     return None

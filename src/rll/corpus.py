@@ -315,8 +315,8 @@ MAX_STEM = MAX_LOOP = 3  # most letters in a sampled word's stem and loop; a loo
 
 
 def sample_word(rng) -> UPWord:
-    stem = "".join(rng.choice(ALPHABET.letters) for _ in range(rng.randint(0, MAX_STEM)))
-    loop = "".join(rng.choice(ALPHABET.letters) for _ in range(rng.randint(1, MAX_LOOP)))
+    stem = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(0, MAX_STEM)))
+    loop = "".join(rng.choice(ALPHABET) for _ in range(rng.randint(1, MAX_LOOP)))
     return UPWord(stem, loop, ALPHABET)
 
 
@@ -338,7 +338,7 @@ def random_expression(rng, size: int, scope=()):
     if kind == "var":
         return Var(rng.choice(list(scope)))
     if kind == "letter":
-        return Letter(rng.choice(ALPHABET.letters), random_expression(rng, size - 1, scope))
+        return Letter(rng.choice(ALPHABET), random_expression(rng, size - 1, scope))
     if kind in ("plus", "cap"):
         ls = rng.randint(1, max(1, size - 2))
         left = random_expression(rng, ls, scope)
@@ -467,7 +467,7 @@ def soundness_violations(instances, seed: int):
         if f in formulas:
             for on in (0, 1):
                 truth[f, on] = sum(1 << j for j, b in enumerate(bits) if mask >> b[on] & 1)
-    head = {c: sum(1 << j for j, w in enumerate(words) if w.letter_at(0) == c) for c in ALPHABET.letters}
+    head = {c: sum(1 << j for j, w in enumerate(words) if w.letter_at(0) == c) for c in ALPHABET}
     holds = {}  # (sequent, one letter on?) -> the words where some of Γ fails or some of Δ holds
 
     def valid(s: Sequent, on: int) -> int:

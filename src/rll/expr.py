@@ -45,12 +45,13 @@ def _is_letter(a) -> bool:
     return isinstance(a, str) and len(a) == 1 and "a" <= a <= "z"
 
 
-class Alphabet:
-    """Ordered alphabet of distinct letters ``a``-``z``."""
+class Alphabet(tuple):
+    """Ordered alphabet of distinct letters ``a``-``z``: the tuple of its
+    letters, so it is immutable and compares and hashes by value."""
 
-    __slots__ = ("letters",)
+    __slots__ = ()
 
-    def __init__(self, letters):
+    def __new__(cls, letters):
         letters = tuple(letters)
         if not letters:
             raise ValueError("alphabet must not be empty")
@@ -59,25 +60,10 @@ class Alphabet:
                 raise ValueError("alphabet letters must be single letters a-z, got %r" % (a,))
         if len(set(letters)) != len(letters):
             raise ValueError("alphabet letters must be distinct: %r" % (letters,))
-        self.letters = letters
-
-    def __contains__(self, a):
-        return a in self.letters
-
-    def __iter__(self):
-        return iter(self.letters)
-
-    def __len__(self):
-        return len(self.letters)
-
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and other.letters == self.letters
-
-    def __hash__(self):
-        return hash(("alphabet", self.letters))
+        return super().__new__(cls, letters)
 
     def __str__(self):
-        return "".join(self.letters)
+        return "".join(self)
 
     def __repr__(self):
         return "Alphabet(%r)" % (str(self),)

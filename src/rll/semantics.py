@@ -23,25 +23,27 @@ explicit solve of the game at every position.
 from __future__ import annotations
 
 import re
+from dataclasses import dataclass
 
 from .automaton import default_coloring
-from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, canonical, fl_closure, require_closed
+from .expr import Alphabet, Cap, Expr, Letter, ParseError, Top, fl_closure, require_closed
 
 
+@dataclass(frozen=True, slots=True)
 class UPWord:
-    """An ultimately periodic word stem(loop)^w over an alphabet."""
+    """An ultimately periodic word stem(loop)^w over an alphabet: a frozen
+    dataclass, so it is immutable and compares and hashes by value."""
 
-    __slots__ = ("stem", "loop", "alphabet")
+    stem: str
+    loop: str
+    alphabet: Alphabet
 
-    def __init__(self, stem: str, loop: str, alphabet: Alphabet):
-        if not loop:
+    def __post_init__(self):
+        if not self.loop:
             raise ValueError("loop must be nonempty")
-        for c in stem + loop:
-            if c not in alphabet:
-                raise ValueError("letter %r is not in alphabet %s" % (c, alphabet))
-        self.stem = stem
-        self.loop = loop
-        self.alphabet = alphabet
+        for c in self.stem + self.loop:
+            if c not in self.alphabet:
+                raise ValueError("letter %r is not in alphabet %s" % (c, self.alphabet))
 
     def n_offsets(self) -> int:
         return len(self.stem) + len(self.loop)
@@ -54,17 +56,6 @@ class UPWord:
     def advance(self, i: int) -> int:
         j = i + 1
         return j if j < self.n_offsets() else len(self.stem)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UPWord)
-            and other.stem == self.stem
-            and other.loop == self.loop
-            and other.alphabet == self.alphabet
-        )
-
-    def __hash__(self):
-        return hash((self.stem, self.loop, self.alphabet))
 
     def __str__(self):
         return "%s(%s)^w" % (self.stem, self.loop)
@@ -206,6 +197,5 @@ def winning_offsets(words, e: Expr) -> list:
 
 def member(w: UPWord, e: Expr) -> bool:
     """True iff the word lies in the language of the closed expression e."""
-    e = canonical(e)
     require_closed(e, "member")
     return winning_offsets((w,), e)[0] & 1 == 1

@@ -165,7 +165,7 @@ def gen_expr(rng, alphabet: Alphabet, size: int, scope=(), letters=True):
     if kind == "var":
         return Var(rng.choice(list(scope)))
     if kind == "letter":
-        return Letter(rng.choice(alphabet.letters), gen_expr(rng, alphabet, size - 1, scope, letters))
+        return Letter(rng.choice(alphabet), gen_expr(rng, alphabet, size - 1, scope, letters))
     if kind in ("plus", "cap"):
         ls = rng.randint(1, max(1, size - 2))
         left = gen_expr(rng, alphabet, ls, scope, letters)
@@ -178,8 +178,8 @@ def gen_expr(rng, alphabet: Alphabet, size: int, scope=(), letters=True):
 
 def gen_word(rng, alphabet: Alphabet, max_stem=3, max_loop=3):
     """A random (stem, loop) pair with the given size bounds."""
-    stem = "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(0, max_stem)))
-    loop = "".join(rng.choice(alphabet.letters) for _ in range(rng.randint(1, max_loop)))
+    stem = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_stem)))
+    loop = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_loop)))
     return stem, loop
 
 
@@ -202,7 +202,7 @@ def gen_guarded_expr(rng, alphabet: Alphabet, size: int, guarded=(), exposed=())
         return Var(rng.choice(guarded))
     if kind == "letter":
         body = gen_guarded_expr(rng, alphabet, size - 1, guarded + exposed)
-        return Letter(rng.choice(alphabet.letters), body)
+        return Letter(rng.choice(alphabet), body)
     if kind in ("plus", "cap"):
         ls = rng.randint(1, max(1, size - 2))
         left = gen_guarded_expr(rng, alphabet, ls, guarded, exposed)
@@ -1222,7 +1222,7 @@ def ref_soundness_violations(instances, seed: int):
             if rule.startswith("h_") or rule == "r-p":
                 head = w.letter_at(0)
                 if rule == "r-p":
-                    prem = inst.premisses[ALPHABET.letters.index(head)]
+                    prem = inst.premisses[ALPHABET.index(head)]
                 elif rule[2:] == head:
                     prem = inst.premisses[0]
                 else:

@@ -105,6 +105,21 @@ def test_the_sequent_table_keeps_no_sequent_alive():
     assert len(calculus_module._SEQUENTS) <= before
 
 
+def test_alphabets_and_words_are_immutable_and_keep_their_sequents():
+    s = seq("a 0, mu X. a X + T |- nu Y. b Y")
+    ab = s.alphabet
+    word = UPWord("a", "ab", ab)
+    targets = [(ab, "letters"), (ab, "extra"), (word, "stem"), (word, "loop"), (word, "alphabet")]
+    for value, name in targets:
+        with pytest.raises(AttributeError):
+            setattr(value, name, "c")
+    with pytest.raises(TypeError):
+        ab[0] = "c"
+    assert ab == Alphabet("ab") and str(ab) == "ab" and tuple(ab) == ("a", "b")
+    assert (word.stem, word.loop, word.alphabet) == ("a", "ab", Alphabet("ab"))
+    assert Sequent(s.lhs, s.rhs, Alphabet("ab")) is s
+
+
 def test_derived_premisses_equal_the_checked_sequents(monkeypatch):
     instances = []
     for alphabet in (AB, Alphabet("abc")):

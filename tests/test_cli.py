@@ -245,6 +245,35 @@ def test_check_refuses_a_malformed_graph_with_exit_64(capsys, tmp_path, records,
     assert out.out == "" and out.err == "error: %s\n" % message
 
 
+# parse_proof checks every record's id before it parses a later sequent, and
+# every child of a record before it infers a later record's omitted principal
+@pytest.mark.parametrize(
+    "records, message, later_message",
+    [
+        (
+            [LOOP_RECORD % ("n0", "n0"), LOOP_RECORD % ("n0", "n0"), "node n1: a a |- ; rule mu-l ; children n1\n"],
+            "duplicate node id 'n0'",
+            "unexpected end of input at position 3 in 'a a'",
+        ),
+        (
+            [LOOP_RECORD % ("n0", "n9"), "node n1: a 0 |- T ; rule mu-l ; children n1\n"],
+            "node n0 references unknown child 'n9'",
+            "node n1: principal formula for μ-l is undetermined; write it explicitly",
+        ),
+    ],
+    ids=["duplicate-id-before-bad-sequent", "unknown-child-before-undetermined-principal"],
+)
+def test_check_reports_the_first_of_two_faults_in_record_order(capsys, tmp_path, records, message, later_message):
+    f = tmp_path / "graph.proof"
+    f.write_text("alphabet: ab\n" + "".join(records) + "root n0\n")
+    assert cli_module.main(["check", str(f)]) == 64
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    # the later fault alone is refused with its own text
+    f.write_text("alphabet: ab\n" + LOOP_RECORD % ("n0", "n0") + records[-1] + "root n0\n")
+    assert cli_module.main(["check", str(f)]) == 64
+    assert capsys.readouterr() == ("", "error: %s\n" % later_message)
+
+
 # parse_proof gives each node the premisses its children carry, so a μ-l node
 # with the wrong number of children is a schema violation, not a malformed graph
 SCHEMA_VIOLATION = "node n0: premisses do not match the μ-l schema for this conclusion"

@@ -7,15 +7,20 @@ output on every benchmark row; here it runs on the smoke rows only.
 tests/golden/graphs.py dumps the progress verdict on seeded random proof
 graphs; here it runs on three seeds.  tests/golden/scale.py digests the
 trace automaton and verdict of the scale rows; here it runs on the refuted
-3-letter row.
+3-letter row.  tests/golden/gates.py runs the full dumps in this checkout
+and in a parent one and compares them; here it compares a copy of this
+checkout with itself on a short graphs dump, and must report a difference
+planted in the copy.
 """
 
 import json
+import re
+import shutil
 
 import pytest
 
 from golden.regenerate import CAPTURE, cases, run
-from golden import graphs, scale
+from golden import gates, graphs, scale
 from golden.rows import dump_lines, workloads
 
 with open(CAPTURE, encoding="utf-8") as _f:
@@ -98,3 +103,18 @@ def test_scale_dump_digests_the_refuted_three_letter_row():
     lasso = record["lasso"]
     assert lasso["stem"] == ["n%d" % i for i in range(16)] and lasso["stem_edges"] == [0] * 16
     assert lasso["cycle"][0] == "n17" and len(lasso["cycle"]) == len(lasso["cycle_edges"]) == 61
+
+
+def test_gates_read_identical_on_a_copy_and_report_a_planted_difference(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(gates, "DUMPS", (("graphs.py", "20"),))
+    copy = tmp_path / "copy"
+    shutil.copytree(gates.ROOT, copy, ignore=shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache"))
+    assert gates.main([str(copy)]) == 0
+    assert re.fullmatch(r"graphs\.py 20: identical \(\d+ lines\)\n", capsys.readouterr().out)
+    proof = copy / "src" / "rll" / "proof.py"
+    text = proof.read_text(encoding="utf-8")
+    assert text.count('return "accepted"') == 1
+    proof.write_text(text.replace('return "accepted"', 'return "planted"'), encoding="utf-8")
+    assert gates.main([str(copy)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("graphs.py 20: differs at line ") and '"reason": "planted"' in out

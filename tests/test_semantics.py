@@ -64,6 +64,10 @@ def test_word_parsing_and_printing():
     assert str(u) == "ab(ba)^w"
     assert str(w("(a)^w")) == "(a)^w"
     assert parse_word("  (ab)^w ", AB) == w("(ab)^w")
+    assert repr(u) == "UPWord('ab', 'ba', 'ab')"
+    # a value: equal and equally hashed by its fields, not by the language it denotes
+    assert u == UPWord("ab", "ba", Alphabet("ab")) and {u: 1}[UPWord("ab", "ba", Alphabet("ab"))] == 1
+    assert u != w("a(bba)^w") and u != UPWord("ab", "ba", Alphabet("abc"))
 
 
 def test_word_rejects_malformed_input():
@@ -164,8 +168,8 @@ def test_large_games_agree_with_denotational_fixpoints():
         m = len(fl.members)
         n = target // m
         cut = rng.randint(n // 4, n // 2)
-        loop_letters = rng.sample(alphabet.letters, rng.randint(1, len(alphabet.letters)))
-        stem = "".join(rng.choice(alphabet.letters) for _ in range(cut))
+        loop_letters = rng.sample(alphabet, rng.randint(1, len(alphabet)))
+        stem = "".join(rng.choice(alphabet) for _ in range(cut))
         loop = "".join(rng.choice(loop_letters) for _ in range(n - cut))
         word = UPWord(stem, loop, alphabet)
         game = build_eval_game(word, expr)

@@ -7,7 +7,9 @@ imports a private (underscored) name from another.  Only `cli.main`
 prints, names `sys.stdout` or `sys.stderr`, or reads the `--json` flag, so
 every command shares its one output path.  A proof graph's node names,
 `ProofGraph.order`, are read only at the file boundary.  Only
-`rll.calculus` builds a `Sequent` without its checking constructor.  Test-only
+`rll.calculus` builds a `Sequent` without its checking constructor.  No
+class restates equality, hashing or the container protocol: values compare
+as tuples or dataclasses, and interned classes by identity.  Test-only
 algorithms and data belong in `tests/`.  Every import sits at the top of
 its module: an import inside a function or class body usually works round
 a module cycle, which belongs fixed in the module layout."""
@@ -224,3 +226,24 @@ def test_only_calculus_builds_a_sequent_without_its_checks():
             ):
                 found.append("%s:%d __new__" % (mod, node.lineno))
     assert found == [], "Sequent built without its checks outside rll.calculus: " + ", ".join(found)
+
+
+VALUE_METHODS = {"__eq__", "__hash__", "__iter__", "__len__", "__contains__"}
+
+
+def test_no_class_in_src_writes_its_own_equality_hash_or_container_protocol():
+    found = []
+    for mod, tree in _modules().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for stmt in node.body:
+                    if isinstance(stmt, ast.FunctionDef):
+                        names = {stmt.name}
+                    elif isinstance(stmt, ast.Assign):
+                        names = {_name(t) for t in stmt.targets}
+                    elif isinstance(stmt, ast.AnnAssign):
+                        names = {_name(stmt.target)}
+                    else:
+                        continue
+                    found += ["%s.%s.%s" % (mod, node.name, n) for n in sorted(names & VALUE_METHODS)]
+    assert found == [], "defined by hand: " + ", ".join(found)
