@@ -1,16 +1,19 @@
 """Built-in fixture corpus: named expressions, decision sequents, and
 cyclic-proof fixtures over the two-letter alphabet.
 
-Proof fixtures are constructed from their derivation structure alone: each
-node gives (rule, principal, children) and the builder propagates sequents
-from the root through rule premisses, so a mis-stated derivation fails to
-build rather than silently producing a different proof.
+Proof fixtures are the rows of one table, _PROOFS, each a derivation given
+by its structure alone: each node gives (rule, principal, children), and
+_build_proof, the one builder, propagates sequents from the root through
+rule premisses.  A mis-stated derivation, including an entry that the root
+does not reach or a child with no entry, fails to build rather than
+silently producing a different proof.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cache
 
 from .expr import (
     TOP,
@@ -37,7 +40,7 @@ from .calculus import LOGICAL_RULE, Sequent, make_instance, premiss_letters
 from .semantics import UPWord, member, parse_word, winning_offsets
 from .automaton import default_coloring
 from .proof import ProofGraph, check
-from .decide import Proved, Refuted, decide, saturate
+from .decide import Proved, decide, saturate
 
 ALPHABET = Alphabet("ab")
 
@@ -104,11 +107,15 @@ DECISIONS = (
 
 def _build_proof(root_sequent: Sequent, derivation, root: str = "n0") -> ProofGraph:
     """Assemble a ProofGraph from {id: (rule, principal, children)} by
-    propagating sequents from the root through each instance's premisses."""
+    propagating sequents from the root through each instance's premisses.
+    An entry that the root does not reach, or a child with no entry, raises
+    ValueError."""
     sequents = {root: root_sequent}
     queue = [root]
     ordered = []
     for nid in queue:  # the queue grows while it is walked
+        if nid not in derivation:
+            continue  # ProofGraph names the node that lists it
         rule, principal, kids = derivation[nid]
         inst = make_instance(rule, sequents[nid], principal)
         for prem, cid in zip(inst.premisses, kids):
@@ -116,168 +123,126 @@ def _build_proof(root_sequent: Sequent, derivation, root: str = "n0") -> ProofGr
                 sequents[cid] = prem
                 queue.append(cid)
         ordered.append((nid, inst, tuple(kids)))
+    unreached = [nid for nid in derivation if nid not in sequents]
+    if unreached:
+        raise ValueError("unreachable nodes: %s" % ", ".join(unreached))
     return ProofGraph(ordered, root)
-
-
-def _proof_only_a_has_inf_a() -> ProofGraph:
-    # only a's has infinitely many a's: loop unfolds both sides, steps over a
-    return _build_proof(
-        _seq({_REP_A}, {_I_A}),
-        {
-            "n0": ("ν-l", _REP_A, ("n1",)),
-            "n1": ("ν-r", _I_A, ("n2",)),
-            "n2": ("μ-r", _I_A1, ("n3",)),
-            "n3": ("+-r", unfold(_I_A1), ("n4",)),
-            "n4": ("r-w", Letter("b", _I_A1), ("n5",)),
-            "n5": ("h_a", "a", ("n0",)),
-        },
-    )
-
-
-def _proof_fin_a_cap_only_a_empty() -> ProofGraph:
-    # finitely many a's and only a's is impossible
-    ufa = unfold(_F_A)                      # a fin-a + b fin-a + only-b
-    pab = Plus(Letter("a", _F_A), Letter("b", _F_A))
-    return _build_proof(
-        _seq({Cap(_F_A, _REP_A)}, set()),
-        {
-            "n0": ("∩-l", Cap(_F_A, _REP_A), ("n1",)),
-            "n1": ("ν-l", _REP_A, ("n2",)),
-            "n2": ("μ-l", _F_A, ("n3",)),
-            "n3": ("+-l", ufa, ("n4", "n5")),
-            "n4": ("+-l", pab, ("n6", "n7")),
-            "n6": ("h_a", "a", ("n1",)),
-            "n7": ("l-p", None, ()),
-            "n5": ("ν-l", _REP_B, ("n8",)),
-            "n8": ("l-p", None, ()),
-        },
-    )
-
-
-def _proof_fin_a_has_inf_b() -> ProofGraph:
-    # finitely many a's forces infinitely many b's
-    ufa = unfold(_F_A)
-    pab = Plus(Letter("a", _F_A), Letter("b", _F_A))
-    return _build_proof(
-        _seq({_F_A}, {_I_B}),
-        {
-            "n0": ("ν-r", _I_B, ("n1",)),
-            "n1": ("μ-r", _I_B1, ("n2",)),
-            "n2": ("μ-l", _F_A, ("n3",)),
-            "n3": ("+-r", unfold(_I_B1), ("n4",)),
-            "n4": ("+-l", ufa, ("n5", "n6")),
-            "n5": ("+-l", pab, ("n7", "n8")),
-            "n7": ("r-w", Letter("b", _I_B), ("n9",)),
-            "n9": ("h_a", "a", ("n1",)),
-            "n8": ("r-w", Letter("a", _I_B1), ("n10",)),
-            "n10": ("h_b", "b", ("n0",)),
-            "n6": ("ν-l", _REP_B, ("n11",)),
-            "n11": ("r-w", Letter("a", _I_B1), ("n12",)),
-            "n12": ("h_b", "b", ("n13",)),
-            "n13": ("ν-r", _I_B, ("n14",)),
-            "n14": ("μ-r", _I_B1, ("n15",)),
-            "n15": ("ν-l", _REP_B, ("n16",)),
-            "n16": ("+-r", unfold(_I_B1), ("n11",)),
-        },
-    )
-
-
-def _proof_fin_a_or_inf_a_total() -> ProofGraph:
-    # every word has finitely many or infinitely many a's
-    ufa = unfold(_F_A)
-    pab = Plus(Letter("a", _F_A), Letter("b", _F_A))
-    return _build_proof(
-        _seq(set(), {Plus(_F_A, _I_A)}),
-        {
-            "n0": ("+-r", Plus(_F_A, _I_A), ("n1",)),
-            "n1": ("μ-r", _F_A, ("n2",)),
-            "n2": ("ν-r", _I_A, ("n3",)),
-            "n3": ("+-r", ufa, ("n4",)),
-            "n4": ("+-r", pab, ("n5",)),
-            "n5": ("ν-r", _REP_B, ("n6",)),
-            "n6": ("μ-r", _I_A1, ("n7",)),
-            "n7": ("+-r", unfold(_I_A1), ("n8",)),
-            "n8": ("r-p", None, ("n1", "n9")),
-            "n9": ("μ-r", _F_A, ("n10",)),
-            "n10": ("+-r", ufa, ("n4",)),
-        },
-    )
-
-
-def _proof_fin_a_cap_fin_b_empty() -> ProofGraph:
-    # no word has finitely many a's and finitely many b's
-    ufa = unfold(_F_A)
-    ufb = unfold(_F_B)
-    pa = Plus(Letter("a", _F_A), Letter("b", _F_A))
-    pb = Plus(Letter("a", _F_B), Letter("b", _F_B))
-    return _build_proof(
-        _seq({Cap(_F_A, _F_B)}, set()),
-        {
-            "n0": ("∩-l", Cap(_F_A, _F_B), ("n1",)),
-            "n1": ("μ-l", _F_A, ("n2",)),
-            "n2": ("μ-l", _F_B, ("n3",)),
-            "n3": ("+-l", ufa, ("n4", "n5")),
-            "n4": ("+-l", pa, ("n6", "n7")),
-            "n6": ("+-l", ufb, ("n8", "n9")),
-            "n8": ("+-l", pb, ("n10", "n11")),
-            "n10": ("h_a", "a", ("n1",)),
-            "n11": ("l-p", None, ()),
-            "n9": ("ν-l", _REP_A, ("n12",)),
-            "n12": ("h_a", "a", ("n13",)),
-            "n13": ("ν-l", _REP_A, ("n14",)),
-            "n14": ("μ-l", _F_A, ("n15",)),
-            "n15": ("+-l", ufa, ("n16", "n17")),
-            "n16": ("+-l", pa, ("n18", "n19")),
-            "n18": ("h_a", "a", ("n13",)),
-            "n19": ("l-p", None, ()),
-            "n17": ("ν-l", _REP_B, ("n20",)),
-            "n20": ("l-p", None, ()),
-            "n7": ("+-l", ufb, ("n21", "n22")),
-            "n21": ("+-l", pb, ("n23", "n24")),
-            "n23": ("l-p", None, ()),
-            "n24": ("h_b", "b", ("n1",)),
-            "n22": ("ν-l", _REP_A, ("n25",)),
-            "n25": ("l-p", None, ()),
-            "n5": ("+-l", ufb, ("n26", "n27")),
-            "n26": ("+-l", pb, ("n28", "n29")),
-            "n28": ("ν-l", _REP_B, ("n30",)),
-            "n30": ("l-p", None, ()),
-            "n29": ("ν-l", _REP_B, ("n31",)),
-            "n31": ("h_b", "b", ("n32",)),
-            "n32": ("μ-l", _F_B, ("n33",)),
-            "n33": ("+-l", ufb, ("n26", "n27")),
-            "n27": ("ν-l", _REP_B, ("n34",)),
-            "n34": ("ν-l", _REP_A, ("n35",)),
-            "n35": ("l-p", None, ()),
-        },
-    )
-
-
-def _single_loop(lhs, rhs, rule, principal) -> ProofGraph:
-    s = _seq(lhs, rhs)
-    return ProofGraph([("n0", make_instance(rule, s, principal), ("n0",))], "n0")
 
 
 _NONE = EXPRESSIONS["none"]
 _ALL = EXPRESSIONS["all"]
+_UF_A = unfold(_F_A)  # a fin-a + b fin-a + only-b
+_UF_B = unfold(_F_B)
+_P_A = Plus(Letter("a", _F_A), Letter("b", _F_A))
+_P_B = Plus(Letter("a", _F_B), Letter("b", _F_B))
 
-# name -> (builder, expected to pass proof.check)
-_PROOF_TABLE = (
-    ("only-a-has-inf-a", _proof_only_a_has_inf_a, True),
-    ("fin-a-cap-only-a-empty", _proof_fin_a_cap_only_a_empty, True),
-    ("fin-a-has-inf-b", _proof_fin_a_has_inf_b, True),
-    ("fin-a-or-inf-a-total", _proof_fin_a_or_inf_a_total, True),
-    ("fin-a-cap-fin-b-empty", _proof_fin_a_cap_fin_b_empty, True),
-    ("none-sub-all-unfold-left", lambda: _single_loop({_NONE}, {_ALL}, "μ-l", _NONE), True),
-    ("none-sub-all-unfold-right", lambda: _single_loop({_NONE}, {_ALL}, "ν-r", _ALL), True),
-    ("all-sub-none-unfold-left", lambda: _single_loop({_ALL}, {_NONE}, "ν-l", _ALL), False),
-    ("all-sub-none-unfold-right", lambda: _single_loop({_ALL}, {_NONE}, "μ-r", _NONE), False),
+# the proof fixtures: (name, root sequent, {id: (rule, principal, children)},
+# expected to pass proof.check); a single-node loop lists itself as its child
+_PROOFS = (
+    # only a's has infinitely many a's: loop unfolds both sides, steps over a
+    ("only-a-has-inf-a", _seq({_REP_A}, {_I_A}), {
+        "n0": ("ν-l", _REP_A, ("n1",)),
+        "n1": ("ν-r", _I_A, ("n2",)),
+        "n2": ("μ-r", _I_A1, ("n3",)),
+        "n3": ("+-r", unfold(_I_A1), ("n4",)),
+        "n4": ("r-w", Letter("b", _I_A1), ("n5",)),
+        "n5": ("h_a", "a", ("n0",)),
+    }, True),
+    # finitely many a's and only a's is impossible
+    ("fin-a-cap-only-a-empty", _seq({Cap(_F_A, _REP_A)}, set()), {
+        "n0": ("∩-l", Cap(_F_A, _REP_A), ("n1",)),
+        "n1": ("ν-l", _REP_A, ("n2",)),
+        "n2": ("μ-l", _F_A, ("n3",)),
+        "n3": ("+-l", _UF_A, ("n4", "n5")),
+        "n4": ("+-l", _P_A, ("n6", "n7")),
+        "n6": ("h_a", "a", ("n1",)),
+        "n7": ("l-p", None, ()),
+        "n5": ("ν-l", _REP_B, ("n8",)),
+        "n8": ("l-p", None, ()),
+    }, True),
+    # finitely many a's forces infinitely many b's
+    ("fin-a-has-inf-b", _seq({_F_A}, {_I_B}), {
+        "n0": ("ν-r", _I_B, ("n1",)),
+        "n1": ("μ-r", _I_B1, ("n2",)),
+        "n2": ("μ-l", _F_A, ("n3",)),
+        "n3": ("+-r", unfold(_I_B1), ("n4",)),
+        "n4": ("+-l", _UF_A, ("n5", "n6")),
+        "n5": ("+-l", _P_A, ("n7", "n8")),
+        "n7": ("r-w", Letter("b", _I_B), ("n9",)),
+        "n9": ("h_a", "a", ("n1",)),
+        "n8": ("r-w", Letter("a", _I_B1), ("n10",)),
+        "n10": ("h_b", "b", ("n0",)),
+        "n6": ("ν-l", _REP_B, ("n11",)),
+        "n11": ("r-w", Letter("a", _I_B1), ("n12",)),
+        "n12": ("h_b", "b", ("n13",)),
+        "n13": ("ν-r", _I_B, ("n14",)),
+        "n14": ("μ-r", _I_B1, ("n15",)),
+        "n15": ("ν-l", _REP_B, ("n16",)),
+        "n16": ("+-r", unfold(_I_B1), ("n11",)),
+    }, True),
+    # every word has finitely many or infinitely many a's
+    ("fin-a-or-inf-a-total", _seq(set(), {Plus(_F_A, _I_A)}), {
+        "n0": ("+-r", Plus(_F_A, _I_A), ("n1",)),
+        "n1": ("μ-r", _F_A, ("n2",)),
+        "n2": ("ν-r", _I_A, ("n3",)),
+        "n3": ("+-r", _UF_A, ("n4",)),
+        "n4": ("+-r", _P_A, ("n5",)),
+        "n5": ("ν-r", _REP_B, ("n6",)),
+        "n6": ("μ-r", _I_A1, ("n7",)),
+        "n7": ("+-r", unfold(_I_A1), ("n8",)),
+        "n8": ("r-p", None, ("n1", "n9")),
+        "n9": ("μ-r", _F_A, ("n10",)),
+        "n10": ("+-r", _UF_A, ("n4",)),
+    }, True),
+    # no word has finitely many a's and finitely many b's
+    ("fin-a-cap-fin-b-empty", _seq({Cap(_F_A, _F_B)}, set()), {
+        "n0": ("∩-l", Cap(_F_A, _F_B), ("n1",)),
+        "n1": ("μ-l", _F_A, ("n2",)),
+        "n2": ("μ-l", _F_B, ("n3",)),
+        "n3": ("+-l", _UF_A, ("n4", "n5")),
+        "n4": ("+-l", _P_A, ("n6", "n7")),
+        "n6": ("+-l", _UF_B, ("n8", "n9")),
+        "n8": ("+-l", _P_B, ("n10", "n11")),
+        "n10": ("h_a", "a", ("n1",)),
+        "n11": ("l-p", None, ()),
+        "n9": ("ν-l", _REP_A, ("n12",)),
+        "n12": ("h_a", "a", ("n13",)),
+        "n13": ("ν-l", _REP_A, ("n14",)),
+        "n14": ("μ-l", _F_A, ("n15",)),
+        "n15": ("+-l", _UF_A, ("n16", "n17")),
+        "n16": ("+-l", _P_A, ("n18", "n19")),
+        "n18": ("h_a", "a", ("n13",)),
+        "n19": ("l-p", None, ()),
+        "n17": ("ν-l", _REP_B, ("n20",)),
+        "n20": ("l-p", None, ()),
+        "n7": ("+-l", _UF_B, ("n21", "n22")),
+        "n21": ("+-l", _P_B, ("n23", "n24")),
+        "n23": ("l-p", None, ()),
+        "n24": ("h_b", "b", ("n1",)),
+        "n22": ("ν-l", _REP_A, ("n25",)),
+        "n25": ("l-p", None, ()),
+        "n5": ("+-l", _UF_B, ("n26", "n27")),
+        "n26": ("+-l", _P_B, ("n28", "n29")),
+        "n28": ("ν-l", _REP_B, ("n30",)),
+        "n30": ("l-p", None, ()),
+        "n29": ("ν-l", _REP_B, ("n31",)),
+        "n31": ("h_b", "b", ("n32",)),
+        "n32": ("μ-l", _F_B, ("n33",)),
+        "n33": ("+-l", _UF_B, ("n26", "n27")),
+        "n27": ("ν-l", _REP_B, ("n34",)),
+        "n34": ("ν-l", _REP_A, ("n35",)),
+        "n35": ("l-p", None, ()),
+    }, True),
+    ("none-sub-all-unfold-left", _seq({_NONE}, {_ALL}), {"n0": ("μ-l", _NONE, ("n0",))}, True),
+    ("none-sub-all-unfold-right", _seq({_NONE}, {_ALL}), {"n0": ("ν-r", _ALL, ("n0",))}, True),
+    ("all-sub-none-unfold-left", _seq({_ALL}, {_NONE}), {"n0": ("ν-l", _ALL, ("n0",))}, False),
+    ("all-sub-none-unfold-right", _seq({_ALL}, {_NONE}), {"n0": ("μ-r", _NONE, ("n0",))}, False),
 )
 
 
 def proofs():
     """name -> (ProofGraph, expected-accepted) for every proof fixture."""
-    return {name: (build(), expected) for name, build, expected in _PROOF_TABLE}
+    return {name: (_build_proof(s, derivation), expected) for name, s, derivation, expected in _PROOFS}
 
 
 # ---------------------------------------------------------------------------
@@ -312,6 +277,14 @@ MEMBERSHIP_SAMPLES = 1000  # random (expression, word) pairs whose membership so
 CLOSED_FORM_WORDS = 50  # sampled words each for 0 and T
 SOUNDNESS_WORDS = 200  # sampled words per rule instance
 MAX_STEM = MAX_LOOP = 3  # most letters in a sampled word's stem and loop; a loop has at least one
+
+# hand-derivable memberships: (word, expression, member?)
+CLOSED_FORMS = (
+    ("(a)^w", _REP_A, True),
+    ("(b)^w", _I_A, False),
+    ("(ba)^w", Cap(_I_A, _I_B), True),
+    ("a(b)^w", _F_A, True),
+)
 
 
 def sample_word(rng) -> UPWord:
@@ -411,14 +384,8 @@ def membership_mismatches(seed: int):
 
 def closed_form_failures(seed: int):
     """Check the bundled expressions against hand-derivable memberships."""
-    facts = (
-        ("(a)^w", EXPRESSIONS["only-a"], True),
-        ("(b)^w", EXPRESSIONS["inf-a"], False),
-        ("(ba)^w", Cap(EXPRESSIONS["inf-a"], EXPRESSIONS["inf-b"]), True),
-        ("a(b)^w", EXPRESSIONS["fin-a"], True),
-    )
     out = []
-    for text, e, expected in facts:
+    for text, e, expected in CLOSED_FORMS:
         w = parse_word(text, ALPHABET)
         if member(w, e) is not expected:
             out.append("%s in %s should be %s" % (text, pretty(e), expected))
@@ -530,99 +497,78 @@ class SuiteRow:
     detail: str
 
 
+def _checked(p: ProofGraph, expected: bool):
+    """(ok, detail) of check(p) against the expected verdict; a rejection
+    must come with its lasso."""
+    r = check(p)
+    want = "accepted" if expected else "rejected"
+    ok = r.ok == expected and (r.ok or r.lasso is not None)
+    return ok, "%d nodes, expected %s, got %s" % (len(p.order), want, r.reason)
+
+
+def _decided(s: Sequent, verdict: str, unproved="expected a proof, got a countermodel"):
+    """(ok, detail) of decide(s) against the expected verdict; unproved words
+    a countermodel where a proof was expected, with {} for its word."""
+    out = decide(s)
+    if isinstance(out, Proved):
+        if verdict == "proved":
+            return True, "proof with %d nodes re-checked" % len(out.proof.order)
+        return False, "expected a countermodel, got a proof"
+    if verdict == "refuted":
+        return True, "countermodel %s verified" % out.word
+    return False, unproved.format(out.word)
+
+
+def _batch(failures, summary: str, first=None):
+    """(ok, detail) of a property batch: the summary when nothing fails,
+    else "summary; first: failure" when first names the failure, and the
+    failure alone otherwise."""
+    if not failures:
+        return True, summary
+    return False, "%s; %s: %s" % (summary, first, failures[0]) if first else failures[0]
+
+
 def run_suite(seed: int, filter_text=None):
     """Run the regression suite and return one SuiteRow per fixture or
     property batch, in a fixed order.  filter_text restricts to rows whose
-    "group/name" contains it.  Rows that call decide take its checked verdict."""
-
-    def wanted(group, name):
-        return filter_text is None or filter_text in "%s/%s" % (group, name)
-
+    "group/name" contains it, and a row that is not wanted runs nothing.
+    Rows that call decide take its checked verdict."""
     rows = []
 
+    def row(group: str, name: str, result):
+        """Add the row group/name if it is wanted, with the (ok, detail) that
+        result() gives; result runs at once or not at all, so it may read
+        the caller's loop variables."""
+        if filter_text is None or filter_text in "%s/%s" % (group, name):
+            rows.append(SuiteRow(group, name, *result()))
+
     for name, (p, expected) in proofs().items():
-        if not wanted("proofs", name):
-            continue
-        r = check(p)
-        ok = r.ok == expected and (r.ok or r.lasso is not None)
-        want = "accepted" if expected else "rejected"
-        detail = "%d nodes, expected %s, got %s" % (len(p.order), want, r.reason)
-        rows.append(SuiteRow("proofs", name, ok, detail))
+        row("proofs", name, lambda: _checked(p, expected))
 
     for name, s, verdict in DECISIONS:
-        if not wanted("decisions", name):
-            continue
-        out = decide(s)
-        if verdict == "proved":
-            ok = isinstance(out, Proved)
-            detail = (
-                "proof with %d nodes re-checked" % len(out.proof.order)
-                if ok
-                else "expected a proof, got a countermodel"
-            )
-        else:
-            ok = isinstance(out, Refuted)
-            detail = "countermodel %s verified" % out.word if ok else "expected a countermodel, got a proof"
-        rows.append(SuiteRow("decisions", name, ok, detail))
+        row("decisions", name, lambda: _decided(s, verdict))
 
     for name in COMPLEMENT_ROUND_NAMES:
         e = EXPRESSIONS[name]
         ce = complement(e, ALPHABET)
-        for suffix, s in (
-            ("total", Sequent(set(), {Plus(e, ce)}, ALPHABET)),
-            ("empty", Sequent({Cap(e, ce)}, set(), ALPHABET)),
-        ):
-            if not wanted("complement", "%s-%s" % (name, suffix)):
-                continue
-            out = decide(s)
-            ok = isinstance(out, Proved)
-            detail = (
-                "proof with %d nodes re-checked" % len(out.proof.order)
-                if ok
-                else "expected a proof, got %s" % out.word
-            )
-            rows.append(SuiteRow("complement", "%s-%s" % (name, suffix), ok, detail))
+        for suffix, s in (("total", _seq(set(), {Plus(e, ce)})), ("empty", _seq({Cap(e, ce)}, set()))):
+            row("complement", "%s-%s" % (name, suffix), lambda: _decided(s, "proved", "expected a proof, got {}"))
 
-    if wanted("membership", "three-way-agreement"):
-        mismatches = membership_mismatches(seed)
-        detail = "%d samples" % MEMBERSHIP_SAMPLES
-        if mismatches:
-            detail += "; first disagreement: %s" % mismatches[0]
-        rows.append(
-            SuiteRow("membership", "three-way-agreement", not mismatches, detail)
-        )
-    if wanted("membership", "closed-forms"):
-        fails = closed_form_failures(seed)
-        detail = "4 fixed facts, %d sampled words each for 0 and ⊤" % CLOSED_FORM_WORDS
-        if fails:
-            detail = fails[0]
-        rows.append(SuiteRow("membership", "closed-forms", not fails, detail))
+    row("membership", "three-way-agreement", lambda: _batch(
+        membership_mismatches(seed), "%d samples" % MEMBERSHIP_SAMPLES, "first disagreement"))
+    row("membership", "closed-forms", lambda: _batch(
+        closed_form_failures(seed),
+        "%d fixed facts, %d sampled words each for 0 and ⊤" % (len(CLOSED_FORMS), CLOSED_FORM_WORDS)))
 
-    if wanted("soundness", "rule-soundness") or wanted("soundness", "rule-invertibility"):
+    @cache  # one batch backs both rows
+    def soundness():
         instances = saturation_instances()
-        unsound, uninvertible = soundness_violations(instances, seed)
-        for name, failures in (
-            ("rule-soundness", unsound),
-            ("rule-invertibility", uninvertible),
-        ):
-            if wanted("soundness", name):
-                detail = "%d instances x %d words" % (len(instances), SOUNDNESS_WORDS)
-                if failures:
-                    detail += "; first: %s" % failures[0]
-                rows.append(SuiteRow("soundness", name, not failures, detail))
+        return "%d instances x %d words" % (len(instances), SOUNDNESS_WORDS), soundness_violations(instances, seed)
 
-    size_fails, colour_fails = (None, None)
-    if wanted("bounds", "closure-size") or wanted("bounds", "colouring"):
-        size_fails, colour_fails = bound_failures()
-    if wanted("bounds", "closure-size"):
-        detail = "%d expressions" % len(EXPRESSIONS)
-        if size_fails:
-            detail = size_fails[0]
-        rows.append(SuiteRow("bounds", "closure-size", not size_fails, detail))
-    if wanted("bounds", "colouring"):
-        detail = "%d expressions" % len(EXPRESSIONS)
-        if colour_fails:
-            detail = colour_fails[0]
-        rows.append(SuiteRow("bounds", "colouring", not colour_fails, detail))
+    bounds = cache(bound_failures)
+    for k, name in enumerate(("rule-soundness", "rule-invertibility")):
+        row("soundness", name, lambda: _batch(soundness()[1][k], soundness()[0], "first"))
+    for k, name in enumerate(("closure-size", "colouring")):
+        row("bounds", name, lambda: _batch(bounds()[k], "%d expressions" % len(EXPRESSIONS)))
 
     return rows

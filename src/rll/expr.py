@@ -531,13 +531,7 @@ class FLClosure:
 
 
 def _reducts(e: Expr):
-    if isinstance(e, Letter):
-        return (e.body,)
-    if isinstance(e, (Plus, Cap)):
-        return (e.left, e.right)
-    if isinstance(e, _BINDERS):
-        return (unfold(e),)
-    return ()
+    return (unfold(e),) if isinstance(e, _BINDERS) else _children(e)
 
 
 def fl_closure(e: Expr) -> FLClosure:

@@ -47,8 +47,16 @@ def test_aliases_point_at_bundled_expressions():
         ({"n0": ("+-l", "a 0 + b 0", ("n1", "n2")), "n1": ("h_a", "a", ()), "n2": ("h_b", "b", ("n3",)),
           "n3": ("0-l", "0", ())},
          "node 'n1': children carry [], premisses are [0 |-]"),
+        # n9 and n8 are entries that the root never reaches, named in the derivation's order
+        ({"n0": ("+-l", "a 0 + b 0", ("n1", "n2")), "n9": ("0-l", "0", ()), "n1": ("h_a", "a", ("n3",)),
+          "n2": ("h_b", "b", ("n3",)), "n8": ("0-l", "0", ()), "n3": ("0-l", "0", ())},
+         "unreachable nodes: n9, n8"),
+        # h_b's child n9 has no entry
+        ({"n0": ("+-l", "a 0 + b 0", ("n1", "n2")), "n1": ("h_a", "a", ("n3",)), "n2": ("h_b", "b", ("n9",)),
+          "n3": ("0-l", "0", ())},
+         "node 'n2' references unknown child 'n9'"),
     ],
-    ids=["shared-child", "missing-child"],
+    ids=["shared-child", "missing-child", "unreached-entries", "child-without-entry"],
 )
 def test_a_mis_stated_derivation_fails_to_build(derivation, message):
     derivation = {nid: (rule, principal if rule.startswith("h_") else parse(principal, ALPHABET), kids)
@@ -85,13 +93,31 @@ def test_sampled_words_respect_their_bounds():
         assert all(c in "ab" for c in w.stem + w.loop)
 
 
-def test_suite_filtering_skips_unrelated_rows():
+def test_suite_filtering_skips_unrelated_rows(monkeypatch):
     rows = run_suite(0, filter_text="proofs/none")
     assert [r.name for r in rows] == [
         "none-sub-all-unfold-left",
         "none-sub-all-unfold-right",
     ]
     assert all(r.ok for r in rows)
+    # a row that is not wanted runs none of its work, and a batch that backs
+    # two rows runs once
+    batches = ("decide", "check", "membership_mismatches", "closed_form_failures",
+               "saturation_instances", "soundness_violations", "bound_failures")
+    calls = dict.fromkeys(batches, 0)
+    for name in batches:
+        def counting(*args, real=getattr(rll.corpus, name), name=name):
+            calls[name] += 1
+            return real(*args)
+        monkeypatch.setattr(rll.corpus, name, counting)
+    assert [r.name for r in run_suite(0, filter_text="bounds/")] == ["closure-size", "colouring"]
+    assert calls == {**dict.fromkeys(batches, 0), "bound_failures": 1}, calls
+    calls.update(dict.fromkeys(batches, 0))
+    assert [r.name for r in run_suite(0, filter_text="soundness/")] == ["rule-soundness", "rule-invertibility"]
+    assert calls == {**dict.fromkeys(batches, 0), "saturation_instances": 1, "soundness_violations": 1}, calls
+    calls.update(dict.fromkeys(batches, 0))
+    assert all(r.ok for r in run_suite(0))
+    assert calls["bound_failures"] == 1 and calls["saturation_instances"] == calls["soundness_violations"] == 1, calls
 
 
 def _generated_instances(seed: int, draws: int):
