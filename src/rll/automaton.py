@@ -23,7 +23,9 @@ def default_coloring(fl: FLClosure) -> tuple:
     by the expression order), each getting the smallest number that is >=
     its predecessor's and has the required parity; every other member
     inherits the maximum colour of its fixpoint subformulas in the closure,
-    or 0.  Computed once per closure and kept on it."""
+    or 0.  Computed once per closure and kept on it.  Closure members are
+    closed, so subformula_leq reads only their closed subterms, whose
+    canonical forms each member keeps once they are found."""
     if fl.coloring is not None:
         return fl.coloring
     fixpoints = [m for m in fl.members if isinstance(m, (Mu, Nu))]

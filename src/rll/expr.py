@@ -22,9 +22,9 @@ identity.  Bound variables are renamed by binder depth (see canonical), and
 parse, unfold, complement and fl_closure return canonical terms, so
 alpha-equivalent inputs come out as the same object.  Each node holds its
 structural facts, each computed once: free variables, letters and sort key
-when the node is built; on first use, its canonical form, its set of
-canonical subterms, and, for a canonical node, its printed text, for a
-canonical fixpoint its unfolding and for a closed canonical root its
+when the node is built; on first use, its canonical form, the canonical
+forms of its closed subterms, and, for a canonical node, its printed text,
+for a canonical fixpoint its unfolding and for a closed canonical root its
 closure.  The intern table holds its nodes weakly, so it keeps no term
 alive; a fixpoint's unfolding contains the fixpoint, and the collector
 frees such cycles like any other.
@@ -561,15 +561,53 @@ def fl_closure(e: Expr) -> FLClosure:
 
 def subformula_leq(f: Expr, g: Expr) -> bool:
     """True if f occurs as a subterm of g, modulo renaming of bound
-    variables.  Reflexive."""
-    return canonical(f) in _subterms(canonical(g))
+    variables.  Reflexive.  f and g must be closed (ValueError otherwise).
+
+    Canonical renaming leaves free names alone, so canonical(t) is closed
+    exactly when t is, and only a closed subterm of g can be f.  In the
+    canonical closed g, a closed subterm at binder depth d names its binders
+    .d, .d+1, ..., so its canonical form is itself with every level lowered
+    by d: one shift, not a fresh renaming walk."""
+    require_closed(f, "subformula_leq")
+    require_closed(g, "subformula_leq")
+    return canonical(f) in _closed_subterms(canonical(g))
 
 
-def _subterms(e: Expr) -> frozenset:
-    """The canonical forms of e and of all its subterms, computed once."""
-    if e._subterms is None:
-        e._subterms = frozenset((canonical(e),)).union(*map(_subterms, _children(e)))
-    return e._subterms
+def _closed_subterms(g: Expr) -> frozenset:
+    """The canonical forms of the closed subterms of a canonical closed g.
+    Each node walked keeps its own set, and each closed one its canonical
+    form, so closures that share sub-DAGs share the work."""
+    shifted = {}  # (node, d) -> the node with every level lowered by d
+
+    def shift(t, d):
+        key = (t, d)
+        if key not in shifted:
+            if isinstance(t, Var):
+                out = Var(".%d" % (int(t.name[1:]) - d))
+            elif isinstance(t, Letter):
+                out = Letter(t.letter, shift(t.body, d))
+            elif isinstance(t, (Plus, Cap)):
+                out = type(t)(shift(t.left, d), shift(t.right, d))
+            elif isinstance(t, _BINDERS):
+                out = type(t)(".%d" % (int(t.var[1:]) - d), shift(t.body, d))
+            else:
+                out = t
+            shifted[key] = out
+        return shifted[key]
+
+    def walk(t, d):
+        if t._subterms is None:
+            inner = d + 1 if isinstance(t, _BINDERS) else d
+            found = frozenset().union(*(walk(k, inner) for k in _children(t)))
+            if not t._free:
+                if t._canon is None:
+                    c = t._canon = shift(t, d) if d else t
+                    c._canon = c
+                found |= {t._canon}
+            t._subterms = found
+        return t._subterms
+
+    return walk(g, 0)
 
 
 # ---------------------------------------------------------------------------

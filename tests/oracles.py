@@ -7,6 +7,8 @@
   with the game-based membership of rll.semantics, which it cross-checks.
 - gen_expr, gen_guarded_expr, gen_word and gen_guarded_sequent draw random
   expressions, guarded expressions, words and guarded sequents.
+  alt_text and conj_text write the high-alternation expressions of the
+  deep membership rows as parser text.
 - ref_free_vars, ref_equal, ref_canonical, ref_unfold, ref_subformula_leq
   and ref_sort_key are plain recursive copies of the term facts that
   rll.expr memoises per interned node.
@@ -181,6 +183,24 @@ def gen_word(rng, alphabet: Alphabet, max_stem=3, max_loop=3):
     stem = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, max_stem)))
     loop = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, max_loop)))
     return stem, loop
+
+
+def alt_text(d: int) -> str:
+    """nu X0. mu X1. ... (a X0 + ... + l X(d-1)) over the first d letters of
+    abcdef: the least letter seen infinitely often has an even index."""
+    body = " + ".join("%s X%d" % ("abcdef"[i], i) for i in range(d))
+    for i in reversed(range(d)):
+        body = "%s X%d. (%s)" % ("mu" if i % 2 else "nu", i, body)
+    return body
+
+
+def conj_text(k: int) -> str:
+    """Each of the first k letters of abcdef infinitely often: the
+    intersection of one nu X. mu Y. (l X + others Y) per letter l."""
+    letters = "abcdef"[:k]
+    return " & ".join(
+        "(nu X. mu Y. (%s X%s))" % (a, "".join(" + %s Y" % b for b in letters if b != a)) for a in letters
+    )
 
 
 def gen_guarded_expr(rng, alphabet: Alphabet, size: int, guarded=(), exposed=()):
@@ -620,7 +640,8 @@ def ref_subformula_leq(f, g) -> bool:
     target = ref_canonical(f)
 
     def walk(t):
-        if ref_equal(ref_canonical(t), target):
+        # renaming keeps each constructor, so only a subterm of f's kind is renamed
+        if type(t) is type(target) and ref_equal(ref_canonical(t), target):
             return True
         if isinstance(t, Letter):
             return walk(t.body)

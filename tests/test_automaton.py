@@ -1,15 +1,28 @@
 """Closure automata: states, transition structure, colouring, DOT export."""
 
+import gc
 import random
 
 import pytest
 
-from rll.expr import Alphabet, Cap, Letter, Mu, Nu, Plus, ast_size, canonical, fl_closure, parse, subformula_leq, unfold
+from rll import expr as expr_module
+from rll.expr import Alphabet, Cap, Letter, Mu, Nu, Plus, ast_size, canonical, fl_closure, parse, unfold
 from rll.automaton import build_apa, default_coloring, export_dot
 from rll.semantics import UPWord, member, parse_word
-from oracles import build_eval_game, gen_expr, gen_word, member_denotational, ref_acceptance_game, solve_zielonka
+from oracles import (
+    alt_text,
+    build_eval_game,
+    conj_text,
+    gen_expr,
+    gen_word,
+    member_denotational,
+    ref_acceptance_game,
+    ref_subformula_leq,
+    solve_zielonka,
+)
 
 AB = Alphabet("ab")
+SIX = Alphabet("abcdef")
 
 
 def e(text):
@@ -62,16 +75,59 @@ CORPUS = [
 ]
 
 
-# the corpus, and seeded random expressions
-COLOURING_INPUTS = [pytest.param(text, id=text) for text in CORPUS] + [
+# the high-alternation expressions of the deep membership rows, with their
+# colourings pinned, since no golden line shows them
+DEEP_COLOURINGS = {
+    alt_text(3): (0, 1, 2, 2, 1, 2, 0, 1),
+    alt_text(4): (0, 1, 2, 3, 3, 2, 3, 1, 2, 0, 1),
+    alt_text(5): (0, 1, 2, 3, 4, 4, 3, 4, 2, 3, 1, 2, 0, 1),
+    alt_text(6): (0, 1, 2, 3, 4, 5, 5, 4, 5, 3, 4, 2, 3, 1, 2, 0, 1),
+    conj_text(2): (2, 0, 2, 1, 3, 1, 3, 0, 1, 2, 3),
+    conj_text(3): (4, 2, 4, 0, 2, 5, 1, 3, 5, 1, 3, 5, 5, 1, 1, 3, 3, 4, 5, 0, 1, 2, 3),
+    conj_text(4): (
+        6, 4, 6, 2, 4, 7, 0, 2, 5, 7, 1, 3, 5, 7, 7, 1, 3, 5, 5, 7, 7, 1, 1, 3, 3, 5, 5, 6, 7, 1, 1, 3, 3, 4, 5,
+        0, 1, 2, 3,
+    ),
+    conj_text(5): (
+        8, 6, 8, 4, 6, 9, 2, 4, 7, 9, 0, 2, 5, 7, 9, 9, 1, 3, 5, 7, 7, 9, 9, 1, 3, 5, 5, 7, 7, 9, 9, 1, 1, 3, 3,
+        5, 5, 7, 7, 8, 9, 1, 1, 3, 3, 5, 5, 6, 7, 1, 1, 3, 3, 4, 5, 0, 1, 2, 3,
+    ),
+}
+
+
+# the corpus, the deep expressions, and seeded random expressions
+COLOURING_INPUTS = [pytest.param(text, id=text) for text in CORPUS + list(DEEP_COLOURINGS)] + [
     pytest.param(seed, id="gen_expr-%d" % seed) for seed in range(200)
 ]
+
+
+@pytest.mark.parametrize("text", DEEP_COLOURINGS)
+def test_deep_colourings_are_pinned(text):
+    assert default_coloring(fl_closure(parse(text, SIX))) == DEEP_COLOURINGS[text]
+
+
+def test_colouring_renames_no_open_term(monkeypatch):
+    # only a closed subterm can equal a closed fixpoint, so the subformula
+    # order never renames an open one
+    gc.collect()  # frees any alt-6 nodes, and the subterm sets they keep, from earlier tests
+    fl = fl_closure(parse(alt_text(6), SIX))
+    assert all(m._subterms is None for m in fl.members)
+    real, opened = expr_module.canonical, []
+
+    def counting(t):
+        if t._free:
+            opened.append(t)
+        return real(t)
+
+    monkeypatch.setattr(expr_module, "canonical", counting)
+    assert default_coloring(fl) == DEEP_COLOURINGS[alt_text(6)]
+    assert opened == []
 
 
 @pytest.mark.parametrize("source", COLOURING_INPUTS)
 def test_colouring_invariants(source):
     if isinstance(source, str):
-        expr = e(source)
+        expr = parse(source, SIX)
     else:
         rng = random.Random(source)
         expr = gen_expr(rng, AB, rng.randint(1, 10))
@@ -85,11 +141,11 @@ def test_colouring_invariants(source):
         assert colour[m] % 2 == (1 if isinstance(m, Mu) else 0)
     for g in fixpoints:
         for m in fixpoints:
-            if subformula_leq(g, m):
+            if ref_subformula_leq(g, m):
                 assert colour[g] <= colour[m]
     for m in fl.members:
         if not isinstance(m, (Mu, Nu)):
-            inner = [colour[g] for g in fixpoints if subformula_leq(g, m)]
+            inner = [colour[g] for g in fixpoints if ref_subformula_leq(g, m)]
             assert colour[m] == max(inner, default=0)
     assert max(col) <= max(len(fixpoints), 1)
 

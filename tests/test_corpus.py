@@ -11,7 +11,6 @@ from rll.calculus import RuleInstance, make_instance, parse_sequent
 from rll.corpus import (
     ALIASES,
     ALPHABET,
-    COMPLEMENT_ROUND_NAMES,
     DECISIONS,
     EXPRESSIONS,
     MAX_LOOP,
@@ -102,7 +101,7 @@ def test_suite_filtering_skips_unrelated_rows(monkeypatch):
     assert all(r.ok for r in rows)
     # a row that is not wanted runs none of its work, and a batch that backs
     # two rows runs once
-    batches = ("decide", "check", "membership_mismatches", "closed_form_failures",
+    batches = ("_build_proof", "complement", "decide", "check", "membership_mismatches", "closed_form_failures",
                "saturation_instances", "soundness_violations", "bound_failures")
     calls = dict.fromkeys(batches, 0)
     for name in batches:
@@ -256,8 +255,8 @@ def test_the_membership_row_fails_when_one_leg_lies(monkeypatch, name, lie, at, 
     # game= quotes the solver's mask, which is a lie only when the solver lies
     assert game == str((winning_offsets((w,), e)[k] >> o & 1 == 1) != (name == "winning_offsets")), mismatch
     monkeypatch.undo()
-    # run_suite complements the round-trip expressions before the membership row
-    _lie_once(monkeypatch, name, LYING_SAMPLE + (name == "complement") * len(COMPLEMENT_ROUND_NAMES), lie)
+    # a filtered run_suite builds no other row's fixtures, so the lie falls on the same call
+    _lie_once(monkeypatch, name, LYING_SAMPLE, lie)
     (row,) = run_suite(3, "membership/three")
     assert row.name == "three-way-agreement" and not row.ok
     assert row.detail == "1000 samples; first disagreement: " + mismatch, row.detail

@@ -31,7 +31,9 @@ from rll.expr import (
 )
 from rll import expr as expr_module
 from oracles import (
+    alt_text,
     compare_dependency,
+    conj_text,
     fl_leq,
     fl_lt,
     gen_expr,
@@ -279,6 +281,26 @@ def test_subformula_order():
     assert subformula_leq(p("a X".replace("X", "T")), p("b a T"))
 
 
+def test_subformula_order_agrees_with_the_reference_on_closure_members():
+    six = Alphabet("abcdef")
+    roots = [parse(alt_text(d), six) for d in range(3, 7)] + [parse(conj_text(k), six) for k in range(2, 6)]
+    rng = random.Random(23)
+    roots += [gen_expr(rng, AB, rng.randint(1, 12)) for _ in range(300)]
+    pairs = 0
+    for root in roots:
+        members = fl_closure(root).members
+        for g in members:
+            for f in members:
+                assert subformula_leq(f, g) == ref_subformula_leq(f, g), (pretty(f), pretty(g))
+                pairs += 1
+    assert pairs > 5000
+    open_term = p("mu X. a X").body
+    with pytest.raises(ValueError, match="subformula_leq requires a closed expression; free: .0"):
+        subformula_leq(open_term, TOP)
+    with pytest.raises(ValueError, match="subformula_leq requires a closed expression; free: .0"):
+        subformula_leq(TOP, open_term)
+
+
 def test_fl_order():
     assert fl_leq(p("a mu X. a X"), p("mu X. a X"))
     assert fl_lt(ZERO, p("a 0"))
@@ -399,8 +421,8 @@ def test_identity_facts_agree_with_structural_references():
         assert (x == y) == ref_equal(x, y)
         equal_pairs += x == y
     assert equal_pairs > 50
-    for g in terms[::2]:
-        for f in list(_subterms(g)) + [rng.choice(terms)]:
+    for g in terms[::2]:  # closed, as subformula_leq requires
+        for f in [u for u in _subterms(g) if not free_vars(u)] + [rng.choice(terms)]:
             assert subformula_leq(f, g) == ref_subformula_leq(f, g), (pretty(f), pretty(g))
     by_identity = sorted(terms, key=expr_sort_key)
     by_reference = sorted(terms, key=ref_sort_key)
