@@ -1,4 +1,4 @@
-"""Sequents and the inference rules that act on them.
+"""Sequents, the formula table, and the inference rules that act on them.
 
 A sequent pairs two finite sets of closed expressions over a shared alphabet
 and asserts that the intersection of the left languages is contained in the
@@ -8,16 +8,23 @@ sequent whose left side holds two formulas with clashing head letters, h_a
 strips a common head letter from both sides, and r-p splits a left-empty
 sequent into one premiss per alphabet letter.
 
-This module is the one place that states each rule fact.  PRINCIPAL_RULES
-and the three letter rules are every rule there is.  Traces follow formulas
-from a conclusion into its premisses: premiss_letters names the letter that
-each premiss of h_a or r-p strips, so a formula with that head letter
-descends to its body; auxiliaries names the formulas that take a principal's
-place in each premiss; any other formula that a premiss keeps descends to
-itself.  Rule applications are first-class values (RuleInstance) so that
-proofs can store them.  A sequent
-is checked once, where it enters, and interned as terms are, so equality is
-identity; a premiss is derived without re-checking, as a table lookup.
+Every stage from saturation to the trace automaton works over one numbering.
+A FormulaTable holds the closure of a set of closed formulas, numbered by
+expr_sort_key rank, with each number's constructor, head letter, body bit
+and auxiliary masks; a cedent is a mask over those numbers, whose ascending
+bits are its sorted order.  premiss_masks states each rule's premisses once,
+over (lhs mask, rhs mask) pairs; it is the one rule schema, and
+schema_violation, make_instance and validate_instance read it.  Traces
+follow formulas from a conclusion into its premisses: premiss_letters names
+the letter that each premiss of h_a or r-p strips, so a formula with that
+head letter descends to its body; FormulaTable.auxiliaries names the
+formulas that take a principal's place in each premiss; any other formula
+that a premiss keeps descends to itself.
+
+Rule applications over sequents are first-class values (RuleInstance), built
+where a proof is printed or tested.  A sequent is checked once, where it
+enters, and interned as terms are, so equality is identity; a premiss is
+built without re-checking, as a table lookup.
 """
 
 from __future__ import annotations
@@ -39,6 +46,7 @@ from .expr import (
     Zero,
     canonical,
     expr_sort_key,
+    fl_closure,
     free_vars,
     letters_of,
     parse,
@@ -205,6 +213,97 @@ PRINCIPAL_RULES = {
 LOGICAL_RULE = {key: rule for rule, key in PRINCIPAL_RULES.items() if key[0] is not Expr}
 
 
+
+
+class FormulaTable:
+    """The closure of a set of closed formulas over an alphabet, numbered by
+    expr_sort_key rank: formulas[n] is formula n and number maps it back.  A
+    set of its formulas is a mask, bit n for formula n, so a cedent's
+    ascending bits are its sorted order.  Per number: kind[n] is the
+    constructor, letter[n] the head letter of a letter formula (else None),
+    body[n] the bit of its body (else 0), and aux[side][n] the masks that
+    take formula n's place in each premiss of its logical rule on side 0
+    (left) or 1 (right).  kinds maps each constructor to the mask of its
+    formulas, and head each letter to the mask of the formulas it heads."""
+
+    def __init__(self, formulas, alphabet: Alphabet):
+        closure = set()
+        for f in formulas:
+            closure.update(fl_closure(f).members)
+        self.alphabet = alphabet
+        self.formulas = tuple(sorted(closure, key=expr_sort_key))
+        self.number = number = {f: n for n, f in enumerate(self.formulas)}
+        self.kind = tuple(map(type, self.formulas))
+        self.kinds, self.head = {}, {}
+        letter, body, left, right = [], [], [], []
+        for n, f in enumerate(self.formulas):
+            self.kinds[type(f)] = self.kinds.get(type(f), 0) | 1 << n
+            letter.append(f.letter if isinstance(f, Letter) else None)
+            body.append(1 << number[f.body] if isinstance(f, Letter) else 0)
+            if isinstance(f, Letter):
+                self.head[f.letter] = self.head.get(f.letter, 0) | 1 << n
+                aux = None, None
+            elif isinstance(f, (Plus, Cap)):
+                parts = 1 << number[f.left], 1 << number[f.right]
+                joined = (parts[0] | parts[1],)
+                aux = (parts, joined) if isinstance(f, Plus) else (joined, parts)
+            elif isinstance(f, (Mu, Nu)):
+                aux = ((1 << number[unfold(f)],),) * 2
+            else:  # 0 closes on the left and drops on the right, T the other way round
+                aux = ((), (0,)) if isinstance(f, Zero) else ((0,), ())
+            left.append(aux[0])
+            right.append(aux[1])
+        self.letter, self.body, self.aux = tuple(letter), tuple(body), (tuple(left), tuple(right))
+
+    def auxiliaries(self, rule: str, n: int):
+        """The masks that take the place of principal n in each premiss of
+        one of the PRINCIPAL_RULES: none for a weakening, else n's own."""
+        cls, side = PRINCIPAL_RULES[rule]
+        return (0,) if cls is Expr else self.aux[side == "R"][n]
+
+    def masks(self, s: Sequent):
+        """s as a (lhs, rhs) mask pair, None when it is over another
+        alphabet or holds a formula with no number."""
+        number = self.number
+        if s.alphabet != self.alphabet or not all(f in number for f in s.lhs | s.rhs):
+            return None
+        return sum(1 << number[f] for f in s.lhs), sum(1 << number[f] for f in s.rhs)
+
+    def members(self, mask: int):
+        """The formulas of a mask, in number order."""
+        out = []
+        while mask:
+            low = mask & -mask
+            out.append(self.formulas[low.bit_length() - 1])
+            mask ^= low
+        return out
+
+    def bodies(self, mask: int) -> int:
+        """The mask of the bodies of a mask of letter formulas."""
+        out = 0
+        while mask:
+            low = mask & -mask
+            out |= self.body[low.bit_length() - 1]
+            mask ^= low
+        return out
+
+    def sequent(self, lhs: int, rhs: int) -> Sequent:
+        """The sequent whose cedents are these masks, without re-checking:
+        every formula of the table is closed, canonical and over its
+        alphabet."""
+        return _premiss(self.members(lhs), self.members(rhs), self.alphabet)
+
+    def code(self, principal):
+        """A principal as the rule schema reads it: a formula's number, or
+        the principal itself when it is a letter, none, or a formula with no
+        number, which is in no cedent."""
+        return self.number.get(principal, principal) if isinstance(principal, Expr) else principal
+
+    def principal(self, code):
+        """The principal that a code names: code's inverse."""
+        return self.formulas[code] if type(code) is int else code
+
+
 def auxiliaries(rule, p):
     """The formulas that take the place of principal p in each premiss of
     one of the PRINCIPAL_RULES."""
@@ -219,93 +318,98 @@ def auxiliaries(rule, p):
     return (set(),)  # ⊤-l, 0-r and the weakenings
 
 
-def _expected_premisses(rule, s: Sequent, principal):
-    ab = s.alphabet
+def premiss_masks(table: FormulaTable, rule: str, lhs: int, rhs: int, principal):
+    """The premisses of a canonical rule name at the conclusion (lhs, rhs)
+    with this principal code, as (lhs, rhs) mask pairs in order; raises
+    ValueError, naming the side condition, when the rule does not apply.
+    This is the one statement of every rule's schema."""
     if rule in PRINCIPAL_RULES:
         cls, side = PRINCIPAL_RULES[rule]
-        cedent, where = (s.lhs, "left") if side == "L" else (s.rhs, "right")
+        cedent, where = (lhs, "left") if side == "L" else (rhs, "right")
         if cls is Expr:
             message = "%s must drop a %s formula" % (rule, where)
         else:
             shape = rule[0] if cls in (Zero, Top) else "a principal %s-formula" % rule[0]
             message = "%s requires %s on the %s" % (rule, shape, where)
-        _need(isinstance(principal, cls) and principal in cedent, message)
-        rest = cedent - {principal}
+        _need(type(principal) is int and cedent >> principal & 1 and cls in (Expr, table.kind[principal]), message)
+        rest = cedent & ~(1 << principal)
         if side == "L":
-            return tuple(_premiss(rest | aux, s.rhs, ab) for aux in auxiliaries(rule, principal))
-        return tuple(_premiss(s.lhs, rest | aux, ab) for aux in auxiliaries(rule, principal))
+            return tuple((rest | aux, rhs) for aux in table.auxiliaries(rule, principal))
+        return tuple((lhs, rest | aux) for aux in table.auxiliaries(rule, principal))
+    letter = table.letter
     if rule == "l-p":
         _need(principal is None, "l-p takes no principal formula")
-        _need(len(s.lhs) == 2 and not s.rhs, "l-p requires exactly two left formulas and an empty right side")
-        e1, e2 = s.lhs_sorted
-        _need(
-            isinstance(e1, Letter) and isinstance(e2, Letter) and e1.letter != e2.letter,
-            "l-p requires two distinct head letters",
-        )
+        first = lhs & -lhs
+        second = lhs ^ first
+        _need(second and second & -second == second and not rhs,
+              "l-p requires exactly two left formulas and an empty right side")
+        e1, e2 = letter[first.bit_length() - 1], letter[second.bit_length() - 1]
+        _need(e1 is not None and e2 is not None and e1 != e2, "l-p requires two distinct head letters")
         return ()
     if rule == "r-p":
         _need(principal is None, "r-p takes no principal formula")
-        _need(not s.lhs, "r-p requires an empty left side")
-        _need(all(isinstance(e, Letter) for e in s.rhs), "r-p requires every right formula to start with a letter")
-        return tuple(
-            _premiss((), [e.body for e in s.rhs if e.letter == c], ab) for c in ab
-        )
+        _need(not lhs, "r-p requires an empty left side")
+        _need(not rhs & ~table.kinds.get(Letter, 0), "r-p requires every right formula to start with a letter")
+        return tuple((0, table.bodies(rhs & table.head.get(c, 0))) for c in table.alphabet)
     if rule.startswith("h_"):
         a = rule[2:]
-        _need(a in ab, "h_%s names a letter outside the alphabet" % a)
+        _need(a in table.alphabet, "h_%s names a letter outside the alphabet" % a)
         _need(principal == a, "h_%s takes the letter %r as principal" % (a, a))
-        _need(bool(s.lhs), "h_%s requires a nonempty left side" % a)
-        _need(
-            all(isinstance(e, Letter) and e.letter == a for e in s.lhs),
-            "h_%s requires every left formula to start with %s" % (a, a),
-        )
-        _need(
-            all(isinstance(e, Letter) and e.letter == a for e in s.rhs),
-            "h_%s requires every right formula to start with %s" % (a, a),
-        )
-        return (_premiss([e.body for e in s.lhs], [e.body for e in s.rhs], ab),)
+        _need(bool(lhs), "h_%s requires a nonempty left side" % a)
+        heads = table.head.get(a, 0)
+        _need(not lhs & ~heads, "h_%s requires every left formula to start with %s" % (a, a))
+        _need(not rhs & ~heads, "h_%s requires every right formula to start with %s" % (a, a))
+        return ((table.bodies(lhs), table.bodies(rhs)),)
     raise _Violation("unknown rule %r" % rule)
 
 
-def make_instance(rule: str, conclusion: Sequent, principal=None) -> RuleInstance:
-    """Build the rule instance with the given conclusion and principal,
-    raising ValueError when the rule does not apply."""
-    rule = canonical_rule_name(rule)
-    if isinstance(principal, Expr):
-        principal = canonical(principal)
-    return RuleInstance(rule, conclusion, principal, _expected_premisses(rule, conclusion, principal))
-
-
-def validate_instance(r: RuleInstance) -> Optional[str]:
-    """None when the instance matches its rule's schema (side conditions
-    included), otherwise a description of the violation.
+def schema_violation(table: FormulaTable, rule: str, lhs: int, rhs: int, principal, premisses) -> Optional[str]:
+    """None when the premisses, a tuple of (lhs, rhs) mask pairs, are the
+    ones premiss_masks derives (side conditions included), otherwise a
+    description of the violation.
 
     A +-l whose second premiss drops the context — just the right summand
     against the old right side — is also accepted; it abbreviates the full
     rule preceded by weakenings."""
     try:
-        expected = _expected_premisses(r.rule, r.conclusion, r.principal)
+        expected = premiss_masks(table, rule, lhs, rhs, principal)
     except _Violation as v:
         return str(v)
-    if r.premisses == expected:
+    if premisses == expected:
         return None
-    if r.rule == "+-l":
-        degenerate = (
-            expected[0],
-            _premiss({r.principal.right}, r.conclusion.rhs, r.conclusion.alphabet),
-        )
-        if r.premisses == degenerate:
-            return None
-    return "premisses do not match the %s schema for this conclusion" % r.rule
+    if rule == "+-l" and premisses == (expected[0], (table.aux[0][principal][1], rhs)):
+        return None
+    return "premisses do not match the %s schema for this conclusion" % rule
 
 
-def premiss_letters(r: RuleInstance) -> Optional[Tuple[str, ...]]:
+def make_instance(rule: str, conclusion: Sequent, principal=None) -> RuleInstance:
+    """Build the rule instance with the given conclusion and principal,
+    raising ValueError when the rule does not apply: premiss_masks over the
+    table of the conclusion's formulas."""
+    rule = canonical_rule_name(rule)
+    if isinstance(principal, Expr):
+        principal = canonical(principal)
+    table = FormulaTable(conclusion.lhs | conclusion.rhs, conclusion.alphabet)
+    premisses = premiss_masks(table, rule, *table.masks(conclusion), table.code(principal))
+    return RuleInstance(rule, conclusion, principal, tuple(table.sequent(*m) for m in premisses))
+
+
+def validate_instance(r: RuleInstance) -> Optional[str]:
+    """schema_violation of the instance, over the table of its conclusion's
+    formulas: None when it matches its rule's schema, otherwise a
+    description of the violation."""
+    s = r.conclusion
+    table = FormulaTable(s.lhs | s.rhs, s.alphabet)
+    got = tuple(map(table.masks, r.premisses))
+    return schema_violation(table, r.rule, *table.masks(s), table.code(r.principal), got)
+
+
+def premiss_letters(rule: str, alphabet: Alphabet) -> Optional[Tuple[str, ...]]:
     """The letter that each premiss of a letter rule strips: ("a",) for h_a
     and, for r-p, the alphabet itself, which is the tuple of its letters in
     order.  None for every other rule."""
-    if r.rule == "r-p":
-        return r.conclusion.alphabet
-    if r.rule.startswith("h_"):
-        return (r.rule[2:],)
+    if rule == "r-p":
+        return alphabet
+    if rule.startswith("h_"):
+        return (rule[2:],)
     return None
-

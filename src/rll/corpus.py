@@ -4,9 +4,10 @@ cyclic-proof fixtures over the two-letter alphabet.
 Proof fixtures are the rows of one table, _PROOFS, each a derivation given
 by its structure alone: each node gives (rule, principal, children), and
 _build_proof, the one builder, propagates sequents from the root through
-rule premisses.  A mis-stated derivation, including an entry that the root
-does not reach or a child with no entry, fails to build rather than
-silently producing a different proof.
+rule premisses.  A mis-stated derivation never silently produces a
+different proof: an entry that the root does not reach or a child with no
+entry fails to build, and children that do not carry their node's
+premisses fail check_local.
 """
 
 from __future__ import annotations
@@ -108,9 +109,10 @@ DECISIONS = (
 
 def _build_proof(root_sequent: Sequent, derivation, root: str = "n0") -> ProofGraph:
     """Assemble a ProofGraph from {id: (rule, principal, children)} by
-    propagating sequents from the root through each instance's premisses.
-    An entry that the root does not reach, or a child with no entry, raises
-    ValueError."""
+    propagating sequents from the root through each instance's premisses,
+    child by child.  An entry that the root does not reach, or a child with
+    no entry, raises ValueError; a child list that does not match the
+    premisses is check_local's violation."""
     sequents = {root: root_sequent}
     queue = [root]
     ordered = []
@@ -123,11 +125,11 @@ def _build_proof(root_sequent: Sequent, derivation, root: str = "n0") -> ProofGr
             if cid not in sequents:
                 sequents[cid] = prem
                 queue.append(cid)
-        ordered.append((nid, inst, tuple(kids)))
+        ordered.append((nid, inst.conclusion, inst.rule, inst.principal, tuple(kids)))
     unreached = [nid for nid in derivation if nid not in sequents]
     if unreached:
         raise ValueError("unreachable nodes: %s" % ", ".join(unreached))
-    return ProofGraph(ordered, root)
+    return ProofGraph.from_records(ordered, root)
 
 
 _NONE = EXPRESSIONS["none"]
@@ -452,7 +454,7 @@ def soundness_violations(instances, seed: int):
     unsound = []
     uninvertible = []
     for inst in instances:
-        letters = premiss_letters(inst)
+        letters = premiss_letters(inst.rule, inst.conclusion.alphabet)
         prems_ok = every
         for i, p in enumerate(inst.premisses):
             prems_ok &= valid(p, 0) if letters is None else valid(p, 1) | ~head.get(letters[i], 0)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .expr import Letter, Top, Zero, expr_sort_key, is_guarded, pretty
 from .semantics import UPWord, member
-from .calculus import LOGICAL_RULE, RuleInstance, Sequent, make_instance, premiss_letters
+from .calculus import LOGICAL_RULE, FormulaTable, Sequent, premiss_letters, premiss_masks
 from .proof import Lasso, ProofGraph, check
 
 
@@ -31,57 +31,68 @@ class BudgetExceededError(RuntimeError):
     """saturate met more distinct sequents than its node budget allows."""
 
 
-def strategy_step(s: Sequent) -> RuleInstance:
-    """The single rule the search strategy applies at s."""
-    lhs, rhs = s.lhs_sorted, s.rhs_sorted
-    for e in lhs:
-        if isinstance(e, Zero):
-            return make_instance("0-l", s, e)
-    for f in rhs:
-        if isinstance(f, Top):
-            return make_instance("⊤-r", s, f)
-    candidates = [(expr_sort_key(e), "L", e) for e in lhs if not isinstance(e, Letter)]
-    candidates += [(expr_sort_key(f), "R", f) for f in rhs if not isinstance(f, Letter)]
-    if candidates:
-        _, side, e = min(candidates)
-        return make_instance(LOGICAL_RULE[type(e), side], s, e)
+def strategy_step(table: FormulaTable, lhs: int, rhs: int):
+    """The rule and principal code that the search strategy applies at the
+    conclusion (lhs, rhs), masks over the table: a cedent's lowest bit is
+    its least formula."""
+    zero = lhs & table.kinds.get(Zero, 0)
+    if zero:
+        return "0-l", zero.bit_length() - 1
+    top = rhs & table.kinds.get(Top, 0)
+    if top:
+        return "⊤-r", top.bit_length() - 1
+    letters = table.kinds.get(Letter, 0)
+    logical = (lhs | rhs) & ~letters
+    if logical:
+        n = _lowest(logical)
+        return LOGICAL_RULE[table.kind[n], "L" if lhs >> n & 1 else "R"], n
     if lhs:
-        heads = {e.letter for e in lhs}
-        if len(heads) >= 2:
-            first = lhs[0]
-            second = next(e for e in lhs if e.letter != first.letter)
-            for e in lhs:
-                if e is not first and e is not second:
-                    return make_instance("l-w", s, e)
+        first = lhs & -lhs
+        head = table.letter[_lowest(first)]
+        others = lhs & ~table.head[head]
+        if others:  # two distinct heads: keep the first formula and the first of another head
+            rest = lhs & ~first & ~(others & -others)
+            if rest:
+                return "l-w", _lowest(rest)
             if rhs:
-                return make_instance("r-w", s, rhs[0])
-            return make_instance("l-p", s)
-        head = lhs[0].letter
-        for f in rhs:
-            if f.letter != head:
-                return make_instance("r-w", s, f)
-        return make_instance("h_" + head, s, head)
-    return make_instance("r-p", s)
+                return "r-w", _lowest(rhs)
+            return "l-p", None
+        mismatched = rhs & ~table.head[head]
+        if mismatched:
+            return "r-w", _lowest(mismatched)
+        return "h_" + head, head
+    return "r-p", None
+
+
+def _lowest(mask: int) -> int:
+    return (mask & -mask).bit_length() - 1
 
 
 def saturate(s: Sequent, max_nodes: int = 200000) -> ProofGraph:
-    """Expand strategy_step breadth-first, memoising sequents into
-    back-edges.  Terminates because only finitely many sequents arise."""
-    memo = {s: "n0"}
-    queue = [s]
-    nodes = []
-    for current in queue:  # the queue grows while it is walked
-        inst = strategy_step(current)
+    """Expand strategy_step breadth-first over the table of the closure of
+    s's formulas, memoising (lhs, rhs) mask pairs into back-edges.
+    Terminates because only finitely many mask pairs arise."""
+    table = FormulaTable(s.lhs | s.rhs, s.alphabet)
+    queue = [table.masks(s)]
+    memo = {queue[0]: 0}
+    rules, principals, children = [], [], []
+    for lhs, rhs in queue:  # the queue grows while it is walked
+        rule, principal = strategy_step(table, lhs, rhs)
         kids = []
-        for prem in inst.premisses:
-            if prem not in memo:
+        for prem in premiss_masks(table, rule, lhs, rhs, principal):
+            k = memo.get(prem)
+            if k is None:
                 if len(memo) >= max_nodes:
                     raise BudgetExceededError("proof search exceeded %d sequents" % max_nodes)
-                memo[prem] = "n%d" % len(memo)
+                k = memo[prem] = len(queue)
                 queue.append(prem)
-            kids.append(memo[prem])
-        nodes.append((memo[current], inst, tuple(kids)))
-    return ProofGraph(nodes, "n0")
+            kids.append(k)
+        rules.append(rule)
+        principals.append(principal)
+        children.append(tuple(kids))
+    lhs, rhs = zip(*queue)
+    return ProofGraph(table, tuple("n%d" % v for v in range(len(queue))), lhs, rhs, tuple(rules),
+                      tuple(principals), tuple(children), 0)
 
 
 def extract_countermodel(p: ProofGraph, lasso: Lasso) -> UPWord:
@@ -92,7 +103,7 @@ def extract_countermodel(p: ProofGraph, lasso: Lasso) -> UPWord:
     def letters(edges):
         out = []
         for v, j in edges:
-            stripped = premiss_letters(p.instance[v])
+            stripped = premiss_letters(p.rule[v], p.alphabet)
             if stripped is not None:
                 out.append(stripped[j])
         return "".join(out)

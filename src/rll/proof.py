@@ -44,85 +44,106 @@ search is checked against, next to the full search as one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, cached_property
 from operator import or_
 from typing import Optional, Tuple
 
-from .expr import Alphabet, Expr, Letter, Mu, Nu, ParseError, expr_sort_key, parse, pretty, subformula_leq
+from .expr import Alphabet, Expr, Letter, Mu, Nu, ParseError, canonical, expr_sort_key, parse, pretty, subformula_leq
 from .calculus import (
     PRINCIPAL_RULES,
+    FormulaTable,
     RuleInstance,
     Sequent,
     auxiliaries,
     canonical_rule_name,
-    format_sequent,
     is_rule_name,
     parse_sequent,
     premiss_letters,
+    schema_violation,
     validate_instance,
 )
 
 class ProofGraph:
-    """Finite rooted graph of rule instances, numbered once: node i is the
-    record named order[i], instance[i] is its rule instance, children[i]
-    holds the numbers of its children, and root is a number.  The names
-    are read only to report errors and to print.  Construction checks the
-    structure (distinct names, known children, reachability, the root's
-    alphabet everywhere, children carrying their parent's premisses in
-    order) and raises ValueError; rule schemas are check_local's."""
+    """Finite rooted graph of rule applications over one formula table,
+    numbered once: node v is the record named order[v]; lhs[v] and rhs[v]
+    are its cedents as masks over table's numbers, rule[v] is its canonical
+    rule name, principal[v] its principal code (FormulaTable.code: a
+    formula number, a letter for h_a, None for l-p and r-p) and children[v]
+    holds the numbers of its children; root is a number.  The names are
+    read only to report errors and to print.  A premiss is the cedent pair
+    of a child, so whether the children carry a node's premisses is a rule
+    schema question, check_local's.  sequent(v) and instance are built on
+    demand, for the callers that print them and for the tests."""
 
-    def __init__(self, nodes, root: str):
-        # nodes: iterable of (name, RuleInstance, children names)
-        nodes = list(nodes)
+    def __init__(self, table: FormulaTable, order, lhs, rhs, rule, principal, children, root: int):
+        self.table, self.order, self.root = table, tuple(order), root
+        self.lhs, self.rhs, self.rule = tuple(lhs), tuple(rhs), tuple(rule)
+        self.principal, self.children = tuple(principal), tuple(children)
+
+    @classmethod
+    def from_records(cls, records, root: str) -> "ProofGraph":
+        """Number records (name, Sequent, rule, principal, children names)
+        over the table of the closure of their formulas.  Checks the
+        structure (distinct names, known children, reachability, the root's
+        alphabet everywhere) and raises ValueError."""
+        records = list(records)
         number = {}
-        for nid, _, _ in nodes:
+        for nid, *_ in records:
             if nid in number:
                 raise ValueError("duplicate node id %r" % nid)
             number[nid] = len(number)
         if root not in number:
             raise ValueError("root %r is not a node" % root)
-        conclusions = [inst.conclusion for _, inst, _ in nodes]
-        alphabet = conclusions[number[root]].alphabet
+        alphabet = records[number[root]][1].alphabet
         children = []
-        for nid, inst, kids in nodes:
-            if inst.conclusion.alphabet != alphabet:
+        for nid, s, _, _, kids in records:
+            if s.alphabet != alphabet:
                 raise ValueError("node %r: alphabet differs from the root's" % nid)
             for cid in kids:
                 if cid not in number:
                     raise ValueError("node %r references unknown child %r" % (nid, cid))
             children.append(tuple(number[cid] for cid in kids))
-            carried = tuple(conclusions[c] for c in children[-1])
-            if carried != inst.premisses:
-                raise ValueError("node %r: children carry [%s], premisses are [%s]" % (
-                    nid, "; ".join(map(str, carried)), "; ".join(map(str, inst.premisses))))
-        self.order = tuple(nid for nid, _, _ in nodes)
-        self.instance = tuple(inst for _, inst, _ in nodes)
-        self.children = tuple(children)
-        self.root = number[root]
-        reached = bytearray(len(nodes))
-        for comp in tarjan(self.children, [self.root]):
+        reached = bytearray(len(records))
+        for comp in tarjan(children, [number[root]]):
             for v in comp:
                 reached[v] = 1
-        unreachable = [nid for nid, r in zip(self.order, reached) if not r]
+        unreachable = [nid for (nid, *_), r in zip(records, reached) if not r]
         if unreachable:
             raise ValueError("unreachable nodes: %s" % ", ".join(unreachable))
+        table = FormulaTable(set().union(*(s.lhs | s.rhs for _, s, *_ in records)), alphabet)
+        lhs, rhs = zip(*(table.masks(s) for _, s, *_ in records))
+        rules = [canonical_rule_name(rule) for _, _, rule, _, _ in records]
+        principals = [table.code(canonical(pr) if isinstance(pr, Expr) else pr) for *_, pr, _ in records]
+        return cls(table, list(number), lhs, rhs, rules, principals, children, number[root])
 
     def sequent(self, v: int) -> Sequent:
-        return self.instance[v].conclusion
+        return self.table.sequent(self.lhs[v], self.rhs[v])
+
+    @cached_property
+    def instance(self) -> Tuple[RuleInstance, ...]:
+        """Per node, its rule instance, whose premisses are its children's
+        sequents."""
+        sequents = [self.sequent(v) for v in range(len(self.order))]
+        return tuple(
+            RuleInstance(rule, s, self.table.principal(code), tuple(map(sequents.__getitem__, kids)))
+            for rule, s, code, kids in zip(self.rule, sequents, self.principal, self.children)
+        )
 
     @property
     def alphabet(self) -> Alphabet:
-        return self.sequent(self.root).alphabet
+        return self.table.alphabet
 
 
 def check_local(p: ProofGraph):
-    """Check each node's rule instance against its rule's schema, all that
-    construction leaves; returns the violations (none for a preproof)."""
+    """Check each node against its rule's schema, the premisses being its
+    children's cedents; returns the violations (none for a preproof)."""
     violations = []
-    for nid, inst in zip(p.order, p.instance):
-        v = validate_instance(inst)
-        if v is not None:
-            violations.append("node %s: %s" % (nid, v))
+    cedents = tuple(zip(p.lhs, p.rhs))
+    for v, nid in enumerate(p.order):
+        got = tuple(map(cedents.__getitem__, p.children[v]))
+        message = schema_violation(p.table, p.rule[v], p.lhs[v], p.rhs[v], p.principal[v], got)
+        if message is not None:
+            violations.append("node %s: %s" % (nid, message))
     return violations
 
 
@@ -243,19 +264,30 @@ def parse_proof(text: str) -> ProofGraph:
             ), None)
             if principal is None:
                 raise ParseError("node %s: principal formula for %s is undetermined; write it explicitly" % (nid, rule))
-        nodes.append((nid, RuleInstance(rule, conclusion, principal, premisses), kids))
-    return ProofGraph(nodes, root)
+        nodes.append((nid, conclusion, rule, principal, kids))
+    return ProofGraph.from_records(nodes, root)
 
 
 def serialize_proof(p: ProofGraph) -> str:
+    """The proof file of p.  A cedent prints as the texts of its formulas in
+    number order, which is their sorted order, each text rendered once."""
+    table = p.table
+    cedents = {}  # mask -> its text
+
+    def cedent(mask):
+        text = cedents.get(mask)
+        if text is None:
+            text = cedents[mask] = ", ".join(map(pretty, table.members(mask)))
+        return text
+
     lines = ["alphabet: %s" % str(p.alphabet)]
-    for nid, inst, kids in zip(p.order, p.instance, p.children):
-        rule_clause = inst.rule
-        if isinstance(inst.principal, Expr):
-            rule_clause += " principal %s" % pretty(inst.principal)
+    for nid, lhs, rhs, rule, code, kids in zip(p.order, p.lhs, p.rhs, p.rule, p.principal, p.children):
+        principal = table.principal(code)
+        if isinstance(principal, Expr):
+            rule += " principal %s" % pretty(principal)
         lines.append(
             "node %s: %s ; rule %s ; children %s"
-            % (nid, format_sequent(inst.conclusion), rule_clause, ", ".join(p.order[c] for c in kids))
+            % (nid, ("%s |- %s" % (cedent(lhs), cedent(rhs))).strip(), rule, ", ".join(p.order[c] for c in kids))
         )
     lines.append("root %s" % p.order[p.root])
     return "\n".join(lines) + "\n"
@@ -316,7 +348,7 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     index = [{} for _ in p.instance]  # per node, label -> its state number there, in discovery order
     steps = []
     for v, (inst, kids) in enumerate(zip(p.instance, p.children)):
-        via = premiss_letters(inst) or ()
+        via = premiss_letters(inst.rule, p.alphabet) or ()
         if kids and not via:
             side = "LR".index(PRINCIPAL_RULES[inst.rule][1])
             principal[v] = 2 * number.get(inst.principal, -1) + side

@@ -15,8 +15,15 @@
 - fl_leq, fl_lt and compare_dependency are the closure preorder and the
   dependency order on expressions.
 - applicable_steps lists every rule instance that concludes a sequent.
-- unroll_edge duplicates the target of one proof edge, which must leave
-  every checking verdict unchanged.
+- graph_of builds a proof graph from rule instances; unroll_edge
+  duplicates the target of one proof edge, which must leave every checking
+  verdict unchanged.
+- ref_expected_premisses, ref_violation and ref_check_local state every
+  rule's schema over sequents, premiss by premiss, and ref_strategy_step
+  and ref_saturate run the search strategy over interned sequents.
+  rll.calculus states the schema once, over mask pairs of a formula table,
+  and rll.decide saturates over those mask pairs; the tests require the
+  same graphs and the same violation texts from both.
 - complement_buchi is rank-based Büchi complementation over labelled
   automata, the reference that the profile-based progress search of
   rll.proof is checked against; one_node_automaton presents a labelled
@@ -80,6 +87,7 @@ from collections import deque
 from typing import NamedTuple, Optional
 
 from rll.calculus import LOGICAL_RULE, PRINCIPAL_RULES, Sequent, make_instance
+from rll.decide import BudgetExceededError
 from rll.corpus import ALPHABET, SOUNDNESS_WORDS, sample_word
 from rll.expr import (
     Alphabet,
@@ -729,6 +737,14 @@ def applicable_steps(s):
     )
 
 
+def graph_of(nodes, root):
+    """ProofGraph.from_records over (name, RuleInstance, children names)
+    triples.  A graph's premisses are its children's sequents, so the
+    instances' own premisses are not read."""
+    return ProofGraph.from_records(
+        [(nid, inst.conclusion, inst.rule, inst.principal, kids) for nid, inst, kids in nodes], root)
+
+
 def unroll_edge(p, parent: int, index: int):
     """Duplicate the target of one edge: node parent's index-th child
     becomes a fresh copy of the old child (same rule, same children, its
@@ -740,7 +756,7 @@ def unroll_edge(p, parent: int, index: int):
     while name in p.order:
         name += "'"
     names = p.order + (name,)
-    instance = p.instance + (p.instance[child],)
+    copied = list(range(fresh)) + [child]  # the node whose sequent, rule and principal each node has
     children = [list(kids) for kids in p.children] + [list(p.children[child])]
     children[parent][index] = fresh
     reachable = {p.root}
@@ -750,11 +766,153 @@ def unroll_edge(p, parent: int, index: int):
             if c not in reachable:
                 reachable.add(c)
                 queue.append(c)
-    nodes = []
+    records = []
     for v in range(fresh + 1):
         if v in reachable:
-            nodes.append((names[v], instance[v], tuple(names[c] for c in children[v])))
-    return ProofGraph(nodes, p.order[p.root])
+            inst = p.instance[copied[v]]
+            records.append((names[v], inst.conclusion, inst.rule, inst.principal, tuple(names[c] for c in children[v])))
+    return ProofGraph.from_records(records, p.order[p.root])
+
+
+# ---------------------------------------------------------------------------
+# The rule schema and the search strategy over sequents
+
+
+class RefViolation(ValueError):
+    pass
+
+
+def _need(cond, message):
+    if not cond:
+        raise RefViolation(message)
+
+
+def ref_expected_premisses(rule, s, principal):
+    """The premisses of a canonical rule name at sequent s with this
+    principal, as sequents built by the checking constructor, or
+    RefViolation naming the side condition that fails."""
+    ab = s.alphabet
+    if rule in PRINCIPAL_RULES:
+        cls, side = PRINCIPAL_RULES[rule]
+        cedent, where = (s.lhs, "left") if side == "L" else (s.rhs, "right")
+        if cls is Expr:
+            message = "%s must drop a %s formula" % (rule, where)
+        else:
+            shape = rule[0] if cls in (Zero, Top) else "a principal %s-formula" % rule[0]
+            message = "%s requires %s on the %s" % (rule, shape, where)
+        _need(isinstance(principal, cls) and principal in cedent, message)
+        rest = cedent - {principal}
+        if side == "L":
+            return tuple(Sequent(rest | aux, s.rhs, ab) for aux in _ref_auxiliaries(rule, principal))
+        return tuple(Sequent(s.lhs, rest | aux, ab) for aux in _ref_auxiliaries(rule, principal))
+    if rule == "l-p":
+        _need(principal is None, "l-p takes no principal formula")
+        _need(len(s.lhs) == 2 and not s.rhs, "l-p requires exactly two left formulas and an empty right side")
+        e1, e2 = s.lhs_sorted
+        _need(
+            isinstance(e1, Letter) and isinstance(e2, Letter) and e1.letter != e2.letter,
+            "l-p requires two distinct head letters",
+        )
+        return ()
+    if rule == "r-p":
+        _need(principal is None, "r-p takes no principal formula")
+        _need(not s.lhs, "r-p requires an empty left side")
+        _need(all(isinstance(e, Letter) for e in s.rhs), "r-p requires every right formula to start with a letter")
+        return tuple(Sequent((), [e.body for e in s.rhs if e.letter == c], ab) for c in ab)
+    if rule.startswith("h_"):
+        a = rule[2:]
+        _need(a in ab, "h_%s names a letter outside the alphabet" % a)
+        _need(principal == a, "h_%s takes the letter %r as principal" % (a, a))
+        _need(bool(s.lhs), "h_%s requires a nonempty left side" % a)
+        _need(
+            all(isinstance(e, Letter) and e.letter == a for e in s.lhs),
+            "h_%s requires every left formula to start with %s" % (a, a),
+        )
+        _need(
+            all(isinstance(e, Letter) and e.letter == a for e in s.rhs),
+            "h_%s requires every right formula to start with %s" % (a, a),
+        )
+        return (Sequent([e.body for e in s.lhs], [e.body for e in s.rhs], ab),)
+    raise RefViolation("unknown rule %r" % rule)
+
+
+def ref_violation(rule, s, principal, premisses):
+    """None when the premisses are the ones ref_expected_premisses gives, or
+    the context-dropping form of a +-l; else the violation's text."""
+    try:
+        expected = ref_expected_premisses(rule, s, principal)
+    except RefViolation as v:
+        return str(v)
+    if premisses == expected:
+        return None
+    if rule == "+-l" and premisses == (expected[0], Sequent({principal.right}, s.rhs, s.alphabet)):
+        return None
+    return "premisses do not match the %s schema for this conclusion" % rule
+
+
+def ref_check_local(p):
+    """check_local's violations, node by node, over the graph's sequents."""
+    out = []
+    for v, nid in enumerate(p.order):
+        inst = p.instance[v]
+        violation = ref_violation(inst.rule, inst.conclusion, inst.principal, inst.premisses)
+        if violation is not None:
+            out.append("node %s: %s" % (nid, violation))
+    return out
+
+
+def ref_strategy_step(s):
+    """The (rule, principal) that the search strategy applies at s."""
+    lhs, rhs = s.lhs_sorted, s.rhs_sorted
+    for e in lhs:
+        if isinstance(e, Zero):
+            return "0-l", e
+    for f in rhs:
+        if isinstance(f, Top):
+            return "⊤-r", f
+    candidates = [(expr_sort_key(e), "L", e) for e in lhs if not isinstance(e, Letter)]
+    candidates += [(expr_sort_key(f), "R", f) for f in rhs if not isinstance(f, Letter)]
+    if candidates:
+        _, side, e = min(candidates)
+        return LOGICAL_RULE[type(e), side], e
+    if lhs:
+        heads = {e.letter for e in lhs}
+        if len(heads) >= 2:
+            first = lhs[0]
+            second = next(e for e in lhs if e.letter != first.letter)
+            for e in lhs:
+                if e is not first and e is not second:
+                    return "l-w", e
+            if rhs:
+                return "r-w", rhs[0]
+            return "l-p", None
+        head = lhs[0].letter
+        for f in rhs:
+            if f.letter != head:
+                return "r-w", f
+        return "h_" + head, head
+    return "r-p", None
+
+
+def ref_saturate(s, max_nodes=200000):
+    """ref_strategy_step expanded breadth-first, memoising sequents into
+    back-edges: per node, in order, (sequent, rule, principal, children
+    numbers).  BudgetExceededError past max_nodes sequents."""
+    memo = {s: 0}
+    queue = [s]
+    nodes = []
+    for current in queue:  # the queue grows while it is walked
+        rule, principal = ref_strategy_step(current)
+        kids = []
+        for prem in ref_expected_premisses(rule, current, principal):
+            if prem not in memo:
+                if len(memo) >= max_nodes:
+                    raise BudgetExceededError("proof search exceeded %d sequents" % max_nodes)
+                memo[prem] = len(memo)
+                queue.append(prem)
+            kids.append(memo[prem])
+        nodes.append((current, rule, principal, tuple(kids)))
+    return nodes
 
 
 # ---------------------------------------------------------------------------

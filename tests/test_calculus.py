@@ -20,13 +20,14 @@ from rll.calculus import (
     premiss_letters,
     validate_instance,
 )
-from rll.proof import ProofGraph, build_trace_automaton, check_local
+from rll.proof import build_trace_automaton, check_local
 from rll.semantics import UPWord, member
 from oracles import (
     applicable_steps,
     gen_expr,
     gen_guarded_sequent,
     gen_word,
+    graph_of,
     ref_grouped_ancestry,
     ref_immediate_ancestry,
     trace_label,
@@ -138,11 +139,15 @@ def test_derived_premisses_equal_the_checked_sequents(monkeypatch):
 
     monkeypatch.setattr(calculus_module, "_premiss", recording)
     for p in graphs:
-        check_local(p)
+        assert check_local(p) == []
+    assert rederived == []  # check_local compares mask pairs and builds no sequent
+    for p in graphs:
+        for inst in p.instance:
+            assert make_instance(inst.rule, inst.conclusion, inst.principal).premisses == inst.premisses
     assert len(rederived) == sum(len(inst.premisses) for p in graphs for inst in p.instance)
-    # the context-dropping +-l premiss that validate_instance derives
+    # the context-dropping +-l premisses that validate_instance accepts, read as masks
     degenerate = RuleInstance("+-l", seq("a 0 + b 0, T |- 0"), e("a 0 + b 0"), (seq("a 0, T |- 0"), seq("b 0 |- 0")))
-    assert validate_instance(degenerate) is None and rederived[-1] is seq("b 0 |- 0")
+    assert validate_instance(degenerate) is None
     for prem in [prem for inst in instances for prem in inst.premisses] + rederived:
         _assert_built_as_checked(prem)
 
@@ -274,7 +279,7 @@ def _descent(inst):
     of the initial states of a graph whose root carries inst over one leaf
     per premiss."""
     leaves = [("n%d" % (j + 1), RuleInstance("l-p", prem, None, ()), ()) for j, prem in enumerate(inst.premisses)]
-    p = ProofGraph([("n0", inst, tuple(nid for nid, _, _ in leaves))] + leaves, "n0")
+    p = graph_of([("n0", inst, tuple(nid for nid, _, _ in leaves))] + leaves, "n0")
     a = build_trace_automaton(p)
     grouped = {}
     for k in a.initials:
@@ -365,9 +370,9 @@ def test_ancestry_is_the_grouped_reference_with_sorted_values():
 
 def test_premiss_letters_name_the_letter_each_premiss_strips():
     abc = Alphabet("abc")
-    assert premiss_letters(make_instance("h_a", seq("a 0 |- a T"), "a")) == ("a",)
-    assert premiss_letters(make_instance("r-p", parse_sequent("|- a 0, c T", abc))) == ("a", "b", "c")
-    assert premiss_letters(make_instance("+-l", seq("a 0 + b 0 |-"), e("a 0 + b 0"))) is None
+    assert premiss_letters("h_a", AB) == ("a",)
+    assert premiss_letters("r-p", abc) == ("a", "b", "c")
+    assert premiss_letters("+-l", AB) is None
 
 
 # ---------------------------------------------------------------------------

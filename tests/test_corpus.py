@@ -25,6 +25,7 @@ from rll.corpus import (
     soundness_violations,
 )
 from rll.decide import saturate
+from rll.proof import check_local
 from rll.expr import Mu, Nu, ast_size, canonical, fl_closure, free_vars, is_guarded, parse, pretty
 from rll.semantics import parse_word, winning_offsets
 
@@ -36,16 +37,15 @@ def test_aliases_point_at_bundled_expressions():
     assert set(EXPRESSIONS) <= set(table)
 
 
+def _derivation(derivation):
+    """A derivation from a root `a 0 + b 0 |-`, principals given as text."""
+    return {nid: (rule, principal if rule.startswith("h_") else parse(principal, ALPHABET), kids)
+            for nid, (rule, principal, kids) in derivation.items()}
+
+
 @pytest.mark.parametrize(
     "derivation, message",
     [
-        # +-l has two premisses, and both children are n1, which carries the first
-        ({"n0": ("+-l", "a 0 + b 0", ("n1", "n1")), "n1": ("h_a", "a", ("n2",)), "n2": ("0-l", "0", ())},
-         "node 'n0': children carry [a 0 |-; a 0 |-], premisses are [a 0 |-; b 0 |-]"),
-        # h_a has one premiss but lists no child
-        ({"n0": ("+-l", "a 0 + b 0", ("n1", "n2")), "n1": ("h_a", "a", ()), "n2": ("h_b", "b", ("n3",)),
-          "n3": ("0-l", "0", ())},
-         "node 'n1': children carry [], premisses are [0 |-]"),
         # n9 and n8 are entries that the root never reaches, named in the derivation's order
         ({"n0": ("+-l", "a 0 + b 0", ("n1", "n2")), "n9": ("0-l", "0", ()), "n1": ("h_a", "a", ("n3",)),
           "n2": ("h_b", "b", ("n3",)), "n8": ("0-l", "0", ()), "n3": ("0-l", "0", ())},
@@ -55,13 +55,29 @@ def test_aliases_point_at_bundled_expressions():
           "n3": ("0-l", "0", ())},
          "node 'n2' references unknown child 'n9'"),
     ],
-    ids=["shared-child", "missing-child", "unreached-entries", "child-without-entry"],
+    ids=["unreached-entries", "child-without-entry"],
 )
 def test_a_mis_stated_derivation_fails_to_build(derivation, message):
-    derivation = {nid: (rule, principal if rule.startswith("h_") else parse(principal, ALPHABET), kids)
-                  for nid, (rule, principal, kids) in derivation.items()}
     with pytest.raises(ValueError, match=re.escape(message)):
-        rll.corpus._build_proof(parse_sequent("a 0 + b 0 |-", ALPHABET), derivation)
+        rll.corpus._build_proof(parse_sequent("a 0 + b 0 |-", ALPHABET), _derivation(derivation))
+
+
+@pytest.mark.parametrize(
+    "derivation, message",
+    [
+        # +-l has two premisses, and both children are n1, which carries the first
+        ({"n0": ("+-l", "a 0 + b 0", ("n1", "n1")), "n1": ("h_a", "a", ("n2",)), "n2": ("0-l", "0", ())},
+         "node n0: premisses do not match the +-l schema for this conclusion"),
+        # h_a has one premiss but lists no child
+        ({"n0": ("+-l", "a 0 + b 0", ("n1", "n2")), "n1": ("h_a", "a", ()), "n2": ("h_b", "b", ("n3",)),
+          "n3": ("0-l", "0", ())},
+         "node n1: premisses do not match the h_a schema for this conclusion"),
+    ],
+    ids=["shared-child", "missing-child"],
+)
+def test_children_off_the_premisses_fail_the_local_check(derivation, message):
+    p = rll.corpus._build_proof(parse_sequent("a 0 + b 0 |-", ALPHABET), _derivation(derivation))
+    assert check_local(p) == [message]
 
 
 def test_every_bundled_expression_is_guarded_except_the_bare_fixpoints():

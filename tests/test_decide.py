@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from rll.calculus import parse_sequent
-from rll.corpus import ALPHABET, DECISIONS, EXPRESSIONS
+from rll.calculus import FormulaTable, make_instance, parse_sequent
+from rll.corpus import _PROOFS, ALPHABET, DECISIONS, EXPRESSIONS
 from rll.decide import (
+    BudgetExceededError,
     Proved,
     Refuted,
     UnguardedSequentError,
@@ -16,13 +17,23 @@ from rll.decide import (
 from rll.expr import Alphabet, complement, parse
 from rll.proof import check, check_local, serialize_proof
 from rll.semantics import member
-from oracles import gen_guarded_sequent, member_denotational
+from oracles import gen_guarded_sequent, member_denotational, ref_saturate
+from golden import graphs, scale
 
 AB = ALPHABET
 
 
 def _s(text):
     return parse_sequent(text, AB)
+
+
+def _step(text):
+    """The rule instance that strategy_step chooses at a sequent, built
+    through make_instance, so that the rule is one that applies there."""
+    s = _s(text)
+    table = FormulaTable(s.lhs | s.rhs, AB)
+    rule, code = strategy_step(table, *table.masks(s))
+    return make_instance(rule, s, table.principal(code))
 
 
 def _assert_refutes(s, w):
@@ -37,44 +48,44 @@ def _assert_refutes(s, w):
 
 
 def test_a_left_zero_closes_before_anything_else():
-    inst = strategy_step(_s("0, a 0 |- T"))
+    inst = _step("0, a 0 |- T")
     assert inst.rule == "0-l"
 
 
 def test_a_right_top_closes_next():
-    inst = strategy_step(_s("a 0 |- T, mu X. a X"))
+    inst = _step("a 0 |- T, mu X. a X")
     assert inst.rule == "⊤-r"
 
 
 def test_the_least_nonletter_formula_is_unfolded_first():
-    inst = strategy_step(_s("a 0, mu X. a X |- b 0"))
+    inst = _step("a 0, mu X. a X |- b 0")
     assert inst.rule == "μ-l" and inst.principal == parse("mu X. a X", AB)
 
 
 def test_ties_between_sides_prefer_the_left():
-    inst = strategy_step(_s("mu X. a X |- mu X. a X"))
+    inst = _step("mu X. a X |- mu X. a X")
     assert inst.rule == "μ-l"
 
 
 def test_two_distinct_head_letters_lead_to_a_left_partition():
-    assert strategy_step(_s("a 0, b 0 |-")).rule == "l-p"
+    assert _step("a 0, b 0 |-").rule == "l-p"
     # remaining right formulas are weakened away first
-    inst = strategy_step(_s("a 0, b 0 |- a 0"))
+    inst = _step("a 0, b 0 |- a 0")
     assert inst.rule == "r-w" and inst.principal == parse("a 0", AB)
     # and extra left letters beyond a differing pair go first of all
-    assert strategy_step(_s("a 0, a T, b 0 |-")).rule == "l-w"
+    assert _step("a 0, a T, b 0 |-").rule == "l-w"
 
 
 def test_a_single_head_letter_strips_after_discarding_mismatches():
-    inst = strategy_step(_s("a 0 |- b 0, a T"))
+    inst = _step("a 0 |- b 0, a T")
     assert inst.rule == "r-w" and inst.principal == parse("b 0", AB)
-    inst = strategy_step(_s("a 0 |- a T"))
+    inst = _step("a 0 |- a T")
     assert inst.rule == "h_a" and inst.principal == "a"
 
 
 def test_an_empty_left_side_partitions_on_the_right():
-    assert strategy_step(_s("|- a 0")).rule == "r-p"
-    assert strategy_step(_s("|-")).rule == "r-p"
+    assert _step("|- a 0").rule == "r-p"
+    assert _step("|-").rule == "r-p"
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +107,50 @@ def test_saturation_is_deterministic():
 def test_saturation_respects_its_node_budget():
     with pytest.raises(RuntimeError, match="exceeded"):
         saturate(_s("mu X. a X + b X |- nu X. a X + b X"), max_nodes=3)
+
+
+def _assert_saturates_as_the_reference(s, max_nodes=200000):
+    """saturate(s) is ref_saturate(s) node for node: the same order, rule,
+    principal, children and both cedents, or both exceed the budget."""
+    try:
+        nodes = ref_saturate(s, max_nodes)
+    except BudgetExceededError:
+        with pytest.raises(BudgetExceededError, match="exceeded %d sequents" % max_nodes):
+            saturate(s, max_nodes)
+        return "budget"
+    p = saturate(s, max_nodes)
+    assert p.order == tuple("n%d" % v for v in range(len(nodes))) and p.root == 0
+    for v, (sequent, rule, principal, kids) in enumerate(nodes):
+        assert p.sequent(v) is sequent, (v, str(sequent))
+        assert (p.rule[v], p.table.principal(p.principal[v]), p.children[v]) == (rule, principal, kids), v
+    return len(nodes)
+
+
+def test_saturation_is_the_sequent_reference_on_the_corpus_and_the_scale_rows():
+    for s in [s for _, s, _, _ in _PROOFS] + [s for _, s, _ in DECISIONS]:
+        _assert_saturates_as_the_reference(s)
+    sizes = {}
+    for name in ("fin_c", "refuted-3"):
+        letters, text = scale.ROWS[name]
+        alphabet = Alphabet(letters)
+        sizes[name] = _assert_saturates_as_the_reference(parse_sequent(scale.sequent_text(alphabet, text), alphabet))
+    assert sizes == {"fin_c": 6409, "refuted-3": 534}
+
+
+def test_saturation_is_the_sequent_reference_on_random_sequents():
+    # the draws of tests/golden/graphs.py: 1,000 at the generator's defaults,
+    # then 250 from its large band under its saturation budget
+    n = 1000
+    outcomes = []
+    for seed in range(n + n // 4):
+        rng = random.Random(seed)
+        alphabet = Alphabet("abc" if seed % 2 else "ab")
+        if seed < n:
+            outcomes.append(_assert_saturates_as_the_reference(gen_guarded_sequent(rng, alphabet)))
+        else:
+            s = gen_guarded_sequent(rng, alphabet, graphs.LARGE_SIZE, graphs.LARGE_SIDE)
+            outcomes.append(_assert_saturates_as_the_reference(s, graphs.LARGE_BUDGET))
+    assert max(outcomes[:n]) < max(outcomes[n:]), "the large band draws the larger graphs"
 
 
 # ---------------------------------------------------------------------------

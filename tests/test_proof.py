@@ -7,7 +7,7 @@ import pytest
 
 import rll.calculus as calculus_module
 import rll.proof as proof_module
-from rll.calculus import RuleInstance, Sequent, make_instance, parse_sequent, validate_instance
+from rll.calculus import PRINCIPAL_RULES, RuleInstance, Sequent, make_instance, parse_sequent, validate_instance
 from rll.corpus import ALPHABET, DECISIONS, proofs
 from rll.decide import Proved, decide, saturate
 from rll.expr import Alphabet, Cap, Expr, Mu, Nu, ParseError, Var, complement, expr_sort_key, fl_closure, parse
@@ -29,9 +29,12 @@ from oracles import (
     edges_of,
     gen_guarded_sequent,
     gen_word,
+    graph_of,
     one_node_automaton,
+    ref_check_local,
     ref_find_unaccepted_branch,
     ref_trace_automaton,
+    ref_violation,
     trace_label,
     unroll_edge,
 )
@@ -44,7 +47,7 @@ FIXTURES = proofs()
 def _loop(seq_text, rule, principal_text=None):
     s = parse_sequent(seq_text, AB)
     principal = parse(principal_text, AB) if principal_text else None
-    return ProofGraph([("n0", make_instance(rule, s, principal), ("n0",))], "n0")
+    return graph_of([("n0", make_instance(rule, s, principal), ("n0",))], "n0")
 
 
 # ---------------------------------------------------------------------------
@@ -55,18 +58,22 @@ def test_graphs_validate_their_shape():
     s = parse_sequent("mu X. X |- nu X. X", AB)
     inst = make_instance("μ-l", s, parse("mu X. X", AB))
     with pytest.raises(ValueError, match="duplicate node id"):
-        ProofGraph([("n0", inst, ("n0",)), ("n0", inst, ("n0",))], "n0")
+        graph_of([("n0", inst, ("n0",)), ("n0", inst, ("n0",))], "n0")
     with pytest.raises(ValueError, match="root"):
-        ProofGraph([("n0", inst, ("n0",))], "missing")
+        graph_of([("n0", inst, ("n0",))], "missing")
     with pytest.raises(ValueError, match="unknown child"):
-        ProofGraph([("n0", inst, ("n1",))], "n0")
+        graph_of([("n0", inst, ("n1",))], "n0")
     with pytest.raises(ValueError, match="unreachable"):
-        ProofGraph([("n0", inst, ("n0",)), ("orphan", inst, ("orphan",))], "n0")
+        graph_of([("n0", inst, ("n0",)), ("orphan", inst, ("orphan",))], "n0")
 
 
-# a graph's structure is checked where it is built: children that do not
-# carry their parent's premisses, or a node over another alphabet, never
-# make a ProofGraph, so check_local is left with rule schemas alone
+# a graph's shape is checked where it is built: a node over another alphabet
+# never makes a ProofGraph.  A node's premisses are its children's cedents,
+# so children that do not carry them are a rule schema violation, which
+# check_local reports
+
+
+MU_L_MISMATCH = "node n0: premisses do not match the μ-l schema for this conclusion"
 
 
 def test_local_check_reports_child_mismatches():
@@ -74,23 +81,17 @@ def test_local_check_reports_child_mismatches():
     other = parse_sequent("nu X. X |- nu X. X", AB)
     inst = make_instance("μ-l", s, parse("mu X. X", AB))
     bad_child = make_instance("ν-l", other, parse("nu X. X", AB))
-    with pytest.raises(ValueError, match=re.escape(
-            "node 'n0': children carry [nu X. X |- nu X. X], premisses are [mu X. X |- nu X. X]")):
-        ProofGraph([("n0", inst, ("n1",)), ("n1", bad_child, ("n1",))], "n0")
+    p = graph_of([("n0", inst, ("n1",)), ("n1", bad_child, ("n1",))], "n0")
+    assert check_local(p) == [MU_L_MISMATCH]
+    assert check(p).violations == (MU_L_MISMATCH,)
 
 
 def test_local_check_requires_axiom_leaves():
     s = parse_sequent("mu X. X |- nu X. X", AB)
     inst = make_instance("μ-l", s, parse("mu X. X", AB))
     for kids in [(), ("n0", "n0")]:
-        with pytest.raises(ValueError, match=re.escape(
-                "node 'n0': children carry [%s], premisses are [mu X. X |- nu X. X]"
-                % "; ".join(["mu X. X |- nu X. X"] * len(kids)))):
-            ProofGraph([("n0", inst, kids)], "n0")
-    # a leaf whose instance claims no premisses builds, and fails its schema
-    leaf = RuleInstance("μ-l", s, parse("mu X. X", AB), ())
-    assert check_local(ProofGraph([("n0", leaf, ())], "n0")) == [
-        "node n0: premisses do not match the μ-l schema for this conclusion"]
+        assert check_local(graph_of([("n0", inst, kids)], "n0")) == [MU_L_MISMATCH]
+    assert check_local(graph_of([("n0", inst, ("n0",))], "n0")) == []
 
 
 def test_graphs_refuse_a_node_over_another_alphabet():
@@ -98,7 +99,7 @@ def test_graphs_refuse_a_node_over_another_alphabet():
     s, wide = parse_sequent("mu X. X |-", AB), parse_sequent("mu X. X |-", Alphabet("abc"))
     forged = RuleInstance("μ-l", s, mu, (wide,))
     with pytest.raises(ValueError, match="node 'n1': alphabet differs from the root's"):
-        ProofGraph([("n0", forged, ("n1",)), ("n1", make_instance("μ-l", wide, mu), ("n1",))], "n0")
+        graph_of([("n0", forged, ("n1",)), ("n1", make_instance("μ-l", wide, mu), ("n1",))], "n0")
 
 
 def test_progress_requires_a_locally_valid_graph():
@@ -108,9 +109,100 @@ def test_progress_requires_a_locally_valid_graph():
     forged = parse_sequent("nu X. X |- nu X. X", AB)
     inst = RuleInstance("μ-l", s, parse("mu X. X", AB), (forged,))
     child = make_instance("ν-l", forged, parse("nu X. X", AB))
-    r = check(ProofGraph([("n0", inst, ("n1",)), ("n1", child, ("n1",))], "n0"))
+    r = check(graph_of([("n0", inst, ("n1",)), ("n1", child, ("n1",))], "n0"))
     assert r.reason == "local" and r.lasso is None
     assert r.violations == ("node n0: premisses do not match the μ-l schema for this conclusion",)
+
+
+def _mutants(p, rng):
+    """One-node mutations of p, each as (kind, mutated node, graph): in a
+    node of each class (formula rules, letter rules), its rule swapped for
+    another of that class or for any rule, and its principal replaced by
+    another code (a cedent formula, a letter or none); one child pointed at
+    another node; and a +-l given its context-dropping second premiss, a new
+    node copied from the old second child with the context dropped."""
+    n = len(p.order)
+    letter_rules = ["l-p", "r-p", "h_z"] + ["h_" + c for c in p.alphabet]
+
+    def mutant(kind, v, rule=None, principal=None, children=None, extra=None):
+        fields = [list(p.lhs), list(p.rhs), list(p.rule), list(p.principal), list(p.children)]
+        for k, value in enumerate((None, None, rule, principal, children)):
+            if value is not None:
+                fields[k][v] = value[0]
+        order = p.order
+        if extra is not None:
+            order += ("n%d" % n,)
+            for k, value in enumerate(extra):
+                fields[k].append(value)
+        return kind, v, ProofGraph(p.table, order, *fields, p.root)
+
+    def swapped(kind, v, rules):
+        """v's rule swapped for another of rules, with a principal of the
+        kind that the new rule takes, so that its later side conditions are
+        reached too."""
+        rule = rng.choice([r for r in rules if r != p.rule[v]])
+        if rule in PRINCIPAL_RULES:
+            cedent = p.lhs[v] | p.rhs[v]
+            principal = rng.choice([k for k in range(len(p.table.formulas)) if cedent >> k & 1] or [None])
+        else:
+            principal = rule[2:] if rule.startswith("h_") else None
+        return mutant(kind, v, rule=[rule], principal=[principal])
+
+    for rules in (list(PRINCIPAL_RULES), letter_rules):
+        nodes = [v for v in range(n) if p.rule[v] in rules or p.rule[v].startswith("h_") and "h_z" in rules]
+        if nodes:
+            v = rng.choice(nodes)
+            yield swapped("rule", v, rules)
+            yield swapped("any rule", v, list(PRINCIPAL_RULES) + letter_rules)
+            v = rng.choice(nodes)
+            cedent = p.lhs[v] | p.rhs[v]
+            codes = [k for k in range(len(p.table.formulas)) if cedent >> k & 1] + list(p.alphabet) + [None]
+            yield mutant("principal", v, principal=[rng.choice([c for c in codes if c != p.principal[v]])])
+    parents = [u for u in range(n) if p.children[u]]
+    if parents:
+        u = rng.choice(parents)
+        kids = list(p.children[u])
+        kids[rng.randrange(len(kids))] = rng.randrange(n)
+        yield mutant("child", u, children=[tuple(kids)])
+    plus = [u for u in range(n) if p.rule[u] == "+-l"]
+    if plus:
+        u = rng.choice(plus)
+        old = p.children[u][1]
+        right = p.table.aux[0][p.principal[u]][1]
+        extra = (right, p.rhs[u], p.rule[old], p.principal[old], p.children[old])
+        yield mutant("degenerate", u, children=[(p.children[u][0], n)], extra=extra)
+
+
+def _template(text):
+    """A violation text with its letters and h_ rule names masked."""
+    return re.sub(r"with [a-z]$", "with ?", re.sub(r"'[a-z]+'", "'?'", re.sub(r"h_[a-z]+", "h_?", text)))
+
+
+def test_the_mask_schema_gives_the_sequent_schema_violations_on_mutated_graphs():
+    # every violation text of check_local, pinned against ref_check_local,
+    # which states the schema over sequents and shares no code with the masks
+    rng = random.Random(3141)
+    kinds, texts = Counter(), Counter()
+    for p in _random_saturated_graphs(seed=2718, n=300):
+        assert check_local(p) == ref_check_local(p) == []
+        for kind, v, q in _mutants(p, rng):
+            violations = check_local(q)
+            assert violations == ref_check_local(q), (kind, serialize_proof(q))
+            inst = q.instance[v]
+            assert validate_instance(inst) == ref_violation(inst.rule, inst.conclusion, inst.principal, inst.premisses)
+            mine = [text.split(": ", 1)[1] for text in violations if text.startswith("node %s: " % q.order[v])]
+            kinds[kind, bool(mine)] += 1
+            texts.update(map(_template, mine))
+    # a context-dropping +-l is always accepted; the other mutations break
+    # their node, a moved child now and then landing on an equal sequent
+    assert kinds["degenerate", True] == 0 and kinds["degenerate", False] > 50, kinds
+    assert all(kinds[kind, True] for kind in ("rule", "any rule", "principal", "child")) and kinds["child", False]
+    # each side condition's text: one for each of the 14 formula rules, and
+    # 3 for l-p, 3 for r-p and 5 for h_a; and a schema mismatch for each rule
+    # but 0-l, ⊤-r and l-p, which have no premiss to mismatch
+    side_conditions = [t for t in texts if not t.startswith("premisses do not match")]
+    assert len(side_conditions) == 14 + 3 + 3 + 5, "\n".join(sorted(texts))
+    assert len(texts) - len(side_conditions) == 14 + 2 - 2, sorted(texts)
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +233,7 @@ def test_right_unfolding_the_empty_fixpoint_is_rejected():
 def test_an_ascii_rule_alias_is_stored_under_its_rule_name():
     # and a principal with named binders is stored canonical
     s = parse_sequent("mu X. X |-", AB)
-    loops = [ProofGraph([("n0", RuleInstance(rule, s, principal, (s,)), ("n0",))], "n0")
+    loops = [ProofGraph.from_records([("n0", s, rule, principal, ("n0",))], "n0")
              for rule, principal in [("μ-l", parse("mu X. X", AB)), ("mu-l", parse("mu X. X", AB)),
                                      ("mu-l", Mu("X", Var("X")))]]
     assert loops[0].instance[0].rule == "μ-l" and loops[0].instance[0].principal is parse("mu X. X", AB)
@@ -154,7 +246,7 @@ def test_an_ascii_rule_alias_is_stored_under_its_rule_name():
 
 def test_an_empty_root_sequent_rejects_every_branch():
     s = parse_sequent("|-", AB)
-    p = ProofGraph([("n0", make_instance("r-p", s), ("n0", "n0"))], "n0")
+    p = graph_of([("n0", make_instance("r-p", s), ("n0", "n0"))], "n0")
     r = check(p)
     assert not r.ok and r.reason == "progress"
     assert [v for v, _ in r.lasso.cycle] == [0]
@@ -162,7 +254,7 @@ def test_an_empty_root_sequent_rejects_every_branch():
 
 def test_a_finite_axiom_tree_is_vacuously_progressing():
     s = parse_sequent("a 0, b T |-", AB)
-    p = ProofGraph([("n0", make_instance("l-p", s), ())], "n0")
+    p = graph_of([("n0", make_instance("l-p", s), ())], "n0")
     assert check(p).ok
 
 
@@ -799,7 +891,7 @@ def _renamed(p, rng):
         (names[nid], inst, tuple(names[p.order[c]] for c in kids))
         for nid, inst, kids in zip(p.order, p.instance, p.children)
     ]
-    return ProofGraph(nodes, names[p.order[p.root]]), names
+    return graph_of(nodes, names[p.order[p.root]]), names
 
 
 def test_renaming_the_nodes_changes_only_the_names():
