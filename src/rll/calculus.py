@@ -304,20 +304,6 @@ class FormulaTable:
         return self.formulas[code] if type(code) is int else code
 
 
-def auxiliaries(rule, p):
-    """The formulas that take the place of principal p in each premiss of
-    one of the PRINCIPAL_RULES."""
-    if rule in ("+-l", "∩-r"):
-        return ({p.left}, {p.right})
-    if rule in ("∩-l", "+-r"):
-        return ({p.left, p.right},)
-    if rule in ("0-l", "⊤-r"):
-        return ()
-    if rule[0] in "μν":
-        return ({unfold(p)},)
-    return (set(),)  # ⊤-l, 0-r and the weakenings
-
-
 def premiss_masks(table: FormulaTable, rule: str, lhs: int, rhs: int, principal):
     """The premisses of a canonical rule name at the conclusion (lhs, rhs)
     with this principal code, as (lhs, rhs) mask pairs in order; raises

@@ -5,7 +5,10 @@ logical rule on the least non-letter formula, and once every formula is
 letter-prefixed either clash two distinct head letters (l-p, weakening the
 rest away), strip a shared head letter (h_a, weakening mismatched RHS
 formulas), or partition on the first letter (r-p) when the LHS is empty.
-Saturating the strategy with memoised sequents yields a finite cyclic
+The strategy and its memo run over the formula table of the closure of the
+root sequent: a sequent is a (lhs mask, rhs mask) pair, its premisses come
+from the mask rule schema of rll.calculus, and no Sequent is built.
+Saturating the strategy with memoised mask pairs yields a finite cyclic
 preproof; the sequent is valid exactly when that preproof passes the
 progress check, and a failing branch folds into an ultimately periodic
 countermodel: each edge of its lasso that leaves a letter rule contributes

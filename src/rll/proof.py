@@ -1,21 +1,25 @@
 """Cyclic proofs as finite graphs, and the progress condition.
 
-A proof is a finite graph of sequents: each node carries a rule instance
-whose premisses are exactly its children's sequents, and back-edges make the
-object cyclic.  The graph is numbered once, when it is built, and every
-stage after that reads node numbers; the names of a proof file's nodes are
-read back only to report errors and to print.  Its structure is checked
-where it is built; local checking validates rule schemas only.  The global
-progress condition asks that every infinite branch carries a trace — a path
-of formulas through the ancestry relation — that commits to a critical
-left-mu or right-nu formula, never unfolds anything strictly smaller
-afterwards, and unfolds the critical formula itself infinitely often.
+A proof is a finite graph of sequents: each node carries a rule, a principal
+and children whose sequents are its premisses, and back-edges make the
+object cyclic.  The graph is numbered once, when it is built, over one
+FormulaTable of rll.calculus: a node is a pair of cedent masks over the
+table's formula numbers, and sequent(v) and instance[v] are built only on
+demand.  Every stage after that reads node and formula numbers; the names
+of a proof file's nodes are read back only to report errors and to print.
+Its shape is checked where it is built; local checking asks of each node
+that premiss_masks, the one rule schema, derive exactly its children's
+cedents.  The global progress condition asks that every infinite branch
+carries a trace — a path of formulas through the ancestry relation — that
+commits to a critical left-mu or right-nu formula, never unfolds anything
+strictly smaller afterwards, and unfolds the critical formula itself
+infinitely often.
 
 build_trace_automaton turns that condition into a Büchi automaton over the
 graph's edges whose language is the set of branches possessing such a trace.
-The graph's formulas are numbered once, by expr_sort_key rank; a state's
-label is one int over those numbers, and its descent along an edge is a mask
-read off premiss_letters and auxiliaries as it is walked.  States are
+A state's label is one int over the table's formula numbers, and its descent
+along an edge is a mask read off the graph's cedents, premiss_letters and
+the table's body bits and auxiliary masks as it is walked.  States are
 numbered per node in discovery order, and each edge holds one reach row per
 state of its source: a bitmask of the child's states that the state steps
 to.  check runs the local check and then decides whether that language
@@ -44,17 +48,16 @@ search is checked against, next to the full search as one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache, cached_property, reduce
 from operator import or_
 from typing import Optional, Tuple
 
-from .expr import Alphabet, Expr, Letter, Mu, Nu, ParseError, canonical, expr_sort_key, parse, pretty, subformula_leq
+from .expr import Alphabet, Expr, Mu, Nu, ParseError, canonical, parse, pretty, subformula_leq
 from .calculus import (
     PRINCIPAL_RULES,
     FormulaTable,
     RuleInstance,
     Sequent,
-    auxiliaries,
     canonical_rule_name,
     is_rule_name,
     parse_sequent,
@@ -303,7 +306,9 @@ class TraceAutomaton:
     whose states are numbered per node in discovery order.  Every table but
     formulas is indexed by node number.
 
-    - formulas lists the graph's distinct formulas in expr_sort_key order;
+    - formulas lists the graph's distinct formulas in expr_sort_key order:
+      its table's, with the numbers of closure members that no cedent
+      holds left out;
     - labels[v][k] is state k of node v, the int 2 * (len(formulas) * (c +
       1) + n) + side for formulas[n] on side 0 (left) or 1 (right), with c
       the critical formula's number, -1 while the trace is still searching;
@@ -323,40 +328,39 @@ class TraceAutomaton:
 
 
 def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
-    """The Büchi automaton over the graph's edges accepting exactly the
-    branches that carry a progressing trace.  States track a formula of the
-    current node's sequent on one side, either still searching or committed
-    to a critical formula; committed runs die when a strictly smaller
-    formula is unfolded on the trace and visit an accepting state whenever
-    the critical formula itself is the one unfolded.  A cedent is a mask
-    over the formula numbers, whose ascending bits are its sorted order."""
-    sequents = [inst.conclusion for inst in p.instance]
-    formulas = tuple(sorted(set().union(*(s.lhs | s.rhs for s in sequents)), key=expr_sort_key))
-    number = {f: n for n, f in enumerate(formulas)}
-    bit = {f: 1 << n for n, f in enumerate(formulas)}
-    width = 2 * len(formulas)  # the labels with one critical formula
-    cedents = [(sum(map(bit.__getitem__, s.lhs)), sum(map(bit.__getitem__, s.rhs))) for s in sequents]
-    may_commit = tuple(sum(bit[f] for f in formulas if isinstance(f, cls)) for cls in (Mu, Nu))  # left mu, right nu
-    body = {(f.letter, n): bit.get(f.body, 0) for n, f in enumerate(formulas) if isinstance(f, Letter)}
-    below = cache(lambda f, c: subformula_leq(formulas[f], formulas[c]))  # per pair of numbers
+    """The Büchi automaton over the edges of a locally valid graph accepting
+    exactly the branches that carry a progressing trace.  States track a
+    formula of the current node's sequent on one side, either still
+    searching or committed to a critical formula; committed runs die when a
+    strictly smaller formula is unfolded on the trace and visit an
+    accepting state whenever the critical formula itself is the one
+    unfolded.  Formulas are the graph table's numbers, and a descent is a
+    mask read off the graph's cedents and the table's body bits and
+    auxiliary masks."""
+    table = p.table
+    cedents = tuple(zip(p.lhs, p.rhs))
+    width = 2 * len(table.formulas)  # the labels with one critical formula
+    may_commit = (table.kinds.get(Mu, 0), table.kinds.get(Nu, 0))  # left mu, right nu
+    letter, body = table.letter, table.body
+    below = cache(lambda f, c: subformula_leq(table.formulas[f], table.formulas[c]))  # per pair of numbers
 
     # per node, its principal as 2n + side (negative for none); per edge, the child, its index and
     # cedents, what the edge descends by (the letter it strips, else the mask of its auxiliaries on the
     # rule's side) and its reach rows
-    principal = [-1] * len(p.instance)
+    principal = [-1] * len(p.order)
     rows = [[[] for _ in kids] for kids in p.children]
-    index = [{} for _ in p.instance]  # per node, label -> its state number there, in discovery order
+    index = [{} for _ in p.children]  # per node, label -> its state number there, in discovery order
     steps = []
-    for v, (inst, kids) in enumerate(zip(p.instance, p.children)):
-        via = premiss_letters(inst.rule, p.alphabet) or ()
+    for v, (rule, kids) in enumerate(zip(p.rule, p.children)):
+        via = premiss_letters(rule, table.alphabet) or ()
         if kids and not via:
-            side = "LR".index(PRINCIPAL_RULES[inst.rule][1])
-            principal[v] = 2 * number.get(inst.principal, -1) + side
-            aux = auxiliaries(inst.rule, inst.principal)
-            via = [sum(bit[g] for g in aux[j] if g in bit) & cedents[c][side] for j, c in enumerate(kids)]
+            side = PRINCIPAL_RULES[rule][1] == "R"
+            principal[v] = 2 * p.principal[v] + side
+            aux = table.auxiliaries(rule, p.principal[v])
+            via = [aux[j] & cedents[c][side] for j, c in enumerate(kids)]
         steps.append(tuple(zip(kids, map(index.__getitem__, kids), map(cedents.__getitem__, kids), via, rows[v])))
 
-    accepting = [0] * len(p.instance)
+    accepting = [0] * len(p.order)
     queue = [2 * n + side for side, m in enumerate(cedents[p.root]) for n in range(width // 2) if m >> n & 1]
     initials = tuple(range(len(queue)))
     index[p.root].update(zip(queue, initials))
@@ -375,7 +379,7 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
         base = label - 2 * f  # a descendant's label differs only in its formula number
         for child, idx, cedent, via, out in steps[v]:
             if type(via) is str:
-                down = body.get((via, f), 0) & cedent[side]
+                down = body[f] & cedent[side] if letter[f] == via else 0
             else:
                 down = 1 << f & cedent[side] | (via if unfolds else 0)
             row = 0
@@ -393,10 +397,22 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
                         queue.append(x)
                     row |= 1 << k2
             out.append(row)
+    formulas, labels = table.formulas, map(tuple, index)
+    used = reduce(or_, p.lhs + p.rhs, 0)
+    if used != (1 << len(formulas)) - 1:  # number only the formulas that some cedent holds
+        formulas = tuple(table.members(used))
+        compact = {table.number[f]: n for n, f in enumerate(formulas)}
+
+        def relabel(label):
+            critical, key = divmod(label, width)
+            committed = compact[critical - 1] + 1 if critical else 0
+            return 2 * (len(formulas) * committed + compact[key >> 1]) + (key & 1)
+
+        labels = (tuple(map(relabel, labels_at)) for labels_at in index)
     return TraceAutomaton(
         root=p.root,
         formulas=formulas,
-        labels=tuple(map(tuple, index)),
+        labels=tuple(labels),
         states=tuple(states),
         initials=initials,
         reach=tuple(tuple(map(tuple, per_edge)) for per_edge in rows),

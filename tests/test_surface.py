@@ -247,3 +247,17 @@ def test_no_class_in_src_writes_its_own_equality_hash_or_container_protocol():
                         continue
                     found += ["%s.%s.%s" % (mod, node.name, n) for n in sorted(names & VALUE_METHODS)]
     assert found == [], "defined by hand: " + ", ".join(found)
+
+
+def test_the_trace_build_reads_the_one_formula_numbering_of_rll_calculus():
+    # formula numbers come from the graph's FormulaTable, from saturation to
+    # the trace automaton: rll.proof sorts no formulas by expr_sort_key and
+    # imports no Expr-level auxiliaries, and the trace build reads the
+    # table's auxiliary masks
+    tree = _modules()["proof"]
+    found = ["proof:%d %s" % (node.lineno, _name(node)) for node in ast.walk(tree)
+             if _name(node) == "expr_sort_key" or isinstance(node, ast.alias) and node.name == "auxiliaries"]
+    assert found == [], "rll.proof numbers formulas of its own: " + ", ".join(found)
+    build = dict(_functions(tree))["build_trace_automaton"]
+    read = {node.attr for node in ast.walk(build) if isinstance(node, ast.Attribute)}
+    assert {"table", "auxiliaries", "lhs", "rhs"} <= read
