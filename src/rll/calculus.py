@@ -14,7 +14,7 @@ expr_sort_key rank, with each number's constructor, head letter, body bit
 and auxiliary masks; a cedent is a mask over those numbers, whose ascending
 bits are its sorted order.  premiss_masks states each rule's premisses once,
 over (lhs mask, rhs mask) pairs; it is the one rule schema, and
-schema_violation, make_instance and validate_instance read it.  Traces
+schema_violation and make_instance read it.  Traces
 follow formulas from a conclusion into its premisses: premiss_letters names
 the letter that each premiss of h_a or r-p strips, so a formula with that
 head letter descends to its body; FormulaTable.auxiliaries names the
@@ -213,18 +213,17 @@ PRINCIPAL_RULES = {
 LOGICAL_RULE = {key: rule for rule, key in PRINCIPAL_RULES.items() if key[0] is not Expr}
 
 
-
-
 class FormulaTable:
     """The closure of a set of closed formulas over an alphabet, numbered by
-    expr_sort_key rank: formulas[n] is formula n and number maps it back.  A
-    set of its formulas is a mask, bit n for formula n, so a cedent's
-    ascending bits are its sorted order.  Per number: kind[n] is the
-    constructor, letter[n] the head letter of a letter formula (else None),
-    body[n] the bit of its body (else 0), and aux[side][n] the masks that
-    take formula n's place in each premiss of its logical rule on side 0
-    (left) or 1 (right).  kinds maps each constructor to the mask of its
-    formulas, and head each letter to the mask of the formulas it heads."""
+    expr_sort_key rank: formulas[n] is formula n, number maps it back and
+    bit maps it to 1 << n.  A set of its formulas is a mask, the OR of
+    their bits, so a cedent's ascending bits are its sorted order.  Per
+    number: kind[n] is the constructor, letter[n] the head letter of a
+    letter formula (else None), body[n] the bit of its body (else 0), and
+    aux[side][n] the masks that take formula n's place in each premiss of
+    its logical rule on side 0 (left) or 1 (right).  kinds maps each
+    constructor to the mask of its formulas, and head each letter to the
+    mask of the formulas it heads."""
 
     def __init__(self, formulas, alphabet: Alphabet):
         closure = set()
@@ -233,6 +232,7 @@ class FormulaTable:
         self.alphabet = alphabet
         self.formulas = tuple(sorted(closure, key=expr_sort_key))
         self.number = number = {f: n for n, f in enumerate(self.formulas)}
+        self.bit = {f: 1 << n for n, f in enumerate(self.formulas)}
         self.kind = tuple(map(type, self.formulas))
         self.kinds, self.head = {}, {}
         letter, body, left, right = [], [], [], []
@@ -264,19 +264,26 @@ class FormulaTable:
     def masks(self, s: Sequent):
         """s as a (lhs, rhs) mask pair, None when it is over another
         alphabet or holds a formula with no number."""
-        number = self.number
-        if s.alphabet != self.alphabet or not all(f in number for f in s.lhs | s.rhs):
+        if s.alphabet != self.alphabet:
             return None
-        return sum(1 << number[f] for f in s.lhs), sum(1 << number[f] for f in s.rhs)
+        bit = self.bit.__getitem__
+        try:
+            return sum(map(bit, s.lhs)), sum(map(bit, s.rhs))
+        except KeyError:
+            return None
 
-    def members(self, mask: int):
-        """The formulas of a mask, in number order."""
+    def numbers(self, mask: int):
+        """The numbers of a mask's bits, ascending."""
         out = []
         while mask:
             low = mask & -mask
-            out.append(self.formulas[low.bit_length() - 1])
+            out.append(low.bit_length() - 1)
             mask ^= low
         return out
+
+    def members(self, mask: int):
+        """The formulas of a mask, in number order."""
+        return [self.formulas[n] for n in self.numbers(mask)]
 
     def bodies(self, mask: int) -> int:
         """The mask of the bodies of a mask of letter formulas."""
@@ -296,8 +303,11 @@ class FormulaTable:
     def code(self, principal):
         """A principal as the rule schema reads it: a formula's number, or
         the principal itself when it is a letter, none, or a formula with no
-        number, which is in no cedent."""
-        return self.number.get(principal, principal) if isinstance(principal, Expr) else principal
+        number, which is in no cedent.  A formula is read canonical."""
+        if isinstance(principal, Expr):
+            principal = canonical(principal)
+            return self.number.get(principal, principal)
+        return principal
 
     def principal(self, code):
         """The principal that a code names: code's inverse."""
@@ -322,14 +332,13 @@ def premiss_masks(table: FormulaTable, rule: str, lhs: int, rhs: int, principal)
         if side == "L":
             return tuple((rest | aux, rhs) for aux in table.auxiliaries(rule, principal))
         return tuple((lhs, rest | aux) for aux in table.auxiliaries(rule, principal))
-    letter = table.letter
     if rule == "l-p":
         _need(principal is None, "l-p takes no principal formula")
         first = lhs & -lhs
         second = lhs ^ first
         _need(second and second & -second == second and not rhs,
               "l-p requires exactly two left formulas and an empty right side")
-        e1, e2 = letter[first.bit_length() - 1], letter[second.bit_length() - 1]
+        e1, e2 = table.letter[first.bit_length() - 1], table.letter[second.bit_length() - 1]
         _need(e1 is not None and e2 is not None and e1 != e2, "l-p requires two distinct head letters")
         return ()
     if rule == "r-p":
@@ -373,21 +382,9 @@ def make_instance(rule: str, conclusion: Sequent, principal=None) -> RuleInstanc
     raising ValueError when the rule does not apply: premiss_masks over the
     table of the conclusion's formulas."""
     rule = canonical_rule_name(rule)
-    if isinstance(principal, Expr):
-        principal = canonical(principal)
     table = FormulaTable(conclusion.lhs | conclusion.rhs, conclusion.alphabet)
     premisses = premiss_masks(table, rule, *table.masks(conclusion), table.code(principal))
     return RuleInstance(rule, conclusion, principal, tuple(table.sequent(*m) for m in premisses))
-
-
-def validate_instance(r: RuleInstance) -> Optional[str]:
-    """schema_violation of the instance, over the table of its conclusion's
-    formulas: None when it matches its rule's schema, otherwise a
-    description of the violation."""
-    s = r.conclusion
-    table = FormulaTable(s.lhs | s.rhs, s.alphabet)
-    got = tuple(map(table.masks, r.premisses))
-    return schema_violation(table, r.rule, *table.masks(s), table.code(r.principal), got)
 
 
 def premiss_letters(rule: str, alphabet: Alphabet) -> Optional[Tuple[str, ...]]:

@@ -40,12 +40,11 @@ def strategy_step(table: FormulaTable, lhs: int, rhs: int):
     its least formula."""
     zero = lhs & table.kinds.get(Zero, 0)
     if zero:
-        return "0-l", zero.bit_length() - 1
+        return "0-l", _lowest(zero)
     top = rhs & table.kinds.get(Top, 0)
     if top:
-        return "⊤-r", top.bit_length() - 1
-    letters = table.kinds.get(Letter, 0)
-    logical = (lhs | rhs) & ~letters
+        return "⊤-r", _lowest(top)
+    logical = (lhs | rhs) & ~table.kinds.get(Letter, 0)
     if logical:
         n = _lowest(logical)
         return LOGICAL_RULE[table.kind[n], "L" if lhs >> n & 1 else "R"], n

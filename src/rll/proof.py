@@ -52,7 +52,7 @@ from functools import cache, cached_property, reduce
 from operator import or_
 from typing import Optional, Tuple
 
-from .expr import Alphabet, Expr, Mu, Nu, ParseError, canonical, parse, pretty, subformula_leq
+from .expr import Alphabet, Expr, Mu, Nu, ParseError, parse, pretty, subformula_leq
 from .calculus import (
     PRINCIPAL_RULES,
     FormulaTable,
@@ -63,8 +63,8 @@ from .calculus import (
     parse_sequent,
     premiss_letters,
     schema_violation,
-    validate_instance,
 )
+
 
 class ProofGraph:
     """Finite rooted graph of rule applications over one formula table,
@@ -75,8 +75,9 @@ class ProofGraph:
     holds the numbers of its children; root is a number.  The names are
     read only to report errors and to print.  A premiss is the cedent pair
     of a child, so whether the children carry a node's premisses is a rule
-    schema question, check_local's.  sequent(v) and instance are built on
-    demand, for the callers that print them and for the tests."""
+    schema question, check_local's.  sequent(v) is built on demand, and
+    instance on first read, for the callers that print them and for the
+    tests."""
 
     def __init__(self, table: FormulaTable, order, lhs, rhs, rule, principal, children, root: int):
         self.table, self.order, self.root = table, tuple(order), root
@@ -116,7 +117,7 @@ class ProofGraph:
         table = FormulaTable(set().union(*(s.lhs | s.rhs for _, s, *_ in records)), alphabet)
         lhs, rhs = zip(*(table.masks(s) for _, s, *_ in records))
         rules = [canonical_rule_name(rule) for _, _, rule, _, _ in records]
-        principals = [table.code(canonical(pr) if isinstance(pr, Expr) else pr) for *_, pr, _ in records]
+        principals = [table.code(pr) for *_, pr, _ in records]
         return cls(table, list(number), lhs, rhs, rules, principals, children, number[root])
 
     def sequent(self, v: int) -> Sequent:
@@ -242,11 +243,11 @@ def parse_proof(text: str) -> ProofGraph:
             raise ParseError("duplicate node id %r" % nid)
         sequents[nid] = parse_sequent(sequent_text, alphabet, formulas)
     nodes = []
+    table = None  # the file's formula table, built for its first omitted principal
     for nid, _, rule, principal_text, kids in records:
         for cid in kids:
             if cid not in sequents:
                 raise ParseError("node %s references unknown child %r" % (nid, cid))
-        premisses = tuple(sequents[cid] for cid in kids)
         conclusion = sequents[nid]
         if rule.startswith("h_"):
             if principal_text is not None and principal_text != rule[2:]:
@@ -259,11 +260,13 @@ def parse_proof(text: str) -> ProofGraph:
         elif rule in ("l-p", "r-p"):
             principal = None
         else:  # only a formula of the rule's class on the rule's side can match, and at most one does
-            cls, side = PRINCIPAL_RULES[rule]
-            cedent = conclusion.lhs_sorted if side == "L" else conclusion.rhs_sorted
+            if table is None:
+                table = FormulaTable(set().union(*(s.lhs | s.rhs for s in sequents.values())), alphabet)
+            lhs, rhs = table.masks(conclusion)
+            premisses = tuple(table.masks(sequents[cid]) for cid in kids)
             principal = next((
-                cand for cand in cedent
-                if isinstance(cand, cls) and validate_instance(RuleInstance(rule, conclusion, cand, premisses)) is None
+                table.formulas[n] for n in table.numbers(lhs if PRINCIPAL_RULES[rule][1] == "L" else rhs)
+                if schema_violation(table, rule, lhs, rhs, n, premisses) is None
             ), None)
             if principal is None:
                 raise ParseError("node %s: principal formula for %s is undetermined; write it explicitly" % (nid, rule))
@@ -275,19 +278,21 @@ def serialize_proof(p: ProofGraph) -> str:
     """The proof file of p.  A cedent prints as the texts of its formulas in
     number order, which is their sorted order, each text rendered once."""
     table = p.table
+    texts = tuple(map(pretty, table.formulas))
     cedents = {}  # mask -> its text
 
     def cedent(mask):
         text = cedents.get(mask)
         if text is None:
-            text = cedents[mask] = ", ".join(map(pretty, table.members(mask)))
+            text = cedents[mask] = ", ".join(map(texts.__getitem__, table.numbers(mask)))
         return text
 
     lines = ["alphabet: %s" % str(p.alphabet)]
     for nid, lhs, rhs, rule, code, kids in zip(p.order, p.lhs, p.rhs, p.rule, p.principal, p.children):
-        principal = table.principal(code)
-        if isinstance(principal, Expr):
-            rule += " principal %s" % pretty(principal)
+        if type(code) is int:
+            rule += " principal %s" % texts[code]
+        elif isinstance(code, Expr):  # a file's principal that no cedent holds
+            rule += " principal %s" % pretty(code)
         lines.append(
             "node %s: %s ; rule %s ; children %s"
             % (nid, ("%s |- %s" % (cedent(lhs), cedent(rhs))).strip(), rule, ", ".join(p.order[c] for c in kids))

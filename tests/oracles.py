@@ -14,7 +14,9 @@
   rll.expr memoises per interned node.
 - fl_leq, fl_lt and compare_dependency are the closure preorder and the
   dependency order on expressions.
-- applicable_steps lists every rule instance that concludes a sequent.
+- applicable_steps lists every rule instance that concludes a sequent, and
+  validate_instance checks one against the mask rule schema of rll.calculus
+  over its conclusion's formula table.
 - graph_of builds a proof graph from rule instances; unroll_edge
   duplicates the target of one proof edge, which must leave every checking
   verdict unchanged.
@@ -86,7 +88,7 @@ import random
 from collections import deque
 from typing import NamedTuple, Optional
 
-from rll.calculus import LOGICAL_RULE, PRINCIPAL_RULES, Sequent, make_instance
+from rll.calculus import LOGICAL_RULE, PRINCIPAL_RULES, FormulaTable, Sequent, make_instance, schema_violation
 from rll.decide import BudgetExceededError
 from rll.corpus import ALPHABET, SOUNDNESS_WORDS, sample_word
 from rll.expr import (
@@ -735,6 +737,16 @@ def applicable_steps(s):
         out,
         key=lambda r: (r.rule, expr_sort_key(r.principal) if isinstance(r.principal, Expr) else ()),
     )
+
+
+def validate_instance(r):
+    """rll.calculus.schema_violation of a rule instance, over the table of
+    its conclusion's formulas: None when the instance matches its rule's
+    schema, otherwise a description of the violation."""
+    s = r.conclusion
+    table = FormulaTable(s.lhs | s.rhs, s.alphabet)
+    premisses = tuple(map(table.masks, r.premisses))
+    return schema_violation(table, r.rule, *table.masks(s), table.code(r.principal), premisses)
 
 
 def graph_of(nodes, root):

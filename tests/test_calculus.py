@@ -18,7 +18,6 @@ from rll.calculus import (
     make_instance,
     parse_sequent,
     premiss_letters,
-    validate_instance,
 )
 from rll.proof import build_trace_automaton, check_local
 from rll.semantics import UPWord, member
@@ -31,6 +30,7 @@ from oracles import (
     ref_grouped_ancestry,
     ref_immediate_ancestry,
     trace_label,
+    validate_instance,
 )
 
 AB = Alphabet("ab")

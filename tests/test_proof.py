@@ -7,7 +7,7 @@ import pytest
 
 import rll.calculus as calculus_module
 import rll.proof as proof_module
-from rll.calculus import PRINCIPAL_RULES, RuleInstance, Sequent, make_instance, parse_sequent, validate_instance
+from rll.calculus import PRINCIPAL_RULES, RuleInstance, Sequent, make_instance, parse_sequent
 from rll.corpus import ALPHABET, DECISIONS, proofs
 from rll.decide import Proved, decide, saturate
 from rll.expr import Alphabet, Cap, Expr, Mu, Nu, ParseError, Var, complement, expr_sort_key, fl_closure, parse
@@ -37,6 +37,7 @@ from oracles import (
     ref_violation,
     trace_label,
     unroll_edge,
+    validate_instance,
 )
 from test_acceptance import PAPER_PROOF_NAMES
 
@@ -494,16 +495,20 @@ def test_the_trace_build_asks_each_subformula_question_once(monkeypatch):
 
 def test_trace_labels_decode_to_cedent_formulas_through_the_formula_table():
     graphs = [p for p, _ in FIXTURES.values()] + list(_random_saturated_graphs(seed=20261021))
+    compacted = 0
     for p in graphs:
         automaton = build_trace_automaton(p)
         formulas = {f for inst in p.instance for f in inst.conclusion.lhs | inst.conclusion.rhs}
         assert automaton.formulas == tuple(sorted(formulas, key=expr_sort_key))
+        compacted += automaton.formulas != p.table.formulas
         for v, labels in enumerate(automaton.labels):
             s = p.sequent(v)
             for side, f, critical in (trace_label(automaton, label) for label in labels):
                 assert f in (s.lhs if side == "L" else s.rhs)
                 if critical is not None:  # a critical formula is a left mu or a right nu
                     assert isinstance(critical, Mu if side == "L" else Nu)
+    # some closure member is in no cedent of many graphs, whose labels are renumbered
+    assert 20 <= compacted < len(graphs), compacted
 
 
 def _random_digraph(rng):
@@ -646,6 +651,9 @@ def _assert_round_trips(p):
     assert serialize_proof(p2) == text
     assert p2.order == p.order and p2.root == p.root
     assert p2.instance == p.instance and p2.children == p.children
+    # the file's formulas number the same table, so the cedent masks are equal too
+    assert (p2.table.formulas, p2.lhs, p2.rhs, p2.rule, p2.principal) == (
+        p.table.formulas, p.lhs, p.rhs, p.rule, p.principal)
     verdict = check(p).ok
     assert check(p2).ok == verdict
     return verdict
