@@ -231,24 +231,24 @@ class FormulaTable:
             closure.update(fl_closure(f).members)
         self.alphabet = alphabet
         self.formulas = tuple(sorted(closure, key=expr_sort_key))
-        self.number = number = {f: n for n, f in enumerate(self.formulas)}
-        self.bit = {f: 1 << n for n, f in enumerate(self.formulas)}
+        self.number = {f: n for n, f in enumerate(self.formulas)}
+        self.bit = bit = {f: 1 << n for n, f in enumerate(self.formulas)}
         self.kind = tuple(map(type, self.formulas))
         self.kinds, self.head = {}, {}
         letter, body, left, right = [], [], [], []
         for n, f in enumerate(self.formulas):
             self.kinds[type(f)] = self.kinds.get(type(f), 0) | 1 << n
             letter.append(f.letter if isinstance(f, Letter) else None)
-            body.append(1 << number[f.body] if isinstance(f, Letter) else 0)
+            body.append(bit[f.body] if isinstance(f, Letter) else 0)
             if isinstance(f, Letter):
                 self.head[f.letter] = self.head.get(f.letter, 0) | 1 << n
                 aux = None, None
             elif isinstance(f, (Plus, Cap)):
-                parts = 1 << number[f.left], 1 << number[f.right]
+                parts = bit[f.left], bit[f.right]
                 joined = (parts[0] | parts[1],)
                 aux = (parts, joined) if isinstance(f, Plus) else (joined, parts)
             elif isinstance(f, (Mu, Nu)):
-                aux = ((1 << number[unfold(f)],),) * 2
+                aux = ((bit[unfold(f)],),) * 2
             else:  # 0 closes on the left and drops on the right, T the other way round
                 aux = ((), (0,)) if isinstance(f, Zero) else ((0,), ())
             left.append(aux[0])

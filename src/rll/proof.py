@@ -359,7 +359,7 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     for v, (rule, kids) in enumerate(zip(p.rule, p.children)):
         via = premiss_letters(rule, table.alphabet) or ()
         if kids and not via:
-            side = PRINCIPAL_RULES[rule][1] == "R"
+            side = "LR".index(PRINCIPAL_RULES[rule][1])
             principal[v] = 2 * p.principal[v] + side
             aux = table.auxiliaries(rule, p.principal[v])
             via = [aux[j] & cedents[c][side] for j, c in enumerate(kids)]
@@ -405,8 +405,9 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     formulas, labels = table.formulas, map(tuple, index)
     used = reduce(or_, p.lhs + p.rhs, 0)
     if used != (1 << len(formulas)) - 1:  # number only the formulas that some cedent holds
-        formulas = tuple(table.members(used))
-        compact = {table.number[f]: n for n, f in enumerate(formulas)}
+        kept = table.numbers(used)
+        formulas = tuple(map(formulas.__getitem__, kept))
+        compact = {old: n for n, old in enumerate(kept)}
 
         def relabel(label):
             critical, key = divmod(label, width)

@@ -33,9 +33,9 @@
 - ref_immediate_ancestry lists formula ancestry as edges tagged with their
   kind (principal, letter or identity), and ref_grouped_ancestry groups
   them per conclusion formula.  rll.calculus states only the rule facts,
-  premiss_letters and auxiliaries, and rll.proof reads each state's descent
-  off them as a bitmask over proof-wide formula numbers, with no ancestry
-  table.
+  premiss_letters and the formula table's auxiliary masks, and rll.proof
+  reads each state's descent off them as a bitmask over the table's formula
+  numbers, with no ancestry table.
 - ref_trace_automaton builds the trace automaton of a proof graph as a
   labelled automaton, state by state, over ref_grouped_ancestry; rll.proof
   numbers its states per node, packs each label as one int, and builds
