@@ -14,7 +14,7 @@ expr_sort_key rank, with each number's constructor, head letter, body bit
 and auxiliary masks; a cedent is a mask over those numbers, whose ascending
 bits are its sorted order.  premiss_masks states each rule's premisses once,
 over (lhs mask, rhs mask) pairs; it is the one rule schema, and
-schema_violation and make_instance read it.  Traces
+schema_violation reads it.  Traces
 follow formulas from a conclusion into its premisses: premiss_letters names
 the letter that each premiss of h_a or r-p strips, so a formula with that
 head letter descends to its body; FormulaTable.auxiliaries names the
@@ -228,7 +228,8 @@ class FormulaTable:
     def __init__(self, formulas, alphabet: Alphabet):
         closure = set()
         for f in formulas:
-            closure.update(fl_closure(f).members)
+            if f not in closure:  # a member's closure lies inside the closure gathered so far
+                closure.update(fl_closure(f).members)
         self.alphabet = alphabet
         self.formulas = tuple(sorted(closure, key=expr_sort_key))
         self.number = {f: n for n, f in enumerate(self.formulas)}
@@ -375,16 +376,6 @@ def schema_violation(table: FormulaTable, rule: str, lhs: int, rhs: int, princip
     if rule == "+-l" and premisses == (expected[0], (table.aux[0][principal][1], rhs)):
         return None
     return "premisses do not match the %s schema for this conclusion" % rule
-
-
-def make_instance(rule: str, conclusion: Sequent, principal=None) -> RuleInstance:
-    """Build the rule instance with the given conclusion and principal,
-    raising ValueError when the rule does not apply: premiss_masks over the
-    table of the conclusion's formulas."""
-    rule = canonical_rule_name(rule)
-    table = FormulaTable(conclusion.lhs | conclusion.rhs, conclusion.alphabet)
-    premisses = premiss_masks(table, rule, *table.masks(conclusion), table.code(principal))
-    return RuleInstance(rule, conclusion, principal, tuple(table.sequent(*m) for m in premisses))
 
 
 def premiss_letters(rule: str, alphabet: Alphabet) -> Optional[Tuple[str, ...]]:

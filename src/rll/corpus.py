@@ -3,11 +3,11 @@ cyclic-proof fixtures over the two-letter alphabet.
 
 Proof fixtures are the rows of one table, _PROOFS, each a derivation given
 by its structure alone: each node gives (rule, principal, children), and
-_build_proof, the one builder, propagates sequents from the root through
-rule premisses.  A mis-stated derivation never silently produces a
-different proof: an entry that the root does not reach or a child with no
-entry fails to build, and children that do not carry their node's
-premisses fail check_local.
+_build_proof, the one builder, propagates cedent masks over one formula
+table from the root through rule premisses.  A mis-stated derivation never
+silently produces a different proof: an entry that the root does not reach
+or a child with no entry fails to build, and children that do not carry
+their node's premisses fail check_local.
 """
 
 from __future__ import annotations
@@ -38,10 +38,10 @@ from .expr import (
     subformula_leq,
     unfold,
 )
-from .calculus import LOGICAL_RULE, Sequent, make_instance, premiss_letters
+from .calculus import LOGICAL_RULE, FormulaTable, Sequent, premiss_letters, premiss_masks
 from .semantics import UPWord, member, parse_word, winning_offsets
 from .automaton import default_coloring
-from .proof import ProofGraph, check
+from .proof import NodeNumbering, ProofGraph, check
 from .decide import Proved, decide, saturate
 
 ALPHABET = Alphabet("ab")
@@ -108,28 +108,35 @@ DECISIONS = (
 
 
 def _build_proof(root_sequent: Sequent, derivation, root: str = "n0") -> ProofGraph:
-    """Assemble a ProofGraph from {id: (rule, principal, children)} by
-    propagating sequents from the root through each instance's premisses,
-    child by child.  An entry that the root does not reach, or a child with
-    no entry, raises ValueError; a child list that does not match the
-    premisses is check_local's violation."""
-    sequents = {root: root_sequent}
+    """Assemble a ProofGraph from {id: (rule, principal, children)} over
+    the formula table of the root sequent's closure, by propagating cedent
+    masks from the root through premiss_masks, child by child.  An entry
+    that the root does not reach raises ValueError, and the structure is
+    checked by NodeNumbering, as a proof file's is; a child list that does
+    not match the premisses is check_local's violation."""
+    table = FormulaTable(root_sequent.lhs | root_sequent.rhs, root_sequent.alphabet)
+    cedents = {root: table.masks(root_sequent)}
     queue = [root]
-    ordered = []
+    nodes = NodeNumbering()
+    records = []  # (lhs, rhs, rule, principal code, children names)
     for nid in queue:  # the queue grows while it is walked
         if nid not in derivation:
-            continue  # ProofGraph names the node that lists it
+            continue  # NodeNumbering names the node that lists it
         rule, principal, kids = derivation[nid]
-        inst = make_instance(rule, sequents[nid], principal)
-        for prem, cid in zip(inst.premisses, kids):
-            if cid not in sequents:
-                sequents[cid] = prem
+        code = table.code(principal)
+        for prem, cid in zip(premiss_masks(table, rule, *cedents[nid], code), kids):
+            if cid not in cedents:
+                cedents[cid] = prem
                 queue.append(cid)
-        ordered.append((nid, inst.conclusion, inst.rule, inst.principal, tuple(kids)))
-    unreached = [nid for nid in derivation if nid not in sequents]
+        nodes.add(nid)
+        records.append((*cedents[nid], rule, code, kids))
+    unreached = [nid for nid in derivation if nid not in cedents]
     if unreached:
         raise ValueError("unreachable nodes: %s" % ", ".join(unreached))
-    return ProofGraph.from_records(ordered, root)
+    children = [nodes.children(nid, record[-1]) for nid, record in zip(nodes, records)]
+    root_number = nodes.root(root, children)
+    lhs, rhs, rules, principals, _ = zip(*records)
+    return ProofGraph(table, nodes, lhs, rhs, rules, principals, children, root_number)
 
 
 _NONE = EXPRESSIONS["none"]

@@ -7,7 +7,10 @@ FormulaTable of rll.calculus: a node is a pair of cedent masks over the
 table's formula numbers, and sequent(v) and instance[v] are built only on
 demand.  Every stage after that reads node and formula numbers; the names
 of a proof file's nodes are read back only to report errors and to print.
-Its shape is checked where it is built; local checking asks of each node
+Its shape is checked where it is built, by NodeNumbering.  parse_proof reads
+a file straight into that numbering: only the root record's formulas are
+parsed, every other text that prints a member of their closure is looked
+up, and no Sequent is built per record.  Local checking asks of each node
 that premiss_masks, the one rule schema, derive exactly its children's
 cedents.  The global progress condition asks that every infinite branch
 carries a trace — a path of formulas through the ancestry relation — that
@@ -52,7 +55,7 @@ from functools import cache, cached_property, reduce
 from operator import or_
 from typing import Optional, Tuple
 
-from .expr import Alphabet, Expr, Mu, Nu, ParseError, parse, pretty, subformula_leq
+from .expr import Alphabet, Expr, Mu, Nu, ParseError, free_vars, letters_of, parse, pretty, subformula_leq
 from .calculus import (
     PRINCIPAL_RULES,
     FormulaTable,
@@ -84,42 +87,6 @@ class ProofGraph:
         self.lhs, self.rhs, self.rule = tuple(lhs), tuple(rhs), tuple(rule)
         self.principal, self.children = tuple(principal), tuple(children)
 
-    @classmethod
-    def from_records(cls, records, root: str) -> "ProofGraph":
-        """Number records (name, Sequent, rule, principal, children names)
-        over the table of the closure of their formulas.  Checks the
-        structure (distinct names, known children, reachability, the root's
-        alphabet everywhere) and raises ValueError."""
-        records = list(records)
-        number = {}
-        for nid, *_ in records:
-            if nid in number:
-                raise ValueError("duplicate node id %r" % nid)
-            number[nid] = len(number)
-        if root not in number:
-            raise ValueError("root %r is not a node" % root)
-        alphabet = records[number[root]][1].alphabet
-        children = []
-        for nid, s, _, _, kids in records:
-            if s.alphabet != alphabet:
-                raise ValueError("node %r: alphabet differs from the root's" % nid)
-            for cid in kids:
-                if cid not in number:
-                    raise ValueError("node %r references unknown child %r" % (nid, cid))
-            children.append(tuple(number[cid] for cid in kids))
-        reached = bytearray(len(records))
-        for comp in tarjan(children, [number[root]]):
-            for v in comp:
-                reached[v] = 1
-        unreachable = [nid for (nid, *_), r in zip(records, reached) if not r]
-        if unreachable:
-            raise ValueError("unreachable nodes: %s" % ", ".join(unreachable))
-        table = FormulaTable(set().union(*(s.lhs | s.rhs for _, s, *_ in records)), alphabet)
-        lhs, rhs = zip(*(table.masks(s) for _, s, *_ in records))
-        rules = [canonical_rule_name(rule) for _, _, rule, _, _ in records]
-        principals = [table.code(pr) for *_, pr, _ in records]
-        return cls(table, list(number), lhs, rhs, rules, principals, children, number[root])
-
     def sequent(self, v: int) -> Sequent:
         return self.table.sequent(self.lhs[v], self.rhs[v])
 
@@ -136,6 +103,43 @@ class ProofGraph:
     @property
     def alphabet(self) -> Alphabet:
         return self.table.alphabet
+
+
+class NodeNumbering(dict):
+    """Node name -> number, in record order: the one check of a proof's
+    structure, made while its records are read.  add numbers the next
+    record and refuses a name already taken, children numbers a record's
+    children and refuses one that names no record, and root numbers the
+    root and refuses a root that names no record or one that leaves a
+    record unreached."""
+
+    def add(self, nid: str):
+        if nid in self:
+            raise ParseError("duplicate node id %r" % nid)
+        self[nid] = len(self)
+
+    def children(self, nid: str, kids) -> Tuple[int, ...]:
+        for cid in kids:
+            if cid not in self:
+                raise ParseError("node %s references unknown child %r" % (nid, cid))
+        return tuple(map(self.__getitem__, kids))
+
+    def root(self, root: str, children) -> int:
+        """The root's number, given every record's children as numbers."""
+        if root not in self:
+            raise ValueError("root %r is not a node" % root)
+        reached = bytearray(len(self))
+        reached[self[root]] = 1
+        stack = [self[root]]
+        while stack:
+            for c in children[stack.pop()]:
+                if not reached[c]:
+                    reached[c] = 1
+                    stack.append(c)
+        unreachable = [nid for nid, r in zip(self, reached) if not r]
+        if unreachable:
+            raise ValueError("unreachable nodes: %s" % ", ".join(unreachable))
+        return self[root]
 
 
 def check_local(p: ProofGraph):
@@ -164,39 +168,30 @@ def _after_keyword(text: str, keyword: str) -> Optional[str]:
     return None
 
 
-def parse_proof(text: str) -> ProofGraph:
-    """Load the structured-text proof format:
-
-        alphabet: ab
-        node n0: mu X. X |- nu X. X ; rule μ-l principal mu X. X ; children n0
-        root n0
-
-    `#` starts a comment; records may appear in any order after the alphabet
-    line; ASCII rule aliases (mu-l, top-r, ...) are accepted; the principal
-    clause may be omitted when it is unambiguous.  The keywords root, rule,
-    principal and children end at whitespace or at the end of their clause,
-    so `rootn0` is no root line.  Each distinct formula text is parsed once
-    per call."""
+def _split_records(text: str):
+    """The alphabet, the node records (id, sequent text, canonical rule
+    name, principal text or None, children ids) in file order and the root
+    id of a proof file; raises ParseError on a malformed line."""
     alphabet = None
-    records = []  # (nid, sequent_text, rule, principal_text, children ids)
+    records = []
     root = None
     for raw_line in text.splitlines():
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
-        if line.startswith("alphabet:"):
-            if alphabet is not None:
-                raise ParseError("duplicate alphabet line")
-            alphabet = Alphabet(line[len("alphabet:"):].strip())
-            continue
-        root_text = _after_keyword(line, "root")
-        if root_text is not None:
+        if not line.startswith("node "):  # the alphabet or the root line
+            if line.startswith("alphabet:"):
+                if alphabet is not None:
+                    raise ParseError("duplicate alphabet line")
+                alphabet = Alphabet(line[len("alphabet:"):].strip())
+                continue
+            root_text = _after_keyword(line, "root")
+            if root_text is None:
+                raise ParseError("unrecognised proof line: %r" % raw_line)
             if root is not None:
                 raise ParseError("duplicate root line")
             root = root_text
             continue
-        if not line.startswith("node "):
-            raise ParseError("unrecognised proof line: %r" % raw_line)
         if alphabet is None:
             raise ParseError("the alphabet line must precede node records")
         head, _, rest = line[len("node "):].partition(":")
@@ -227,7 +222,7 @@ def parse_proof(text: str) -> ProofGraph:
             if kid_text is None:
                 raise ParseError("node %s: expected a children clause" % nid)
             if kid_text:
-                kids = tuple(k.strip() for k in kid_text.split(","))
+                kids = tuple(map(str.strip, kid_text.split(",")))
         records.append((nid, sequent_text, rule, principal_text, kids))
     if alphabet is None:
         raise ParseError("missing alphabet line")
@@ -235,43 +230,129 @@ def parse_proof(text: str) -> ProofGraph:
         raise ParseError("missing root line")
     if not records:
         raise ParseError("no node records")
+    return alphabet, records, root
 
-    sequents = {}
-    formulas = {}  # formula text -> term, so that each distinct text is parsed once
-    for nid, sequent_text, _, _, _ in records:
-        if nid in sequents:
-            raise ParseError("duplicate node id %r" % nid)
-        sequents[nid] = parse_sequent(sequent_text, alphabet, formulas)
-    nodes = []
-    table = None  # the file's formula table, built for its first omitted principal
-    for nid, _, rule, principal_text, kids in records:
-        for cid in kids:
-            if cid not in sequents:
-                raise ParseError("node %s references unknown child %r" % (nid, cid))
-        conclusion = sequents[nid]
+
+def parse_proof(text: str) -> ProofGraph:
+    """Load the structured-text proof format:
+
+        alphabet: ab
+        node n0: mu X. X |- nu X. X ; rule μ-l principal mu X. X ; children n0
+        root n0
+
+    `#` starts a comment; records may appear in any order after the alphabet
+    line; ASCII rule aliases (mu-l, top-r, ...) are accepted; the principal
+    clause may be omitted when it is unambiguous.  The keywords root, rule,
+    principal and children end at whitespace or at the end of their clause,
+    so `rootn0` is no root line.
+
+    The file is read straight into a numbered graph, with no Sequent per
+    record.  Only the root record's formulas are parsed up front: the
+    closure of its formulas is the FormulaTable, and a formula or principal
+    text that prints one of its members is looked up by that text, since
+    parse(pretty(f)) is f.  Each distinct cedent text becomes a mask once.
+    Any other text is parsed once and checked once, closed and within the
+    alphabet; if one lies outside the table, the table is renumbered once
+    over the closure of every cedent formula.  Faults are reported in file
+    order, as the checking constructor of Sequent words them for the first
+    refused sequent; a root record that does not parse cleanly, or a root
+    that names no record, seeds an empty table."""
+    alphabet, records, root = _split_records(text)
+    parsed = {}  # formula text -> term, so that each distinct text is parsed once
+
+    def term(piece):
+        e = parsed.get(piece)
+        if e is None:
+            e = parsed[piece] = parse(piece, alphabet)
+        return e
+
+    seed = ()
+    record = next((r for r in records if r[0] == root), None)
+    if record is not None:
+        try:
+            s = parse_sequent(record[1], alphabet, parsed)
+            seed = s.lhs | s.rhs
+        except ValueError:
+            pass  # reported where the record comes in file order
+    table = FormulaTable(seed, alphabet)
+    numbers = {}  # formula text -> number; a member's printed text, also as it follows ", " in a cedent
+    for n, f in enumerate(table.formulas):
+        printed = pretty(f)
+        numbers[printed] = numbers[" " + printed] = n
+    outside = {}  # term outside the table -> its number, counted on from the table's
+    masks = {}  # cedent text -> mask
+
+    def number(piece):
+        n = numbers.get(piece)
+        if n is None:
+            e = term(piece)
+            if free_vars(e) or letters_of(e).difference(alphabet):
+                raise ValueError("refused formula %s" % piece)
+            n = table.number.get(e)
+            if n is None:
+                n = outside.setdefault(e, len(table.formulas) + len(outside))
+            numbers[piece] = n
+        return n
+
+    def mask(chunk):
+        m = masks.get(chunk)
+        if m is None:
+            m = 0
+            for piece in chunk.split(",") if chunk.strip() else ():
+                n = numbers.get(piece)
+                if n is None:
+                    n = numbers[piece] = number(piece.strip())
+                m |= 1 << n
+            masks[chunk] = m
+        return m
+
+    nodes = NodeNumbering()
+    lhs, rhs = [], []
+    for nid, sequent_text, *_ in records:
+        nodes.add(nid)
+        left, bar, right = sequent_text.partition("|-")
+        if bar and "|-" not in right:
+            try:
+                lhs.append(mask(left))
+                rhs.append(mask(right))
+                continue
+            except ValueError:  # a formula text that does not parse, or one that is refused
+                pass
+        parse_sequent(sequent_text, alphabet)  # raises the fault as the checking constructor words it
+        raise RuntimeError("internal error: node %s: a sequent refused on reading was accepted" % nid)
+    if outside:  # renumber once, over the closure of every cedent formula
+        old = table.formulas + tuple(outside)
+        table = FormulaTable((*seed, *outside), alphabet)
+        moved = [table.bit[f] for f in old]
+        renumbered = {m: sum(map(moved.__getitem__, table.numbers(m))) for m in {*lhs, *rhs}}
+        lhs, rhs = [renumbered[m] for m in lhs], [renumbered[m] for m in rhs]
+        numbers = {text: table.number[old[n]] for text, n in numbers.items()}
+
+    rules, principals, children = [], [], []
+    for (nid, _, rule, principal_text, kids), left, right in zip(records, lhs, rhs):
+        kids = nodes.children(nid, kids)
         if rule.startswith("h_"):
             if principal_text is not None and principal_text != rule[2:]:
                 raise ParseError("node %s: %s acts on the letter %r" % (nid, rule, rule[2:]))
-            principal = rule[2:]
-        elif principal_text in formulas:
-            principal = formulas[principal_text]
+            code = rule[2:]
         elif principal_text is not None:
-            principal = parse(principal_text, alphabet)
+            code = numbers.get(principal_text)
+            if code is None:
+                code = table.code(term(principal_text))
         elif rule in ("l-p", "r-p"):
-            principal = None
+            code = None
         else:  # only a formula of the rule's class on the rule's side can match, and at most one does
-            if table is None:
-                table = FormulaTable(set().union(*(s.lhs | s.rhs for s in sequents.values())), alphabet)
-            lhs, rhs = table.masks(conclusion)
-            premisses = tuple(table.masks(sequents[cid]) for cid in kids)
-            principal = next((
-                table.formulas[n] for n in table.numbers(lhs if PRINCIPAL_RULES[rule][1] == "L" else rhs)
-                if schema_violation(table, rule, lhs, rhs, n, premisses) is None
+            premisses = tuple((lhs[c], rhs[c]) for c in kids)
+            code = next((
+                n for n in table.numbers(left if PRINCIPAL_RULES[rule][1] == "L" else right)
+                if schema_violation(table, rule, left, right, n, premisses) is None
             ), None)
-            if principal is None:
+            if code is None:
                 raise ParseError("node %s: principal formula for %s is undetermined; write it explicitly" % (nid, rule))
-        nodes.append((nid, conclusion, rule, principal, kids))
-    return ProofGraph.from_records(nodes, root)
+        rules.append(rule)
+        principals.append(code)
+        children.append(kids)
+    return ProofGraph(table, nodes, lhs, rhs, rules, principals, children, nodes.root(root, children))
 
 
 def serialize_proof(p: ProofGraph) -> str:

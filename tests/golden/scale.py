@@ -10,8 +10,11 @@ saturates the sequent, builds the trace automaton, checks the graph and
 prints one JSON line: the row name, the node count, the number of trace
 automaton states, a sha256 over the automaton's initials, reach and
 accepting tables, the reason and the lasso as node names plus child
-indices (null when there is none).  Two checkouts whose dumps are identical
-build the same automata and give the same verdicts and lassos.
+indices (null when there is none).  A second line follows the graph through
+a proof file: serialize_proof, parse_proof and serialize_proof again, with
+the sha256 of the second text and the reason that check gives on the graph
+read back.  Two checkouts whose dumps are identical build the same automata,
+give the same verdicts and lassos, and write and read the same proof files.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ sys.path[:0] = [os.path.join(ROOT, "src")]
 from rll.calculus import parse_sequent  # noqa: E402
 from rll.decide import saturate  # noqa: E402
 from rll.expr import Alphabet, complement, parse, pretty  # noqa: E402
-from rll.proof import build_trace_automaton, check  # noqa: E402
+from rll.proof import build_trace_automaton, check, parse_proof, serialize_proof  # noqa: E402
 
 INF_A3 = "nu X. mu Y. (a X + b Y + c Y)"
 INF_B3 = "nu X. mu Y. (b X + a Y + c Y)"
@@ -63,10 +66,16 @@ def automaton_digest(automaton) -> str:
     return h.hexdigest()
 
 
-def dump_line(name: str) -> str:
+def saturated(name: str):
+    """The saturated proof graph of a row."""
     letters, text = dict(ROWS, **STRETCH_ROWS)[name]
     alphabet = Alphabet(letters)
-    p = saturate(parse_sequent(sequent_text(alphabet, text), alphabet))
+    return saturate(parse_sequent(sequent_text(alphabet, text), alphabet))
+
+
+def dump_line(name: str, p=None) -> str:
+    if p is None:
+        p = saturated(name)
     automaton = build_trace_automaton(p)
     r = check(p)
     lasso = None
@@ -87,9 +96,23 @@ def dump_line(name: str) -> str:
     }, sort_keys=True)
 
 
+def round_trip_line(name: str, p) -> str:
+    """The row's graph written to a proof file, read back and written
+    again: the sha256 of the second text and the reason check gives on the
+    graph read back."""
+    again = parse_proof(serialize_proof(p))
+    return json.dumps({
+        "row": name,
+        "file_sha256": hashlib.sha256(serialize_proof(again).encode()).hexdigest(),
+        "file_reason": check(again).reason,
+    }, sort_keys=True)
+
+
 def main(argv) -> int:
     for name in list(ROWS) + (list(STRETCH_ROWS) if "--stretch" in argv else []):
-        print(dump_line(name), flush=True)
+        p = saturated(name)
+        print(dump_line(name, p), flush=True)
+        print(round_trip_line(name, p), flush=True)
     return 0
 
 

@@ -14,12 +14,19 @@
   rll.expr memoises per interned node.
 - fl_leq, fl_lt and compare_dependency are the closure preorder and the
   dependency order on expressions.
-- applicable_steps lists every rule instance that concludes a sequent, and
-  validate_instance checks one against the mask rule schema of rll.calculus
-  over its conclusion's formula table.
-- graph_of builds a proof graph from rule instances; unroll_edge
+- make_instance builds the rule instance at a sequent over the table of
+  its conclusion's formulas, applicable_steps lists every rule instance
+  that concludes a sequent, and validate_instance checks one against the
+  mask rule schema of rll.calculus over its conclusion's formula table.
+- from_records numbers a proof graph from records that hold a Sequent
+  each, and graph_of builds one from rule instances; unroll_edge
   duplicates the target of one proof edge, which must leave every checking
   verdict unchanged.
+- ref_parse_proof reads a proof file by building a Sequent per record and
+  numbering the closure of every cedent formula; rll.proof parses only the
+  root's formulas, resolves every other text by its printed form and
+  builds no Sequent, and the tests require the same graph and the same
+  error text from both.
 - ref_expected_premisses, ref_violation and ref_check_local state every
   rule's schema over sequents, premiss by premiss, and ref_strategy_step
   and ref_saturate run the search strategy over interned sequents.
@@ -88,7 +95,18 @@ import random
 from collections import deque
 from typing import NamedTuple, Optional
 
-from rll.calculus import LOGICAL_RULE, PRINCIPAL_RULES, FormulaTable, Sequent, make_instance, schema_violation
+from rll.calculus import (
+    LOGICAL_RULE,
+    PRINCIPAL_RULES,
+    FormulaTable,
+    RuleInstance,
+    Sequent,
+    canonical_rule_name,
+    is_rule_name,
+    parse_sequent,
+    premiss_masks,
+    schema_violation,
+)
 from rll.decide import BudgetExceededError
 from rll.corpus import ALPHABET, SOUNDNESS_WORDS, sample_word
 from rll.expr import (
@@ -98,6 +116,7 @@ from rll.expr import (
     Letter,
     Mu,
     Nu,
+    ParseError,
     Plus,
     Top,
     Var,
@@ -105,11 +124,12 @@ from rll.expr import (
     canonical,
     expr_sort_key,
     fl_closure,
+    parse,
     subformula_leq,
     unfold,
 )
 from rll.automaton import default_coloring
-from rll.proof import ProofGraph, TraceAutomaton, tarjan
+from rll.proof import ProofGraph, TraceAutomaton, _after_keyword, tarjan
 from rll.semantics import UPWord
 
 
@@ -749,11 +769,57 @@ def validate_instance(r):
     return schema_violation(table, r.rule, *table.masks(s), table.code(r.principal), premisses)
 
 
+def make_instance(rule: str, conclusion: Sequent, principal=None) -> RuleInstance:
+    """Build the rule instance with the given conclusion and principal,
+    raising ValueError when the rule does not apply: premiss_masks over the
+    table of the conclusion's formulas."""
+    rule = canonical_rule_name(rule)
+    table = FormulaTable(conclusion.lhs | conclusion.rhs, conclusion.alphabet)
+    premisses = premiss_masks(table, rule, *table.masks(conclusion), table.code(principal))
+    return RuleInstance(rule, conclusion, principal, tuple(table.sequent(*m) for m in premisses))
+
+
+def from_records(records, root: str) -> ProofGraph:
+    """Number records (name, Sequent, rule, principal, children names)
+    over the table of the closure of their formulas.  Checks the structure
+    (distinct names, known children, reachability, the root's alphabet
+    everywhere) and raises ValueError."""
+    records = list(records)
+    number = {}
+    for nid, *_ in records:
+        if nid in number:
+            raise ValueError("duplicate node id %r" % nid)
+        number[nid] = len(number)
+    if root not in number:
+        raise ValueError("root %r is not a node" % root)
+    alphabet = records[number[root]][1].alphabet
+    children = []
+    for nid, s, _, _, kids in records:
+        if s.alphabet != alphabet:
+            raise ValueError("node %r: alphabet differs from the root's" % nid)
+        for cid in kids:
+            if cid not in number:
+                raise ValueError("node %r references unknown child %r" % (nid, cid))
+        children.append(tuple(number[cid] for cid in kids))
+    reached = bytearray(len(records))
+    for comp in tarjan(children, [number[root]]):
+        for v in comp:
+            reached[v] = 1
+    unreachable = [nid for (nid, *_), r in zip(records, reached) if not r]
+    if unreachable:
+        raise ValueError("unreachable nodes: %s" % ", ".join(unreachable))
+    table = FormulaTable(set().union(*(s.lhs | s.rhs for _, s, *_ in records)), alphabet)
+    lhs, rhs = zip(*(table.masks(s) for _, s, *_ in records))
+    rules = [canonical_rule_name(rule) for _, _, rule, _, _ in records]
+    principals = [table.code(pr) for *_, pr, _ in records]
+    return ProofGraph(table, list(number), lhs, rhs, rules, principals, children, number[root])
+
+
 def graph_of(nodes, root):
-    """ProofGraph.from_records over (name, RuleInstance, children names)
+    """from_records over (name, RuleInstance, children names)
     triples.  A graph's premisses are its children's sequents, so the
     instances' own premisses are not read."""
-    return ProofGraph.from_records(
+    return from_records(
         [(nid, inst.conclusion, inst.rule, inst.principal, kids) for nid, inst, kids in nodes], root)
 
 
@@ -783,7 +849,110 @@ def unroll_edge(p, parent: int, index: int):
         if v in reachable:
             inst = p.instance[copied[v]]
             records.append((names[v], inst.conclusion, inst.rule, inst.principal, tuple(names[c] for c in children[v])))
-    return ProofGraph.from_records(records, p.order[p.root])
+    return from_records(records, p.order[p.root])
+
+
+def ref_parse_proof(text: str) -> ProofGraph:
+    """rll.proof.parse_proof as it was before it read a file straight into
+    the numbered graph: every record's sequent is parsed and checked as a
+    Sequent, each distinct formula text parsed once, and from_records
+    numbers the closure of every cedent formula.  The product must give the
+    same graph, field by field, and the same error text."""
+    alphabet = None
+    records = []  # (nid, sequent_text, rule, principal_text, children ids)
+    root = None
+    for raw_line in text.splitlines():
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("alphabet:"):
+            if alphabet is not None:
+                raise ParseError("duplicate alphabet line")
+            alphabet = Alphabet(line[len("alphabet:"):].strip())
+            continue
+        root_text = _after_keyword(line, "root")
+        if root_text is not None:
+            if root is not None:
+                raise ParseError("duplicate root line")
+            root = root_text
+            continue
+        if not line.startswith("node "):
+            raise ParseError("unrecognised proof line: %r" % raw_line)
+        if alphabet is None:
+            raise ParseError("the alphabet line must precede node records")
+        head, _, rest = line[len("node "):].partition(":")
+        nid = head.strip()
+        if not nid:
+            raise ParseError("node record without an id: %r" % raw_line)
+        parts = [chunk.strip() for chunk in rest.split(";")]
+        if len(parts) < 2 or len(parts) > 3:
+            raise ParseError("node %s: expected '<sequent> ; rule ... [; children ...]'" % nid)
+        sequent_text = parts[0]
+        rule_rest = _after_keyword(parts[1], "rule")
+        if rule_rest is None:
+            raise ParseError("node %s: missing rule clause" % nid)
+        if not rule_rest:
+            raise ParseError("node %s: empty rule clause" % nid)
+        bits = rule_rest.split(None, 1)
+        rule = canonical_rule_name(bits[0])
+        if not is_rule_name(rule):
+            raise ParseError("node %s: unknown rule %r" % (nid, bits[0]))
+        principal_text = None
+        if len(bits) > 1:
+            principal_text = _after_keyword(bits[1], "principal")
+            if principal_text is None:
+                raise ParseError("node %s: unexpected text after the rule name" % nid)
+        kids = ()
+        if len(parts) == 3:
+            kid_text = _after_keyword(parts[2], "children")
+            if kid_text is None:
+                raise ParseError("node %s: expected a children clause" % nid)
+            if kid_text:
+                kids = tuple(k.strip() for k in kid_text.split(","))
+        records.append((nid, sequent_text, rule, principal_text, kids))
+    if alphabet is None:
+        raise ParseError("missing alphabet line")
+    if root is None:
+        raise ParseError("missing root line")
+    if not records:
+        raise ParseError("no node records")
+
+    sequents = {}
+    formulas = {}  # formula text -> term, so that each distinct text is parsed once
+    for nid, sequent_text, _, _, _ in records:
+        if nid in sequents:
+            raise ParseError("duplicate node id %r" % nid)
+        sequents[nid] = parse_sequent(sequent_text, alphabet, formulas)
+    nodes = []
+    table = None  # the file's formula table, built for its first omitted principal
+    for nid, _, rule, principal_text, kids in records:
+        for cid in kids:
+            if cid not in sequents:
+                raise ParseError("node %s references unknown child %r" % (nid, cid))
+        conclusion = sequents[nid]
+        if rule.startswith("h_"):
+            if principal_text is not None and principal_text != rule[2:]:
+                raise ParseError("node %s: %s acts on the letter %r" % (nid, rule, rule[2:]))
+            principal = rule[2:]
+        elif principal_text in formulas:
+            principal = formulas[principal_text]
+        elif principal_text is not None:
+            principal = parse(principal_text, alphabet)
+        elif rule in ("l-p", "r-p"):
+            principal = None
+        else:  # only a formula of the rule's class on the rule's side can match, and at most one does
+            if table is None:
+                table = FormulaTable(set().union(*(s.lhs | s.rhs for s in sequents.values())), alphabet)
+            lhs, rhs = table.masks(conclusion)
+            premisses = tuple(table.masks(sequents[cid]) for cid in kids)
+            principal = next((
+                table.formulas[n] for n in table.numbers(lhs if PRINCIPAL_RULES[rule][1] == "L" else rhs)
+                if schema_violation(table, rule, lhs, rhs, n, premisses) is None
+            ), None)
+            if principal is None:
+                raise ParseError("node %s: principal formula for %s is undetermined; write it explicitly" % (nid, rule))
+        nodes.append((nid, conclusion, rule, principal, kids))
+    return from_records(nodes, root)
 
 
 # ---------------------------------------------------------------------------

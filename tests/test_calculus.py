@@ -15,7 +15,6 @@ from rll.calculus import (
     canonical_rule_name,
     format_sequent,
     is_rule_name,
-    make_instance,
     parse_sequent,
     premiss_letters,
 )
@@ -27,6 +26,7 @@ from oracles import (
     gen_guarded_sequent,
     gen_word,
     graph_of,
+    make_instance,
     ref_grouped_ancestry,
     ref_immediate_ancestry,
     trace_label,

@@ -22,7 +22,7 @@ from rll.proof import serialize_proof
 from rll.expr import Alphabet, parse, pretty
 from rll.proof import check, parse_proof
 from rll.semantics import member, parse_word
-from oracles import gen_expr, gen_guarded_sequent, gen_word
+from oracles import gen_expr, gen_guarded_sequent, gen_word, ref_parse_proof
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -272,6 +272,64 @@ def test_check_reports_the_first_of_two_faults_in_record_order(capsys, tmp_path,
     f.write_text("alphabet: ab\n" + LOOP_RECORD % ("n0", "n0") + records[-1] + "root n0\n")
     assert cli_module.main(["check", str(f)]) == 64
     assert capsys.readouterr() == ("", "error: %s\n" % later_message)
+
+
+# parse_proof seeds its formula table from the root record alone, yet reports
+# faults as a Sequent per record did: the first failing record in file order,
+# and within it the first refused formula in printed order, left cedent first
+SEEDED_FAULTS = {
+    # the root record does not parse, and an earlier record fails otherwise
+    "root-malformed-after-a-refused-record": (
+        "node n1: a X, nu X. a X |- ; rule h_a ; children n0\n"
+        "node n0: a a |- ; rule mu-l ; children n1\n",
+        "sequent formulas must be closed: a X"),
+    "root-refused-after-a-malformed-record": (
+        "node n1: nu X. a X |- a x ; rule h_a ; children n0\n"
+        "node n0: a X |- nu X. a X ; rule h_a ; children n1\n",
+        "unknown name or letter outside alphabet: 'x' at position 2 in 'a x'"),
+    "root-malformed-after-a-duplicate-id": (
+        LOOP_RECORD % ("n1", "n1") + LOOP_RECORD % ("n1", "n0") + "node n0: mu X. X ; rule mu-l ; children n1\n",
+        "duplicate node id 'n1'"),
+    "root-without-a-turnstile-before-an-unknown-child": (
+        LOOP_RECORD % ("n1", "n9") + "node n0: mu X. X ; rule mu-l ; children n1\n",
+        "a sequent needs exactly one '|-': 'mu X. X'"),
+    # the root names no node: every other fault comes first
+    "no-root-before-a-malformed-record": (LOOP_RECORD % ("n1", "n1") + "node n2: a a |- ; rule mu-l ; children n2\n",
+                                          "unexpected end of input at position 3 in 'a a'"),
+    "no-root-before-an-undetermined-principal": (
+        LOOP_RECORD % ("n1", "n1") + "node n2: a 0 |- T ; rule mu-l ; children n2\n",
+        "node n2: principal formula for μ-l is undetermined; write it explicitly"),
+    "no-root": (LOOP_RECORD % ("n1", "n1"), "root 'n0' is not a node"),
+    # a refused formula beside formulas that resolve by lookup
+    "refused-beside-lookups": (
+        "node n0: nu X. a X |- nu X. a X + b X ; rule nu-l ; children n1\n"
+        "node n1: a nu X. a X, nu X. a X |- a W, nu X. a X + b X, b Y ; rule mu-l ; children n1\n",
+        "sequent formulas must be closed: a W"),
+    # the least refused formula by expr_sort_key on the left, not the first in the text
+    "refused-left-and-right": (
+        "node n0: nu X. a X |- nu X. a X + b X ; rule nu-l ; children n1\n"
+        "node n1: b Y, a nu X. a X, a W |- a U, nu X. a X + b X ; rule mu-l ; children n1\n",
+        "sequent formulas must be closed: a W"),
+    "refused-before-a-malformed-formula": (
+        "node n0: nu X. a X |- nu X. a X + b X ; rule nu-l ; children n1\n"
+        "node n1: a Y, nu X. a X |- nu X. a X + b X, a x ; rule mu-l ; children n1\n",
+        "unknown name or letter outside alphabet: 'x' at position 3 in ' a x'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEEDED_FAULTS))
+def test_check_reports_faults_as_a_sequent_per_record_did(capsys, tmp_path, name):
+    records, message = SEEDED_FAULTS[name]
+    text = "alphabet: ab\n" + records + "root n0\n"
+    with pytest.raises(ValueError) as ref:
+        ref_parse_proof(text)
+    assert str(ref.value) == message
+    f = tmp_path / "faulty.proof"
+    f.write_text(text)
+    assert cli_module.main(["check", str(f)]) == 64
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    with pytest.raises(type(ref.value)):
+        parse_proof(text)
 
 
 # parse_proof gives each node the premisses its children carry, so a μ-l node

@@ -5,9 +5,9 @@ import pytest
 
 import rll.corpus
 import rll.semantics
-from oracles import gen_guarded_sequent, ref_soundness_violations
+from oracles import gen_guarded_sequent, make_instance, ref_soundness_violations
 from rll.automaton import default_coloring
-from rll.calculus import RuleInstance, make_instance, parse_sequent
+from rll.calculus import RuleInstance, parse_sequent
 from rll.corpus import (
     ALIASES,
     ALPHABET,
@@ -53,7 +53,7 @@ def _derivation(derivation):
         # h_b's child n9 has no entry
         ({"n0": ("+-l", "a 0 + b 0", ("n1", "n2")), "n1": ("h_a", "a", ("n3",)), "n2": ("h_b", "b", ("n9",)),
           "n3": ("0-l", "0", ())},
-         "node 'n2' references unknown child 'n9'"),
+         "node n2 references unknown child 'n9'"),
     ],
     ids=["unreached-entries", "child-without-entry"],
 )

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rll.calculus import FormulaTable, make_instance, parse_sequent
+from rll.calculus import FormulaTable, parse_sequent
 from rll.corpus import _PROOFS, ALPHABET, DECISIONS, EXPRESSIONS
 from rll.decide import (
     BudgetExceededError,
@@ -17,7 +17,7 @@ from rll.decide import (
 from rll.expr import Alphabet, complement, parse
 from rll.proof import check, check_local, serialize_proof
 from rll.semantics import member
-from oracles import gen_guarded_sequent, member_denotational, ref_saturate
+from oracles import gen_guarded_sequent, make_instance, member_denotational, ref_saturate
 from golden import graphs, scale
 
 AB = ALPHABET

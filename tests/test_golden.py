@@ -6,13 +6,14 @@ it is made and when it may be regenerated.  tests/golden/rows.py dumps rll's
 output on every benchmark row; here it runs on the smoke rows only.
 tests/golden/graphs.py dumps the progress verdict on seeded random proof
 graphs; here it runs on three seeds.  tests/golden/scale.py digests the
-trace automaton and verdict of the scale rows; here it runs on the refuted
-3-letter row.  tests/golden/gates.py runs the full dumps in this checkout
+trace automaton and verdict of the scale rows, and the round trip of each
+row's proof file; here it runs on the refuted 3-letter row.  tests/golden/gates.py runs the full dumps in this checkout
 and in a parent one and compares them; here it compares a copy of this
 checkout with itself on a short graphs dump, and must report a difference
 planted in the copy.
 """
 
+import hashlib
 import json
 import re
 import shutil
@@ -22,6 +23,7 @@ import pytest
 from golden.regenerate import CAPTURE, cases, run
 from golden import gates, graphs, scale
 from golden.rows import dump_lines, workloads
+from rll.proof import serialize_proof
 
 with open(CAPTURE, encoding="utf-8") as _f:
     GOLDEN = json.load(_f)
@@ -103,6 +105,11 @@ def test_scale_dump_digests_the_refuted_three_letter_row():
     lasso = record["lasso"]
     assert lasso["stem"] == ["n%d" % i for i in range(16)] and lasso["stem_edges"] == [0] * 16
     assert lasso["cycle"][0] == "n17" and len(lasso["cycle"]) == len(lasso["cycle_edges"]) == 61
+    # the row's proof file reads back to a graph that writes the same bytes and gets the same verdict
+    p = scale.saturated("refuted-3")
+    assert json.loads(scale.round_trip_line("refuted-3", p)) == {
+        "row": "refuted-3", "file_sha256": hashlib.sha256(serialize_proof(p).encode()).hexdigest(),
+        "file_reason": "progress"}
 
 
 def test_gates_read_identical_on_a_copy_and_report_a_planted_difference(tmp_path, monkeypatch, capsys):

@@ -7,7 +7,7 @@ import pytest
 
 import rll.calculus as calculus_module
 import rll.proof as proof_module
-from rll.calculus import PRINCIPAL_RULES, RuleInstance, Sequent, make_instance, parse_sequent
+from rll.calculus import PRINCIPAL_RULES, FormulaTable, RuleInstance, Sequent, parse_sequent
 from rll.corpus import ALPHABET, DECISIONS, proofs
 from rll.decide import Proved, decide, saturate
 from rll.expr import Alphabet, Cap, Expr, Mu, Nu, ParseError, Var, complement, expr_sort_key, fl_closure, parse
@@ -27,12 +27,15 @@ from oracles import (
     BuchiAutomaton,
     complement_buchi,
     edges_of,
+    from_records,
     gen_guarded_sequent,
     gen_word,
     graph_of,
+    make_instance,
     one_node_automaton,
     ref_check_local,
     ref_find_unaccepted_branch,
+    ref_parse_proof,
     ref_trace_automaton,
     ref_violation,
     trace_label,
@@ -234,7 +237,7 @@ def test_right_unfolding_the_empty_fixpoint_is_rejected():
 def test_an_ascii_rule_alias_is_stored_under_its_rule_name():
     # and a principal with named binders is stored canonical
     s = parse_sequent("mu X. X |-", AB)
-    loops = [ProofGraph.from_records([("n0", s, rule, principal, ("n0",))], "n0")
+    loops = [from_records([("n0", s, rule, principal, ("n0",))], "n0")
              for rule, principal in [("μ-l", parse("mu X. X", AB)), ("mu-l", parse("mu X. X", AB)),
                                      ("mu-l", Mu("X", Var("X")))]]
     assert loops[0].instance[0].rule == "μ-l" and loops[0].instance[0].principal is parse("mu X. X", AB)
@@ -643,11 +646,31 @@ def test_accepted_proofs_have_valid_roots_on_sampled_words():
 # proof files
 
 
+def _read(parse_file, text):
+    """The fields of the graph that parse_file reads from text (its table's
+    formulas, node names, cedent masks, rules, principal codes, children
+    and root), or the type and text of the error it raises."""
+    try:
+        q = parse_file(text)
+    except ValueError as err:
+        return type(err), str(err)
+    return (q.table.alphabet, q.table.formulas, q.order, q.lhs, q.rhs, q.rule, q.principal, q.children, q.root)
+
+
+def _assert_reads_as_the_reference(text):
+    """parse_proof reads text as ref_parse_proof does, field by field or
+    error by error; returns the graph, or None when both refuse it."""
+    got = _read(parse_proof, text)
+    assert got == _read(ref_parse_proof, text)
+    return None if type(got[0]) is type else parse_proof(text)
+
+
 def _assert_round_trips(p):
-    """parse_proof(serialize_proof(p)) re-serializes byte for byte and has
-    the same nodes, instances, children and verdict; returns the verdict."""
+    """parse_proof(serialize_proof(p)) re-serializes byte for byte, reads
+    as ref_parse_proof reads it and has the same nodes, instances, children
+    and verdict; returns the verdict."""
     text = serialize_proof(p)
-    p2 = parse_proof(text)
+    p2 = _assert_reads_as_the_reference(text)
     assert serialize_proof(p2) == text
     assert p2.order == p.order and p2.root == p.root
     assert p2.instance == p.instance and p2.children == p.children
@@ -831,8 +854,9 @@ def test_a_formula_text_is_parsed_once_per_proof_file(monkeypatch):
         "root n0\n"
     )
     p = parse_proof(text)
-    # seven distinct texts, each parsed once; `a (nu X. ...)` and `a nu X. ...` are one term
-    assert len(calls) == len(set(calls)) == 7
+    # seven distinct texts: the root's two are parsed, and of the rest only `a (nu X. ...)`, which
+    # prints no member of the root's closure (`a nu X. ...` is the same term, printed)
+    assert calls == ["nu X. a X", "nu X. a X + b X", "a (nu X. a X + b X)"]
     any_ab = parse("nu X. a X + b X", AB)
     assert p.order == ("n0", "n1", "n2", "n3", "n4")
     assert p.instance[1].principal is any_ab and p.sequent(0).rhs == {any_ab}
@@ -883,9 +907,75 @@ def test_the_proofs_decide_emits_round_trip_byte_for_byte():
     assert len(emitted) == 19
     for p in emitted:
         text = serialize_proof(p)
-        p2 = parse_proof(text)
+        p2 = _assert_reads_as_the_reference(text)
         assert serialize_proof(p2) == text
         assert p2.order == p.order and p2.instance == p.instance
+
+
+def _respell(text, spell):
+    """text with every cedent formula and every principal text replaced by
+    spell(its text)."""
+    lines = []
+    for line in text.splitlines():
+        if line.startswith("node "):
+            head, sequent, rest = re.fullmatch(r"(node [^:]*: )(.*?)( ; rule .*)", line).groups()
+            sides = [", ".join(map(spell, side.split(", "))) if side.strip() else "" for side in
+                     (part.strip() for part in sequent.split("|-"))]
+            rest = re.sub(r"(?<= principal )(.*?)(?= ; children)", lambda m: spell(m.group()), rest)
+            line = head + " |- ".join(sides) + rest
+        lines.append(line)
+    return "\n".join(lines) + "\n"
+
+
+RESPELLINGS = {
+    # every binder renamed, so that no text prints a closure member and each is parsed
+    "alpha-renamed": lambda f: f.replace("X", "P").replace("Y", "Q").replace("Z", "R"),
+    "parentheses-and-spaces": lambda f: "( %s )" % f.replace(" ", "  "),
+}
+
+
+def test_respelled_proof_files_read_as_the_reference():
+    graphs = [p for p, _ in FIXTURES.values()] + _emitted_proofs()
+    for p in graphs:
+        text = serialize_proof(p)
+        for name, spell in RESPELLINGS.items():
+            q = _assert_reads_as_the_reference(_respell(text, spell))
+            assert (q.table.formulas, q.lhs, q.rhs, q.principal) == (p.table.formulas, p.lhs, p.rhs, p.principal)
+        without = re.sub(r" principal [^;]*(?= ; children)", "", text)
+        _assert_reads_as_the_reference(without)
+
+
+HAND_WRITTEN = {
+    "principal-omitted": "node n0: mu X. X |- nu X. X ; rule mu-l ; children n0\n",
+    # a closure member in no cedent, and a formula outside the closure
+    "principal-in-no-cedent": "node n0: nu X. a X |- nu X. a X ; rule nu-l principal a nu X. a X ; children n0\n",
+    "principal-outside-the-closure": "node n0: mu X. X |- nu X. X ; rule mu-l principal a T ; children n0\n",
+    "open-principal": "node n0: mu X. X |- nu X. X ; rule mu-l principal a X ; children n0\n",
+    "repeated-formula": "node n0: mu X. X, mu X.X, (mu Y. Y) |- nu X. X, nu X. X ; rule mu-l ; children n0\n",
+    # a child's cedent holds a formula outside the root's closure: the table is renumbered
+    "outside-the-root-closure": "node n0: mu X. X |- nu X. X ; rule mu-l principal mu X. X ; children n1\n"
+                                "node n1: a T + b 0, mu X. X |- nu X. X ; rule mu-l principal mu X. X ; children n1\n",
+    "outside-before-the-root": "node n1: a T + b 0, mu X. X |- nu X. X ; rule mu-l ; children n1\n"
+                               "node n0: mu X. X |- nu X. X ; rule mu-l principal mu X. X ; children n1\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_hand_written_proof_files_read_as_the_reference(name):
+    text = "alphabet: ab\n%sroot n0\n" % HAND_WRITTEN[name]
+    p = _assert_reads_as_the_reference(text)
+    ref = ref_parse_proof(text)
+    assert check_local(p) == check_local(ref) == ref_check_local(ref)
+    assert serialize_proof(p) == serialize_proof(ref)
+
+
+def test_a_formula_outside_the_root_closure_keeps_its_local_check_text():
+    text = "alphabet: ab\n%sroot n0\n" % HAND_WRITTEN["outside-the-root-closure"]
+    p = parse_proof(text)
+    # the closure of every cedent formula: the root's two and a T + b 0, a T, T, b 0 and 0
+    assert p.table.formulas == FormulaTable(p.sequent(0).lhs | p.sequent(0).rhs | p.sequent(1).lhs, AB).formulas
+    assert len(p.table.formulas) == 7
+    assert check_local(p) == ["node n0: premisses do not match the μ-l schema for this conclusion"]
 
 
 def _renamed(p, rng):
