@@ -978,6 +978,54 @@ def test_a_formula_outside_the_root_closure_keeps_its_local_check_text():
     assert check_local(p) == ["node n0: premisses do not match the μ-l schema for this conclusion"]
 
 
+def _mutated(lines, rng):
+    """A proof file's lines with one random fault or edit: a record dropped
+    or repeated, children redirected, a formula replaced by another text
+    (open, malformed, outside the closure, or a member spelled otherwise),
+    a principal dropped, the root renamed, or the records shuffled."""
+    lines = list(lines)
+    j = rng.randrange(1, len(lines) - 1)
+    kind = rng.randrange(7)
+    if kind == 0:
+        del lines[j]
+    elif kind == 1:
+        lines.insert(rng.randrange(1, len(lines)), lines[j])
+    elif kind == 2:
+        kids = ", ".join(rng.choice(["n0", "n1", "n2", "n99"]) for _ in range(rng.randint(0, 2)))
+        lines[j] = re.sub(r"children .*$", "children " + kids, lines[j])
+    elif kind == 3:
+        head, sequent, rest = re.fullmatch(r"(node [^:]*: )(.*?)( ; rule .*)", lines[j]).groups()
+        parts = re.split(r"(, | ?\|- ?)", sequent)
+        parts[2 * rng.randrange((len(parts) + 1) // 2)] = rng.choice(
+            ["a X", "a x", "(", "", "a T + b 0", "mu X. X", "nu Y. a Y", "a (mu X. X)"])
+        lines[j] = head + "".join(parts) + rest
+    elif kind == 4:
+        lines[j] = re.sub(r" principal [^;]*(?= ; children)", "", lines[j])
+    elif kind == 5:
+        lines[-1] = "root " + rng.choice(["n0", "n1", "n5"])
+    else:
+        body = lines[1:-1]
+        rng.shuffle(body)
+        lines[1:-1] = body
+    return lines
+
+
+def test_mutated_proof_files_read_as_the_reference():
+    # graphs or faults, each as ref_parse_proof reads it: the first fault in
+    # file order, whatever the root record holds
+    rng = random.Random(3232)
+    texts = [serialize_proof(p).splitlines() for p, _ in FIXTURES.values()]
+    outcomes = Counter()
+    for _ in range(600):
+        lines = rng.choice(texts)
+        for _ in range(rng.randint(1, 3)):
+            lines = _mutated(lines, rng) if len(lines) > 3 else lines
+        got = _read(parse_proof, "\n".join(lines) + "\n")
+        assert got == _read(ref_parse_proof, "\n".join(lines) + "\n"), lines
+        outcomes[got[0].__name__ if type(got[0]) is type else "graph"] += 1
+    assert min(outcomes["graph"], outcomes["ParseError"], outcomes["ValueError"]) >= 40, outcomes
+
+
 def _renamed(p, rng):
     """p with every node renamed, records kept in order, and the renaming.
     New names are drawn from a shuffled numbering, so a node may take the
