@@ -20,19 +20,21 @@ infinitely often.
 
 build_trace_automaton turns that condition into a Büchi automaton over the
 graph's edges whose language is the set of branches possessing such a trace.
-A state's label is one int over the table's formula numbers, and its descent
-along an edge is a mask read off the graph's cedents, premiss_letters and
-the table's body bits and auxiliary masks as it is walked.  States are
-numbered per node in discovery order, and each edge holds one reach row per
-state of its source: a bitmask of the child's states that the state steps
-to.  check runs the local check and then decides whether that language
-covers all branches.  Rather than complementing the (large) trace
-automaton, it composes those rows into boolean reachability/acceptance
-profiles of finite paths and applies the standard lasso criterion to
-idempotent loop profiles (Fogarty & Vardi, "Efficient Büchi universality
-checking", TACAS 2010), which is exact for ultimately periodic branches and
-therefore for universality.  Those profiles form a finite monoid, so each
-distinct one is interned as an int and composed with each edge only once.
+While it is built, a state's label is one int over the table's formula
+numbers, and its descent along an edge is a mask read off the graph's
+cedents, premiss_letters and the table's body bits and auxiliary masks.  The
+automaton keeps no labels: its states are numbered per node in discovery
+order, and it holds the root's initial states, each node's accepting states
+and, per edge, one reach row per state of its source: a bitmask of the
+child's states that the state steps to.  check runs the local check and
+then decides whether that language covers all branches.  Rather than
+complementing the (large) trace automaton, it composes those rows into
+boolean reachability/acceptance profiles of finite paths and applies the
+standard lasso criterion to idempotent loop profiles (Fogarty & Vardi,
+"Efficient Büchi universality checking", TACAS 2010), which is exact for
+ultimately periodic branches and therefore for universality.  Those
+profiles form a finite monoid, so each distinct one is interned as an int
+and composed with each edge only once.
 
 The verdict is decided over loops that start at feedback nodes only: the
 nodes an edge reaches while they are on the Tarjan stack, a set that meets
@@ -51,7 +53,7 @@ search is checked against, next to the full search as one pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property, reduce
+from functools import cache, cached_property
 from operator import or_
 from typing import Optional, Tuple
 
@@ -389,25 +391,16 @@ def serialize_proof(p: ProofGraph) -> str:
 @dataclass(frozen=True)
 class TraceAutomaton:
     """A Büchi automaton over the edges (v, j) of a numbered proof graph,
-    whose states are numbered per node in discovery order.  Every table but
-    formulas is indexed by node number.
+    whose states are numbered per node in discovery order; which formula a
+    state tracks is not kept, since the progress search reads only these
+    tables, indexed by node number:
 
-    - formulas lists the graph's distinct formulas in expr_sort_key order:
-      its table's, with the numbers of closure members that no cedent
-      holds left out;
-    - labels[v][k] is state k of node v, the int 2 * (len(formulas) * (c +
-      1) + n) + side for formulas[n] on side 0 (left) or 1 (right), with c
-      the critical formula's number, -1 while the trace is still searching;
-    - states lists every state as (v, k), in discovery order;
     - initials are the numbers of the root's initial states;
     - reach[v][j][k] is a bitmask of the states of v's j-th child that
       state k steps to along edge j;
     - accepting[v] is a bitmask of v's accepting states."""
 
     root: int
-    formulas: Tuple[Expr, ...]
-    labels: Tuple[Tuple[int, ...], ...]
-    states: Tuple[Tuple[int, int], ...]
     initials: Tuple[int, ...]
     reach: Tuple[Tuple[Tuple[int, ...], ...], ...]
     accepting: Tuple[int, ...]
@@ -447,11 +440,11 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
         steps.append(tuple(zip(kids, map(index.__getitem__, kids), map(cedents.__getitem__, kids), via, rows[v])))
 
     accepting = [0] * len(p.order)
-    queue = [2 * n + side for side, m in enumerate(cedents[p.root]) for n in range(width // 2) if m >> n & 1]
-    initials = tuple(range(len(queue)))
-    index[p.root].update(zip(queue, initials))
-    states = [(p.root, k) for k in initials]  # the breadth-first queue; queue[i] is the label of states[i]
-    for (v, k), label in zip(states, queue):  # both grow while they are walked
+    labels = [2 * n + side for side, m in enumerate(cedents[p.root]) for n in range(width // 2) if m >> n & 1]
+    initials = tuple(range(len(labels)))
+    index[p.root].update(zip(labels, initials))
+    queue = [(p.root, k, label) for k, label in enumerate(labels)]  # breadth-first: (node, state number, label)
+    for v, k, label in queue:  # the queue grows while it is walked
         critical, key = divmod(label, width)  # critical is the critical number + 1
         side, f = key & 1, key >> 1
         unfolds = key == principal[v]
@@ -479,28 +472,11 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
                     n = len(idx)
                     k2 = idx.setdefault(x, n)
                     if k2 == n:
-                        states.append((child, n))
-                        queue.append(x)
+                        queue.append((child, n, x))
                     row |= 1 << k2
             out.append(row)
-    formulas, labels = table.formulas, map(tuple, index)
-    used = reduce(or_, p.lhs + p.rhs, 0)
-    if used != (1 << len(formulas)) - 1:  # number only the formulas that some cedent holds
-        kept = table.numbers(used)
-        formulas = tuple(map(formulas.__getitem__, kept))
-        compact = {old: n for n, old in enumerate(kept)}
-
-        def relabel(label):
-            critical, key = divmod(label, width)
-            committed = compact[critical - 1] + 1 if critical else 0
-            return 2 * (len(formulas) * committed + compact[key >> 1]) + (key & 1)
-
-        labels = (tuple(map(relabel, labels_at)) for labels_at in index)
     return TraceAutomaton(
         root=p.root,
-        formulas=formulas,
-        labels=tuple(labels),
-        states=tuple(states),
         initials=initials,
         reach=tuple(tuple(map(tuple, per_edge)) for per_edge in rows),
         accepting=tuple(accepting),

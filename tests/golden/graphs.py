@@ -31,6 +31,7 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
+from golden.scale import trace_state_counts  # noqa: E402
 from oracles import gen_guarded_sequent, unroll_edge  # noqa: E402
 from rll.calculus import format_sequent  # noqa: E402
 from rll.decide import BudgetExceededError, saturate  # noqa: E402
@@ -59,7 +60,7 @@ def _record(seed, graph, p):
         "reason": r.reason,
         "violations": list(r.violations),
         "lasso": lasso,
-        "trace_states": len(build_trace_automaton(p).states),
+        "trace_states": sum(trace_state_counts(p.children, build_trace_automaton(p))),
     }
 
 

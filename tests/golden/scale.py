@@ -23,6 +23,8 @@ import hashlib
 import json
 import os
 import sys
+from functools import reduce
+from operator import or_
 
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 sys.path[:0] = [os.path.join(ROOT, "src")]
@@ -66,6 +68,20 @@ def automaton_digest(automaton) -> str:
     return h.hexdigest()
 
 
+def trace_state_counts(children, automaton) -> list:
+    """The number of the automaton's states at each node of the graph with
+    these children, read off its initials and reach tables alone: a node
+    with children has one reach row per state on each out-edge, any other
+    node as many states as the highest bit that a row into it sets, and the
+    root at least its initial states."""
+    counts = [len(per_edge[0]) if per_edge else 0 for per_edge in automaton.reach]
+    for kids, per_edge in zip(children, automaton.reach):
+        for child, rows in zip(kids, per_edge):
+            counts[child] = max(counts[child], reduce(or_, rows, 0).bit_length())
+    counts[automaton.root] = max(counts[automaton.root], len(automaton.initials))
+    return counts
+
+
 def saturated(name: str):
     """The saturated proof graph of a row."""
     letters, text = dict(ROWS, **STRETCH_ROWS)[name]
@@ -89,7 +105,7 @@ def dump_line(name: str, p=None) -> str:
     return json.dumps({
         "row": name,
         "nodes": len(p.order),
-        "trace_states": len(automaton.states),
+        "trace_states": sum(trace_state_counts(p.children, automaton)),
         "automaton_sha256": automaton_digest(automaton),
         "reason": r.reason,
         "lasso": lasso,

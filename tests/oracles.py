@@ -45,9 +45,11 @@
   numbers, with no ancestry table.
 - ref_trace_automaton builds the trace automaton of a proof graph as a
   labelled automaton, state by state, over ref_grouped_ancestry; rll.proof
-  numbers its states per node, packs each label as one int, and builds
-  each edge's reach rows directly.  trace_label decodes a packed label
-  through the automaton's formulas table.
+  numbers its states per node, builds each edge's reach rows directly and
+  keeps no labels.  Both walk the states breadth-first, so
+  ref_numbered_states, which lists the reference's states per node in
+  discovery order, names the TraceState that each numbered state of
+  rll.proof tracks.
 - build_eval_game numbers the evaluation game of rll.semantics end to end,
   with no label layer: positions are 0..n-1, held as arrays of owner,
   priority and successor numbers, and (o, fl.members[k]) is number
@@ -131,6 +133,7 @@ from rll.expr import (
 from rll.automaton import default_coloring
 from rll.proof import ProofGraph, TraceAutomaton, _after_keyword, tarjan
 from rll.semantics import UPWord
+from golden.scale import trace_state_counts
 
 
 def member_denotational(stem: str, loop: str, e) -> bool:
@@ -1117,9 +1120,9 @@ class BuchiAutomaton(NamedTuple):
 def one_node_automaton(b: BuchiAutomaton):
     """b as a numbered automaton over a graph with the one node 0, whose
     j-th edge reads b.alphabet[j] and leads back to 0; state k is
-    b.states[k], which also serves as its label.  Returns that automaton and
-    the graph's children table.  edges_of(b, word) spells a word over
-    b.alphabet as edges of that graph."""
+    b.states[k].  Returns that automaton and the graph's children table.
+    edges_of(b, word) spells a word over b.alphabet as edges of that
+    graph."""
     number = {q: k for k, q in enumerate(b.states)}
 
     def mask(qs):
@@ -1130,9 +1133,6 @@ def one_node_automaton(b: BuchiAutomaton):
 
     automaton = TraceAutomaton(
         root=0,
-        formulas=(),
-        labels=(tuple(b.states),),
-        states=tuple((0, k) for k in range(len(b.states))),
         initials=tuple(number[q] for q in b.initials),
         reach=(tuple(tuple(mask(b.successors(q, a)) for q in b.states) for a in b.alphabet),),
         accepting=(mask(b.accepting),),
@@ -1338,14 +1338,6 @@ class TraceState(NamedTuple):
     critical: Optional[Expr]
 
 
-def trace_label(automaton: TraceAutomaton, label: int):
-    """The (side, formula, critical formula or None) that a packed label of
-    rll.proof's trace automaton names, decoded through its formulas table."""
-    critical, key = divmod(label, 2 * len(automaton.formulas))
-    formulas = automaton.formulas
-    return "LR"[key & 1], formulas[key >> 1], formulas[critical - 1] if critical else None
-
-
 def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
     """The trace automaton of p as a labelled automaton over the edges
     (v, j): states are TraceStates in breadth-first discovery order, and
@@ -1393,6 +1385,17 @@ def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
     return BuchiAutomaton(tuple(states), alphabet, transitions, tuple(initials), frozenset(accepting))
 
 
+def ref_numbered_states(ref: BuchiAutomaton, nodes: int):
+    """Per node v below `nodes`, the TraceStates of ref_trace_automaton's
+    `ref` at v in discovery order.  rll.proof numbers each node's states in
+    the order in which one breadth-first walk finds them, the order in
+    which the reference dequeues them, so the k-th is state k of v there."""
+    numbered = [[] for _ in range(nodes)]
+    for st in ref.states:
+        numbered[st.node].append(st)
+    return numbered
+
+
 # ---------------------------------------------------------------------------
 # The progress search, as one full pass
 
@@ -1425,7 +1428,7 @@ def ref_find_unaccepted_branch(children, automaton: TraceAutomaton):
 
     # stems: reachability profiles of all finite paths from the root
     root = automaton.root
-    ident = tuple(1 << k for k in range(len(automaton.labels[root])))
+    ident = tuple(1 << k for k in range(trace_state_counts(children, automaton)[root]))
     stems = {(root, ident): ()}
     stem_queue = [(root, ident)]
     for m, r in stem_queue:  # the queue grows while it is walked

@@ -29,7 +29,8 @@ from oracles import (
     make_instance,
     ref_grouped_ancestry,
     ref_immediate_ancestry,
-    trace_label,
+    ref_numbered_states,
+    ref_trace_automaton,
     validate_instance,
 )
 
@@ -277,20 +278,22 @@ def _descent(inst):
     premiss_letters and auxiliaries, as {(premiss index, side, conclusion
     formula): premiss formulas in formula-number order}: the search steps
     of the initial states of a graph whose root carries inst over one leaf
-    per premiss."""
+    per premiss, each state named by ref_numbered_states."""
     leaves = [("n%d" % (j + 1), RuleInstance("l-p", prem, None, ()), ()) for j, prem in enumerate(inst.premisses)]
     p = graph_of([("n0", inst, tuple(nid for nid, _, _ in leaves))] + leaves, "n0")
     a = build_trace_automaton(p)
+    numbered = ref_numbered_states(ref_trace_automaton(p), len(p.order))
     grouped = {}
     for k in a.initials:
-        side, f, _ = trace_label(a, a.labels[p.root][k])
+        st = numbered[p.root][k]
         for j, child in enumerate(p.children[p.root]):
             row = a.reach[p.root][j][k]
-            found = [trace_label(a, a.labels[child][k2]) for k2 in range(len(a.labels[child])) if row >> k2 & 1]
-            assert all(s2 == side for s2, _, _ in found)
-            gs = sorted((g for _, g, critical in found if critical is None), key=a.formulas.index)
+            assert row >> len(numbered[child]) == 0
+            found = [t for k2, t in enumerate(numbered[child]) if row >> k2 & 1]
+            assert all(t.side == st.side for t in found)
+            gs = sorted((t.formula for t in found if t.critical is None), key=p.table.number.__getitem__)
             if gs:
-                grouped[j, side, f] = tuple(gs)
+                grouped[j, st.side, st.formula] = tuple(gs)
     return grouped
 
 

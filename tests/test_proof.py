@@ -35,13 +35,14 @@ from oracles import (
     one_node_automaton,
     ref_check_local,
     ref_find_unaccepted_branch,
+    ref_numbered_states,
     ref_parse_proof,
     ref_trace_automaton,
     ref_violation,
-    trace_label,
     unroll_edge,
     validate_instance,
 )
+from golden.scale import trace_state_counts
 from test_acceptance import PAPER_PROOF_NAMES
 
 AB = ALPHABET
@@ -491,27 +492,9 @@ def test_the_trace_build_asks_each_subformula_question_once(monkeypatch):
 
     monkeypatch.setattr(proof_module, "subformula_leq", counting_subformula_leq)
     automaton = build_trace_automaton(p)
-    assert len(automaton.states) == 8083
+    assert sum(trace_state_counts(p.children, automaton)) == 8083
     # one question per (formula, critical formula) pair, however many states ask it
     assert calls and max(calls.values()) == 1
-
-
-def test_trace_labels_decode_to_cedent_formulas_through_the_formula_table():
-    graphs = [p for p, _ in FIXTURES.values()] + list(_random_saturated_graphs(seed=20261021))
-    compacted = 0
-    for p in graphs:
-        automaton = build_trace_automaton(p)
-        formulas = {f for inst in p.instance for f in inst.conclusion.lhs | inst.conclusion.rhs}
-        assert automaton.formulas == tuple(sorted(formulas, key=expr_sort_key))
-        compacted += automaton.formulas != p.table.formulas
-        for v, labels in enumerate(automaton.labels):
-            s = p.sequent(v)
-            for side, f, critical in (trace_label(automaton, label) for label in labels):
-                assert f in (s.lhs if side == "L" else s.rhs)
-                if critical is not None:  # a critical formula is a left mu or a right nu
-                    assert isinstance(critical, Mu if side == "L" else Nu)
-    # some closure member is in no cedent of many graphs, whose labels are renumbered
-    assert 20 <= compacted < len(graphs), compacted
 
 
 def _random_digraph(rng):
@@ -560,28 +543,27 @@ def test_deleting_the_feedback_nodes_leaves_an_acyclic_graph():
 def _assert_matches_the_labelled_reference(p):
     bp = build_trace_automaton(p)
     ref = ref_trace_automaton(p)
+    numbered = ref_numbered_states(ref, len(p.order))  # numbered[v][k] is what state k of v tracks
 
-    def label(v, k):
-        return (v,) + trace_label(bp, bp.labels[v][k])
-
-    def strip(st):
-        return (st.node, st.side, st.formula, st.critical)
-
-    assert [label(v, k) for v, k in bp.states] == [strip(st) for st in ref.states]
     assert all(st.phase == ("search" if st.critical is None else "committed") for st in ref.states)
-    assert len(bp.labels) == len(bp.accepting) == len(bp.reach) == len(p.order)
-    for v, labels in enumerate(bp.labels):
-        assert [k for n, k in bp.states if n == v] == list(range(len(labels)))
-    assert [label(p.root, k) for k in bp.initials] == [strip(st) for st in ref.initials]
-    accepting = {label(v, k) for v, k in bp.states if bp.accepting[v] >> k & 1}
-    assert accepting == {strip(st) for st in ref.accepting}
-    assert all(mask >> len(bp.labels[v]) == 0 for v, mask in enumerate(bp.accepting))
-    for (v, k), st in zip(bp.states, ref.states):
+    for v, states in enumerate(numbered):  # a state tracks a formula of its node's cedent on its side
+        s = p.sequent(v)
+        assert all(st.formula in (s.lhs if st.side == "L" else s.rhs) for st in states)
+        # a critical formula is a left mu or a right nu
+        assert all(isinstance(st.critical, Mu if st.side == "L" else Nu) for st in states if st.critical is not None)
+    assert len(bp.accepting) == len(bp.reach) == len(p.order)
+    assert trace_state_counts(p.children, bp) == list(map(len, numbered))
+    assert [numbered[p.root][k] for k in bp.initials] == list(ref.initials)
+    accepting = {st for v, states in enumerate(numbered) for k, st in enumerate(states) if bp.accepting[v] >> k & 1}
+    assert accepting == ref.accepting
+    assert all(mask >> len(numbered[v]) == 0 for v, mask in enumerate(bp.accepting))
+    for v, states in enumerate(numbered):
         for j, child in enumerate(p.children[v]):
-            row = bp.reach[v][j][k]
-            assert row >> len(bp.labels[child]) == 0
-            successors = {label(child, k2) for k2 in range(len(bp.labels[child])) if row >> k2 & 1}
-            assert successors == {strip(t) for t in ref.successors(st, (v, j))}, (v, k, j)
+            assert len(bp.reach[v][j]) == len(states)
+            for k, (st, row) in enumerate(zip(states, bp.reach[v][j])):
+                assert row >> len(numbered[child]) == 0
+                successors = {t for k2, t in enumerate(numbered[child]) if row >> k2 & 1}
+                assert successors == set(ref.successors(st, (v, j))), (v, k, j)
 
 
 def test_numbered_trace_automaton_matches_the_labelled_reference():
@@ -613,11 +595,12 @@ def test_trace_automaton_size_is_within_its_bound(name):
     for inst in p.instance:
         formulas |= inst.conclusion.lhs | inst.conclusion.rhs
     bound = len(p.order) * 2 * len(formulas) * (len(formulas) + 1)
-    assert len(bp.states) <= bound
+    counts = trace_state_counts(p.children, bp)
+    assert sum(counts) <= bound
     edges = {(v, j) for v, kids in enumerate(p.children) for j in range(len(kids))}
     assert {(v, j) for v, rows in enumerate(bp.reach) for j in range(len(rows))} == edges
     for v, rows in enumerate(bp.reach):
-        assert all(len(per_state) == len(bp.labels[v]) for per_state in rows)
+        assert all(len(per_state) == counts[v] for per_state in rows)
     root = p.sequent(p.root)
     assert len(bp.initials) == len(root.lhs) + len(root.rhs)
 

@@ -2,7 +2,8 @@
 referenced, transitively, from `cli.main` or from code that runs on import.
 A name referenced only inside an unreachable definition does not count.
 Every other top-level name that a module assigns is read by some code in
-`src/rll`, and every top-level import is used by its module, and no module
+`src/rll`, every field of a dataclass is read as an attribute by some code
+in `src/rll`, every top-level import is used by its module, and no module
 imports a private (underscored) name from another.  Only `cli.main`
 prints, names `sys.stdout` or `sys.stderr`, or reads the `--json` flag, so
 every command shares its one output path.  A proof graph's node names,
@@ -101,6 +102,27 @@ def test_every_top_level_assignment_in_src_is_read():
                         if isinstance(node, ast.Name) and not node.id.startswith("__") and node.id not in reads[mod]:
                             unread.append("%s.%s" % (mod, node.id))
     assert unread == [], "assigned but never read in src/rll: " + ", ".join(unread)
+
+
+def test_every_dataclass_field_in_src_is_read():
+    # a field that src/rll never reads is kept only for the tests, which
+    # derive what they need from their own references instead
+    modules = _modules()
+    read = {node.attr for tree in modules.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields, unread = [], []
+    for mod, tree in modules.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                _name(d.func if isinstance(d, ast.Call) else d) == "dataclass" for d in cls.decorator_list
+            ):
+                for stmt in cls.body:
+                    if isinstance(stmt, ast.AnnAssign):
+                        fields.append(stmt.target.id)
+                        if stmt.target.id not in read:
+                            unread.append("%s.%s.%s" % (mod, cls.name, stmt.target.id))
+    assert fields
+    assert unread == [], "dataclass fields never read in src/rll: " + ", ".join(unread)
 
 
 def test_every_top_level_import_in_src_is_used():
