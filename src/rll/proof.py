@@ -48,10 +48,20 @@ the lasso: it stops at its first hit, and the lasso is the path of edges
 end, re-verified by replay on the same automaton.  A general rank-based
 complementation lives in tests/oracles.py as the reference this profile
 search is checked against, next to the full search as one pass.
+
+check builds the automaton, and runs both searches, over the live nodes
+only: those from which a cycle can be reached, read off the same Tarjan
+pass that finds the feedback nodes.  That is exact.  A branch that ends at
+an axiom owes no trace, and every infinite branch, and every stem to a
+loop, stays inside the live nodes.  A parent of a live node is live, so
+the breadth-first walk meets the states at live nodes in the same order,
+and each keeps its number, its reach rows and its accepting bit.
+build_trace_automaton called with the graph alone still walks every node.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from operator import or_
@@ -398,7 +408,13 @@ class TraceAutomaton:
     - initials are the numbers of the root's initial states;
     - reach[v][j][k] is a bitmask of the states of v's j-th child that
       state k steps to along edge j;
-    - accepting[v] is a bitmask of v's accepting states."""
+    - accepting[v] is a bitmask of v's accepting states.
+
+    The automaton that check builds holds states at live nodes only, and
+    the root's initial states: every row into a dead child is empty (0),
+    since no infinite branch passes through a dead node.  At live nodes
+    the states, their numbers and their rows are those of the whole
+    automaton."""
 
     root: int
     initials: Tuple[int, ...]
@@ -406,7 +422,7 @@ class TraceAutomaton:
     accepting: Tuple[int, ...]
 
 
-def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
+def build_trace_automaton(p: ProofGraph, live=None) -> TraceAutomaton:
     """The Büchi automaton over the edges of a locally valid graph accepting
     exactly the branches that carry a progressing trace.  States track a
     formula of the current node's sequent on one side, either still
@@ -415,9 +431,16 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     accepting state whenever the critical formula itself is the one
     unfolded.  Formulas are the graph table's numbers, and a descent is a
     mask read off the graph's cedents and the table's body bits and
-    auxiliary masks."""
+    auxiliary masks.
+
+    Given the live table of _components, only the live nodes and the root
+    are set up, and the walk steps only into live children: a row into a
+    dead child is 0, and no dead node but the root holds a state.  Since a
+    parent of a live node is live, every state at a live node keeps its
+    number, its rows and its accepting bit."""
     table = p.table
     cedents = tuple(zip(p.lhs, p.rhs))
+    into = cedents if live is None else tuple(c if up else (0, 0) for c, up in zip(cedents, live))
     width = 2 * len(table.formulas)  # the labels with one critical formula
     may_commit = (table.kinds.get(Mu, 0), table.kinds.get(Nu, 0))  # left mu, right nu
     letter, body = table.letter, table.body
@@ -425,21 +448,27 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
 
     # per node, its principal as 2n + side (negative for none); per edge, the child, its index and
     # cedents, what the edge descends by (the letter it strips, else the mask of its auxiliaries on the
-    # rule's side) and its reach rows
-    principal = [-1] * len(p.order)
-    rows = [[[] for _ in kids] for kids in p.children]
-    index = [{} for _ in p.children]  # per node, label -> its state number there, in discovery order
-    steps = []
-    for v, (rule, kids) in enumerate(zip(p.rule, p.children)):
+    # rule's side) and its reach rows; all of them only at the nodes that a state can reach
+    nodes = len(p.order)
+    kept = range(nodes) if live is None else [v for v in range(nodes) if live[v] or v == p.root]
+    principal = [-1] * nodes
+    rows = [None] * nodes
+    index = [None] * nodes  # per node, label -> its state number there, in discovery order
+    steps = [()] * nodes
+    for v in kept:
+        rows[v] = [[] for _ in p.children[v]]
+        index[v] = {}
+    for v in kept:  # once every kept node has its index
+        rule, kids = p.rule[v], p.children[v]
         via = premiss_letters(rule, table.alphabet) or ()
         if kids and not via:
             side = "LR".index(PRINCIPAL_RULES[rule][1])
             principal[v] = 2 * p.principal[v] + side
             aux = table.auxiliaries(rule, p.principal[v])
-            via = [aux[j] & cedents[c][side] for j, c in enumerate(kids)]
-        steps.append(tuple(zip(kids, map(index.__getitem__, kids), map(cedents.__getitem__, kids), via, rows[v])))
+            via = [aux[j] & into[c][side] for j, c in enumerate(kids)]
+        steps[v] = tuple(zip(kids, map(index.__getitem__, kids), map(into.__getitem__, kids), via, rows[v]))
 
-    accepting = [0] * len(p.order)
+    accepting = [0] * nodes
     labels = [2 * n + side for side, m in enumerate(cedents[p.root]) for n in range(width // 2) if m >> n & 1]
     initials = tuple(range(len(labels)))
     index[p.root].update(zip(labels, initials))
@@ -478,7 +507,10 @@ def build_trace_automaton(p: ProofGraph) -> TraceAutomaton:
     return TraceAutomaton(
         root=p.root,
         initials=initials,
-        reach=tuple(tuple(map(tuple, per_edge)) for per_edge in rows),
+        reach=tuple(
+            ((),) * len(kids) if per_edge is None else tuple(map(tuple, per_edge))
+            for kids, per_edge in zip(p.children, rows)
+        ),
         accepting=tuple(accepting),
     )
 
@@ -572,11 +604,31 @@ def _row_or(bits, rows):
     return out
 
 
-def _find_unaccepted_branch(children, automaton: TraceAutomaton):
+def _components(children):
+    """One Tarjan pass over the nodes numbered below len(children): per node
+    the number of its SCC, the feedback nodes, and per node whether it is
+    live, that is, whether a cycle can be reached from it.  Tarjan emits a
+    component after every component it reaches, so a component is live when
+    it meets the feedback nodes, which is when it holds a cycle, or when an
+    edge leaves it for a live one."""
+    n = len(children)
+    feedback = set()
+    scc_of = [0] * n
+    live = bytearray(n)
+    for i, comp in enumerate(tarjan(children, range(n), feedback)):
+        for v in comp:
+            scc_of[v] = i
+        if not feedback.isdisjoint(comp) or any(live[c] for v in comp for c in children[v]):
+            for v in comp:
+                live[v] = 1
+    return scc_of, feedback, live
+
+
+def _find_unaccepted_branch(children, automaton: TraceAutomaton, components):
     """Core of the progress check over a graph given by its children table,
-    nodes numbered below len(children), and its trace automaton.  Returns
-    None when every branch from the root is accepted, otherwise (stem
-    edges, cycle edges).
+    nodes numbered below len(children), its trace automaton and its
+    _components.  Returns None when every branch from the root is accepted,
+    otherwise (stem edges, cycle edges).
 
     Profiles are interned per call: profiles[i] is the (R, A) pair with id
     i, and an in-SCC edge carries the id of its own profile.  Each product
@@ -588,11 +640,7 @@ def _find_unaccepted_branch(children, automaton: TraceAutomaton):
     stops at its first hit, so the lasso is the first one in the
     breadth-first order of loops."""
     n = len(children)
-    feedback = set()
-    scc_of = [0] * n
-    for i, comp in enumerate(tarjan(children, range(n), feedback)):
-        for v in comp:
-            scc_of[v] = i
+    scc_of, feedback, live = components
     profiles, ids, tables, products, diagonals, rejections = [], {}, {}, {}, {}, {}
 
     def intern(profile):
@@ -616,20 +664,23 @@ def _find_unaccepted_branch(children, automaton: TraceAutomaton):
             ((v, j), dst, intern((rows, tuple(row & automaton.accepting[dst] for row in rows))))
             for j, (dst, rows) in enumerate(zip(children[v], automaton.reach[v]))
             if scc_of[dst] == scc_of[v]
-        )
+        ) if live[v] else ()
         for v in range(n)
     ]
 
-    # stems: per node, the states that finite paths from the root reach from
-    # the initial states, each mask once, linked to the stem it extends and
-    # the edge it adds; reached[m] lists m's masks in discovery order
+    # stems: per live node, the states that finite paths from the root reach
+    # from the initial states, each mask once, linked to the stem it extends
+    # and the edge it adds; reached[m] lists m's masks in discovery order.
+    # A stem to a loop passes through live nodes only.
     stem_queue = [(automaton.root, sum(1 << k for k in automaton.initials))]
     stems = {stem_queue[0]: None}
-    reached = [[] for _ in range(n)]
+    reached = defaultdict(list)
     for key in stem_queue:  # the queue grows while it is walked
         m, mask = key
         reached[m].append(mask)
         for j, (dst, rows) in enumerate(zip(children[m], automaton.reach[m])):
+            if not live[dst]:
+                continue
             key2 = (dst, _row_or(mask, rows))
             if key2 not in stems:
                 stems[key2] = (key, (m, j))
@@ -772,14 +823,16 @@ class CheckResult:
 
 
 def check(p: ProofGraph) -> CheckResult:
-    """check_local, then, on a locally valid proof only, the progress check:
-    the search's first unaccepted branch, re-verified by replaying it
-    through the trace automaton, is the lasso of the result."""
+    """check_local, then, on a locally valid proof only, the progress check
+    over the live nodes: the search's first unaccepted branch, re-verified
+    by replaying it through the trace automaton, is the lasso of the
+    result."""
     violations = check_local(p)
     if violations:
         return CheckResult(tuple(violations), None)
-    automaton = build_trace_automaton(p)
-    found = _find_unaccepted_branch(p.children, automaton)
+    components = _components(p.children)
+    automaton = build_trace_automaton(p, components[2])
+    found = _find_unaccepted_branch(p.children, automaton, components)
     if found is None:
         return CheckResult((), None)
     if accepts_lasso(automaton, *found):

@@ -82,6 +82,12 @@
   each (profile, edge) pair once, decides the verdict over feedback nodes
   and runs the full search, with an early exit, only on a rejection; the
   two must return the same lasso.
+- ref_live_nodes lists the nodes from which a cycle can be reached, by
+  plain reachability: a node lies on a cycle when a search from its
+  children finds it again, and a node is live when a search from it finds
+  such a node.  rll.proof reads liveness off its one Tarjan pass and builds
+  check's trace automaton and stems over live nodes only; the tests require
+  the same nodes from both.
 - ref_soundness_violations samples rule instances word by word, while
   rll.corpus reads every formula's truth off one winning_offsets solve over
   all the sampled words and evaluates each sequent at every word at once,
@@ -1394,6 +1400,29 @@ def ref_numbered_states(ref: BuchiAutomaton, nodes: int):
     for st in ref.states:
         numbered[st.node].append(st)
     return numbered
+
+
+# ---------------------------------------------------------------------------
+# Liveness: the nodes from which a cycle can be reached
+
+
+def _reachable(children, starts) -> set:
+    """The nodes that paths of length zero or more from starts reach."""
+    seen = set(starts)
+    todo = deque(seen)
+    while todo:
+        for c in children[todo.popleft()]:
+            if c not in seen:
+                seen.add(c)
+                todo.append(c)
+    return seen
+
+
+def ref_live_nodes(children) -> set:
+    """The nodes, numbered below len(children), from which some path
+    reaches a node that lies on a cycle; a self-loop is a cycle."""
+    on_cycle = {v for v in range(len(children)) if v in _reachable(children, children[v])}
+    return {v for v in range(len(children)) if not on_cycle.isdisjoint(_reachable(children, [v]))}
 
 
 # ---------------------------------------------------------------------------

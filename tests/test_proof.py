@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 import re
@@ -20,6 +21,7 @@ from rll.proof import (
     check_local,
     parse_proof,
     serialize_proof,
+    _components,
     _find_unaccepted_branch,
     tarjan,
 )
@@ -35,6 +37,7 @@ from oracles import (
     one_node_automaton,
     ref_check_local,
     ref_find_unaccepted_branch,
+    ref_live_nodes,
     ref_numbered_states,
     ref_parse_proof,
     ref_trace_automaton,
@@ -42,6 +45,8 @@ from oracles import (
     unroll_edge,
     validate_instance,
 )
+from golden import scale
+from golden.rows import workloads
 from golden.scale import trace_state_counts
 from test_acceptance import PAPER_PROOF_NAMES
 
@@ -361,7 +366,7 @@ def test_the_progress_search_returns_the_reference_lasso():
         for g in _with_unrolled_edges(p):
             automaton = build_trace_automaton(g)
             ref = ref_find_unaccepted_branch(g.children, automaton)
-            assert _find_unaccepted_branch(g.children, automaton) == ref
+            assert _find_unaccepted_branch(g.children, automaton, _components(g.children)) == ref
             # and check answers with the same branch, or with none
             r = check(g)
             assert not r.violations
@@ -428,7 +433,7 @@ def test_three_letter_refutations_keep_their_lasso(name):
     s = parse_sequent(text, Alphabet("abc"))
     p = saturate(s)
     automaton = build_trace_automaton(p)
-    found = _find_unaccepted_branch(p.children, automaton)
+    found = _find_unaccepted_branch(p.children, automaton, _components(p.children))
     assert found == ref_find_unaccepted_branch(p.children, automaton)
     assert p.order == tuple("n%d" % i for i in range(len(p.order)))
     assert check(p).lasso == lasso
@@ -466,7 +471,7 @@ def test_the_progress_search_composes_each_product_once(monkeypatch):
     monkeypatch.setattr(proof_module, "_compose_r", counting_compose_r)
     monkeypatch.setattr(proof_module, "_loop_profiles", recording_loop_profiles)
     monkeypatch.setattr(proof_module, "_row_or", counting_row_or)
-    found = _find_unaccepted_branch(p.children, automaton)
+    found = _find_unaccepted_branch(p.children, automaton, _components(p.children))
     assert Lasso(*found) == THREE_LETTER_REFUTATIONS["inf-a3 & inf-b3 |- inf-c3 + fin-a3"][1]
     # over both passes, each (profile, edge) product and each idempotence
     # test (a profile composed with itself) is composed once
@@ -538,6 +543,112 @@ def test_deleting_the_feedback_nodes_leaves_an_acyclic_graph():
         }
         assert feedback <= cyclic
         assert _is_acyclic([v for v in range(len(children)) if v not in feedback], children), children
+
+
+def _decide_workload_graphs():
+    """The saturated graphs of the benchmark's decide workload sequents."""
+    for row in workloads.build_rows("decide", 7):
+        if row.kind == "decide":
+            alphabet = Alphabet(row.argv[row.argv.index("--alphabet") + 1])
+            yield saturate(parse_sequent(row.argv[row.argv.index("--sequent") + 1], alphabet))
+
+
+# self-loops, and acyclic proofs, whose roots are dead
+HAND_MADE_GRAPHS = (
+    _loop("mu X. X |- nu X. X", "μ-l", "mu X. X"),
+    _loop("nu X. X |- mu X. X", "ν-l", "nu X. X"),
+    saturate(parse_sequent("0 |- 0", AB)),
+    saturate(parse_sequent("a T + b T |- a T + b T", AB)),
+)
+# children tables; in the fifth, node 0 is dead while a cycle lies elsewhere
+HAND_MADE_TABLES = ([()], [(0,)], [(1,), (2,), ()], [(1, 2), (1,), ()], [(1,), (), (3,), (2,)], [(1,), (1, 2), (2,)])
+
+
+@functools.cache
+def _liveness_graphs():
+    """The decide workload's graphs, and every corpus proof, 1,000 random
+    saturated graphs and the hand-made graphs, each of these with its
+    unroll_edge variants."""
+    graphs = [p for p, _ in FIXTURES.values()]
+    graphs += _random_saturated_graphs(seed=20261021, n=1000)
+    graphs += HAND_MADE_GRAPHS
+    return [*_decide_workload_graphs(), *(g for p in graphs for g in _with_unrolled_edges(p))]
+
+
+def test_liveness_is_reachability_of_a_cycle():
+    rng = random.Random(2110)
+    tables = [g.children for g in _liveness_graphs()]
+    tables += [_random_digraph(rng) for _ in range(1000)]
+    tables += HAND_MADE_TABLES
+    some_dead = 0
+    for children in tables:
+        live = _components(children)[2]
+        assert {v for v, up in enumerate(live) if up} == ref_live_nodes(children), children
+        some_dead += not all(live)
+    assert [ref_live_nodes(children) for children in HAND_MADE_TABLES] == [set(), {0}, set(), {0, 1}, {2, 3}, {0, 1, 2}]
+    assert some_dead >= 1000  # dead nodes are well represented
+
+
+def _record_builds(monkeypatch):
+    """The list of the automata that build_trace_automaton returns from now
+    on, in call order."""
+    built = []
+
+    def recording_build(*args):
+        built.append(build_trace_automaton(*args))
+        return built[-1]
+
+    monkeypatch.setattr(proof_module, "build_trace_automaton", recording_build)
+    return built
+
+
+def test_check_builds_the_whole_automaton_restricted_to_live_nodes(monkeypatch):
+    built = _record_builds(monkeypatch)
+    rejected = restricted = dead_roots = 0
+    for g in _liveness_graphs():
+        built.clear()
+        r = check(g)
+        assert not r.violations and len(built) == 1
+        automaton = built[0]
+        components = _components(g.children)
+        live = components[2]
+        whole = build_trace_automaton(g)
+        assert automaton.root == whole.root and automaton.initials == whole.initials
+        assert automaton.accepting == tuple(a if up else 0 for a, up in zip(whole.accepting, live))
+        # no states at dead nodes but the root's initial ones, and every row
+        # into a dead child is 0
+        counts = trace_state_counts(g.children, automaton)
+        whole_counts = trace_state_counts(g.children, whole)
+        assert counts == [n if up or v == g.root else 0 for v, (n, up) in enumerate(zip(whole_counts, live))]
+        for v, kids in enumerate(g.children):
+            for j, c in enumerate(kids):
+                assert automaton.reach[v][j] == (whole.reach[v][j] if live[c] else (0,) * counts[v]), (v, j)
+        ref = ref_find_unaccepted_branch(g.children, whole)
+        assert _find_unaccepted_branch(g.children, automaton, components) == ref
+        assert r.lasso == (None if ref is None else Lasso(*ref))
+        rejected += ref is not None
+        restricted += not all(live)
+        dead_roots += not live[g.root]
+    # both verdicts, pruning and dead roots are well represented
+    assert rejected >= 1000 and restricted >= 1000 and dead_roots >= 100
+
+
+def test_check_runs_tarjan_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(proof_module, "tarjan", lambda *args: calls.append(args) or tarjan(*args))
+    for text, _, _ in THREE_LETTER_REFUTATIONS.values():
+        calls.clear()
+        assert not check(saturate(parse_sequent(text, Alphabet("abc")))).ok
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("row, live_nodes, states", [("fin_c", 186, 1257), ("refuted-3", 214, 2951)])
+def test_check_builds_its_trace_automaton_over_live_nodes_only(monkeypatch, row, live_nodes, states):
+    built = _record_builds(monkeypatch)
+    p = scale.saturated(row)
+    check(p)
+    assert sum(_components(p.children)[2]) == live_nodes
+    assert sum(trace_state_counts(p.children, built[0])) == states
 
 
 def _assert_matches_the_labelled_reference(p):
@@ -1137,7 +1248,7 @@ def test_complementation_is_deterministic():
 
 def _universal_by_profiles(b):
     automaton, children = one_node_automaton(b)
-    return _find_unaccepted_branch(children, automaton)
+    return _find_unaccepted_branch(children, automaton, _components(children))
 
 
 def _complement_is_empty(c):
