@@ -34,7 +34,11 @@ standard lasso criterion to idempotent loop profiles (Fogarty & Vardi,
 "Efficient Büchi universality checking", TACAS 2010), which is exact for
 ultimately periodic branches and therefore for universality.  Those
 profiles form a finite monoid, so each distinct one is interned as an int
-and composed with each edge only once.
+and composed with each edge only once.  A profile is a tuple of interned
+row pairs, one (R row, A row) pair per state of its start, and row k of a
+product depends on row k of its left factor alone: a product maps each
+row pair through a memoised step per right operand, so each (row pair,
+operand) step is computed once however many products share it.
 
 The verdict is decided over loops that start at feedback nodes only: the
 nodes an edge reaches while they are on the Tarjan stack, a set that meets
@@ -50,13 +54,15 @@ complementation lives in tests/oracles.py as the reference this profile
 search is checked against, next to the full search as one pass.
 
 check builds the automaton, and runs both searches, over the live nodes
-only: those from which a cycle can be reached, read off the same Tarjan
-pass that finds the feedback nodes.  That is exact.  A branch that ends at
-an axiom owes no trace, and every infinite branch, and every stem to a
-loop, stays inside the live nodes.  A parent of a live node is live, so
-the breadth-first walk meets the states at live nodes in the same order,
-and each keeps its number, its reach rows and its accepting bit.
-build_trace_automaton called with the graph alone still walks every node.
+only: those from which a cycle can be reached, the nodes left once those
+whose children are all dead are peeled away.  The Tarjan pass that finds
+the feedback nodes then runs over the live nodes alone.  That is exact.
+A branch that ends at an axiom owes no trace, and every infinite branch,
+and every stem to a loop, stays inside the live nodes.  A parent of a live
+node is live, so the breadth-first walk meets the states at live nodes in
+the same order, and each keeps its number, its reach rows and its
+accepting bit.  build_trace_automaton called with the graph alone still
+walks every node.
 """
 
 from __future__ import annotations
@@ -64,7 +70,6 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
-from operator import or_
 from typing import Optional, Tuple
 
 from .expr import Alphabet, Expr, Mu, Nu, ParseError, free_vars, letters_of, parse, pretty, subformula_leq
@@ -575,26 +580,6 @@ class Lasso:
     cycle: Tuple[Tuple[int, int], ...]
 
 
-def _compose_r(p, tables):
-    """The profile (R, A) of a path of profile p followed by one of profile
-    q, given q's row tables (TR, TA); A[k] holds the states that k reaches
-    through an accepting state.  Each edge profile keeps a table of its row
-    ORs, so a product reads each distinct row once."""
-    (r1, a1), (tr, ta) = p, tables
-    return tuple(map(tr.__getitem__, r1)), tuple(map(or_, map(tr.__getitem__, a1), map(ta.__getitem__, r1)))
-
-
-class _RowTable(dict):
-    """Bit set -> the OR of `rows` over its bits, filled on first use."""
-
-    def __init__(self, rows):
-        self.rows = rows
-
-    def __missing__(self, bits):
-        self[bits] = out = _row_or(bits, self.rows)
-        return out
-
-
 def _row_or(bits, rows):
     out = 0
     while bits:
@@ -604,23 +589,74 @@ def _row_or(bits, rows):
     return out
 
 
+class _Numbering(dict):
+    """Value -> its number, in first-use order; values[i] is the value
+    numbered i."""
+
+    def __init__(self):
+        self.values = []
+
+    def __missing__(self, value):
+        self[value] = number = len(self.values)
+        self.values.append(value)
+        return number
+
+
+class _RowStep(dict):
+    """Row-pair id -> the id of the row pair it steps to through one
+    operand profile, filled on first use.  Row k of a path's profile is
+    the pair (r, a) of the states that its state k reaches and of those it
+    reaches through an accepting state; through an operand whose rows are
+    (R, A) it steps to (the OR of R over r, the OR of R over a | the OR of
+    A over r), which depends on that pair alone."""
+
+    def __init__(self, operand, pairs: _Numbering):
+        self.pairs = pairs
+        self.rows, self.accepting = zip(*map(pairs.values.__getitem__, operand)) if operand else ((), ())
+
+    def product(self, profile):
+        """The profile of a path of this profile followed by the operand."""
+        return tuple(map(self.__getitem__, profile))
+
+    def __missing__(self, pair):
+        r, a = self.pairs.values[pair]
+        rows = self.rows
+        self[pair] = out = self.pairs[_row_or(r, rows), _row_or(a, rows) | _row_or(r, self.accepting)]
+        return out
+
+
 def _components(children):
-    """One Tarjan pass over the nodes numbered below len(children): per node
-    the number of its SCC, the feedback nodes, and per node whether it is
-    live, that is, whether a cycle can be reached from it.  Tarjan emits a
-    component after every component it reaches, so a component is live when
-    it meets the feedback nodes, which is when it holds a cycle, or when an
-    edge leaves it for a live one."""
+    """The SCC number of each node, the feedback nodes, and per node
+    whether it is live, that is, whether a cycle can be reached from it.
+    A node is dead when all its children are dead, so the dead nodes are
+    peeled first, leaves up, by counting each node's children that are not
+    yet dead.  One Tarjan pass then runs over the live nodes and their live
+    children only; a dead node gets no SCC (-1).  No path leaves the dead
+    nodes, so a dead node is never reached while it is on the Tarjan stack,
+    and the live nodes are visited in the same order as by a pass over
+    every node: the feedback set and the SCCs among live nodes are the
+    same."""
     n = len(children)
+    parents = [[] for _ in range(n)]
+    pending = [len(kids) for kids in children]  # per node, its children not yet known dead
+    for v, kids in enumerate(children):
+        for c in kids:
+            parents[c].append(v)
+    dead = [v for v in range(n) if not pending[v]]
+    for v in dead:  # the list grows while it is walked
+        for u in parents[v]:
+            pending[u] -= 1
+            if not pending[u]:
+                dead.append(u)
+    live = bytearray(b"\x01") * n
+    for v in dead:
+        live[v] = 0
+    inside = [tuple(c for c in kids if live[c]) if up else () for kids, up in zip(children, live)]
     feedback = set()
-    scc_of = [0] * n
-    live = bytearray(n)
-    for i, comp in enumerate(tarjan(children, range(n), feedback)):
+    scc_of = [-1] * n
+    for i, comp in enumerate(tarjan(inside, [v for v in range(n) if live[v]], feedback)):
         for v in comp:
             scc_of[v] = i
-        if not feedback.isdisjoint(comp) or any(live[c] for v in comp for c in children[v]):
-            for v in comp:
-                live[v] = 1
     return scc_of, feedback, live
 
 
@@ -630,38 +666,45 @@ def _find_unaccepted_branch(children, automaton: TraceAutomaton, components):
     _components.  Returns None when every branch from the root is accepted,
     otherwise (stem edges, cycle edges).
 
-    Profiles are interned per call: profiles[i] is the (R, A) pair with id
-    i, and an in-SCC edge carries the id of its own profile.  Each product
-    (i, e), idempotence test and diagonal, and rejected-stem scan at (node,
-    i) is computed once for both passes.  Each edge profile keeps a table of
-    its row ORs, so a product reads each distinct row once.  The verdict
-    pass starts loops only at feedback nodes, a set that meets every cycle.
-    Only on a rejection does the witness pass start loops at every node; it
-    stops at its first hit, so the lasso is the first one in the
-    breadth-first order of loops."""
+    A profile is a tuple with one row-pair id per state of its start: each
+    distinct (R row, A row) pair gets an int id, and each distinct profile
+    an int id, both in a numbering owned by the call, so that an id names
+    one (R, A) content.  An in-SCC edge carries the id of its own profile.
+    Row k of a product depends only on row k of its left factor, so each
+    right operand keeps a _RowStep, and a product maps its left factor's
+    row pairs through it: each (row pair, operand) step, each (profile,
+    operand) product, idempotence test and diagonal, and each rejected-stem
+    scan at (node, profile) is computed once for both passes.
+
+    A pass walks the loop keys (u, v, i) of the nonempty paths from a start
+    u that stay inside u's SCC, one per profile id i, breadth-first, and
+    tests a key for a rejected stem when it closes a loop (v == u).  The
+    verdict pass starts loops only at feedback nodes, a set that meets
+    every cycle.  Only on a rejection does the witness pass start loops at
+    every node; it stops at its first hit, so the lasso is the first one in
+    the breadth-first order of loops.  The keys and their order are those
+    that the (R, A) matrices themselves would give, so the hit does not
+    move."""
     n = len(children)
     scc_of, feedback, live = components
-    profiles, ids, tables, products, diagonals, rejections = [], {}, {}, {}, {}, {}
-
-    def intern(profile):
-        if profile not in ids:
-            ids[profile] = len(profiles)
-            profiles.append(profile)
-        return ids[profile]
+    pairs = _Numbering()  # (R row, A row) -> row-pair id
+    ids = _Numbering()  # profile -> profile id
+    profiles = ids.values
+    products = defaultdict(dict)  # profile id -> operand id -> product id
+    steps, diagonals, rejections = {}, {}, {}
 
     def compose(i, e):
-        product = products.get((i, e))
-        if product is None:
-            if e not in tables:
-                tables[e] = tuple(map(_RowTable, profiles[e]))
-            product = products[i, e] = intern(_compose_r(profiles[i], tables[e]))
+        step = steps.get(e)
+        if step is None:
+            step = steps[e] = _RowStep(profiles[e], pairs)
+        products[i][e] = product = ids[step.product(profiles[i])]
         return product
 
     # per node, its out-edges inside its SCC as (edge, child, profile id):
     # loops never leave the SCC they start in
     inner = [
         tuple(
-            ((v, j), dst, intern((rows, tuple(row & automaton.accepting[dst] for row in rows))))
+            ((v, j), dst, ids[tuple(pairs[row, row & automaton.accepting[dst]] for row in rows)])
             for j, (dst, rows) in enumerate(zip(children[v], automaton.reach[v]))
             if scc_of[dst] == scc_of[v]
         ) if live[v] else ()
@@ -686,55 +729,60 @@ def _find_unaccepted_branch(children, automaton: TraceAutomaton, components):
                 stems[key2] = (key, (m, j))
                 stem_queue.append(key2)
 
-    def rejected_stem(loop):
-        """For a loop (u, u, i) whose profile is idempotent, the first stem
-        (u, mask) whose lasso with the loop has no accepting run; else None."""
-        u, v, i = loop
-        if u != v:
-            return None
+    def rejected_stem(u, i):
+        """The first stem (u, mask) whose lasso with a loop at u of profile
+        i has no accepting run, when i is idempotent; else None."""
         if i not in diagonals:  # the diagonal of A, or None when i is not idempotent
-            a = profiles[i][1]
-            diagonals[i] = sum(a[k] & 1 << k for k in range(len(a))) if compose(i, i) == i else None
+            square = products[i].get(i)
+            if square is None:
+                square = compose(i, i)
+            a = (pairs.values[x][1] for x in profiles[i])
+            diagonals[i] = sum(row & 1 << k for k, row in enumerate(a)) if square == i else None
         if (u, i) not in rejections:
-            r, diag = profiles[i][0], diagonals[i]
+            r, diag = tuple(pairs.values[x][0] for x in profiles[i]), diagonals[i]
             rejections[u, i] = None if diag is None else next(
                 ((u, m) for m in reached[u] if not _row_or(m, r) & diag), None)
         return rejections[u, i]
 
-    starts = sorted(feedback)
-    if all(rejected_stem(loop) is None for loop in _loop_profiles(starts, inner, compose, {})):
+    if _first_rejection(sorted(feedback), inner, products, compose, rejected_stem)[0] is None:
         return None
-    links = {}
-    for loop in _loop_profiles(range(n), inner, compose, links):
-        stem = rejected_stem(loop)
-        if stem is not None:
-            return _path(stems, stem), _path(links, loop)
-    raise RuntimeError("internal error: the progress passes disagree")
+    loop, links = _first_rejection(range(n), inner, products, compose, rejected_stem)
+    if loop is None:
+        raise RuntimeError("internal error: the progress passes disagree")
+    return _path(stems, rejected_stem(loop[0], loop[2])), _path(links, loop)
 
 
-def _loop_profiles(starts, inner, compose, links):
-    """Yield the loop keys (u, v, i) of the nonempty paths from a node u of
-    `starts` that stay inside u's SCC, one per profile id i, breadth-first;
-    compose(i, e) is the id of i followed by e.  links maps each key to the
-    key it extends (None for a single edge) and the edge it adds.  An id
-    names one (R, A) pair, so the keys and their order are those that the
-    matrices themselves would give, and the first hit does not move."""
-    queue = []
+def _first_rejection(starts, inner, products, compose, rejected_stem):
+    """Walk the loop keys (u, v, i) of the nonempty paths from a node u of
+    `starts` that stay inside u's SCC, one per profile id i, breadth-first,
+    up to the first key that closes a loop (v == u) for which
+    rejected_stem(u, i) finds a stem.  products[i][e] memoises compose(i,
+    e), the id of i followed by e.  Returns that key (None when there is
+    none) and the links: each key maps to the key it extends (None for a
+    single edge) and the edge it adds."""
+    links, queue = {}, []
     for u in starts:
         for edge, dst, e in inner[u]:
             key = (u, dst, e)
             if key not in links:
                 links[key] = (None, edge)
                 queue.append(key)
-                yield key
+                if dst == u and rejected_stem(u, e) is not None:
+                    return key, links
     for key in queue:  # the queue grows while it is walked
         u, v, i = key
+        known = products[i]
         for edge, dst, e in inner[v]:
-            key2 = (u, dst, compose(i, e))
+            j = known.get(e)
+            if j is None:
+                j = compose(i, e)
+            key2 = (u, dst, j)
             if key2 not in links:
                 links[key2] = (key, edge)
                 queue.append(key2)
-                yield key2
+                if dst == u and rejected_stem(u, j) is not None:
+                    return key2, links
+    return None, links
 
 
 def _path(links, key):

@@ -2,7 +2,7 @@ import functools
 import itertools
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 
 import pytest
 
@@ -10,7 +10,7 @@ import rll.calculus as calculus_module
 import rll.proof as proof_module
 from rll.calculus import PRINCIPAL_RULES, FormulaTable, RuleInstance, Sequent, parse_sequent
 from rll.corpus import ALPHABET, DECISIONS, proofs
-from rll.decide import Proved, decide, saturate
+from rll.decide import BudgetExceededError, Proved, decide, saturate
 from rll.expr import Alphabet, Cap, Expr, Mu, Nu, ParseError, Var, complement, expr_sort_key, fl_closure, parse
 from rll.proof import (
     Lasso,
@@ -45,7 +45,7 @@ from oracles import (
     unroll_edge,
     validate_instance,
 )
-from golden import scale
+from golden import graphs as graph_gate, scale
 from golden.rows import workloads
 from golden.scale import trace_state_counts
 from test_acceptance import PAPER_PROOF_NAMES
@@ -379,6 +379,36 @@ def test_the_progress_search_returns_the_reference_lasso():
     assert accepted >= 100 and rejected >= 100  # both verdicts are well represented
 
 
+def _large_band_graphs():
+    """The saturated graphs of the larger band that tests/golden/graphs.py
+    draws after its first 1,000 seeds: sequents of up to LARGE_SIZE AST
+    nodes per formula and LARGE_SIDE formulas per side, over ab for an even
+    seed and abc for an odd one, saturated within LARGE_BUDGET sequents."""
+    for seed in range(1000, 1250):
+        rng = random.Random(seed)
+        alphabet = Alphabet("abc" if seed % 2 else "ab")
+        s = gen_guarded_sequent(rng, alphabet, graph_gate.LARGE_SIZE, graph_gate.LARGE_SIDE)
+        try:
+            yield saturate(s, graph_gate.LARGE_BUDGET)
+        except BudgetExceededError:
+            pass
+
+
+def test_the_progress_search_returns_the_reference_lasso_on_large_graphs():
+    # the decide workload under both benchmark seeds' letters, where most of
+    # the witness pass's work lies, and the large band of the graph gate
+    graphs = [*_decide_workload_graphs(7), *_decide_workload_graphs(20260815), *_large_band_graphs()]
+    rejected = 0
+    for p in graphs:
+        automaton = build_trace_automaton(p)
+        ref = ref_find_unaccepted_branch(p.children, automaton)
+        assert _find_unaccepted_branch(p.children, automaton, _components(p.children)) == ref
+        assert check(p).lasso == (None if ref is None else Lasso(*ref))
+        rejected += ref is not None
+    assert len(graphs) == 300 and 50 <= rejected <= 250  # both verdicts are well represented
+    assert max(len(p.order) for p in graphs) > 500
+
+
 def _edges(nodes, indices):
     """The edges (v, j) that take child index indices[i] out of nodes[i]."""
     return tuple(zip(nodes, indices, strict=True))
@@ -446,44 +476,42 @@ def test_the_progress_search_composes_each_product_once(monkeypatch):
     text = THREE_LETTER_REFUTATIONS["inf-a3 & inf-b3 |- inf-c3 + fin-a3"][0]
     p = saturate(parse_sequent(text, Alphabet("abc")))
     automaton = build_trace_automaton(p)
-    compose_r, loop_profiles, row_or = proof_module._compose_r, proof_module._loop_profiles, proof_module._row_or
-    calls, row_ors, composing = Counter(), Counter(), [False]
-    keys = []
+    first_rejection, product, missing = (
+        proof_module._first_rejection, proof_module._RowStep.product, proof_module._RowStep.__missing__)
+    products, steps, passes = Counter(), Counter(), []
 
-    def counting_compose_r(profile, tables):
-        # a product is keyed by its profile and the profile its tables belong to
-        calls[profile, tuple(table.rows for table in tables)] += 1
-        composing[0] = True
-        product = compose_r(profile, tables)
-        composing[0] = False
-        return product
+    def counting_product(step, profile):
+        # an operand is named by its rows, and a profile by its row pairs
+        products[tuple(map(step.pairs.values.__getitem__, profile)), step.rows, step.accepting] += 1
+        return product(step, profile)
 
-    def counting_row_or(bits, rows):
-        # keyed by the rows object, which each table holds, and by whether a product asks
-        row_ors[bits, id(rows), composing[0]] += 1
-        return row_or(bits, rows)
+    def counting_missing(step, pair):
+        steps[step.pairs.values[pair], step.rows, step.accepting] += 1
+        return missing(step, pair)
 
-    def recording_loop_profiles(*args):
-        for key in loop_profiles(*args):
-            keys.append(key)
-            yield key
+    def recording_first_rejection(*args):
+        passes.append(first_rejection(*args))
+        return passes[-1]
 
-    monkeypatch.setattr(proof_module, "_compose_r", counting_compose_r)
-    monkeypatch.setattr(proof_module, "_loop_profiles", recording_loop_profiles)
-    monkeypatch.setattr(proof_module, "_row_or", counting_row_or)
+    monkeypatch.setattr(proof_module._RowStep, "product", counting_product)
+    monkeypatch.setattr(proof_module._RowStep, "__missing__", counting_missing)
+    monkeypatch.setattr(proof_module, "_first_rejection", recording_first_rejection)
     found = _find_unaccepted_branch(p.children, automaton, _components(p.children))
     assert Lasso(*found) == THREE_LETTER_REFUTATIONS["inf-a3 & inf-b3 |- inf-c3 + fin-a3"][1]
-    # over both passes, each (profile, edge) product and each idempotence
-    # test (a profile composed with itself) is composed once
-    assert calls and max(calls.values()) == 1
-    # and the products OR each bit set over each edge profile's rows once
-    # (R and A rows are two tables); the stem search's few calls come on top
-    inside = [n for (_, _, in_product), n in row_ors.items() if in_product]
-    assert inside and max(inside) == 1
-    assert sum(row_ors.values()) < 8000
-    profiles = {i for _, _, i in keys}
-    assert len(profiles) * 4 < len(keys)
-    assert sum(calls.values()) * 2 < len(keys)
+    # the walk that the (R, A) matrices themselves give: the verdict pass and
+    # the witness pass each stop at their first rejection, after these many
+    # keys, and compose these many products over both passes
+    assert [len(links) for _, links in passes] == [976, 41687]
+    assert sum(products.values()) == 11566
+    # each (profile, operand) product, idempotence tests (a profile composed
+    # with itself) included, is composed once over both passes, and each
+    # (row pair, operand) step is computed once over all of them
+    assert max(products.values()) == 1
+    assert steps and max(steps.values()) == 1
+    assert sum(steps.values()) == 3275  # while the products map 172,357 row pairs through them
+    keys = [key for _, links in passes for key in links]
+    assert len({i for _, _, i in keys}) * 4 < len(keys)
+    assert sum(products.values()) * 2 < len(keys)
 
 
 def test_the_trace_build_asks_each_subformula_question_once(monkeypatch):
@@ -545,9 +573,10 @@ def test_deleting_the_feedback_nodes_leaves_an_acyclic_graph():
         assert _is_acyclic([v for v in range(len(children)) if v not in feedback], children), children
 
 
-def _decide_workload_graphs():
-    """The saturated graphs of the benchmark's decide workload sequents."""
-    for row in workloads.build_rows("decide", 7):
+def _decide_workload_graphs(seed=7):
+    """The saturated graphs of the benchmark's decide workload sequents,
+    with the letters of the benchmark seed `seed`."""
+    for row in workloads.build_rows("decide", seed):
         if row.kind == "decide":
             alphabet = Alphabet(row.argv[row.argv.index("--alphabet") + 1])
             yield saturate(parse_sequent(row.argv[row.argv.index("--sequent") + 1], alphabet))
@@ -575,18 +604,42 @@ def _liveness_graphs():
     return [*_decide_workload_graphs(), *(g for p in graphs for g in _with_unrolled_edges(p))]
 
 
-def test_liveness_is_reachability_of_a_cycle():
+def _liveness_tables():
+    """The children tables of the liveness graphs, 1,000 random digraphs
+    and the hand-made tables."""
     rng = random.Random(2110)
     tables = [g.children for g in _liveness_graphs()]
     tables += [_random_digraph(rng) for _ in range(1000)]
-    tables += HAND_MADE_TABLES
+    return tables + list(HAND_MADE_TABLES)
+
+
+def test_liveness_is_reachability_of_a_cycle():
     some_dead = 0
-    for children in tables:
+    for children in _liveness_tables():
         live = _components(children)[2]
         assert {v for v, up in enumerate(live) if up} == ref_live_nodes(children), children
         some_dead += not all(live)
     assert [ref_live_nodes(children) for children in HAND_MADE_TABLES] == [set(), {0}, set(), {0, 1}, {2, 3}, {0, 1, 2}]
     assert some_dead >= 1000  # dead nodes are well represented
+
+
+def test_components_over_live_nodes_are_those_of_a_whole_graph_tarjan():
+    peeled = 0
+    for children in _liveness_tables():
+        scc_of, feedback, live = _components(children)
+        whole_feedback = set()
+        whole = tarjan(children, range(len(children)), whole_feedback)
+        assert feedback == whole_feedback, children
+        # an SCC is all live or all dead; the live ones are the SCCs that
+        # _components numbers, and the dead nodes get none
+        assert all(len({live[v] for v in comp}) == 1 for comp in whole)
+        numbered = defaultdict(set)
+        for v, i in enumerate(scc_of):
+            numbered[i].add(v)
+        assert numbered.pop(-1, set()) == {v for v, up in enumerate(live) if not up}, children
+        assert set(map(frozenset, numbered.values())) == {frozenset(comp) for comp in whole if live[comp[0]]}
+        peeled += len(numbered) < len(whole)
+    assert peeled >= 1000  # graphs with dead SCCs are well represented
 
 
 def _record_builds(monkeypatch):
