@@ -111,11 +111,12 @@ def _cmd_decide(args) -> Outcome:
     except UnguardedSequentError as exc:
         return Outcome(4, "unguarded", {"message": str(exc)}, stderr="error: %s" % exc)
     if isinstance(out, Proved):
-        text = serialize_proof(out.proof)
+        proof = out.proof  # serialized only where printed or written: here for a file, else by main
         if args.emit_proof:
+            proof = serialize_proof(proof)
             with open(args.emit_proof, "w", encoding="utf-8") as f:
-                f.write(text)
-        return Outcome(0, "proved", {"proof": text})
+                f.write(proof)
+        return Outcome(0, "proved", {"proof": proof})
     return Outcome(1, "refuted %s" % out.word, {"word": str(out.word)})
 
 
@@ -292,7 +293,8 @@ def main(argv=None) -> int:
         envelope = {"command": command, "inputs": inputs, "result": out.result}
         if out.witness is not None:
             envelope["witness"] = out.witness
-        print(json.dumps(envelope, sort_keys=True, ensure_ascii=False))
+        # a proof graph in a witness prints as its proof file
+        print(json.dumps(envelope, sort_keys=True, ensure_ascii=False, default=serialize_proof))
         return out.code
     if isinstance(out.result, str):
         print(out.result)

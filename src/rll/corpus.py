@@ -367,29 +367,39 @@ def membership_mismatches(seed: int):
     member's mask must be the Knaster-Tarski semantics of that member
     (fixpoint), and the semantics of the expression's complement must be the
     root's mask negated (dual).  The semantics is a walk of the term alone:
-    it reads no closure numbering, colouring or game.  Returns one
-    description per failing instance, naming the first place where a check
-    fails as its offset and closure member, and the checks that fail there."""
+    it reads no closure numbering, colouring or game.  Each distinct
+    expression is solved once over its distinct words laid end to end, which
+    checks member's one-word layout and the batched one.  Returns one
+    description per failing instance, in sample order, naming the first
+    place where a check fails as its offset and closure member, and the
+    checks that fail there."""
     rng = random.Random(seed)
-    out = []
-    for _ in range(MEMBERSHIP_SAMPLES):
+    groups = {}  # expression -> word -> sample numbers, in first-seen order
+    for i in range(MEMBERSHIP_SAMPLES):
         e = canonical(random_expression(rng, rng.randint(1, 12)))
-        w = sample_word(rng)
-        members = fl_closure(e).members
-        masks = winning_offsets((w,), e)
-        *truth, dual = _fixpoint_offsets(w, members + (complement(e, ALPHABET),))
-        m, n = len(members), w.n_offsets()
-        legs = {
-            "fixpoint": next(((o, k) for o in range(n) for k in range(m) if (masks[k] ^ truth[k]) >> o & 1), None),
-            "dual": next(((o, 0) for o in range(n) if ~(masks[0] ^ dual) >> o & 1), None),
-        }
-        first = min((q for q in legs.values() if q is not None), default=None)
-        if first is not None:
-            o, k = first
-            where = "offset %d in %s" % (o, pretty(members[k]))
-            there = " and ".join(leg for leg, q in legs.items() if q == first)
-            out.append("%s on %s: at %s, game=%s, failing: %s" % (pretty(e), w, where, masks[k] >> o & 1 == 1, there))
-    return out
+        groups.setdefault(e, {}).setdefault(sample_word(rng), []).append(i)
+    lines = [None] * MEMBERSHIP_SAMPLES
+    while groups:  # popped in first-seen order, so a solved group's closure can be freed
+        e = next(iter(groups))
+        members, words, base = fl_closure(e).members, groups.pop(e), 0
+        batch, ce = winning_offsets(tuple(words), e), complement(e, ALPHABET)
+        for w, samples in words.items():
+            m, n = len(members), w.n_offsets()
+            masks = [b >> base & (1 << n) - 1 for b in batch]  # w's slice of the batch
+            base += n
+            *truth, dual = _fixpoint_offsets(w, members + (ce,))
+            legs = {
+                "fixpoint": next(((o, k) for o in range(n) for k in range(m) if (masks[k] ^ truth[k]) >> o & 1), None),
+                "dual": next(((o, 0) for o in range(n) if ~(masks[0] ^ dual) >> o & 1), None),
+            }
+            first = min((q for q in legs.values() if q is not None), default=None)
+            if first is not None:
+                o, k = first
+                where = "offset %d in %s, game=%s" % (o, pretty(members[k]), masks[k] >> o & 1 == 1)
+                there = " and ".join(leg for leg, q in legs.items() if q == first)
+                for i in samples:
+                    lines[i] = "%s on %s: at %s, failing: %s" % (pretty(e), w, where, there)
+    return [line for line in lines if line is not None]
 
 
 def closed_form_failures(seed: int):

@@ -15,9 +15,9 @@ Eloise wins from a closure member form one int bitmask, a letter move is a
 shift of it, and Zielonka's recursion runs over lists of such masks, one per
 member.  No position is ever laid out, so one solve answers membership for
 every suffix of the word and every closure member, and words laid end to
-end in the masks are solved at once.  `corpus run` checks the masks against
-the fixpoint semantics of every closure member, and the tests against an
-explicit solve of the game at every position.
+end in the masks are solved at once.  `corpus run` checks both layouts, one
+solve per expression over its words laid end to end, against the fixpoint
+semantics of every member, and the tests against an explicit game solve.
 """
 
 from __future__ import annotations

@@ -95,6 +95,11 @@
   by formula, letter rules take a branch of their own, and membership is
   member_denotational, memoised per (word, formula).  The two must return
   the same failures in the same order.
+- ref_membership_mismatches runs the membership row sample by sample:
+  each sample's expression is closed, complemented and solved again, one
+  word per solve.  rll.corpus solves each distinct expression once over
+  its distinct words laid end to end and evaluates each distinct pair
+  once; the two must return the same lines in the same order.
 """
 
 from __future__ import annotations
@@ -116,7 +121,7 @@ from rll.calculus import (
     schema_violation,
 )
 from rll.decide import BudgetExceededError
-from rll.corpus import ALPHABET, SOUNDNESS_WORDS, sample_word
+from rll.corpus import ALPHABET, MEMBERSHIP_SAMPLES, SOUNDNESS_WORDS, _fixpoint_offsets, random_expression, sample_word
 from rll.expr import (
     Alphabet,
     Cap,
@@ -130,15 +135,17 @@ from rll.expr import (
     Var,
     Zero,
     canonical,
+    complement,
     expr_sort_key,
     fl_closure,
     parse,
+    pretty,
     subformula_leq,
     unfold,
 )
 from rll.automaton import default_coloring
 from rll.proof import ProofGraph, TraceAutomaton, _after_keyword, tarjan
-from rll.semantics import UPWord
+from rll.semantics import UPWord, winning_offsets
 from golden.scale import trace_state_counts
 
 
@@ -1637,3 +1644,32 @@ def ref_soundness_violations(instances, seed: int):
                 if conc_ok and not prems_ok and rule in LOGICAL_RULE.values():
                     uninvertible.append("%s at %s" % (rule, w))
     return unsound, uninvertible
+
+
+# ---------------------------------------------------------------------------
+# The membership row, one sample at a time
+
+
+def ref_membership_mismatches(seed: int):
+    """The failure lines of rll.corpus.membership_mismatches, computed
+    sample by sample with a one-word solve each."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(MEMBERSHIP_SAMPLES):
+        e = canonical(random_expression(rng, rng.randint(1, 12)))
+        w = sample_word(rng)
+        members = fl_closure(e).members
+        masks = winning_offsets((w,), e)
+        *truth, dual = _fixpoint_offsets(w, members + (complement(e, ALPHABET),))
+        m, n = len(members), w.n_offsets()
+        legs = {
+            "fixpoint": next(((o, k) for o in range(n) for k in range(m) if (masks[k] ^ truth[k]) >> o & 1), None),
+            "dual": next(((o, 0) for o in range(n) if ~(masks[0] ^ dual) >> o & 1), None),
+        }
+        first = min((q for q in legs.values() if q is not None), default=None)
+        if first is not None:
+            o, k = first
+            where = "offset %d in %s" % (o, pretty(members[k]))
+            there = " and ".join(leg for leg, q in legs.items() if q == first)
+            out.append("%s on %s: at %s, game=%s, failing: %s" % (pretty(e), w, where, masks[k] >> o & 1 == 1, there))
+    return out

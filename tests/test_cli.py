@@ -132,6 +132,30 @@ def test_decide_json_witness_reparses_and_rechecks():
     assert check(p).ok
 
 
+def test_decide_serializes_a_proof_only_where_it_is_printed_or_written(monkeypatch, capsys, tmp_path):
+    # text mode prints "proved" alone; --json prints the proof text and
+    # --emit-proof writes it, and with both flags one text serves both
+    calls = []
+
+    def counting(p):
+        calls.append(p)
+        return serialize_proof(p)
+
+    monkeypatch.setattr(cli_module, "serialize_proof", counting)
+    argv = ["decide", "--alphabet", "ab", "--sequent", "f_b |- i_a"]
+    out = tmp_path / "proof.prf"
+    texts = {}
+    for flags in ((), ("--json",), ("--emit-proof", str(out)), ("--json", "--emit-proof", str(out))):
+        calls.clear()
+        assert cli_module.main(argv + list(flags)) == 0
+        texts[flags] = capsys.readouterr().out
+        assert len(calls) == (0 if flags == () else 1), flags
+    assert texts[()] == texts[("--emit-proof", str(out))] == "proved\n"
+    proof = json.loads(texts[("--json",)])["witness"]["proof"]
+    assert proof == serialize_proof(calls[0]) == out.read_text(encoding="utf-8")
+    assert texts[("--json",)] == texts[("--json", "--emit-proof", str(out))]
+
+
 def test_decide_flags_unguarded_input():
     r = rll("decide", "--alphabet", "ab", "--sequent", "mu X. X + a X |-")
     assert r.returncode == 4

@@ -5,7 +5,7 @@ import pytest
 
 import rll.corpus
 import rll.semantics
-from oracles import gen_guarded_sequent, make_instance, ref_soundness_violations
+from oracles import gen_guarded_sequent, make_instance, ref_membership_mismatches, ref_soundness_violations
 from rll.automaton import default_coloring
 from rll.calculus import RuleInstance, parse_sequent
 from rll.corpus import (
@@ -15,6 +15,7 @@ from rll.corpus import (
     EXPRESSIONS,
     MAX_LOOP,
     MAX_STEM,
+    MEMBERSHIP_SAMPLES,
     SOUNDNESS_WORDS,
     membership_mismatches,
     name_table,
@@ -205,9 +206,9 @@ def _lie_once(monkeypatch, name, call, lie):
     """Replace corpus.<name> by a copy that lies on its call-th call
     (numbered from 0).  winning_offsets and _fixpoint_offsets flip one bit
     of the list of masks they return, given as lie = (offset, index into
-    the list), either counted from the end when negative, and
-    winning_offsets is called on one word; complement returns its
-    argument unchanged.  Returns the list that receives the
+    the list), either counted from the end when negative; winning_offsets
+    flips it in the slice of the last word of its batch.  complement
+    returns its argument unchanged.  Returns the list that receives the
     arguments of that call."""
     real = getattr(rll.corpus, name)
     count = [0]
@@ -222,8 +223,8 @@ def _lie_once(monkeypatch, name, call, lie):
             else:
                 o, k = lie
                 result = list(result)
-                (w,) = args[0] if name == "winning_offsets" else args[:1]
-                result[k] ^= 1 << (o % w.n_offsets())
+                *before, w = args[0] if name == "winning_offsets" else args[:1]
+                result[k] ^= 1 << (sum(v.n_offsets() for v in before) + o % w.n_offsets())
         count[0] += 1
         return result
 
@@ -231,17 +232,32 @@ def _lie_once(monkeypatch, name, call, lie):
     return calls
 
 
-# the two legs of the membership row: per sample, winning_offsets solves
-# the evaluation game over offset bitmasks, and _fixpoint_offsets evaluates
-# every closure member and then the complement of the root by Knaster-Tarski
-# iteration; the masks must equal the members' values, and the root's must
-# be the negation of the complement's.  A lie of the solver fails the
-# fixpoint leg where it lies, and the dual leg too at the root; a lie of a
-# member's value fails the fixpoint leg alone, and a lie of the
-# complement's value, or a complement that returns the expression itself,
-# the dual leg alone.  Sample 10 of seed 3 has 8 closure members over 5
-# offsets, and both truth values occur.
-LYING_SAMPLE = 10
+def _membership_samples(seed: int):
+    """The (expression, word) samples of the membership row, in order."""
+    rng = random.Random(seed)
+    samples = []
+    for _ in range(MEMBERSHIP_SAMPLES):
+        e = canonical(random_expression(rng, rng.randint(1, 12)))
+        samples.append((e, sample_word(rng)))
+    return samples
+
+
+# the two legs of the membership row: per distinct expression, winning_offsets
+# solves the evaluation game over offset bitmasks of its distinct words laid
+# end to end, and per distinct (expression, word) pair _fixpoint_offsets
+# evaluates every closure member and then the complement of the root by
+# Knaster-Tarski iteration; the masks must equal the members' values, and the
+# root's must be the negation of the complement's.  A lie of the solver fails
+# the fixpoint leg where it lies, and the dual leg too at the root; a lie of a
+# member's value fails the fixpoint leg alone, and a lie of the complement's
+# value, or a complement that returns the expression itself, the dual leg
+# alone.  Every lie reaches exactly the samples that share the lied-on call:
+# those of one (expression, word) pair, or of every word of the expression
+# for complement.  Expression 10 of seed 3 in first-seen order, nu X. a T,
+# has 3 closure members and three words; the lies fall on the last word,
+# ba(abb)^w, whose slice starts at bit 8 of the batch and holds 5 offsets,
+# and both truth values occur at its root.
+LYING_EXPRESSION = 10
 
 
 @pytest.mark.parametrize(
@@ -258,24 +274,99 @@ LYING_SAMPLE = 10
     ids=["primary-root", "primary-last", "fixpoint-root", "fixpoint-last", "dual-root", "dual-last", "complement"],
 )
 def test_the_membership_row_fails_when_one_leg_lies(monkeypatch, name, lie, at, legs):
-    calls = _lie_once(monkeypatch, name, LYING_SAMPLE, lie)
-    (mismatch,) = membership_mismatches(3)
-    found = re.fullmatch(r"(.+) on (\S+): at (offset \d+ in .+), game=(True|False), failing: (.+)", mismatch)
-    assert found, mismatch
-    text, word, where, game, failing = found.groups()
-    e, w = canonical(parse(text, ALPHABET)), parse_word(word, ALPHABET)
-    assert calls[0][0] == {"complement": e, "winning_offsets": (w,)}.get(name, w)
+    samples = _membership_samples(3)
+    rank = {}  # expression -> its number in first-seen order
+    for f, _ in samples:
+        rank.setdefault(f, len(rank))
+    e = list(rank)[LYING_EXPRESSION]
+    words = tuple(dict.fromkeys(v for f, v in samples if f is e))
+    w = words[-1]
+    # winning_offsets and complement run once per expression, _fixpoint_offsets
+    # once per pair, expression by expression and word by word
+    pairs = sorted(dict.fromkeys(samples), key=lambda pair: rank[pair[0]])
+    call = pairs.index((e, w)) if name == "_fixpoint_offsets" else LYING_EXPRESSION
+    assert pretty(e) == "nu X. a T" and len(words) == 3 and str(w) == "ba(abb)^w" and call in (10, 134)
+    calls = _lie_once(monkeypatch, name, call, lie)
+    mismatches = membership_mismatches(3)
+    (args,) = calls
     members = fl_closure(e).members
-    o, k = at[0] % w.n_offsets(), at[1] % len(members)
-    assert where == "offset %d in %s" % (o, pretty(members[k])) and failing == legs, mismatch
-    # game= quotes the solver's mask, which is a lie only when the solver lies
-    assert game == str((winning_offsets((w,), e)[k] >> o & 1 == 1) != (name == "winning_offsets")), mismatch
+    if name == "_fixpoint_offsets":
+        assert args[0] == w and args[1][0] is e and len(args[1]) == len(members) + 1
+    else:
+        assert args == {"complement": (e, ALPHABET), "winning_offsets": (words, e)}[name]
+    expected = []
+    for f, v in samples:
+        if f is e and (v == w or name == "complement"):
+            o, k = at[0] % v.n_offsets(), at[1] % len(members)
+            # game= quotes the solver's mask, which is a lie only when the solver lies
+            game = (winning_offsets((v,), e)[k] >> o & 1 == 1) != (name == "winning_offsets")
+            expected.append("%s on %s: at offset %d in %s, game=%s, failing: %s" % (
+                pretty(e), v, o, pretty(members[k]), game, legs))
+    assert len(expected) == (3 if name == "complement" else 1)
+    assert mismatches == expected, mismatches
     monkeypatch.undo()
     # a filtered run_suite builds no other row's fixtures, so the lie falls on the same call
-    _lie_once(monkeypatch, name, LYING_SAMPLE, lie)
+    _lie_once(monkeypatch, name, call, lie)
     (row,) = run_suite(3, "membership/three")
     assert row.name == "three-way-agreement" and not row.ok
-    assert row.detail == "1000 samples; first disagreement: " + mismatch, row.detail
+    assert row.detail == "1000 samples; first disagreement: " + expected[0], row.detail
+
+
+def test_the_membership_row_matches_the_sample_by_sample_reference(monkeypatch):
+    # each expression's closure, complement and solve are shared by all its
+    # samples; the reference redoes them per sample, one word per solve
+    for seed in (3, 7, 8, 20260815, 20260816):
+        assert membership_mismatches(seed) == ref_membership_mismatches(seed) == [], seed
+    # under a colouring fault both fail, at the same samples with the same text
+    monkeypatch.setattr(rll.semantics, "default_coloring", _last_fixpoint_keeps_parity)
+    for seed in (3, 7):
+        mismatches = membership_mismatches(seed)
+        assert mismatches and mismatches == ref_membership_mismatches(seed), seed
+
+
+def test_the_membership_row_solves_once_per_expression(monkeypatch):
+    # one closure, complement and solve per distinct expression, the solve
+    # over its distinct words in first-seen order; one fixpoint walk per pair
+    samples = _membership_samples(7)
+    words = {}
+    for e, w in samples:
+        words.setdefault(e, {}).setdefault(w, None)
+    calls = {name: [] for name in ("fl_closure", "complement", "winning_offsets", "_fixpoint_offsets")}
+    for name, log in calls.items():
+        def counting(*args, real=getattr(rll.corpus, name), log=log):
+            log.append(args)
+            return real(*args)
+        monkeypatch.setattr(rll.corpus, name, counting)
+    assert membership_mismatches(7) == []
+    assert [args[0] for args in calls["fl_closure"]] == [e for e, _ in calls["complement"]] == list(words)
+    assert calls["winning_offsets"] == [(tuple(ws), e) for e, ws in words.items()]
+    assert [(terms[0], w) for w, terms in calls["_fixpoint_offsets"]] == [(e, w) for e, ws in words.items() for w in ws]
+    assert (len(words), len(calls["_fixpoint_offsets"])) == (394, 849)
+
+
+def test_the_membership_row_catches_a_batch_layout_fault(monkeypatch):
+    # a solve that is right for one word but leaks across the words of a
+    # batch (here: the second word's offset 0 flips at the root) passes
+    # member's layout and fails the row at a word of such a batch
+    real = rll.corpus.winning_offsets
+    batches = []
+
+    def leaking(ws, e):
+        masks = list(real(ws, e))
+        if len(ws) > 1:
+            batches.append((e, ws[1]))
+            masks[0] ^= 1 << ws[0].n_offsets()
+        return masks
+
+    monkeypatch.setattr(rll.corpus, "winning_offsets", leaking)
+    (row,) = run_suite(7, "membership/three")
+    assert not row.ok and len(batches) > 1, row.detail
+    found = re.fullmatch(r"1000 samples; first disagreement: (.+) on (\S+): at offset 0 in (.+), game=(True|False), "
+                         r"failing: fixpoint and dual", row.detail)
+    assert found, row.detail
+    text, word, member, _ = found.groups()
+    e, w = canonical(parse(text, ALPHABET)), parse_word(word, ALPHABET)
+    assert (e, w) in batches and member == text, row.detail
 
 
 def _last_fixpoint_keeps_parity(fl):
