@@ -21,17 +21,16 @@ head letter descends to its body; FormulaTable.auxiliaries names the
 formulas that take a principal's place in each premiss; any other formula
 that a premiss keeps descends to itself.
 
-Rule applications over sequents are first-class values (RuleInstance), built
-where a proof is printed or tested.  A sequent is checked once, where it
-enters, and interned as terms are, so equality is identity; a premiss is
-built without re-checking, as a table lookup.
+A Sequent is the parsed input of a decision and the printed form of the
+corpus: it is checked once, where it enters, and compares by value.  Past
+that point every stage reads masks, so no rule premiss is built as a
+Sequent.
 """
 
 from __future__ import annotations
 
-import weakref
-from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 from .expr import (
     Alphabet,
@@ -55,55 +54,39 @@ from .expr import (
 )
 
 
-# (lhs, rhs, alphabet) -> the one live sequent with them; like expr._NODES,
-# it holds no sequent alive
-_SEQUENTS = weakref.WeakValueDictionary()
-
-
+@dataclass(frozen=True, slots=True)
 class Sequent:
-    """Two finite sets of closed expressions; duplicates collapse.  The
-    constructor checks every formula and returns the one live sequent with
-    these cedents and alphabet, so equality is identity; _premiss derives rule
-    premisses without re-checking.  lhs_sorted and rhs_sorted are the cedents
-    sorted once, when the sequent is first built."""
+    """Two finite sets of closed expressions over an alphabet; duplicates
+    collapse.  Construction canonicalises every formula and refuses one that
+    is open or uses a letter outside the alphabet.  lhs_sorted and
+    rhs_sorted are the cedents sorted once, when the sequent is built."""
 
-    __slots__ = ("lhs", "rhs", "alphabet", "lhs_sorted", "rhs_sorted", "__weakref__")
+    lhs: frozenset
+    rhs: frozenset
+    alphabet: Alphabet
+    lhs_sorted: Tuple[Expr, ...] = field(init=False, repr=False, compare=False)
+    rhs_sorted: Tuple[Expr, ...] = field(init=False, repr=False, compare=False)
 
-    def __new__(cls, lhs, rhs, alphabet: Alphabet):
-        lhs = frozenset(canonical(e) for e in lhs)
-        rhs = frozenset(canonical(e) for e in rhs)
-        refused = [e for e in lhs | rhs if free_vars(e) or letters_of(e).difference(alphabet)]
+    def __post_init__(self):
+        lhs = frozenset(canonical(e) for e in self.lhs)
+        rhs = frozenset(canonical(e) for e in self.rhs)
+        refused = [e for e in lhs | rhs if free_vars(e) or letters_of(e).difference(self.alphabet)]
         if refused:  # name the first in printed order, left cedent first, whatever the hash seed
             e = min(refused, key=lambda e: (e not in lhs, expr_sort_key(e)))
             if free_vars(e):
                 raise ValueError("sequent formulas must be closed: %s" % pretty(e))
-            stray = ", ".join(sorted(letters_of(e).difference(alphabet)))
+            stray = ", ".join(sorted(letters_of(e).difference(self.alphabet)))
             raise ValueError("formula %s uses letters outside the alphabet: %s" % (pretty(e), stray))
-        return _premiss(lhs, rhs, alphabet)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
+        object.__setattr__(self, "lhs_sorted", tuple(sorted(lhs, key=expr_sort_key)))
+        object.__setattr__(self, "rhs_sorted", tuple(sorted(rhs, key=expr_sort_key)))
 
     def __str__(self):
         return format_sequent(self)
 
     def __repr__(self):
         return "Sequent[%s]" % format_sequent(self)
-
-
-def _premiss(lhs, rhs, alphabet: Alphabet) -> Sequent:
-    """The one live sequent with these cedents, built on first use.  A rule
-    premiss comes here straight from parts of a checked conclusion's formulas,
-    without the constructor's checks, which it passes by construction: the
-    left, right or body of a closed canonical +, & or letter term is closed
-    and canonical, unfold returns a canonical term, and neither adds a
-    letter."""
-    key = (frozenset(lhs), frozenset(rhs), alphabet)
-    s = _SEQUENTS.get(key)
-    if s is None:
-        s = object.__new__(Sequent)
-        s.lhs, s.rhs, s.alphabet = key
-        s.lhs_sorted = tuple(sorted(s.lhs, key=expr_sort_key))
-        s.rhs_sorted = tuple(sorted(s.rhs, key=expr_sort_key))
-        _SEQUENTS[key] = s
-    return s
 
 
 def format_sequent(s: Sequent) -> str:
@@ -161,24 +144,6 @@ def canonical_rule_name(name: str) -> str:
 def is_rule_name(rule: str) -> bool:
     """Is this canonical name in the rule table (any h_ name is)?"""
     return rule in PRINCIPAL_RULES or rule in ("l-p", "r-p") or rule.startswith("h_")
-
-
-@dataclass(frozen=True)
-class RuleInstance:
-    """One application of a rule: its name, stored canonical (mu-l as μ-l),
-    the conclusion, the principal formula, canonical too (a letter for h_a,
-    absent for l-p/r-p), and the premisses in order, as a tuple."""
-
-    rule: str
-    conclusion: Sequent
-    principal: Union[Expr, str, None]
-    premisses: Tuple[Sequent, ...]
-
-    def __post_init__(self):
-        if self.rule in _ASCII_RULE_ALIASES:
-            object.__setattr__(self, "rule", _ASCII_RULE_ALIASES[self.rule])
-        if isinstance(self.principal, Expr) and canonical(self.principal) is not self.principal:
-            object.__setattr__(self, "principal", canonical(self.principal))
 
 
 class _Violation(ValueError):
@@ -282,10 +247,6 @@ class FormulaTable:
             mask ^= low
         return out
 
-    def members(self, mask: int):
-        """The formulas of a mask, in number order."""
-        return [self.formulas[n] for n in self.numbers(mask)]
-
     def bodies(self, mask: int) -> int:
         """The mask of the bodies of a mask of letter formulas."""
         out = 0
@@ -295,11 +256,12 @@ class FormulaTable:
             mask ^= low
         return out
 
-    def sequent(self, lhs: int, rhs: int) -> Sequent:
-        """The sequent whose cedents are these masks, without re-checking:
-        every formula of the table is closed, canonical and over its
-        alphabet."""
-        return _premiss(self.members(lhs), self.members(rhs), self.alphabet)
+    def renumbered(self, formulas, masks):
+        """Each of these masks over another numbering, in which formula n
+        is formulas[n], as a mask over this table, which holds all of
+        them."""
+        moved = [self.bit[f] for f in formulas]
+        return {m: sum(map(moved.__getitem__, self.numbers(m))) for m in masks}
 
     def code(self, principal):
         """A principal as the rule schema reads it: a formula's number, or
@@ -309,10 +271,6 @@ class FormulaTable:
             principal = canonical(principal)
             return self.number.get(principal, principal)
         return principal
-
-    def principal(self, code):
-        """The principal that a code names: code's inverse."""
-        return self.formulas[code] if type(code) is int else code
 
 
 def premiss_masks(table: FormulaTable, rule: str, lhs: int, rhs: int, principal):

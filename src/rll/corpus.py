@@ -31,7 +31,6 @@ from .expr import (
     ast_size,
     canonical,
     complement,
-    expr_sort_key,
     fl_closure,
     parse,
     pretty,
@@ -419,29 +418,43 @@ def closed_form_failures(seed: int):
     return out
 
 
-def saturation_instances():
-    """Every distinct rule instance the search strategy generates across the
-    bundled decision sequents, in first-seen order."""
-    return tuple(dict.fromkeys(inst for _, s, _ in DECISIONS for inst in saturate(s).instance))
+def saturation_instances(sequents):
+    """The formula table of the closure of the given sequents' formulas,
+    over ALPHABET, and every distinct rule instance that the search
+    strategy generates across them, in first-seen order.  An instance is
+    (rule, principal code, (lhs, rhs), premiss mask pairs), with each
+    proof's masks and principal moved onto that one table; there a mask is
+    exactly a member set, so instances compare by value."""
+    table = FormulaTable({f for s in sequents for f in s.lhs | s.rhs}, ALPHABET)
+    instances = []
+    for s in sequents:
+        p = saturate(s)
+        moved = table.renumbered(p.table.formulas, {*p.lhs, *p.rhs})
+        cedents = [(moved[lhs], moved[rhs]) for lhs, rhs in zip(p.lhs, p.rhs)]
+        instances += [
+            (rule, table.number[p.table.formulas[code]] if type(code) is int else code, cedent,
+             tuple(map(cedents.__getitem__, kids)))
+            for rule, code, cedent, kids in zip(p.rule, p.principal, cedents, p.children)
+        ]
+    return table, tuple(dict.fromkeys(instances))
 
 
-def soundness_violations(instances, seed: int):
-    """Sample-check the given rule instances, as from saturation_instances():
-    premiss truth must force conclusion truth at each word, and logical and
-    letter rules must be invertible.  A letter rule checks the premisses of
-    the word's head letter one letter on (h_b has none at a word `a...`).
-    One solve, over the distinct words laid end to end and the + of the
-    instances' formulas, each of them a closure member, gives every
-    formula's truth at each word and one letter on (offsets 0 and
-    w.advance(0)), read as masks over the word indices.  Returns (soundness
-    failures, invertibility failures), instance by instance and word by
-    word."""
+def soundness_violations(table: FormulaTable, instances, seed: int):
+    """Sample-check rule instances over one formula table, as
+    saturation_instances gives them: premiss truth must force conclusion
+    truth at each word, and logical and letter rules must be invertible.  A
+    letter rule checks the premisses of the word's head letter one letter
+    on (h_b has none at a word `a...`).  One solve, over the distinct words
+    laid end to end and the + of the table's formulas in number order,
+    gives every formula's truth at each word and one letter on (offsets 0
+    and w.advance(0)), read as masks over the word indices.  Returns
+    (soundness failures, invertibility failures), instance by instance and
+    word by word."""
     rng = random.Random(seed)
     words = [sample_word(rng) for _ in range(SOUNDNESS_WORDS)]
     distinct = tuple(dict.fromkeys(words))
-    formulas = {f for inst in instances for s in (inst.conclusion, *inst.premisses) for f in s.lhs | s.rhs}
     root = ZERO
-    for f in sorted(formulas, key=expr_sort_key):
+    for f in table.formulas:
         root = Plus(root, f)
     bases, base = {}, 0
     for w in distinct:
@@ -449,38 +462,39 @@ def soundness_violations(instances, seed: int):
         base += w.n_offsets()
     bits = [(bases[w], bases[w] + w.advance(0)) for w in words]  # per word: now, one letter on
     every = (1 << len(words)) - 1
-    truth = {}  # (formula, one letter on?) -> the words where it is true
+    truth = {}  # (formula number, one letter on?) -> the words where it is true
     for f, mask in zip(fl_closure(root).members, winning_offsets(distinct, root)):
-        if f in formulas:
+        n = table.number.get(f)
+        if n is not None:
             for on in (0, 1):
-                truth[f, on] = sum(1 << j for j, b in enumerate(bits) if mask >> b[on] & 1)
+                truth[n, on] = sum(1 << j for j, b in enumerate(bits) if mask >> b[on] & 1)
     head = {c: sum(1 << j for j, w in enumerate(words) if w.letter_at(0) == c) for c in ALPHABET}
-    holds = {}  # (sequent, one letter on?) -> the words where some of Γ fails or some of Δ holds
+    holds = {}  # ((lhs, rhs), one letter on?) -> the words where some of Γ fails or some of Δ holds
 
-    def valid(s: Sequent, on: int) -> int:
-        got = holds.get((s, on))
+    def valid(cedents, on: int) -> int:
+        got = holds.get((cedents, on))
         if got is None:
             lhs, rhs = every, 0
-            for f in s.lhs:
-                lhs &= truth[f, on]
-            for f in s.rhs:
-                rhs |= truth[f, on]
-            got = holds[s, on] = every & ~lhs | rhs
+            for n in table.numbers(cedents[0]):
+                lhs &= truth[n, on]
+            for n in table.numbers(cedents[1]):
+                rhs |= truth[n, on]
+            got = holds[cedents, on] = every & ~lhs | rhs
         return got
 
     unsound = []
     uninvertible = []
-    for inst in instances:
-        letters = premiss_letters(inst.rule, inst.conclusion.alphabet)
+    for rule, _, conclusion, premisses in instances:
+        letters = premiss_letters(rule, table.alphabet)
         prems_ok = every
-        for i, p in enumerate(inst.premisses):
+        for i, p in enumerate(premisses):
             prems_ok &= valid(p, 0) if letters is None else valid(p, 1) | ~head.get(letters[i], 0)
-        conc_ok = valid(inst.conclusion, 0)
-        invertible = letters is not None or inst.rule in LOGICAL_RULE.values()
+        conc_ok = valid(conclusion, 0)
+        invertible = letters is not None or rule in LOGICAL_RULE.values()
         for out, bad in ((unsound, prems_ok & ~conc_ok), (uninvertible, invertible and conc_ok & ~prems_ok)):
             while bad:
                 low = bad & -bad
-                out.append("%s at %s" % (inst.rule, words[low.bit_length() - 1]))
+                out.append("%s at %s" % (rule, words[low.bit_length() - 1]))
                 bad ^= low
     return unsound, uninvertible
 
@@ -588,8 +602,9 @@ def run_suite(seed: int, filter_text=None):
 
     @cache  # one batch backs both rows
     def soundness():
-        instances = saturation_instances()
-        return "%d instances x %d words" % (len(instances), SOUNDNESS_WORDS), soundness_violations(instances, seed)
+        table, instances = saturation_instances([s for _, s, _ in DECISIONS])
+        return "%d instances x %d words" % (len(instances), SOUNDNESS_WORDS), soundness_violations(
+            table, instances, seed)
 
     bounds = cache(bound_failures)
     for k, name in enumerate(("rule-soundness", "rule-invertibility")):

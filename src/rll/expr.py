@@ -73,6 +73,16 @@ class Alphabet(tuple):
 # AST
 
 
+_EMPTY = frozenset()  # the one empty set that nodes hold, since frozenset() is not shared
+
+
+def _joined(a: frozenset, b: frozenset) -> frozenset:
+    """a | b, as b itself whenever it holds a, else as a whenever it holds b."""
+    if a <= b:
+        return b
+    return a if b <= a else a | b
+
+
 # (class, *fields) -> the one live node with them.  A child field is keyed by
 # its id(): the node holds the child, so the id is not reused while the entry
 # is live, and the table holds no node alive, not even through its keys.
@@ -102,18 +112,14 @@ class Expr:
         for name, value in zip(cls.__slots__, fields):
             setattr(node, name, value)
         kids = [f for f in fields if isinstance(f, Expr)]
-        if cls is Var:
-            node._free = frozenset(fields)
-        elif cls in _BINDERS:
-            node._free = node.body._free - {node.var}
-        else:
-            node._free = frozenset().union(*(k._free for k in kids))
-        # a node's letter set is a child's own set whenever that one holds them all
-        letters = frozenset(fields[:1]) if cls is Letter else frozenset()
+        # a node's sets are _EMPTY, or a child's own set whenever that one is equal
+        free = frozenset(fields) if cls is Var else _EMPTY
+        letters = frozenset(fields[:1]) if cls is Letter else _EMPTY
         for k in kids:
-            if not k._letters <= letters:
-                letters = k._letters if letters <= k._letters else letters | k._letters
-        node._letters = letters
+            free, letters = _joined(free, k._free), _joined(letters, k._letters)
+        if cls in _BINDERS and node.var in free:
+            free = free - {node.var} or _EMPTY
+        node._free, node._letters = free, letters
         label = [f for f in fields if isinstance(f, str)]  # the letter or variable name, if any
         node._key = (cls._rank, tuple(k._key for k in kids), label[0] if label else "")
         node._canon = node._subterms = node._closure = node._text = node._unfolded = None

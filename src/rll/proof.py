@@ -4,8 +4,8 @@ A proof is a finite graph of sequents: each node carries a rule, a principal
 and children whose sequents are its premisses, and back-edges make the
 object cyclic.  The graph is numbered once, when it is built, over one
 FormulaTable of rll.calculus: a node is a pair of cedent masks over the
-table's formula numbers, and sequent(v) and instance[v] are built only on
-demand.  Every stage after that reads node and formula numbers; the names
+table's formula numbers, and no node's Sequent is built.  Every stage
+after that reads node and formula numbers; the names
 of a proof file's nodes are read back only to report errors and to print.
 Its shape is checked where it is built, by NodeNumbering.  parse_proof reads
 a file straight into that numbering: only the root record's formulas are
@@ -61,23 +61,20 @@ A branch that ends at an axiom owes no trace, and every infinite branch,
 and every stem to a loop, stays inside the live nodes.  A parent of a live
 node is live, so the breadth-first walk meets the states at live nodes in
 the same order, and each keeps its number, its reach rows and its
-accepting bit.  build_trace_automaton called with the graph alone still
-walks every node.
+accepting bit.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 from typing import Optional, Tuple
 
 from .expr import Alphabet, Expr, Mu, Nu, ParseError, free_vars, letters_of, parse, pretty, subformula_leq
 from .calculus import (
     PRINCIPAL_RULES,
     FormulaTable,
-    RuleInstance,
-    Sequent,
     canonical_rule_name,
     is_rule_name,
     parse_sequent,
@@ -95,27 +92,13 @@ class ProofGraph:
     holds the numbers of its children; root is a number.  The names are
     read only to report errors and to print.  A premiss is the cedent pair
     of a child, so whether the children carry a node's premisses is a rule
-    schema question, check_local's.  sequent(v) is built on demand, and
-    instance on first read, for the callers that print them and for the
-    tests."""
+    schema question, check_local's.  Nodes stay masks: no Sequent or rule
+    instance is built per node."""
 
     def __init__(self, table: FormulaTable, order, lhs, rhs, rule, principal, children, root: int):
         self.table, self.order, self.root = table, tuple(order), root
         self.lhs, self.rhs, self.rule = tuple(lhs), tuple(rhs), tuple(rule)
         self.principal, self.children = tuple(principal), tuple(children)
-
-    def sequent(self, v: int) -> Sequent:
-        return self.table.sequent(self.lhs[v], self.rhs[v])
-
-    @cached_property
-    def instance(self) -> Tuple[RuleInstance, ...]:
-        """Per node, its rule instance, whose premisses are its children's
-        sequents."""
-        sequents = [self.sequent(v) for v in range(len(self.order))]
-        return tuple(
-            RuleInstance(rule, s, self.table.principal(code), tuple(map(sequents.__getitem__, kids)))
-            for rule, s, code, kids in zip(self.rule, sequents, self.principal, self.children)
-        )
 
     @property
     def alphabet(self) -> Alphabet:
@@ -340,8 +323,7 @@ def parse_proof(text: str) -> ProofGraph:
     if outside:  # renumber once, over the closure of every cedent formula
         old = table.formulas + tuple(outside)
         table = FormulaTable((*seed, *outside), alphabet)
-        moved = [table.bit[f] for f in old]
-        renumbered = {m: sum(map(moved.__getitem__, table.numbers(m))) for m in {*lhs, *rhs}}
+        renumbered = table.renumbered(old, {*lhs, *rhs})
         lhs, rhs = [renumbered[m] for m in lhs], [renumbered[m] for m in rhs]
         numbers = {text: table.number[old[n]] for text, n in numbers.items()}
 
@@ -427,7 +409,7 @@ class TraceAutomaton:
     accepting: Tuple[int, ...]
 
 
-def build_trace_automaton(p: ProofGraph, live=None) -> TraceAutomaton:
+def build_trace_automaton(p: ProofGraph, live) -> TraceAutomaton:
     """The Büchi automaton over the edges of a locally valid graph accepting
     exactly the branches that carry a progressing trace.  States track a
     formula of the current node's sequent on one side, either still
@@ -438,14 +420,15 @@ def build_trace_automaton(p: ProofGraph, live=None) -> TraceAutomaton:
     mask read off the graph's cedents and the table's body bits and
     auxiliary masks.
 
-    Given the live table of _components, only the live nodes and the root
-    are set up, and the walk steps only into live children: a row into a
-    dead child is 0, and no dead node but the root holds a state.  Since a
-    parent of a live node is live, every state at a live node keeps its
-    number, its rows and its accepting bit."""
+    live is the live table of _components, read as truth values per node:
+    only the live nodes and the root are set up, and the walk steps only
+    into live children.  A row into a dead child is 0, and no dead node but
+    the root holds a state.  Since a parent of a live node is live, every
+    state at a live node keeps its number, its rows and its accepting bit;
+    with every node live, this is the whole automaton."""
     table = p.table
     cedents = tuple(zip(p.lhs, p.rhs))
-    into = cedents if live is None else tuple(c if up else (0, 0) for c, up in zip(cedents, live))
+    into = tuple(c if up else (0, 0) for c, up in zip(cedents, live))
     width = 2 * len(table.formulas)  # the labels with one critical formula
     may_commit = (table.kinds.get(Mu, 0), table.kinds.get(Nu, 0))  # left mu, right nu
     letter, body = table.letter, table.body
@@ -455,7 +438,7 @@ def build_trace_automaton(p: ProofGraph, live=None) -> TraceAutomaton:
     # cedents, what the edge descends by (the letter it strips, else the mask of its auxiliaries on the
     # rule's side) and its reach rows; all of them only at the nodes that a state can reach
     nodes = len(p.order)
-    kept = range(nodes) if live is None else [v for v in range(nodes) if live[v] or v == p.root]
+    kept = [v for v in range(nodes) if live[v] or v == p.root]
     principal = [-1] * nodes
     rows = [None] * nodes
     index = [None] * nodes  # per node, label -> its state number there, in discovery order

@@ -33,13 +33,22 @@ sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "tests")]
 
 from golden.scale import trace_state_counts  # noqa: E402
 from oracles import gen_guarded_sequent, unroll_edge  # noqa: E402
-from rll.calculus import format_sequent  # noqa: E402
+from rll.calculus import Sequent, format_sequent  # noqa: E402
 from rll.decide import BudgetExceededError, saturate  # noqa: E402
 from rll.expr import Alphabet  # noqa: E402
 from rll.proof import build_trace_automaton, check  # noqa: E402
 
 LARGE_SIZE, LARGE_SIDE = 48, 5  # the second band's gen_guarded_sequent bounds
 LARGE_BUDGET = 2000  # the second band's saturation budget, in sequents
+
+
+def _root_sequent(p):
+    """The root's sequent, read off the graph's formula table by names
+    that rll has long had: the parent checkout of gates.py runs this file
+    with its own tests/oracles.py."""
+    formula = p.table.formulas.__getitem__
+    lhs, rhs = (map(formula, p.table.numbers(mask)) for mask in (p.lhs[p.root], p.rhs[p.root]))
+    return Sequent(lhs, rhs, p.alphabet)
 
 
 def _record(seed, graph, p):
@@ -55,12 +64,12 @@ def _record(seed, graph, p):
     return {
         "seed": seed,
         "graph": graph,
-        "sequent": format_sequent(p.sequent(p.root)),
+        "sequent": format_sequent(_root_sequent(p)),
         "nodes": len(p.order),
         "reason": r.reason,
         "violations": list(r.violations),
         "lasso": lasso,
-        "trace_states": sum(trace_state_counts(p.children, build_trace_automaton(p))),
+        "trace_states": sum(trace_state_counts(p.children, build_trace_automaton(p, [1] * len(p.order)))),
     }
 
 

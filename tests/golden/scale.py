@@ -92,7 +92,7 @@ def saturated(name: str):
 def dump_line(name: str, p=None) -> str:
     if p is None:
         p = saturated(name)
-    automaton = build_trace_automaton(p)
+    automaton = build_trace_automaton(p, [1] * len(p.order))  # every node live: the whole automaton
     r = check(p)
     lasso = None
     if r.lasso is not None:

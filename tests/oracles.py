@@ -14,6 +14,18 @@
   rll.expr memoises per interned node.
 - fl_leq, fl_lt and compare_dependency are the closure preorder and the
   dependency order on expressions.
+- RuleInstance is one rule application over sequents, and the
+  sequent-level view of a numbered graph lives here with it: sequent_of(p,
+  v) is node v's Sequent, instances(p) holds each node's rule instance,
+  and table_sequent and principal_of read a mask pair and a principal code
+  back over a FormulaTable.  rll reads nodes as masks and builds none of
+  these.  all_live(p) is a live table in which every node is live, over
+  which build_trace_automaton gives the whole graph's automaton.
+- ref_saturation_instances dedups the rule instances of saturated graphs
+  as sequents, while rll.corpus.saturation_instances moves every graph's
+  masks onto one shared table and dedups mask tuples; sequent_instances
+  and mask_instances carry instances between the two forms, and the tests
+  require the same instances in the same order from both.
 - make_instance builds the rule instance at a sequent over the table of
   its conclusion's formulas, applicable_steps lists every rule instance
   that concludes a sequent, and validate_instance checks one against the
@@ -106,13 +118,13 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import NamedTuple, Optional
+from dataclasses import dataclass
+from typing import NamedTuple, Optional, Tuple, Union
 
 from rll.calculus import (
     LOGICAL_RULE,
     PRINCIPAL_RULES,
     FormulaTable,
-    RuleInstance,
     Sequent,
     canonical_rule_name,
     is_rule_name,
@@ -120,7 +132,7 @@ from rll.calculus import (
     premiss_masks,
     schema_violation,
 )
-from rll.decide import BudgetExceededError
+from rll.decide import BudgetExceededError, saturate
 from rll.corpus import ALPHABET, MEMBERSHIP_SAMPLES, SOUNDNESS_WORDS, _fixpoint_offsets, random_expression, sample_word
 from rll.expr import (
     Alphabet,
@@ -758,6 +770,90 @@ def compare_dependency(e, f) -> str:
 # Rule instances and proof graphs
 
 
+# ---------------------------------------------------------------------------
+# The sequent-level view of masks and proof graphs
+
+
+@dataclass(frozen=True)
+class RuleInstance:
+    """One application of a rule: its name, stored canonical (mu-l as μ-l),
+    the conclusion, the principal formula, canonical too (a letter for h_a,
+    absent for l-p/r-p), and the premisses in order, as a tuple."""
+
+    rule: str
+    conclusion: Sequent
+    principal: Union[Expr, str, None]
+    premisses: Tuple[Sequent, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "rule", canonical_rule_name(self.rule))
+        if isinstance(self.principal, Expr):
+            object.__setattr__(self, "principal", canonical(self.principal))
+
+
+def table_sequent(table: FormulaTable, lhs: int, rhs: int) -> Sequent:
+    """The sequent whose cedents are these masks over the table."""
+    formula = table.formulas.__getitem__
+    return Sequent(map(formula, table.numbers(lhs)), map(formula, table.numbers(rhs)), table.alphabet)
+
+
+def principal_of(table: FormulaTable, code):
+    """The principal that a code names: FormulaTable.code's inverse."""
+    return table.formulas[code] if type(code) is int else code
+
+
+def sequent_of(p: ProofGraph, v: int) -> Sequent:
+    """The sequent of node v of p."""
+    return table_sequent(p.table, p.lhs[v], p.rhs[v])
+
+
+def instances(p: ProofGraph):
+    """Per node of p, its rule instance, whose premisses are its children's
+    sequents."""
+    sequents = [sequent_of(p, v) for v in range(len(p.order))]
+    return tuple(
+        RuleInstance(rule, s, principal_of(p.table, code), tuple(map(sequents.__getitem__, kids)))
+        for rule, s, code, kids in zip(p.rule, sequents, p.principal, p.children)
+    )
+
+
+def all_live(p: ProofGraph):
+    """A live table of p, in the form of rll.proof._components, in which
+    every node is live: build_trace_automaton over it gives the automaton
+    of the whole graph."""
+    return [1] * len(p.order)
+
+
+def ref_saturation_instances(sequents):
+    """rll.corpus.saturation_instances over sequents: every distinct rule
+    instance of the sequents' saturated graphs, deduped by value in
+    first-seen order."""
+    return tuple(dict.fromkeys(inst for s in sequents for inst in instances(saturate(s))))
+
+
+def mask_instances(rule_instances):
+    """The formula table of the closure of the instances' formulas, over
+    ALPHABET, and each instance over it in the form of
+    rll.corpus.saturation_instances: (rule, principal code, (lhs, rhs),
+    premiss mask pairs)."""
+    table = FormulaTable(
+        {f for r in rule_instances for s in (r.conclusion, *r.premisses) for f in s.lhs | s.rhs}, ALPHABET)
+    return table, tuple(
+        (r.rule, table.code(r.principal), table.masks(r.conclusion), tuple(map(table.masks, r.premisses)))
+        for r in rule_instances
+    )
+
+
+def sequent_instances(table: FormulaTable, masked):
+    """Instances in the form of rll.corpus.saturation_instances, over the
+    table, as RuleInstances."""
+    return tuple(
+        RuleInstance(rule, table_sequent(table, *conclusion), principal_of(table, code),
+                     tuple(table_sequent(table, *m) for m in premisses))
+        for rule, code, conclusion, premisses in masked
+    )
+
+
 def applicable_steps(s):
     """All rule instances concluding s, duplicate-free, ordered by rule name
     and then by principal formula."""
@@ -792,7 +888,7 @@ def make_instance(rule: str, conclusion: Sequent, principal=None) -> RuleInstanc
     rule = canonical_rule_name(rule)
     table = FormulaTable(conclusion.lhs | conclusion.rhs, conclusion.alphabet)
     premisses = premiss_masks(table, rule, *table.masks(conclusion), table.code(principal))
-    return RuleInstance(rule, conclusion, principal, tuple(table.sequent(*m) for m in premisses))
+    return RuleInstance(rule, conclusion, principal, tuple(table_sequent(table, *m) for m in premisses))
 
 
 def from_records(records, root: str) -> ProofGraph:
@@ -861,9 +957,10 @@ def unroll_edge(p, parent: int, index: int):
                 reachable.add(c)
                 queue.append(c)
     records = []
+    view = instances(p)
     for v in range(fresh + 1):
         if v in reachable:
-            inst = p.instance[copied[v]]
+            inst = view[copied[v]]
             records.append((names[v], inst.conclusion, inst.rule, inst.principal, tuple(names[c] for c in children[v])))
     return from_records(records, p.order[p.root])
 
@@ -1050,8 +1147,7 @@ def ref_violation(rule, s, principal, premisses):
 def ref_check_local(p):
     """check_local's violations, node by node, over the graph's sequents."""
     out = []
-    for v, nid in enumerate(p.order):
-        inst = p.instance[v]
+    for nid, inst in zip(p.order, instances(p)):
         violation = ref_violation(inst.rule, inst.conclusion, inst.principal, inst.premisses)
         if violation is not None:
             out.append("node %s: %s" % (nid, violation))
@@ -1355,10 +1451,11 @@ def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
     """The trace automaton of p as a labelled automaton over the edges
     (v, j): states are TraceStates in breadth-first discovery order, and
     a state is found accepting or dead when it is dequeued."""
-    anc = [ref_grouped_ancestry(inst) for inst in p.instance]
+    view = instances(p)
+    anc = [ref_grouped_ancestry(inst) for inst in view]
     alphabet = tuple((v, j) for v, kids in enumerate(p.children) for j in range(len(kids)))
 
-    root_seq = p.sequent(p.root)
+    root_seq = view[p.root].conclusion
     initials = []
     for side, cedent in (("L", root_seq.lhs_sorted), ("R", root_seq.rhs_sorted)):
         for f in cedent:
@@ -1372,7 +1469,7 @@ def ref_trace_automaton(p: ProofGraph) -> BuchiAutomaton:
     while queue:
         st = queue.pop(0)
         states.append(st)
-        inst = p.instance[st.node]
+        inst = view[st.node]
         _, rule_side = PRINCIPAL_RULES.get(inst.rule, (None, None))
         if st.phase == "committed" and rule_side == st.side and inst.principal == st.formula:
             if st.formula == st.critical:

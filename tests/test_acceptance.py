@@ -119,7 +119,8 @@ def test_criterion_5_membership_routes_agree_on_random_and_closed_forms():
 
 def test_criterion_6_rule_instances_sound_and_invertible_on_samples():
     assert SOUNDNESS_WORDS >= 200
-    unsound, uninvertible = soundness_violations(saturation_instances(), SEED)
+    table, instances = saturation_instances([s for _, s, _ in DECISIONS])
+    unsound, uninvertible = soundness_violations(table, instances, SEED)
     assert unsound == [], unsound[:3]
     assert uninvertible == [], uninvertible[:3]
     _passed(6, "all saturation instances sound and invertible on 200 words")

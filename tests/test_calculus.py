@@ -1,16 +1,13 @@
 """Sequents, rule application, validation, ancestry."""
 
-import gc
 import random
 
 import pytest
 
-import rll.calculus as calculus_module
 from rll.corpus import proofs
 from rll.expr import Alphabet, ParseError, expr_sort_key, parse
 from rll.calculus import (
     PRINCIPAL_RULES,
-    RuleInstance,
     Sequent,
     canonical_rule_name,
     format_sequent,
@@ -21,11 +18,14 @@ from rll.calculus import (
 from rll.proof import build_trace_automaton, check_local
 from rll.semantics import UPWord, member
 from oracles import (
+    RuleInstance,
+    all_live,
     applicable_steps,
     gen_expr,
     gen_guarded_sequent,
     gen_word,
     graph_of,
+    instances,
     make_instance,
     ref_grouped_ancestry,
     ref_immediate_ancestry,
@@ -70,21 +70,28 @@ def test_sequent_rejects_bad_input():
 
 
 def _assert_built_as_checked(s):
-    """s is the sequent the checking constructor returns for its cedents,
-    and its sorted cedents are its cedents sorted."""
-    assert Sequent(s.lhs, s.rhs, s.alphabet) is s
+    """s equals the sequent the checking constructor returns for its
+    cedents, and its sorted cedents are its cedents sorted."""
+    assert Sequent(s.lhs, s.rhs, s.alphabet) == s
     assert isinstance(s.lhs, frozenset) and isinstance(s.rhs, frozenset)
     assert s.lhs_sorted == tuple(sorted(s.lhs, key=expr_sort_key))
     assert s.rhs_sorted == tuple(sorted(s.rhs, key=expr_sort_key))
 
 
-def test_equal_sequents_are_one_object():
+def _assert_same_sequent(q, s):
+    """q and s are equal sequents: equal, with one hash, and one key."""
+    assert q == s and hash(q) == hash(s) and {s: True}[q]
+    assert (q.lhs_sorted, q.rhs_sorted) == (s.lhs_sorted, s.rhs_sorted) and format_sequent(q) == format_sequent(s)
+
+
+def test_equal_sequents_compare_and_hash_equal():
     s = seq("a 0, mu X. a X + T |- nu Y. b Y")
     # reordered and duplicated formulas, alpha-variants, an equal alphabet
-    assert seq("mu Z. a Z + T, a 0, a 0 |- nu X. b X") is s
-    assert Sequent([*s.lhs_sorted[::-1], *s.lhs], s.rhs_sorted, Alphabet("ab")) is s
-    assert seq("a 0 |- nu Y. b Y") is not s
-    assert parse_sequent(format_sequent(s), Alphabet("abc")) is not s
+    _assert_same_sequent(seq("mu Z. a Z + T, a 0, a 0 |- nu X. b X"), s)
+    _assert_same_sequent(Sequent([*s.lhs_sorted[::-1], *s.lhs], s.rhs_sorted, Alphabet("ab")), s)
+    assert seq("a 0 |- nu Y. b Y") != s
+    assert parse_sequent(format_sequent(s), Alphabet("abc")) != s
+    assert Sequent(s.rhs, s.lhs, AB) != s  # the sides are not interchangeable
     rng = random.Random(24)
     for alphabet in (AB, Alphabet("abc")):
         for _ in range(200):
@@ -92,19 +99,8 @@ def test_equal_sequents_are_one_object():
             lhs, rhs = list(q.lhs) * 2, list(q.rhs)
             rng.shuffle(lhs)
             rng.shuffle(rhs)
-            assert Sequent(lhs, rhs, Alphabet(str(alphabet))) is q
-            assert parse_sequent(format_sequent(q), alphabet) is q
-
-
-def test_the_sequent_table_keeps_no_sequent_alive():
-    gc.collect()
-    before = len(calculus_module._SEQUENTS)
-    burst = [seq(" ".join("ab"[int(bit)] for bit in bin(i)[2:]) + " T |- a T") for i in range(2000)]
-    burst += [prem for s in burst[:200] for inst in applicable_steps(s) for prem in inst.premisses]
-    assert len(calculus_module._SEQUENTS) > before
-    del burst
-    gc.collect()
-    assert len(calculus_module._SEQUENTS) <= before
+            _assert_same_sequent(Sequent(lhs, rhs, Alphabet(str(alphabet))), q)
+            _assert_same_sequent(parse_sequent(format_sequent(q), alphabet), q)
 
 
 def test_alphabets_and_words_are_immutable_and_keep_their_sequents():
@@ -112,6 +108,7 @@ def test_alphabets_and_words_are_immutable_and_keep_their_sequents():
     ab = s.alphabet
     word = UPWord("a", "ab", ab)
     targets = [(ab, "letters"), (ab, "extra"), (word, "stem"), (word, "loop"), (word, "alphabet")]
+    targets += [(s, "lhs"), (s, "lhs_sorted"), (s, "alphabet")]
     for value, name in targets:
         with pytest.raises(AttributeError):
             setattr(value, name, "c")
@@ -119,37 +116,39 @@ def test_alphabets_and_words_are_immutable_and_keep_their_sequents():
         ab[0] = "c"
     assert ab == Alphabet("ab") and str(ab) == "ab" and tuple(ab) == ("a", "b")
     assert (word.stem, word.loop, word.alphabet) == ("a", "ab", Alphabet("ab"))
-    assert Sequent(s.lhs, s.rhs, Alphabet("ab")) is s
+    assert Sequent(s.lhs, s.rhs, Alphabet("ab")) == s
 
 
 def test_derived_premisses_equal_the_checked_sequents(monkeypatch):
-    instances = []
+    steps = []
     for alphabet in (AB, Alphabet("abc")):
         rng = random.Random(21)
         for _ in range(200):
-            instances += applicable_steps(gen_guarded_sequent(rng, alphabet))
+            steps += applicable_steps(gen_guarded_sequent(rng, alphabet))
     graphs = [p for p, _ in proofs().values()]
-    instances += [inst for p in graphs for inst in p.instance]
-    assert {inst.rule for inst in instances} >= set(PRINCIPAL_RULES) | {"l-p", "r-p", "h_a", "h_b", "h_c"}
-    rederived = []
-    built = calculus_module._premiss
+    views = [instances(p) for p in graphs]
+    steps += [inst for view in views for inst in view]
+    assert {inst.rule for inst in steps} >= set(PRINCIPAL_RULES) | {"l-p", "r-p", "h_a", "h_b", "h_c"}
+    built = []
+    checked = Sequent.__post_init__
 
-    def recording(*args):
-        rederived.append(built(*args))
-        return rederived[-1]
+    def recording(s):
+        checked(s)
+        built.append(s)
 
-    monkeypatch.setattr(calculus_module, "_premiss", recording)
+    monkeypatch.setattr(Sequent, "__post_init__", recording)
     for p in graphs:
         assert check_local(p) == []
-    assert rederived == []  # check_local compares mask pairs and builds no sequent
-    for p in graphs:
-        for inst in p.instance:
+    assert built == []  # check_local compares mask pairs and builds no sequent
+    for view in views:
+        for inst in view:
             assert make_instance(inst.rule, inst.conclusion, inst.principal).premisses == inst.premisses
-    assert len(rederived) == sum(len(inst.premisses) for p in graphs for inst in p.instance)
+    assert len(built) == sum(len(inst.premisses) for view in views for inst in view)
+    monkeypatch.undo()
     # the context-dropping +-l premisses that validate_instance accepts, read as masks
     degenerate = RuleInstance("+-l", seq("a 0 + b 0, T |- 0"), e("a 0 + b 0"), (seq("a 0, T |- 0"), seq("b 0 |- 0")))
     assert validate_instance(degenerate) is None
-    for prem in [prem for inst in instances for prem in inst.premisses] + rederived:
+    for prem in [prem for inst in steps for prem in inst.premisses] + built:
         _assert_built_as_checked(prem)
 
 
@@ -281,7 +280,7 @@ def _descent(inst):
     per premiss, each state named by ref_numbered_states."""
     leaves = [("n%d" % (j + 1), RuleInstance("l-p", prem, None, ()), ()) for j, prem in enumerate(inst.premisses)]
     p = graph_of([("n0", inst, tuple(nid for nid, _, _ in leaves))] + leaves, "n0")
-    a = build_trace_automaton(p)
+    a = build_trace_automaton(p, all_live(p))
     numbered = ref_numbered_states(ref_trace_automaton(p), len(p.order))
     grouped = {}
     for k in a.initials:

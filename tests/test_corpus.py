@@ -5,9 +5,17 @@ import pytest
 
 import rll.corpus
 import rll.semantics
-from oracles import gen_guarded_sequent, make_instance, ref_membership_mismatches, ref_soundness_violations
+from oracles import (
+    gen_guarded_sequent,
+    make_instance,
+    mask_instances,
+    ref_membership_mismatches,
+    ref_saturation_instances,
+    ref_soundness_violations,
+    sequent_instances,
+)
 from rll.automaton import default_coloring
-from rll.calculus import RuleInstance, parse_sequent
+from rll.calculus import FormulaTable, parse_sequent
 from rll.corpus import (
     ALIASES,
     ALPHABET,
@@ -25,7 +33,6 @@ from rll.corpus import (
     saturation_instances,
     soundness_violations,
 )
-from rll.decide import saturate
 from rll.proof import check_local
 from rll.expr import Mu, Nu, ast_size, canonical, fl_closure, free_vars, is_guarded, parse, pretty
 from rll.semantics import parse_word, winning_offsets
@@ -136,16 +143,30 @@ def test_suite_filtering_skips_unrelated_rows(monkeypatch):
     assert calls["bound_failures"] == 1 and calls["saturation_instances"] == calls["soundness_violations"] == 1, calls
 
 
+DECISION_SEQUENTS = [s for _, s, _ in DECISIONS]
+
+
+def _generated_sequents(seed: int, draws: int):
+    """`draws` random guarded sequents."""
+    rng = random.Random(seed)
+    return [gen_guarded_sequent(rng, ALPHABET) for _ in range(draws)]
+
+
 def _generated_instances(seed: int, draws: int):
     """The distinct rule instances that saturating `draws` random guarded
     sequents generates, in first-seen order."""
-    rng = random.Random(seed)
-    seen = {}
-    for _ in range(draws):
-        p = saturate(gen_guarded_sequent(rng, ALPHABET))
-        for inst in p.instance:
-            seen.setdefault(inst, None)
-    return tuple(seen)
+    return ref_saturation_instances(_generated_sequents(seed, draws))
+
+
+@pytest.mark.parametrize("sequents", [DECISION_SEQUENTS, _generated_sequents(31, 12)], ids=["decisions", "generated"])
+def test_the_mask_instances_are_the_sequent_instances_in_order(sequents):
+    # one shared table numbers every sequent's closure, so a mask is exactly
+    # a member set: deduping mask tuples dedups the instances by value, in
+    # the same first-seen order
+    table, instances = saturation_instances(sequents)
+    assert table.formulas == FormulaTable({f for s in sequents for f in s.lhs | s.rhs}, ALPHABET).formulas
+    assert sequent_instances(table, instances) == ref_saturation_instances(sequents)
+    assert len(instances) > 50
 
 
 def test_the_soundness_batch_matches_the_word_by_word_reference():
@@ -154,21 +175,18 @@ def test_the_soundness_batch_matches_the_word_by_word_reference():
     # failures run into the thousands and must match in order; the bundled
     # languages ignore a word's first letters, the two letter rules added
     # here and the random guarded sequents' instances do not
-    instances = saturation_instances() + (
+    table, instances = mask_instances(ref_saturation_instances(DECISION_SEQUENTS) + (
         make_instance("h_a", parse_sequent("a b T |- a a T, a b b T", ALPHABET), "a"),
         make_instance("r-p", parse_sequent("|- a b T, b a T, b b 0", ALPHABET)),
-    ) + _generated_instances(31, 12)
+    ) + _generated_instances(31, 12))
     by_rule = {}
     for inst in instances:
-        by_rule.setdefault(inst.rule, []).append(inst)
+        by_rule.setdefault(inst[0], []).append(inst)
     rng = random.Random(2718)
-    broken = tuple(
-        RuleInstance(i.rule, i.conclusion, i.principal, rng.choice(by_rule[i.rule]).premisses)
-        for i in instances
-    )
+    broken = tuple((rule, code, conclusion, rng.choice(by_rule[rule])[3]) for rule, code, conclusion, _ in instances)
     for seed in (0, 1):
-        unsound, uninvertible = soundness_violations(instances + broken, seed)
-        assert (unsound, uninvertible) == ref_soundness_violations(instances + broken, seed)
+        unsound, uninvertible = soundness_violations(table, instances + broken, seed)
+        assert (unsound, uninvertible) == ref_soundness_violations(sequent_instances(table, instances + broken), seed)
         assert len(unsound) > 1000 and len(uninvertible) > 1000, (len(unsound), len(uninvertible))
 
 
@@ -177,7 +195,7 @@ def test_the_soundness_batch_solves_once_over_its_distinct_words(monkeypatch):
     # distinct sampled words, laid end to end in first-seen order; inf-a is
     # one of the formulas, and a lie about it at the first word's offset 0,
     # bit 0, fails the batch at that word alone
-    instances = saturation_instances()
+    table, instances = saturation_instances(DECISION_SEQUENTS)
     rng = random.Random(7)
     words = tuple(dict.fromkeys(sample_word(rng) for _ in range(SOUNDNESS_WORDS)))
     real = rll.corpus.winning_offsets
@@ -188,7 +206,7 @@ def test_the_soundness_batch_solves_once_over_its_distinct_words(monkeypatch):
         return real(ws, e)
 
     monkeypatch.setattr(rll.corpus, "winning_offsets", counting)
-    assert soundness_violations(instances, 7) == ([], [])
+    assert soundness_violations(table, instances, 7) == ([], [])
     assert calls == [words] and len(words) == 94
 
     def lying(ws, e):
@@ -197,7 +215,7 @@ def test_the_soundness_batch_solves_once_over_its_distinct_words(monkeypatch):
         return masks
 
     monkeypatch.setattr(rll.corpus, "winning_offsets", lying)
-    unsound, uninvertible = soundness_violations(instances, 7)
+    unsound, uninvertible = soundness_violations(table, instances, 7)
     assert unsound and uninvertible, (unsound, uninvertible)
     assert all(f.endswith(" at %s" % words[0]) for f in unsound + uninvertible), (unsound, uninvertible)
 

@@ -17,7 +17,7 @@ from rll.decide import (
 from rll.expr import Alphabet, complement, parse
 from rll.proof import check, check_local, serialize_proof
 from rll.semantics import member
-from oracles import gen_guarded_sequent, make_instance, member_denotational, ref_saturate
+from oracles import gen_guarded_sequent, make_instance, member_denotational, principal_of, ref_saturate, sequent_of
 from golden import graphs, scale
 
 AB = ALPHABET
@@ -33,7 +33,7 @@ def _step(text):
     s = _s(text)
     table = FormulaTable(s.lhs | s.rhs, AB)
     rule, code = strategy_step(table, *table.masks(s))
-    return make_instance(rule, s, table.principal(code))
+    return make_instance(rule, s, principal_of(table, code))
 
 
 def _assert_refutes(s, w):
@@ -96,7 +96,7 @@ def test_saturation_builds_a_locally_valid_graph_rooted_at_n0():
     p = saturate(_s("mu X. a X + b X |- nu X. a X + b X"))
     assert p.root == 0 and p.order[0] == "n0"
     assert not check_local(p)
-    assert p.sequent(0) == _s("mu X. a X + b X |- nu X. a X + b X")
+    assert sequent_of(p, 0) == _s("mu X. a X + b X |- nu X. a X + b X")
 
 
 def test_saturation_is_deterministic():
@@ -121,8 +121,8 @@ def _assert_saturates_as_the_reference(s, max_nodes=200000):
     p = saturate(s, max_nodes)
     assert p.order == tuple("n%d" % v for v in range(len(nodes))) and p.root == 0
     for v, (sequent, rule, principal, kids) in enumerate(nodes):
-        assert p.sequent(v) is sequent, (v, str(sequent))
-        assert (p.rule[v], p.table.principal(p.principal[v]), p.children[v]) == (rule, principal, kids), v
+        assert sequent_of(p, v) == sequent, (v, str(sequent))
+        assert (p.rule[v], principal_of(p.table, p.principal[v]), p.children[v]) == (rule, principal, kids), v
     return len(nodes)
 
 
@@ -169,7 +169,7 @@ def test_the_bundled_decisions_come_out_as_recorded(name, s, verdict):
     out = decide(s)
     if verdict == "proved":
         assert isinstance(out, Proved)
-        assert out.proof.sequent(out.proof.root) == s
+        assert sequent_of(out.proof, out.proof.root) == s
         assert check(out.proof).ok
     else:
         assert isinstance(out, Refuted)

@@ -429,6 +429,33 @@ def test_identity_facts_agree_with_structural_references():
     assert all(x is y for x, y in zip(by_identity, by_reference))
 
 
+def test_nodes_share_the_empty_set_and_a_childs_equal_set():
+    # every empty set of free variables or of letters is one object, and a
+    # node whose set equals a child's holds that child's own set
+    rng = random.Random(7)
+    terms = [gen_expr(rng, AB, rng.randint(1, 12)) for _ in range(1000)]
+    terms += [canonical(t) for t in terms]
+    nodes = {id(u): u for t in terms for u in _subterms(t)}.values()
+    empty = free_vars(ZERO)
+    assert not empty and letters_of(ZERO) is empty and free_vars(p("a T + b 0")) is empty
+    assert free_vars(p("mu X. a X")) is empty and letters_of(Var("X")) is empty
+    shared = 0
+    for u in nodes:
+        kids = [getattr(u, child) for child in ("left", "right", "body") if hasattr(u, child)]
+        for facts in (free_vars, letters_of):
+            if not facts(u):
+                assert facts(u) is empty, pretty(u)
+            elif any(facts(k) == facts(u) for k in kids):
+                assert any(facts(k) is facts(u) for k in kids), pretty(u)
+                shared += 1
+    assert shared > 500, shared
+    # so only a Var, a Letter over a body without its letter, a union of
+    # two different sets or a binder that binds a free variable makes one:
+    # here 12 sets of free variables and 288 of letters over 1,501 nodes
+    assert len({id(free_vars(u)) for u in nodes}) < len(nodes) // 50
+    assert len({id(letters_of(u)) for u in nodes}) < len(nodes) // 4
+
+
 def test_the_intern_table_keeps_no_term_alive():
     gc.collect()
     before = len(expr_module._NODES)

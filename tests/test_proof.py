@@ -8,7 +8,7 @@ import pytest
 
 import rll.calculus as calculus_module
 import rll.proof as proof_module
-from rll.calculus import PRINCIPAL_RULES, FormulaTable, RuleInstance, Sequent, parse_sequent
+from rll.calculus import PRINCIPAL_RULES, FormulaTable, Sequent, parse_sequent
 from rll.corpus import ALPHABET, DECISIONS, proofs
 from rll.decide import BudgetExceededError, Proved, decide, saturate
 from rll.expr import Alphabet, Cap, Expr, Mu, Nu, ParseError, Var, complement, expr_sort_key, fl_closure, parse
@@ -27,12 +27,15 @@ from rll.proof import (
 )
 from oracles import (
     BuchiAutomaton,
+    RuleInstance,
+    all_live,
     complement_buchi,
     edges_of,
     from_records,
     gen_guarded_sequent,
     gen_word,
     graph_of,
+    instances,
     make_instance,
     one_node_automaton,
     ref_check_local,
@@ -42,6 +45,7 @@ from oracles import (
     ref_parse_proof,
     ref_trace_automaton,
     ref_violation,
+    sequent_of,
     unroll_edge,
     validate_instance,
 )
@@ -198,7 +202,7 @@ def test_the_mask_schema_gives_the_sequent_schema_violations_on_mutated_graphs()
         for kind, v, q in _mutants(p, rng):
             violations = check_local(q)
             assert violations == ref_check_local(q), (kind, serialize_proof(q))
-            inst = q.instance[v]
+            inst = instances(q)[v]
             assert validate_instance(inst) == ref_violation(inst.rule, inst.conclusion, inst.principal, inst.premisses)
             mine = [text.split(": ", 1)[1] for text in violations if text.startswith("node %s: " % q.order[v])]
             kinds[kind, bool(mine)] += 1
@@ -246,9 +250,9 @@ def test_an_ascii_rule_alias_is_stored_under_its_rule_name():
     loops = [from_records([("n0", s, rule, principal, ("n0",))], "n0")
              for rule, principal in [("μ-l", parse("mu X. X", AB)), ("mu-l", parse("mu X. X", AB)),
                                      ("mu-l", Mu("X", Var("X")))]]
-    assert loops[0].instance[0].rule == "μ-l" and loops[0].instance[0].principal is parse("mu X. X", AB)
+    assert instances(loops[0])[0].rule == "μ-l" and instances(loops[0])[0].principal is parse("mu X. X", AB)
     for loop in loops[1:]:
-        assert loop.instance == loops[0].instance
+        assert instances(loop) == instances(loops[0])
         assert check(loop) == check(loops[0]) and check(loop).ok
         assert serialize_proof(loop) == serialize_proof(loops[0])
     assert "rule μ-l principal mu X. X" in serialize_proof(loops[0])
@@ -298,7 +302,7 @@ def _random_saturated_graphs(seed, n=200):
 
 
 def _assert_genuine_counterbranch(p, lasso):
-    assert not accepts_lasso(build_trace_automaton(p), lasso.stem, lasso.cycle)
+    assert not accepts_lasso(build_trace_automaton(p, all_live(p)), lasso.stem, lasso.cycle)
     # and the lasso really is a branch of the graph: the stem leaves the
     # root, each edge leaves the node the one before it enters, and the stem
     # lands on the cycle's first node, where the cycle returns
@@ -364,7 +368,7 @@ def test_the_progress_search_returns_the_reference_lasso():
     rejected = accepted = 0
     for p in graphs:
         for g in _with_unrolled_edges(p):
-            automaton = build_trace_automaton(g)
+            automaton = build_trace_automaton(g, all_live(g))
             ref = ref_find_unaccepted_branch(g.children, automaton)
             assert _find_unaccepted_branch(g.children, automaton, _components(g.children)) == ref
             # and check answers with the same branch, or with none
@@ -400,7 +404,7 @@ def test_the_progress_search_returns_the_reference_lasso_on_large_graphs():
     graphs = [*_decide_workload_graphs(7), *_decide_workload_graphs(20260815), *_large_band_graphs()]
     rejected = 0
     for p in graphs:
-        automaton = build_trace_automaton(p)
+        automaton = build_trace_automaton(p, all_live(p))
         ref = ref_find_unaccepted_branch(p.children, automaton)
         assert _find_unaccepted_branch(p.children, automaton, _components(p.children)) == ref
         assert check(p).lasso == (None if ref is None else Lasso(*ref))
@@ -462,7 +466,7 @@ def test_three_letter_refutations_keep_their_lasso(name):
     text, lasso, word = THREE_LETTER_REFUTATIONS[name]
     s = parse_sequent(text, Alphabet("abc"))
     p = saturate(s)
-    automaton = build_trace_automaton(p)
+    automaton = build_trace_automaton(p, all_live(p))
     found = _find_unaccepted_branch(p.children, automaton, _components(p.children))
     assert found == ref_find_unaccepted_branch(p.children, automaton)
     assert p.order == tuple("n%d" % i for i in range(len(p.order)))
@@ -475,7 +479,7 @@ def test_three_letter_refutations_keep_their_lasso(name):
 def test_the_progress_search_composes_each_product_once(monkeypatch):
     text = THREE_LETTER_REFUTATIONS["inf-a3 & inf-b3 |- inf-c3 + fin-a3"][0]
     p = saturate(parse_sequent(text, Alphabet("abc")))
-    automaton = build_trace_automaton(p)
+    automaton = build_trace_automaton(p, all_live(p))
     first_rejection, product, missing = (
         proof_module._first_rejection, proof_module._RowStep.product, proof_module._RowStep.__missing__)
     products, steps, passes = Counter(), Counter(), []
@@ -524,7 +528,7 @@ def test_the_trace_build_asks_each_subformula_question_once(monkeypatch):
         return subformula_leq(f, g)
 
     monkeypatch.setattr(proof_module, "subformula_leq", counting_subformula_leq)
-    automaton = build_trace_automaton(p)
+    automaton = build_trace_automaton(p, all_live(p))
     assert sum(trace_state_counts(p.children, automaton)) == 8083
     # one question per (formula, critical formula) pair, however many states ask it
     assert calls and max(calls.values()) == 1
@@ -665,7 +669,7 @@ def test_check_builds_the_whole_automaton_restricted_to_live_nodes(monkeypatch):
         automaton = built[0]
         components = _components(g.children)
         live = components[2]
-        whole = build_trace_automaton(g)
+        whole = build_trace_automaton(g, all_live(g))
         assert automaton.root == whole.root and automaton.initials == whole.initials
         assert automaton.accepting == tuple(a if up else 0 for a, up in zip(whole.accepting, live))
         # no states at dead nodes but the root's initial ones, and every row
@@ -705,13 +709,13 @@ def test_check_builds_its_trace_automaton_over_live_nodes_only(monkeypatch, row,
 
 
 def _assert_matches_the_labelled_reference(p):
-    bp = build_trace_automaton(p)
+    bp = build_trace_automaton(p, all_live(p))
     ref = ref_trace_automaton(p)
     numbered = ref_numbered_states(ref, len(p.order))  # numbered[v][k] is what state k of v tracks
 
     assert all(st.phase == ("search" if st.critical is None else "committed") for st in ref.states)
     for v, states in enumerate(numbered):  # a state tracks a formula of its node's cedent on its side
-        s = p.sequent(v)
+        s = sequent_of(p, v)
         assert all(st.formula in (s.lhs if st.side == "L" else s.rhs) for st in states)
         # a critical formula is a left mu or a right nu
         assert all(isinstance(st.critical, Mu if st.side == "L" else Nu) for st in states if st.critical is not None)
@@ -742,11 +746,11 @@ def test_numbered_trace_automaton_matches_the_labelled_reference():
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_node_formulas_stay_inside_the_root_closures(name):
     p, _ = FIXTURES[name]
-    root = p.sequent(p.root)
+    root = sequent_of(p, p.root)
     universe = set()
     for f in root.lhs | root.rhs:
         universe.update(fl_closure(f).members)
-    for nid, inst in zip(p.order, p.instance):
+    for nid, inst in zip(p.order, instances(p)):
         s = inst.conclusion
         assert (s.lhs | s.rhs) <= universe, nid
 
@@ -754,9 +758,9 @@ def test_node_formulas_stay_inside_the_root_closures(name):
 @pytest.mark.parametrize("name", sorted(FIXTURES))
 def test_trace_automaton_size_is_within_its_bound(name):
     p, _ = FIXTURES[name]
-    bp = build_trace_automaton(p)
+    bp = build_trace_automaton(p, all_live(p))
     formulas = set()
-    for inst in p.instance:
+    for inst in instances(p):
         formulas |= inst.conclusion.lhs | inst.conclusion.rhs
     bound = len(p.order) * 2 * len(formulas) * (len(formulas) + 1)
     counts = trace_state_counts(p.children, bp)
@@ -765,7 +769,7 @@ def test_trace_automaton_size_is_within_its_bound(name):
     assert {(v, j) for v, rows in enumerate(bp.reach) for j in range(len(rows))} == edges
     for v, rows in enumerate(bp.reach):
         assert all(len(per_state) == counts[v] for per_state in rows)
-    root = p.sequent(p.root)
+    root = sequent_of(p, p.root)
     assert len(bp.initials) == len(root.lhs) + len(root.rhs)
 
 
@@ -784,7 +788,7 @@ def test_accepted_proofs_have_valid_roots_on_sampled_words():
     words = [UPWord(*gen_word(rng, AB, max_stem=3, max_loop=3), AB) for _ in range(40)]
     for name in PAPER_PROOF_NAMES:
         p, _ = FIXTURES[name]
-        root = p.sequent(p.root)
+        root = sequent_of(p, p.root)
         for w in words:
             assert _valid_at(root, w), (name, str(w))
 
@@ -820,7 +824,7 @@ def _assert_round_trips(p):
     p2 = _assert_reads_as_the_reference(text)
     assert serialize_proof(p2) == text
     assert p2.order == p.order and p2.root == p.root
-    assert p2.instance == p.instance and p2.children == p.children
+    assert instances(p2) == instances(p) and p2.children == p.children
     # the file's formulas number the same table, so the cedent masks are equal too
     assert (p2.table.formulas, p2.lhs, p2.rhs, p2.rule, p2.principal) == (
         p.table.formulas, p.lhs, p.rhs, p.rule, p.principal)
@@ -847,7 +851,7 @@ node n0: mu X. X |- nu X. X ; rule mu-l principal mu X. X ; children n0
 root n0
 """
     p = parse_proof(text)
-    assert p.order == ("n0",) and p.instance[0].rule == "μ-l"
+    assert p.order == ("n0",) and instances(p)[0].rule == "μ-l"
     assert check(p).ok
 
 
@@ -858,7 +862,7 @@ def test_proof_files_infer_an_omitted_principal():
         "root n0\n"
     )
     p = parse_proof(text)
-    assert p.order == ("n0",) and p.instance[0].principal == parse("mu X. X", AB)
+    assert p.order == ("n0",) and instances(p)[0].principal == parse("mu X. X", AB)
 
 
 ONE_NODE_PROOF = "alphabet: ab\nnode n0: mu X. X |- nu X. X ; rule mu-l principal mu X. X ; children n0\nroot n0\n"
@@ -928,7 +932,7 @@ def test_an_omitted_principal_is_inferred_as_a_scan_of_every_formula_infers_it()
     outcomes = Counter()
     for p, swap, text in _principal_less_proofs():
         expected = []
-        for nid, inst in zip(p.order, p.instance):
+        for nid, inst in zip(p.order, instances(p)):
             if not isinstance(inst.principal, Expr):
                 expected.append(inst.principal)
                 continue
@@ -944,7 +948,7 @@ def test_an_omitted_principal_is_inferred_as_a_scan_of_every_formula_infers_it()
                 break
             expected.append(matching[0])
         if isinstance(expected, list):
-            assert [inst.principal for inst in parse_proof(text).instance] == expected
+            assert [inst.principal for inst in instances(parse_proof(text))] == expected
             outcomes["inferred"] += 1
         else:
             with pytest.raises(ParseError) as info:
@@ -963,7 +967,7 @@ def test_an_omitted_principal_never_has_two_candidates():
     # its own unfolding, and only mu X. X and nu X. X are, one term each
     candidates = Counter()
     for p, swap, text in _principal_less_proofs():
-        for inst in p.instance:
+        for inst in instances(p):
             if isinstance(inst.principal, Expr):
                 rule, conc = swap.get(inst.rule, inst.rule), inst.conclusion
                 matching = [
@@ -1006,9 +1010,9 @@ def test_a_formula_text_is_parsed_once_per_proof_file(monkeypatch):
     assert calls == ["nu X. a X", "nu X. a X + b X", "a (nu X. a X + b X)"]
     any_ab = parse("nu X. a X + b X", AB)
     assert p.order == ("n0", "n1", "n2", "n3", "n4")
-    assert p.instance[1].principal is any_ab and p.sequent(0).rhs == {any_ab}
-    assert p.instance[3].principal is next(iter(p.sequent(2).rhs)).right
-    assert p.sequent(4).rhs == p.sequent(3).rhs - {p.instance[3].principal}
+    assert instances(p)[1].principal is any_ab and sequent_of(p, 0).rhs == {any_ab}
+    assert instances(p)[3].principal is next(iter(sequent_of(p, 2).rhs)).right
+    assert sequent_of(p, 4).rhs == sequent_of(p, 3).rhs - {instances(p)[3].principal}
     assert check(p).ok
 
 
@@ -1056,7 +1060,7 @@ def test_the_proofs_decide_emits_round_trip_byte_for_byte():
         text = serialize_proof(p)
         p2 = _assert_reads_as_the_reference(text)
         assert serialize_proof(p2) == text
-        assert p2.order == p.order and p2.instance == p.instance
+        assert p2.order == p.order and instances(p2) == instances(p)
 
 
 def _respell(text, spell):
@@ -1120,7 +1124,8 @@ def test_a_formula_outside_the_root_closure_keeps_its_local_check_text():
     text = "alphabet: ab\n%sroot n0\n" % HAND_WRITTEN["outside-the-root-closure"]
     p = parse_proof(text)
     # the closure of every cedent formula: the root's two and a T + b 0, a T, T, b 0 and 0
-    assert p.table.formulas == FormulaTable(p.sequent(0).lhs | p.sequent(0).rhs | p.sequent(1).lhs, AB).formulas
+    root, child = sequent_of(p, 0), sequent_of(p, 1)
+    assert p.table.formulas == FormulaTable(root.lhs | root.rhs | child.lhs, AB).formulas
     assert len(p.table.formulas) == 7
     assert check_local(p) == ["node n0: premisses do not match the μ-l schema for this conclusion"]
 
@@ -1182,7 +1187,7 @@ def _renamed(p, rng):
     names = {old: "%s%d" % (rng.choice("nqx"), k) for old, k in zip(p.order, numbers)}
     nodes = [
         (names[nid], inst, tuple(names[p.order[c]] for c in kids))
-        for nid, inst, kids in zip(p.order, p.instance, p.children)
+        for nid, inst, kids in zip(p.order, instances(p), p.children)
     ]
     return graph_of(nodes, names[p.order[p.root]]), names
 
@@ -1195,11 +1200,11 @@ def test_renaming_the_nodes_changes_only_the_names():
     for p in graphs:
         q, names = _renamed(p, rng)
         assert q.order == tuple(names[nid] for nid in p.order)
-        assert q.root == p.root and q.instance == p.instance and q.children == p.children
+        assert q.root == p.root and instances(q) == instances(p) and q.children == p.children
         r, r2 = check(p), check(q)
         assert (r2.ok, r2.violations, r2.lasso) == (r.ok, r.violations, r.lasso)
         rejected += not r.ok
-        assert build_trace_automaton(q) == build_trace_automaton(p)
+        assert build_trace_automaton(q, all_live(q)) == build_trace_automaton(p, all_live(p))
         # the node ids here are n<digits>, which no formula text contains
         renamed_text = re.sub(r"\bn\d+\b", lambda m: names[m.group()], serialize_proof(p))
         assert serialize_proof(q) == renamed_text

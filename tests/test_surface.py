@@ -7,10 +7,11 @@ in `src/rll`, every top-level import is used by its module, and no module
 imports a private (underscored) name from another.  Only `cli.main`
 prints, names `sys.stdout` or `sys.stderr`, or reads the `--json` flag, so
 every command shares its one output path.  A proof graph's node names,
-`ProofGraph.order`, are read only at the file boundary.  Only
-`rll.calculus` builds a `Sequent` without its checking constructor.  No
-class restates equality, hashing or the container protocol: values compare
-as tuples or dataclasses, and interned classes by identity.  Test-only
+`ProofGraph.order`, are read only at the file boundary.  No code builds a
+`Sequent` without its checking constructor.  No class restates equality,
+hashing or the container protocol: values compare as tuples or
+dataclasses, and interned classes by identity.  Every method is read
+somewhere in `src/rll` outside its own body.  Test-only
 algorithms and data belong in `tests/`.  Every import sits at the top of
 its module: an import inside a function or class body usually works round
 a module cycle, which belongs fixed in the module layout."""
@@ -216,11 +217,6 @@ def test_node_names_are_read_only_at_the_file_boundary():
     assert found == [], "node names read outside the file boundary: " + ", ".join(found)
 
 
-# the way to build a Sequent without the checks of its constructor: the
-# private constructor of rule premisses, which the checking one ends in
-UNCHECKED_PATHS = {"_premiss"}
-
-
 def _name(node):
     """The name that a Name, Attribute or import alias node reads."""
     if isinstance(node, ast.Name):
@@ -232,22 +228,25 @@ def _name(node):
     return None
 
 
-def test_only_calculus_builds_a_sequent_without_its_checks():
+def test_no_code_in_src_builds_a_sequent_without_its_checks():
+    # a Sequent is built only by its dataclass constructor, whose
+    # __post_init__ canonicalises and checks every formula: no module calls
+    # __new__ on it, and fields are set by hand only inside a __post_init__
     modules = _modules()
-    assert UNCHECKED_PATHS <= {name.split(".")[-1] for name, _ in _functions(modules["calculus"])}
+    sequent = next(c for c in modules["calculus"].body if isinstance(c, ast.ClassDef) and c.name == "Sequent")
+    assert "__post_init__" in {stmt.name for stmt in sequent.body if isinstance(stmt, ast.FunctionDef)}
     found = []
     for mod, tree in modules.items():
-        if mod == "calculus":
-            continue
+        post_init = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                     and fn.name == "__post_init__" for node in ast.walk(fn)}
         for node in ast.walk(tree):
-            if _name(node) in UNCHECKED_PATHS:
-                found.append("%s:%d %s" % (mod, node.lineno, _name(node)))
-            elif (
-                isinstance(node, ast.Call) and _name(node.func) == "__new__"
-                and "Sequent" in {_name(n) for n in [node.func.value, *node.args]}
-            ):
+            if not isinstance(node, ast.Call):
+                continue
+            if _name(node.func) == "__new__" and "Sequent" in {_name(n) for n in [node.func.value, *node.args]}:
                 found.append("%s:%d __new__" % (mod, node.lineno))
-    assert found == [], "Sequent built without its checks outside rll.calculus: " + ", ".join(found)
+            elif _name(node.func) == "__setattr__" and id(node) not in post_init:
+                found.append("%s:%d __setattr__" % (mod, node.lineno))
+    assert found == [], "Sequent built without its checks: " + ", ".join(found)
 
 
 VALUE_METHODS = {"__eq__", "__hash__", "__iter__", "__len__", "__contains__"}
@@ -283,3 +282,28 @@ def test_the_trace_build_reads_the_one_formula_numbering_of_rll_calculus():
     build = dict(_functions(tree))["build_trace_automaton"]
     read = {node.attr for node in ast.walk(build) if isinstance(node, ast.Attribute)}
     assert {"table", "auxiliaries", "lhs", "rhs"} <= read
+
+
+def test_every_method_in_src_is_read_outside_its_own_body():
+    # a method that only the tests call belongs in tests/, as a function
+    # of what the class holds.  A method is read where it is called, and a
+    # property wherever its name is loaded; a field of the same name, read
+    # by subscript or passed on, does not count for a method
+    modules = _modules()
+    loads = [node for tree in modules.values() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)]
+    called = {id(node.func) for tree in modules.values() for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    methods, unread = [], []
+    for mod, tree in modules.items():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef):
+                for fn in cls.body:
+                    if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("__"):
+                        methods.append(fn.name)
+                        inside = {id(node) for node in ast.walk(fn)}
+                        value = any(_name(d) in ("property", "cached_property") for d in fn.decorator_list)
+                        if not any(node.attr == fn.name and id(node) not in inside and (value or id(node) in called)
+                                   for node in loads):
+                            unread.append("%s.%s.%s" % (mod, cls.name, fn.name))
+    assert "auxiliaries" in methods
+    assert unread == [], "methods never read outside their own body in src/rll: " + ", ".join(unread)
