@@ -95,23 +95,20 @@ def format_sequent(s: Sequent) -> str:
     return ("%s |- %s" % (left, right)).strip()
 
 
-def parse_sequent(text: str, alphabet: Alphabet, formulas=None, names=None) -> Sequent:
+def parse_sequent(text: str, alphabet: Alphabet, names=None) -> Sequent:
     """Parse `e1, e2 |- f1, f2`; either side may be empty.  `names` is
-    passed on to parse.  `formulas`, a dict from formula text to term that
-    a caller may share across sequents, is read and filled: a text found
-    there is not parsed again."""
+    passed on to parse.  A formula text that occurs twice, as in the
+    identity `e |- e`, is parsed once."""
     parts = text.split("|-")
     if len(parts) != 2:
         raise ParseError("a sequent needs exactly one '|-': %r" % text)
-
-    if formulas is None:
-        formulas = {}
+    terms = {}  # stripped formula text -> term
 
     def formula(piece):
         key = piece.strip()
-        if key not in formulas:
-            formulas[key] = parse(piece, alphabet, names)
-        return formulas[key]
+        if key not in terms:
+            terms[key] = parse(piece, alphabet, names)
+        return terms[key]
 
     def cedent(chunk):
         chunk = chunk.strip()
@@ -247,15 +244,6 @@ class FormulaTable:
             mask ^= low
         return out
 
-    def bodies(self, mask: int) -> int:
-        """The mask of the bodies of a mask of letter formulas."""
-        out = 0
-        while mask:
-            low = mask & -mask
-            out |= self.body[low.bit_length() - 1]
-            mask ^= low
-        return out
-
     def renumbered(self, formulas, masks):
         """Each of these masks over another numbering, in which formula n
         is formulas[n], as a mask over this table, which holds all of
@@ -271,6 +259,16 @@ class FormulaTable:
             principal = canonical(principal)
             return self.number.get(principal, principal)
         return principal
+
+
+def or_rows(bits: int, rows) -> int:
+    """The OR of rows[n] over the numbers n of bits' set bits."""
+    out = 0
+    while bits:
+        low = bits & -bits
+        out |= rows[low.bit_length() - 1]
+        bits ^= low
+    return out
 
 
 def premiss_masks(table: FormulaTable, rule: str, lhs: int, rhs: int, principal):
@@ -304,7 +302,7 @@ def premiss_masks(table: FormulaTable, rule: str, lhs: int, rhs: int, principal)
         _need(principal is None, "r-p takes no principal formula")
         _need(not lhs, "r-p requires an empty left side")
         _need(not rhs & ~table.kinds.get(Letter, 0), "r-p requires every right formula to start with a letter")
-        return tuple((0, table.bodies(rhs & table.head.get(c, 0))) for c in table.alphabet)
+        return tuple((0, or_rows(rhs & table.head.get(c, 0), table.body)) for c in table.alphabet)
     if rule.startswith("h_"):
         a = rule[2:]
         _need(a in table.alphabet, "h_%s names a letter outside the alphabet" % a)
@@ -313,7 +311,7 @@ def premiss_masks(table: FormulaTable, rule: str, lhs: int, rhs: int, principal)
         heads = table.head.get(a, 0)
         _need(not lhs & ~heads, "h_%s requires every left formula to start with %s" % (a, a))
         _need(not rhs & ~heads, "h_%s requires every right formula to start with %s" % (a, a))
-        return ((table.bodies(lhs), table.bodies(rhs)),)
+        return ((or_rows(lhs, table.body), or_rows(rhs, table.body)),)
     raise _Violation("unknown rule %r" % rule)
 
 

@@ -106,16 +106,19 @@ DECISIONS = (
 )
 
 
-def _build_proof(root_sequent: Sequent, derivation, root: str = "n0") -> ProofGraph:
+_ROOT = "n0"  # the root's id in every derivation
+
+
+def _build_proof(root_sequent: Sequent, derivation) -> ProofGraph:
     """Assemble a ProofGraph from {id: (rule, principal, children)} over
     the formula table of the root sequent's closure, by propagating cedent
-    masks from the root through premiss_masks, child by child.  An entry
-    that the root does not reach raises ValueError, and the structure is
-    checked by NodeNumbering, as a proof file's is; a child list that does
-    not match the premisses is check_local's violation."""
+    masks from the root, _ROOT, through premiss_masks, child by child.  An
+    entry that the root does not reach raises ValueError, and the structure
+    is checked by NodeNumbering, as a proof file's is; a child list that
+    does not match the premisses is check_local's violation."""
     table = FormulaTable(root_sequent.lhs | root_sequent.rhs, root_sequent.alphabet)
-    cedents = {root: table.masks(root_sequent)}
-    queue = [root]
+    cedents = {_ROOT: table.masks(root_sequent)}
+    queue = [_ROOT]
     nodes = NodeNumbering()
     records = []  # (lhs, rhs, rule, principal code, children names)
     for nid in queue:  # the queue grows while it is walked
@@ -133,7 +136,7 @@ def _build_proof(root_sequent: Sequent, derivation, root: str = "n0") -> ProofGr
     if unreached:
         raise ValueError("unreachable nodes: %s" % ", ".join(unreached))
     children = [nodes.children(nid, record[-1]) for nid, record in zip(nodes, records)]
-    root_number = nodes.root(root, children)
+    root_number = nodes.root(_ROOT, children)
     lhs, rhs, rules, principals, _ = zip(*records)
     return ProofGraph(table, nodes, lhs, rhs, rules, principals, children, root_number)
 

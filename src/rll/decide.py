@@ -25,6 +25,8 @@ from .semantics import UPWord, member
 from .calculus import LOGICAL_RULE, FormulaTable, Sequent, premiss_letters, premiss_masks
 from .proof import Lasso, ProofGraph, check
 
+MAX_NODES = 200000  # the default node budget: distinct sequents that saturate may meet
+
 
 class UnguardedSequentError(ValueError):
     """decide only handles sequents whose formulas are all guarded."""
@@ -70,7 +72,7 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-def saturate(s: Sequent, max_nodes: int = 200000) -> ProofGraph:
+def saturate(s: Sequent, max_nodes: int = MAX_NODES) -> ProofGraph:
     """Expand strategy_step breadth-first over the table of the closure of
     s's formulas, memoising (lhs, rhs) mask pairs into back-edges.
     Terminates because only finitely many mask pairs arise."""
@@ -127,7 +129,7 @@ class Refuted:
     word: UPWord
 
 
-def decide(s: Sequent, max_nodes: int = 200000):
+def decide(s: Sequent, max_nodes: int = MAX_NODES):
     """Proved(proof) with a checkable cyclic proof, or Refuted(word) with a
     membership-verified countermodel (in every LHS language, in no RHS one)."""
     for e in sorted(s.lhs | s.rhs, key=expr_sort_key):

@@ -77,6 +77,7 @@ from .calculus import (
     FormulaTable,
     canonical_rule_name,
     is_rule_name,
+    or_rows,
     parse_sequent,
     premiss_letters,
     schema_violation,
@@ -250,42 +251,35 @@ def parse_proof(text: str) -> ProofGraph:
     record.  Only the root record's formulas are parsed up front: the
     closure of its formulas is the FormulaTable, and a formula or principal
     text that prints one of its members is looked up by that text, since
-    parse(pretty(f)) is f.  Each distinct cedent text becomes a mask once.
-    Any other text is parsed once and checked once, closed and within the
-    alphabet; if one lies outside the table, the table is renumbered once
-    over the closure of every cedent formula.  Faults are reported in file
-    order, as the checking constructor of Sequent words them for the first
-    refused sequent; a root record that does not parse cleanly, or a root
-    that names no record, seeds an empty table."""
+    parse(pretty(f)) is f.  Any other text is parsed once and checked once,
+    closed and within the alphabet, and is then looked up by its text too;
+    if one lies outside the table, the table is renumbered once over the
+    closure of every cedent formula.  The one text parsed twice is a root
+    formula text that prints no member: once to build the table and once as
+    a cedent text.  Faults are reported in file order, as the checking
+    constructor of Sequent words them for the first refused sequent; a root
+    record that does not parse cleanly, or a root that names no record,
+    seeds an empty table."""
     alphabet, records, root = _split_records(text)
-    parsed = {}  # formula text -> term, so that each distinct text is parsed once
-
-    def term(piece):
-        e = parsed.get(piece)
-        if e is None:
-            e = parsed[piece] = parse(piece, alphabet)
-        return e
-
     seed = ()
     record = next((r for r in records if r[0] == root), None)
     if record is not None:
         try:
-            s = parse_sequent(record[1], alphabet, parsed)
+            s = parse_sequent(record[1], alphabet)
             seed = s.lhs | s.rhs
         except ValueError:
             pass  # reported where the record comes in file order
     table = FormulaTable(seed, alphabet)
-    numbers = {}  # formula text -> number; a member's printed text, also as it follows ", " in a cedent
+    numbers = {}  # formula text -> number, a member's also as it follows ", "; principal text -> code
     for n, f in enumerate(table.formulas):
         printed = pretty(f)
         numbers[printed] = numbers[" " + printed] = n
     outside = {}  # term outside the table -> its number, counted on from the table's
-    masks = {}  # cedent text -> mask
 
     def number(piece):
         n = numbers.get(piece)
         if n is None:
-            e = term(piece)
+            e = parse(piece, alphabet)
             if free_vars(e) or letters_of(e).difference(alphabet):
                 raise ValueError("refused formula %s" % piece)
             n = table.number.get(e)
@@ -295,15 +289,12 @@ def parse_proof(text: str) -> ProofGraph:
         return n
 
     def mask(chunk):
-        m = masks.get(chunk)
-        if m is None:
-            m = 0
-            for piece in chunk.split(",") if chunk.strip() else ():
-                n = numbers.get(piece)
-                if n is None:
-                    n = numbers[piece] = number(piece.strip())
-                m |= 1 << n
-            masks[chunk] = m
+        m = 0
+        for piece in chunk.split(",") if chunk.strip() else ():
+            n = numbers.get(piece)
+            if n is None:
+                n = numbers[piece] = number(piece.strip())
+            m |= 1 << n
         return m
 
     nodes = NodeNumbering()
@@ -337,7 +328,7 @@ def parse_proof(text: str) -> ProofGraph:
         elif principal_text is not None:
             code = numbers.get(principal_text)
             if code is None:
-                code = table.code(term(principal_text))
+                code = numbers[principal_text] = table.code(parse(principal_text, alphabet))
         elif rule in ("l-p", "r-p"):
             code = None
         else:  # only a formula of the rule's class on the rule's side can match, and at most one does
@@ -356,16 +347,14 @@ def parse_proof(text: str) -> ProofGraph:
 
 def serialize_proof(p: ProofGraph) -> str:
     """The proof file of p.  A cedent prints as the texts of its formulas in
-    number order, which is their sorted order, each text rendered once."""
+    number order, which is their sorted order, each formula's text rendered
+    once.  The lines end with an empty one, so that joining them makes the
+    only copy of the whole text."""
     table = p.table
     texts = tuple(map(pretty, table.formulas))
-    cedents = {}  # mask -> its text
 
-    def cedent(mask):
-        text = cedents.get(mask)
-        if text is None:
-            text = cedents[mask] = ", ".join(map(texts.__getitem__, table.numbers(mask)))
-        return text
+    def cedent(mask):  # most right cedents are empty, and an empty one needs no join
+        return ", ".join(map(texts.__getitem__, table.numbers(mask))) if mask else ""
 
     lines = ["alphabet: %s" % str(p.alphabet)]
     for nid, lhs, rhs, rule, code, kids in zip(p.order, p.lhs, p.rhs, p.rule, p.principal, p.children):
@@ -378,7 +367,8 @@ def serialize_proof(p: ProofGraph) -> str:
             % (nid, ("%s |- %s" % (cedent(lhs), cedent(rhs))).strip(), rule, ", ".join(p.order[c] for c in kids))
         )
     lines.append("root %s" % p.order[p.root])
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +517,7 @@ def accepts_lasso(automaton: TraceAutomaton, stem, cycle) -> bool:
         while todo:
             at, new = todo.pop()
             nxt = advance(at)
-            new = _row_or(new, rows[at]) & ~found[nxt]
+            new = or_rows(new, rows[at]) & ~found[nxt]
             if new:
                 found[nxt] |= new
                 todo.append((nxt, new))
@@ -563,15 +553,6 @@ class Lasso:
     cycle: Tuple[Tuple[int, int], ...]
 
 
-def _row_or(bits, rows):
-    out = 0
-    while bits:
-        low = bits & -bits
-        out |= rows[low.bit_length() - 1]
-        bits ^= low
-    return out
-
-
 class _Numbering(dict):
     """Value -> its number, in first-use order; values[i] is the value
     numbered i."""
@@ -604,7 +585,7 @@ class _RowStep(dict):
     def __missing__(self, pair):
         r, a = self.pairs.values[pair]
         rows = self.rows
-        self[pair] = out = self.pairs[_row_or(r, rows), _row_or(a, rows) | _row_or(r, self.accepting)]
+        self[pair] = out = self.pairs[or_rows(r, rows), or_rows(a, rows) | or_rows(r, self.accepting)]
         return out
 
 
@@ -707,7 +688,7 @@ def _find_unaccepted_branch(children, automaton: TraceAutomaton, components):
         for j, (dst, rows) in enumerate(zip(children[m], automaton.reach[m])):
             if not live[dst]:
                 continue
-            key2 = (dst, _row_or(mask, rows))
+            key2 = (dst, or_rows(mask, rows))
             if key2 not in stems:
                 stems[key2] = (key, (m, j))
                 stem_queue.append(key2)
@@ -724,7 +705,7 @@ def _find_unaccepted_branch(children, automaton: TraceAutomaton, components):
         if (u, i) not in rejections:
             r, diag = tuple(pairs.values[x][0] for x in profiles[i]), diagonals[i]
             rejections[u, i] = None if diag is None else next(
-                ((u, m) for m in reached[u] if not _row_or(m, r) & diag), None)
+                ((u, m) for m in reached[u] if not or_rows(m, r) & diag), None)
         return rejections[u, i]
 
     if _first_rejection(sorted(feedback), inner, products, compose, rejected_stem)[0] is None:

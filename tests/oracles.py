@@ -128,7 +128,6 @@ from rll.calculus import (
     Sequent,
     canonical_rule_name,
     is_rule_name,
-    parse_sequent,
     premiss_masks,
     schema_violation,
 )
@@ -965,6 +964,30 @@ def unroll_edge(p, parent: int, index: int):
     return from_records(records, p.order[p.root])
 
 
+def _parse_sequent_shared(text: str, alphabet: Alphabet, formulas: dict) -> Sequent:
+    """rll.calculus.parse_sequent over a dict from formula text to term
+    that ref_parse_proof shares across a file's records: a text found there
+    is not parsed again, and a new one is parsed and added.  Sequents and
+    errors are those of parse_sequent."""
+    parts = text.split("|-")
+    if len(parts) != 2:
+        raise ParseError("a sequent needs exactly one '|-': %r" % text)
+
+    def formula(piece):
+        key = piece.strip()
+        if key not in formulas:
+            formulas[key] = parse(piece, alphabet)
+        return formulas[key]
+
+    def cedent(chunk):
+        chunk = chunk.strip()
+        if not chunk:
+            return ()
+        return tuple(formula(piece) for piece in chunk.split(","))
+
+    return Sequent(cedent(parts[0]), cedent(parts[1]), alphabet)
+
+
 def ref_parse_proof(text: str) -> ProofGraph:
     """rll.proof.parse_proof as it was before it read a file straight into
     the numbered graph: every record's sequent is parsed and checked as a
@@ -1035,7 +1058,7 @@ def ref_parse_proof(text: str) -> ProofGraph:
     for nid, sequent_text, _, _, _ in records:
         if nid in sequents:
             raise ParseError("duplicate node id %r" % nid)
-        sequents[nid] = parse_sequent(sequent_text, alphabet, formulas)
+        sequents[nid] = _parse_sequent_shared(sequent_text, alphabet, formulas)
     nodes = []
     table = None  # the file's formula table, built for its first omitted principal
     for nid, _, rule, principal_text, kids in records:

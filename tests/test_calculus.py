@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import rll.calculus as calculus_module
 from rll.corpus import proofs
 from rll.expr import Alphabet, ParseError, expr_sort_key, parse
 from rll.calculus import (
@@ -56,6 +57,19 @@ def test_sequent_round_trip_and_set_semantics():
     assert format_sequent(seq("|-")) == "|-"
     assert format_sequent(seq("a 0 |-")) == "a 0 |-"
     assert format_sequent(seq("|- a 0")) == "|- a 0"
+
+
+def test_a_formula_text_that_occurs_twice_in_a_sequent_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting_parse(text, alphabet, names=None):
+        calls.append(text.strip())
+        return parse(text, alphabet, names)
+
+    monkeypatch.setattr(calculus_module, "parse", counting_parse)
+    s = parse_sequent("nu Y. a Y, a T |- nu Y. a Y,  a T", AB)
+    assert calls == ["nu Y. a Y", "a T"]
+    assert s.lhs == s.rhs == {e("nu X. a X"), e("a T")}
 
 
 def test_sequent_rejects_bad_input():

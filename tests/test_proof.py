@@ -2,6 +2,8 @@ import functools
 import itertools
 import random
 import re
+import sys
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -838,6 +840,20 @@ def test_proof_files_round_trip(name):
     _assert_round_trips(FIXTURES[name][0])
 
 
+@pytest.mark.parametrize("name", ["fin_c", "refuted-3"])
+def test_serialize_proof_holds_one_copy_of_the_text(name):
+    p = scale.saturated(name)
+    size = sys.getsizeof(serialize_proof(p))  # renders every formula's text, which it then holds
+    tracemalloc.start()
+    try:
+        serialize_proof(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the lines, and the text that joins them: no second copy of the text
+    assert peak <= 2 * size
+
+
 def test_saturated_graphs_round_trip_through_proof_files():
     verdicts = [_assert_round_trips(p) for p in _random_saturated_graphs(seed=3131)]
     assert 20 <= verdicts.count(False) <= 180  # both verdicts are well represented
@@ -1014,6 +1030,41 @@ def test_a_formula_text_is_parsed_once_per_proof_file(monkeypatch):
     assert instances(p)[3].principal is next(iter(sequent_of(p, 2).rhs)).right
     assert sequent_of(p, 4).rhs == sequent_of(p, 3).rhs - {instances(p)[3].principal}
     assert check(p).ok
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        # a cedent text past the root, in a spelling that prints no member
+        "nu Y. a Y |- ; rule ν-l principal nu X. a X",
+        # a principal text, in a spelling that prints no member
+        "nu X. a X |- ; rule ν-l principal nu Y. a Y",
+    ],
+    ids=["cedent", "principal"],
+)
+def test_a_respelled_text_on_two_records_is_parsed_once(monkeypatch, record):
+    calls = []
+
+    def counting_parse(text, alphabet, names=None):
+        calls.append(text.strip())
+        return parse(text, alphabet, names)
+
+    monkeypatch.setattr(calculus_module, "parse", counting_parse)
+    monkeypatch.setattr(proof_module, "parse", counting_parse)
+    text = (
+        "alphabet: ab\n"
+        "node n0: nu X. a X |- b T ; rule r-w principal b T ; children n1\n"
+        "node n1: %s ; children n2\n"
+        "node n2: a nu X. a X |- ; rule h_a ; children n3\n"
+        "node n3: %s ; children n2\n"
+        "root n0\n"
+    ) % (record, record)
+    p = parse_proof(text)
+    assert calls == ["nu X. a X", "b T", "nu Y. a Y"]
+    n = p.table.number[parse("nu X. a X", AB)]
+    assert p.lhs[0] == p.lhs[1] == p.lhs[3] == 1 << n
+    assert p.principal[1] == p.principal[3] == n
+    assert check_local(p) == []
 
 
 @pytest.mark.parametrize(
