@@ -20,14 +20,23 @@ Terms are interned (hash-consed): a constructor returns the one live node
 with its class and fields, so equality is identity and hashing is by
 identity.  Bound variables are renamed by binder depth (see canonical), and
 parse, unfold, complement and fl_closure return canonical terms, so
-alpha-equivalent inputs come out as the same object.  Each node holds its
-structural facts, each computed once: free variables, letters and sort key
-when the node is built; on first use, its canonical form, the canonical
-forms of its closed subterms, and, for a canonical node, its printed text,
-for a canonical fixpoint its unfolding and for a closed canonical root its
-closure.  The intern table holds its nodes weakly, so it keeps no term
-alive; a fixpoint's unfolding contains the fixpoint, and the collector
-frees such cycles like any other.
+alpha-equivalent inputs come out as the same object.  A builder that names
+each binder by its depth as it goes marks its result canonical with
+built_canonical and walks it no more: complement on a canonical input, the
+shift of a closed subterm in the subformula order, and the random draws of
+rll.corpus.  parse names binders by depth too, but keeps its canonical
+walk: a bundled name used under a binder needs its binders renamed, and
+the walk is the guard that turns input nested too deeply into a
+ParseError.  unfold copies the fixpoint under deeper binders, so its walk
+renames as well.
+
+Each node holds its structural facts, each computed once: free variables,
+letters and sort key when the node is built; on first use, its canonical
+form, the canonical forms of its closed subterms, and, for a canonical
+node, its printed text, for a canonical fixpoint its unfolding and for a
+closed canonical root its closure.  The intern table holds its nodes
+weakly, so it keeps no term alive; a fixpoint's unfolding contains the
+fixpoint, and the collector frees such cycles like any other.
 """
 
 from __future__ import annotations
@@ -257,7 +266,14 @@ def canonical(e: Expr) -> Expr:
             return type(t)(fresh, go(t.body, depth + 1, inner))
         return t
 
-    c = e._canon = go(e, 0, {})
+    e._canon = built_canonical(go(e, 0, {}))
+    return e._canon
+
+
+def built_canonical(c: Expr) -> Expr:
+    """Mark c as its own canonical form and return it, for a builder that
+    makes c canonical: each binder named .n by its depth above the highest
+    free .n, and each bound variable by its binder."""
     c._canon = c
     return c
 
@@ -607,8 +623,7 @@ def _closed_subterms(g: Expr) -> frozenset:
             found = frozenset().union(*(walk(k, inner) for k in _children(t)))
             if not t._free:
                 if t._canon is None:
-                    c = t._canon = shift(t, d) if d else t
-                    c._canon = c
+                    t._canon = built_canonical(shift(t, d) if d else t)
                 found |= {t._canon}
             t._subterms = found
         return t._subterms
@@ -625,7 +640,11 @@ def complement(e: Expr, alphabet: Alphabet) -> Expr:
     mu/nu; a letter prefix ``a e`` becomes ``a e^c`` plus a one-letter branch
     ``b T`` for every other letter b, in alphabet order.  Free variables are
     kept as-is, so open bodies may be complemented.  Raises if e uses a
-    letter not in the alphabet."""
+    letter not in the alphabet.
+
+    The walk keeps every binder's name and depth and every free variable,
+    and adds only closed ``b T`` branches, so the complement of a canonical
+    term is canonical as built; any other input is renamed afterwards."""
 
     def go(t):
         if isinstance(t, Var):
@@ -654,4 +673,4 @@ def complement(e: Expr, alphabet: Alphabet) -> Expr:
             out = Plus(out, p)
         return out
 
-    return canonical(go(e))
+    return built_canonical(go(e)) if e._canon is e else canonical(go(e))

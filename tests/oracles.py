@@ -11,7 +11,9 @@
   deep membership rows as parser text.
 - ref_free_vars, ref_equal, ref_canonical, ref_unfold, ref_subformula_leq
   and ref_sort_key are plain recursive copies of the term facts that
-  rll.expr memoises per interned node.
+  rll.expr memoises per interned node.  ref_complement renames every
+  complement with ref_canonical, where rll.expr builds the complement of a
+  canonical term canonical.
 - fl_leq, fl_lt and compare_dependency are the closure preorder and the
   dependency order on expressions.
 - RuleInstance is one rule application over sequents, and the
@@ -111,7 +113,15 @@
   each sample's expression is closed, complemented and solved again, one
   word per solve.  rll.corpus solves each distinct expression once over
   its distinct words laid end to end and evaluates each distinct pair
-  once; the two must return the same lines in the same order.
+  once; the two must return the same lines in the same order.  The
+  reference draws with ref_random_expression, which names binders as the
+  user would, and renames the draw with canonical, where rll.corpus draws
+  terms canonical as built; and it evaluates with ref_fixpoint_offsets,
+  which reads each letter off the word at every letter node, where
+  rll.corpus reads a table per word and keeps each closed subterm's value.
+  ref_closed_form_failures makes one member call per sampled word and
+  constant, where rll.corpus solves each constant once over the sampled
+  words laid end to end.
 """
 
 from __future__ import annotations
@@ -132,8 +142,18 @@ from rll.calculus import (
     schema_violation,
 )
 from rll.decide import BudgetExceededError, saturate
-from rll.corpus import ALPHABET, MEMBERSHIP_SAMPLES, SOUNDNESS_WORDS, _fixpoint_offsets, random_expression, sample_word
+from rll.corpus import (
+    ALPHABET,
+    CLOSED_FORM_WORDS,
+    CLOSED_FORMS,
+    EXPRESSIONS,
+    MEMBERSHIP_SAMPLES,
+    SOUNDNESS_WORDS,
+    sample_word,
+)
 from rll.expr import (
+    TOP,
+    ZERO,
     Alphabet,
     Cap,
     Expr,
@@ -156,7 +176,7 @@ from rll.expr import (
 )
 from rll.automaton import default_coloring
 from rll.proof import ProofGraph, TraceAutomaton, _after_keyword, tarjan
-from rll.semantics import UPWord, winning_offsets
+from rll.semantics import UPWord, member, parse_word, winning_offsets
 from golden.scale import trace_state_counts
 
 
@@ -218,9 +238,9 @@ def gen_expr(rng, alphabet: Alphabet, size: int, scope=(), letters=True):
         choices = ["zero", "top"] + (["var"] if scope else [])
     kind = rng.choice(choices)
     if kind == "zero":
-        return Zero()
+        return ZERO
     if kind == "top":
-        return Top()
+        return TOP
     if kind == "var":
         return Var(rng.choice(list(scope)))
     if kind == "letter":
@@ -690,6 +710,32 @@ def ref_unfold(e):
         return t
 
     return ref_canonical(sub(c.body))
+
+
+def ref_complement(e, alphabet: Alphabet):
+    """The syntactic complement, dualised node by node and then renamed by
+    ref_canonical, whatever the input: the path that rll.expr.complement
+    keeps for input that is not canonical, without the canonical forms that
+    rll.expr keeps per node."""
+
+    def go(t):
+        if isinstance(t, Var):
+            return t
+        if isinstance(t, (Zero, Top)):
+            return TOP if isinstance(t, Zero) else ZERO
+        if isinstance(t, (Plus, Cap)):
+            return (Cap if isinstance(t, Plus) else Plus)(go(t.left), go(t.right))
+        if isinstance(t, (Mu, Nu)):
+            return (Nu if isinstance(t, Mu) else Mu)(t.var, go(t.body))
+        if t.letter not in alphabet:
+            raise ValueError("letter %r is not in alphabet %s" % (t.letter, alphabet))
+        out = Letter(t.letter, go(t.body))
+        for b in alphabet:
+            if b != t.letter:
+                out = Plus(out, Letter(b, TOP))
+        return out
+
+    return ref_canonical(go(e))
 
 
 def ref_subformula_leq(f, g) -> bool:
@@ -1767,20 +1813,80 @@ def ref_soundness_violations(instances, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# The membership row, one sample at a time
+# The membership rows, one sample at a time
+
+
+def ref_random_expression(rng, size: int, scope=()):
+    """A random expression with at most `size` AST nodes, closed when scope
+    is empty."""
+    choices = ["zero", "top", "mu", "nu", "letter", "letter"]
+    if size >= 3:
+        choices += ["plus", "cap"]
+    if scope:
+        choices += ["var", "var"]
+    if size <= 1:
+        choices = ["zero", "top"] + (["var"] if scope else [])
+    kind = rng.choice(choices)
+    if kind == "zero":
+        return ZERO
+    if kind == "top":
+        return TOP
+    if kind == "var":
+        return Var(rng.choice(list(scope)))
+    if kind == "letter":
+        return Letter(rng.choice(ALPHABET), ref_random_expression(rng, size - 1, scope))
+    if kind in ("plus", "cap"):
+        ls = rng.randint(1, max(1, size - 2))
+        left = ref_random_expression(rng, ls, scope)
+        right = ref_random_expression(rng, size - 1 - ls, scope)
+        return (Plus if kind == "plus" else Cap)(left, right)
+    var = rng.choice(["P", "Q", "R", "S"])
+    body = ref_random_expression(rng, size - 1, tuple(scope) + (var,))
+    return (Mu if kind == "mu" else Nu)(var, body)
+
+
+def ref_fixpoint_offsets(w: UPWord, terms) -> list:
+    """Per closed term, the offsets of w whose suffix lies in the term's
+    language, as a bitmask: the Knaster-Tarski semantics, walking the term
+    with mu and nu iterated from no offset and from every offset, and
+    reading each letter off the word at every letter node."""
+    n = w.n_offsets()
+    full = (1 << n) - 1
+
+    def walk(f, env):
+        if isinstance(f, Var):
+            return env[f.name]
+        if isinstance(f, Letter):
+            body = walk(f.body, env)
+            return sum(1 << o for o in range(n) if w.letter_at(o) == f.letter and body >> w.advance(o) & 1)
+        if isinstance(f, Plus):
+            return walk(f.left, env) | walk(f.right, env)
+        if isinstance(f, Cap):
+            return walk(f.left, env) & walk(f.right, env)
+        if isinstance(f, (Mu, Nu)):
+            x = 0 if isinstance(f, Mu) else full
+            while True:
+                y = walk(f.body, {**env, f.var: x})
+                if y == x:
+                    return x
+                x = y
+        return full if isinstance(f, Top) else 0
+
+    return [walk(f, {}) for f in terms]
 
 
 def ref_membership_mismatches(seed: int):
     """The failure lines of rll.corpus.membership_mismatches, computed
-    sample by sample with a one-word solve each."""
+    sample by sample with a one-word solve each, over ref_random_expression
+    renamed by canonical and ref_fixpoint_offsets."""
     rng = random.Random(seed)
     out = []
     for _ in range(MEMBERSHIP_SAMPLES):
-        e = canonical(random_expression(rng, rng.randint(1, 12)))
+        e = canonical(ref_random_expression(rng, rng.randint(1, 12)))
         w = sample_word(rng)
         members = fl_closure(e).members
         masks = winning_offsets((w,), e)
-        *truth, dual = _fixpoint_offsets(w, members + (complement(e, ALPHABET),))
+        *truth, dual = ref_fixpoint_offsets(w, members + (complement(e, ALPHABET),))
         m, n = len(members), w.n_offsets()
         legs = {
             "fixpoint": next(((o, k) for o in range(n) for k in range(m) if (masks[k] ^ truth[k]) >> o & 1), None),
@@ -1792,4 +1898,22 @@ def ref_membership_mismatches(seed: int):
             where = "offset %d in %s" % (o, pretty(members[k]))
             there = " and ".join(leg for leg, q in legs.items() if q == first)
             out.append("%s on %s: at %s, game=%s, failing: %s" % (pretty(e), w, where, masks[k] >> o & 1 == 1, there))
+    return out
+
+
+def ref_closed_form_failures(seed: int):
+    """The failures of rll.corpus.closed_form_failures, one member call per
+    fixed fact and per sampled word and constant."""
+    out = []
+    for text, e, expected in CLOSED_FORMS:
+        w = parse_word(text, ALPHABET)
+        if member(w, e) is not expected:
+            out.append("%s in %s should be %s" % (text, pretty(e), expected))
+    rng = random.Random(seed)
+    for _ in range(CLOSED_FORM_WORDS):
+        w = sample_word(rng)
+        if not member(w, EXPRESSIONS["all"]):
+            out.append("%s should be in the universal language" % w)
+        if member(w, EXPRESSIONS["none"]):
+            out.append("%s should not be in the empty language" % w)
     return out

@@ -1,15 +1,24 @@
+import os
 import random
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import rll.corpus
+import rll.expr
 import rll.semantics
 from oracles import (
     gen_guarded_sequent,
     make_instance,
     mask_instances,
+    ref_closed_form_failures,
+    ref_complement,
+    ref_fixpoint_offsets,
     ref_membership_mismatches,
+    ref_random_expression,
     ref_saturation_instances,
     ref_soundness_violations,
     sequent_instances,
@@ -19,12 +28,15 @@ from rll.calculus import FormulaTable, parse_sequent
 from rll.corpus import (
     ALIASES,
     ALPHABET,
+    CLOSED_FORM_WORDS,
+    CLOSED_FORMS,
     DECISIONS,
     EXPRESSIONS,
     MAX_LOOP,
     MAX_STEM,
     MEMBERSHIP_SAMPLES,
     SOUNDNESS_WORDS,
+    closed_form_failures,
     membership_mismatches,
     name_table,
     random_expression,
@@ -34,7 +46,7 @@ from rll.corpus import (
     soundness_violations,
 )
 from rll.proof import check_local
-from rll.expr import Mu, Nu, ast_size, canonical, fl_closure, free_vars, is_guarded, parse, pretty
+from rll.expr import Mu, Nu, ast_size, canonical, complement, fl_closure, free_vars, is_guarded, parse, pretty
 from rll.semantics import parse_word, winning_offsets
 
 
@@ -106,6 +118,50 @@ def test_random_expressions_are_closed_and_within_budget():
         e = random_expression(rng, size)
         assert not free_vars(e)
         assert ast_size(e) <= size
+
+
+def test_random_expressions_are_canonical_as_built():
+    # the reference's draws, named by binder depth as canonical names them,
+    # from the same random draws in the same order
+    for seed in (3, 7, 8, 5150, 20260815, 20260816):
+        rng, ref = random.Random(seed), random.Random(seed)
+        for _ in range(MEMBERSHIP_SAMPLES):
+            size = rng.randint(1, 12)
+            assert ref.randint(1, 12) == size
+            e = random_expression(rng, size)
+            assert e is canonical(ref_random_expression(ref, size)), (seed, pretty(e))
+            assert canonical(e) is e
+            assert rng.getstate() == ref.getstate(), seed
+
+
+def _subterms(e):
+    yield e
+    for k in (getattr(e, name) for name in ("left", "right", "body") if hasattr(e, name)):
+        yield from _subterms(k)
+
+
+def test_the_complement_of_a_canonical_term_is_built_canonical(monkeypatch):
+    # the walk keeps every binder's name and depth and every free variable and
+    # adds only closed b T branches, so it needs no renaming walk, and gives
+    # the term that renaming the walk gives
+    real = rll.expr.canonical
+    calls = []
+    kinds = {True: 0, False: 0}  # closed? -> canonical subterms complemented
+    rng, ref = random.Random(7), random.Random(7)
+    for _ in range(300):
+        size = rng.randint(1, 12)
+        ref.randint(1, 12)
+        draw, user = random_expression(rng, size), ref_random_expression(ref, size)
+        assert complement(user, ALPHABET) is ref_complement(user, ALPHABET)  # binders named as a user names them
+        for t in dict.fromkeys(_subterms(draw)):
+            if real(t) is not t:
+                continue
+            monkeypatch.setattr(rll.expr, "canonical", lambda e: calls.append(e) or real(e))
+            c = complement(t, ALPHABET)
+            monkeypatch.undo()
+            assert calls == [] and c is ref_complement(t, ALPHABET) and real(c) is c, pretty(t)
+            kinds[not free_vars(t)] += 1
+    assert kinds[True] > 500 and kinds[False] > 100, kinds
 
 
 def test_sampled_words_respect_their_bounds():
@@ -333,13 +389,52 @@ def test_the_membership_row_fails_when_one_leg_lies(monkeypatch, name, lie, at, 
 def test_the_membership_row_matches_the_sample_by_sample_reference(monkeypatch):
     # each expression's closure, complement and solve are shared by all its
     # samples; the reference redoes them per sample, one word per solve
-    for seed in (3, 7, 8, 20260815, 20260816):
+    for seed in (*range(10), 20260815, 20260816):
         assert membership_mismatches(seed) == ref_membership_mismatches(seed) == [], seed
     # under a colouring fault both fail, at the same samples with the same text
     monkeypatch.setattr(rll.semantics, "default_coloring", _last_fixpoint_keeps_parity)
     for seed in (3, 7):
         mismatches = membership_mismatches(seed)
         assert mismatches and mismatches == ref_membership_mismatches(seed), seed
+
+
+def test_the_fixpoint_semantics_matches_the_letter_by_letter_reference():
+    # one letter table per word and one value per closed subterm give the
+    # reference's masks, member by member and for the complement
+    for seed in (3, 7):
+        for e, w in dict.fromkeys(_membership_samples(seed)):
+            terms = fl_closure(e).members + (complement(e, ALPHABET),)
+            assert rll.corpus._fixpoint_offsets(w, terms) == ref_fixpoint_offsets(w, terms), (seed, pretty(e), str(w))
+
+
+def test_the_membership_row_builds_few_terms():
+    # a time-only pin: a row that renames each draw and each complement with
+    # a canonical walk prints the same lines but makes 9,843 Expr constructor
+    # calls on seed 7; the draws and their complements are canonical as
+    # built.  Counted in a fresh process, whose intern table holds no draw
+    script = """
+import gc
+import rll.expr
+from rll.corpus import membership_mismatches
+calls = 0
+real = rll.expr.Expr.__new__
+def counting(cls, *fields):
+    global calls
+    calls += 1
+    return real(cls, *fields)
+rll.expr.Expr.__new__ = counting
+gc.disable()
+try:
+    assert membership_mismatches(7) == []
+finally:
+    gc.enable()
+print(calls)
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(rll.corpus.__file__).resolve().parents[1]) + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) <= 7200, r.stdout
 
 
 def test_the_membership_row_solves_once_per_expression(monkeypatch):
@@ -405,3 +500,40 @@ def test_the_membership_row_catches_a_colouring_fault(monkeypatch):
     monkeypatch.setattr(rll.semantics, "default_coloring", _last_fixpoint_keeps_parity)
     mismatches = membership_mismatches(7)
     assert any("fixpoint" in m.rpartition("failing: ")[2] for m in mismatches), mismatches
+
+
+def test_the_closed_forms_match_the_member_by_member_reference(monkeypatch):
+    for seed in (*range(10), 20260815, 20260816):
+        assert closed_form_failures(seed) == ref_closed_form_failures(seed) == [], seed
+    # one solve per constant, over the distinct sampled words in first-seen order
+    rng = random.Random(7)
+    words = [sample_word(rng) for _ in range(CLOSED_FORM_WORDS)]
+    distinct = tuple(dict.fromkeys(words))
+    real = rll.corpus.winning_offsets
+    calls = []
+
+    def counting(ws, e):
+        calls.append((ws, e))
+        return real(ws, e)
+
+    monkeypatch.setattr(rll.corpus, "winning_offsets", counting)
+    assert closed_form_failures(7) == []
+    assert calls == [(distinct, EXPRESSIONS["all"]), (distinct, EXPRESSIONS["none"])] and len(distinct) == 40
+    # a solver that lies at one word's offset 0, wherever the word lies in a
+    # batch: both report it at each of its samples, for both constants
+    lie = parse_word("b(a)^w", ALPHABET)
+    assert words.count(lie) == 2 and distinct.index(lie) == 6
+    assert all(text != str(lie) for text, _, _ in CLOSED_FORMS)
+
+    def lying(ws, e):
+        masks, base = list(real(ws, e)), 0
+        for w in ws:
+            if w == lie:
+                masks[0] ^= 1 << base
+            base += w.n_offsets()
+        return masks
+
+    monkeypatch.setattr(rll.corpus, "winning_offsets", lying)
+    monkeypatch.setattr(rll.semantics, "winning_offsets", lying)
+    expected = ["%s should be in the universal language" % lie, "%s should not be in the empty language" % lie] * 2
+    assert closed_form_failures(7) == ref_closed_form_failures(7) == expected
