@@ -225,15 +225,9 @@ class FormulaTable:
         return (0,) if cls is Expr else self.aux[side == "R"][n]
 
     def masks(self, s: Sequent):
-        """s as a (lhs, rhs) mask pair, None when it is over another
-        alphabet or holds a formula with no number."""
-        if s.alphabet != self.alphabet:
-            return None
+        """s as a (lhs, rhs) mask pair; every formula of s is in the table."""
         bit = self.bit.__getitem__
-        try:
-            return sum(map(bit, s.lhs)), sum(map(bit, s.rhs))
-        except KeyError:
-            return None
+        return sum(map(bit, s.lhs)), sum(map(bit, s.rhs))
 
     def numbers(self, mask: int):
         """The numbers of a mask's bits, ascending."""

@@ -22,13 +22,12 @@ identity.  Bound variables are renamed by binder depth (see canonical), and
 parse, unfold, complement and fl_closure return canonical terms, so
 alpha-equivalent inputs come out as the same object.  A builder that names
 each binder by its depth as it goes marks its result canonical with
-built_canonical and walks it no more: complement on a canonical input, the
-shift of a closed subterm in the subformula order, and the random draws of
-rll.corpus.  parse names binders by depth too, but keeps its canonical
-walk: a bundled name used under a binder needs its binders renamed, and
-the walk is the guard that turns input nested too deeply into a
-ParseError.  unfold copies the fixpoint under deeper binders, so its walk
-renames as well.
+built_canonical and walks it no more: unfold, fl_closure's members,
+complement on a canonical input, the shift of a closed subterm in the
+subformula order, and the random draws of rll.corpus.  parse names binders
+by depth too, but keeps its canonical walk: a bundled name used under a
+binder needs its binders renamed, and the walk is the guard that turns
+input nested too deeply into a ParseError.
 
 Each node holds its structural facts, each computed once: free variables,
 letters and sort key when the node is built; on first use, its canonical
@@ -280,28 +279,45 @@ def built_canonical(c: Expr) -> Expr:
 
 def unfold(e: Expr) -> Expr:
     """One unfolding of a fixpoint: sigma X. f  ->  f[X := sigma X. f].
-    The substitution walks the canonical form, whose inner binders are named
-    .n apart from its own, so none shadows X or captures a free name.
-    Computed once per canonical fixpoint, which holds its unfolding."""
+    In the canonical form X is .k, the fixpoint's own level, and f names
+    its binders .k+1 and up, so one walk of f builds the result canonical:
+    each level above X's moves down one, and each copy of the fixpoint is
+    raised by the number of f's binders above it.  Computed once per
+    canonical fixpoint, which holds its unfolding."""
     if not isinstance(e, _BINDERS):
         raise ValueError("unfold expects a fixpoint expression, got %s" % pretty(e))
     e = canonical(e)
-    if e._unfolded is not None:
-        return e._unfolded
-
-    def go(t):
-        if e.var not in t._free:
-            return t
-        if isinstance(t, Var):
-            return e
-        if isinstance(t, Letter):
-            return Letter(t.letter, go(t.body))
-        if isinstance(t, (Plus, Cap)):
-            return type(t)(go(t.left), go(t.right))
-        return type(t)(t.var, go(t.body))
-
-    e._unfolded = canonical(go(e.body))
+    if e._unfolded is None:
+        e._unfolded = built_canonical(_shift(e.body, int(e.var[1:]) + 1, -1, {}, e))
     return e._unfolded
+
+
+def _shift(t: Expr, floor: int, delta: int, memo: dict, fixpoint=None, depth=0) -> Expr:
+    """t with every level .n at or above floor, binders included, moved to
+    .n+delta.  Given a fixpoint bound at level floor-1, each free .(floor-1)
+    becomes a copy of it raised by depth, the number of binders above it.
+    memo holds the results by (t, floor, delta, depth)."""
+    if fixpoint is None or fixpoint.var not in t._free:
+        fixpoint, depth = None, 0  # the result is the same at any depth
+    key = (t, floor, delta, depth)
+    if key not in memo:
+        args = floor, delta, memo, fixpoint, depth
+        if isinstance(t, Var):
+            n = int(t.name[1:]) if t.name[0] == "." and t.name[1:].isdigit() else -1
+            if fixpoint is not None:  # t is the fixpoint's own variable, n == floor-1
+                out = _shift(fixpoint, n, depth, memo) if depth else fixpoint
+            else:
+                out = Var(".%d" % (n + delta)) if n >= floor else t
+        elif isinstance(t, Letter):
+            out = Letter(t.letter, _shift(t.body, *args))
+        elif isinstance(t, (Plus, Cap)):
+            out = type(t)(_shift(t.left, *args), _shift(t.right, *args))
+        elif isinstance(t, _BINDERS):
+            out = type(t)(".%d" % (int(t.var[1:]) + delta), _shift(t.body, floor, delta, memo, fixpoint, depth + 1))
+        else:
+            out = t
+        memo[key] = out
+    return memo[key]
 
 
 def is_guarded(e: Expr) -> bool:
@@ -539,6 +555,8 @@ class FLClosure:
     The closure is numbered once, as it is built.  `members` lists it in
     breadth-first discovery order, so members[0] is the root; `succ[k]`
     holds the member numbers of members[k]'s reducts, in the order above.
+    Each member is marked canonical as it is numbered: a letter's body and
+    a sum's parts sit under no binder, and an unfolding is built canonical.
     Member k is state k of the expression's automaton and, at word offset o,
     position o*len(members) + k of its evaluation game.  `coloring` holds
     the colour of each member number once `automaton.default_coloring` has
@@ -552,10 +570,6 @@ class FLClosure:
         self.coloring = None
 
 
-def _reducts(e: Expr):
-    return (unfold(e),) if isinstance(e, _BINDERS) else _children(e)
-
-
 def fl_closure(e: Expr) -> FLClosure:
     """Closure of a closed expression under one-step decomposition, built
     and numbered once per canonical root."""
@@ -567,10 +581,10 @@ def fl_closure(e: Expr) -> FLClosure:
         succ = []
         for t in members:  # the list grows while it is walked
             ks = []
-            for u in _reducts(t):
+            for u in (unfold(t),) if isinstance(t, _BINDERS) else _children(t):
                 if u not in number:
                     number[u] = len(members)
-                    members.append(u)
+                    members.append(built_canonical(u))
                 ks.append(number[u])
             succ.append(tuple(ks))
         root._closure = FLClosure(tuple(members), tuple(succ))
@@ -596,34 +610,18 @@ def subformula_leq(f: Expr, g: Expr) -> bool:
 
 
 def _closed_subterms(g: Expr) -> frozenset:
-    """The canonical forms of the closed subterms of a canonical closed g.
-    Each node walked keeps its own set, and each closed one its canonical
-    form, so closures that share sub-DAGs share the work."""
-    shifted = {}  # (node, d) -> the node with every level lowered by d
-
-    def shift(t, d):
-        key = (t, d)
-        if key not in shifted:
-            if isinstance(t, Var):
-                out = Var(".%d" % (int(t.name[1:]) - d))
-            elif isinstance(t, Letter):
-                out = Letter(t.letter, shift(t.body, d))
-            elif isinstance(t, (Plus, Cap)):
-                out = type(t)(shift(t.left, d), shift(t.right, d))
-            elif isinstance(t, _BINDERS):
-                out = type(t)(".%d" % (int(t.var[1:]) - d), shift(t.body, d))
-            else:
-                out = t
-            shifted[key] = out
-        return shifted[key]
-
+    """The canonical forms of the closed subterms of a canonical closed g,
+    each shifted down by its binder depth.  Each node walked keeps its own
+    set, and each closed one its canonical form, so closures that share
+    sub-DAGs share the work."""
+    shifted = {}
     def walk(t, d):
         if t._subterms is None:
             inner = d + 1 if isinstance(t, _BINDERS) else d
             found = frozenset().union(*(walk(k, inner) for k in _children(t)))
             if not t._free:
                 if t._canon is None:
-                    t._canon = built_canonical(shift(t, d) if d else t)
+                    t._canon = built_canonical(_shift(t, 0, -d, shifted) if d else t)
                 found |= {t._canon}
             t._subterms = found
         return t._subterms

@@ -759,11 +759,11 @@ def _path(links, key):
     return tuple(edges)
 
 
-def tarjan(children, starts, feedback=None):
+def tarjan(children, starts, feedback: set):
     """Tarjan's algorithm over nodes numbered below len(children): the
     strongly connected components of the nodes reachable from `starts`, in
-    Tarjan's order.  When `feedback` is a set, every node that an edge
-    reaches while it is still on the stack is added to it."""
+    Tarjan's order.  Every node that an edge reaches while it is still on
+    the stack is added to the set `feedback`."""
     index = [-1] * len(children)
     low = [0] * len(children)
     onstack = bytearray(len(children))
@@ -794,8 +794,7 @@ def tarjan(children, starts, feedback=None):
                 if onstack[u]:
                     if index[u] < low[v]:
                         low[v] = index[u]
-                    if feedback is not None:
-                        feedback.add(u)
+                    feedback.add(u)
             if advanced:
                 continue
             work.pop()

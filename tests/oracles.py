@@ -470,7 +470,7 @@ def first_uncertified(game: ParityGame, winner: bytes, choice) -> Optional[int]:
         if len(inside) < len(ms):
             failed.add(p)
         plays.append(inside)
-    comps = tarjan(plays, game.positions)
+    comps = tarjan(plays, game.positions, set())
     while comps:  # one round per layer of removed priorities
         label = [-1] * len(plays)  # the component a position is split again in
         rest = []
@@ -486,7 +486,7 @@ def first_uncertified(game: ParityGame, winner: bytes, choice) -> Optional[int]:
                     label[p] = i
                     rest.append(p)
         plays = [[q for q in ms if label[q] == label[p]] if label[p] >= 0 else () for p, ms in enumerate(plays)]
-        comps = tarjan(plays, rest)
+        comps = tarjan(plays, rest, set())
     return min(failed, default=None)
 
 
@@ -918,10 +918,10 @@ def applicable_steps(s):
 
 def validate_instance(r):
     """rll.calculus.schema_violation of a rule instance, over the table of
-    its conclusion's formulas: None when the instance matches its rule's
+    its sequents' formulas: None when the instance matches its rule's
     schema, otherwise a description of the violation."""
     s = r.conclusion
-    table = FormulaTable(s.lhs | s.rhs, s.alphabet)
+    table = FormulaTable({f for p in (s, *r.premisses) for f in p.lhs | p.rhs}, s.alphabet)
     premisses = tuple(map(table.masks, r.premisses))
     return schema_violation(table, r.rule, *table.masks(s), table.code(r.principal), premisses)
 
@@ -959,7 +959,7 @@ def from_records(records, root: str) -> ProofGraph:
                 raise ValueError("node %r references unknown child %r" % (nid, cid))
         children.append(tuple(number[cid] for cid in kids))
     reached = bytearray(len(records))
-    for comp in tarjan(children, [number[root]]):
+    for comp in tarjan(children, [number[root]], set()):
         for v in comp:
             reached[v] = 1
     unreachable = [nid for (nid, *_), r in zip(records, reached) if not r]

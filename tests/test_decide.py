@@ -1,8 +1,13 @@
 import itertools
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rll.decide
 from rll.calculus import FormulaTable, parse_sequent
 from rll.corpus import _PROOFS, ALPHABET, DECISIONS, EXPRESSIONS
 from rll.decide import (
@@ -244,3 +249,54 @@ def test_decide_agrees_with_the_denotational_oracle_on_random_sequents():
             for stem, loop in words[str(alphabet)]:
                 assert not refutes(s, stem, loop), (s, stem, loop)
     assert proved >= 50 and refuted >= 50  # both verdicts are well represented
+
+
+def test_deciding_and_rechecking_the_bundled_decisions_renames_only_at_entry():
+    # a time-only pin: closure members and unfoldings are built canonical,
+    # so the only canonical walks left are parse's and the Sequent check's,
+    # at entry.  Letters renamed to p and q give terms that no import has
+    # built, in a fresh process.  These rows make 512 Expr constructor
+    # calls; renaming each unfolding, and each member that pretty and the
+    # subformula order meet, with a walk of its own makes 23 more walks and
+    # 776 calls
+    script = """
+import collections, gc, sys
+import rll.expr
+from rll.calculus import format_sequent, parse_sequent
+from rll.corpus import DECISIONS
+from rll.decide import Proved, decide
+from rll.expr import Alphabet
+from rll.proof import check, parse_proof, serialize_proof
+calls, walks = 0, collections.Counter()
+real_new, real_canonical = rll.expr.Expr.__new__, rll.expr.canonical
+def counting_new(cls, *fields):
+    global calls
+    calls += 1
+    return real_new(cls, *fields)
+def counting_canonical(e):
+    if e._canon is None:
+        walks[sys._getframe(1).f_code.co_qualname] += 1
+    return real_canonical(e)
+rll.expr.Expr.__new__ = counting_new
+for module in list(sys.modules.values()):
+    if getattr(module, "canonical", None) is real_canonical:
+        module.canonical = counting_canonical
+gc.disable()
+try:
+    for _, s, verdict in DECISIONS:
+        s = parse_sequent(format_sequent(s).translate(str.maketrans("ab", "pq")), Alphabet("pq"))
+        result = decide(s)
+        assert isinstance(result, Proved) == (verdict == "proved")
+        if isinstance(result, Proved):
+            assert check(parse_proof(serialize_proof(result.proof))).ok
+finally:
+    gc.enable()
+print(calls, " ".join(walks))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(rll.decide.__file__).resolve().parents[1]) + os.pathsep + env.get("PYTHONPATH", "")
+    r = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    calls, *walkers = r.stdout.split()
+    assert set(walkers) <= {"parse", "Sequent.__post_init__.<locals>.<genexpr>"}, walkers
+    assert int(calls) <= 560, calls

@@ -30,6 +30,8 @@ from rll.expr import (
     unfold,
 )
 from rll import expr as expr_module
+from rll.corpus import _PROOFS, DECISIONS, EXPRESSIONS, random_expression
+from golden import graphs
 from oracles import (
     alt_text,
     compare_dependency,
@@ -37,6 +39,7 @@ from oracles import (
     fl_leq,
     fl_lt,
     gen_expr,
+    gen_guarded_sequent,
     ref_canonical,
     ref_equal,
     ref_sort_key,
@@ -186,6 +189,41 @@ def test_unfold_and_pretty_fill_their_slots_with_what_the_references_give():
         assert p(text) is c
 
 
+def _depths(t, var, depth=0):
+    """The numbers of binders above each free occurrence of var in t."""
+    if isinstance(t, Var):
+        return [depth] if t.name == var else []
+    if isinstance(t, (Mu, Nu)):
+        return [] if t.var == var else _depths(t.body, var, depth + 1)
+    return [d for k in expr_module._children(t) for d in _depths(k, var, depth)]
+
+
+def test_unfold_is_the_reference_on_open_and_nested_fixpoints():
+    # the variable under 0, 1 and 2 or more inner binders, free names that
+    # the parser can and cannot write (.n), and nested fixpoints
+    rng = random.Random(4040)
+    seen = set()
+    for _ in range(600):
+        var = rng.choice("PQ")
+        e = rng.choice((Mu, Nu))(var, gen_expr(rng, AB, rng.randint(2, 16), scope=(var, "Z", ".0", ".3")))
+        u = unfold(e)
+        assert ref_equal(u, ref_unfold(e)) and u._canon is u, pretty(e)
+        seen.update(min(d, 2) for d in _depths(e.body, var))
+    assert seen == {0, 1, 2}
+    # one node of the body under different numbers of binders
+    shared = Letter("a", Var("X"))
+    e = Mu("X", Plus(shared, Nu("Y", Plus(shared, Mu("Z", Cap(shared, Letter("b", Var("Y"))))))))
+    assert unfold(e) is p("a (mu X. a X + nu Y. (a X + mu Z. a X & b Y)) + nu Y. (a (mu X. a X + nu Y. (a X + mu Z. "
+                          "a X & b Y)) + mu Z. a (mu X. a X + nu Y. (a X + mu Z. a X & b Y)) & b Y)")
+    assert unfold(p("mu X. nu Y. mu Z. (a X + b Y + a Z)")) is p(
+        "nu Y. mu Z. (a (mu X. nu Y. mu Z. (a X + b Y + a Z)) + b Y + a Z)")
+    # a free .n lifts every level: the binder of mu X. .2 + ... is .3
+    e = Mu("X", Plus(Var(".2"), Nu("Y", Letter("a", Plus(Var("X"), Var("Y"))))))
+    assert unfold(e) is Plus(Var(".2"), Nu(".3", Letter("a", Plus(Mu(".4", Plus(Var(".2"), Nu(".5", Letter(
+        "a", Plus(Var(".4"), Var(".5")))))), Var(".3")))))
+    assert ref_equal(unfold(e), ref_unfold(e))
+
+
 def test_unfold():
     assert unfold(p("mu X. a X")) == p("a mu X. a X")
     assert unfold(p("nu X. X")) == p("nu X. X")
@@ -271,6 +309,21 @@ def test_fl_closure_is_closed_and_bounded():
         assert cl.members[0] == e
     with pytest.raises(ValueError):
         fl_closure(Var("X"))
+
+
+def test_closure_members_are_marked_their_own_canonical_forms():
+    roots = list(EXPRESSIONS.values())
+    roots += [f for _, s, *_ in DECISIONS + _PROOFS for f in s.lhs | s.rhs]
+    rng = random.Random(40)
+    roots += [random_expression(rng, rng.randint(1, 12)) for _ in range(200)]
+    for seed in range(1000, 1050):  # the large band of the graph gate
+        rng = random.Random(seed)
+        s = gen_guarded_sequent(rng, Alphabet("abc" if seed % 2 else "ab"), graphs.LARGE_SIZE, graphs.LARGE_SIDE)
+        roots += s.lhs | s.rhs
+    members = {m for root in roots for m in fl_closure(root).members}
+    assert len(members) > 1000
+    for m in members:
+        assert m._canon is m and ref_equal(m, ref_canonical(m)), pretty(m)
 
 
 def test_subformula_order():
