@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .expr import Cap, Expr, FLClosure, Letter, Mu, Nu, Top, expr_sort_key, fl_closure, pretty, subformula_leq
+from .expr import Cap, Expr, FLClosure, Letter, Mu, Nu, Top, closed_subterms, expr_sort_key, fl_closure, pretty
 
 
 def default_coloring(fl: FLClosure) -> tuple:
@@ -24,22 +24,23 @@ def default_coloring(fl: FLClosure) -> tuple:
     its predecessor's and has the required parity; every other member
     inherits the maximum colour of its fixpoint subformulas in the closure,
     or 0.  Computed once per closure and kept on it.  Closure members are
-    closed, so subformula_leq reads only their closed subterms, whose
-    canonical forms each member keeps once they are found."""
+    canonical and closed, so g is a subformula of m exactly when g is in
+    closed_subterms(m), which is read once per member."""
     if fl.coloring is not None:
         return fl.coloring
     fixpoints = [m for m in fl.members if isinstance(m, (Mu, Nu))]
+    below = {m: closed_subterms(m) for m in fl.members}
     remaining = sorted(fixpoints, key=expr_sort_key)
     colour = {}
     c = 0
     while remaining:  # the subformula order is a partial order, so a minimal one exists
-        m = next(f for f in remaining if not any(g is not f and subformula_leq(g, f) for g in remaining))
+        m = next(f for f in remaining if not any(g is not f and g in below[f] for g in remaining))
         remaining.remove(m)
         if c % 2 != isinstance(m, Mu):  # the next number with m's parity
             c += 1
         colour[m] = c
     fl.coloring = tuple(
-        colour[m] if m in colour else max((colour[g] for g in fixpoints if subformula_leq(g, m)), default=0)
+        colour[m] if m in colour else max((colour[g] for g in below[m] if g in colour), default=0)
         for m in fl.members
     )
     return fl.coloring

@@ -147,9 +147,10 @@ class _Violation(ValueError):
     pass
 
 
-def _need(cond: bool, message: str):
+def _need(cond: bool, message: str, *args):
+    """Raise the violation message % args, formatted only then, unless cond."""
     if not cond:
-        raise _Violation(message)
+        raise _Violation(message % args if args else message)
 
 
 # The rules that decompose or drop one principal formula, each with the
@@ -273,12 +274,11 @@ def premiss_masks(table: FormulaTable, rule: str, lhs: int, rhs: int, principal)
     if rule in PRINCIPAL_RULES:
         cls, side = PRINCIPAL_RULES[rule]
         cedent, where = (lhs, "left") if side == "L" else (rhs, "right")
-        if cls is Expr:
-            message = "%s must drop a %s formula" % (rule, where)
-        else:
+        if not (type(principal) is int and cedent >> principal & 1 and cls in (Expr, table.kind[principal])):
+            if cls is Expr:
+                raise _Violation("%s must drop a %s formula" % (rule, where))
             shape = rule[0] if cls in (Zero, Top) else "a principal %s-formula" % rule[0]
-            message = "%s requires %s on the %s" % (rule, shape, where)
-        _need(type(principal) is int and cedent >> principal & 1 and cls in (Expr, table.kind[principal]), message)
+            raise _Violation("%s requires %s on the %s" % (rule, shape, where))
         rest = cedent & ~(1 << principal)
         if side == "L":
             return tuple((rest | aux, rhs) for aux in table.auxiliaries(rule, principal))
@@ -299,12 +299,12 @@ def premiss_masks(table: FormulaTable, rule: str, lhs: int, rhs: int, principal)
         return tuple((0, or_rows(rhs & table.head.get(c, 0), table.body)) for c in table.alphabet)
     if rule.startswith("h_"):
         a = rule[2:]
-        _need(a in table.alphabet, "h_%s names a letter outside the alphabet" % a)
-        _need(principal == a, "h_%s takes the letter %r as principal" % (a, a))
-        _need(bool(lhs), "h_%s requires a nonempty left side" % a)
+        _need(a in table.alphabet, "h_%s names a letter outside the alphabet", a)
+        _need(principal == a, "h_%s takes the letter %r as principal", a, a)
+        _need(bool(lhs), "h_%s requires a nonempty left side", a)
         heads = table.head.get(a, 0)
-        _need(not lhs & ~heads, "h_%s requires every left formula to start with %s" % (a, a))
-        _need(not rhs & ~heads, "h_%s requires every right formula to start with %s" % (a, a))
+        _need(not lhs & ~heads, "h_%s requires every left formula to start with %s", a, a)
+        _need(not rhs & ~heads, "h_%s requires every right formula to start with %s", a, a)
         return ((or_rows(lhs, table.body), or_rows(rhs, table.body)),)
     raise _Violation("unknown rule %r" % rule)
 

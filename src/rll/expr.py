@@ -23,11 +23,13 @@ parse, unfold, complement and fl_closure return canonical terms, so
 alpha-equivalent inputs come out as the same object.  A builder that names
 each binder by its depth as it goes marks its result canonical with
 built_canonical and walks it no more: unfold, fl_closure's members,
-complement on a canonical input, the shift of a closed subterm in the
-subformula order, and the random draws of rll.corpus.  parse names binders
-by depth too, but keeps its canonical walk: a bundled name used under a
-binder needs its binders renamed, and the walk is the guard that turns
-input nested too deeply into a ParseError.
+complement on a canonical input, the canonical forms of closed subterms
+that closed_subterms builds from their parts, and the random draws of
+rll.corpus.  A level shift of a closed term whose canonical form is known
+marks its result with that form.  parse names binders by depth too, but
+keeps its canonical walk: a bundled name used under a binder needs its
+binders renamed, and the walk is the guard that turns input nested too
+deeply into a ParseError.
 
 Each node holds its structural facts, each computed once: free variables,
 letters and sort key when the node is built; on first use, its canonical
@@ -286,9 +288,14 @@ def unfold(e: Expr) -> Expr:
     canonical fixpoint, which holds its unfolding."""
     if not isinstance(e, _BINDERS):
         raise ValueError("unfold expects a fixpoint expression, got %s" % pretty(e))
-    e = canonical(e)
+    return _unfold(canonical(e), {})
+
+
+def _unfold(e: Expr, memo: dict) -> Expr:
+    """unfold of the canonical fixpoint e, its shifts kept in memo, which a
+    closure build shares between all the unfoldings it makes."""
     if e._unfolded is None:
-        e._unfolded = built_canonical(_shift(e.body, int(e.var[1:]) + 1, -1, {}, e))
+        e._unfolded = built_canonical(_shift(e.body, int(e.var[1:]) + 1, -1, memo, e))
     return e._unfolded
 
 
@@ -296,11 +303,18 @@ def _shift(t: Expr, floor: int, delta: int, memo: dict, fixpoint=None, depth=0) 
     """t with every level .n at or above floor, binders included, moved to
     .n+delta.  Given a fixpoint bound at level floor-1, each free .(floor-1)
     becomes a copy of it raised by depth, the number of binders above it.
-    memo holds the results by (t, floor, delta, depth)."""
+
+    Every caller shifts a closed term uniformly: floor is at or below each
+    of its levels, so the result renames t's binders alike and has t's
+    canonical form, which the result is marked with once t's is known.
+    Each copy of the fixpoint, which is canonical, is thus marked with it.
+    memo holds the results by (t, floor, delta, depth, fixpoint), with
+    depth 0 and fixpoint None where the result does not depend on them."""
     if fixpoint is None or fixpoint.var not in t._free:
         fixpoint, depth = None, 0  # the result is the same at any depth
-    key = (t, floor, delta, depth)
-    if key not in memo:
+    key = (t, floor, delta, depth, fixpoint)
+    out = memo.get(key)
+    if out is None:
         args = floor, delta, memo, fixpoint, depth
         if isinstance(t, Var):
             n = int(t.name[1:]) if t.name[0] == "." and t.name[1:].isdigit() else -1
@@ -316,8 +330,10 @@ def _shift(t: Expr, floor: int, delta: int, memo: dict, fixpoint=None, depth=0) 
             out = type(t)(".%d" % (int(t.var[1:]) + delta), _shift(t.body, floor, delta, memo, fixpoint, depth + 1))
         else:
             out = t
+        if t._canon is not None and not t._free:
+            out._canon = t._canon
         memo[key] = out
-    return memo[key]
+    return out
 
 
 def is_guarded(e: Expr) -> bool:
@@ -572,16 +588,18 @@ class FLClosure:
 
 def fl_closure(e: Expr) -> FLClosure:
     """Closure of a closed expression under one-step decomposition, built
-    and numbered once per canonical root."""
+    and numbered once per canonical root.  Its unfoldings share one memo of
+    shifts, which the build drops when it ends."""
     root = canonical(e)
     if root._closure is None:
         require_closed(root, "fl_closure")
         members = [root]
         number = {root: 0}
         succ = []
+        shifted = {}
         for t in members:  # the list grows while it is walked
             ks = []
-            for u in (unfold(t),) if isinstance(t, _BINDERS) else _children(t):
+            for u in (_unfold(t, shifted),) if isinstance(t, _BINDERS) else _children(t):
                 if u not in number:
                     number[u] = len(members)
                     members.append(built_canonical(u))
@@ -600,28 +618,42 @@ def subformula_leq(f: Expr, g: Expr) -> bool:
     variables.  Reflexive.  f and g must be closed (ValueError otherwise).
 
     Canonical renaming leaves free names alone, so canonical(t) is closed
-    exactly when t is, and only a closed subterm of g can be f.  In the
-    canonical closed g, a closed subterm at binder depth d names its binders
-    .d, .d+1, ..., so its canonical form is itself with every level lowered
-    by d: one shift, not a fresh renaming walk."""
+    exactly when t is, and only a closed subterm of g can be f: f is below
+    g when canonical(f) is in closed_subterms(canonical(g))."""
     require_closed(f, "subformula_leq")
     require_closed(g, "subformula_leq")
-    return canonical(f) in _closed_subterms(canonical(g))
+    return canonical(f) in closed_subterms(canonical(g))
 
 
-def _closed_subterms(g: Expr) -> frozenset:
+def closed_subterms(g: Expr) -> frozenset:
     """The canonical forms of the closed subterms of a canonical closed g,
-    each shifted down by its binder depth.  Each node walked keeps its own
-    set, and each closed one its canonical form, so closures that share
-    sub-DAGs share the work."""
+    g's own included.  Each node walked keeps its own set, and each closed
+    one its canonical form, so closures that share sub-DAGs share the work.
+
+    In g, a closed subterm at binder depth d names its binders .d, .d+1,
+    ..., so its canonical form lowers every level by d.  A closed letter,
+    sum or intersection is built from its children's forms, since renaming
+    does not cross it; a closed binder is shifted down, unless its form is
+    known already, as it is for each copy of a fixpoint that an unfolding
+    raised."""
     shifted = {}
+
     def walk(t, d):
         if t._subterms is None:
+            kids = _children(t)
             inner = d + 1 if isinstance(t, _BINDERS) else d
-            found = frozenset().union(*(walk(k, inner) for k in _children(t)))
+            found = frozenset().union(*(walk(k, inner) for k in kids))
             if not t._free:
                 if t._canon is None:
-                    t._canon = built_canonical(_shift(t, 0, -d, shifted) if d else t)
+                    if not d or not kids:
+                        canon = t
+                    elif isinstance(t, Letter):
+                        canon = Letter(t.letter, t.body._canon)
+                    elif isinstance(t, _BINDERS):
+                        canon = _shift(t, 0, -d, shifted)
+                    else:
+                        canon = type(t)(t.left._canon, t.right._canon)
+                    t._canon = built_canonical(canon)
                 found |= {t._canon}
             t._subterms = found
         return t._subterms

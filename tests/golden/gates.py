@@ -25,7 +25,9 @@ import tempfile
 ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 GOLDEN = os.path.join("tests", "golden")
 # (script in tests/golden, its arguments): the dumps whose output must not change
-DUMPS = (("rows.py", "7"), ("rows.py", "20260815"), ("graphs.py", "1000"), ("scale.py",))
+DUMPS = (
+    ("rows.py", "7"), ("rows.py", "20260815"), ("graphs.py", "1000"), ("scale.py",), ("closures.py", "1000"),
+)
 SHOWN = 200  # characters of a differing line that are printed
 
 

@@ -18,6 +18,7 @@ from rll.expr import (
     Zero,
     ast_size,
     canonical,
+    closed_subterms,
     complement,
     expr_sort_key,
     fl_closure,
@@ -324,6 +325,34 @@ def test_closure_members_are_marked_their_own_canonical_forms():
     assert len(members) > 1000
     for m in members:
         assert m._canon is m and ref_equal(m, ref_canonical(m)), pretty(m)
+
+
+def test_closed_subterms_of_members_are_members_and_every_known_form_is_the_reference():
+    # a closed subterm's form is built from its parts, or carried by a shift
+    # from the term it moves, or shifted down; each must be the reference's
+    six = Alphabet("abcdef")
+    roots = list(EXPRESSIONS.values())
+    roots += [f for _, s, *_ in DECISIONS for f in s.lhs | s.rhs]
+    roots += [parse(alt_text(d), six) for d in range(2, 7)] + [parse(conj_text(k), six) for k in range(2, 6)]
+    rng = random.Random(41)
+    roots += [gen_expr(rng, AB, rng.randint(1, 12)) for _ in range(500)]
+    seen, pairs, moved = set(), 0, 0
+    for root in roots:
+        members = fl_closure(root).members
+        stack = list(members)
+        for m in members:
+            for c in closed_subterms(m):
+                assert c in members and c._canon is c and ref_equal(c, ref_canonical(c)), (pretty(root), pretty(c))
+                pairs += 1
+        while stack:  # every node of the members, the closed subterms' forms among them
+            t = stack.pop()
+            if t not in seen:
+                seen.add(t)
+                if t._canon is not None:
+                    assert ref_equal(t._canon, ref_canonical(t)), pretty(root)
+                    moved += t._canon is not t
+                stack.extend(expr_module._children(t))
+    assert pairs > 4000 and moved > 200  # 4,581 and 273 when written
 
 
 def test_subformula_order():

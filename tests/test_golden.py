@@ -7,7 +7,9 @@ output on every benchmark row; here it runs on the smoke rows only.
 tests/golden/graphs.py dumps the progress verdict on seeded random proof
 graphs; here it runs on three seeds.  tests/golden/scale.py digests the
 trace automaton and verdict of the scale rows, and the round trip of each
-row's proof file; here it runs on the refuted 3-letter row.  tests/golden/gates.py runs the full dumps in this checkout
+row's proof file; here it runs on the refuted 3-letter row.
+tests/golden/closures.py digests the numbered closure and colouring of the
+bundled, deep and drawn expressions; here it runs on a few draws.  tests/golden/gates.py runs the full dumps in this checkout
 and in a parent one and compares them; here it compares a copy of this
 checkout with itself on a short graphs dump, and must report a difference
 planted in the copy.
@@ -21,8 +23,9 @@ import shutil
 import pytest
 
 from golden.regenerate import CAPTURE, cases, run
-from golden import gates, graphs, scale
+from golden import closures, gates, graphs, scale
 from golden.rows import dump_lines, workloads
+from rll.corpus import EXPRESSIONS
 from rll.proof import serialize_proof
 
 with open(CAPTURE, encoding="utf-8") as _f:
@@ -110,6 +113,20 @@ def test_scale_dump_digests_the_refuted_three_letter_row():
     assert json.loads(scale.round_trip_line("refuted-3", p)) == {
         "row": "refuted-3", "file_sha256": hashlib.sha256(serialize_proof(p).encode()).hexdigest(),
         "file_reason": "progress"}
+
+
+def test_closures_dump_has_one_well_formed_line_per_expression():
+    lines = closures.dump_lines(20)
+    assert closures.dump_lines(20) == lines
+    records = [json.loads(line) for line in lines]
+    assert [r["name"] for r in records[: len(EXPRESSIONS)]] == list(EXPRESSIONS)
+    assert [r["name"] for r in records[-20:]] == ["gen_expr-%d" % seed for seed in range(20)]
+    assert len(records) == len(EXPRESSIONS) + 9 + 20
+    for line, record in zip(lines, records):
+        assert "\n" not in line and set(record) == {"name", "size", "sha256", "colouring"}
+        assert len(record["colouring"]) == record["size"] >= 1 and len(record["sha256"]) == 64
+    # seeds 0..n-1 do not depend on n, so an older dump stays a prefix
+    assert closures.dump_lines(30)[: len(lines)] == lines
 
 
 def test_gates_read_identical_on_a_copy_and_report_a_planted_difference(tmp_path, monkeypatch, capsys):
