@@ -31,17 +31,20 @@ keeps its canonical walk: a bundled name used under a binder needs its
 binders renamed, and the walk is the guard that turns input nested too
 deeply into a ParseError.
 
-Each node holds its structural facts, each computed once: free variables,
-letters and sort key when the node is built; on first use, its canonical
-form, the canonical forms of its closed subterms, and, for a canonical
-node, its printed text, for a canonical fixpoint its unfolding and for a
-closed canonical root its closure.  The intern table holds its nodes
+Each node holds its structural facts, each computed once: free variables
+and sort key when the node is built, from one split of its fields into a
+label and children; on first use, its canonical form, the canonical forms
+of its closed subterms, and, for a canonical node, its printed text, for a
+canonical fixpoint its unfolding and for a closed canonical root its
+closure.  A node holds no letter set: letters_of reads a closed term's
+letters off its closure.  The intern table holds its nodes
 weakly, so it keeps no term alive; a fixpoint's unfolding contains the
 fixpoint, and the collector frees such cycles like any other.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 import weakref
 
@@ -93,10 +96,11 @@ def _joined(a: frozenset, b: frozenset) -> frozenset:
     return a if b <= a else a | b
 
 
-# (class, *fields) -> the one live node with them.  A child field is keyed by
-# its id(): the node holds the child, so the id is not reused while the entry
-# is live, and the table holds no node alive, not even through its keys.
+# (class, label, *children) -> the one live node with them.  A child is keyed
+# by its id(): the node holds the child, so the id is not reused while the
+# entry is live, and the table holds no node alive, not even through its keys.
 _NODES = weakref.WeakValueDictionary()
+_KEY = operator.attrgetter("_key")
 
 
 class Expr:
@@ -104,34 +108,33 @@ class Expr:
     build them with the constructors and never assign to their fields."""
 
     __slots__ = (
-        "__weakref__", "_free", "_letters", "_key", "_canon", "_subterms", "_closure", "_text", "_unfolded",
+        "__weakref__", "_free", "_key", "_canon", "_subterms", "_closure", "_text", "_unfolded",
     )
 
     def __new__(cls, *fields):
-        ident = (cls, *[id(f) if isinstance(f, Expr) else f for f in fields])
+        # one split of the fields: the letter, variable or binder name, or
+        # "", then the children, which the key, free set and sort key read
+        if len(fields) != len(cls.__slots__):
+            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
+        label, kids = (fields[0], fields[1:]) if cls in _LABELLED else ("", fields)
+        ident = (cls, label, *map(id, kids))
         node = _NODES.get(ident)
         if node is not None:
             return node
-        if len(fields) != len(cls.__slots__):
-            raise TypeError("%s takes %d fields" % (cls.__name__, len(cls.__slots__)))
-        if cls is Var and not (isinstance(fields[0], str) and fields[0]):
+        if cls is Var and not (isinstance(label, str) and label):
             raise ValueError("variable name must be a nonempty string")
-        if cls is Letter and not _is_letter(fields[0]):
-            raise ValueError("letter must be a single letter a-z, got %r" % (fields[0],))
+        if cls is Letter and not _is_letter(label):
+            raise ValueError("letter must be a single letter a-z, got %r" % (label,))
         node = object.__new__(cls)
         for name, value in zip(cls.__slots__, fields):
             setattr(node, name, value)
-        kids = [f for f in fields if isinstance(f, Expr)]
-        # a node's sets are _EMPTY, or a child's own set whenever that one is equal
+        # the free set is _EMPTY, or a child's own set whenever that one is equal
         free = frozenset(fields) if cls is Var else _EMPTY
-        letters = frozenset(fields[:1]) if cls is Letter else _EMPTY
         for k in kids:
-            free, letters = _joined(free, k._free), _joined(letters, k._letters)
-        if cls in _BINDERS and node.var in free:
-            free = free - {node.var} or _EMPTY
-        node._free, node._letters = free, letters
-        label = [f for f in fields if isinstance(f, str)]  # the letter or variable name, if any
-        node._key = (cls._rank, tuple(k._key for k in kids), label[0] if label else "")
+            free = _joined(free, k._free)
+        if cls in _BINDERS and label in free:
+            free = free - {label} or _EMPTY
+        node._free, node._key = free, (cls._rank, tuple(map(_KEY, kids)), label)
         node._canon = node._subterms = node._closure = node._text = node._unfolded = None
         _NODES[ident] = node
         return node
@@ -193,6 +196,7 @@ class Nu(Expr):
 
 
 _BINDERS = (Mu, Nu)
+_LABELLED = (Var, Letter, Mu, Nu)  # the classes whose first field is a name or letter, not a child
 
 ZERO = Zero()
 TOP = Top()
@@ -208,8 +212,11 @@ def free_vars(e: Expr) -> frozenset:
 
 
 def letters_of(e: Expr) -> frozenset:
-    """The set of letters that occur in e."""
-    return e._letters
+    """The set of letters that occur in the closed expression e, read off its
+    closure: each letter occurrence of e heads a letter member, itself or a
+    copy that unfolding made.  Raises ValueError on an open e, as
+    fl_closure does."""
+    return frozenset(m.letter for m in fl_closure(e).members if isinstance(m, Letter))
 
 
 def _children(e: Expr):

@@ -71,7 +71,7 @@ from dataclasses import dataclass
 from functools import cache
 from typing import Optional, Tuple
 
-from .expr import Alphabet, Expr, Mu, Nu, ParseError, free_vars, letters_of, parse, pretty, subformula_leq
+from .expr import Alphabet, Expr, Mu, Nu, ParseError, free_vars, parse, pretty, subformula_leq
 from .calculus import (
     PRINCIPAL_RULES,
     FormulaTable,
@@ -280,7 +280,7 @@ def parse_proof(text: str) -> ProofGraph:
         n = numbers.get(piece)
         if n is None:
             e = parse(piece, alphabet)
-            if free_vars(e) or letters_of(e).difference(alphabet):
+            if free_vars(e):
                 raise ValueError("refused formula %s" % piece)
             n = table.number.get(e)
             if n is None:

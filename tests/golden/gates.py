@@ -27,6 +27,7 @@ GOLDEN = os.path.join("tests", "golden")
 # (script in tests/golden, its arguments): the dumps whose output must not change
 DUMPS = (
     ("rows.py", "7"), ("rows.py", "20260815"), ("graphs.py", "1000"), ("scale.py",), ("closures.py", "1000"),
+    ("sweep.py",),
 )
 SHOWN = 200  # characters of a differing line that are printed
 

@@ -11,9 +11,10 @@
   deep membership rows as parser text.
 - ref_free_vars, ref_equal, ref_canonical, ref_unfold, ref_subformula_leq
   and ref_sort_key are plain recursive copies of the term facts that
-  rll.expr memoises per interned node.  ref_complement renames every
-  complement with ref_canonical, where rll.expr builds the complement of a
-  canonical term canonical.
+  rll.expr memoises per interned node.  ref_letters walks a term for its
+  letters, which rll.expr reads off the term's closure.  ref_complement
+  renames every complement with ref_canonical, where rll.expr builds the
+  complement of a canonical term canonical.
 - fl_leq, fl_lt and compare_dependency are the closure preorder and the
   dependency order on expressions.
 - RuleInstance is one rule application over sequents, and the
@@ -652,6 +653,17 @@ def ref_free_vars(e) -> frozenset:
         return ref_free_vars(e.left) | ref_free_vars(e.right)
     if isinstance(e, (Mu, Nu)):
         return ref_free_vars(e.body) - {e.var}
+    return frozenset()
+
+
+def ref_letters(e) -> frozenset:
+    """The letters that occur in e."""
+    if isinstance(e, Letter):
+        return ref_letters(e.body) | {e.letter}
+    if isinstance(e, (Plus, Cap)):
+        return ref_letters(e.left) | ref_letters(e.right)
+    if isinstance(e, (Mu, Nu)):
+        return ref_letters(e.body)
     return frozenset()
 
 

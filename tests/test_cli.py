@@ -19,7 +19,7 @@ from rll.calculus import format_sequent, parse_sequent
 from rll.corpus import ALPHABET, proofs
 from rll.decide import saturate
 from rll.proof import serialize_proof
-from rll.expr import Alphabet, parse, pretty
+from rll.expr import Alphabet, ParseError, parse, pretty
 from rll.proof import check, parse_proof
 from rll.semantics import member, parse_word
 from oracles import gen_expr, gen_guarded_sequent, gen_word, ref_parse_proof
@@ -353,6 +353,26 @@ def test_check_reports_faults_as_a_sequent_per_record_did(capsys, tmp_path, name
     assert cli_module.main(["check", str(f)]) == 64
     assert capsys.readouterr() == ("", "error: %s\n" % message)
     with pytest.raises(type(ref.value)):
+        parse_proof(text)
+
+
+# a formula of a record other than the root is parsed over the file's alphabet
+# with no names, so the parser refuses a letter outside it, on either side
+@pytest.mark.parametrize("sequent, message", [
+    ("a nu X. a X |- nu X. a X + b X, c T", "unknown name or letter outside alphabet: 'c' at position 1 in ' c T'"),
+    ("a nu X. a X, b c T |- nu X. a X + b X", "unknown name or letter outside alphabet: 'c' at position 3 in ' b c T'"),
+], ids=["right", "left"])
+def test_check_refuses_a_letter_outside_the_alphabet_in_a_record_other_than_the_root(capsys, tmp_path, sequent, message):
+    text = ("alphabet: ab\nnode n0: nu X. a X |- nu X. a X + b X ; rule nu-l ; children n1\n"
+            "node n1: %s ; rule mu-l ; children n1\nroot n0\n" % sequent)
+    with pytest.raises(ValueError) as ref:
+        ref_parse_proof(text)
+    assert str(ref.value) == message
+    f = tmp_path / "letter.proof"
+    f.write_text(text)
+    assert cli_module.main(["check", str(f)]) == 64
+    assert capsys.readouterr() == ("", "error: %s\n" % message)
+    with pytest.raises(ParseError, match=re.escape(message)):
         parse_proof(text)
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import rll.decide
-from rll.calculus import FormulaTable, parse_sequent
+from rll.calculus import FormulaTable, Sequent, parse_sequent
 from rll.corpus import _PROOFS, ALPHABET, DECISIONS, EXPRESSIONS
 from rll.decide import (
     BudgetExceededError,
@@ -19,11 +19,11 @@ from rll.decide import (
     saturate,
     strategy_step,
 )
-from rll.expr import Alphabet, complement, parse
+from rll.expr import Alphabet, complement, parse, pretty
 from rll.proof import check, check_local, serialize_proof
-from rll.semantics import member
+from rll.semantics import UPWord, member
 from oracles import gen_guarded_sequent, make_instance, member_denotational, principal_of, ref_saturate, sequent_of
-from golden import graphs, scale
+from golden import graphs, scale, sweep
 
 AB = ALPHABET
 
@@ -249,6 +249,44 @@ def test_decide_agrees_with_the_denotational_oracle_on_random_sequents():
             for stem, loop in words[str(alphabet)]:
                 assert not refutes(s, stem, loop), (s, stem, loop)
     assert proved >= 50 and refuted >= 50  # both verdicts are well represented
+
+
+def test_decide_agrees_with_the_denotational_oracle_on_every_sequent_of_small_terms():
+    """Bounded-exhaustive: every l |- r over the 54 closed guarded terms of
+    at most 3 AST nodes over ab, against member_denotational on the 98 words
+    with |stem| + |loop| <= 4.  A countermodel re-checks in the oracle, and
+    no such word refutes a proved sequent."""
+    small = sweep.terms(3)
+    words = list(_up_words("ab", 4))
+    assert len(small) == 54 and len(words) == 98
+    holds = {t: {w for w in words if member_denotational(*w, t)} for t in small}
+    proved = 0
+    for l in small:
+        for r in small:
+            out = decide(Sequent({l}, {r}, AB))
+            if isinstance(out, Refuted):
+                stem, loop = out.word.stem, out.word.loop
+                assert member_denotational(stem, loop, l) and not member_denotational(stem, loop, r), (l, r)
+            else:
+                proved += 1
+                assert holds[l] <= holds[r], (pretty(l), pretty(r))
+    assert proved == 1843  # and 1,073 refuted
+
+
+def test_member_and_complement_agree_with_the_denotational_oracle_on_every_small_term():
+    """Bounded-exhaustive: each of the 318 closed guarded terms of at most 4
+    AST nodes over ab, and its complement, on each of the 98 words with
+    |stem| + |loop| <= 4.  The terms are distinct, and each is what parse
+    reads from its printed text."""
+    terms = sweep.terms(4)
+    words = [UPWord(stem, loop, AB) for stem, loop in _up_words("ab", 4)]
+    assert len(terms) == len(set(terms)) == 318
+    for t in terms:
+        assert parse(pretty(t), AB) is t
+        c = complement(t, AB)
+        for w in words:
+            want = member_denotational(w.stem, w.loop, t)
+            assert member(w, t) == want and member(w, c) != want, (pretty(t), str(w))
 
 
 def test_deciding_and_rechecking_the_bundled_decisions_renames_only_at_entry():

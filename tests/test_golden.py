@@ -9,7 +9,9 @@ graphs; here it runs on three seeds.  tests/golden/scale.py digests the
 trace automaton and verdict of the scale rows, and the round trip of each
 row's proof file; here it runs on the refuted 3-letter row.
 tests/golden/closures.py digests the numbered closure and colouring of the
-bundled, deep and drawn expressions; here it runs on a few draws.  tests/golden/gates.py runs the full dumps in this checkout
+bundled, deep and drawn expressions; here it runs on a few draws.
+tests/golden/sweep.py decides every sequent between two small terms; here
+it runs on the smallest ones.  tests/golden/gates.py runs the full dumps in this checkout
 and in a parent one and compares them; here it compares a copy of this
 checkout with itself on a short graphs dump, and must report a difference
 planted in the copy.
@@ -23,7 +25,7 @@ import shutil
 import pytest
 
 from golden.regenerate import CAPTURE, cases, run
-from golden import closures, gates, graphs, scale
+from golden import closures, gates, graphs, scale, sweep
 from golden.rows import dump_lines, workloads
 from rll.corpus import EXPRESSIONS
 from rll.proof import serialize_proof
@@ -127,6 +129,20 @@ def test_closures_dump_has_one_well_formed_line_per_expression():
         assert len(record["colouring"]) == record["size"] >= 1 and len(record["sha256"]) == 64
     # seeds 0..n-1 do not depend on n, so an older dump stays a prefix
     assert closures.dump_lines(30)[: len(lines)] == lines
+
+
+def test_sweep_dump_has_one_line_per_block_of_sequents(monkeypatch):
+    assert [len(sweep.terms(n)) for n in range(1, 5)] == [2, 10, 54, 318]
+    monkeypatch.setattr(sweep, "BLOCK", 100)
+    lines = sweep.dump_lines(2, 3)
+    assert sweep.dump_lines(2, 3) == lines
+    records = [json.loads(line) for line in lines]
+    assert [r["block"] for r in records] == list(range(6))  # 10 * 54 sequents
+    assert [r["sequents"] for r in records] == [100] * 5 + [40]
+    for line, record in zip(lines, records):
+        assert "\n" not in line and set(record) == {"block", "sequents", "proved", "refuted", "sha256"}
+        assert record["proved"] + record["refuted"] == record["sequents"] and len(record["sha256"]) == 64
+    assert sum(r["proved"] for r in records) > 0 and sum(r["refuted"] for r in records) > 0
 
 
 def test_gates_read_identical_on_a_copy_and_report_a_planted_difference(tmp_path, monkeypatch, capsys):
