@@ -178,9 +178,9 @@ LOGICAL_RULE = {key: rule for rule, key in PRINCIPAL_RULES.items() if key[0] is 
 
 class FormulaTable:
     """The closure of a set of closed formulas over an alphabet, numbered by
-    expr_sort_key rank: formulas[n] is formula n, number maps it back and
-    bit maps it to 1 << n.  A set of its formulas is a mask, the OR of
-    their bits, so a cedent's ascending bits are its sorted order.  Per
+    expr_sort_key rank: formulas[n] is formula n and number maps it back.
+    A set of its formulas is a mask, the OR of 1 << n over their numbers
+    n, so a cedent's ascending bits are its sorted order.  Per
     number: kind[n] is the constructor, letter[n] the head letter of a
     letter formula (else None), body[n] the bit of its body (else 0), and
     aux[side][n] the masks that take formula n's place in each premiss of
@@ -195,24 +195,23 @@ class FormulaTable:
                 closure.update(fl_closure(f).members)
         self.alphabet = alphabet
         self.formulas = tuple(sorted(closure, key=expr_sort_key))
-        self.number = {f: n for n, f in enumerate(self.formulas)}
-        self.bit = bit = {f: 1 << n for n, f in enumerate(self.formulas)}
+        self.number = number = {f: n for n, f in enumerate(self.formulas)}
         self.kind = tuple(map(type, self.formulas))
         self.kinds, self.head = {}, {}
         letter, body, left, right = [], [], [], []
         for n, f in enumerate(self.formulas):
             self.kinds[type(f)] = self.kinds.get(type(f), 0) | 1 << n
             letter.append(f.letter if isinstance(f, Letter) else None)
-            body.append(bit[f.body] if isinstance(f, Letter) else 0)
+            body.append(1 << number[f.body] if isinstance(f, Letter) else 0)
             if isinstance(f, Letter):
                 self.head[f.letter] = self.head.get(f.letter, 0) | 1 << n
                 aux = None, None
             elif isinstance(f, (Plus, Cap)):
-                parts = bit[f.left], bit[f.right]
+                parts = 1 << number[f.left], 1 << number[f.right]
                 joined = (parts[0] | parts[1],)
                 aux = (parts, joined) if isinstance(f, Plus) else (joined, parts)
             elif isinstance(f, (Mu, Nu)):
-                aux = ((bit[unfold(f)],),) * 2
+                aux = ((1 << number[unfold(f)],),) * 2
             else:  # 0 closes on the left and drops on the right, T the other way round
                 aux = ((), (0,)) if isinstance(f, Zero) else ((0,), ())
             left.append(aux[0])
@@ -227,8 +226,8 @@ class FormulaTable:
 
     def masks(self, s: Sequent):
         """s as a (lhs, rhs) mask pair; every formula of s is in the table."""
-        bit = self.bit.__getitem__
-        return sum(map(bit, s.lhs)), sum(map(bit, s.rhs))
+        number = self.number
+        return sum(1 << number[f] for f in s.lhs), sum(1 << number[f] for f in s.rhs)
 
     def numbers(self, mask: int):
         """The numbers of a mask's bits, ascending."""
@@ -243,7 +242,7 @@ class FormulaTable:
         """Each of these masks over another numbering, in which formula n
         is formulas[n], as a mask over this table, which holds all of
         them."""
-        moved = [self.bit[f] for f in formulas]
+        moved = [1 << self.number[f] for f in formulas]
         return {m: sum(map(moved.__getitem__, self.numbers(m))) for m in masks}
 
     def code(self, principal):

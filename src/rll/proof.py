@@ -54,9 +54,9 @@ complementation lives in tests/oracles.py as the reference this profile
 search is checked against, next to the full search as one pass.
 
 check builds the automaton, and runs both searches, over the live nodes
-only: those from which a cycle can be reached, the nodes left once those
-whose children are all dead are peeled away.  The Tarjan pass that finds
-the feedback nodes then runs over the live nodes alone.  That is exact.
+only: those from which a cycle can be reached.  One Tarjan pass over every
+node gives the SCCs, the feedback nodes and the live nodes together, since
+it emits each SCC after every SCC it reaches.  That is exact.
 A branch that ends at an axiom owes no trace, and every infinite branch,
 and every stem to a loop, stays inside the live nodes.  A parent of a live
 node is live, so the breadth-first walk meets the states at live nodes in
@@ -591,36 +591,68 @@ class _RowStep(dict):
 
 def _components(children):
     """The SCC number of each node, the feedback nodes, and per node
-    whether it is live, that is, whether a cycle can be reached from it.
-    A node is dead when all its children are dead, so the dead nodes are
-    peeled first, leaves up, by counting each node's children that are not
-    yet dead.  One Tarjan pass then runs over the live nodes and their live
-    children only; a dead node gets no SCC (-1).  No path leaves the dead
-    nodes, so a dead node is never reached while it is on the Tarjan stack,
-    and the live nodes are visited in the same order as by a pass over
-    every node: the feedback set and the SCCs among live nodes are the
-    same."""
+    whether it is live, that is, whether a cycle can be reached from it;
+    all from one iterative Tarjan pass over every node.  Tarjan's algorithm
+    emits each SCC after every SCC it reaches, so liveness is known as the
+    walk goes: an edge to a node on the stack adds that node to the
+    feedback set and makes its source live, an edge to a finished live
+    node makes its source live, and a finished node passes its liveness to
+    its tree parent.  An SCC whose root is live when it is emitted (every
+    SCC with a cycle) gets the next number; a dead node is a singleton and
+    keeps -1.  No path leaves the dead nodes, so the live SCCs, their
+    numbers and the feedback set are those of a pass over the live nodes
+    alone."""
     n = len(children)
-    parents = [[] for _ in range(n)]
-    pending = [len(kids) for kids in children]  # per node, its children not yet known dead
-    for v, kids in enumerate(children):
-        for c in kids:
-            parents[c].append(v)
-    dead = [v for v in range(n) if not pending[v]]
-    for v in dead:  # the list grows while it is walked
-        for u in parents[v]:
-            pending[u] -= 1
-            if not pending[u]:
-                dead.append(u)
-    live = bytearray(b"\x01") * n
-    for v in dead:
-        live[v] = 0
-    inside = [tuple(c for c in kids if live[c]) if up else () for kids, up in zip(children, live)]
-    feedback = set()
+    index = [-1] * n  # -1 unvisited, below n on the stack, n finished dead, n + 1 finished live
+    finished = (n, n + 1)  # one int object each, shared by every finished node
+    low = [0] * n
+    live = bytearray(n)
     scc_of = [-1] * n
-    for i, comp in enumerate(tarjan(inside, [v for v in range(n) if live[v]], feedback)):
-        for v in comp:
-            scc_of[v] = i
+    feedback = set()
+    stack = []
+    counter = numbered = 0
+    for start in range(n):
+        if index[start] >= 0:
+            continue
+        index[start] = low[start] = counter
+        counter += 1
+        stack.append(start)
+        work = [(start, iter(children[start]))]
+        while work:
+            v, it = work[-1]
+            for u in it:
+                i = index[u]
+                if i < 0:
+                    index[u] = low[u] = counter
+                    counter += 1
+                    stack.append(u)
+                    work.append((u, iter(children[u])))
+                    break
+                if i < n:
+                    feedback.add(u)
+                    live[v] = 1
+                    if i < low[v]:
+                        low[v] = i
+                elif i > n:
+                    live[v] = 1
+            else:  # v is finished
+                work.pop()
+                up = live[v]
+                if low[v] == index[v]:  # v is the root of an SCC: pop it
+                    while True:
+                        u = stack.pop()
+                        index[u] = finished[up]
+                        if up:
+                            scc_of[u] = numbered
+                        if u == v:
+                            break
+                    numbered += up
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                    if up:
+                        live[parent] = 1
     return scc_of, feedback, live
 
 
@@ -757,61 +789,6 @@ def _path(links, key):
         edges.append(edge)
     edges.reverse()
     return tuple(edges)
-
-
-def tarjan(children, starts, feedback: set):
-    """Tarjan's algorithm over nodes numbered below len(children): the
-    strongly connected components of the nodes reachable from `starts`, in
-    Tarjan's order.  Every node that an edge reaches while it is still on
-    the stack is added to the set `feedback`."""
-    index = [-1] * len(children)
-    low = [0] * len(children)
-    onstack = bytearray(len(children))
-    stack = []
-    out = []
-    counter = 0
-
-    for start in starts:
-        if index[start] >= 0:
-            continue
-        work = [(start, iter(children[start]))]
-        index[start] = low[start] = counter
-        counter += 1
-        stack.append(start)
-        onstack[start] = 1
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for u in it:
-                if index[u] < 0:
-                    index[u] = low[u] = counter
-                    counter += 1
-                    stack.append(u)
-                    onstack[u] = 1
-                    work.append((u, iter(children[u])))
-                    advanced = True
-                    break
-                if onstack[u]:
-                    if index[u] < low[v]:
-                        low[v] = index[u]
-                    feedback.add(u)
-            if advanced:
-                continue
-            work.pop()
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    u = stack.pop()
-                    onstack[u] = 0
-                    comp.append(u)
-                    if u == v:
-                        break
-                out.append(comp)
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-    return out
 
 
 @dataclass(frozen=True)

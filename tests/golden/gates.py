@@ -6,8 +6,9 @@ Copies PARENT_DIR to a temporary directory and overlays this checkout's
 tests/golden/*.py on the copy, so that both trees run the same dump
 scripts.  tests/oracles.py is not overlaid: each tree's graphs.py draws with
 that tree's own oracles, which may use what only that tree's rll provides.
-Then it runs every dump in DUMPS in both trees, each script from its own
-tree so that it imports that tree's rll, and prints one line per dump:
+Then it runs every dump in DUMPS in both trees side by side, each script
+from its own tree so that it imports that tree's rll and each run writing
+to its own temporary files, and prints one line per dump:
 `identical (N lines)`, or the first line where the two dumps differ.  It
 exits 1 if any dump differs or fails to run, and 0 otherwise.  The capture
 gate, tests/golden/capture.json, is checked by tests/test_golden.py.
@@ -15,6 +16,7 @@ gate, tests/golden/capture.json, is checked by tests/test_golden.py.
 
 from __future__ import annotations
 
+import contextlib
 import glob
 import os
 import shutil
@@ -32,13 +34,23 @@ DUMPS = (
 SHOWN = 200  # characters of a differing line that are printed
 
 
-def _dump(tree: str, script: str, args) -> tuple:
-    """The exit code, stdout lines and stderr of one dump run in tree."""
-    run = subprocess.run(
-        [sys.executable, os.path.join(tree, GOLDEN, script), *args],
-        cwd=tree, capture_output=True, text=True, encoding="utf-8",
-    )
-    return run.returncode, run.stdout.splitlines(), run.stderr
+def _dumps(trees, script: str, args) -> dict:
+    """Per (name, tree) of trees, the exit code, stdout lines and stderr of
+    one dump run in that tree.  The runs go side by side, and each writes
+    to temporary files of its own, so that none waits on a full pipe."""
+    with contextlib.ExitStack() as opened:
+        started = {}
+        for name, tree in trees:
+            out, err = opened.enter_context(tempfile.TemporaryFile()), opened.enter_context(tempfile.TemporaryFile())
+            command = [sys.executable, os.path.join(tree, GOLDEN, script), *args]
+            started[name] = opened.enter_context(subprocess.Popen(command, cwd=tree, stdout=out, stderr=err)), out, err
+        runs = {}
+        for name, (run, out, err) in started.items():
+            code = run.wait()
+            out.seek(0)
+            err.seek(0)
+            runs[name] = code, out.read().decode("utf-8").splitlines(), err.read().decode("utf-8")
+    return runs
 
 
 def _first_difference(old, new) -> str:
@@ -61,7 +73,7 @@ def main(argv) -> int:
         for path in glob.glob(os.path.join(ROOT, GOLDEN, "*.py")):
             shutil.copy(path, os.path.join(parent, GOLDEN))
         for script, *args in DUMPS:
-            runs = {name: _dump(tree, script, args) for name, tree in (("parent", parent), ("here", ROOT))}
+            runs = _dumps((("parent", parent), ("here", ROOT)), script, args)
             report = _first_difference(runs["parent"][1], runs["here"][1])
             for name, (code, _, err) in runs.items():
                 if code != 0:

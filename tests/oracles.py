@@ -97,6 +97,13 @@
   each (profile, edge) pair once, decides the verdict over feedback nodes
   and runs the full search, with an early exit, only on a rejection; the
   two must return the same lasso.
+- ref_tarjan is Tarjan's algorithm over dict and set tables, from any
+  starts, listing its SCCs in emission order and collecting the feedback
+  nodes.  rll.proof._components makes one pass over every node that
+  numbers only the live SCCs and reads liveness off the walk; the tests
+  require the same feedback set and the live SCCs numbered in the
+  reference's order.  first_uncertified, from_records and
+  ref_find_unaccepted_branch take their components from it.
 - ref_live_nodes lists the nodes from which a cycle can be reached, by
   plain reachability: a node lies on a cycle when a search from its
   children finds it again, and a node is live when a search from it finds
@@ -176,7 +183,7 @@ from rll.expr import (
     unfold,
 )
 from rll.automaton import default_coloring
-from rll.proof import ProofGraph, TraceAutomaton, _after_keyword, tarjan
+from rll.proof import ProofGraph, TraceAutomaton, _after_keyword
 from rll.semantics import UPWord, member, parse_word, winning_offsets
 from golden.scale import trace_state_counts
 
@@ -471,7 +478,7 @@ def first_uncertified(game: ParityGame, winner: bytes, choice) -> Optional[int]:
         if len(inside) < len(ms):
             failed.add(p)
         plays.append(inside)
-    comps = tarjan(plays, game.positions, set())
+    comps = ref_tarjan(plays, game.positions, set())
     while comps:  # one round per layer of removed priorities
         label = [-1] * len(plays)  # the component a position is split again in
         rest = []
@@ -487,7 +494,7 @@ def first_uncertified(game: ParityGame, winner: bytes, choice) -> Optional[int]:
                     label[p] = i
                     rest.append(p)
         plays = [[q for q in ms if label[q] == label[p]] if label[p] >= 0 else () for p, ms in enumerate(plays)]
-        comps = tarjan(plays, rest, set())
+        comps = ref_tarjan(plays, rest, set())
     return min(failed, default=None)
 
 
@@ -971,7 +978,7 @@ def from_records(records, root: str) -> ProofGraph:
                 raise ValueError("node %r references unknown child %r" % (nid, cid))
         children.append(tuple(number[cid] for cid in kids))
     reached = bytearray(len(records))
-    for comp in tarjan(children, [number[root]], set()):
+    for comp in ref_tarjan(children, [number[root]], set()):
         for v in comp:
             reached[v] = 1
     unreachable = [nid for (nid, *_), r in zip(records, reached) if not r]
@@ -1630,7 +1637,7 @@ def ref_find_unaccepted_branch(children, automaton: TraceAutomaton):
     ]
 
     # strongly connected components of the node graph (loops live inside them)
-    sccs = _ref_sccs(children)
+    sccs = ref_tarjan(children, range(len(children)), set())
     scc_of = {}
     for comp in sccs:
         for v in comp:
@@ -1718,7 +1725,12 @@ def _ref_row_or(bits, rows):
     return out
 
 
-def _ref_sccs(children):
+def ref_tarjan(children, starts, feedback: set):
+    """Tarjan's algorithm over nodes numbered below len(children), with
+    dict and set tables: the strongly connected components of the nodes
+    reachable from `starts`, in the order Tarjan's algorithm emits them.
+    Every node that an edge reaches while it is still on the stack is added
+    to the set `feedback`."""
     index = {}
     low = {}
     onstack = set()
@@ -1726,7 +1738,7 @@ def _ref_sccs(children):
     out = []
     counter = [0]
 
-    for start in range(len(children)):
+    for start in starts:
         if start in index:
             continue
         work = [(start, iter(children[start]))]
@@ -1748,6 +1760,7 @@ def _ref_sccs(children):
                     break
                 if u in onstack:
                     low[v] = min(low[v], index[u])
+                    feedback.add(u)
             if advanced:
                 continue
             work.pop()

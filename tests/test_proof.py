@@ -25,7 +25,6 @@ from rll.proof import (
     serialize_proof,
     _components,
     _find_unaccepted_branch,
-    tarjan,
 )
 from oracles import (
     BuchiAutomaton,
@@ -45,6 +44,7 @@ from oracles import (
     ref_live_nodes,
     ref_numbered_states,
     ref_parse_proof,
+    ref_tarjan,
     ref_trace_automaton,
     ref_violation,
     sequent_of,
@@ -569,8 +569,8 @@ def test_deleting_the_feedback_nodes_leaves_an_acyclic_graph():
     graphs += [p.children for p, _ in FIXTURES.values()]
     graphs += [saturate(s).children for _, s, _ in DECISIONS]
     for children in graphs:
-        feedback = set()
-        comps = tarjan(children, range(len(children)), feedback)
+        feedback = _components(children)[1]
+        comps = ref_tarjan(children, range(len(children)), set())
         assert sorted(v for comp in comps for v in comp) == list(range(len(children)))
         cyclic = {
             v for comp in comps if len(comp) > 1 or comp[0] in children[comp[0]] for v in comp
@@ -634,18 +634,46 @@ def test_components_over_live_nodes_are_those_of_a_whole_graph_tarjan():
     for children in _liveness_tables():
         scc_of, feedback, live = _components(children)
         whole_feedback = set()
-        whole = tarjan(children, range(len(children)), whole_feedback)
+        whole = ref_tarjan(children, range(len(children)), whole_feedback)
         assert feedback == whole_feedback, children
-        # an SCC is all live or all dead; the live ones are the SCCs that
-        # _components numbers, and the dead nodes get none
+        # an SCC is all live or all dead; the live ones are numbered in the
+        # order a whole-graph Tarjan pass emits them, and the dead nodes get
+        # none
         assert all(len({live[v] for v in comp}) == 1 for comp in whole)
         numbered = defaultdict(set)
         for v, i in enumerate(scc_of):
             numbered[i].add(v)
         assert numbered.pop(-1, set()) == {v for v, up in enumerate(live) if not up}, children
-        assert set(map(frozenset, numbered.values())) == {frozenset(comp) for comp in whole if live[comp[0]]}
+        live_sccs = [set(comp) for comp in whole if live[comp[0]]]
+        assert sorted(numbered) == list(range(len(live_sccs))), children
+        assert [numbered[i] for i in range(len(live_sccs))] == live_sccs, children
         peeled += len(numbered) < len(whole)
     assert peeled >= 1000  # graphs with dead SCCs are well represented
+
+
+@pytest.mark.parametrize("looped", [True, False])
+def test_components_run_down_a_long_chain_without_recursion(looped):
+    # a path of 200,000 nodes into a node with a self-loop: liveness and the
+    # SCC walk must carry over the whole path, with no recursion
+    n = 200_000
+    children = [(v + 1,) for v in range(n - 1)] + [(n - 1,) if looped else ()]
+    scc_of, feedback, live = _components(children)
+    if looped:
+        assert all(live) and feedback == {n - 1}
+        assert scc_of == list(range(n - 1, -1, -1))  # each node its own SCC, emitted from the end
+    else:
+        assert not any(live) and feedback == set() and scc_of == [-1] * n
+
+
+def test_components_hold_little_transient_memory():
+    children = scale.saturated("fin_c").children
+    tracemalloc.start()
+    try:
+        _components(children)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.7 * 2**20, peak
 
 
 def _record_builds(monkeypatch):
@@ -692,9 +720,9 @@ def test_check_builds_the_whole_automaton_restricted_to_live_nodes(monkeypatch):
     assert rejected >= 1000 and restricted >= 1000 and dead_roots >= 100
 
 
-def test_check_runs_tarjan_once(monkeypatch):
+def test_check_runs_components_once(monkeypatch):
     calls = []
-    monkeypatch.setattr(proof_module, "tarjan", lambda *args: calls.append(args) or tarjan(*args))
+    monkeypatch.setattr(proof_module, "_components", lambda *args: calls.append(args) or _components(*args))
     for text, _, _ in THREE_LETTER_REFUTATIONS.values():
         calls.clear()
         assert not check(saturate(parse_sequent(text, Alphabet("abc")))).ok
